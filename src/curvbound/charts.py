@@ -6,7 +6,9 @@ derivatives implement :meth:`Chart.jet`; the rest fall back to finite
 differences inside the patch machinery.
 
 Registry names: sphere, ellipsoid, cylinder, graph, geodesic_sphere,
-hyperboloid, perturbed_hyperboloid, tabulated.
+hyperboloid, perturbed_hyperboloid, tabulated.  ``sphere`` is an alias for an
+ellipsoid with equal semi-axes and ``hyperboloid`` for a perturbed hyperboloid
+with epsilon = 0.
 """
 
 from __future__ import annotations
@@ -57,6 +59,39 @@ def hypersphere_direction_jet(angles: np.ndarray):
     return value, d1, d2
 
 
+def fd_jet(value, p: np.ndarray, h: np.ndarray):
+    """(position, d1, d2) of ``value`` at p by central differences.
+
+    ``h`` holds one step per parameter axis; mixed second derivatives use the
+    four-point cross stencil.
+    """
+    p = np.asarray(p, dtype=float)
+    n = p.size
+    x = np.asarray(value(p), dtype=float)
+    m = x.size
+    d1 = np.empty((m, n))
+    d2 = np.empty((m, n, n))
+
+    def at(dp):
+        return np.asarray(value(p + dp), dtype=float)
+
+    for i in range(n):
+        ei = np.zeros(n)
+        ei[i] = h[i]
+        fp, fm = at(ei), at(-ei)
+        d1[:, i] = (fp - fm) / (2.0 * h[i])
+        d2[:, i, i] = (fp - 2.0 * x + fm) / h[i] ** 2
+        for j in range(i):
+            ej = np.zeros(n)
+            ej[j] = h[j]
+            mixed = (at(ei + ej) - at(ei - ej) - at(-ei + ej) + at(-ei - ej)) / (
+                4.0 * h[i] * h[j]
+            )
+            d2[:, i, j] = mixed
+            d2[:, j, i] = mixed
+    return x, d1, d2
+
+
 def _angle_domain(n: int):
     lo = np.zeros(n)
     hi = np.full(n, 2.0 * np.pi)
@@ -83,29 +118,6 @@ class Chart:
 
     def default_domain(self):
         raise NotImplementedError
-
-
-class SphereChart(Chart):
-    """Round sphere of given radius in Euclidean space."""
-
-    def __init__(self, center: np.ndarray, radius: float):
-        if radius <= 0:
-            raise ConfigError("sphere radius must be positive")
-        self.center = np.asarray(center, dtype=float)
-        self.radius = float(radius)
-        self.nparams = self.center.size - 1
-
-    def value(self, p):
-        omega, _, _ = hypersphere_direction_jet(p)
-        return self.center + self.radius * omega
-
-    def jet(self, p):
-        omega, d1, d2 = hypersphere_direction_jet(p)
-        r = self.radius
-        return self.center + r * omega, r * d1, r * d2
-
-    def default_domain(self):
-        return _angle_domain(self.nparams)
 
 
 class EllipsoidChart(Chart):
@@ -316,50 +328,14 @@ class GeodesicSphereChart(Chart):
         return np.full(n, -self.half_width), np.full(n, self.half_width)
 
 
-class MinkowskiHyperboloidChart(Chart):
-    """Level set rho = r in Minkowski space as a graph t = sqrt(r^2 + |y|^2)."""
-
-    def __init__(self, center: np.ndarray, radius: float, half_width: float = 2.0):
-        if radius <= 0:
-            raise ConfigError("hyperboloid radius must be positive")
-        self.center = np.asarray(center, dtype=float)
-        self.radius = float(radius)
-        self.half_width = float(half_width)
-        self.nparams = self.center.size - 1
-
-    def _graph_jet(self, y):
-        y = np.asarray(y, dtype=float)
-        n = y.size
-        T = np.sqrt(self.radius**2 + y @ y)
-        dT = y / T
-        d2T = (np.eye(n) - np.outer(dT, dT)) / T
-        return T, dT, d2T
-
-    def value(self, p):
-        T, _, _ = self._graph_jet(p)
-        return self.center + np.concatenate([[T], np.asarray(p, dtype=float)])
-
-    def jet(self, p):
-        n = self.nparams
-        T, dT, d2T = self._graph_jet(p)
-        x = self.center + np.concatenate([[T], np.asarray(p, dtype=float)])
-        d1 = np.vstack([dT, np.eye(n)])
-        d2 = np.zeros((n + 1, n, n))
-        d2[0] = d2T
-        return x, d1, d2
-
-    def default_domain(self):
-        n = self.nparams
-        return np.full(n, -self.half_width), np.full(n, self.half_width)
-
-
 class PerturbedHyperboloidChart(Chart):
     """Hyperboloid graph with a dipole radial perturbation.
 
     t(y) = sqrt(q(y)^2 + |y|^2) with q(y) = r + eps (e^{-|y-y0|^2} -
     e^{-|y+y0|^2}), y0 = (offset, 0, ..).  The distance to the vertex is then
     exactly q(y), so it attains an interior max near +y0 and an interior min
-    near -y0 -- the regime the sandwich estimate describes.
+    near -y0 -- the regime the sandwich estimate describes.  With eps = 0 the
+    chart is the distance sphere rho = r itself.
     """
 
     def __init__(self, center, radius, epsilon=0.01, offset=1.0, half_width=2.0):
@@ -386,11 +362,6 @@ class PerturbedHyperboloidChart(Chart):
             dq += sgn * self.epsilon * (-2.0 * z) * g
             d2q += sgn * self.epsilon * (4.0 * np.outer(z, z) - 2.0 * np.eye(n)) * g
         return q, dq, d2q
-
-    def distance_profile(self, y):
-        """Exact distance from the vertex center to the chart point at y."""
-        q, _, _ = self._radial_jet(np.asarray(y, dtype=float))
-        return q
 
     def _graph_jet(self, y):
         y = np.asarray(y, dtype=float)
@@ -456,41 +427,14 @@ class TabulatedChart(Chart):
         i = self._row(p)
         if self.d1 is not None and self.d2 is not None:
             return self.positions[i].copy(), self.d1[i].copy(), self.d2[i].copy()
-        return self._fd_jet_from_grid(p)
-
-    def _fd_jet_from_grid(self, p):
         p = np.asarray(p, dtype=float)
-        n = self.nparams
-        m = self.positions.shape[1]
-        pos = {i: None for i in range(n)}
-        steps = np.empty(n)
-        for i in range(n):
-            axis = self.axes[i]
+        steps = np.empty(self.nparams)
+        for i, axis in enumerate(self.axes):
             j = int(np.argmin(np.abs(axis - p[i])))
             if j == 0 or j == axis.size - 1:
                 raise DomainError("finite differences unavailable at the grid boundary")
             steps[i] = 0.5 * (axis[j + 1] - axis[j - 1])
-        x = self.value(p)
-
-        def at(offset):
-            return self.positions[self._row(p + offset)]
-
-        d1 = np.empty((m, n))
-        d2 = np.empty((m, n, n))
-        for i in range(n):
-            ei = np.zeros(n)
-            ei[i] = steps[i]
-            d1[:, i] = (at(ei) - at(-ei)) / (2.0 * steps[i])
-            d2[:, i, i] = (at(ei) - 2.0 * x + at(-ei)) / steps[i] ** 2
-            for j in range(i):
-                ej = np.zeros(n)
-                ej[j] = steps[j]
-                mixed = (at(ei + ej) - at(ei - ej) - at(-ei + ej) + at(-ei - ej)) / (
-                    4.0 * steps[i] * steps[j]
-                )
-                d2[:, i, j] = mixed
-                d2[:, j, i] = mixed
-        return x, d1, d2
+        return fd_jet(self.value, p, steps)
 
     def default_domain(self):
         lo = np.array([a[0] for a in self.axes])
@@ -559,8 +503,11 @@ def build_chart(model: AmbientModel, kind: str, params: dict) -> Chart:
     if kind == "sphere":
         if model.model_kind != "euclidean":
             raise ConfigError("sphere chart requires a euclidean ambient")
+        radius = float(params.pop("radius"))
+        if radius <= 0:
+            raise ConfigError("sphere radius must be positive")
         c = center if center is not None else np.zeros(model.embedding_dim)
-        return SphereChart(c, params.pop("radius"))
+        return EllipsoidChart(c, np.full(c.size, radius))
     if kind == "ellipsoid":
         if model.model_kind != "euclidean":
             raise ConfigError("ellipsoid chart requires a euclidean ambient")
@@ -582,21 +529,14 @@ def build_chart(model: AmbientModel, kind: str, params: dict) -> Chart:
         return GeodesicSphereChart(
             model, c, params.pop("radius"), params.pop("half_width", 2.0)
         )
-    if kind == "hyperboloid":
+    if kind in ("hyperboloid", "perturbed_hyperboloid"):
         if model.model_kind != "minkowski":
-            raise ConfigError("hyperboloid chart requires a minkowski ambient")
-        c = center if center is not None else np.zeros(model.embedding_dim)
-        return MinkowskiHyperboloidChart(
-            c, params.pop("radius"), params.pop("half_width", 2.0)
-        )
-    if kind == "perturbed_hyperboloid":
-        if model.model_kind != "minkowski":
-            raise ConfigError("perturbed_hyperboloid chart requires a minkowski ambient")
+            raise ConfigError(f"{kind} chart requires a minkowski ambient")
         c = center if center is not None else np.zeros(model.embedding_dim)
         return PerturbedHyperboloidChart(
             c,
             params.pop("radius"),
-            params.pop("epsilon", 0.01),
+            0.0 if kind == "hyperboloid" else params.pop("epsilon", 0.01),
             params.pop("offset", 1.0),
             params.pop("half_width", 2.0),
         )

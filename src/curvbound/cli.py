@@ -29,7 +29,14 @@ from .comparison import (
     sturm_profile,
 )
 from .errors import ConfigError, DomainError, GeometryError, HypothesisViolationError
-from .harness import bundled_scenarios, emit_report, emit_samples_csv, load_scenario, run_scenario
+from .harness import (
+    bundled_scenarios,
+    checked_resolution,
+    emit_report,
+    emit_samples_csv,
+    load_scenario,
+    run_scenario,
+)
 
 USAGE_ERROR = 3
 HYPOTHESIS_ERROR = 2
@@ -76,9 +83,7 @@ def _resolve_scenario(name: str):
 def _cmd_verify(args) -> int:
     config = load_scenario(_resolve_scenario(args.scenario))
     if args.resolution is not None:
-        if args.resolution < 8:
-            raise ConfigError("estimate scenarios need resolution >= 8 per axis")
-        config.resolution = args.resolution
+        config.resolution = checked_resolution(args.resolution)
     if args.tol is not None:
         config.tol_equality = args.tol
         config.tol_margin = args.tol

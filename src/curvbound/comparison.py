@@ -325,22 +325,3 @@ def phi_gamma(G: CurvatureBoundG, t: float) -> float:
         return 0.0
     val, _ = integrate.quad(lambda s: 1.0 / G(s + 1.0), 0.0, t, limit=200)
     return val
-
-
-@dataclass(frozen=True)
-class ComparisonProfile:
-    """C_b, phi_b and the Lorentzian C_{-b} bundled for one curvature value."""
-
-    b: float
-
-    def c(self, t: float) -> float:
-        return c_b(self.b, t)
-
-    def phi(self, t: float) -> float:
-        return phi_b(self.b, t)
-
-    def phi_d1(self, t: float) -> float:
-        return phi_b_d1(self.b, t)
-
-    def c_hat(self, t: float) -> float:
-        return c_hat_b(self.b, t)

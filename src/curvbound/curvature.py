@@ -141,15 +141,13 @@ class NewtonFamily:
     definiteness: list
     signature: str
 
-    def traces(self) -> np.ndarray:
-        return np.array([float(np.trace(p)) for p in self.P])
 
+def newton_tensors(A: np.ndarray, kappa: np.ndarray, signature: str) -> list:
+    """P_0..P_n by the inductive matrix recursion, with S_k taken from kappa.
 
-def newton_family(A: np.ndarray, signature: str) -> NewtonFamily:
-    """Run the inductive Newton-tensor recursion for the given signature."""
-    A = _check_symmetric(A)
+    ``A`` must be symmetric and ``kappa`` its spectrum.
+    """
     n = A.shape[0]
-    kappa = np.linalg.eigvalsh(A)
     s = elementary_symmetric(kappa)
     eye = np.eye(n)
     P = [eye]
@@ -159,6 +157,15 @@ def newton_family(A: np.ndarray, signature: str) -> NewtonFamily:
         else:
             nxt = (-1.0) ** k * s[k] * eye + A @ P[k - 1]
         P.append(0.5 * (nxt + nxt.T))
+    return P
+
+
+def newton_family(A: np.ndarray, signature: str) -> NewtonFamily:
+    """Run the inductive Newton-tensor recursion for the given signature."""
+    A = _check_symmetric(A)
+    n = A.shape[0]
+    kappa = np.linalg.eigvalsh(A)
+    P = newton_tensors(A, kappa, signature)
     eigvals = complement_symmetric_values(kappa, signature)
     flags = [classify_definiteness(eigvals[k]) for k in range(n + 1)]
     return NewtonFamily(P=P, eigenvalues=eigvals, definiteness=flags, signature=signature)

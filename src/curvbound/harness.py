@@ -26,19 +26,20 @@ import numpy as np
 
 from .comparison import c_b, c_hat_b
 from .curvature import TAU_ELL
-from .errors import ConfigError, GeometryError
-from .immersion import build_patch, sample_grid
+from .errors import ConfigError
+from .immersion import build_patch, refine_extremum, sample_grid
 from .operators import (
     DistanceField,
-    _orthonormal_hessian,
-    newton_quadratic,
+    key_inequality_rhs,
     operator_data,
     restrict_field,
+    trace_operator,
 )
 from .spaceform import RIEMANNIAN, AmbientModel, ReferenceBall
 
 H_FLOOR = 1e-9  # samples with H_k at or below this are excluded from ratios
 MAX_EXCLUSION_RATE = 0.10
+MIN_RESOLUTION = 8
 
 
 @dataclass
@@ -59,6 +60,14 @@ class ScenarioConfig:
     @property
     def n(self) -> int:
         return self.model.dimension - 1
+
+
+def checked_resolution(value) -> int:
+    """Grid points per axis, rejected below what the estimates need."""
+    resolution = int(value)
+    if resolution < MIN_RESOLUTION:
+        raise ConfigError(f"estimate scenarios need resolution >= {MIN_RESOLUTION} per axis")
+    return resolution
 
 
 def load_scenario(source) -> ScenarioConfig:
@@ -102,9 +111,7 @@ def load_scenario(source) -> ScenarioConfig:
         raise ConfigError(
             f"k_range must lie within [0, {n - 1}] for dimension {model.dimension}"
         )
-    resolution = int(raw.get("resolution", 16))
-    if resolution < 8:
-        raise ConfigError("estimate scenarios need resolution >= 8 per axis")
+    resolution = checked_resolution(raw.get("resolution", 16))
     tol = raw.get("tolerances", {})
     jets = raw.get("jets", "auto")
     default_eq = 1e-3 if jets == "fd" else 1e-6
@@ -174,9 +181,9 @@ def scenario_patch(config: ScenarioConfig):
 
 @dataclass
 class ScenarioSamples:
-    """Grid frames with spectral data and distance restrictions attached."""
+    """Grid frames with spectral data and the distance u attached."""
 
-    points: list  # (param, frame, OperatorData, FieldSample)
+    points: list  # (param, frame, OperatorData, u)
     skipped: list
     patch: object = None
     field: object = None
@@ -189,39 +196,15 @@ def collect_samples(config: ScenarioConfig, resolution=None) -> ScenarioSamples:
     points = []
     for p, frame in grid.points:
         data = operator_data(frame, config.model.signature)
-        sample = restrict_field(patch, dist, p, frame=frame)
-        points.append((p, frame, data, sample))
+        points.append((p, frame, data, float(dist.value(frame.position))))
     return ScenarioSamples(points=points, skipped=grid.skipped, patch=patch, field=dist)
-
-
-def _refine_extremum(patch, fn, start, cell, rounds=14, sign=1.0):
-    """Local grid-halving refinement of a scalar over the parameter box."""
-    center = np.asarray(start, dtype=float)
-    best = sign * fn(center)
-    offsets = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
-    cell = np.asarray(cell, dtype=float)
-    for _ in range(rounds):
-        for combo in np.stack(
-            np.meshgrid(*[center[i] + offsets * cell[i] for i in range(center.size)],
-                        indexing="ij"),
-            axis=-1,
-        ).reshape(-1, center.size):
-            q = np.clip(combo, patch.domain_lo, patch.domain_hi)
-            try:
-                val = sign * fn(q)
-            except GeometryError:
-                continue
-            if val > best:
-                best, center = val, q
-        cell = cell / 2.0
-    return center, sign * best
 
 
 def refined_distance_extremum(samples: ScenarioSamples, mode: str):
     """(param, value) of the refined max or min of u over the patch."""
     sign = 1.0 if mode == "max" else -1.0
     patch, dist = samples.patch, samples.field
-    values = [s.u for _, _, _, s in samples.points]
+    values = [u for _, _, _, u in samples.points]
     idx = int(np.argmax(values)) if mode == "max" else int(np.argmin(values))
     start = samples.points[idx][0]
     cell = patch.domain_width / max(2, len(values) ** (1.0 / patch.n))
@@ -229,10 +212,10 @@ def refined_distance_extremum(samples: ScenarioSamples, mode: str):
     def fn(q):
         return dist.value(np.asarray(patch.chart.value(q), dtype=float))
 
-    return _refine_extremum(patch, fn, start, cell, sign=sign)
+    return refine_extremum(patch, fn, start, cell, sign=sign)
 
 
-def _ratio_pool(samples: ScenarioSamples, k: int, absolute: bool):
+def _ratio_pool(samples: ScenarioSamples, k: int):
     """Per-sample H_{k+1}/H_k with the H_k floor applied; returns exclusions."""
     ratios, params, excluded = [], [], 0
     for p, _, data, _ in samples.points:
@@ -240,10 +223,17 @@ def _ratio_pool(samples: ScenarioSamples, k: int, absolute: bool):
         if hk <= H_FLOOR:
             excluded += 1
             continue
-        val = data.H[k + 1]
-        ratios.append(abs(val) / hk if absolute else val / hk)
+        ratios.append(data.H[k + 1] / hk)
         params.append(p)
     return np.asarray(ratios), params, excluded
+
+
+def _margin_check(cid, anchor, margin, tol, worst=None) -> CheckRecord:
+    """A check that passes when ``margin`` >= -tol; ``worst`` is the sample attaining it."""
+    status = "pass" if margin >= -tol else "fail"
+    return CheckRecord(
+        cid, anchor, status, float(margin), None if worst is None else list(map(float, worst))
+    )
 
 
 def _hypothesis_check(samples: ScenarioSamples, k: int) -> CheckRecord:
@@ -251,11 +241,10 @@ def _hypothesis_check(samples: ScenarioSamples, k: int) -> CheckRecord:
     worst_val = np.inf
     positive_trace = True
     for p, _, data, _ in samples.points:
-        scale = max(1.0, float(np.abs(data.kappa).max()) ** max(k, 1))
-        low = data.family.eigenvalues[k].min() / scale
+        low = data.newton_psd_margin(k)
         if low < worst_val:
             worst_val, worst = low, p
-        if np.trace(data.family.P[k]) <= TAU_ELL:
+        if data.c[k] * data.H[k] <= TAU_ELL:  # Tr P_k = c_k H_k
             positive_trace = False
     ok = worst_val >= -TAU_ELL and positive_trace
     return CheckRecord(
@@ -267,10 +256,10 @@ def _hypothesis_check(samples: ScenarioSamples, k: int) -> CheckRecord:
     )
 
 
-def verify_riemannian_estimate(config: ScenarioConfig, samples: ScenarioSamples) -> list:
+def verify_riemannian_estimate(config: ScenarioConfig, samples: ScenarioSamples, r: float) -> list:
+    """Ratio, power-chain and product bounds; ``r`` is the refined max of u."""
     checks = []
     b = config.model.curvature
-    _, r = refined_distance_extremum(samples, "max")
     cbr = c_b(b, r)
     checks.append(
         CheckRecord("enclosing-radius", "plumbing", "info", float(r), None)
@@ -289,7 +278,7 @@ def verify_riemannian_estimate(config: ScenarioConfig, samples: ScenarioSamples)
     total = len(samples.points)
     for k in range(config.k_range[0], config.k_range[1] + 1):
         checks.append(_hypothesis_check(samples, k))
-        ratios, params, excluded = _ratio_pool(samples, k, absolute=True)
+        signed, params, excluded = _ratio_pool(samples, k)
         rate = excluded / max(total, 1)
         if rate > MAX_EXCLUSION_RATE:
             checks.append(
@@ -302,16 +291,12 @@ def verify_riemannian_estimate(config: ScenarioConfig, samples: ScenarioSamples)
                 )
             )
             continue
+        ratios = np.abs(signed)
         i_best = int(np.argmax(ratios))
         margin = float(ratios[i_best] - cbr)
         checks.append(
-            CheckRecord(
-                f"ratio-lower-bound-k{k}",
-                "sup |H_{k+1}|/H_k >= C_b(r)",
-                "pass" if margin >= -config.tol_margin else "fail",
-                margin,
-                list(map(float, params[i_best])),
-            )
+            _margin_check(f"ratio-lower-bound-k{k}", "sup |H_{k+1}|/H_k >= C_b(r)", margin,
+                          config.tol_margin, params[i_best])
         )
         checks.append(
             CheckRecord(
@@ -326,29 +311,18 @@ def verify_riemannian_estimate(config: ScenarioConfig, samples: ScenarioSamples)
         hk1 = np.array([data.H[k + 1] for _, _, data, _ in samples.points])
         if np.all(hk1 > 0.0):
             power = float(np.max(hk1 ** (1.0 / (k + 1))))
-            signed, _, _ = _ratio_pool(samples, k, absolute=False)
             chain_margin = power - float(signed.max())
             checks.append(
-                CheckRecord(
-                    f"power-chain-k{k}",
-                    "sup H_{k+1}^{1/(k+1)} >= sup H_{k+1}/H_k",
-                    "pass" if chain_margin >= -config.tol_margin else "fail",
-                    chain_margin,
-                    None,
-                )
+                _margin_check(f"power-chain-k{k}", "sup H_{k+1}^{1/(k+1)} >= sup H_{k+1}/H_k",
+                              chain_margin, config.tol_margin)
             )
         # product bound never needs exclusions
         sup_abs = float(np.max([abs(d.H[k + 1]) for _, _, d, _ in samples.points]))
         inf_hk = float(np.min([d.H[k] for _, _, d, _ in samples.points]))
         margin2 = sup_abs - cbr * inf_hk
         checks.append(
-            CheckRecord(
-                f"product-bound-k{k}",
-                "sup |H_{k+1}| >= C_b(r) inf H_k",
-                "pass" if margin2 >= -config.tol_margin else "fail",
-                float(margin2),
-                None,
-            )
+            _margin_check(f"product-bound-k{k}", "sup |H_{k+1}| >= C_b(r) inf H_k", margin2,
+                          config.tol_margin)
         )
         checks.append(
             CheckRecord(
@@ -358,7 +332,8 @@ def verify_riemannian_estimate(config: ScenarioConfig, samples: ScenarioSamples)
     return checks
 
 
-def verify_h2_corollary(config: ScenarioConfig, samples: ScenarioSamples) -> list:
+def verify_h2_corollary(config: ScenarioConfig, samples: ScenarioSamples, r: float) -> list:
+    """The H_2 corollary; ``r`` is the refined max of u."""
     checks = []
     b = config.model.curvature
     n = config.n
@@ -375,41 +350,24 @@ def verify_h2_corollary(config: ScenarioConfig, samples: ScenarioSamples) -> lis
             )
         ]
     checks.append(CheckRecord("h2-positive", "H_2 > 0 throughout", "pass", float(h2.min()), None))
-    _, r = refined_distance_extremum(samples, "max")
     cbr = c_b(b, r)
     sup_ratio = float(np.max(h2 / h1))
     sup_sqrt = float(np.sqrt(h2.max()))
     m1 = sup_sqrt - sup_ratio
     m2 = sup_ratio - cbr
     checks.append(
-        CheckRecord(
-            "sqrt-h2-dominates-ratio",
-            "sup sqrt(H_2) >= sup H_2/H_1",
-            "pass" if m1 >= -config.tol_margin else "fail",
-            m1,
-            None,
-        )
+        _margin_check("sqrt-h2-dominates-ratio", "sup sqrt(H_2) >= sup H_2/H_1", m1,
+                      config.tol_margin)
     )
     checks.append(
-        CheckRecord(
-            "h2-ratio-lower-bound",
-            "sup H_2/H_1 >= C_b(r)",
-            "pass" if m2 >= -config.tol_margin else "fail",
-            m2,
-            None,
-        )
+        _margin_check("h2-ratio-lower-bound", "sup H_2/H_1 >= C_b(r)", m2, config.tol_margin)
     )
     # normalized scalar curvature bound, s = b + H_2
     sup_s = b + float(h2.max())
     m3 = sup_s - (b + cbr * float(h1.min()))
     checks.append(
-        CheckRecord(
-            "scalar-curvature-bound",
-            "sup s >= b + C_b(r) inf H_1",
-            "pass" if m3 >= -config.tol_margin else "fail",
-            m3,
-            None,
-        )
+        _margin_check("scalar-curvature-bound", "sup s >= b + C_b(r) inf H_1", m3,
+                      config.tol_margin)
     )
     worst = np.inf
     worst_p = None
@@ -449,7 +407,7 @@ def verify_lorentz_estimates(config: ScenarioConfig, samples: ScenarioSamples) -
     c_at_inf = c_hat_b(b, u_inf)
     for k in range(config.k_range[0], config.k_range[1] + 1):
         checks.append(_hypothesis_check(samples, k))
-        ratios, params, excluded = _ratio_pool(samples, k, absolute=False)
+        ratios, params, excluded = _ratio_pool(samples, k)
         if excluded:
             checks.append(
                 CheckRecord(
@@ -480,18 +438,8 @@ def verify_lorentz_estimates(config: ScenarioConfig, samples: ScenarioSamples) -
                 params[int(np.argmax(ratios))],
             ),
         }
-        worst_gap = np.inf
         for cid, (anchor, gap, wp) in gaps.items():
-            worst_gap = min(worst_gap, gap)
-            checks.append(
-                CheckRecord(
-                    cid,
-                    anchor,
-                    "pass" if gap >= -config.tol_margin else "fail",
-                    float(gap),
-                    None if wp is None else list(map(float, wp)),
-                )
-            )
+            checks.append(_margin_check(cid, anchor, gap, config.tol_margin, wp))
         checks.append(
             CheckRecord(
                 f"equality-flag-k{k}",
@@ -520,9 +468,10 @@ def run_scenario(config: ScenarioConfig) -> VerificationReport:
         ReferenceBall(config.reference_center, config.reference_radius).validate(config.model)
     samples = collect_samples(config)
     if config.model.signature == RIEMANNIAN:
-        checks = verify_riemannian_estimate(config, samples)
+        _, r = refined_distance_extremum(samples, "max")
+        checks = verify_riemannian_estimate(config, samples, r)
         if config.n >= 2:
-            checks += verify_h2_corollary(config, samples)
+            checks += verify_h2_corollary(config, samples, r)
     else:
         checks = verify_lorentz_estimates(config, samples)
     timing = (time.perf_counter() - t0) * 1000.0
@@ -550,22 +499,17 @@ def emit_samples_csv(config: ScenarioConfig, path) -> None:
     header = [f"p{i}" for i in range(n)] + ["u", "grad_norm"]
     for k in ks:
         header += [f"H{k}", f"H{k + 1}", f"ratio_k{k}", f"q_lu_k{k}", f"key_residual_k{k}"]
-    sig = config.model.signature
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for p, frame, data, s in samples.points:
+        for p, frame, data, _ in samples.points:
+            s = restrict_field(samples.patch, samples.field, p, frame=frame)
             row = list(map(float, p)) + [s.u, float(np.sqrt(s.grad_norm_sq))]
-            H_sym = _orthonormal_hessian(s, data.chol)
             for k in ks:
-                tr = float(np.trace(data.family.P[k]))
-                lk = float(np.trace(data.family.P[k] @ H_sym))
-                quad = newton_quadratic(s, data, k)
-                ck, Hk, Hk1 = data.c[k], data.H[k], data.H[k + 1]
-                if sig == RIEMANNIAN:
-                    rhs = c_b(config.model.curvature, s.u) * (ck * Hk - quad) + ck * Hk1 * s.normal_coef
-                else:
-                    rhs = -c_hat_b(config.model.curvature, s.u) * (ck * Hk + quad) + ck * Hk1 * np.sqrt(1.0 + s.grad_norm_sq)
+                tr = float(np.trace(data.P[k]))
+                lk = trace_operator(s, data, k)
+                rhs = key_inequality_rhs(s, data, k, config.model.curvature)
+                Hk, Hk1 = data.H[k], data.H[k + 1]
                 ratio = Hk1 / Hk if Hk > H_FLOOR else np.nan
                 row += [Hk, Hk1, ratio, lk / tr if tr > 0 else np.nan, lk - rhs]
             writer.writerow(row)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .charts import Chart, build_chart
+from .charts import Chart, build_chart, fd_jet
 from .errors import (
     ConfigError,
     DomainError,
@@ -83,34 +83,7 @@ class HypersurfacePatch:
                 return jet
             if self.jets == "analytic":
                 raise ConfigError("chart provides no analytic jets")
-        return self._fd_jet(p)
-
-    def _fd_jet(self, p: np.ndarray):
-        n = self.n
-        h = FD_JET_SCALE * self.domain_width
-        x = np.asarray(self.chart.value(p), dtype=float)
-        m = x.size
-        d1 = np.empty((m, n))
-        d2 = np.empty((m, n, n))
-
-        def at(dp):
-            return np.asarray(self.chart.value(p + dp), dtype=float)
-
-        for i in range(n):
-            ei = np.zeros(n)
-            ei[i] = h[i]
-            fp, fm = at(ei), at(-ei)
-            d1[:, i] = (fp - fm) / (2.0 * h[i])
-            d2[:, i, i] = (fp - 2.0 * x + fm) / h[i] ** 2
-            for j in range(i):
-                ej = np.zeros(n)
-                ej[j] = h[j]
-                mixed = (at(ei + ej) - at(ei - ej) - at(-ei + ej) + at(-ei - ej)) / (
-                    4.0 * h[i] * h[j]
-                )
-                d2[:, i, j] = mixed
-                d2[:, j, i] = mixed
-        return x, d1, d2
+        return fd_jet(self.chart.value, p, FD_JET_SCALE * self.domain_width)
 
 
 @dataclass
@@ -194,22 +167,32 @@ def frame_at(patch: HypersurfacePatch, p: np.ndarray) -> PointFrame:
     )
 
 
-def principal_curvatures(frame: PointFrame) -> np.ndarray:
-    """Eigenvalues of the shape operator, ascending.
+def congruence(L: np.ndarray, form: np.ndarray) -> np.ndarray:
+    """L^-1 form L^-T: a chart-basis bilinear form in the frame orthonormalized by L."""
+    tmp = np.linalg.solve(L, form)
+    return np.linalg.solve(L, tmp.T).T
 
-    Solved as the symmetric problem L^-1 h L^-T after a Cholesky congruence
-    of the metric, which keeps the spectrum real by construction.
+
+def orthonormal_shape(frame: PointFrame) -> tuple:
+    """(L, A): the Cholesky factor of the metric and the shape operator L^-1 h L^-T.
+
+    In the orthonormal frame the shape operator is symmetric, which keeps its
+    spectrum real by construction.
     """
-    g, h = frame.metric, frame.second_form
+    g = frame.metric
     try:
         L = np.linalg.cholesky(g)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"metric not positive definite (cond ~ {np.linalg.cond(g):.3e})"
         ) from exc
-    tmp = np.linalg.solve(L, h)
-    B = np.linalg.solve(L, tmp.T).T
-    return np.linalg.eigvalsh(0.5 * (B + B.T))
+    B = congruence(L, frame.second_form)
+    return L, 0.5 * (B + B.T)
+
+
+def principal_curvatures(frame: PointFrame) -> np.ndarray:
+    """Eigenvalues of the shape operator, ascending."""
+    return np.linalg.eigvalsh(orthonormal_shape(frame)[1])
 
 
 @dataclass
@@ -246,6 +229,35 @@ def sample_grid(patch: HypersurfacePatch, resolution) -> GridSamples:
     if not out.points:
         raise EmptySampleError("every grid point was rejected")
     return out
+
+
+def refine_extremum(patch: HypersurfacePatch, fn, start, cell, rounds=14, sign=1.0):
+    """Local grid-halving refinement of a scalar's max (min for sign = -1).
+
+    Each round evaluates a 5^n stencil of half and whole cells around the
+    current point, clipped to the parameter box, moves only on a strict
+    improvement over the best value so far, then halves the cell.  Points
+    where ``fn`` raises a GeometryError are skipped.  Returns (param, value).
+    """
+    center = np.asarray(start, dtype=float)
+    best = sign * fn(center)
+    offsets = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+    cell = np.asarray(cell, dtype=float)
+    for _ in range(rounds):
+        for combo in np.stack(
+            np.meshgrid(*[center[i] + offsets * cell[i] for i in range(center.size)],
+                        indexing="ij"),
+            axis=-1,
+        ).reshape(-1, center.size):
+            q = np.clip(combo, patch.domain_lo, patch.domain_hi)
+            try:
+                val = sign * fn(q)
+            except GeometryError:
+                continue
+            if val > best:
+                best, center = val, q
+        cell = cell / 2.0
+    return center, sign * best
 
 
 def build_patch(

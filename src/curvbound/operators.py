@@ -16,13 +16,29 @@ Cholesky congruence, where the shape operator is honestly symmetric.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from .charts import fd_jet
 from .comparison import c_b, c_hat_b, phi_b, phi_b_d1, phi_b_d2
-from .curvature import TAU_ELL, higher_mean_curvatures, newton_family, trace_coefficients
+from .curvature import (
+    TAU_ELL,
+    complement_symmetric_values,
+    higher_mean_curvatures,
+    newton_tensors,
+    trace_coefficients,
+)
 from .errors import ConsistencyError, GeometryError, HypothesisViolationError
-from .immersion import HypersurfacePatch, PointFrame, frame_at, grid_axes
+from .immersion import (
+    HypersurfacePatch,
+    PointFrame,
+    congruence,
+    frame_at,
+    grid_axes,
+    orthonormal_shape,
+    refine_extremum,
+)
 from .spaceform import (
     RIEMANNIAN,
     AmbientModel,
@@ -111,7 +127,6 @@ class FieldSample:
 
     param: np.ndarray
     u: float
-    du: np.ndarray  # covector in the chart basis
     grad: np.ndarray  # vector in the chart basis
     grad_norm_sq: float
     normal_coef: float  # <ambient gradient, N>
@@ -143,7 +158,6 @@ def restrict_field(
     return FieldSample(
         param=np.asarray(p, dtype=float),
         u=float(u),
-        du=du,
         grad=grad,
         grad_norm_sq=grad_norm_sq,
         normal_coef=float(normal_coef),
@@ -176,26 +190,13 @@ def intrinsic_hessian_fd(
         g = d1.T @ (eta[:, None] * d1)
         return 0.5 * (g + g.T)
 
-    u0 = scalar_fn(p)
-    du = np.empty(n)
-    d2u = np.empty((n, n))
+    _, du, d2u = fd_jet(scalar_fn, p, h)
+    du, d2u = du[0], d2u[0]
     dg = np.empty((n, n, n))  # dg[k] = d_k g
     for i in range(n):
         ei = np.zeros(n)
         ei[i] = h[i]
-        up, um = scalar_fn(p + ei), scalar_fn(p - ei)
-        du[i] = (up - um) / (2.0 * h[i])
-        d2u[i, i] = (up - 2.0 * u0 + um) / h[i] ** 2
         dg[i] = (metric_at(p + ei) - metric_at(p - ei)) / (2.0 * h[i])
-        for j in range(i):
-            ej = np.zeros(n)
-            ej[j] = h[j]
-            d2u[i, j] = d2u[j, i] = (
-                scalar_fn(p + ei + ej)
-                - scalar_fn(p + ei - ej)
-                - scalar_fn(p - ei + ej)
-                + scalar_fn(p - ei - ej)
-            ) / (4.0 * h[i] * h[j])
     g_inv = np.linalg.inv(metric_at(p))
     gamma = np.empty((n, n, n))  # gamma[l, i, j]
     for i in range(n):
@@ -230,51 +231,76 @@ def restriction_hessian(
 
 @dataclass
 class OperatorData:
-    """Shape operator and Newton tensors in a metric-orthonormal frame."""
+    """Shape operator and Newton-tensor spectra in a metric-orthonormal frame.
+
+    ``newton_eigenvalues[k, i]`` is the eigenvalue of P_k on the i-th
+    principal direction.  The matrices ``P`` are built on first access only.
+    """
 
     chol: np.ndarray
     shape_sym: np.ndarray
     kappa: np.ndarray
-    family: object
+    newton_eigenvalues: np.ndarray
     H: np.ndarray
     c: np.ndarray
+    signature: str
+
+    @cached_property
+    def P(self) -> list:
+        """Newton tensors P_0..P_n as matrices in the orthonormal frame."""
+        return newton_tensors(self.shape_sym, self.kappa, self.signature)
+
+    def newton_psd_margin(self, k: int) -> float:
+        """Smallest eigenvalue of P_k over max(1, max|kappa|^k); P_k is PSD down to -TAU_ELL."""
+        return self.newton_eigenvalues[k].min() / max(1.0, np.abs(self.kappa).max() ** max(k, 1))
 
 
 def operator_data(frame: PointFrame, signature: str) -> OperatorData:
-    L = np.linalg.cholesky(frame.metric)
-    tmp = np.linalg.solve(L, frame.second_form)
-    A = np.linalg.solve(L, tmp.T).T
-    A = 0.5 * (A + A.T)
-    fam = newton_family(A, signature)
+    L, A = orthonormal_shape(frame)
     kappa = np.linalg.eigvalsh(A)
     n = A.shape[0]
     return OperatorData(
         chol=L,
         shape_sym=A,
         kappa=kappa,
-        family=fam,
+        newton_eigenvalues=complement_symmetric_values(kappa, signature),
         H=higher_mean_curvatures(kappa, n, signature),
         c=trace_coefficients(n),
+        signature=signature,
     )
 
 
-def _orthonormal_hessian(sample: FieldSample, L: np.ndarray) -> np.ndarray:
-    tmp = np.linalg.solve(L, sample.hess)
-    return np.linalg.solve(L, tmp.T).T
+def trace_operator(sample: FieldSample, data: OperatorData, k: int) -> float:
+    """L_k u = Tr(P_k ∘ hess u), both taken in the orthonormal frame."""
+    return float(np.trace(data.P[k] @ congruence(data.chol, sample.hess)))
 
 
 def l_k_apply(patch: HypersurfacePatch, p: np.ndarray, k: int, field) -> float:
     """L_k u = Tr(P_k ∘ hess u) at the parameter point p."""
     sample = restrict_field(patch, field, p)
-    data = operator_data(sample.frame, patch.ambient.signature)
-    H_sym = _orthonormal_hessian(sample, data.chol)
-    return float(np.trace(data.family.P[k] @ H_sym))
+    return trace_operator(sample, operator_data(sample.frame, patch.ambient.signature), k)
 
 
 def newton_quadratic(sample: FieldSample, data: OperatorData, k: int) -> float:
     """<grad u, P_k grad u> in the orthonormal frame."""
     v = data.chol.T @ sample.grad
-    return float(v @ data.family.P[k] @ v)
+    return float(v @ data.P[k] @ v)
+
+
+def key_inequality_rhs(sample: FieldSample, data: OperatorData, k: int, b: float) -> float:
+    """Right-hand side of the key inequality for u = rho at one sample.
+
+    Riemannian: C_b(u)(c_k H_k - <grad u, P_k grad u>) + c_k H_{k+1} <grad rho, N>.
+    Lorentzian: -C_{-b}(u)(c_k H_k + <grad u, P_k grad u>)
+                + c_k H_{k+1} sqrt(1 + |grad u|^2).
+    """
+    quad = newton_quadratic(sample, data, k)
+    ck, Hk, Hk1 = data.c[k], data.H[k], data.H[k + 1]
+    if data.signature == RIEMANNIAN:
+        return c_b(b, sample.u) * (ck * Hk - quad) + ck * Hk1 * sample.normal_coef
+    return -c_hat_b(b, sample.u) * (ck * Hk + quad) + ck * Hk1 * np.sqrt(
+        1.0 + sample.grad_norm_sq
+    )
 
 
 def key_inequality_residual(
@@ -284,13 +310,7 @@ def key_inequality_residual(
     b: float | None = None,
     origin: np.ndarray | None = None,
 ) -> float:
-    """L_k u minus the comparison right-hand side; >= 0, zero in space forms.
-
-    Riemannian: L_k u >= C_b(u)(c_k H_k - <grad u, P_k grad u>)
-                          + c_k H_{k+1} <grad rho, N>.
-    Lorentzian: L_k u >= -C_{-b}(u)(c_k H_k + <grad u, P_k grad u>)
-                          + c_k H_{k+1} sqrt(1 + |grad u|^2).
-    """
+    """L_k u minus :func:`key_inequality_rhs`; >= 0, zero in space forms."""
     model = patch.ambient
     if b is None:
         b = model.curvature
@@ -300,19 +320,9 @@ def key_inequality_residual(
         raise GeometryError("no reference point available for the distance field")
     sample = restrict_field(patch, DistanceField(model, origin), p)
     data = operator_data(sample.frame, model.signature)
-    if data.family.eigenvalues[k].min() < -TAU_ELL * max(1.0, np.abs(data.kappa).max() ** max(k, 1)):
+    if data.newton_psd_margin(k) < -TAU_ELL:
         raise HypothesisViolationError(f"P_{k} is not positive semidefinite at this point")
-    H_sym = _orthonormal_hessian(sample, data.chol)
-    lk = float(np.trace(data.family.P[k] @ H_sym))
-    quad = newton_quadratic(sample, data, k)
-    ck, Hk, Hk1 = data.c[k], data.H[k], data.H[k + 1]
-    if model.signature == RIEMANNIAN:
-        rhs = c_b(b, sample.u) * (ck * Hk - quad) + ck * Hk1 * sample.normal_coef
-    else:
-        rhs = -c_hat_b(b, sample.u) * (ck * Hk + quad) + ck * Hk1 * np.sqrt(
-            1.0 + sample.grad_norm_sq
-        )
-    return lk - rhs
+    return trace_operator(sample, data, k) - key_inequality_rhs(sample, data, k, b)
 
 
 # ---------------------------------------------------------------------------
@@ -350,17 +360,17 @@ class OmoriYauReport:
 
 
 def _evaluate_point(patch, field, k, p):
-    """(u, |grad u|, q L_k u) at p, or None when the frame or trace fails."""
-    try:
-        sample = restrict_field(patch, field, p)
-    except GeometryError:
-        return None
+    """(param, u, |grad u|, q L_k u) at p.
+
+    Raises a GeometryError where the frame fails, and HypothesisViolationError
+    where Tr P_k is not positive.
+    """
+    sample = restrict_field(patch, field, p)
     data = operator_data(sample.frame, patch.ambient.signature)
-    tr = float(np.trace(data.family.P[k]))
+    tr = float(np.trace(data.P[k]))
     if tr <= TAU_ELL:
-        return "excluded"
-    H_sym = _orthonormal_hessian(sample, data.chol)
-    lk = float(np.trace(data.family.P[k] @ H_sym))
+        raise HypothesisViolationError(f"Tr P_{k} is not positive at this point")
+    lk = trace_operator(sample, data, k)
     return sample.param, sample.u, float(np.sqrt(sample.grad_norm_sq)), lk / tr
 
 
@@ -385,11 +395,12 @@ def omori_yau_search(
     records = []
     excluded = 0
     for combo in np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, patch.n):
-        res = _evaluate_point(patch, field, k, combo)
-        if res == "excluded":
+        try:
+            records.append(_evaluate_point(patch, field, k, combo))
+        except HypothesisViolationError:
             excluded += 1
-        elif res is not None:
-            records.append(res)
+        except GeometryError:
+            continue
     if not records:
         raise GeometryError("no valid samples for the extremum search")
 
@@ -397,29 +408,17 @@ def omori_yau_search(
     top = records[int(np.floor((1.0 - top_quantile) * len(records))):]
     best = min(top, key=lambda r: r[2])  # smallest gradient near the supremum
 
-    cell = np.array([ax[1] - ax[0] for ax in axes])
     pool = list(records)
-    center = best[0]
-    for _ in range(rounds):
-        local_best = None
-        offsets = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
-        for combo in np.stack(
-            np.meshgrid(*[center[i] + offsets * cell[i] for i in range(patch.n)], indexing="ij"),
-            axis=-1,
-        ).reshape(-1, patch.n):
-            q = np.clip(combo, patch.domain_lo, patch.domain_hi)
-            res = _evaluate_point(patch, field, k, q)
-            if res is None or res == "excluded":
-                continue
-            pool.append(res)
-            if local_best is None or res[1] > local_best[1]:
-                local_best = res
-        if local_best is not None:
-            center = local_best[0]
-        cell = cell / 2.0
 
-    u_star = max(r[1] for r in pool)
+    def pooled_u(q):
+        pool.append(_evaluate_point(patch, field, k, q))
+        return pool[-1][1]
+
+    cell = np.array([ax[1] - ax[0] for ax in axes])
+    refine_extremum(patch, pooled_u, best[0], cell, rounds=rounds)
+
     refined = max(pool, key=lambda r: r[1])
+    u_star = refined[1]
     refined_max = OmoriYauCandidate(refined[0], refined[1], refined[2], refined[3], 0)
 
     outcomes = []

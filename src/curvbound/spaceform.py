@@ -433,18 +433,10 @@ def hessian_comparison_residual(
 ) -> float:
     """Hess rho(X,X) minus the comparison bound of the model's own curvature.
 
-    In a space form the radial curvature equals b exactly, so both directions
-    of the comparison inequality apply and the residual must vanish (up to
-    the finite-difference noise of the cross-checked Hessian).
+    The bound is the closed form of :func:`distance_hessian_bilinear`.  In a
+    space form the radial curvature equals b exactly, so both directions of
+    the comparison inequality apply and the residual must vanish (up to the
+    finite-difference noise of the cross-checked Hessian).
     """
     hess = fd_distance_hessian_quadform(model, o, x, X)
-    rho = ambient_distance(model, o, x)
-    grad = distance_gradient(model, o, x)
-    coeff = _comparison_coefficient(model, rho)
-    gx = model.flat_inner(grad, X)
-    xx = model.flat_inner(X, X)
-    if model.signature == RIEMANNIAN:
-        bound = coeff * (xx - gx * gx)
-    else:
-        bound = -coeff * (xx + gx * gx)
-    return hess - bound
+    return hess - distance_hessian_quadform(model, o, x, X)

@@ -1,6 +1,7 @@
 """Scenario loading, verification reports, CSV emission, CLI exit codes."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from curvbound.harness import (
     load_scenario,
     refined_distance_extremum,
     run_scenario,
+    scenario_patch,
 )
+from curvbound.operators import key_inequality_residual
 
 
 def bundled(name):
@@ -90,6 +93,32 @@ def test_reports_deterministic_up_to_timing():
     a = strip_timing(run_scenario(bundled("ellipsoid")).to_dict())
     b = strip_timing(run_scenario(bundled("ellipsoid")).to_dict())
     assert json.dumps(a) == json.dumps(b)
+
+
+GOLDEN_REPORTS = Path(__file__).parent / "data" / "golden_reports_res16.json"
+
+
+@pytest.mark.parametrize("name", sorted(json.loads(GOLDEN_REPORTS.read_text())))
+def test_bundled_reports_match_golden_set(name):
+    # Reports of the bundled scenarios at resolution 16, recorded with
+    # `curvbound verify --emit-report` before the per-sample pipeline was
+    # reworked.  Statuses must match exactly; numbers to round-off, so that
+    # a reordered (e.g. batched) evaluation can still be checked against it.
+    golden = json.loads(GOLDEN_REPORTS.read_text())[name]
+    config = bundled(name)
+    config.resolution = 16
+    report = strip_timing(run_scenario(config).to_dict())
+    assert report["scenario"] == golden["scenario"]
+    assert report["env"] == golden["env"]
+    assert [(c["id"], c["anchor"], c["status"]) for c in report["checks"]] == [
+        (c["id"], c["anchor"], c["status"]) for c in golden["checks"]
+    ]
+    for got, want in zip(report["checks"], golden["checks"]):
+        for key in ("residual", "worst_sample"):
+            if want[key] is None:
+                assert got[key] is None, (got["id"], key)
+            else:
+                assert got[key] == pytest.approx(want[key], rel=1e-10, abs=1e-12), (got["id"], key)
 
 
 def test_equality_scenarios_hit_tolerance():
@@ -185,6 +214,13 @@ def test_emit_samples_csv(tmp_path):
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     key_cols = [header.index(f"key_residual_k{k}") for k in (0, 1)]
     assert np.abs(data[:, key_cols]).max() < 1e-8  # space-form equality throughout
+    patch = scenario_patch(config)
+    for row in data[:: len(data) // 5]:
+        for k, col in zip((0, 1), key_cols):
+            expected = key_inequality_residual(
+                patch, row[:2], k, b=config.model.curvature, origin=config.reference_center
+            )
+            assert row[col] == pytest.approx(expected, abs=1e-12)
 
 
 # -- CLI ---------------------------------------------------------------------------------

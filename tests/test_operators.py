@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from curvbound.comparison import c_b, phi_b, phi_b_d1
-from curvbound.immersion import build_patch, frame_at, sample_grid
+from curvbound.immersion import build_patch, congruence, frame_at, sample_grid
 from curvbound.operators import (
     DistanceField,
     LinearCoordinateField,
@@ -210,9 +210,8 @@ def test_lk_of_phi_composition_chain(rng):
                 lambda q: phi_b(0.0, dist.value(np.asarray(patch.chart.value(q), float))),
                 p,
             )
-            L = data.chol
-            fd_sym = np.linalg.solve(L, np.linalg.solve(L, fd).T).T
-            lhs = float(np.trace(data.family.P[k] @ fd_sym))
+            fd_sym = congruence(data.chol, fd)
+            lhs = float(np.trace(data.P[k] @ fd_sym))
             lk_u = l_k_apply(patch, p, k, dist)
             rhs = phi_b_d1(0.0, s.u) * (
                 c_b(0.0, s.u) * newton_quadratic(s, data, k) + lk_u

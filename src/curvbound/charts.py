@@ -14,10 +14,12 @@ with epsilon = 0.
 from __future__ import annotations
 
 import csv
+from functools import reduce
+from operator import mul
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, flag, no_errors, raise_first
 from .spaceform import LORENTZIAN, RIEMANNIAN, AmbientModel
 
 # Default exclusion band around the coordinate poles of spherical charts.
@@ -25,70 +27,74 @@ POLAR_MARGIN = 0.15
 
 
 def hypersphere_direction_jet(angles: np.ndarray):
-    """Unit vector on S^n (n = len(angles)) with exact first/second jets.
+    """Unit vectors on S^n (n = angles.shape[-1]) with exact first/second jets.
 
     omega_0 = cos t_0, omega_j = sin t_0 .. sin t_{j-1} cos t_j,
     omega_n = sin t_0 .. sin t_{n-1}.  Every component is a product of
     univariate sin/cos factors, so derivatives are factor replacements and
-    the pure second derivative is just -omega_j.
+    the pure second derivative is just -omega_j.  Leading axes of ``angles``
+    are sample axes.
     """
     angles = np.asarray(angles, dtype=float)
-    n = angles.size
+    batch, n = angles.shape[:-1], angles.shape[-1]
     m = n + 1
     s, c = np.sin(angles), np.cos(angles)
-    value = np.empty(m)
-    d1 = np.zeros((m, n))
-    d2 = np.zeros((m, n, n))
+    value = np.empty(batch + (m,))
+    d1 = np.zeros(batch + (m, n))
+    d2 = np.zeros(batch + (m, n, n))
     for j in range(m):
         idx = list(range(j + 1)) if j < n else list(range(n))
-        fv = [c[i] if (i == j and j < n) else s[i] for i in idx]
-        fd = [-s[i] if (i == j and j < n) else c[i] for i in idx]
-        value[j] = np.prod(fv)
+        fv = [c[..., i] if (i == j and j < n) else s[..., i] for i in idx]
+        fd = [-s[..., i] if (i == j and j < n) else c[..., i] for i in idx]
+        value[..., j] = reduce(mul, fv, 1.0)
         for a_pos, a in enumerate(idx):
-            rest = np.prod([fv[q] for q in range(len(idx)) if q != a_pos])
-            d1[j, a] = rest * fd[a_pos]
-            d2[j, a, a] = -value[j]
+            rest = reduce(mul, fv[:a_pos] + fv[a_pos + 1:], 1.0)
+            d1[..., j, a] = rest * fd[a_pos]
+            d2[..., j, a, a] = -value[..., j]
             for b_pos in range(a_pos):
                 b = idx[b_pos]
-                core = np.prod(
-                    [fv[q] for q in range(len(idx)) if q not in (a_pos, b_pos)]
-                )
+                core = reduce(mul, [fv[q] for q in range(len(idx)) if q not in (a_pos, b_pos)], 1.0)
                 mixed = core * fd[a_pos] * fd[b_pos]
-                d2[j, a, b] = mixed
-                d2[j, b, a] = mixed
+                d2[..., j, a, b] = mixed
+                d2[..., j, b, a] = mixed
     return value, d1, d2
 
 
 def fd_jet(value, p: np.ndarray, h: np.ndarray):
-    """(position, d1, d2) of ``value`` at p by central differences.
+    """(position, d1, d2) of ``value`` at the points p (..., n) by central differences.
 
-    ``h`` holds one step per parameter axis; mixed second derivatives use the
-    four-point cross stencil.
+    ``value`` maps (..., n) to (..., m), and is called once per stencil offset
+    for all points together.  ``h`` holds one step per parameter axis,
+    broadcast against p; mixed second derivatives use the four-point cross
+    stencil.
     """
     p = np.asarray(p, dtype=float)
-    n = p.size
+    n = p.shape[-1]
+    h = np.broadcast_to(np.asarray(h, dtype=float), p.shape)
     x = np.asarray(value(p), dtype=float)
-    m = x.size
-    d1 = np.empty((m, n))
-    d2 = np.empty((m, n, n))
+    d1 = np.empty(x.shape + (n,))
+    d2 = np.empty(x.shape + (n, n))
 
     def at(dp):
         return np.asarray(value(p + dp), dtype=float)
 
+    def step(i):
+        e = np.zeros(p.shape)
+        e[..., i] = h[..., i]
+        return e, h[..., i, None]
+
     for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = h[i]
+        ei, hi = step(i)
         fp, fm = at(ei), at(-ei)
-        d1[:, i] = (fp - fm) / (2.0 * h[i])
-        d2[:, i, i] = (fp - 2.0 * x + fm) / h[i] ** 2
+        d1[..., i] = (fp - fm) / (2.0 * hi)
+        d2[..., i, i] = (fp - 2.0 * x + fm) / hi**2
         for j in range(i):
-            ej = np.zeros(n)
-            ej[j] = h[j]
+            ej, hj = step(j)
             mixed = (at(ei + ej) - at(ei - ej) - at(-ei + ej) + at(-ei - ej)) / (
-                4.0 * h[i] * h[j]
+                4.0 * hi * hj
             )
-            d2[:, i, j] = mixed
-            d2[:, j, i] = mixed
+            d2[..., i, j] = mixed
+            d2[..., j, i] = mixed
     return x, d1, d2
 
 
@@ -102,17 +108,29 @@ def _angle_domain(n: int):
 
 
 class Chart:
-    """Map from an n-dimensional parameter box into the embedding space."""
+    """Map from an n-dimensional parameter box into the embedding space.
+
+    ``value`` and ``jet`` take parameter points of shape (..., n); leading
+    axes are sample axes and carry through to the results.
+    """
 
     nparams: int
 
     def value(self, p: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return self.jet(p)[0]
 
     def jet(self, p: np.ndarray):
-        """(position, d1, d2) with d1 of shape (m, n), d2 of shape (m, n, n).
+        """(position, d1, d2) with d1 of shape (..., m, n), d2 of shape (..., m, n, n).
 
         Returns None when no closed-form jets are available.
+        """
+        return None
+
+    def undefined(self, p: np.ndarray, jet: bool = False):
+        """Per-row DomainError where ``value`` (``jet`` if set) is undefined at p.
+
+        None when the chart is defined at every point, which holds for every
+        chart defined by a formula on its whole parameter box.
         """
         return None
 
@@ -131,10 +149,6 @@ class EllipsoidChart(Chart):
         if self.semi_axes.size != self.center.size:
             raise ConfigError("semi_axes and center dimensions disagree")
         self.nparams = self.center.size - 1
-
-    def value(self, p):
-        omega, _, _ = hypersphere_direction_jet(p)
-        return self.center + self.semi_axes * omega
 
     def jet(self, p):
         omega, d1, d2 = hypersphere_direction_jet(p)
@@ -157,19 +171,18 @@ class CylinderChart(Chart):
         self.radius = float(radius)
         self.half_length = float(half_length)
 
-    def value(self, p):
-        phi, z = p
-        r = self.radius
-        return self.center + np.array([r * np.cos(phi), r * np.sin(phi), z])
-
     def jet(self, p):
-        phi, _ = p
+        p = np.asarray(p, dtype=float)
+        phi, z = p[..., 0], p[..., 1]
         r = self.radius
-        x = self.value(p)
-        d1 = np.array([[-r * np.sin(phi), 0.0], [r * np.cos(phi), 0.0], [0.0, 1.0]])
-        d2 = np.zeros((3, 2, 2))
-        d2[0, 0, 0] = -r * np.cos(phi)
-        d2[1, 0, 0] = -r * np.sin(phi)
+        x = self.center + np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=-1)
+        d1 = np.zeros(phi.shape + (3, 2))
+        d1[..., 0, 0] = -r * np.sin(phi)
+        d1[..., 1, 0] = r * np.cos(phi)
+        d1[..., 2, 1] = 1.0
+        d2 = np.zeros(phi.shape + (3, 2, 2))
+        d2[..., 0, 0, 0] = -r * np.cos(phi)
+        d2[..., 1, 0, 0] = -r * np.sin(phi)
         return x, d1, d2
 
     def default_domain(self):
@@ -193,45 +206,34 @@ class PolynomialGraphChart(Chart):
             if len(exps) != self.nparams:
                 raise ConfigError("polynomial exponents must match parameter count")
 
-    def _height_jet(self, p):
-        n = self.nparams
-        h = 0.0
-        dh = np.zeros(n)
-        d2h = np.zeros((n, n))
-        for c, exps in self.terms:
-            mono = c * np.prod([p[i] ** exps[i] for i in range(n)])
-            h += mono
-
-            def partial(coeff, ex, axis):
-                if ex[axis] == 0:
-                    return 0.0, ex
-                new = list(ex)
-                new[axis] -= 1
-                return coeff * ex[axis], tuple(new)
-
-            for i in range(n):
-                ci, ei = partial(c, exps, i)
-                if ci == 0.0:
-                    continue
-                dh[i] += ci * np.prod([p[q] ** ei[q] for q in range(n)])
-                for j in range(n):
-                    cij, eij = partial(ci, ei, j)
-                    if cij == 0.0:
-                        continue
-                    d2h[i, j] += cij * np.prod([p[q] ** eij[q] for q in range(n)])
-        return h, dh, d2h
-
-    def value(self, p):
-        h, _, _ = self._height_jet(p)
-        return np.concatenate([np.asarray(p, dtype=float), [h]])
-
     def jet(self, p):
+        p = np.asarray(p, dtype=float)
         n = self.nparams
-        h, dh, d2h = self._height_jet(p)
-        x = np.concatenate([np.asarray(p, dtype=float), [h]])
-        d1 = np.vstack([np.eye(n), dh])
-        d2 = np.zeros((n + 1, n, n))
-        d2[n] = d2h
+
+        def term(coeff, ex, *axes):
+            """coeff * prod_q p_q^ex_q, differentiated along ``axes``."""
+            ex = list(ex)
+            for a in axes:
+                coeff, ex[a] = coeff * ex[a], ex[a] - 1
+            if coeff == 0.0:
+                return 0.0
+            return coeff * reduce(mul, [p[..., q] ** ex[q] for q in range(n)], 1.0)
+
+        h = np.zeros(p.shape[:-1])
+        dh = np.zeros(p.shape)
+        d2h = np.zeros(p.shape + (n,))
+        for c, exps in self.terms:
+            h = h + term(c, exps)
+            for i in range(n):
+                dh[..., i] += term(c, exps, i)
+                for j in range(n):
+                    d2h[..., i, j] += term(c, exps, i, j)
+        x = np.concatenate([p, h[..., None]], axis=-1)
+        d1 = np.zeros(p.shape[:-1] + (n + 1, n))
+        d1[..., :n, :] = np.eye(n)
+        d1[..., n, :] = dh
+        d2 = np.zeros(p.shape[:-1] + (n + 1, n, n))
+        d2[..., n, :, :] = d2h
         return x, d1, d2
 
     def default_domain(self):
@@ -297,24 +299,22 @@ class GeodesicSphereChart(Chart):
         return np.cosh(mu * r), np.sinh(mu * r) / mu
 
     def _direction_jet(self, p):
+        p = np.asarray(p, dtype=float)
         if self.model.signature == RIEMANNIAN:
             omega, d1, d2 = hypersphere_direction_jet(p)
             E = self._frame  # (n+1, m)
-            return omega @ E, E.T @ d1, np.einsum("jab,jm->mab", d2, E)
-        y = np.asarray(p, dtype=float)
-        n = y.size
-        S = np.sqrt(1.0 + y @ y)
+            v = (omega[..., None, :] @ E)[..., 0, :]
+            return v, E.T @ d1, np.einsum("...jab,jm->...mab", d2, E)
+        y = p
+        n = y.shape[-1]
+        S = np.sqrt(1.0 + np.vecdot(y, y))[..., None]
         dS = y / S
-        d2S = (np.eye(n) - np.outer(dS, dS)) / S
+        d2S = (np.eye(n) - dS[..., :, None] * dS[..., None, :]) / S[..., None]
         that, E = self._frame[0], self._frame[1:]
-        v = S * that + y @ E
-        d1 = that[:, None] * dS[None, :] + E.T
-        d2 = that[:, None, None] * d2S[None, :, :]
+        v = S * that + (y[..., None, :] @ E)[..., 0, :]
+        d1 = that[:, None] * dS[..., None, :] + E.T
+        d2 = that[:, None, None] * d2S[..., None, :, :]
         return v, d1, d2
-
-    def value(self, p):
-        v, _, _ = self._direction_jet(p)
-        return self._alpha * self.center + self._beta * v
 
     def jet(self, p):
         v, d1, d2 = self._direction_jet(p)
@@ -351,38 +351,34 @@ class PerturbedHyperboloidChart(Chart):
         self.y0 = y0
 
     def _radial_jet(self, y):
-        n = y.size
+        n = y.shape[-1]
         q = self.radius
-        dq = np.zeros(n)
-        d2q = np.zeros((n, n))
+        dq = np.zeros(y.shape)
+        d2q = np.zeros(y.shape + (n,))
         for sgn in (1.0, -1.0):
             z = y - sgn * self.y0
-            g = np.exp(-(z @ z))
-            q += sgn * self.epsilon * g
-            dq += sgn * self.epsilon * (-2.0 * z) * g
-            d2q += sgn * self.epsilon * (4.0 * np.outer(z, z) - 2.0 * np.eye(n)) * g
+            g = np.exp(-np.vecdot(z, z))[..., None]
+            q = q + sgn * self.epsilon * g
+            dq = dq + sgn * self.epsilon * (-2.0 * z) * g
+            outer = z[..., :, None] * z[..., None, :]
+            d2q = d2q + sgn * self.epsilon * (4.0 * outer - 2.0 * np.eye(n)) * g[..., None]
         return q, dq, d2q
 
-    def _graph_jet(self, y):
-        y = np.asarray(y, dtype=float)
-        n = y.size
-        q, dq, d2q = self._radial_jet(y)
-        T = np.sqrt(q * q + y @ y)
-        dT = (q * dq + y) / T
-        d2T = (np.outer(dq, dq) + q * d2q + np.eye(n) - np.outer(dT, dT)) / T
-        return T, dT, d2T
-
-    def value(self, p):
-        T, _, _ = self._graph_jet(p)
-        return self.center + np.concatenate([[T], np.asarray(p, dtype=float)])
-
     def jet(self, p):
+        y = np.asarray(p, dtype=float)
         n = self.nparams
-        T, dT, d2T = self._graph_jet(np.asarray(p, dtype=float))
-        x = self.center + np.concatenate([[T], np.asarray(p, dtype=float)])
-        d1 = np.vstack([dT, np.eye(n)])
-        d2 = np.zeros((n + 1, n, n))
-        d2[0] = d2T
+        q, dq, d2q = self._radial_jet(y)
+        T = np.sqrt(q * q + np.vecdot(y, y)[..., None])
+        dT = (q * dq + y) / T
+        outer_q = dq[..., :, None] * dq[..., None, :]
+        outer_T = dT[..., :, None] * dT[..., None, :]
+        d2T = (outer_q + q[..., None] * d2q + np.eye(n) - outer_T) / T[..., None]
+        x = self.center + np.concatenate([T, y], axis=-1)
+        d1 = np.zeros(y.shape[:-1] + (n + 1, n))
+        d1[..., 0, :] = dT
+        d1[..., 1:, :] = np.eye(n)
+        d2 = np.zeros(y.shape[:-1] + (n + 1, n, n))
+        d2[..., 0, :, :] = d2T
         return x, d1, d2
 
     def default_domain(self):
@@ -394,9 +390,12 @@ class TabulatedChart(Chart):
     """Chart backed by a CSV table of samples on a complete regular grid.
 
     Columns: p0..p{n-1}, x0..x{m-1}, then optionally d1_{a}_{i} and
-    d2_{a}_{i}_{j} in row-major order.  Lookups match parameters to 1e-9;
-    evaluation anywhere else is rejected.
+    d2_{a}_{i}_{j} in row-major order.  Each parameter coordinate is matched
+    to the nearest grid value within 1e-9; evaluation anywhere else is
+    rejected.
     """
+
+    MATCH_TOL = 1e-9
 
     def __init__(self, params, positions, d1=None, d2=None):
         self.params = np.asarray(params, dtype=float)
@@ -404,36 +403,56 @@ class TabulatedChart(Chart):
         self.nparams = self.params.shape[1]
         self.d1 = None if d1 is None else np.asarray(d1, dtype=float)
         self.d2 = None if d2 is None else np.asarray(d2, dtype=float)
-        self._index = {self._key(p): i for i, p in enumerate(self.params)}
         self.axes = [np.unique(np.round(self.params[:, i], 9)) for i in range(self.nparams)]
-        expected = int(np.prod([a.size for a in self.axes]))
-        if expected != self.params.shape[0]:
+        self._rows = np.full([a.size for a in self.axes], -1)
+        index, _ = self._lookup(self.params)
+        self._rows[tuple(np.moveaxis(index, -1, 0))] = np.arange(self.params.shape[0])
+        if self._rows.size != self.params.shape[0] or np.any(self._rows < 0):
             raise ConfigError("tabulated samples do not form a complete grid")
 
-    @staticmethod
-    def _key(p):
-        return tuple(np.round(np.asarray(p, dtype=float), 9).tolist())
+    def _lookup(self, p, jet=False):
+        """(index, errors): per-axis grid index of each point of p (..., n).
 
-    def _row(self, p) -> int:
-        key = self._key(p)
-        if key not in self._index:
-            raise DomainError("parameter point is not tabulated")
-        return self._index[key]
+        With ``jet`` set on a table without jet columns, points on the grid
+        boundary fail too: their finite differences lack a neighbor.
+        """
+        p = np.asarray(p, dtype=float)
+        index = np.empty(p.shape, dtype=np.intp)
+        miss = np.zeros(p.shape[:-1], dtype=bool)
+        for i, axis in enumerate(self.axes):
+            v = p[..., i]
+            j = np.abs(axis - v[..., None]).argmin(axis=-1)
+            miss |= np.abs(axis[j] - v) > self.MATCH_TOL
+            index[..., i] = j
+        errors = no_errors(p.shape[:-1])
+        flag(errors, miss, DomainError, "parameter point is not tabulated")
+        if jet and (self.d1 is None or self.d2 is None):
+            last = np.array([a.size - 1 for a in self.axes])
+            flag(errors, np.any((index == 0) | (index == last), axis=-1),
+                 DomainError, "finite differences unavailable at the grid boundary")
+        return index, errors
+
+    def _table_rows(self, index):
+        return self._rows[tuple(np.moveaxis(index, -1, 0))]
+
+    def undefined(self, p, jet=False):
+        return self._lookup(p, jet)[1]
 
     def value(self, p):
-        return self.positions[self._row(p)].copy()
+        index, errors = self._lookup(p)
+        raise_first(errors)
+        return self.positions[self._table_rows(index)]
 
     def jet(self, p):
-        i = self._row(p)
+        index, errors = self._lookup(p, jet=True)
+        raise_first(errors)
         if self.d1 is not None and self.d2 is not None:
-            return self.positions[i].copy(), self.d1[i].copy(), self.d2[i].copy()
-        p = np.asarray(p, dtype=float)
-        steps = np.empty(self.nparams)
+            rows = self._table_rows(index)
+            return self.positions[rows], self.d1[rows], self.d2[rows]
+        steps = np.empty(index.shape)
         for i, axis in enumerate(self.axes):
-            j = int(np.argmin(np.abs(axis - p[i])))
-            if j == 0 or j == axis.size - 1:
-                raise DomainError("finite differences unavailable at the grid boundary")
-            steps[i] = 0.5 * (axis[j + 1] - axis[j - 1])
+            j = index[..., i]
+            steps[..., i] = 0.5 * (axis[j + 1] - axis[j - 1])
         return fd_jet(self.value, p, steps)
 
     def default_domain(self):
@@ -471,9 +490,17 @@ def write_chart_csv(chart, domain_lo, domain_hi, resolution, path, include_jets=
     n = chart.nparams
     res = [resolution] * n if np.isscalar(resolution) else list(resolution)
     axes = [np.linspace(domain_lo[i], domain_hi[i], res[i]) for i in range(n)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([g.ravel() for g in mesh], axis=-1)
-    m = chart.value(points[0]).size
+    points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+    if include_jets:
+        jet = chart.jet(points)
+        if jet is None:
+            raise ConfigError("chart has no analytic jets to export")
+        x, d1, d2 = jet
+        columns = [points, x, d1.reshape(len(points), -1), d2.reshape(len(points), -1)]
+    else:
+        x = chart.value(points)
+        columns = [points, x]
+    m = x.shape[-1]
     header = [f"p{i}" for i in range(n)] + [f"x{a}" for a in range(m)]
     if include_jets:
         header += [f"d1_{a}_{i}" for a in range(m) for i in range(n)]
@@ -481,17 +508,7 @@ def write_chart_csv(chart, domain_lo, domain_hi, resolution, path, include_jets=
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for p in points:
-            if include_jets:
-                jet = chart.jet(p)
-                if jet is None:
-                    raise ConfigError("chart has no analytic jets to export")
-                x, d1, d2 = jet
-                writer.writerow(
-                    list(p) + list(x) + list(d1.ravel()) + list(d2.ravel())
-                )
-            else:
-                writer.writerow(list(p) + list(chart.value(p)))
+        writer.writerows(np.hstack(columns).tolist())
 
 
 def build_chart(model: AmbientModel, kind: str, params: dict) -> Chart:

@@ -25,7 +25,7 @@ TAU_ELL = 1e-9
 
 
 def elementary_symmetric(kappa: np.ndarray) -> np.ndarray:
-    """S_0..S_n of the entries of kappa via the product recurrence.
+    """S_0..S_n of the entries of kappa via the product recurrence, over the last axis.
 
     Expands prod_i (1 + kappa_i t) coefficient by coefficient: O(n^2) and
     stable for mixed-sign spectra, unlike subset-sum evaluation.
@@ -33,11 +33,11 @@ def elementary_symmetric(kappa: np.ndarray) -> np.ndarray:
     kappa = np.asarray(kappa, dtype=float)
     if not np.all(np.isfinite(kappa)):
         raise ValueError("principal curvatures must be finite")
-    n = kappa.size
-    s = np.zeros(n + 1)
-    s[0] = 1.0
-    for k in kappa:
-        s[1:] = s[1:] + k * s[:-1]
+    n = kappa.shape[-1]
+    s = np.zeros(kappa.shape[:-1] + (n + 1,))
+    s[..., 0] = 1.0
+    for i in range(n):
+        s[..., 1:] = s[..., 1:] + kappa[..., i, None] * s[..., :-1]
     return s
 
 
@@ -51,9 +51,9 @@ def trace_coefficients(n: int) -> np.ndarray:
 
 
 def higher_mean_curvatures(kappa: np.ndarray, n: int, signature: str) -> np.ndarray:
-    """Normalized curvature functions H_0..H_n under the given convention."""
+    """Normalized curvature functions H_0..H_n under the given convention, over the last axis."""
     kappa = np.asarray(kappa, dtype=float)
-    if kappa.size != n:
+    if kappa.shape[-1:] != (n,):
         raise ValueError("kappa must have length n")
     s = elementary_symmetric(kappa)
     signs = np.ones(n + 1)
@@ -100,20 +100,17 @@ def _check_symmetric(A: np.ndarray) -> np.ndarray:
 def complement_symmetric_values(kappa: np.ndarray, signature: str) -> np.ndarray:
     """Eigenvalues of the Newton tensors on the shared eigenbasis with A.
 
-    Row k, column i holds the eigenvalue of P_k on the i-th principal
-    direction: S_k of the spectrum with kappa_i removed (times (-1)^k in the
-    lorentzian convention).
+    Row k, column i (the last two axes) holds the eigenvalue of P_k on the
+    i-th principal direction: S_k of the spectrum with kappa_i removed (times
+    (-1)^k in the lorentzian convention).
     """
     kappa = np.asarray(kappa, dtype=float)
-    n = kappa.size
-    vals = np.empty((n + 1, n))
+    n = kappa.shape[-1]
+    vals = np.zeros(kappa.shape[:-1] + (n + 1, n))  # S_n of n-1 values vanishes
     for i in range(n):
-        rest = np.delete(kappa, i)
-        s_rest = elementary_symmetric(rest)  # length n
-        vals[:n, i] = s_rest
-        vals[n, i] = 0.0  # S_n of n-1 values vanishes
+        vals[..., :n, i] = elementary_symmetric(np.delete(kappa, i, axis=-1))
     if signature == LORENTZIAN:
-        vals[1::2, :] *= -1.0
+        vals[..., 1::2, :] *= -1.0
     return vals
 
 

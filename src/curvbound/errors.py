@@ -1,4 +1,11 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and per-row error arrays.
+
+Routines that evaluate many sample points at once do not raise for a point
+that fails: they return an object array with one slot per point, holding the
+point's exception or None.  Single-point entry points raise the slot.
+"""
+
+import numpy as np
 
 
 class GeometryError(Exception):
@@ -44,3 +51,27 @@ class EmptySampleError(GeometryError):
 
 class ConfigError(GeometryError):
     """Malformed scenario configuration or CLI usage."""
+
+
+def no_errors(shape) -> np.ndarray:
+    """Per-row error slots, all empty."""
+    return np.empty(shape, dtype=object)
+
+
+def failed(errors: np.ndarray) -> np.ndarray:
+    """Mask of the rows that hold an error."""
+    return np.not_equal(errors, None)
+
+
+def flag(errors: np.ndarray, mask, kind: type, message: str) -> None:
+    """Record kind(message) in the rows selected by ``mask`` that hold no error yet."""
+    mask = np.asarray(mask)
+    if mask.any():
+        errors[mask & ~failed(errors)] = kind(message)
+
+
+def raise_first(errors: np.ndarray) -> None:
+    """Raise the error of the first failed row, if any."""
+    for exc in errors.flat:
+        if exc is not None:
+            raise exc

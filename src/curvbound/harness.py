@@ -30,6 +30,7 @@ from .errors import ConfigError
 from .immersion import build_patch, refine_extremum, sample_grid
 from .operators import (
     DistanceField,
+    OperatorData,
     key_inequality_rhs,
     operator_data,
     restrict_field,
@@ -181,9 +182,15 @@ def scenario_patch(config: ScenarioConfig):
 
 @dataclass
 class ScenarioSamples:
-    """Grid frames with spectral data and the distance u attached."""
+    """Grid samples as arrays over a leading sample axis.
 
-    points: list  # (param, frame, OperatorData, u)
+    ``params`` (N, n) are the grid points that have a frame, ``data`` their
+    operator data (H, kappa, Newton eigenvalues), ``u`` (N,) the distance.
+    """
+
+    params: np.ndarray
+    data: OperatorData
+    u: np.ndarray
     skipped: list
     patch: object = None
     field: object = None
@@ -193,39 +200,34 @@ def collect_samples(config: ScenarioConfig, resolution=None) -> ScenarioSamples:
     patch = scenario_patch(config)
     dist = DistanceField(config.model, config.reference_center)
     grid = sample_grid(patch, resolution or config.resolution)
-    points = []
-    for p, frame in grid.points:
-        data = operator_data(frame, config.model.signature)
-        points.append((p, frame, data, float(dist.value(frame.position))))
-    return ScenarioSamples(points=points, skipped=grid.skipped, patch=patch, field=dist)
+    return ScenarioSamples(
+        params=grid.frames.param,
+        data=operator_data(grid.frames, config.model.signature),
+        u=dist.value(grid.frames.position),
+        skipped=grid.skipped,
+        patch=patch,
+        field=dist,
+    )
 
 
 def refined_distance_extremum(samples: ScenarioSamples, mode: str):
     """(param, value) of the refined max or min of u over the patch."""
     sign = 1.0 if mode == "max" else -1.0
     patch, dist = samples.patch, samples.field
-    values = [u for _, _, _, u in samples.points]
-    idx = int(np.argmax(values)) if mode == "max" else int(np.argmin(values))
-    start = samples.points[idx][0]
-    cell = patch.domain_width / max(2, len(values) ** (1.0 / patch.n))
+    idx = np.argmax(samples.u) if mode == "max" else np.argmin(samples.u)
+    cell = patch.domain_width / max(2, len(samples.u) ** (1.0 / patch.n))
 
     def fn(q):
         return dist.value(np.asarray(patch.chart.value(q), dtype=float))
 
-    return refine_extremum(patch, fn, start, cell, sign=sign)
+    return refine_extremum(patch, fn, samples.params[idx], cell, sign=sign)
 
 
 def _ratio_pool(samples: ScenarioSamples, k: int):
     """Per-sample H_{k+1}/H_k with the H_k floor applied; returns exclusions."""
-    ratios, params, excluded = [], [], 0
-    for p, _, data, _ in samples.points:
-        hk = data.H[k]
-        if hk <= H_FLOOR:
-            excluded += 1
-            continue
-        ratios.append(data.H[k + 1] / hk)
-        params.append(p)
-    return np.asarray(ratios), params, excluded
+    H = samples.data.H
+    kept = H[:, k] > H_FLOOR
+    return H[kept, k + 1] / H[kept, k], samples.params[kept], int(np.count_nonzero(~kept))
 
 
 def _margin_check(cid, anchor, margin, tol, worst=None) -> CheckRecord:
@@ -237,22 +239,17 @@ def _margin_check(cid, anchor, margin, tol, worst=None) -> CheckRecord:
 
 
 def _hypothesis_check(samples: ScenarioSamples, k: int) -> CheckRecord:
-    worst = None
-    worst_val = np.inf
-    positive_trace = True
-    for p, _, data, _ in samples.points:
-        low = data.newton_psd_margin(k)
-        if low < worst_val:
-            worst_val, worst = low, p
-        if data.c[k] * data.H[k] <= TAU_ELL:  # Tr P_k = c_k H_k
-            positive_trace = False
-    ok = worst_val >= -TAU_ELL and positive_trace
+    margins = samples.data.newton_psd_margin(k)
+    worst = np.argmin(margins)
+    # Tr P_k = c_k H_k
+    positive_trace = not np.any(samples.data.c[k] * samples.data.H[:, k] <= TAU_ELL)
+    ok = margins[worst] >= -TAU_ELL and positive_trace
     return CheckRecord(
         id=f"newton-psd-k{k}",
         anchor="P_k positive semidefinite with Tr P_k > 0",
         status="pass" if ok else "hypothesis-violation",
-        residual=float(worst_val),
-        worst_sample=list(map(float, worst)) if worst is not None else None,
+        residual=float(margins[worst]),
+        worst_sample=list(map(float, samples.params[worst])),
     )
 
 
@@ -275,7 +272,19 @@ def verify_riemannian_estimate(config: ScenarioConfig, samples: ScenarioSamples,
                 None,
             )
         )
-    total = len(samples.points)
+    if samples.skipped:
+        rate = len(samples.skipped) / (len(samples.skipped) + len(samples.u))
+        checks.append(
+            CheckRecord(
+                "skipped-samples",
+                "plumbing",
+                "inconclusive" if rate > MAX_EXCLUSION_RATE else "info",
+                float(len(samples.skipped)),
+                None,
+            )
+        )
+    total = len(samples.u)
+    H = samples.data.H
     for k in range(config.k_range[0], config.k_range[1] + 1):
         checks.append(_hypothesis_check(samples, k))
         signed, params, excluded = _ratio_pool(samples, k)
@@ -308,7 +317,7 @@ def verify_riemannian_estimate(config: ScenarioConfig, samples: ScenarioSamples,
             )
         )
         # power chain needs positive H_{k+1} throughout
-        hk1 = np.array([data.H[k + 1] for _, _, data, _ in samples.points])
+        hk1 = H[:, k + 1]
         if np.all(hk1 > 0.0):
             power = float(np.max(hk1 ** (1.0 / (k + 1))))
             chain_margin = power - float(signed.max())
@@ -317,8 +326,8 @@ def verify_riemannian_estimate(config: ScenarioConfig, samples: ScenarioSamples,
                               chain_margin, config.tol_margin)
             )
         # product bound never needs exclusions
-        sup_abs = float(np.max([abs(d.H[k + 1]) for _, _, d, _ in samples.points]))
-        inf_hk = float(np.min([d.H[k] for _, _, d, _ in samples.points]))
+        sup_abs = float(np.max(np.abs(hk1)))
+        inf_hk = float(np.min(H[:, k]))
         margin2 = sup_abs - cbr * inf_hk
         checks.append(
             _margin_check(f"product-bound-k{k}", "sup |H_{k+1}| >= C_b(r) inf H_k", margin2,
@@ -337,8 +346,7 @@ def verify_h2_corollary(config: ScenarioConfig, samples: ScenarioSamples, r: flo
     checks = []
     b = config.model.curvature
     n = config.n
-    h1 = np.array([d.H[1] for _, _, d, _ in samples.points])
-    h2 = np.array([d.H[2] for _, _, d, _ in samples.points])
+    h1, h2 = samples.data.H[:, 1], samples.data.H[:, 2]
     if np.any(h2 <= 0.0):
         return [
             CheckRecord(
@@ -369,19 +377,15 @@ def verify_h2_corollary(config: ScenarioConfig, samples: ScenarioSamples, r: flo
         _margin_check("scalar-curvature-bound", "sup s >= b + C_b(r) inf H_1", m3,
                       config.tol_margin)
     )
-    worst = np.inf
-    worst_p = None
-    for p, _, data, _ in samples.points:
-        mu = n * data.H[1] - data.kappa
-        if mu.min() < worst:
-            worst, worst_p = float(mu.min()), p
+    mu = (n * h1[:, None] - samples.data.kappa).min(axis=-1)
+    worst = np.argmin(mu)
     checks.append(
         CheckRecord(
             "first-newton-eigenvalues-positive",
             "n H - kappa_j > 0 when H_2 > 0 and H > 0",
-            "pass" if worst > 0.0 else "fail",
-            worst,
-            list(map(float, worst_p)),
+            "pass" if mu[worst] > 0.0 else "fail",
+            float(mu[worst]),
+            list(map(float, samples.params[worst])),
         )
     )
     return checks
@@ -493,17 +497,19 @@ def emit_report(report: VerificationReport, path) -> None:
 
 def emit_samples_csv(config: ScenarioConfig, path) -> None:
     """Per-sample dump: parameters, u, |grad u|, and per-k operator data."""
-    samples = collect_samples(config)
+    patch = scenario_patch(config)
+    dist = DistanceField(config.model, config.reference_center)
     ks = list(range(config.k_range[0], config.k_range[1] + 1))
-    n = samples.patch.n
+    n = patch.n
     header = [f"p{i}" for i in range(n)] + ["u", "grad_norm"]
     for k in ks:
         header += [f"H{k}", f"H{k + 1}", f"ratio_k{k}", f"q_lu_k{k}", f"key_residual_k{k}"]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for p, frame, data, _ in samples.points:
-            s = restrict_field(samples.patch, samples.field, p, frame=frame)
+        for p, frame in sample_grid(patch, config.resolution).points:
+            data = operator_data(frame, config.model.signature)
+            s = restrict_field(patch, dist, p, frame=frame)
             row = list(map(float, p)) + [s.u, float(np.sqrt(s.grad_norm_sq))]
             for k in ks:
                 tr = float(np.trace(data.P[k]))

@@ -12,8 +12,8 @@ Orientation conventions:
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -26,13 +26,17 @@ from .errors import (
     ImmersionDegeneracyError,
     NumericalError,
     SignatureError,
+    failed,
+    no_errors,
+    raise_first,
 )
-from .spaceform import LORENTZIAN, RIEMANNIAN, AmbientModel, distance_gradient
+from .spaceform import LORENTZIAN, RIEMANNIAN, AmbientModel, gradient_rows
 
 # Finite-difference jet step, relative to the per-axis domain width.
 FD_JET_SCALE = 1e-5
 
-# Determinant floor below which the chart is treated as degenerate.
+# Smallest metric eigenvalue, relative to the largest, at which the chart
+# still counts as immersive (spacelike, in Lorentzian models).
 DEGENERACY_TOL = 1e-12
 
 
@@ -68,14 +72,14 @@ class HypersurfacePatch:
     def domain_width(self) -> np.ndarray:
         return self.domain_hi - self.domain_lo
 
-    def contains(self, p: np.ndarray, slack: float = 1e-9) -> bool:
+    def contains(self, p: np.ndarray, slack: float = 1e-9):
+        """Whether each parameter point p (..., n) lies in the domain box."""
         p = np.asarray(p, dtype=float)
         pad = slack * np.maximum(1.0, np.abs(self.domain_width))
-        return bool(
-            np.all(p >= self.domain_lo - pad) and np.all(p <= self.domain_hi + pad)
-        )
+        return np.all((p >= self.domain_lo - pad) & (p <= self.domain_hi + pad), axis=-1)
 
     def jet_at(self, p: np.ndarray):
+        """(position, d1, d2) at the parameter points p (..., n)."""
         p = np.asarray(p, dtype=float)
         if self.jets != "fd":
             jet = self.chart.jet(p)
@@ -86,91 +90,124 @@ class HypersurfacePatch:
         return fd_jet(self.chart.value, p, FD_JET_SCALE * self.domain_width)
 
 
+def induced_metric(d1: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """First fundamental form of the tangent columns d1 (..., m, n) in the flat metric eta."""
+    g = np.swapaxes(d1, -1, -2) @ (eta[:, None] * d1)
+    return 0.5 * (g + np.swapaxes(g, -1, -2))
+
+
 @dataclass
 class PointFrame:
-    """Second-order data of the immersion at one parameter point."""
+    """Second-order data of the immersion at parameter points.
+
+    Fields carry the leading sample axes of the points they were evaluated
+    at; ``frame[i]`` is the frame of sample i.
+    """
 
     param: np.ndarray
     position: np.ndarray
-    tangent: np.ndarray  # (m, n) columns span the tangent plane
+    tangent: np.ndarray  # (..., m, n) columns span the tangent plane
     metric: np.ndarray
     normal: np.ndarray
     second_form: np.ndarray
     shape_operator: np.ndarray
 
-
-def _generalized_cross(metric_diag: np.ndarray, rows: list) -> np.ndarray:
-    """Vector flat-orthogonal to all rows: cofactor expansion, index raised."""
-    M = np.vstack(rows)
-    m = M.shape[1]
-    c = np.empty(m)
-    for a in range(m):
-        c[a] = (-1.0) ** a * np.linalg.det(np.delete(M, a, axis=1))
-    return c / metric_diag
+    def __getitem__(self, i) -> "PointFrame":
+        return PointFrame(*(getattr(self, f.name)[i] for f in fields(self)))
 
 
-def frame_at(patch: HypersurfacePatch, p: np.ndarray) -> PointFrame:
-    """Evaluate metric, oriented unit normal, second form and shape operator."""
-    p = np.asarray(p, dtype=float)
-    if not patch.contains(p):
-        raise DomainError("parameter point outside the patch domain")
+def frames_at(patch: HypersurfacePatch, P: np.ndarray):
+    """Frames at the rows of P (N, n): metric, oriented unit normal, second form, shape operator.
+
+    Returns (frames, errors).  ``frames`` holds the rows that have a frame, in
+    order; ``errors[i]`` is the GeometryError of row i, or None when row i is
+    among them.  Each failing check removes its rows before the next step, so
+    stacked linear algebra only sees rows that passed.
+    """
+    P = np.asarray(P, dtype=float)
     model = patch.ambient
-    x, d1, d2 = patch.jet_at(p)
+    errors = no_errors(len(P))
+    rows = np.arange(len(P))
+
+    def reject(bad, exc, *arrays):
+        """Record exc for the surviving rows flagged bad; return ``arrays`` without them."""
+        nonlocal rows
+        if not bad.any():
+            return arrays
+        errors[rows[bad]] = exc[bad] if isinstance(exc, np.ndarray) else exc
+        rows = rows[~bad]
+        return [a[~bad] for a in arrays]
+
+    reject(~patch.contains(P), DomainError("parameter point outside the patch domain"))
+    undefined = patch.chart.undefined(P[rows], jet=patch.jets != "fd")
+    if undefined is not None:
+        reject(failed(undefined), undefined)
+    x, d1, d2 = patch.jet_at(P[rows])
     eta = model.metric_diag
-    g = d1.T @ (eta[:, None] * d1)
-    g = 0.5 * (g + g.T)
+    g = induced_metric(d1, eta)
     eigs = np.linalg.eigvalsh(g)
-    if model.signature == LORENTZIAN and eigs.min() < -DEGENERACY_TOL:
-        raise SignatureError("tangent plane is not spacelike")
-    if np.linalg.det(g) <= DEGENERACY_TOL or eigs.min() <= 0.0:
-        raise ImmersionDegeneracyError("chart is not immersive at this parameter")
+    low = eigs[:, 0]  # eigvalsh sorts ascending
+    floor = DEGENERACY_TOL * np.maximum(-low, eigs[:, -1])
+    if model.signature == LORENTZIAN:
+        x, d1, d2, g, low, floor = reject(low < -floor, SignatureError(
+            "tangent plane is not spacelike"), x, d1, d2, g, low, floor)
+    x, d1, d2, g = reject(low <= floor, ImmersionDegeneracyError(
+        "chart is not immersive at this parameter"), x, d1, d2, g)
 
-    rows = [d1[:, i] for i in range(patch.n)]
-    if model.is_quadric:
-        rows.append(x)
-    w = _generalized_cross(eta, rows)
-    w = model.tangent_project(x, w)
+    # cofactor expansion of the tangent (and, on a quadric, position) rows,
+    # index raised: a vector flat-orthogonal to all of them
+    M = np.concatenate([np.swapaxes(d1, -1, -2), x[:, None, :]] if model.is_quadric
+                       else [np.swapaxes(d1, -1, -2)], axis=-2)
+    m = x.shape[-1]
+    minors = np.swapaxes(M[..., [[c for c in range(m) if c != a] for a in range(m)]], -3, -2)
+    # C order: flat inner products below round by the memory layout of w
+    w = (-1.0) ** np.arange(m) * np.linalg.det(np.ascontiguousarray(minors))
+    w = model.tangent_project(x, w / eta)
     nu2 = model.flat_inner(w, w)
-    if model.signature == RIEMANNIAN:
-        if nu2 <= 0.0:
-            raise ImmersionDegeneracyError("normal direction degenerates")
-        normal = w / np.sqrt(nu2)
-    else:
-        if nu2 >= 0.0:
-            raise SignatureError("normal direction is not timelike")
-        normal = w / np.sqrt(-nu2)
+    # the unit normal is spacelike in Riemannian and timelike in Lorentzian models
+    eps = 1.0 if model.signature == RIEMANNIAN else -1.0
+    wrong = ImmersionDegeneracyError("normal direction degenerates") if eps > 0 else (
+        SignatureError("normal direction is not timelike"))
+    x, d1, d2, g, w, nu2 = reject(eps * nu2 <= 0.0, wrong, x, d1, d2, g, w, nu2)
+    normal = w / np.sqrt(eps * nu2)[:, None]
 
+    flip = np.zeros(len(x), dtype=bool)
     if patch.orientation == "future":
-        t = model.time_orientation(x)
-        if model.flat_inner(normal, t) > 0.0:  # co-oriented timelike pairs are negative
-            normal = -normal
-    else:
-        if patch.center is not None:
-            radial = distance_gradient(model, patch.center, x)
-            s = model.flat_inner(normal, radial)
-            if patch.orientation == "inner" and s > 0.0:
-                normal = -normal
-            elif patch.orientation == "outer" and s < 0.0:
-                normal = -normal
+        # co-oriented timelike pairs are negative
+        flip = model.flat_inner(normal, model.time_orientation(x)) > 0.0
+    elif patch.center is not None:
+        radial, radial_errors = gradient_rows(model, patch.center, x)
+        x, d1, d2, g, normal, radial = reject(
+            failed(radial_errors), radial_errors, x, d1, d2, g, normal, radial)
+        s = model.flat_inner(normal, radial)
+        flip = s > 0.0 if patch.orientation == "inner" else s < 0.0
+    normal = np.where(flip[:, None], -normal, normal)
 
-    h = np.einsum("mab,m->ab", d2, eta * normal)
-    h = 0.5 * (h + h.T)
-    shape = np.linalg.solve(g, h)
-    return PointFrame(
-        param=p,
+    h = np.einsum("...mab,...m->...ab", d2, eta * normal)
+    h = 0.5 * (h + np.swapaxes(h, -1, -2))
+    frames = PointFrame(
+        param=P[rows],
         position=x,
         tangent=d1,
         metric=g,
         normal=normal,
         second_form=h,
-        shape_operator=shape,
+        shape_operator=np.linalg.solve(g, h),
     )
+    return frames, errors
+
+
+def frame_at(patch: HypersurfacePatch, p: np.ndarray) -> PointFrame:
+    """The frame at one parameter point p (n,); raises its GeometryError."""
+    frames, errors = frames_at(patch, np.asarray(p, dtype=float)[None])
+    raise_first(errors)
+    return frames[0]
 
 
 def congruence(L: np.ndarray, form: np.ndarray) -> np.ndarray:
-    """L^-1 form L^-T: a chart-basis bilinear form in the frame orthonormalized by L."""
+    """L^-1 form L^-T: chart-basis bilinear forms in the frames orthonormalized by L."""
     tmp = np.linalg.solve(L, form)
-    return np.linalg.solve(L, tmp.T).T
+    return np.swapaxes(np.linalg.solve(L, np.swapaxes(tmp, -1, -2)), -1, -2)
 
 
 def orthonormal_shape(frame: PointFrame) -> tuple:
@@ -184,10 +221,10 @@ def orthonormal_shape(frame: PointFrame) -> tuple:
         L = np.linalg.cholesky(g)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
-            f"metric not positive definite (cond ~ {np.linalg.cond(g):.3e})"
+            f"metric not positive definite (cond ~ {np.max(np.linalg.cond(g)):.3e})"
         ) from exc
     B = congruence(L, frame.second_form)
-    return L, 0.5 * (B + B.T)
+    return L, 0.5 * (B + np.swapaxes(B, -1, -2))
 
 
 def principal_curvatures(frame: PointFrame) -> np.ndarray:
@@ -199,9 +236,14 @@ def principal_curvatures(frame: PointFrame) -> np.ndarray:
 class GridSamples:
     """Frames over a quasi-uniform grid, with skipped points recorded."""
 
-    points: list = field(default_factory=list)  # (param, PointFrame)
-    skipped: list = field(default_factory=list)  # (param, reason)
-    axes: list = field(default_factory=list)
+    frames: PointFrame  # the grid points that have a frame, along a leading axis
+    skipped: list  # (param, reason)
+    axes: list
+
+    @cached_property
+    def points(self) -> list:
+        """(param, PointFrame) for each grid point that has a frame."""
+        return [(self.frames.param[i], self.frames[i]) for i in range(len(self.frames.param))]
 
 
 def grid_axes(patch: HypersurfacePatch, resolution) -> list:
@@ -216,19 +258,22 @@ def grid_axes(patch: HypersurfacePatch, resolution) -> list:
     ]
 
 
+def grid_points(axes: list) -> np.ndarray:
+    """The product grid of ``axes`` as rows (N, n), last axis varying fastest."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+
+
 def sample_grid(patch: HypersurfacePatch, resolution) -> GridSamples:
     """Evaluate frames over the product grid, skipping degenerate points."""
     axes = grid_axes(patch, resolution)
-    out = GridSamples(axes=axes)
-    for combo in itertools.product(*axes):
-        p = np.array(combo)
-        try:
-            out.points.append((p, frame_at(patch, p)))
-        except GeometryError as exc:
-            out.skipped.append((p, f"{type(exc).__name__}: {exc}"))
-    if not out.points:
+    P = grid_points(axes)
+    frames, errors = frames_at(patch, P)
+    if not len(frames.param):
         raise EmptySampleError("every grid point was rejected")
-    return out
+    skipped = [
+        (P[i], f"{type(exc).__name__}: {exc}") for i, exc in enumerate(errors) if exc is not None
+    ]
+    return GridSamples(frames=frames, skipped=skipped, axes=axes)
 
 
 def refine_extremum(patch: HypersurfacePatch, fn, start, cell, rounds=14, sign=1.0):
@@ -244,11 +289,7 @@ def refine_extremum(patch: HypersurfacePatch, fn, start, cell, rounds=14, sign=1
     offsets = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
     cell = np.asarray(cell, dtype=float)
     for _ in range(rounds):
-        for combo in np.stack(
-            np.meshgrid(*[center[i] + offsets * cell[i] for i in range(center.size)],
-                        indexing="ij"),
-            axis=-1,
-        ).reshape(-1, center.size):
+        for combo in grid_points([center[i] + offsets * cell[i] for i in range(center.size)]):
             q = np.clip(combo, patch.domain_lo, patch.domain_hi)
             try:
                 val = sign * fn(q)

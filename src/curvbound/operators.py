@@ -36,6 +36,8 @@ from .immersion import (
     congruence,
     frame_at,
     grid_axes,
+    grid_points,
+    induced_metric,
     orthonormal_shape,
     refine_extremum,
 )
@@ -185,12 +187,9 @@ def intrinsic_hessian_fd(
     h = step_scale * patch.domain_width
 
     def metric_at(q):
-        x, d1, _ = patch.jet_at(q)
-        eta = patch.ambient.metric_diag
-        g = d1.T @ (eta[:, None] * d1)
-        return 0.5 * (g + g.T)
+        return induced_metric(patch.jet_at(q)[1], patch.ambient.metric_diag)
 
-    _, du, d2u = fd_jet(scalar_fn, p, h)
+    _, du, d2u = fd_jet(lambda q: np.atleast_1d(scalar_fn(q)), p, h)
     du, d2u = du[0], d2u[0]
     dg = np.empty((n, n, n))  # dg[k] = d_k g
     for i in range(n):
@@ -233,8 +232,10 @@ def restriction_hessian(
 class OperatorData:
     """Shape operator and Newton-tensor spectra in a metric-orthonormal frame.
 
-    ``newton_eigenvalues[k, i]`` is the eigenvalue of P_k on the i-th
-    principal direction.  The matrices ``P`` are built on first access only.
+    Fields carry the leading sample axes of the frame they were computed
+    from.  ``newton_eigenvalues[..., k, i]`` is the eigenvalue of P_k on the
+    i-th principal direction.  The matrices ``P`` (one sample only) are built
+    on first access.
     """
 
     chol: np.ndarray
@@ -250,15 +251,17 @@ class OperatorData:
         """Newton tensors P_0..P_n as matrices in the orthonormal frame."""
         return newton_tensors(self.shape_sym, self.kappa, self.signature)
 
-    def newton_psd_margin(self, k: int) -> float:
+    def newton_psd_margin(self, k: int):
         """Smallest eigenvalue of P_k over max(1, max|kappa|^k); P_k is PSD down to -TAU_ELL."""
-        return self.newton_eigenvalues[k].min() / max(1.0, np.abs(self.kappa).max() ** max(k, 1))
+        scale = np.abs(self.kappa).max(axis=-1) ** max(k, 1)
+        return self.newton_eigenvalues[..., k, :].min(axis=-1) / np.maximum(1.0, scale)
 
 
 def operator_data(frame: PointFrame, signature: str) -> OperatorData:
+    """Operator data of a frame, over its leading sample axes."""
     L, A = orthonormal_shape(frame)
     kappa = np.linalg.eigvalsh(A)
-    n = A.shape[0]
+    n = A.shape[-1]
     return OperatorData(
         chol=L,
         shape_sym=A,
@@ -394,7 +397,7 @@ def omori_yau_search(
     axes = grid_axes(patch, resolution)
     records = []
     excluded = 0
-    for combo in np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, patch.n):
+    for combo in grid_points(axes):
         try:
             records.append(_evaluate_point(patch, field, k, combo))
         except HypothesisViolationError:

@@ -22,11 +22,12 @@ point only; its gradient is a past-directed unit timelike field there.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .comparison import c_b, c_hat_b
-from .errors import DomainError, UndefinedGradientError
+from .errors import DomainError, UndefinedGradientError, flag, no_errors, raise_first
 
 RIEMANNIAN = "riemannian"
 LORENTZIAN = "lorentzian"
@@ -115,7 +116,7 @@ class AmbientModel:
     def embedding_dim(self) -> int:
         return self.dimension + (1 if self.is_quadric else 0)
 
-    @property
+    @cached_property
     def metric_diag(self) -> np.ndarray:
         m = self.embedding_dim
         diag = np.ones(m)
@@ -126,6 +127,7 @@ class AmbientModel:
             diag[0] = -1.0
             if self.curvature < 0.0:
                 diag[1] = -1.0
+        diag.flags.writeable = False
         return diag
 
     # -- point and tangent utilities ---------------------------------------
@@ -145,39 +147,41 @@ class AmbientModel:
                 x[0] = 1.0 / np.sqrt(-b)
         return x
 
-    def flat_inner(self, u: np.ndarray, v: np.ndarray) -> float:
-        return float(np.dot(self.metric_diag * np.asarray(u), np.asarray(v)))
+    def flat_inner(self, u: np.ndarray, v: np.ndarray):
+        """Flat embedding inner product over the last axis."""
+        return np.vecdot(self.metric_diag * np.asarray(u), np.asarray(v))
 
-    def on_model(self, x: np.ndarray, tol: float = 1e-9) -> bool:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.embedding_dim,):
-            return False
-        if not self.is_quadric:
-            return True
-        b = self.curvature
-        if abs(self.flat_inner(x, x) - 1.0 / b) > tol * max(1.0, abs(1.0 / b)):
-            return False
-        if self.model_kind == "hyperboloid_embedded" and x[0] <= 0.0:
-            return False
-        return True
+    def point_errors(self, x: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+        """Per-row DomainError where x (..., m) is off the model quadric.
 
-    def check_point(self, x: np.ndarray) -> np.ndarray:
+        Raises at once when x has the wrong number of coordinates.
+        """
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.embedding_dim,):
+        if x.shape[-1:] != (self.embedding_dim,):
             raise DomainError(
                 f"point has {x.shape} coordinates, expected ({self.embedding_dim},)"
             )
-        if not self.on_model(x):
-            raise DomainError("point does not satisfy the model quadric constraint")
+        errors = no_errors(x.shape[:-1])
+        if self.is_quadric:
+            b = self.curvature
+            off = np.abs(self.flat_inner(x, x) - 1.0 / b) > tol * max(1.0, abs(1.0 / b))
+            if self.model_kind == "hyperboloid_embedded":
+                off |= x[..., 0] <= 0.0
+            flag(errors, off, DomainError, "point does not satisfy the model quadric constraint")
+        return errors
+
+    def check_point(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        raise_first(self.point_errors(x))
         return x
 
     def tangent_project(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Project an ambient vector onto the model tangent space at x."""
+        """Project ambient vectors onto the model tangent space at x, over the last axis."""
         v = np.asarray(v, dtype=float)
         if not self.is_quadric:
             return v.copy()
         b = self.curvature
-        return v - b * self.flat_inner(v, x) * np.asarray(x)
+        return v - (b * self.flat_inner(v, x))[..., None] * np.asarray(x)
 
     def check_tangent(self, x: np.ndarray, v: np.ndarray, tol: float = 1e-8) -> np.ndarray:
         v = np.asarray(v, dtype=float)
@@ -190,24 +194,21 @@ class AmbientModel:
         return v
 
     def time_orientation(self, x: np.ndarray) -> np.ndarray:
-        """A future-directed timelike tangent field (Lorentzian models only)."""
+        """A future-directed timelike tangent field at x (..., m); Lorentzian models only."""
         if self.signature != LORENTZIAN:
             raise DomainError("time orientation only defined for lorentzian models")
-        m = self.embedding_dim
+        x = np.asarray(x, dtype=float)
+        t = np.zeros(x.shape)
         if self.model_kind == "minkowski":
-            t = np.zeros(m)
-            t[0] = 1.0
+            t[..., 0] = 1.0
             return t
-        b = self.curvature
-        if b > 0.0:
-            e0 = np.zeros(m)
-            e0[0] = 1.0
-            return self.tangent_project(x, e0)
+        if self.curvature > 0.0:
+            t[..., 0] = 1.0
+            return self.tangent_project(x, t)
         # anti-de Sitter: rotation in the (x0, x1) timelike plane is a global
         # timelike Killing field and is already tangent to the quadric.
-        t = np.zeros(m)
-        t[0] = -x[1]
-        t[1] = x[0]
+        t[..., 0] = -x[..., 1]
+        t[..., 1] = x[..., 0]
         return t
 
 
@@ -278,84 +279,97 @@ def geodesic_velocity(model: AmbientModel, x: np.ndarray, v: np.ndarray, t: floa
 # ---------------------------------------------------------------------------
 
 
-def _future_pointing_check(model: AmbientModel, o: np.ndarray, w: np.ndarray) -> None:
-    """Reject w (tangent at o, pointing toward x) unless future-directed."""
-    t = model.time_orientation(o)
-    if model.flat_inner(w, t) >= 0.0:
-        raise DomainError("point is not in the chronological future of the reference")
+def distance_rows(model: AmbientModel, o: np.ndarray, x: np.ndarray):
+    """(rho, errors): distances from the reference point o to the points x (..., m).
 
-
-def ambient_distance(model: AmbientModel, o: np.ndarray, x: np.ndarray) -> float:
-    """Distance from the reference point o to x in the model.
-
-    Riemannian models return the geodesic distance; Lorentzian models return
-    the Lorentzian distance, defined only when x lies in the chronological
-    future of o (otherwise a :class:`DomainError` is raised).
+    Riemannian models give the geodesic distance; Lorentzian models give the
+    Lorentzian distance, defined only on the chronological future of o.
+    ``errors`` holds a :class:`DomainError` for each point where the distance
+    is undefined; rho is finite but meaningless there.
     """
     o = model.check_point(o)
-    x = model.check_point(x)
+    x = np.asarray(x, dtype=float)
+    errors = model.point_errors(x)
     kind = model.model_kind
     b = model.curvature
     if kind == "euclidean":
-        return float(np.linalg.norm(x - o))
+        d = x - o
+        return np.sqrt(np.vecdot(d, d)), errors
     if kind == "minkowski":
         d = x - o
         q = model.flat_inner(d, d)
-        if q >= 0.0 or d[0] <= 0.0:
-            raise DomainError("point is not in the chronological future of the reference")
-        return float(np.sqrt(-q))
+        flag(errors, (q >= 0.0) | (d[..., 0] <= 0.0),
+             DomainError, "point is not in the chronological future of the reference")
+        return np.sqrt(np.maximum(-q, 0.0)), errors
     c = b * model.flat_inner(x, o)
     if kind == "sphere_embedded":
-        if c <= -1.0 + 1e-12:
-            raise DomainError("antipodal or beyond: spherical distance undefined")
-        return float(np.arccos(min(c, 1.0)) / np.sqrt(b))
+        flag(errors, c <= -1.0 + 1e-12,
+             DomainError, "antipodal or beyond: spherical distance undefined")
+        return np.arccos(np.minimum(np.maximum(c, -1.0), 1.0)) / np.sqrt(b), errors
     if kind == "hyperboloid_embedded":
-        if c < 1.0 - 1e-9:
-            raise DomainError("point not on the same hyperboloid sheet")
-        return float(np.arccosh(max(c, 1.0)) / np.sqrt(-b))
-    # lorentz_spaceform
-    w = model.tangent_project(o, x)  # tangent at o pointing toward x
+        flag(errors, c < 1.0 - 1e-9, DomainError, "point not on the same hyperboloid sheet")
+        return np.arccosh(np.maximum(c, 1.0)) / np.sqrt(-b), errors
+    # lorentz_spaceform: w is tangent at o and points toward x
+    w = model.tangent_project(o, x)
+    past = model.flat_inner(w, model.time_orientation(o)) >= 0.0
     if b > 0.0:
-        if c <= 1.0:
-            raise DomainError("point is not chronologically related to the reference")
-        _future_pointing_check(model, o, w)
-        return float(np.arccosh(c) / np.sqrt(b))
-    # b < 0: distance is smooth and positive only while rho < pi/(2 sqrt(-b))
-    if c <= 0.0 or c >= 1.0:
-        raise DomainError("point outside the guarded chronological range")
-    _future_pointing_check(model, o, w)
-    return float(np.arccos(c) / np.sqrt(-b))
+        flag(errors, c <= 1.0,
+             DomainError, "point is not chronologically related to the reference")
+        rho = np.arccosh(np.maximum(c, 1.0)) / np.sqrt(b)
+    else:
+        # b < 0: distance is smooth and positive only while rho < pi/(2 sqrt(-b))
+        flag(errors, (c <= 0.0) | (c >= 1.0),
+             DomainError, "point outside the guarded chronological range")
+        rho = np.arccos(np.minimum(np.maximum(c, -1.0), 1.0)) / np.sqrt(-b)
+    flag(errors, past, DomainError, "point is not in the chronological future of the reference")
+    return rho, errors
 
 
-def distance_gradient(model: AmbientModel, o: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Gradient of the distance function at x.
+def ambient_distance(model: AmbientModel, o: np.ndarray, x: np.ndarray):
+    """Distance from the reference point o to x; raises where it is undefined."""
+    rho, errors = distance_rows(model, o, x)
+    raise_first(errors)
+    return rho
+
+
+def gradient_rows(model: AmbientModel, o: np.ndarray, x: np.ndarray):
+    """(grad, errors): gradients of the distance function at the points x (..., m).
 
     Unit tangent to the radial geodesic: outward in Riemannian models, and a
-    past-directed unit timelike vector in Lorentzian models.
+    past-directed unit timelike vector in Lorentzian models.  Rows within
+    COINCIDENCE_TOL of o get an :class:`UndefinedGradientError`.
     """
-    rho = ambient_distance(model, o, x)
-    if rho < COINCIDENCE_TOL:
-        raise UndefinedGradientError("distance gradient undefined at the reference point")
+    rho, errors = distance_rows(model, o, x)
+    flag(errors, rho < COINCIDENCE_TOL,
+         UndefinedGradientError, "distance gradient undefined at the reference point")
+    rho = np.maximum(rho, COINCIDENCE_TOL)[..., None]  # finite quotients on failed rows
     o = np.asarray(o, dtype=float)
     x = np.asarray(x, dtype=float)
     kind = model.model_kind
     b = model.curvature
     if kind == "euclidean":
-        return (x - o) / rho
+        return (x - o) / rho, errors
     if kind == "minkowski":
-        return -(x - o) / rho
+        return -(x - o) / rho, errors
     proj = model.tangent_project(x, o)  # o minus its normal component at x
     if kind == "sphere_embedded":
         sb = np.sqrt(b)
-        return -sb * proj / np.sin(sb * rho)
+        return -sb * proj / np.sin(sb * rho), errors
     if kind == "hyperboloid_embedded":
         sb = np.sqrt(-b)
-        return b * proj / (sb * np.sinh(sb * rho))
+        return b * proj / (sb * np.sinh(sb * rho)), errors
     if b > 0.0:
         sb = np.sqrt(b)
-        return b * proj / (sb * np.sinh(sb * rho))
+        return b * proj / (sb * np.sinh(sb * rho)), errors
     sb = np.sqrt(-b)
-    return -b * proj / (sb * np.sin(sb * rho))
+    return -b * proj / (sb * np.sin(sb * rho)), errors
+
+
+def distance_gradient(model: AmbientModel, o: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Gradient of the distance function at x; raises where it is undefined."""
+    grad, errors = gradient_rows(model, o, x)
+    raise_first(errors)
+    return grad
 
 
 def _comparison_coefficient(model: AmbientModel, rho: float) -> float:

@@ -174,15 +174,36 @@ def test_refined_extremum_reaches_touching_radius():
 
 
 def test_tabulated_chart_scenario(tmp_path):
+    # a grid over the table's own (rounded) domain lands up to ~5e-10 off the
+    # tabulated parameters; every grid point must still be found
+    for resolution in (12, 16):
+        config = tabulated_sphere_scenario(tmp_path, resolution, include_jets=True)
+        assert collect_samples(config).skipped == []
+        report = run_scenario(config)
+        assert report.exit_code == 0
+        flags = [c for c in report.checks if c.id.startswith("equality-flag")]
+        assert flags and all(abs(c.residual) < 1e-6 for c in flags)
+
+
+def test_riemannian_report_flags_skipped_samples(tmp_path):
+    # without jet columns the 32 boundary points of a 9x9 table have no
+    # finite differences: 40% of the grid is lost, so the run is inconclusive
+    report = run_scenario(tabulated_sphere_scenario(tmp_path, 9, include_jets=False))
+    skipped = next(c for c in report.checks if c.id == "skipped-samples")
+    assert (skipped.status, skipped.residual) == ("inconclusive", 32.0)
+    assert report.exit_code == 1
+
+
+def tabulated_sphere_scenario(tmp_path, resolution, include_jets):
     from curvbound.charts import build_chart, write_chart_csv
     from curvbound.spaceform import AmbientModel
 
     src = build_chart(AmbientModel.euclidean(3), "sphere",
                       {"radius": 1.0, "center": [0.0, 0.0, 0.0]})
     lo, hi = src.default_domain()
-    path = tmp_path / "table.csv"
-    write_chart_csv(src, lo, hi, 12, path, include_jets=True)
-    report = run_scenario(load_scenario({
+    path = tmp_path / f"table{resolution}.csv"
+    write_chart_csv(src, lo, hi, resolution, path, include_jets=include_jets)
+    return load_scenario({
         "name": "tabulated-sphere",
         "ambient": {"signature": "riemannian", "curvature": 0.0,
                     "dimension": 3, "model_kind": "euclidean"},
@@ -190,11 +211,8 @@ def test_tabulated_chart_scenario(tmp_path):
         "chart": {"kind": "tabulated", "params": {"path": str(path)},
                   "orientation": "inner"},
         "k_range": [0, 1],
-        "resolution": 12,
-    }))
-    assert report.exit_code == 0
-    flags = [c for c in report.checks if c.id.startswith("equality-flag")]
-    assert flags and all(abs(c.residual) < 1e-6 for c in flags)
+        "resolution": resolution,
+    })
 
 
 # -- CSV emission ----------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from curvbound.charts import (
+    Chart,
     GeodesicSphereChart,
     TabulatedChart,
     build_chart,
@@ -11,14 +12,17 @@ from curvbound.charts import (
     write_chart_csv,
 )
 from curvbound.comparison import c_b, c_hat_b
-from curvbound.errors import ConfigError, DomainError, SignatureError
+from curvbound.errors import ConfigError, DomainError, GeometryError, SignatureError
+from curvbound.harness import bundled_scenarios, load_scenario, scenario_patch
 from curvbound.immersion import (
     HypersurfacePatch,
+    PointFrame,
     build_patch,
     frame_at,
     principal_curvatures,
     sample_grid,
 )
+from curvbound.operators import operator_data
 from curvbound.spaceform import AmbientModel
 
 E3 = AmbientModel.euclidean(3)
@@ -219,20 +223,62 @@ def test_polar_cap_skips_exactly_on_singular_axis():
     assert all(p[0] > 0.0 for p, _ in grid.points)
 
 
+@pytest.mark.parametrize("kind, params, resolution", [
+    ("sphere", {"radius": 1e-3}, 8),
+    ("ellipsoid", {"semi_axes": [2.2e-3 * 0.6, 2.2e-3, 2.2e-3]}, 16),
+])
+def test_immersion_test_is_scale_free(kind, params, resolution):
+    # det g scales with the fourth power of the size: an absolute floor on it
+    # rejected every point of the small sphere and the ellipsoid's polar rows
+    grid = sample_grid(build_patch(E3, kind, params, center=np.zeros(3)), resolution)
+    assert not grid.skipped
+    assert len(grid.points) == resolution**2
+
+
+def one_implementation_cases():
+    for name, path in bundled_scenarios().items():
+        yield pytest.param(name, scenario_patch(load_scenario(path)), 8, id=name)
+    S4 = AmbientModel.sphere(1.0, 4)
+    fd_sphere = build_patch(
+        S4, "geodesic_sphere", {"radius": 0.7}, center=S4.base_point(), jets="fd")
+    yield pytest.param("fd geodesic sphere", fd_sphere, 6, id="fd-geodesic-sphere-n3")
+    polar_cap = build_patch(
+        E3, "sphere", {"radius": 1.0}, center=np.zeros(3), domain=([0.0, 0.0], [0.5, 2 * np.pi]))
+    yield pytest.param("polar cap", polar_cap, 8, id="polar-cap")
+
+
+@pytest.mark.parametrize("name, patch, resolution", one_implementation_cases())
+def test_grid_and_single_point_paths_agree(name, patch, resolution):
+    # sample_grid, frame_at and operator_data run one implementation: a grid
+    # row and the single-point call at its parameter agree bit for bit
+    grid = sample_grid(patch, resolution)
+    signature = patch.ambient.signature
+    batch = operator_data(grid.frames, signature)
+    for i, (p, frame) in enumerate(grid.points):
+        single = frame_at(patch, p)
+        for field in PointFrame.__dataclass_fields__:
+            assert np.array_equal(getattr(frame, field), getattr(single, field)), (name, field)
+        data = operator_data(single, signature)
+        for field in ("chol", "shape_sym", "kappa", "newton_eigenvalues", "H"):
+            assert np.array_equal(getattr(batch, field)[i], getattr(data, field)), (name, field)
+    for p, reason in grid.skipped:
+        with pytest.raises(GeometryError) as exc:
+            frame_at(patch, p)
+        assert reason == f"{type(exc.value).__name__}: {exc.value}"
+    assert len(grid.skipped) == (8 if name == "polar cap" else 0)
+
+
 def test_resolution_one_rejected():
     with pytest.raises(DomainError):
         sample_grid(sphere_patch(), 1)
 
 
 def test_spacelike_violation_detected():
-    class SteepGraph:
+    class SteepGraph(Chart):
         nparams = 2
 
         def value(self, p):
-            return np.array([1.5 * p[0], p[0], p[1]])
-
-        def jet(self, p):
-            return None
+            return np.stack([1.5 * p[..., 0], p[..., 0], p[..., 1]], axis=-1)
 
         def default_domain(self):
             return np.array([-1.0, -1.0]), np.array([1.0, 1.0])

@@ -127,12 +127,11 @@ class Chart:
         return None
 
     def undefined(self, p: np.ndarray, jet: bool = False):
-        """Per-row DomainError where ``value`` (``jet`` if set) is undefined at p.
+        """Per-row DomainError where ``value`` (``jet`` if set) is undefined at p, else None.
 
-        None when the chart is defined at every point, which holds for every
-        chart defined by a formula on its whole parameter box.
+        A chart defined by a formula on its whole parameter box has none.
         """
-        return None
+        return no_errors(np.shape(p)[:-1])
 
     def default_domain(self):
         raise NotImplementedError

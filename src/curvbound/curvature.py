@@ -142,18 +142,18 @@ class NewtonFamily:
 def newton_tensors(A: np.ndarray, kappa: np.ndarray, signature: str) -> list:
     """P_0..P_n by the inductive matrix recursion, with S_k taken from kappa.
 
-    ``A`` must be symmetric and ``kappa`` its spectrum.
+    ``A`` (..., n, n) must be symmetric and ``kappa`` (..., n) its spectrum.
     """
-    n = A.shape[0]
-    s = elementary_symmetric(kappa)
+    n = A.shape[-1]
+    s = elementary_symmetric(kappa)[..., None, None]
     eye = np.eye(n)
-    P = [eye]
+    P = [np.broadcast_to(eye, A.shape)]
     for k in range(1, n + 1):
         if signature == RIEMANNIAN:
-            nxt = s[k] * eye - A @ P[k - 1]
+            nxt = s[..., k, :, :] * eye - A @ P[k - 1]
         else:
-            nxt = (-1.0) ** k * s[k] * eye + A @ P[k - 1]
-        P.append(0.5 * (nxt + nxt.T))
+            nxt = (-1.0) ** k * s[..., k, :, :] * eye + A @ P[k - 1]
+        P.append(0.5 * (nxt + np.swapaxes(nxt, -1, -2)))
     return P
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .comparison import c_b, c_hat_b
 from .curvature import TAU_ELL
-from .errors import ConfigError
+from .errors import ConfigError, failed
 from .immersion import build_patch, refine_extremum, sample_grid
 from .operators import (
     DistanceField,
@@ -36,7 +36,7 @@ from .operators import (
     restrict_field,
     trace_operator,
 )
-from .spaceform import RIEMANNIAN, AmbientModel, ReferenceBall
+from .spaceform import RIEMANNIAN, AmbientModel, ReferenceBall, distance_rows
 
 H_FLOOR = 1e-9  # samples with H_k at or below this are excluded from ratios
 MAX_EXCLUSION_RATE = 0.10
@@ -217,8 +217,12 @@ def refined_distance_extremum(samples: ScenarioSamples, mode: str):
     idx = np.argmax(samples.u) if mode == "max" else np.argmin(samples.u)
     cell = patch.domain_width / max(2, len(samples.u) ** (1.0 / patch.n))
 
-    def fn(q):
-        return dist.value(np.asarray(patch.chart.value(q), dtype=float))
+    def fn(Q):
+        errors = patch.chart.undefined(Q)
+        ok = ~failed(errors)
+        rho = np.zeros(len(Q))
+        rho[ok], errors[ok] = distance_rows(dist.model, dist.origin, patch.chart.value(Q[ok]))
+        return rho, errors
 
     return refine_extremum(patch, fn, samples.params[idx], cell, sign=sign)
 
@@ -500,25 +504,25 @@ def emit_samples_csv(config: ScenarioConfig, path) -> None:
     patch = scenario_patch(config)
     dist = DistanceField(config.model, config.reference_center)
     ks = list(range(config.k_range[0], config.k_range[1] + 1))
-    n = patch.n
-    header = [f"p{i}" for i in range(n)] + ["u", "grad_norm"]
+    header = [f"p{i}" for i in range(patch.n)] + ["u", "grad_norm"]
     for k in ks:
         header += [f"H{k}", f"H{k + 1}", f"ratio_k{k}", f"q_lu_k{k}", f"key_residual_k{k}"]
+    frames = sample_grid(patch, config.resolution).frames
+    data = operator_data(frames, config.model.signature)
+    s = restrict_field(patch, dist, frames)
+    columns = [frames.param, s.u[:, None], np.sqrt(s.grad_norm_sq)[:, None]]
+    for k in ks:
+        tr = np.trace(data.P[k], axis1=-2, axis2=-1)
+        lk = trace_operator(s, data, k)
+        rhs = key_inequality_rhs(s, data, k, config.model.curvature)
+        Hk, Hk1 = data.H[:, k], data.H[:, k + 1]
+        ratio = np.divide(Hk1, Hk, out=np.full(len(Hk), np.nan), where=Hk > H_FLOOR)
+        q_lu = np.divide(lk, tr, out=np.full(len(tr), np.nan), where=tr > 0)
+        columns += [np.stack([Hk, Hk1, ratio, q_lu, lk - rhs], axis=-1)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for p, frame in sample_grid(patch, config.resolution).points:
-            data = operator_data(frame, config.model.signature)
-            s = restrict_field(patch, dist, p, frame=frame)
-            row = list(map(float, p)) + [s.u, float(np.sqrt(s.grad_norm_sq))]
-            for k in ks:
-                tr = float(np.trace(data.P[k]))
-                lk = trace_operator(s, data, k)
-                rhs = key_inequality_rhs(s, data, k, config.model.curvature)
-                Hk, Hk1 = data.H[k], data.H[k + 1]
-                ratio = Hk1 / Hk if Hk > H_FLOOR else np.nan
-                row += [Hk, Hk1, ratio, lk / tr if tr > 0 else np.nan, lk - rhs]
-            writer.writerow(row)
+        writer.writerows(np.concatenate(columns, axis=-1).tolist())
 
 
 def bundled_scenarios() -> dict:

@@ -22,7 +22,6 @@ from .errors import (
     ConfigError,
     DomainError,
     EmptySampleError,
-    GeometryError,
     ImmersionDegeneracyError,
     NumericalError,
     SignatureError,
@@ -140,8 +139,7 @@ def frames_at(patch: HypersurfacePatch, P: np.ndarray):
 
     reject(~patch.contains(P), DomainError("parameter point outside the patch domain"))
     undefined = patch.chart.undefined(P[rows], jet=patch.jets != "fd")
-    if undefined is not None:
-        reject(failed(undefined), undefined)
+    reject(failed(undefined), undefined)
     x, d1, d2 = patch.jet_at(P[rows])
     eta = model.metric_diag
     g = induced_metric(d1, eta)
@@ -279,24 +277,27 @@ def sample_grid(patch: HypersurfacePatch, resolution) -> GridSamples:
 def refine_extremum(patch: HypersurfacePatch, fn, start, cell, rounds=14, sign=1.0):
     """Local grid-halving refinement of a scalar's max (min for sign = -1).
 
-    Each round evaluates a 5^n stencil of half and whole cells around the
-    current point, clipped to the parameter box, moves only on a strict
-    improvement over the best value so far, then halves the cell.  Points
-    where ``fn`` raises a GeometryError are skipped.  Returns (param, value).
+    ``fn`` maps parameter rows (N, n) to (values, errors), ``errors[i]`` being
+    the GeometryError of a row without a value.  Each round evaluates a 5^n
+    stencil of half and whole cells around the current point, clipped to the
+    parameter box, in one call, moves to the first best row only on a strict
+    improvement over the best value so far, then halves the cell.  Returns
+    (param, value); raises the start point's error.
     """
     center = np.asarray(start, dtype=float)
-    best = sign * fn(center)
+    values, errors = fn(center[None])
+    raise_first(errors)
+    best = sign * values[0]
     offsets = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
     cell = np.asarray(cell, dtype=float)
     for _ in range(rounds):
-        for combo in grid_points([center[i] + offsets * cell[i] for i in range(center.size)]):
-            q = np.clip(combo, patch.domain_lo, patch.domain_hi)
-            try:
-                val = sign * fn(q)
-            except GeometryError:
-                continue
-            if val > best:
-                best, center = val, q
+        Q = np.clip(grid_points([center[i] + offsets * cell[i] for i in range(center.size)]),
+                    patch.domain_lo, patch.domain_hi)
+        values, errors = fn(Q)
+        values = np.where(failed(errors), -np.inf, sign * values)
+        i = np.argmax(values)
+        if values[i] > best:
+            best, center = values[i], Q[i]
         cell = cell / 2.0
     return center, sign * best
 

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .charts import fd_jet
-from .comparison import c_b, c_hat_b, phi_b, phi_b_d1, phi_b_d2
+from .comparison import phi_b, phi_b_d1, phi_b_d2
 from .curvature import (
     TAU_ELL,
     complement_symmetric_values,
@@ -29,12 +29,13 @@ from .curvature import (
     newton_tensors,
     trace_coefficients,
 )
-from .errors import ConsistencyError, GeometryError, HypothesisViolationError
+from .errors import ConsistencyError, GeometryError, HypothesisViolationError, failed, no_errors
 from .immersion import (
     HypersurfacePatch,
     PointFrame,
     congruence,
     frame_at,
+    frames_at,
     grid_axes,
     grid_points,
     induced_metric,
@@ -45,17 +46,27 @@ from .spaceform import (
     RIEMANNIAN,
     AmbientModel,
     ambient_distance,
+    comparison_coefficient,
     distance_gradient,
     distance_hessian_bilinear,
+    gradient_rows,
 )
 
 
 class DistanceField:
-    """u = rho(., o): the ambient distance to a reference point."""
+    """u = rho(., o): the ambient distance to a reference point.
+
+    Like the other fields, it takes points x of shape (..., m); ``errors(x)``
+    holds the per-row GeometryError where u, its gradient or its Hessian is
+    undefined, and the other methods raise the first of them.
+    """
 
     def __init__(self, model: AmbientModel, origin: np.ndarray):
         self.model = model
         self.origin = model.check_point(np.asarray(origin, dtype=float))
+
+    def errors(self, x):
+        return gradient_rows(self.model, self.origin, x)[1]
 
     def value(self, x):
         return ambient_distance(self.model, self.origin, x)
@@ -71,38 +82,42 @@ class LinearCoordinateField:
     """Restriction of the linear ambient function x -> sum_a c_a x_a.
 
     On a quadric the intrinsic Hessian picks up the second-form correction
-    -b <X,Y> l(x); in flat models it vanishes.
+    -b <X,Y> l(x); in flat models (b = 0) it vanishes.
     """
 
     def __init__(self, model: AmbientModel, coefficients: np.ndarray):
         self.model = model
         self.coefficients = np.asarray(coefficients, dtype=float)
 
+    def errors(self, x):
+        return no_errors(np.shape(x)[:-1])
+
     def value(self, x):
-        return float(self.coefficients @ x)
+        return np.vecdot(x, self.coefficients)
 
     def gradient(self, x):
         raised = self.coefficients / self.model.metric_diag
-        return self.model.tangent_project(x, raised)
+        return self.model.tangent_project(x, np.broadcast_to(raised, np.shape(x)))
 
     def hessian_bilinear(self, x, X, Y):
-        if not self.model.is_quadric:
-            return 0.0
         return -self.model.curvature * self.model.flat_inner(X, Y) * self.value(x)
 
 
 class ComposedField:
-    """phi(u) for a scalar reparametrization phi with two derivatives."""
+    """phi(u) for a scalar reparametrization phi with two derivatives, applied entry by entry."""
 
     def __init__(self, base, fn, d1, d2):
         self.base = base
-        self.fn, self.d1, self.d2 = fn, d1, d2
+        self.fn, self.d1, self.d2 = (np.vectorize(f, otypes=[float]) for f in (fn, d1, d2))
+
+    def errors(self, x):
+        return self.base.errors(x)
 
     def value(self, x):
         return self.fn(self.base.value(x))
 
     def gradient(self, x):
-        return self.d1(self.base.value(x)) * self.base.gradient(x)
+        return self.d1(self.base.value(x))[..., None] * self.base.gradient(x)
 
     def hessian_bilinear(self, x, X, Y):
         u = self.base.value(x)
@@ -125,45 +140,43 @@ def phi_of_distance_field(model: AmbientModel, origin: np.ndarray, b: float) -> 
 
 @dataclass
 class FieldSample:
-    """Restriction data of an ambient field at one patch point."""
+    """Restriction data of an ambient field over the leading sample axes of a frame."""
 
-    param: np.ndarray
-    u: float
+    u: np.ndarray
     grad: np.ndarray  # vector in the chart basis
-    grad_norm_sq: float
-    normal_coef: float  # <ambient gradient, N>
+    grad_norm_sq: np.ndarray
+    normal_coef: np.ndarray  # <ambient gradient, N>
     hess: np.ndarray  # chart-basis bilinear form
     frame: PointFrame
 
 
-def restrict_field(
-    patch: HypersurfacePatch, field, p: np.ndarray, frame: PointFrame | None = None
-) -> FieldSample:
-    if frame is None:
-        frame = frame_at(patch, p)
+def restrict_field(patch: HypersurfacePatch, field, frame: PointFrame) -> FieldSample:
+    """Value, gradient and intrinsic Hessian of ``field`` restricted to the frame's points.
+
+    Raises the first GeometryError of ``field.errors`` at the frame's
+    positions; drop those rows first to keep the others.
+    """
     model = patch.ambient
     x, d1 = frame.position, frame.tangent
     u = field.value(x)
     gbar = field.gradient(x)
-    eta = model.metric_diag
-    du = d1.T @ (eta * gbar)
-    grad = np.linalg.solve(frame.metric, du)
-    grad_norm_sq = float(du @ grad)
+    du = (np.swapaxes(d1, -1, -2) @ (model.metric_diag * gbar)[..., None])[..., 0]
+    grad = np.linalg.solve(frame.metric, du[..., None])[..., 0]
     normal_coef = model.flat_inner(gbar, frame.normal)
-    n = patch.n
-    hess = np.empty((n, n))
-    for i in range(n):
-        for j in range(i + 1):
-            hess[i, j] = hess[j, i] = field.hessian_bilinear(x, d1[:, i], d1[:, j])
+    # one Hessian call on every pair (i >= j) of tangent columns; the columns
+    # are strided in memory, so their flat inner products round as for d1[:, i]
+    i, j = np.tril_indices(patch.n)
+    X, Y = (np.swapaxes(np.ascontiguousarray(d1[..., c]), -1, -2) for c in (i, j))
+    pairs = field.hessian_bilinear(x[..., None, :], X, Y)
+    hess = np.empty(d1.shape[:-2] + (patch.n, patch.n))
+    hess[..., i, j] = hess[..., j, i] = pairs
     eps = 1.0 if model.signature == RIEMANNIAN else -1.0
-    hess = hess + eps * normal_coef * frame.second_form
     return FieldSample(
-        param=np.asarray(p, dtype=float),
-        u=float(u),
+        u=u,
         grad=grad,
-        grad_norm_sq=grad_norm_sq,
-        normal_coef=float(normal_coef),
-        hess=hess,
+        grad_norm_sq=np.vecdot(du, grad),
+        normal_coef=normal_coef,
+        hess=hess + eps * normal_coef[..., None, None] * frame.second_form,
         frame=frame,
     )
 
@@ -178,29 +191,24 @@ def intrinsic_hessian_fd(
 ) -> np.ndarray:
     """Intrinsic Hessian of a parameter-space scalar via Christoffel symbols.
 
-    Metric derivatives come from finite differences of the induced metric;
-    the result is d_i d_j u - Gamma^l_ij d_l u.  Purely chart-level: never
+    The metric derivatives come from the same central-difference stencil as
+    the scalar's; the result is d_i d_j u - Gamma^l_ij d_l u.  Purely chart-level: never
     touches the ambient Hessian identity it cross-checks.
     """
-    p = np.asarray(p, dtype=float)
     n = patch.n
-    h = step_scale * patch.domain_width
+    eta = patch.ambient.metric_diag
 
-    def metric_at(q):
-        return induced_metric(patch.jet_at(q)[1], patch.ambient.metric_diag)
+    def scalar_and_metric(q):
+        g = induced_metric(patch.jet_at(q)[1], eta)
+        return np.concatenate([np.atleast_1d(scalar_fn(q)), g.ravel()])
 
-    _, du, d2u = fd_jet(lambda q: np.atleast_1d(scalar_fn(q)), p, h)
-    du, d2u = du[0], d2u[0]
-    dg = np.empty((n, n, n))  # dg[k] = d_k g
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = h[i]
-        dg[i] = (metric_at(p + ei) - metric_at(p - ei)) / (2.0 * h[i])
-    g_inv = np.linalg.inv(metric_at(p))
-    gamma = np.empty((n, n, n))  # gamma[l, i, j]
-    for i in range(n):
-        for j in range(n):
-            gamma[:, i, j] = 0.5 * g_inv @ (dg[i][j] + dg[j][i] - dg[:, i, j])
+    x, d1, d2 = fd_jet(scalar_and_metric, np.asarray(p, dtype=float),
+                       step_scale * patch.domain_width)
+    du, d2u = d1[0], d2[0]
+    dg = np.moveaxis(d1[1:].reshape(n, n, n), -1, 0)  # dg[k] = d_k g
+    g_inv = np.linalg.inv(x[1:].reshape(n, n))
+    lowered = dg + np.swapaxes(dg, 0, 1) - np.moveaxis(dg, 0, -1)  # [i, j, l]
+    gamma = np.moveaxis((0.5 * g_inv @ lowered[..., None])[..., 0], -1, 0)  # gamma[l, i, j]
     return d2u - np.einsum("lij,l->ij", gamma, du)
 
 
@@ -210,7 +218,7 @@ def restriction_hessian(
     """Intrinsic Hessian of u = rho∘f, identity route, FD cross-checked."""
     model = patch.ambient
     field = DistanceField(model, o)
-    sample = restrict_field(patch, field, p)
+    sample = restrict_field(patch, field, frame_at(patch, p))
     fd = intrinsic_hessian_fd(
         patch, lambda q: field.value(np.asarray(patch.chart.value(q), dtype=float)), p
     )
@@ -234,8 +242,7 @@ class OperatorData:
 
     Fields carry the leading sample axes of the frame they were computed
     from.  ``newton_eigenvalues[..., k, i]`` is the eigenvalue of P_k on the
-    i-th principal direction.  The matrices ``P`` (one sample only) are built
-    on first access.
+    i-th principal direction.  The matrices ``P`` are built on first access.
     """
 
     chol: np.ndarray
@@ -273,37 +280,37 @@ def operator_data(frame: PointFrame, signature: str) -> OperatorData:
     )
 
 
-def trace_operator(sample: FieldSample, data: OperatorData, k: int) -> float:
-    """L_k u = Tr(P_k ∘ hess u), both taken in the orthonormal frame."""
-    return float(np.trace(data.P[k] @ congruence(data.chol, sample.hess)))
+def trace_operator(sample: FieldSample, data: OperatorData, k: int):
+    """L_k u = Tr(P_k ∘ hess u), both taken in the orthonormal frame, over leading axes."""
+    return np.trace(data.P[k] @ congruence(data.chol, sample.hess), axis1=-2, axis2=-1)
 
 
 def l_k_apply(patch: HypersurfacePatch, p: np.ndarray, k: int, field) -> float:
     """L_k u = Tr(P_k ∘ hess u) at the parameter point p."""
-    sample = restrict_field(patch, field, p)
-    return trace_operator(sample, operator_data(sample.frame, patch.ambient.signature), k)
+    frame = frame_at(patch, p)
+    sample = restrict_field(patch, field, frame)
+    return float(trace_operator(sample, operator_data(frame, patch.ambient.signature), k))
 
 
-def newton_quadratic(sample: FieldSample, data: OperatorData, k: int) -> float:
-    """<grad u, P_k grad u> in the orthonormal frame."""
-    v = data.chol.T @ sample.grad
-    return float(v @ data.P[k] @ v)
+def newton_quadratic(sample: FieldSample, data: OperatorData, k: int):
+    """<grad u, P_k grad u> in the orthonormal frame, over leading axes."""
+    v = (np.swapaxes(data.chol, -1, -2) @ sample.grad[..., None])[..., 0]
+    return np.vecdot((v[..., None, :] @ data.P[k])[..., 0, :], v)
 
 
-def key_inequality_rhs(sample: FieldSample, data: OperatorData, k: int, b: float) -> float:
-    """Right-hand side of the key inequality for u = rho at one sample.
+def key_inequality_rhs(sample: FieldSample, data: OperatorData, k: int, b: float):
+    """Right-hand side of the key inequality for u = rho, over leading axes.
 
     Riemannian: C_b(u)(c_k H_k - <grad u, P_k grad u>) + c_k H_{k+1} <grad rho, N>.
     Lorentzian: -C_{-b}(u)(c_k H_k + <grad u, P_k grad u>)
                 + c_k H_{k+1} sqrt(1 + |grad u|^2).
     """
     quad = newton_quadratic(sample, data, k)
-    ck, Hk, Hk1 = data.c[k], data.H[k], data.H[k + 1]
+    ck, Hk, Hk1 = data.c[k], data.H[..., k], data.H[..., k + 1]
+    coeff = comparison_coefficient(data.signature, b, sample.u)
     if data.signature == RIEMANNIAN:
-        return c_b(b, sample.u) * (ck * Hk - quad) + ck * Hk1 * sample.normal_coef
-    return -c_hat_b(b, sample.u) * (ck * Hk + quad) + ck * Hk1 * np.sqrt(
-        1.0 + sample.grad_norm_sq
-    )
+        return coeff * (ck * Hk - quad) + ck * Hk1 * sample.normal_coef
+    return -coeff * (ck * Hk + quad) + ck * Hk1 * np.sqrt(1.0 + sample.grad_norm_sq)
 
 
 def key_inequality_residual(
@@ -321,11 +328,12 @@ def key_inequality_residual(
         origin = patch.center
     if origin is None:
         raise GeometryError("no reference point available for the distance field")
-    sample = restrict_field(patch, DistanceField(model, origin), p)
-    data = operator_data(sample.frame, model.signature)
+    frame = frame_at(patch, p)
+    sample = restrict_field(patch, DistanceField(model, origin), frame)
+    data = operator_data(frame, model.signature)
     if data.newton_psd_margin(k) < -TAU_ELL:
         raise HypothesisViolationError(f"P_{k} is not positive semidefinite at this point")
-    return trace_operator(sample, data, k) - key_inequality_rhs(sample, data, k, b)
+    return float(trace_operator(sample, data, k) - key_inequality_rhs(sample, data, k, b))
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +362,8 @@ class OmoriYauReport:
     outcomes: list
     refined_max: OmoriYauCandidate
     u_star: float
-    excluded: int
+    excluded: int  # coarse-grid rows where Tr P_k <= TAU_ELL
+    skipped: int  # coarse-grid rows whose frame or field failed
     evaluations: int
 
     @property
@@ -362,19 +371,26 @@ class OmoriYauReport:
         return all(o.candidate is not None for o in self.outcomes)
 
 
-def _evaluate_point(patch, field, k, p):
-    """(param, u, |grad u|, q L_k u) at p.
+def _evaluate_rows(patch, field, k, Q):
+    """(records, errors, excluded) at the parameter rows Q (N, n).
 
-    Raises a GeometryError where the frame fails, and HypothesisViolationError
-    where Tr P_k is not positive.
+    ``records`` = (param, u, |grad u|, q L_k u) of the rows without a
+    GeometryError in ``errors``; ``excluded`` counts the rows where Tr P_k <= TAU_ELL.
     """
-    sample = restrict_field(patch, field, p)
-    data = operator_data(sample.frame, patch.ambient.signature)
-    tr = float(np.trace(data.P[k]))
-    if tr <= TAU_ELL:
-        raise HypothesisViolationError(f"Tr P_{k} is not positive at this point")
+    frames, errors = frames_at(patch, Q)
+    rows = np.flatnonzero(~failed(errors))
+    field_errors = field.errors(frames.position)
+    bad = failed(field_errors)
+    errors[rows[bad]] = field_errors[bad]
+    frames, rows = frames[~bad], rows[~bad]
+    sample = restrict_field(patch, field, frames)
+    data = operator_data(frames, patch.ambient.signature)
+    tr = np.trace(data.P[k], axis1=-2, axis2=-1)
+    ok = tr > TAU_ELL
+    errors[rows[~ok]] = HypothesisViolationError(f"Tr P_{k} is not positive at this point")
     lk = trace_operator(sample, data, k)
-    return sample.param, sample.u, float(np.sqrt(sample.grad_norm_sq)), lk / tr
+    records = (frames.param[ok], sample.u[ok], np.sqrt(sample.grad_norm_sq[ok]), lk[ok] / tr[ok])
+    return records, errors, int(np.count_nonzero(~ok))
 
 
 def omori_yau_search(
@@ -392,58 +408,48 @@ def omori_yau_search(
     |grad u(p)| < 1/j and (1/Tr P_k) L_k u(p) < 1/j.  The search runs a
     coarse grid, filters the near-supremum set, then repeatedly halves a
     local grid around the best point (the default 8 rounds resolve gradients
-    to roughly cell/256; raise ``rounds`` for tighter targets).
+    to roughly cell/256; raise ``rounds`` for tighter targets).  Every point
+    evaluated joins the candidate pool.
     """
     axes = grid_axes(patch, resolution)
-    records = []
-    excluded = 0
-    for combo in grid_points(axes):
-        try:
-            records.append(_evaluate_point(patch, field, k, combo))
-        except HypothesisViolationError:
-            excluded += 1
-        except GeometryError:
-            continue
-    if not records:
+    records, errors, excluded = _evaluate_rows(patch, field, k, grid_points(axes))
+    if not len(records[1]):
         raise GeometryError("no valid samples for the extremum search")
+    order = np.argsort(records[1], kind="stable")
+    pool = [tuple(a[order] for a in records)]
+    top = order[int(np.floor((1.0 - top_quantile) * len(order))):]
+    start = records[0][top[np.argmin(records[2][top])]]  # smallest gradient near the supremum
 
-    records.sort(key=lambda r: r[1])
-    top = records[int(np.floor((1.0 - top_quantile) * len(records))):]
-    best = min(top, key=lambda r: r[2])  # smallest gradient near the supremum
-
-    pool = list(records)
-
-    def pooled_u(q):
-        pool.append(_evaluate_point(patch, field, k, q))
-        return pool[-1][1]
+    def pooled_u(Q):
+        rows, row_errors, _ = _evaluate_rows(patch, field, k, Q)
+        pool.append(rows)
+        u = np.zeros(len(Q))
+        u[~failed(row_errors)] = rows[1]
+        return u, row_errors
 
     cell = np.array([ax[1] - ax[0] for ax in axes])
-    refine_extremum(patch, pooled_u, best[0], cell, rounds=rounds)
+    refine_extremum(patch, pooled_u, start, cell, rounds=rounds)
+    params, u, grad_norm, q_lu = (np.concatenate(a) for a in zip(*pool))
 
-    refined = max(pool, key=lambda r: r[1])
-    u_star = refined[1]
-    refined_max = OmoriYauCandidate(refined[0], refined[1], refined[2], refined[3], 0)
+    def candidate(i, j):
+        return OmoriYauCandidate(params[i], float(u[i]), float(grad_norm[i]), float(q_lu[i]), j)
 
+    best = np.argmax(u)
+    u_star = u[best]
     outcomes = []
     for j in range(1, j_max + 1):
         thr = 1.0 / j
-        eligible = [
-            r for r in pool if r[1] > u_star - thr and r[2] < thr and r[3] < thr
-        ]
-        if eligible:
-            rec = max(eligible, key=lambda r: r[1])
-            outcomes.append(
-                OmoriYauOutcome(j, OmoriYauCandidate(rec[0], rec[1], rec[2], rec[3], j), 0.0)
-            )
+        eligible = np.flatnonzero((u > u_star - thr) & (grad_norm < thr) & (q_lu < thr))
+        if len(eligible):
+            outcomes.append(OmoriYauOutcome(j, candidate(eligible[np.argmax(u[eligible])], j), 0.0))
         else:
-            viol = min(
-                max(u_star - thr - r[1], r[2] - thr, r[3] - thr) for r in pool
-            )
+            viol = np.maximum(np.maximum(u_star - thr - u, grad_norm - thr), q_lu - thr).min()
             outcomes.append(OmoriYauOutcome(j, None, float(viol)))
     return OmoriYauReport(
         outcomes=outcomes,
-        refined_max=refined_max,
+        refined_max=candidate(best, 0),
         u_star=float(u_star),
         excluded=excluded,
-        evaluations=len(pool),
+        skipped=int(np.count_nonzero(failed(errors))) - excluded,
+        evaluations=len(u),
     )

@@ -184,12 +184,13 @@ class AmbientModel:
         return v - (b * self.flat_inner(v, x))[..., None] * np.asarray(x)
 
     def check_tangent(self, x: np.ndarray, v: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+        """v (..., m), checked to be tangent to the model at x (..., m) row by row."""
         v = np.asarray(v, dtype=float)
-        if v.shape != (self.embedding_dim,):
+        if v.shape[-1:] != (self.embedding_dim,):
             raise DomainError("tangent vector has wrong length")
         if self.is_quadric:
-            scale = max(1.0, float(np.abs(v).max()) * float(np.abs(x).max()))
-            if abs(self.flat_inner(v, x)) > tol * scale:
+            scale = np.maximum(1.0, np.abs(v).max(axis=-1) * np.abs(x).max(axis=-1))
+            if np.any(np.abs(self.flat_inner(v, x)) > tol * scale):
                 raise DomainError("vector is not tangent to the model at x")
         return v
 
@@ -372,32 +373,22 @@ def distance_gradient(model: AmbientModel, o: np.ndarray, x: np.ndarray) -> np.n
     return grad
 
 
-def _comparison_coefficient(model: AmbientModel, rho: float) -> float:
-    """C_b(rho) in Riemannian models, C_{-b}(rho) in Lorentzian ones."""
-    if model.signature == RIEMANNIAN:
-        return c_b(model.curvature, rho)
-    return c_hat_b(model.curvature, rho)
+def comparison_coefficient(signature: str, b: float, rho):
+    """C_b(rho) in Riemannian models, C_{-b}(rho) in Lorentzian ones, per entry of rho."""
+    return np.vectorize(c_b if signature == RIEMANNIAN else c_hat_b, otypes=[float])(b, rho)
 
 
-def distance_hessian_bilinear(
-    model: AmbientModel,
-    o: np.ndarray,
-    x: np.ndarray,
-    X: np.ndarray,
-    Y: np.ndarray,
-) -> float:
-    """Hess rho(X, Y) for tangent vectors X, Y at x (closed space-form value).
+def distance_hessian_bilinear(model: AmbientModel, o: np.ndarray, x: np.ndarray, X, Y):
+    """Hess rho(X, Y) for tangent vectors X, Y at x (closed space-form value), over leading axes.
 
     Riemannian:  C_b(rho) (<X,Y> - drho(X) drho(Y))
     Lorentzian: -C_{-b}(rho) (<X,Y> + drho(X) drho(Y))
     """
     rho = ambient_distance(model, o, x)
-    if rho < COINCIDENCE_TOL:
-        raise UndefinedGradientError("distance Hessian undefined at the reference point")
+    grad = distance_gradient(model, o, x)
     X = model.check_tangent(x, X)
     Y = model.check_tangent(x, Y)
-    grad = distance_gradient(model, o, x)
-    coeff = _comparison_coefficient(model, rho)
+    coeff = comparison_coefficient(model.signature, model.curvature, rho)
     gx = model.flat_inner(grad, X)
     gy = model.flat_inner(grad, Y)
     xy = model.flat_inner(X, Y)
@@ -406,9 +397,7 @@ def distance_hessian_bilinear(
     return -coeff * (xy + gx * gy)
 
 
-def distance_hessian_quadform(
-    model: AmbientModel, o: np.ndarray, x: np.ndarray, X: np.ndarray
-) -> float:
+def distance_hessian_quadform(model: AmbientModel, o: np.ndarray, x: np.ndarray, X: np.ndarray):
     """Hess rho(X, X) for a tangent vector X at x."""
     return distance_hessian_bilinear(model, o, x, X, X)
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from curvbound.spaceform import (
     LORENTZIAN,
@@ -9,6 +10,13 @@ from curvbound.spaceform import (
     AmbientModel,
     geodesic_point,
 )
+
+# Property tests draw the same bounded set of examples on every run, so
+# tier-1 stays deterministic and fast.
+settings.register_profile(
+    "tier1", derandomize=True, max_examples=60, deadline=None, database=None
+)
+settings.load_profile("tier1")
 
 
 def all_models(dimension=3):

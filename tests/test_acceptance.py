@@ -27,7 +27,7 @@ from curvbound.curvature import (
     trace_identity_residuals,
 )
 from curvbound.harness import bundled_scenarios, load_scenario, run_scenario
-from curvbound.immersion import build_patch, sample_grid
+from curvbound.immersion import build_patch, frame_at, sample_grid
 from curvbound.operators import (
     DistanceField,
     LinearCoordinateField,
@@ -212,7 +212,7 @@ def test_criterion_8_restriction_hessian_identity():
             field = DistanceField(patch.ambient, o)
             for _ in range(3):
                 p = patch.domain_lo + rng.uniform(0.2, 0.8, patch.n) * patch.domain_width
-                sample = restrict_field(patch, field, p)
+                sample = restrict_field(patch, field, frame_at(patch, p))
                 fd = intrinsic_hessian_fd(
                     patch, lambda q: field.value(np.asarray(patch.chart.value(q), float)), p
                 )

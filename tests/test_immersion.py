@@ -1,7 +1,11 @@
 """Frames, principal curvatures and grids of the bundled charts."""
 
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from curvbound.charts import (
     Chart,
@@ -12,17 +16,25 @@ from curvbound.charts import (
     write_chart_csv,
 )
 from curvbound.comparison import c_b, c_hat_b
-from curvbound.errors import ConfigError, DomainError, GeometryError, SignatureError
+from curvbound.errors import ConfigError, DomainError, GeometryError, SignatureError, no_errors
 from curvbound.harness import bundled_scenarios, load_scenario, scenario_patch
 from curvbound.immersion import (
     HypersurfacePatch,
     PointFrame,
     build_patch,
     frame_at,
+    grid_points,
     principal_curvatures,
+    refine_extremum,
     sample_grid,
 )
-from curvbound.operators import operator_data
+from curvbound.operators import (
+    DistanceField,
+    key_inequality_rhs,
+    operator_data,
+    restrict_field,
+    trace_operator,
+)
 from curvbound.spaceform import AmbientModel
 
 E3 = AmbientModel.euclidean(3)
@@ -249,11 +261,14 @@ def one_implementation_cases():
 
 @pytest.mark.parametrize("name, patch, resolution", one_implementation_cases())
 def test_grid_and_single_point_paths_agree(name, patch, resolution):
-    # sample_grid, frame_at and operator_data run one implementation: a grid
-    # row and the single-point call at its parameter agree bit for bit
+    # sample_grid, frame_at, operator_data, restrict_field, trace_operator and
+    # key_inequality_rhs run one implementation: a grid row and the
+    # single-point call at its parameter agree bit for bit
     grid = sample_grid(patch, resolution)
-    signature = patch.ambient.signature
+    signature, b = patch.ambient.signature, patch.ambient.curvature
     batch = operator_data(grid.frames, signature)
+    dist = DistanceField(patch.ambient, patch.center)
+    restricted = restrict_field(patch, dist, grid.frames)
     for i, (p, frame) in enumerate(grid.points):
         single = frame_at(patch, p)
         for field in PointFrame.__dataclass_fields__:
@@ -261,11 +276,78 @@ def test_grid_and_single_point_paths_agree(name, patch, resolution):
         data = operator_data(single, signature)
         for field in ("chol", "shape_sym", "kappa", "newton_eigenvalues", "H"):
             assert np.array_equal(getattr(batch, field)[i], getattr(data, field)), (name, field)
+        one = restrict_field(patch, dist, single)
+        for field in ("u", "grad", "grad_norm_sq", "normal_coef", "hess"):
+            assert np.array_equal(getattr(restricted, field)[i], getattr(one, field)), (name, field)
+        for k in range(patch.n):
+            assert np.array_equal(trace_operator(restricted, batch, k)[i],
+                                  trace_operator(one, data, k)), (name, k)
+            assert np.array_equal(key_inequality_rhs(restricted, batch, k, b)[i],
+                                  key_inequality_rhs(one, data, k, b)), (name, k)
     for p, reason in grid.skipped:
         with pytest.raises(GeometryError) as exc:
             frame_at(patch, p)
         assert reason == f"{type(exc.value).__name__}: {exc.value}"
     assert len(grid.skipped) == (8 if name == "polar cap" else 0)
+
+
+def sequential_refine(patch, fn, start, cell, rounds, sign):
+    """The per-point refinement loop that refine_extremum replaced, kept as its reference."""
+    center = np.asarray(start, dtype=float)
+    best = sign * fn(center)
+    offsets = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+    cell = np.asarray(cell, dtype=float)
+    for _ in range(rounds):
+        for combo in grid_points([center[i] + offsets * cell[i] for i in range(center.size)]):
+            q = np.clip(combo, patch.domain_lo, patch.domain_hi)
+            try:
+                val = sign * fn(q)
+            except GeometryError:
+                continue
+            if val > best:
+                best, center = val, q
+        cell = cell / 2.0
+    return center, sign * best
+
+
+@given(
+    n=st.integers(1, 2),
+    rounds=st.integers(1, 3),
+    sign=st.sampled_from([1.0, -1.0]),
+    table=st.lists(st.tuples(st.integers(0, 3), st.booleans()), min_size=5, max_size=5),
+    start=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    cell=st.floats(0.05, 1.5),
+)
+def test_refinement_moves_like_the_sequential_loop(n, rounds, sign, table, start, cell):
+    # stencil values come from a 5-entry table of small integers, so rows tie
+    # often, and some rows fail; the stencil runs past the box and is clipped
+    patch = build_patch(AmbientModel.euclidean(n + 1), "graph",
+                        {"terms": [[1.0, [0] * n]], "box_lo": [-1] * n, "box_hi": [1] * n})
+
+    def value_at(q):
+        value, fails = table[zlib.crc32(np.ascontiguousarray(q).tobytes()) % len(table)]
+        if fails:
+            raise DomainError("no value at this stencil point")
+        return float(value)
+
+    def rows(Q):
+        values, errors = np.zeros(len(Q)), no_errors(len(Q))
+        for i, q in enumerate(Q):
+            try:
+                values[i] = value_at(q)
+            except GeometryError as exc:
+                errors[i] = exc
+        return values, errors
+
+    args = (np.array(start[:n]), np.full(n, cell))
+    try:
+        expected = sequential_refine(patch, value_at, *args, rounds=rounds, sign=sign)
+    except DomainError:
+        with pytest.raises(DomainError):
+            refine_extremum(patch, rows, *args, rounds=rounds, sign=sign)
+        return
+    center, value = refine_extremum(patch, rows, *args, rounds=rounds, sign=sign)
+    assert np.array_equal(center, expected[0]) and value == expected[1]
 
 
 def test_resolution_one_rejected():

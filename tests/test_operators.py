@@ -1,10 +1,19 @@
 """Restriction Hessians, trace operators, the key inequality, extremum search."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from curvbound.comparison import c_b, phi_b, phi_b_d1
-from curvbound.immersion import build_patch, congruence, frame_at, sample_grid
+from curvbound.immersion import (
+    build_patch,
+    congruence,
+    frame_at,
+    grid_axes,
+    grid_points,
+    sample_grid,
+)
 from curvbound.operators import (
     DistanceField,
     LinearCoordinateField,
@@ -99,7 +108,7 @@ def test_identity_and_fd_routes_agree_on_bundled_charts(rng):
     for patch, o in cases:
         field = DistanceField(patch.ambient, o)
         for p in interior_points(patch, rng, 3):
-            sample = restrict_field(patch, field, p)
+            sample = restrict_field(patch, field, frame_at(patch, p))
             fd = intrinsic_hessian_fd(
                 patch, lambda q: field.value(np.asarray(patch.chart.value(q), float)), p
             )
@@ -114,7 +123,7 @@ def test_riemannian_gradient_decomposition(rng):
     patch = ellipsoid_patch()
     field = DistanceField(E3, np.zeros(3))
     for p in interior_points(patch, rng, 8):
-        s = restrict_field(patch, field, p)
+        s = restrict_field(patch, field, frame_at(patch, p))
         assert s.grad_norm_sq + s.normal_coef**2 == pytest.approx(1.0, abs=1e-8)
 
 
@@ -122,7 +131,7 @@ def test_lorentzian_gradient_decomposition(rng):
     patch = build_patch(M3, "perturbed_hyperboloid", {"radius": 2.0})
     field = DistanceField(M3, np.zeros(3))
     for p in interior_points(patch, rng, 8):
-        s = restrict_field(patch, field, p)
+        s = restrict_field(patch, field, frame_at(patch, p))
         assert s.normal_coef == pytest.approx(np.sqrt(1.0 + s.grad_norm_sq), abs=1e-8)
 
 
@@ -150,7 +159,7 @@ def test_coordinate_field_on_quadric_model(rng):
     )
     field = LinearCoordinateField(model, np.eye(4)[1])
     for p in interior_points(patch, rng, 3):
-        s = restrict_field(patch, field, p)
+        s = restrict_field(patch, field, frame_at(patch, p))
         fd = intrinsic_hessian_fd(
             patch, lambda q: float(np.asarray(patch.chart.value(q))[1]), p
         )
@@ -188,7 +197,7 @@ def test_newton_quadratic_monotone_bound(rng):
     patch = ellipsoid_patch()
     field = DistanceField(E3, np.zeros(3))
     for p in interior_points(patch, rng, 8):
-        s = restrict_field(patch, field, p)
+        s = restrict_field(patch, field, frame_at(patch, p))
         data = operator_data(s.frame, "riemannian")
         for k in (0, 1):
             quad = newton_quadratic(s, data, k)
@@ -202,7 +211,7 @@ def test_lk_of_phi_composition_chain(rng):
     dist = DistanceField(E3, o)
     composed = phi_of_distance_field(E3, o, 0.0)
     for p in interior_points(patch, rng, 5):
-        s = restrict_field(patch, dist, p)
+        s = restrict_field(patch, dist, frame_at(patch, p))
         data = operator_data(s.frame, "riemannian")
         for k in (0, 1):
             fd = intrinsic_hessian_fd(
@@ -232,6 +241,7 @@ def test_search_on_unit_sphere_height():
     height = LinearCoordinateField(E3, np.array([0.0, 0.0, 1.0]))
     report = omori_yau_search(patch, height, 0, resolution=24, j_max=6, rounds=20)
     assert report.all_found
+    assert report.evaluations == 1077
     assert report.u_star == pytest.approx(1.0, abs=1e-9)
     assert report.refined_max.grad_norm < 1e-6
     assert report.refined_max.q_lu <= 1e-6
@@ -262,6 +272,26 @@ def test_search_reports_failure_without_raising():
     failed = [o for o in report.outcomes if o.candidate is None]
     assert failed
     assert all(o.best_violation > 0 for o in failed)
+
+
+def test_search_counts_skipped_rows():
+    # the distance field has no gradient at its own origin, grid row 37
+    patch = build_patch(E3, "sphere", {"radius": 1.0}, center=np.zeros(3))
+    origin = patch.chart.value(grid_points(grid_axes(patch, 10))[37])
+    report = omori_yau_search(patch, DistanceField(E3, origin), 0, resolution=10, rounds=4)
+    assert (report.skipped, report.excluded, report.evaluations) == (1, 0, 200)
+
+
+def test_search_counts_excluded_rows():
+    # on z = x^3, Tr P_1 = c_1 H_1 is not positive on the 5 grid columns with
+    # x <= 0; L_1 u is divided by Tr P_1 only on the other rows
+    patch = build_patch(E3, "graph", {"terms": [[1.0, [3, 0]]], "box_lo": [-1, -1],
+                                      "box_hi": [1, 1]})
+    height = LinearCoordinateField(E3, np.array([0.0, 0.0, 1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = omori_yau_search(patch, height, 1, resolution=9)
+    assert (report.excluded, report.skipped) == (45, 0)
 
 
 def test_search_reproduces_ratio_bound_on_ellipsoid(rng):

@@ -12,6 +12,7 @@ Tr(A P_k) = c_k H_{k+1} riemannian and -c_k H_{k+1} lorentzian.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import comb
 
 import numpy as np
@@ -28,26 +29,48 @@ def elementary_symmetric(kappa: np.ndarray) -> np.ndarray:
     """S_0..S_n of the entries of kappa via the product recurrence, over the last axis.
 
     Expands prod_i (1 + kappa_i t) coefficient by coefficient: O(n^2) and
-    stable for mixed-sign spectra, unlike subset-sum evaluation.
+    stable for mixed-sign spectra, unlike subset-sum evaluation.  S_k sits on
+    the first axis while the recurrence runs, so that each step is one
+    operation over all samples rather than many over a few coefficients.
     """
     kappa = np.asarray(kappa, dtype=float)
     if not np.all(np.isfinite(kappa)):
         raise ValueError("principal curvatures must be finite")
     n = kappa.shape[-1]
-    s = np.zeros(kappa.shape[:-1] + (n + 1,))
-    s[..., 0] = 1.0
+    s = np.zeros((n + 1,) + kappa.shape[:-1])
+    s[0] = 1.0
     for i in range(n):
-        s[..., 1:] = s[..., 1:] + kappa[..., i, None] * s[..., :-1]
-    return s
+        s[1:] = s[1:] + kappa[..., i] * s[:-1]
+    return np.ascontiguousarray(s.transpose((*range(1, s.ndim), 0)))  # S_k back to the last axis
 
 
+def _frozen(table: np.ndarray) -> np.ndarray:
+    """Mark a cached per-n table read-only: every caller gets the same array."""
+    table.flags.writeable = False
+    return table
+
+
+@cache
 def binomials(n: int) -> np.ndarray:
-    return np.array([comb(n, k) for k in range(n + 1)], dtype=float)
+    return _frozen(np.array([comb(n, k) for k in range(n + 1)], dtype=float))
 
 
+@cache
 def trace_coefficients(n: int) -> np.ndarray:
     """c_k = (n-k) binom(n,k) = (k+1) binom(n,k+1) for k = 0..n-1."""
-    return np.array([(n - k) * comb(n, k) for k in range(n)], dtype=float)
+    return _frozen(np.array([(n - k) * comb(n, k) for k in range(n)], dtype=float))
+
+
+@cache
+def _signs(n: int, signature: str) -> np.ndarray:
+    """The sign of S_k in binom(n,k) H_k, k = 0..n: (-1)^k in the lorentzian convention."""
+    return _frozen((-1.0) ** np.arange(n + 1) if signature == LORENTZIAN else np.ones(n + 1))
+
+
+@cache
+def _complement_index(n: int) -> np.ndarray:
+    """Row i: the indices 0..n without i, where index n is a padded zero (so row n is 0..n-1)."""
+    return _frozen(np.array([np.delete(np.arange(n + 1), i) for i in range(n + 1)]))
 
 
 def higher_mean_curvatures(kappa: np.ndarray, n: int, signature: str) -> np.ndarray:
@@ -55,11 +78,21 @@ def higher_mean_curvatures(kappa: np.ndarray, n: int, signature: str) -> np.ndar
     kappa = np.asarray(kappa, dtype=float)
     if kappa.shape[-1:] != (n,):
         raise ValueError("kappa must have length n")
-    s = elementary_symmetric(kappa)
-    signs = np.ones(n + 1)
-    if signature == LORENTZIAN:
-        signs[1::2] = -1.0
-    return signs * s / binomials(n)
+    return _signs(n, signature) * elementary_symmetric(kappa) / binomials(n)
+
+
+def symmetric_values(kappa: np.ndarray, signature: str) -> tuple:
+    """(H, newton_eigenvalues) of the spectra kappa (..., n) from one S_k recurrence.
+
+    Equal, bit for bit, to :func:`higher_mean_curvatures` and
+    :func:`complement_symmetric_values`.
+    """
+    kappa = np.asarray(kappa, dtype=float)
+    n = kappa.shape[-1]
+    padded = np.concatenate([kappa, np.zeros(kappa.shape[:-1] + (1,))], axis=-1)
+    s = elementary_symmetric(padded[..., _complement_index(n)])
+    signs = _signs(n, signature)
+    return signs * s[..., n, :] / binomials(n), signs[:, None] * np.swapaxes(s[..., :n, :], -1, -2)
 
 
 @dataclass(frozen=True)
@@ -102,16 +135,14 @@ def complement_symmetric_values(kappa: np.ndarray, signature: str) -> np.ndarray
 
     Row k, column i (the last two axes) holds the eigenvalue of P_k on the
     i-th principal direction: S_k of the spectrum with kappa_i removed (times
-    (-1)^k in the lorentzian convention).
+    (-1)^k in the lorentzian convention); row n is zero.  One recurrence
+    serves all n complements (and kappa itself, see :func:`symmetric_values`):
+    it runs on the gathered rows "kappa without kappa_i, then a zero".  The
+    zero is exact while S_k is finite: its step adds 0 * s to each S_k, and
+    s + 0 * s = s because s is never -0.0 (it starts at +0.0, and a sum is
+    -0.0 only when both terms are).
     """
-    kappa = np.asarray(kappa, dtype=float)
-    n = kappa.shape[-1]
-    vals = np.zeros(kappa.shape[:-1] + (n + 1, n))  # S_n of n-1 values vanishes
-    for i in range(n):
-        vals[..., :n, i] = elementary_symmetric(np.delete(kappa, i, axis=-1))
-    if signature == LORENTZIAN:
-        vals[..., 1::2, :] *= -1.0
-    return vals
+    return symmetric_values(kappa, signature)[1]
 
 
 def classify_definiteness(eigenvalues: np.ndarray, tol: float = 1e-12) -> str:

@@ -12,7 +12,7 @@ Orientation conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -112,7 +112,8 @@ class PointFrame:
     shape_operator: np.ndarray
 
     def __getitem__(self, i) -> "PointFrame":
-        return PointFrame(*(getattr(self, f.name)[i] for f in fields(self)))
+        return PointFrame(self.param[i], self.position[i], self.tangent[i], self.metric[i],
+                          self.normal[i], self.second_form[i], self.shape_operator[i])
 
 
 def frames_at(patch: HypersurfacePatch, P: np.ndarray):

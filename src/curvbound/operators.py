@@ -24,9 +24,8 @@ from .charts import fd_jet
 from .comparison import phi_b, phi_b_d1, phi_b_d2
 from .curvature import (
     TAU_ELL,
-    complement_symmetric_values,
-    higher_mean_curvatures,
     newton_tensors,
+    symmetric_values,
     trace_coefficients,
 )
 from .errors import ConsistencyError, GeometryError, HypothesisViolationError, failed, no_errors
@@ -268,14 +267,14 @@ def operator_data(frame: PointFrame, signature: str) -> OperatorData:
     """Operator data of a frame, over its leading sample axes."""
     L, A = orthonormal_shape(frame)
     kappa = np.linalg.eigvalsh(A)
-    n = A.shape[-1]
+    H, newton_eigenvalues = symmetric_values(kappa, signature)
     return OperatorData(
         chol=L,
         shape_sym=A,
         kappa=kappa,
-        newton_eigenvalues=complement_symmetric_values(kappa, signature),
-        H=higher_mean_curvatures(kappa, n, signature),
-        c=trace_coefficients(n),
+        newton_eigenvalues=newton_eigenvalues,
+        H=H,
+        c=trace_coefficients(A.shape[-1]),
         signature=signature,
     )
 

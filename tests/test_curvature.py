@@ -5,14 +5,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from curvbound.curvature import (
     CurvatureProfile,
+    complement_symmetric_values,
     elementary_symmetric,
     garding_chain,
     gauss_identities,
     higher_mean_curvatures,
     newton_family,
+    symmetric_values,
     trace_coefficients,
     trace_identity_residuals,
 )
@@ -103,6 +107,55 @@ def test_profile_invariants(rng):
         # integer identity c_k = (n-k) binom(n,k) = (k+1) binom(n,k+1)
         for k in range(5):
             assert prof.c[k] == (5 - k) * math.comb(5, k) == (k + 1) * math.comb(5, k + 1)
+
+
+def last_axis_recurrence(kappa):
+    """S_0..S_n built in place on the last axis, as before the recurrence moved S_k first."""
+    n = kappa.shape[-1]
+    s = np.zeros(kappa.shape[:-1] + (n + 1,))
+    s[..., 0] = 1.0
+    for i in range(n):
+        s[..., 1:] = s[..., 1:] + kappa[..., i, None] * s[..., :-1]
+    return s
+
+
+def complement_loop(kappa, signature):
+    """The per-complement recurrences that the gathered one replaced, kept as its reference."""
+    n = kappa.shape[-1]
+    vals = np.zeros(kappa.shape[:-1] + (n + 1, n))
+    for i in range(n):
+        vals[..., :n, i] = last_axis_recurrence(np.delete(kappa, i, axis=-1))
+    if signature == "lorentzian":
+        vals[..., 1::2, :] *= -1.0
+    return vals
+
+
+def mean_curvatures_reference(kappa, signature):
+    n = kappa.shape[-1]
+    signs = np.ones(n + 1)
+    if signature == "lorentzian":
+        signs[1::2] = -1.0
+    binomials = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
+    return signs * last_axis_recurrence(kappa) / binomials
+
+
+@given(
+    n=st.integers(1, 6),
+    lead=st.sampled_from([(), (5,), (2, 3)]),
+    signature=st.sampled_from(["riemannian", "lorentzian"]),
+    data=st.data(),
+)
+def test_one_recurrence_matches_complement_loop(n, lead, signature, data):
+    # half the entries come from a small pool, so zero and repeated eigenvalues are common
+    entry = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.0]), st.floats(-1e3, 1e3))
+    size = math.prod(lead) * n
+    kappa = np.array(data.draw(st.lists(entry, min_size=size, max_size=size))).reshape(lead + (n,))
+    vals, H = complement_loop(kappa, signature), mean_curvatures_reference(kappa, signature)
+    H_one, vals_one = symmetric_values(kappa, signature)
+    for got, want in ((complement_symmetric_values(kappa, signature), vals), (vals_one, vals),
+                      (higher_mean_curvatures(kappa, n, signature), H), (H_one, H),
+                      (elementary_symmetric(kappa), last_axis_recurrence(kappa))):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 # -- Newton tensors -------------------------------------------------------------

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from curvbound import curvature
 from curvbound.comparison import c_b, phi_b, phi_b_d1
 from curvbound.immersion import (
     build_patch,
@@ -231,6 +232,29 @@ def test_lk_of_phi_composition_chain(rng):
                                   + l_k_apply(patch, p, 0, dist)),
             abs=1e-9,
         )
+
+
+def test_operator_data_runs_one_recurrence(monkeypatch):
+    calls = []
+    recurrence = curvature.elementary_symmetric
+
+    def counted(kappa):
+        calls.append(np.shape(kappa))
+        return recurrence(kappa)
+
+    monkeypatch.setattr(curvature, "elementary_symmetric", counted)
+    patch = ellipsoid_patch()
+    frames = [frame_at(patch, interior_points(patch, np.random.default_rng(3), 1)[0]),
+              sample_grid(patch, 8).frames]
+    for frame in frames:
+        for signature in ("riemannian", "lorentzian"):
+            before = len(calls)
+            operator_data(frame, signature)
+            assert len(calls) == before + 1
+    assert calls[0] == (3, 2) and calls[-1] == (len(frames[1].param), 3, 2)
+    for table in (curvature.binomials(3), curvature.trace_coefficients(3)):
+        with pytest.raises(ValueError):
+            table[0] = 1.0
 
 
 # -- extremum-sequence search ---------------------------------------------------------

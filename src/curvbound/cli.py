@@ -95,7 +95,7 @@ def _cmd_verify(args) -> int:
         emit_report(report, args.emit_report)
         print(f"report written to {args.emit_report}")
     if args.emit_samples:
-        emit_samples_csv(config, args.emit_samples)
+        emit_samples_csv(config, report.samples, args.emit_samples)
         print(f"samples written to {args.emit_samples}")
     print(f"scenario {report.scenario}: exit {report.exit_code} ({report.timing_ms:.1f} ms)")
     return report.exit_code

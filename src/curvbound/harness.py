@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -26,8 +26,8 @@ import numpy as np
 
 from .comparison import c_b, c_hat_b
 from .curvature import TAU_ELL
-from .errors import ConfigError, failed
-from .immersion import build_patch, refine_extremum, sample_grid
+from .errors import ConfigError, failed, raise_first
+from .immersion import PointFrame, build_patch, refine_extremum, sample_grid
 from .operators import (
     DistanceField,
     OperatorData,
@@ -36,7 +36,7 @@ from .operators import (
     restrict_field,
     trace_operator,
 )
-from .spaceform import RIEMANNIAN, AmbientModel, ReferenceBall, distance_rows
+from .spaceform import RIEMANNIAN, AmbientModel, ReferenceBall, ambient_distance, distance_rows
 
 H_FLOOR = 1e-9  # samples with H_k at or below this are excluded from ratios
 MAX_EXCLUSION_RATE = 0.10
@@ -147,6 +147,7 @@ class VerificationReport:
     checks: list
     env: dict
     timing_ms: float
+    samples: object = field(default=None, repr=False, compare=False)  # the run's grid
 
     def to_dict(self) -> dict:
         return {
@@ -184,11 +185,11 @@ def scenario_patch(config: ScenarioConfig):
 class ScenarioSamples:
     """Grid samples as arrays over a leading sample axis.
 
-    ``params`` (N, n) are the grid points that have a frame, ``data`` their
-    operator data (H, kappa, Newton eigenvalues), ``u`` (N,) the distance.
+    ``frames`` are those of the N grid points that have a frame, ``data``
+    their operator data (H, kappa, Newton eigenvalues), ``u`` (N,) the distance.
     """
 
-    params: np.ndarray
+    frames: PointFrame
     data: OperatorData
     u: np.ndarray
     skipped: list
@@ -201,9 +202,9 @@ def collect_samples(config: ScenarioConfig, resolution=None) -> ScenarioSamples:
     dist = DistanceField(config.model, config.reference_center)
     grid = sample_grid(patch, resolution or config.resolution)
     return ScenarioSamples(
-        params=grid.frames.param,
+        frames=grid.frames,
         data=operator_data(grid.frames, config.model.signature),
-        u=dist.value(grid.frames.position),
+        u=ambient_distance(dist.model, dist.origin, grid.frames.position),
         skipped=grid.skipped,
         patch=patch,
         field=dist,
@@ -224,14 +225,14 @@ def refined_distance_extremum(samples: ScenarioSamples, mode: str):
         rho[ok], errors[ok] = distance_rows(dist.model, dist.origin, patch.chart.value(Q[ok]))
         return rho, errors
 
-    return refine_extremum(patch, fn, samples.params[idx], cell, sign=sign)
+    return refine_extremum(patch, fn, samples.frames.param[idx], cell, sign=sign)
 
 
 def _ratio_pool(samples: ScenarioSamples, k: int):
     """Per-sample H_{k+1}/H_k with the H_k floor applied; returns exclusions."""
     H = samples.data.H
     kept = H[:, k] > H_FLOOR
-    return H[kept, k + 1] / H[kept, k], samples.params[kept], int(np.count_nonzero(~kept))
+    return H[kept, k + 1] / H[kept, k], samples.frames.param[kept], int(np.count_nonzero(~kept))
 
 
 def _margin_check(cid, anchor, margin, tol, worst=None) -> CheckRecord:
@@ -253,7 +254,7 @@ def _hypothesis_check(samples: ScenarioSamples, k: int) -> CheckRecord:
         anchor="P_k positive semidefinite with Tr P_k > 0",
         status="pass" if ok else "hypothesis-violation",
         residual=float(margins[worst]),
-        worst_sample=list(map(float, samples.params[worst])),
+        worst_sample=list(map(float, samples.frames.param[worst])),
     )
 
 
@@ -389,7 +390,7 @@ def verify_h2_corollary(config: ScenarioConfig, samples: ScenarioSamples, r: flo
             "n H - kappa_j > 0 when H_2 > 0 and H > 0",
             "pass" if mu[worst] > 0.0 else "fail",
             float(mu[worst]),
-            list(map(float, samples.params[worst])),
+            list(map(float, samples.frames.param[worst])),
         )
     )
     return checks
@@ -492,6 +493,7 @@ def run_scenario(config: ScenarioConfig) -> VerificationReport:
             "jets": config.jets,
         },
         timing_ms=timing,
+        samples=samples,
     )
 
 
@@ -499,17 +501,15 @@ def emit_report(report: VerificationReport, path) -> None:
     Path(path).write_text(json.dumps(report.to_dict(), indent=2) + "\n")
 
 
-def emit_samples_csv(config: ScenarioConfig, path) -> None:
-    """Per-sample dump: parameters, u, |grad u|, and per-k operator data."""
-    patch = scenario_patch(config)
-    dist = DistanceField(config.model, config.reference_center)
+def emit_samples_csv(config: ScenarioConfig, samples: ScenarioSamples, path) -> None:
+    """Per-sample dump of a run's grid: parameters, u, |grad u|, and per-k operator data."""
+    frames, data = samples.frames, samples.data
     ks = list(range(config.k_range[0], config.k_range[1] + 1))
-    header = [f"p{i}" for i in range(patch.n)] + ["u", "grad_norm"]
+    header = [f"p{i}" for i in range(samples.patch.n)] + ["u", "grad_norm"]
     for k in ks:
         header += [f"H{k}", f"H{k + 1}", f"ratio_k{k}", f"q_lu_k{k}", f"key_residual_k{k}"]
-    frames = sample_grid(patch, config.resolution).frames
-    data = operator_data(frames, config.model.signature)
-    s = restrict_field(patch, dist, frames)
+    s = restrict_field(samples.patch, samples.field, frames)
+    raise_first(s.errors)
     columns = [frames.param, s.u[:, None], np.sqrt(s.grad_norm_sq)[:, None]]
     for k in ks:
         tr = np.trace(data.P[k], axis1=-2, axis2=-1)

@@ -2,7 +2,7 @@
 
 A patch couples a chart with an ambient model, an orientation convention and
 an optional reference center.  Frames carry everything downstream consumers
-need: metric, unit normal, second fundamental form and shape operator.
+need: position, tangents, metric, unit normal and second fundamental form.
 
 Orientation conventions:
   inner / outer -- Riemannian; "inner" points toward the declared center
@@ -109,15 +109,14 @@ class PointFrame:
     metric: np.ndarray
     normal: np.ndarray
     second_form: np.ndarray
-    shape_operator: np.ndarray
 
     def __getitem__(self, i) -> "PointFrame":
         return PointFrame(self.param[i], self.position[i], self.tangent[i], self.metric[i],
-                          self.normal[i], self.second_form[i], self.shape_operator[i])
+                          self.normal[i], self.second_form[i])
 
 
 def frames_at(patch: HypersurfacePatch, P: np.ndarray):
-    """Frames at the rows of P (N, n): metric, oriented unit normal, second form, shape operator.
+    """Frames at the rows of P (N, n): metric, oriented unit normal and second form.
 
     Returns (frames, errors).  ``frames`` holds the rows that have a frame, in
     order; ``errors[i]`` is the GeometryError of row i, or None when row i is
@@ -175,7 +174,7 @@ def frames_at(patch: HypersurfacePatch, P: np.ndarray):
         # co-oriented timelike pairs are negative
         flip = model.flat_inner(normal, model.time_orientation(x)) > 0.0
     elif patch.center is not None:
-        radial, radial_errors = gradient_rows(model, patch.center, x)
+        _, radial, radial_errors = gradient_rows(model, patch.center, x)
         x, d1, d2, g, normal, radial = reject(
             failed(radial_errors), radial_errors, x, d1, d2, g, normal, radial)
         s = model.flat_inner(normal, radial)
@@ -191,7 +190,6 @@ def frames_at(patch: HypersurfacePatch, P: np.ndarray):
         metric=g,
         normal=normal,
         second_form=h,
-        shape_operator=np.linalg.solve(g, h),
     )
     return frames, errors
 

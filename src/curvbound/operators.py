@@ -28,7 +28,14 @@ from .curvature import (
     symmetric_values,
     trace_coefficients,
 )
-from .errors import ConsistencyError, GeometryError, HypothesisViolationError, failed, no_errors
+from .errors import (
+    ConsistencyError,
+    GeometryError,
+    HypothesisViolationError,
+    failed,
+    no_errors,
+    raise_first,
+)
 from .immersion import (
     HypersurfacePatch,
     PointFrame,
@@ -46,35 +53,25 @@ from .spaceform import (
     AmbientModel,
     ambient_distance,
     comparison_coefficient,
-    distance_gradient,
-    distance_hessian_bilinear,
-    gradient_rows,
+    distance_jet,
 )
 
 
 class DistanceField:
     """u = rho(., o): the ambient distance to a reference point.
 
-    Like the other fields, it takes points x of shape (..., m); ``errors(x)``
-    holds the per-row GeometryError where u, its gradient or its Hessian is
-    undefined, and the other methods raise the first of them.
+    Like every field, ``jet(x)`` at points x (..., m) returns (u, ambient
+    gradient, hessian(X, Y) on tangent pairs (..., P, m) at each row, errors),
+    ``errors`` holding the GeometryError of each row where one of them is
+    undefined; :func:`distance_jet` lists the rows.
     """
 
     def __init__(self, model: AmbientModel, origin: np.ndarray):
         self.model = model
         self.origin = model.check_point(np.asarray(origin, dtype=float))
 
-    def errors(self, x):
-        return gradient_rows(self.model, self.origin, x)[1]
-
-    def value(self, x):
-        return ambient_distance(self.model, self.origin, x)
-
-    def gradient(self, x):
-        return distance_gradient(self.model, self.origin, x)
-
-    def hessian_bilinear(self, x, X, Y):
-        return distance_hessian_bilinear(self.model, self.origin, x, X, Y)
+    def jet(self, x):
+        return distance_jet(self.model, self.origin, x)
 
 
 class LinearCoordinateField:
@@ -88,18 +85,15 @@ class LinearCoordinateField:
         self.model = model
         self.coefficients = np.asarray(coefficients, dtype=float)
 
-    def errors(self, x):
-        return no_errors(np.shape(x)[:-1])
-
-    def value(self, x):
-        return np.vecdot(x, self.coefficients)
-
-    def gradient(self, x):
+    def jet(self, x):
+        u = np.vecdot(x, self.coefficients)
         raised = self.coefficients / self.model.metric_diag
-        return self.model.tangent_project(x, np.broadcast_to(raised, np.shape(x)))
+        grad = self.model.tangent_project(x, np.broadcast_to(raised, np.shape(x)))
 
-    def hessian_bilinear(self, x, X, Y):
-        return -self.model.curvature * self.model.flat_inner(X, Y) * self.value(x)
+        def hessian(X, Y):
+            return -self.model.curvature * self.model.flat_inner(X, Y) * u[..., None]
+
+        return u, grad, hessian, no_errors(np.shape(x)[:-1])
 
 
 class ComposedField:
@@ -109,22 +103,16 @@ class ComposedField:
         self.base = base
         self.fn, self.d1, self.d2 = (np.vectorize(f, otypes=[float]) for f in (fn, d1, d2))
 
-    def errors(self, x):
-        return self.base.errors(x)
+    def jet(self, x):
+        u, g, base_hessian, errors = self.base.jet(x)
+        flat_inner = self.base.model.flat_inner
+        d1u, d2u = self.d1(u)[..., None], self.d2(u)[..., None]
 
-    def value(self, x):
-        return self.fn(self.base.value(x))
+        def hessian(X, Y):
+            g1 = g[..., None, :]
+            return d2u * flat_inner(g1, X) * flat_inner(g1, Y) + d1u * base_hessian(X, Y)
 
-    def gradient(self, x):
-        return self.d1(self.base.value(x))[..., None] * self.base.gradient(x)
-
-    def hessian_bilinear(self, x, X, Y):
-        u = self.base.value(x)
-        g = self.base.gradient(x)
-        model = self.base.model
-        du_x = model.flat_inner(g, X)
-        du_y = model.flat_inner(g, Y)
-        return self.d2(u) * du_x * du_y + self.d1(u) * self.base.hessian_bilinear(x, X, Y)
+        return self.fn(u), d1u * g, hessian, errors
 
 
 def phi_of_distance_field(model: AmbientModel, origin: np.ndarray, b: float) -> ComposedField:
@@ -147,18 +135,18 @@ class FieldSample:
     normal_coef: np.ndarray  # <ambient gradient, N>
     hess: np.ndarray  # chart-basis bilinear form
     frame: PointFrame
+    errors: np.ndarray  # per-row GeometryError of the field, None where it is defined
 
 
 def restrict_field(patch: HypersurfacePatch, field, frame: PointFrame) -> FieldSample:
     """Value, gradient and intrinsic Hessian of ``field`` restricted to the frame's points.
 
-    Raises the first GeometryError of ``field.errors`` at the frame's
-    positions; drop those rows first to keep the others.
+    Evaluates the field's jet once.  Does not raise for a row where the field
+    is undefined: its error is in ``errors`` and its values are meaningless.
     """
     model = patch.ambient
     x, d1 = frame.position, frame.tangent
-    u = field.value(x)
-    gbar = field.gradient(x)
+    u, gbar, hessian, errors = field.jet(x)
     du = (np.swapaxes(d1, -1, -2) @ (model.metric_diag * gbar)[..., None])[..., 0]
     grad = np.linalg.solve(frame.metric, du[..., None])[..., 0]
     normal_coef = model.flat_inner(gbar, frame.normal)
@@ -166,7 +154,7 @@ def restrict_field(patch: HypersurfacePatch, field, frame: PointFrame) -> FieldS
     # are strided in memory, so their flat inner products round as for d1[:, i]
     i, j = np.tril_indices(patch.n)
     X, Y = (np.swapaxes(np.ascontiguousarray(d1[..., c]), -1, -2) for c in (i, j))
-    pairs = field.hessian_bilinear(x[..., None, :], X, Y)
+    pairs = hessian(X, Y)
     hess = np.empty(d1.shape[:-2] + (patch.n, patch.n))
     hess[..., i, j] = hess[..., j, i] = pairs
     eps = 1.0 if model.signature == RIEMANNIAN else -1.0
@@ -177,6 +165,7 @@ def restrict_field(patch: HypersurfacePatch, field, frame: PointFrame) -> FieldS
         normal_coef=normal_coef,
         hess=hess + eps * normal_coef[..., None, None] * frame.second_form,
         frame=frame,
+        errors=errors,
     )
 
 
@@ -216,11 +205,9 @@ def restriction_hessian(
 ) -> np.ndarray:
     """Intrinsic Hessian of u = rho∘f, identity route, FD cross-checked."""
     model = patch.ambient
-    field = DistanceField(model, o)
-    sample = restrict_field(patch, field, frame_at(patch, p))
-    fd = intrinsic_hessian_fd(
-        patch, lambda q: field.value(np.asarray(patch.chart.value(q), dtype=float)), p
-    )
+    sample = restrict_field(patch, DistanceField(model, o), frame_at(patch, p))
+    raise_first(sample.errors)
+    fd = intrinsic_hessian_fd(patch, lambda q: ambient_distance(model, o, patch.chart.value(q)), p)
     scale = max(1.0, float(np.abs(sample.hess).max()))
     if np.abs(sample.hess - fd).max() > check_tol * scale:
         raise ConsistencyError(
@@ -288,6 +275,7 @@ def l_k_apply(patch: HypersurfacePatch, p: np.ndarray, k: int, field) -> float:
     """L_k u = Tr(P_k ∘ hess u) at the parameter point p."""
     frame = frame_at(patch, p)
     sample = restrict_field(patch, field, frame)
+    raise_first(sample.errors)
     return float(trace_operator(sample, operator_data(frame, patch.ambient.signature), k))
 
 
@@ -329,6 +317,7 @@ def key_inequality_residual(
         raise GeometryError("no reference point available for the distance field")
     frame = frame_at(patch, p)
     sample = restrict_field(patch, DistanceField(model, origin), frame)
+    raise_first(sample.errors)
     data = operator_data(frame, model.signature)
     if data.newton_psd_margin(k) < -TAU_ELL:
         raise HypothesisViolationError(f"P_{k} is not positive semidefinite at this point")
@@ -378,18 +367,16 @@ def _evaluate_rows(patch, field, k, Q):
     """
     frames, errors = frames_at(patch, Q)
     rows = np.flatnonzero(~failed(errors))
-    field_errors = field.errors(frames.position)
-    bad = failed(field_errors)
-    errors[rows[bad]] = field_errors[bad]
-    frames, rows = frames[~bad], rows[~bad]
     sample = restrict_field(patch, field, frames)
     data = operator_data(frames, patch.ambient.signature)
     tr = np.trace(data.P[k], axis1=-2, axis2=-1)
-    ok = tr > TAU_ELL
-    errors[rows[~ok]] = HypothesisViolationError(f"Tr P_{k} is not positive at this point")
+    errors[rows] = sample.errors
+    excluded = ~failed(sample.errors) & ~(tr > TAU_ELL)
+    errors[rows[excluded]] = HypothesisViolationError(f"Tr P_{k} is not positive at this point")
+    ok = ~failed(errors[rows])
     lk = trace_operator(sample, data, k)
     records = (frames.param[ok], sample.u[ok], np.sqrt(sample.grad_norm_sq[ok]), lk[ok] / tr[ok])
-    return records, errors, int(np.count_nonzero(~ok))
+    return records, errors, int(np.count_nonzero(excluded))
 
 
 def omori_yau_search(

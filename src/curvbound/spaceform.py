@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .comparison import c_b, c_hat_b
-from .errors import DomainError, UndefinedGradientError, flag, no_errors, raise_first
+from .errors import DomainError, UndefinedGradientError, failed, flag, no_errors, raise_first
 
 RIEMANNIAN = "riemannian"
 LORENTZIAN = "lorentzian"
@@ -224,13 +224,8 @@ class ReferenceBall:
         model.check_point(self.center)
         if self.radius <= 0.0:
             raise DomainError("reference ball radius must be positive")
-        b = model.curvature
-        if model.signature == RIEMANNIAN and b > 0.0:
-            if self.radius >= np.pi / (2.0 * np.sqrt(b)):
-                raise DomainError("radius must be below pi/(2 sqrt(b)) for b > 0")
-        if model.signature == LORENTZIAN and b < 0.0:
-            if self.radius >= np.pi / (2.0 * np.sqrt(-b)):
-                raise DomainError("radius must be below pi/(2 sqrt(-b)) for b < 0")
+        if self.radius >= comparison_radius(model.signature, model.curvature):
+            raise DomainError("radius must be below the comparison radius pi/(2 sqrt(|b|))")
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +329,7 @@ def ambient_distance(model: AmbientModel, o: np.ndarray, x: np.ndarray):
 
 
 def gradient_rows(model: AmbientModel, o: np.ndarray, x: np.ndarray):
-    """(grad, errors): gradients of the distance function at the points x (..., m).
+    """(rho, grad, errors): :func:`distance_rows` and the distance gradients at x (..., m).
 
     Unit tangent to the radial geodesic: outward in Riemannian models, and a
     past-directed unit timelike vector in Lorentzian models.  Rows within
@@ -343,32 +338,32 @@ def gradient_rows(model: AmbientModel, o: np.ndarray, x: np.ndarray):
     rho, errors = distance_rows(model, o, x)
     flag(errors, rho < COINCIDENCE_TOL,
          UndefinedGradientError, "distance gradient undefined at the reference point")
-    rho = np.maximum(rho, COINCIDENCE_TOL)[..., None]  # finite quotients on failed rows
+    r = np.maximum(rho, COINCIDENCE_TOL)[..., None]  # finite quotients on failed rows
     o = np.asarray(o, dtype=float)
     x = np.asarray(x, dtype=float)
     kind = model.model_kind
     b = model.curvature
     if kind == "euclidean":
-        return (x - o) / rho, errors
+        return rho, (x - o) / r, errors
     if kind == "minkowski":
-        return -(x - o) / rho, errors
+        return rho, -(x - o) / r, errors
     proj = model.tangent_project(x, o)  # o minus its normal component at x
     if kind == "sphere_embedded":
         sb = np.sqrt(b)
-        return -sb * proj / np.sin(sb * rho), errors
+        return rho, -sb * proj / np.sin(sb * r), errors
     if kind == "hyperboloid_embedded":
         sb = np.sqrt(-b)
-        return b * proj / (sb * np.sinh(sb * rho)), errors
+        return rho, b * proj / (sb * np.sinh(sb * r)), errors
     if b > 0.0:
         sb = np.sqrt(b)
-        return b * proj / (sb * np.sinh(sb * rho)), errors
+        return rho, b * proj / (sb * np.sinh(sb * r)), errors
     sb = np.sqrt(-b)
-    return -b * proj / (sb * np.sin(sb * rho)), errors
+    return rho, -b * proj / (sb * np.sin(sb * r)), errors
 
 
 def distance_gradient(model: AmbientModel, o: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Gradient of the distance function at x; raises where it is undefined."""
-    grad, errors = gradient_rows(model, o, x)
+    _, grad, errors = gradient_rows(model, o, x)
     raise_first(errors)
     return grad
 
@@ -378,23 +373,42 @@ def comparison_coefficient(signature: str, b: float, rho):
     return np.vectorize(c_b if signature == RIEMANNIAN else c_hat_b, otypes=[float])(b, rho)
 
 
-def distance_hessian_bilinear(model: AmbientModel, o: np.ndarray, x: np.ndarray, X, Y):
-    """Hess rho(X, Y) for tangent vectors X, Y at x (closed space-form value), over leading axes.
+def comparison_radius(signature: str, b: float) -> float:
+    """Distance from which :func:`comparison_coefficient` is undefined (inf if never)."""
+    b = b if signature == RIEMANNIAN else -b
+    return np.pi / (2.0 * np.sqrt(b)) if b > 0.0 else np.inf
 
-    Riemannian:  C_b(rho) (<X,Y> - drho(X) drho(Y))
-    Lorentzian: -C_{-b}(rho) (<X,Y> + drho(X) drho(Y))
+
+def distance_jet(model: AmbientModel, o: np.ndarray, x: np.ndarray):
+    """(rho, grad, hessian, errors): :func:`gradient_rows`, failing from the comparison radius on.
+
+    ``hessian(X, Y)`` on tangent pairs X, Y (..., P, m) at each row is the closed
+    form C_b(rho) (<X,Y> - drho(X) drho(Y)), or -C_{-b}(rho) (<X,Y> + drho(X) drho(Y))
+    in Lorentzian models; C is evaluated once per row, on the rows without an error.
     """
-    rho = ambient_distance(model, o, x)
-    grad = distance_gradient(model, o, x)
-    X = model.check_tangent(x, X)
-    Y = model.check_tangent(x, Y)
-    coeff = comparison_coefficient(model.signature, model.curvature, rho)
-    gx = model.flat_inner(grad, X)
-    gy = model.flat_inner(grad, Y)
-    xy = model.flat_inner(X, Y)
-    if model.signature == RIEMANNIAN:
-        return coeff * (xy - gx * gy)
-    return -coeff * (xy + gx * gy)
+    rho, grad, errors = gradient_rows(model, o, x)
+    flag(errors, rho >= comparison_radius(model.signature, model.curvature),
+         DomainError, "distance at or beyond the comparison radius pi/(2 sqrt(|b|))")
+    ok = ~failed(errors)
+    coeff = np.zeros(np.shape(rho))
+    coeff[ok] = comparison_coefficient(model.signature, model.curvature, rho[ok])
+    x, g, c = np.asarray(x, dtype=float)[..., None, :], grad[..., None, :], coeff[..., None]
+
+    def hessian(X, Y):
+        X, Y = model.check_tangent(x, X), model.check_tangent(x, Y)
+        gx, gy, xy = model.flat_inner(g, X), model.flat_inner(g, Y), model.flat_inner(X, Y)
+        if model.signature == RIEMANNIAN:
+            return c * (xy - gx * gy)
+        return -c * (xy + gx * gy)
+
+    return rho, grad, hessian, errors
+
+
+def distance_hessian_bilinear(model: AmbientModel, o: np.ndarray, x: np.ndarray, X, Y):
+    """Hess rho(X, Y) for tangent vectors X, Y at x (:func:`distance_jet`), over leading axes."""
+    _, _, hessian, errors = distance_jet(model, o, x)
+    raise_first(errors)
+    return hessian(np.asarray(X)[..., None, :], np.asarray(Y)[..., None, :])[..., 0]
 
 
 def distance_hessian_quadform(model: AmbientModel, o: np.ndarray, x: np.ndarray, X: np.ndarray):

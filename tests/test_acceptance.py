@@ -214,7 +214,7 @@ def test_criterion_8_restriction_hessian_identity():
                 p = patch.domain_lo + rng.uniform(0.2, 0.8, patch.n) * patch.domain_width
                 sample = restrict_field(patch, field, frame_at(patch, p))
                 fd = intrinsic_hessian_fd(
-                    patch, lambda q: field.value(np.asarray(patch.chart.value(q), float)), p
+                    patch, lambda q: field.jet(np.asarray(patch.chart.value(q), float))[0], p
                 )
                 scale = max(1.0, np.abs(sample.hess).max())
                 assert np.abs(sample.hess - fd).max() < 1e-4 * scale

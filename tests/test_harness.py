@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from curvbound import immersion
 from curvbound.cli import main
 from curvbound.errors import ConfigError
 from curvbound.harness import (
@@ -221,7 +222,7 @@ def tabulated_sphere_scenario(tmp_path, resolution, include_jets):
 def test_emit_samples_csv(tmp_path):
     config = bundled("ellipsoid")
     path = tmp_path / "samples.csv"
-    emit_samples_csv(config, path)
+    emit_samples_csv(config, run_scenario(config).samples, path)
     rows = path.read_text().strip().splitlines()
     header = rows[0].split(",")
     assert header[:4] == ["p0", "p1", "u", "grad_norm"]
@@ -239,6 +240,27 @@ def test_emit_samples_csv(tmp_path):
                 patch, row[:2], k, b=config.model.curvature, origin=config.reference_center
             )
             assert row[col] == pytest.approx(expected, abs=1e-12)
+
+
+def test_cli_emit_samples_builds_one_grid(tmp_path, monkeypatch):
+    # the CSV is written from the frames the run sampled, not from a second grid
+    rows = []
+    build = immersion.frames_at
+
+    def counted(patch, P):
+        rows.append(len(P))
+        return build(patch, P)
+
+    monkeypatch.setattr(immersion, "frames_at", counted)
+    path = tmp_path / "run.csv"
+    assert main(["verify", "--scenario", "ellipsoid", "--resolution", "16",
+                 "--emit-samples", str(path)]) == 0
+    assert sum(rows) == 16**2
+    config = bundled("ellipsoid")
+    config.resolution = 16
+    fresh = tmp_path / "fresh.csv"
+    emit_samples_csv(config, collect_samples(config), fresh)
+    assert path.read_bytes() == fresh.read_bytes()
 
 
 # -- CLI ---------------------------------------------------------------------------------

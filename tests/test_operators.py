@@ -5,12 +5,14 @@ import warnings
 import numpy as np
 import pytest
 
-from curvbound import curvature
+from curvbound import curvature, spaceform
 from curvbound.comparison import c_b, phi_b, phi_b_d1
+from curvbound.errors import DomainError
 from curvbound.immersion import (
     build_patch,
     congruence,
     frame_at,
+    frames_at,
     grid_axes,
     grid_points,
     sample_grid,
@@ -28,7 +30,7 @@ from curvbound.operators import (
     restrict_field,
     restriction_hessian,
 )
-from curvbound.spaceform import AmbientModel
+from curvbound.spaceform import AmbientModel, geodesic_point
 
 E2 = AmbientModel.euclidean(2)
 E3 = AmbientModel.euclidean(3)
@@ -111,7 +113,7 @@ def test_identity_and_fd_routes_agree_on_bundled_charts(rng):
         for p in interior_points(patch, rng, 3):
             sample = restrict_field(patch, field, frame_at(patch, p))
             fd = intrinsic_hessian_fd(
-                patch, lambda q: field.value(np.asarray(patch.chart.value(q), float)), p
+                patch, lambda q: field.jet(np.asarray(patch.chart.value(q), float))[0], p
             )
             scale = max(1.0, np.abs(sample.hess).max())
             assert np.abs(sample.hess - fd).max() < 1e-4 * scale
@@ -217,7 +219,7 @@ def test_lk_of_phi_composition_chain(rng):
         for k in (0, 1):
             fd = intrinsic_hessian_fd(
                 patch,
-                lambda q: phi_b(0.0, dist.value(np.asarray(patch.chart.value(q), float))),
+                lambda q: phi_b(0.0, dist.jet(np.asarray(patch.chart.value(q), float))[0]),
                 p,
             )
             fd_sym = congruence(data.chol, fd)
@@ -255,6 +257,25 @@ def test_operator_data_runs_one_recurrence(monkeypatch):
     for table in (curvature.binomials(3), curvature.trace_coefficients(3)):
         with pytest.raises(ValueError):
             table[0] = 1.0
+
+
+def test_restriction_evaluates_the_distance_once(monkeypatch):
+    calls = []
+    distance_rows = spaceform.distance_rows
+
+    def counted(model, o, x):
+        calls.append(np.shape(x))
+        return distance_rows(model, o, x)
+
+    monkeypatch.setattr(spaceform, "distance_rows", counted)
+    patch = ellipsoid_patch()
+    frames = [frame_at(patch, interior_points(patch, np.random.default_rng(3), 1)[0]),
+              sample_grid(patch, 8).frames]
+    for field in (DistanceField(E3, np.zeros(3)), phi_of_distance_field(E3, np.zeros(3), 0.0)):
+        for frame in frames:
+            before = len(calls)
+            restrict_field(patch, field, frame)
+            assert calls[before:] == [frame.position.shape]
 
 
 # -- extremum-sequence search ---------------------------------------------------------
@@ -332,6 +353,23 @@ def test_search_reproduces_ratio_bound_on_ellipsoid(rng):
     for p, frame in grid.points:
         data = operator_data(frame, "riemannian")
         ratios.append(data.H[2] / data.H[1])
-        radii.append(dist.value(frame.position))
+        radii.append(dist.jet(frame.position)[0])
     r = max(radii)
     assert c_b(0.0, r) - max(ratios) <= 1e-9
+
+
+def test_search_skips_rows_beyond_comparison_radius():
+    # C_1(rho) = cot(rho) is undefined from rho = pi/2 on: the 30 coarse-grid
+    # rows that far from the reference point are skipped, not fatal
+    model = AmbientModel.sphere(1.0, 3)
+    patch = build_patch(model, "geodesic_sphere", {"radius": 0.7}, center=model.base_point())
+    far = geodesic_point(model, model.base_point(), np.eye(4)[1], 1.2)
+    field = DistanceField(model, far)
+    report = omori_yau_search(patch, field, 0, resolution=10, rounds=2)
+    assert (report.skipped, report.excluded) == (30, 0)
+    assert report.u_star < np.pi / 2
+    frames, _ = frames_at(patch, grid_points(grid_axes(patch, 10)))
+    beyond = frames.param[np.vecdot(frames.position, far) <= 0.0]
+    assert len(beyond) == 30
+    with pytest.raises(DomainError):
+        l_k_apply(patch, beyond[0], 0, field)

@@ -84,8 +84,14 @@ def higher_mean_curvatures(kappa: np.ndarray, n: int, signature: str) -> np.ndar
 def symmetric_values(kappa: np.ndarray, signature: str) -> tuple:
     """(H, newton_eigenvalues) of the spectra kappa (..., n) from one S_k recurrence.
 
-    Equal, bit for bit, to :func:`higher_mean_curvatures` and
-    :func:`complement_symmetric_values`.
+    ``H`` equals :func:`higher_mean_curvatures` bit for bit.  In
+    ``newton_eigenvalues`` row k, column i (the last two axes) holds the
+    eigenvalue of P_k on the i-th principal direction: S_k of the spectrum
+    with kappa_i removed (times (-1)^k in the lorentzian convention); row n is
+    zero.  The recurrence runs on the gathered rows "kappa without kappa_i,
+    then a zero" and "kappa".  The zero is exact while S_k is finite: its
+    step adds 0 * s to each S_k, and s + 0 * s = s because s is never -0.0
+    (it starts at +0.0, and a sum is -0.0 only when both terms are).
     """
     kappa = np.asarray(kappa, dtype=float)
     n = kappa.shape[-1]
@@ -130,21 +136,6 @@ def _check_symmetric(A: np.ndarray) -> np.ndarray:
     return 0.5 * (A + A.T)
 
 
-def complement_symmetric_values(kappa: np.ndarray, signature: str) -> np.ndarray:
-    """Eigenvalues of the Newton tensors on the shared eigenbasis with A.
-
-    Row k, column i (the last two axes) holds the eigenvalue of P_k on the
-    i-th principal direction: S_k of the spectrum with kappa_i removed (times
-    (-1)^k in the lorentzian convention); row n is zero.  One recurrence
-    serves all n complements (and kappa itself, see :func:`symmetric_values`):
-    it runs on the gathered rows "kappa without kappa_i, then a zero".  The
-    zero is exact while S_k is finite: its step adds 0 * s to each S_k, and
-    s + 0 * s = s because s is never -0.0 (it starts at +0.0, and a sum is
-    -0.0 only when both terms are).
-    """
-    return symmetric_values(kappa, signature)[1]
-
-
 def classify_definiteness(eigenvalues: np.ndarray, tol: float = 1e-12) -> str:
     scale = max(1.0, float(np.abs(eigenvalues).max()))
     low = eigenvalues.min()
@@ -174,6 +165,7 @@ def newton_tensors(A: np.ndarray, kappa: np.ndarray, signature: str) -> list:
     """P_0..P_n by the inductive matrix recursion, with S_k taken from kappa.
 
     ``A`` (..., n, n) must be symmetric and ``kappa`` (..., n) its spectrum.
+    An oracle: the pipeline reads P_k only through :func:`symmetric_values`.
     """
     n = A.shape[-1]
     s = elementary_symmetric(kappa)[..., None, None]
@@ -194,7 +186,7 @@ def newton_family(A: np.ndarray, signature: str) -> NewtonFamily:
     n = A.shape[0]
     kappa = np.linalg.eigvalsh(A)
     P = newton_tensors(A, kappa, signature)
-    eigvals = complement_symmetric_values(kappa, signature)
+    eigvals = symmetric_values(kappa, signature)[1]
     flags = [classify_definiteness(eigvals[k]) for k in range(n + 1)]
     return NewtonFamily(P=P, eigenvalues=eigvals, definiteness=flags, signature=signature)
 
@@ -242,13 +234,7 @@ def elliptic_point_scan(samples) -> list:
     ``samples`` is an iterable of (parameter, PointFrame) pairs computed with
     the inner orientation.
     """
-    from .immersion import principal_curvatures
-
-    hits = []
-    for param, frame in samples:
-        if principal_curvatures(frame).min() > TAU_ELL:
-            hits.append(param)
-    return hits
+    return [param for param, frame in samples if frame.kappa.min() > TAU_ELL]
 
 
 def gauss_identities(kappa: np.ndarray, b: float) -> tuple:

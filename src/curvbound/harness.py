@@ -512,7 +512,7 @@ def emit_samples_csv(config: ScenarioConfig, samples: ScenarioSamples, path) -> 
     raise_first(s.errors)
     columns = [frames.param, s.u[:, None], np.sqrt(s.grad_norm_sq)[:, None]]
     for k in ks:
-        tr = np.trace(data.P[k], axis1=-2, axis2=-1)
+        tr = data.c[k] * data.H[:, k]  # Tr P_k
         lk = trace_operator(s, data, k)
         rhs = key_inequality_rhs(s, data, k, config.model.curvature)
         Hk, Hk1 = data.H[:, k], data.H[:, k + 1]

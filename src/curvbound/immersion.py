@@ -1,8 +1,9 @@
-"""Hypersurface patches: induced metric, oriented normal, shape operator.
+"""Hypersurface patches: induced metric, oriented normal, principal curvatures.
 
 A patch couples a chart with an ambient model, an orientation convention and
 an optional reference center.  Frames carry everything downstream consumers
-need: position, tangents, metric, unit normal and second fundamental form.
+need: position, tangents, metric, unit normal, second fundamental form and
+its principal curvatures (with the principal directions on demand).
 
 Orientation conventions:
   inner / outer -- Riemannian; "inner" points toward the declared center
@@ -95,12 +96,32 @@ def induced_metric(d1: np.ndarray, eta: np.ndarray) -> np.ndarray:
     return 0.5 * (g + np.swapaxes(g, -1, -2))
 
 
+def orthonormal_shape(g: np.ndarray, h: np.ndarray) -> tuple:
+    """(L, A): the Cholesky factors of the metrics g and the shape operators L^-1 h L^-T.
+
+    In the orthonormal frame the shape operator is symmetric, which keeps its
+    spectrum real by construction.
+    """
+    try:
+        L = np.linalg.cholesky(g)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            f"metric not positive definite (cond ~ {np.max(np.linalg.cond(g)):.3e})"
+        ) from exc
+    B = np.linalg.solve(L, h)
+    B = np.swapaxes(np.linalg.solve(L, np.swapaxes(B, -1, -2)), -1, -2)
+    return L, 0.5 * (B + np.swapaxes(B, -1, -2))
+
+
 @dataclass
 class PointFrame:
     """Second-order data of the immersion at parameter points.
 
     Fields carry the leading sample axes of the points they were evaluated
-    at; ``frame[i]`` is the frame of sample i.
+    at; ``frame[i]`` is the frame of sample i.  The second-order data is the
+    spectrum ``kappa`` of the shape operator and, computed on first use, the
+    principal directions: a Newton tensor P_k acts through its eigenvalue on
+    each of them (see :func:`curvbound.operators.trace_operator`).
     """
 
     param: np.ndarray
@@ -109,19 +130,27 @@ class PointFrame:
     metric: np.ndarray
     normal: np.ndarray
     second_form: np.ndarray
+    kappa: np.ndarray  # (..., n) principal curvatures, ascending
 
     def __getitem__(self, i) -> "PointFrame":
         return PointFrame(self.param[i], self.position[i], self.tangent[i], self.metric[i],
-                          self.normal[i], self.second_form[i])
+                          self.normal[i], self.second_form[i], self.kappa[i])
+
+    @cached_property
+    def principal(self) -> np.ndarray:
+        """(..., n, n): metric-orthonormal principal directions as columns, in kappa's order."""
+        L, A = orthonormal_shape(self.metric, self.second_form)
+        return np.linalg.solve(np.swapaxes(L, -1, -2), np.linalg.eigh(A)[1])
 
 
 def frames_at(patch: HypersurfacePatch, P: np.ndarray):
-    """Frames at the rows of P (N, n): metric, oriented unit normal and second form.
+    """Frames at the rows of P (N, n): metric, oriented unit normal, second form and kappa.
 
     Returns (frames, errors).  ``frames`` holds the rows that have a frame, in
     order; ``errors[i]`` is the GeometryError of row i, or None when row i is
     among them.  Each failing check removes its rows before the next step, so
-    stacked linear algebra only sees rows that passed.
+    stacked linear algebra only sees rows that passed.  Raises NumericalError
+    when a metric that passed the immersion test has no Cholesky factor.
     """
     P = np.asarray(P, dtype=float)
     model = patch.ambient
@@ -190,6 +219,7 @@ def frames_at(patch: HypersurfacePatch, P: np.ndarray):
         metric=g,
         normal=normal,
         second_form=h,
+        kappa=np.linalg.eigvalsh(orthonormal_shape(g, h)[1]),
     )
     return frames, errors
 
@@ -199,34 +229,6 @@ def frame_at(patch: HypersurfacePatch, p: np.ndarray) -> PointFrame:
     frames, errors = frames_at(patch, np.asarray(p, dtype=float)[None])
     raise_first(errors)
     return frames[0]
-
-
-def congruence(L: np.ndarray, form: np.ndarray) -> np.ndarray:
-    """L^-1 form L^-T: chart-basis bilinear forms in the frames orthonormalized by L."""
-    tmp = np.linalg.solve(L, form)
-    return np.swapaxes(np.linalg.solve(L, np.swapaxes(tmp, -1, -2)), -1, -2)
-
-
-def orthonormal_shape(frame: PointFrame) -> tuple:
-    """(L, A): the Cholesky factor of the metric and the shape operator L^-1 h L^-T.
-
-    In the orthonormal frame the shape operator is symmetric, which keeps its
-    spectrum real by construction.
-    """
-    g = frame.metric
-    try:
-        L = np.linalg.cholesky(g)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"metric not positive definite (cond ~ {np.max(np.linalg.cond(g)):.3e})"
-        ) from exc
-    B = congruence(L, frame.second_form)
-    return L, 0.5 * (B + np.swapaxes(B, -1, -2))
-
-
-def principal_curvatures(frame: PointFrame) -> np.ndarray:
-    """Eigenvalues of the shape operator, ascending."""
-    return np.linalg.eigvalsh(orthonormal_shape(frame)[1])
 
 
 @dataclass

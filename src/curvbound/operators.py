@@ -9,25 +9,20 @@ Lorentzian case Hess rho - sqrt(1 + |grad u|^2) h.  A fully independent
 finite-difference route (Christoffel symbols from the induced metric) backs
 the identity route as an oracle.
 
-All operator algebra happens in a metric-orthonormal frame obtained by a
-Cholesky congruence, where the shape operator is honestly symmetric.
+The Newton tensors P_k act through their spectra: P_k and the shape
+operator share the principal directions e_i of the frame, so every
+contraction with P_k is a sum over them weighted by the eigenvalues of P_k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .charts import fd_jet
 from .comparison import phi_b, phi_b_d1, phi_b_d2
-from .curvature import (
-    TAU_ELL,
-    newton_tensors,
-    symmetric_values,
-    trace_coefficients,
-)
+from .curvature import TAU_ELL, symmetric_values, trace_coefficients
 from .errors import (
     ConsistencyError,
     GeometryError,
@@ -39,13 +34,11 @@ from .errors import (
 from .immersion import (
     HypersurfacePatch,
     PointFrame,
-    congruence,
     frame_at,
     frames_at,
     grid_axes,
     grid_points,
     induced_metric,
-    orthonormal_shape,
     refine_extremum,
 )
 from .spaceform import (
@@ -224,25 +217,18 @@ def restriction_hessian(
 
 @dataclass
 class OperatorData:
-    """Shape operator and Newton-tensor spectra in a metric-orthonormal frame.
+    """Principal curvatures, H_k and Newton-tensor spectra of a frame.
 
     Fields carry the leading sample axes of the frame they were computed
     from.  ``newton_eigenvalues[..., k, i]`` is the eigenvalue of P_k on the
-    i-th principal direction.  The matrices ``P`` are built on first access.
+    principal direction ``frame.principal[..., :, i]``, and Tr P_k = c_k H_k.
     """
 
-    chol: np.ndarray
-    shape_sym: np.ndarray
     kappa: np.ndarray
     newton_eigenvalues: np.ndarray
     H: np.ndarray
     c: np.ndarray
     signature: str
-
-    @cached_property
-    def P(self) -> list:
-        """Newton tensors P_0..P_n as matrices in the orthonormal frame."""
-        return newton_tensors(self.shape_sym, self.kappa, self.signature)
 
     def newton_psd_margin(self, k: int):
         """Smallest eigenvalue of P_k over max(1, max|kappa|^k); P_k is PSD down to -TAU_ELL."""
@@ -252,23 +238,23 @@ class OperatorData:
 
 def operator_data(frame: PointFrame, signature: str) -> OperatorData:
     """Operator data of a frame, over its leading sample axes."""
-    L, A = orthonormal_shape(frame)
-    kappa = np.linalg.eigvalsh(A)
-    H, newton_eigenvalues = symmetric_values(kappa, signature)
+    H, newton_eigenvalues = symmetric_values(frame.kappa, signature)
     return OperatorData(
-        chol=L,
-        shape_sym=A,
-        kappa=kappa,
+        kappa=frame.kappa,
         newton_eigenvalues=newton_eigenvalues,
         H=H,
-        c=trace_coefficients(A.shape[-1]),
+        c=trace_coefficients(frame.kappa.shape[-1]),
         signature=signature,
     )
 
 
 def trace_operator(sample: FieldSample, data: OperatorData, k: int):
-    """L_k u = Tr(P_k ∘ hess u), both taken in the orthonormal frame, over leading axes."""
-    return np.trace(data.P[k] @ congruence(data.chol, sample.hess), axis1=-2, axis2=-1)
+    """L_k u = Tr(P_k ∘ hess u) = sum_i mu_{k,i} hess u(e_i, e_i), over leading axes.
+
+    e_i are the frame's principal directions and mu_{k,i} the eigenvalues of P_k on them.
+    """
+    E = sample.frame.principal
+    return np.vecdot(data.newton_eigenvalues[..., k, :], np.vecdot(E, sample.hess @ E, axis=-2))
 
 
 def l_k_apply(patch: HypersurfacePatch, p: np.ndarray, k: int, field) -> float:
@@ -280,9 +266,10 @@ def l_k_apply(patch: HypersurfacePatch, p: np.ndarray, k: int, field) -> float:
 
 
 def newton_quadratic(sample: FieldSample, data: OperatorData, k: int):
-    """<grad u, P_k grad u> in the orthonormal frame, over leading axes."""
-    v = (np.swapaxes(data.chol, -1, -2) @ sample.grad[..., None])[..., 0]
-    return np.vecdot((v[..., None, :] @ data.P[k])[..., 0, :], v)
+    """<grad u, P_k grad u> = sum_i mu_{k,i} du(e_i)^2, over leading axes."""
+    frame = sample.frame
+    du = np.vecdot(frame.principal, frame.metric @ sample.grad[..., None], axis=-2)
+    return np.vecdot(data.newton_eigenvalues[..., k, :], du * du)
 
 
 def key_inequality_rhs(sample: FieldSample, data: OperatorData, k: int, b: float):
@@ -369,7 +356,7 @@ def _evaluate_rows(patch, field, k, Q):
     rows = np.flatnonzero(~failed(errors))
     sample = restrict_field(patch, field, frames)
     data = operator_data(frames, patch.ambient.signature)
-    tr = np.trace(data.P[k], axis1=-2, axis2=-1)
+    tr = data.c[k] * data.H[..., k]  # Tr P_k
     errors[rows] = sample.errors
     excluded = ~failed(sample.errors) & ~(tr > TAU_ELL)
     errors[rows[excluded]] = HypothesisViolationError(f"Tr P_{k} is not positive at this point")

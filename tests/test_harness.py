@@ -308,3 +308,15 @@ def test_cli_resolution_and_tol_overrides():
     assert main(["verify", "--scenario", "sphere-equality", "--resolution", "8",
                  "--tol", "1e-5"]) == 0
     assert main(["verify", "--scenario", "sphere-equality", "--resolution", "2"]) == 3
+
+
+def test_package_namespace_resolves():
+    # a name deleted from a module but left in __all__ breaks the star import
+    import curvbound
+
+    namespace = {}
+    exec("from curvbound import *", namespace)
+    missing = [name for name in curvbound.__all__
+               if name not in namespace or not hasattr(curvbound, name)]
+    assert missing == []
+    assert len(set(curvbound.__all__)) == len(curvbound.__all__)

@@ -24,7 +24,6 @@ from curvbound.immersion import (
     build_patch,
     frame_at,
     grid_points,
-    principal_curvatures,
     refine_extremum,
     sample_grid,
 )
@@ -86,7 +85,7 @@ def test_unit_sphere_inner_shape_operator_is_identity(rng):
 def test_cylinder_curvatures(rng):
     patch = build_patch(E3, "cylinder", {"radius": 1.0}, center=np.zeros(3))
     p = np.array([rng.uniform(0, 2 * np.pi), rng.uniform(-0.9, 0.9)])
-    kappa = principal_curvatures(frame_at(patch, p))
+    kappa = frame_at(patch, p).kappa
     np.testing.assert_allclose(kappa, [0.0, 1.0], atol=1e-10)
 
 
@@ -113,7 +112,7 @@ def test_ellipsoid_pole_curvatures_via_graph_chart():
         },
         center=np.zeros(3),
     )
-    kappa = principal_curvatures(frame_at(patch, np.zeros(2)))
+    kappa = frame_at(patch, np.zeros(2)).kappa
     np.testing.assert_allclose(kappa, [c / a**2, c / a**2], atol=1e-12)
 
 
@@ -127,7 +126,7 @@ def test_ellipsoid_matches_revolution_closed_form(rng):
         frame = frame_at(patch, np.array([theta, rng.uniform(0, 2 * np.pi)]))
         W = a**2 * np.cos(theta) ** 2 + c**2 * np.sin(theta) ** 2
         expected = np.sort([a * c / W**1.5, c / (a * np.sqrt(W))])
-        np.testing.assert_allclose(principal_curvatures(frame), expected, rtol=1e-10)
+        np.testing.assert_allclose(frame.kappa, expected, rtol=1e-10)
 
 
 def test_geodesic_spheres_are_umbilic_in_every_model(rng):
@@ -142,7 +141,7 @@ def test_geodesic_spheres_are_umbilic_in_every_model(rng):
         )
         expected = c_b(model.curvature, r)
         p = patch.domain_lo + rng.uniform(0.2, 0.8, patch.n) * patch.domain_width
-        kappa = principal_curvatures(frame_at(patch, p))
+        kappa = frame_at(patch, p).kappa
         np.testing.assert_allclose(kappa, expected, rtol=1e-9)
 
 
@@ -156,7 +155,7 @@ def test_lorentzian_geodesic_spheres_are_umbilic(rng):
             model, "geodesic_sphere", {"radius": r}, center=model.base_point()
         )
         p = rng.uniform(-1.0, 1.0, size=patch.n)
-        kappa = principal_curvatures(frame_at(patch, p))
+        kappa = frame_at(patch, p).kappa
         np.testing.assert_allclose(kappa, -c_hat_b(model.curvature, r), rtol=1e-9)
 
 
@@ -212,8 +211,8 @@ def test_fd_jets_agree_with_analytic_on_all_bundled_charts(rng):
         fd = build_patch(model, kind, dict(params), center=center, jets="fd")
         for _ in range(5):
             p = exact.domain_lo + rng.uniform(0.15, 0.85, exact.n) * exact.domain_width
-            k1 = principal_curvatures(frame_at(exact, p))
-            k2 = principal_curvatures(frame_at(fd, p))
+            k1 = frame_at(exact, p).kappa
+            k2 = frame_at(fd, p).kappa
             np.testing.assert_allclose(k1, k2, atol=1e-4), kind
 
 
@@ -276,10 +275,11 @@ def test_grid_and_single_point_paths_agree(name, patch, resolution):
     restricted = restrict_field(patch, dist, grid.frames)
     for i, (p, frame) in enumerate(grid.points):
         single = frame_at(patch, p)
-        for field in PointFrame.__dataclass_fields__:
-            assert np.array_equal(getattr(frame, field), getattr(single, field)), (name, field)
+        for field in (*PointFrame.__dataclass_fields__, "principal"):
+            batch_field = getattr(grid.frames, field)[i]
+            assert np.array_equal(batch_field, getattr(single, field)), (name, field)
         data = operator_data(single, signature)
-        for field in ("chol", "shape_sym", "kappa", "newton_eigenvalues", "H"):
+        for field in ("kappa", "newton_eigenvalues", "H"):
             assert np.array_equal(getattr(batch, field)[i], getattr(data, field)), (name, field)
         one = restrict_field(patch, dist, single)
         for field in ("u", "grad", "grad_norm_sq", "normal_coef", "hess"):
@@ -429,7 +429,7 @@ def test_tabulated_without_jets_uses_grid_differences(tmp_path):
     interior = [f for _, f in grid.points]
     assert len(interior) > 0
     for frame in interior:
-        kappa = principal_curvatures(frame)
+        kappa = frame.kappa
         np.testing.assert_allclose(kappa, [1.0, 1.0], atol=2e-2)  # grid-step differences
     # boundary rows lack neighbors and are skipped, interior is dense
     assert len(grid.skipped) == 41 * 41 - len(interior)

@@ -1,16 +1,17 @@
 """Restriction Hessians, trace operators, the key inequality, extremum search."""
 
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from curvbound import curvature, spaceform
+from curvbound import curvature, operators, spaceform
 from curvbound.comparison import c_b, phi_b, phi_b_d1
 from curvbound.errors import DomainError
+from curvbound.harness import bundled_scenarios, collect_samples, load_scenario
 from curvbound.immersion import (
     build_patch,
-    congruence,
     frame_at,
     frames_at,
     grid_axes,
@@ -22,6 +23,7 @@ from curvbound.operators import (
     LinearCoordinateField,
     intrinsic_hessian_fd,
     key_inequality_residual,
+    key_inequality_rhs,
     l_k_apply,
     newton_quadratic,
     omori_yau_search,
@@ -29,6 +31,7 @@ from curvbound.operators import (
     phi_of_distance_field,
     restrict_field,
     restriction_hessian,
+    trace_operator,
 )
 from curvbound.spaceform import AmbientModel, geodesic_point
 
@@ -46,6 +49,20 @@ def interior_points(patch, rng, count=6):
         patch.domain_lo + rng.uniform(0.15, 0.85, patch.n) * patch.domain_width
         for _ in range(count)
     ]
+
+
+def congruent(L, form):
+    """L^-1 form L^-T: a chart-basis bilinear form in the frame orthonormalized by L."""
+    tmp = np.linalg.solve(L, form)
+    return np.swapaxes(np.linalg.solve(L, np.swapaxes(tmp, -1, -2)), -1, -2)
+
+
+def newton_oracle(frame, signature):
+    """(L, P): the metric's Cholesky factor and P_0..P_n by the matrix recursion on L^-1 h L^-T."""
+    L = np.linalg.cholesky(frame.metric)
+    A = congruent(L, frame.second_form)
+    A = 0.5 * (A + np.swapaxes(A, -1, -2))
+    return L, curvature.newton_tensors(A, np.linalg.eigvalsh(A), signature)
 
 
 # -- restriction Hessian --------------------------------------------------------
@@ -222,8 +239,8 @@ def test_lk_of_phi_composition_chain(rng):
                 lambda q: phi_b(0.0, dist.jet(np.asarray(patch.chart.value(q), float))[0]),
                 p,
             )
-            fd_sym = congruence(data.chol, fd)
-            lhs = float(np.trace(data.P[k] @ fd_sym))
+            L, P = newton_oracle(s.frame, "riemannian")
+            lhs = float(np.trace(P[k] @ congruent(L, fd)))
             lk_u = l_k_apply(patch, p, k, dist)
             rhs = phi_b_d1(0.0, s.u) * (
                 c_b(0.0, s.u) * newton_quadratic(s, data, k) + lk_u
@@ -237,26 +254,79 @@ def test_lk_of_phi_composition_chain(rng):
 
 
 def test_operator_data_runs_one_recurrence(monkeypatch):
-    calls = []
-    recurrence = curvature.elementary_symmetric
+    # operator data and every Newton-tensor contraction read one S_k
+    # recurrence; the matrix recursion runs only in the oracle
+    calls, tensors = [], []
+    recurrence, recursion = curvature.elementary_symmetric, curvature.newton_tensors
 
     def counted(kappa):
         calls.append(np.shape(kappa))
         return recurrence(kappa)
 
+    def counted_tensors(*args):
+        tensors.append(args)
+        return recursion(*args)
+
     monkeypatch.setattr(curvature, "elementary_symmetric", counted)
+    monkeypatch.setattr(curvature, "newton_tensors", counted_tensors)
+    monkeypatch.setattr(operators, "newton_tensors", counted_tensors, raising=False)
     patch = ellipsoid_patch()
+    field = DistanceField(E3, np.zeros(3))
     frames = [frame_at(patch, interior_points(patch, np.random.default_rng(3), 1)[0]),
               sample_grid(patch, 8).frames]
     for frame in frames:
+        sample = restrict_field(patch, field, frame)
         for signature in ("riemannian", "lorentzian"):
             before = len(calls)
-            operator_data(frame, signature)
+            data = operator_data(frame, signature)
+            for k in range(patch.n):
+                trace_operator(sample, data, k)
+                newton_quadratic(sample, data, k)
+                key_inequality_rhs(sample, data, k, 0.0)
             assert len(calls) == before + 1
+    assert tensors == []
     assert calls[0] == (3, 2) and calls[-1] == (len(frames[1].param), 3, 2)
     for table in (curvature.binomials(3), curvature.trace_coefficients(3)):
         with pytest.raises(ValueError):
             table[0] = 1.0
+
+
+def spectral_oracle_cases():
+    """(label, samples): the bundled grids at 16 and off-center views of geodesic spheres."""
+    for name, path in bundled_scenarios().items():
+        yield name, collect_samples(load_scenario(path), 16)
+    for n in (3, 4):
+        for model in (AmbientModel.sphere(1.0, n + 1), AmbientModel.hyperbolic(-1.0, n + 1)):
+            center = model.base_point()
+            patch = build_patch(model, "geodesic_sphere", {"radius": 0.7}, center=center)
+            origin = geodesic_point(model, center, np.eye(n + 2)[1], 0.3)
+            frames = sample_grid(patch, {3: 6, 4: 4}[n]).frames
+            yield (f"{model.model_kind} n={n}", SimpleNamespace(
+                patch=patch, field=DistanceField(model, origin), frames=frames,
+                data=operator_data(frames, model.signature)))
+
+
+def test_spectral_contractions_match_newton_recursion():
+    # L_k u, <grad u, P_k grad u> and Tr P_k from the spectra of P_k agree
+    # with the same contractions of the recursion's matrices
+    for label, samples in spectral_oracle_cases():
+        s = restrict_field(samples.patch, samples.field, samples.frames)
+        data = samples.data
+        L, P = newton_oracle(samples.frames, data.signature)
+        hess = congruent(L, s.hess)
+        v = (np.swapaxes(L, -1, -2) @ s.grad[..., None])[..., 0]
+        for k in range(samples.patch.n):
+            size = np.abs(P[k]).max(axis=(-2, -1))
+            checks = (
+                (trace_operator(s, data, k), np.trace(P[k] @ hess, axis1=-2, axis2=-1),
+                 size * np.abs(hess).max(axis=(-2, -1))),
+                (newton_quadratic(s, data, k), np.vecdot((v[:, None, :] @ P[k])[:, 0], v),
+                 size * np.vecdot(v, v)),
+                (data.c[k] * data.H[:, k], np.trace(P[k], axis1=-2, axis2=-1), size),
+            )
+            for got, want, scale in checks:
+                err = np.abs(got - want) / np.maximum(1.0, samples.patch.n * scale)
+                assert err.max() < 1e-13, (label, k, err.max())
 
 
 def test_restriction_evaluates_the_distance_once(monkeypatch):

@@ -26,27 +26,33 @@ from .spaceform import LORENTZIAN, RIEMANNIAN, AmbientModel
 POLAR_MARGIN = 0.15
 
 
-def hypersphere_direction_jet(angles: np.ndarray):
-    """Unit vectors on S^n (n = angles.shape[-1]) with exact first/second jets.
+def hypersphere_direction(angles: np.ndarray) -> np.ndarray:
+    """Unit vectors on S^n (n = angles.shape[-1]); leading axes of ``angles`` are sample axes.
 
-    omega_0 = cos t_0, omega_j = sin t_0 .. sin t_{j-1} cos t_j,
-    omega_n = sin t_0 .. sin t_{n-1}.  Every component is a product of
-    univariate sin/cos factors, so derivatives are factor replacements and
-    the pure second derivative is just -omega_j.  Leading axes of ``angles``
-    are sample axes.
+    omega_0 = cos t_0, omega_j = sin t_0 .. sin t_{j-1} cos t_j, omega_n = sin t_0 .. sin t_{n-1}.
+    """
+    omega = np.concatenate([np.cos(angles), np.ones(np.shape(angles)[:-1] + (1,))], -1)
+    omega[..., 1:] *= np.cumprod(np.sin(angles), -1)
+    return omega
+
+
+def hypersphere_direction_jet(angles: np.ndarray):
+    """:func:`hypersphere_direction` with exact first/second jets.
+
+    Every component is a product of univariate sin/cos factors, so derivatives
+    are factor replacements and the pure second derivative is just -omega_j.
     """
     angles = np.asarray(angles, dtype=float)
     batch, n = angles.shape[:-1], angles.shape[-1]
     m = n + 1
     s, c = np.sin(angles), np.cos(angles)
-    value = np.empty(batch + (m,))
+    value = hypersphere_direction(angles)
     d1 = np.zeros(batch + (m, n))
     d2 = np.zeros(batch + (m, n, n))
     for j in range(m):
         idx = list(range(j + 1)) if j < n else list(range(n))
         fv = [c[..., i] if (i == j and j < n) else s[..., i] for i in idx]
         fd = [-s[..., i] if (i == j and j < n) else c[..., i] for i in idx]
-        value[..., j] = reduce(mul, fv, 1.0)
         for a_pos, a in enumerate(idx):
             rest = reduce(mul, fv[:a_pos] + fv[a_pos + 1:], 1.0)
             d1[..., j, a] = rest * fd[a_pos]
@@ -63,38 +69,32 @@ def hypersphere_direction_jet(angles: np.ndarray):
 def fd_jet(value, p: np.ndarray, h: np.ndarray):
     """(position, d1, d2) of ``value`` at the points p (..., n) by central differences.
 
-    ``value`` maps (..., n) to (..., m), and is called once per stencil offset
-    for all points together.  ``h`` holds one step per parameter axis,
-    broadcast against p; mixed second derivatives use the four-point cross
-    stencil.
+    ``value`` maps (..., n) to (..., m) and is called once, on the stencil stacked along
+    a new leading axis: the center, then per axis i the points +-e_i and the four cross
+    points +-e_i +-e_j for each j < i.  ``h`` holds one step per axis, broadcast against p.
     """
     p = np.asarray(p, dtype=float)
     n = p.shape[-1]
     h = np.broadcast_to(np.asarray(h, dtype=float), p.shape)
-    x = np.asarray(value(p), dtype=float)
+    e = np.moveaxis(h[..., None, :] * np.eye(n), -2, 0)  # e[i]: step h_i along axis i
+    offsets = [np.zeros(p.shape)]
+    for i in range(n):
+        offsets += [e[i], -e[i]]
+        for j in range(i):
+            offsets += [e[i] + e[j], e[i] - e[j], -e[i] + e[j], -e[i] - e[j]]
+    offsets = p + np.stack(offsets)  # the stencil points; frees the per-offset arrays
+    f = iter(np.asarray(value(offsets), dtype=float))
+    x = next(f)
     d1 = np.empty(x.shape + (n,))
     d2 = np.empty(x.shape + (n, n))
-
-    def at(dp):
-        return np.asarray(value(p + dp), dtype=float)
-
-    def step(i):
-        e = np.zeros(p.shape)
-        e[..., i] = h[..., i]
-        return e, h[..., i, None]
-
     for i in range(n):
-        ei, hi = step(i)
-        fp, fm = at(ei), at(-ei)
+        hi = h[..., i, None]
+        fp, fm = next(f), next(f)
         d1[..., i] = (fp - fm) / (2.0 * hi)
         d2[..., i, i] = (fp - 2.0 * x + fm) / hi**2
         for j in range(i):
-            ej, hj = step(j)
-            mixed = (at(ei + ej) - at(ei - ej) - at(-ei + ej) + at(-ei - ej)) / (
-                4.0 * hi * hj
-            )
-            d2[..., i, j] = mixed
-            d2[..., j, i] = mixed
+            a, b, c, d = next(f), next(f), next(f), next(f)
+            d2[..., i, j] = d2[..., j, i] = (a - b - c + d) / (4.0 * hi * h[..., j, None])
     return x, d1, d2
 
 
@@ -148,6 +148,9 @@ class EllipsoidChart(Chart):
         if self.semi_axes.size != self.center.size:
             raise ConfigError("semi_axes and center dimensions disagree")
         self.nparams = self.center.size - 1
+
+    def value(self, p):
+        return self.center + self.semi_axes * hypersphere_direction(p)
 
     def jet(self, p):
         omega, d1, d2 = hypersphere_direction_jet(p)
@@ -314,6 +317,13 @@ class GeodesicSphereChart(Chart):
         d1 = that[:, None] * dS[..., None, :] + E.T
         d2 = that[:, None, None] * d2S[..., None, :, :]
         return v, d1, d2
+
+    def value(self, p):
+        if self.model.signature != RIEMANNIAN:
+            return self.jet(p)[0]
+        x = self._beta * (hypersphere_direction(p)[..., None, :] @ self._frame)[..., 0, :]
+        x += self._alpha * self.center  # in place: a whole FD stencil makes large temporaries
+        return x
 
     def jet(self, p):
         v, d1, d2 = self._direction_jet(p)

@@ -364,7 +364,7 @@ def verify_h2_corollary(config: ScenarioConfig, samples: ScenarioSamples, r: flo
         ]
     checks.append(CheckRecord("h2-positive", "H_2 > 0 throughout", "pass", float(h2.min()), None))
     cbr = c_b(b, r)
-    sup_ratio = float(np.max(h2 / h1))
+    sup_ratio = float(np.max(h2 / h1)) if h1.min() > 0.0 else 0.0
     sup_sqrt = float(np.sqrt(h2.max()))
     m1 = sup_sqrt - sup_ratio
     m2 = sup_ratio - cbr
@@ -393,6 +393,10 @@ def verify_h2_corollary(config: ScenarioConfig, samples: ScenarioSamples, r: flo
             list(map(float, samples.frames.param[worst])),
         )
     )
+    if h1.min() <= 0.0:  # the ratio bounds and the first Newton eigenvalues presuppose H_1 > 0
+        for c in checks:
+            if c.id not in ("h2-positive", "scalar-curvature-bound"):
+                c.status, c.residual, c.worst_sample = "hypothesis-violation", float(h1.min()), None
     return checks
 
 

@@ -17,12 +17,13 @@ contraction with P_k is a sum over them weighted by the eigenvalues of P_k.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .charts import fd_jet
 from .comparison import phi_b, phi_b_d1, phi_b_d2
-from .curvature import TAU_ELL, symmetric_values, trace_coefficients
+from .curvature import TAU_ELL, _frozen, symmetric_values, trace_coefficients
 from .errors import (
     ConsistencyError,
     GeometryError,
@@ -131,6 +132,11 @@ class FieldSample:
     errors: np.ndarray  # per-row GeometryError of the field, None where it is defined
 
 
+@cache
+def _lower_triangle(n: int) -> tuple:
+    return tuple(_frozen(a) for a in np.tril_indices(n))
+
+
 def restrict_field(patch: HypersurfacePatch, field, frame: PointFrame) -> FieldSample:
     """Value, gradient and intrinsic Hessian of ``field`` restricted to the frame's points.
 
@@ -145,7 +151,7 @@ def restrict_field(patch: HypersurfacePatch, field, frame: PointFrame) -> FieldS
     normal_coef = model.flat_inner(gbar, frame.normal)
     # one Hessian call on every pair (i >= j) of tangent columns; the columns
     # are strided in memory, so their flat inner products round as for d1[:, i]
-    i, j = np.tril_indices(patch.n)
+    i, j = _lower_triangle(patch.n)
     X, Y = (np.swapaxes(np.ascontiguousarray(d1[..., c]), -1, -2) for c in (i, j))
     pairs = hessian(X, Y)
     hess = np.empty(d1.shape[:-2] + (patch.n, patch.n))
@@ -170,18 +176,18 @@ def restrict_field(patch: HypersurfacePatch, field, frame: PointFrame) -> FieldS
 def intrinsic_hessian_fd(
     patch: HypersurfacePatch, scalar_fn, p: np.ndarray, step_scale: float = 1e-4
 ) -> np.ndarray:
-    """Intrinsic Hessian of a parameter-space scalar via Christoffel symbols.
+    """Intrinsic Hessian at p (n,) of a parameter-space scalar via Christoffel symbols.
 
-    The metric derivatives come from the same central-difference stencil as
-    the scalar's; the result is d_i d_j u - Gamma^l_ij d_l u.  Purely chart-level: never
-    touches the ambient Hessian identity it cross-checks.
+    ``scalar_fn`` maps parameter rows (..., n) to (...); it and ``patch.jet_at``
+    are called once, on one central-difference stencil.  The result is d_i d_j u -
+    Gamma^l_ij d_l u.  Purely chart-level: never touches the ambient Hessian identity.
     """
     n = patch.n
     eta = patch.ambient.metric_diag
 
     def scalar_and_metric(q):
         g = induced_metric(patch.jet_at(q)[1], eta)
-        return np.concatenate([np.atleast_1d(scalar_fn(q)), g.ravel()])
+        return np.concatenate([scalar_fn(q)[..., None], g.reshape(g.shape[:-2] + (n * n,))], -1)
 
     x, d1, d2 = fd_jet(scalar_and_metric, np.asarray(p, dtype=float),
                        step_scale * patch.domain_width)

@@ -168,6 +168,23 @@ def test_cylinder_triggers_hypothesis_violation():
     assert h2.status == "hypothesis-violation"
 
 
+def test_h2_corollary_needs_positive_mean_curvature():
+    # the outer-oriented ellipsoid has H_1 < 0 < H_2 everywhere: the
+    # corollary's hypotheses fail, its conclusions are not falsified
+    config = bundled("ellipsoid")
+    config.orientation = "outer"
+    report = run_scenario(config)
+    h1_min = collect_samples(config).data.H[:, 1].min()
+    assert h1_min < 0.0
+    statuses = {c.id: (c.status, c.residual) for c in report.checks}
+    for cid in ("sqrt-h2-dominates-ratio", "h2-ratio-lower-bound",
+                "first-newton-eigenvalues-positive"):
+        assert statuses[cid] == ("hypothesis-violation", h1_min)
+    assert statuses["h2-positive"][0] == "pass"
+    assert not any(c.status == "fail" for c in report.checks)
+    assert report.exit_code == 2
+
+
 def test_refined_extremum_reaches_touching_radius():
     samples = collect_samples(bundled("ellipsoid"))
     _, r = refined_distance_extremum(samples, "max")

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from curvbound.charts import (
     Chart,
+    EllipsoidChart,
     GeodesicSphereChart,
     TabulatedChart,
     build_chart,
+    fd_jet,
     hypersphere_direction_jet,
     write_chart_csv,
 )
@@ -32,6 +34,7 @@ from curvbound.operators import (
     key_inequality_rhs,
     operator_data,
     restrict_field,
+    restriction_hessian,
     trace_operator,
 )
 from curvbound.spaceform import AmbientModel
@@ -214,6 +217,142 @@ def test_fd_jets_agree_with_analytic_on_all_bundled_charts(rng):
             k1 = frame_at(exact, p).kappa
             k2 = frame_at(fd, p).kappa
             np.testing.assert_allclose(k1, k2, atol=1e-4), kind
+
+
+# -- finite-difference stencil ----------------------------------------------------
+
+
+def fd_jet_per_offset(value, p, h):
+    """Oracle for ``fd_jet``: one ``value`` call per stencil offset, in stencil order."""
+    p = np.asarray(p, dtype=float)
+    n = p.shape[-1]
+    h = np.broadcast_to(np.asarray(h, dtype=float), p.shape)
+    x = np.asarray(value(p), dtype=float)
+    d1 = np.empty(x.shape + (n,))
+    d2 = np.empty(x.shape + (n, n))
+
+    def at(dp):
+        return np.asarray(value(p + dp), dtype=float)
+
+    def step(i):
+        e = np.zeros(p.shape)
+        e[..., i] = h[..., i]
+        return e, h[..., i, None]
+
+    for i in range(n):
+        ei, hi = step(i)
+        fp, fm = at(ei), at(-ei)
+        d1[..., i] = (fp - fm) / (2.0 * hi)
+        d2[..., i, i] = (fp - 2.0 * x + fm) / hi**2
+        for j in range(i):
+            ej, hj = step(j)
+            mixed = (at(ei + ej) - at(ei - ej) - at(-ei + ej) + at(-ei - ej)) / (
+                4.0 * hi * hj
+            )
+            d2[..., i, j] = mixed
+            d2[..., j, i] = mixed
+    return x, d1, d2
+
+
+def failing_rows(value):
+    """``value`` that raises at the first row, in C order, whose bytes hash to 0 mod 23."""
+
+    def wrapped(q):
+        for row in np.reshape(q, (-1, np.shape(q)[-1])):
+            if zlib.crc32(row.tobytes()) % 23 == 0:
+                raise DomainError(f"no value at {row.tolist()}")
+        return value(q)
+
+    return wrapped
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DomainError as exc:
+        return str(exc)
+
+
+@given(
+    n=st.integers(1, 4),
+    batch=st.sampled_from([(), (5,), (2, 3)]),
+    per_point=st.booleans(),
+    kind=st.sampled_from(["ellipsoid", "geodesic_sphere"]),
+    fails=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_stacked_stencil_matches_per_offset_loop(n, batch, per_point, kind, fails, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "ellipsoid":
+        chart = EllipsoidChart(rng.normal(size=n + 1), rng.uniform(0.5, 2.0, n + 1))
+    else:
+        model = AmbientModel.hyperbolic(-1.0, n + 1)
+        chart = build_chart(model, "geodesic_sphere", {"radius": 0.9, "center": model.base_point()})
+    value = failing_rows(chart.value) if fails else chart.value
+    p = rng.uniform(0.3, 2.8, batch + (n,))
+    h = rng.uniform(1e-5, 1e-2, batch + (n,) if per_point else ())
+    stacked, looped = outcome(fd_jet, value, p, h), outcome(fd_jet_per_offset, value, p, h)
+    if isinstance(looped, str):
+        assert stacked == looped
+        return
+    for a, b in zip(stacked, looped):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_chart_value_is_the_jet_position(tmp_path, rng):
+    S3, H3 = AmbientModel.sphere(1.0, 3), AmbientModel.hyperbolic(-1.0, 3)
+    L3 = AmbientModel.lorentz_space_form(-0.8, 3)
+    patches = [
+        sphere_patch(),
+        build_patch(E3, "ellipsoid", {"semi_axes": [0.6, 1.0, 1.3]}, center=np.ones(3)),
+        build_patch(AmbientModel.euclidean(5), "ellipsoid",
+                    {"semi_axes": [0.6, 1.0, 1.3, 0.8, 1.1]}, center=np.zeros(5)),
+        build_patch(E3, "cylinder", {"radius": 1.0}, center=np.zeros(3)),
+        build_patch(E3, "graph", {"terms": [[0.2, [2, 1]], [-0.1, [0, 3]]],
+                                  "box_lo": [-1, -1], "box_hi": [1, 1]}),
+        build_patch(E3, "geodesic_sphere", {"radius": 0.8}, center=np.zeros(3)),
+        build_patch(S3, "geodesic_sphere", {"radius": 0.7}, center=S3.base_point()),
+        build_patch(H3, "geodesic_sphere", {"radius": 1.1}, center=H3.base_point()),
+        build_patch(M3, "geodesic_sphere", {"radius": 1.5}, center=np.zeros(3)),
+        build_patch(L3, "geodesic_sphere", {"radius": 0.5}, center=L3.base_point()),
+        build_patch(M3, "hyperboloid", {"radius": 2.0}),
+        build_patch(M3, "perturbed_hyperboloid", {"radius": 2.0}),
+    ]
+    for patch in patches:
+        for shape in ((), (7,), (3, 4)):
+            p = patch.domain_lo + rng.uniform(0.1, 0.9, shape + (patch.n,)) * patch.domain_width
+            assert patch.chart.value(p).tobytes() == patch.chart.jet(p)[0].tobytes()
+    lo, hi = sphere_patch().domain_lo, sphere_patch().domain_hi
+    for jets in (True, False):
+        path = tmp_path / f"table-{jets}.csv"
+        write_chart_csv(sphere_patch().chart, lo, hi, 6, path, include_jets=jets)
+        table = TabulatedChart.from_csv(path)
+        inner = np.stack(np.meshgrid(*[a[1:-1] for a in table.axes], indexing="ij"), axis=-1)
+        assert table.value(inner).tobytes() == table.jet(inner)[0].tobytes()
+
+
+def test_one_value_call_per_stencil(monkeypatch):
+    # one fd_jet evaluates its 1 + 2n + 2n(n-1) points in one call, and the
+    # FD oracle behind restriction_hessian reads the patch jets in one call
+    calls, jets = [], []
+    chart = EllipsoidChart(np.zeros(3), np.array([0.6, 1.0, 1.0]))
+
+    def value(q):
+        calls.append(np.shape(q))
+        return chart.value(q)
+
+    fd_jet(value, np.array([1.0, 2.0]), 1e-4)
+    assert calls == [(9, 2)]
+    jet_at = HypersurfacePatch.jet_at
+
+    def counted(patch, p):
+        jets.append(np.shape(p))
+        return jet_at(patch, p)
+
+    monkeypatch.setattr(HypersurfacePatch, "jet_at", counted)
+    patch = build_patch(E3, "ellipsoid", {"semi_axes": [0.6, 1.0, 1.0]}, center=np.zeros(3))
+    restriction_hessian(patch, np.zeros(3), np.array([1.0, 2.0]))
+    assert jets == [(1, 2), (9, 2)]  # the frame's row, then the oracle's stencil
 
 
 # -- grids -----------------------------------------------------------------------

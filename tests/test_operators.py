@@ -85,7 +85,7 @@ def test_offset_circle_restriction_hessian():
     # u(theta) = sqrt(1.25 - cos theta) has u''(0) = 1/(2 * 0.5) = 1
     assert hess[0, 0] == pytest.approx(1.0, abs=1e-8)
     fd = intrinsic_hessian_fd(
-        patch, lambda q: np.sqrt(1.25 - np.cos(q[0])), np.array([0.0])
+        patch, lambda q: np.sqrt(1.25 - np.cos(q[..., 0])), np.array([0.0])
     )
     assert fd[0, 0] == pytest.approx(1.0, abs=1e-6)
 
@@ -155,6 +155,20 @@ def test_lorentzian_gradient_decomposition(rng):
         assert s.normal_coef == pytest.approx(np.sqrt(1.0 + s.grad_norm_sq), abs=1e-8)
 
 
+def test_restrict_field_builds_pair_indices_once(monkeypatch):
+    # the (i >= j) pair indices are cached per n and read-only
+    calls, tril = [], np.tril_indices
+    monkeypatch.setattr(np, "tril_indices", lambda n: calls.append(n) or tril(n))
+    operators._lower_triangle.cache_clear()
+    patch = ellipsoid_patch()
+    field = DistanceField(E3, np.zeros(3))
+    for p in interior_points(patch, np.random.default_rng(5), 3):
+        restrict_field(patch, field, frame_at(patch, p))
+    assert calls == [2]
+    with pytest.raises(ValueError):
+        operators._lower_triangle(2)[0][0] = 1
+
+
 # -- L_k ---------------------------------------------------------------------------
 
 
@@ -167,7 +181,7 @@ def test_laplacian_of_height_on_unit_sphere(rng):
         lap = l_k_apply(patch, p, 0, height)
         assert lap == pytest.approx(-2.0 * z, abs=1e-9)
         # k = 0 agrees with the raw trace of the FD-route Hessian
-        fd = intrinsic_hessian_fd(patch, lambda q: patch.chart.value(q)[2], p)
+        fd = intrinsic_hessian_fd(patch, lambda q: patch.chart.value(q)[..., 2], p)
         assert np.trace(np.linalg.solve(frame.metric, fd)) == pytest.approx(lap, abs=1e-5)
 
 
@@ -181,7 +195,7 @@ def test_coordinate_field_on_quadric_model(rng):
     for p in interior_points(patch, rng, 3):
         s = restrict_field(patch, field, frame_at(patch, p))
         fd = intrinsic_hessian_fd(
-            patch, lambda q: float(np.asarray(patch.chart.value(q))[1]), p
+            patch, lambda q: np.asarray(patch.chart.value(q))[..., 1], p
         )
         assert np.abs(s.hess - fd).max() < 1e-5
 

@@ -5,6 +5,11 @@ phi_b, the Lorentzian counterpart C_{-b}, admissible curvature-growth bounds
 G, the Cauchy problem g'' = G^2 g, the explicit supersolution quotient psi,
 and the barrier ingredients phi (A10-style primitive) and the finite
 supremum Lambda.
+
+The scenario pipeline needs only the closed forms (C_b, C_{-b}, phi_b), which
+use no scipy.  scipy loads on the first call of a function that integrates:
+``CurvatureBoundG.admissibility`` (so ``require_admissible``), ``solve_cauchy_g``
+(so ``sturm_profile``/``sturm_margin``), ``psi``, ``lambda_sup``, ``phi_gamma``.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, optimize
 
 from .errors import DomainError, HypothesisViolationError, NumericalError
 
@@ -120,6 +124,7 @@ class CurvatureBoundG:
         return (self.fn(t + h) - self.fn(max(t - h, 0.0))) / (h + min(t, h))
 
     def admissibility(self) -> AdmissibilityFlags:
+        from scipy import integrate
         g0 = self(0.0)
         grid = np.linspace(0.0, 100.0, 501)
         nondec = all(self.derivative(float(t)) >= -1e-10 for t in grid)
@@ -194,8 +199,9 @@ def solve_cauchy_g(G: CurvatureBoundG, T: float, num: int = 1001) -> OdeSolution
     The first step is taken from the series g = t + G(0)^2 t^3/6 + O(t^4) to
     avoid quotient singularities at t = 0.
     """
-    if T <= 0.0:
-        raise DomainError("solve_cauchy_g requires T > 0")
+    if not 0.0 < T < math.inf:  # written so that NaN fails it
+        raise DomainError("solve_cauchy_g requires a finite T > 0")
+    from scipy import integrate
     G.require_admissible()
     g0sq = G(0.0) ** 2
     t0 = min(1e-6, T * 1e-6)
@@ -242,6 +248,7 @@ def psi(G: CurvatureBoundG, t: float) -> float:
         raise DomainError("psi requires t >= 0")
     if t == 0.0:
         return 0.0
+    from scipy import integrate
     total, _ = integrate.quad(G, 0.0, t, limit=200)
     return math.expm1(total) / G(0.0)
 
@@ -254,8 +261,8 @@ def psi_quotient(G: CurvatureBoundG, integral: np.ndarray, t: np.ndarray) -> np.
 
 def sturm_profile(G: CurvatureBoundG, T: float, num: int = 1000):
     """Grid, g, g', psi, and the margin psi'/psi - g'/g over (0, T]."""
-    if T < 0.1:
-        raise DomainError("sturm comparison requires T >= 0.1")
+    if not 0.1 <= T < math.inf:
+        raise DomainError("sturm comparison requires a finite T >= 0.1")
     sol = solve_cauchy_g(G, T, num=num + 1)
     grid = sol.grid[1:]
     g = sol.g[1:]
@@ -291,6 +298,9 @@ def lambda_sup(G: CurvatureBoundG, t_max: float = 50.0, num: int = 2000) -> Lamb
     with golden-section search around the grid argmax.  The tail limit
     e^{int_0^1 G} is reported separately.
     """
+    if not 2.0 <= t_max < math.inf:
+        raise DomainError("lambda_sup requires a finite t_max >= 2")
+    from scipy import integrate, optimize
     G.require_admissible()
     fine = np.linspace(0.0, t_max, 8 * num + 1)
     gvals = np.array([G(float(t)) for t in fine])
@@ -323,5 +333,6 @@ def phi_gamma(G: CurvatureBoundG, t: float) -> float:
         raise DomainError("phi_gamma requires t >= 0")
     if t == 0.0:
         return 0.0
+    from scipy import integrate
     val, _ = integrate.quad(lambda s: 1.0 / G(s + 1.0), 0.0, t, limit=200)
     return val

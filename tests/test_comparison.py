@@ -220,6 +220,27 @@ def test_sturm_requires_minimum_horizon():
         sturm_margin(make_bound("const(1)"), 0.05)
 
 
+@pytest.mark.parametrize("horizon", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_horizons_must_be_finite_and_positive(horizon):
+    # NaN fails every comparison, so each guard must reject it rather than
+    # let it reach solve_ivp (which never returns on a NaN span)
+    G = make_bound("const(1)")
+    with pytest.raises(DomainError):
+        solve_cauchy_g(G, horizon)
+    with pytest.raises(DomainError):
+        sturm_profile(G, horizon)
+    with pytest.raises(DomainError):
+        lambda_sup(G, t_max=horizon)
+
+
+def test_lambda_requires_t_max_of_at_least_two():
+    G = make_bound("const(1)")
+    for t_max in (1.0, 1.5, 1.999):
+        with pytest.raises(DomainError):
+            lambda_sup(G, t_max=t_max)
+    assert lambda_sup(G, t_max=2.0).argmax == 2.0
+
+
 # -- Lambda and the barrier primitive -------------------------------------------
 
 

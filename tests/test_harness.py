@@ -1,11 +1,18 @@
 """Scenario loading, verification reports, CSV emission, CLI exit codes."""
 
+import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import curvbound
 from curvbound import immersion
 from curvbound.cli import main
 from curvbound.errors import ConfigError
@@ -310,15 +317,37 @@ def test_cli_usage_error_for_bad_scenario(tmp_path, capsys):
 
 
 def test_cli_analysis_subcommands(tmp_path, capsys):
-    assert main(["sturm", "--G", "const(1)", "--T", "5",
-                 "--emit-csv", str(tmp_path / "sturm.csv")]) == 0
-    assert (tmp_path / "sturm.csv").read_text().startswith("t,g,dg,psi,margin")
+    csv_path = tmp_path / "sturm.csv"
+    assert main(["sturm", "--G", "const(1)", "--T", "5", "--emit-csv", str(csv_path)]) == 0
+    assert csv_path.read_text().startswith("t,g,dg,psi,margin")
+    assert capsys.readouterr().out == (
+        "min margin psi'/psi - g'/g on (0, 5.0]: 0.006692851\n"
+        "margin at T: 0.006692851\n"
+        f"profile written to {csv_path}\n"
+    )
     assert main(["lambda", "--G", "const(1)"]) == 0
     out = capsys.readouterr().out
     assert "4.300258" in out  # e^2/(e-1)
+    assert out == "Lambda = 4.300258535 attained at t = 2.000000\ntail limit = 2.718281828\n"
     assert main(["comparison", "--b", "-1", "--t", "1"]) == 0
     assert "1.313035" in capsys.readouterr().out
     assert main(["list-scenarios"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["sturm", "--G", "const(1)", "--T", "nan"],
+    ["sturm", "--G", "const(1)", "--T", "inf"],
+    ["lambda", "--G", "const(1)", "--t-max", "nan"],
+    ["lambda", "--G", "const(1)", "--t-max", "inf"],
+    ["lambda", "--G", "const(1)", "--t-max", "1"],
+    ["lambda", "--G", "const(1)", "--t-max", "1.5"],
+    ["lambda", "--G", "const(1)", "--t-max", "-5"],
+], ids=lambda argv: f"{argv[0]}-{argv[-1]}")
+def test_cli_rejects_bad_horizons(argv, capsys):
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ") and "finite" in captured.err
 
 
 def test_cli_resolution_and_tol_overrides():
@@ -329,11 +358,64 @@ def test_cli_resolution_and_tol_overrides():
 
 def test_package_namespace_resolves():
     # a name deleted from a module but left in __all__ breaks the star import
-    import curvbound
-
     namespace = {}
     exec("from curvbound import *", namespace)
     missing = [name for name in curvbound.__all__
                if name not in namespace or not hasattr(curvbound, name)]
     assert missing == []
     assert len(set(curvbound.__all__)) == len(curvbound.__all__)
+
+
+# The child imports the package, runs every bundled scenario and the CLI
+# commands that need no integration, then one Sturm margin.  It prints the
+# scipy modules loaded before and after that call, and the margin.
+NO_SCIPY_CHILD = """
+import json, sys
+import curvbound
+from curvbound import cli
+from curvbound.harness import bundled_scenarios, load_scenario, run_scenario
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+for source in bundled_scenarios().values():
+    config = load_scenario(source)
+    config.resolution = 8
+    run_scenario(config)
+codes = [
+    cli.main(["verify", "--scenario", "sphere-equality", "--resolution", "8"]),
+    cli.main(["comparison", "--b", "-1", "--t", "1"]),
+    cli.main(["list-scenarios"]),
+]
+before = scipy_modules()
+margin = curvbound.sturm_margin(curvbound.make_bound("const(1)"), 5.0)
+print(json.dumps({"codes": codes, "before": before, "after": scipy_modules(),
+                  "margin": margin.hex()}))
+"""
+
+
+def test_verify_path_imports_no_scipy():
+    src = str(Path(curvbound.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY_CHILD], capture_output=True,
+                          text=True, check=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    child = json.loads(done.stdout.splitlines()[-1])
+    assert child["codes"] == [0, 0, 0]
+    assert child["before"] == []
+    assert "scipy.integrate" in child["after"]
+    margin = curvbound.sturm_margin(curvbound.make_bound("const(1)"), 5.0)
+    assert float.fromhex(child["margin"]) == margin
+
+
+# -- invariances -------------------------------------------------------------------
+
+RIEMANNIAN_SCENARIOS = ["ellipsoid", "sphere-equality", "sphere-in-hyperbolic", "sphere-in-sphere"]
+
+
+@given(name=st.sampled_from(RIEMANNIAN_SCENARIOS), resolution=st.integers(4, 16))
+def test_orientation_flip_negates_odd_mean_curvatures(name, resolution):
+    # kappa -> -kappa under the flip, so H_k -> (-1)^k H_k exactly
+    config = dataclasses.replace(bundled(name), resolution=resolution)
+    inner = collect_samples(dataclasses.replace(config, orientation="inner")).data.H
+    outer = collect_samples(dataclasses.replace(config, orientation="outer")).data.H
+    signs = (-1.0) ** np.arange(inner.shape[-1])
+    assert np.array_equal(outer, signs * inner)

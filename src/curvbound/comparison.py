@@ -197,12 +197,26 @@ def solve_cauchy_g(G: CurvatureBoundG, T: float, num: int = 1001) -> OdeSolution
     """Integrate the Cauchy problem with an adaptive high-order RK scheme.
 
     The first step is taken from the series g = t + G(0)^2 t^3/6 + O(t^4) to
-    avoid quotient singularities at t = 0.
+    avoid quotient singularities at t = 0.  Raises DomainError when g would
+    overflow float64 before T.
     """
     if not 0.0 < T < math.inf:  # written so that NaN fails it
         raise DomainError("solve_cauchy_g requires a finite T > 0")
     from scipy import integrate
     G.require_admissible()
+
+    # g <= psi and g' <= psi' (Sturm comparison), so log_stage bounds the log of the
+    # integrator's stages g' and G^2 g; DOP853 sums them with weights of a few hundred
+    def log_stage(t):
+        gt = G(t)
+        return integrate.quad(G, 0.0, t, limit=200)[0] + math.log(gt * max(1.0, gt) / G(0.0))
+
+    limit = math.log(np.finfo(float).max / 1e3)
+    t_hi = min(T, (limit + 1.0) / G(0.0))  # log_stage(t) >= t G(0)
+    if log_stage(t_hi) > limit:
+        from scipy import optimize
+        where = optimize.brentq(lambda t: log_stage(t) - limit, 0.0, t_hi)
+        raise DomainError(f"g overflows float64 near t = {where:.6g}; choose T below it")
     g0sq = G(0.0) ** 2
     t0 = min(1e-6, T * 1e-6)
     y0 = [

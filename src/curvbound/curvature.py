@@ -7,6 +7,9 @@ Sign conventions follow the ambient signature.  With binom = binomial(n, k):
 
 In both cases Tr P_k = c_k H_k with c_k = (n-k) binom(n,k), while
 Tr(A P_k) = c_k H_{k+1} riemannian and -c_k H_{k+1} lorentzian.
+
+H_k and the P_k eigenvalues come from one S_k table: :func:`complement_symmetric`
+builds it (once per frame batch), :func:`signed_values` signs and normalizes it.
 """
 
 from __future__ import annotations
@@ -81,24 +84,34 @@ def higher_mean_curvatures(kappa: np.ndarray, n: int, signature: str) -> np.ndar
     return _signs(n, signature) * elementary_symmetric(kappa) / binomials(n)
 
 
-def symmetric_values(kappa: np.ndarray, signature: str) -> tuple:
-    """(H, newton_eigenvalues) of the spectra kappa (..., n) from one S_k recurrence.
+def complement_symmetric(kappa: np.ndarray) -> np.ndarray:
+    """Unsigned S_k table (..., n+1, n+1) of the spectra kappa (..., n), from one recurrence.
 
-    ``H`` equals :func:`higher_mean_curvatures` bit for bit.  In
-    ``newton_eigenvalues`` row k, column i (the last two axes) holds the
-    eigenvalue of P_k on the i-th principal direction: S_k of the spectrum
-    with kappa_i removed (times (-1)^k in the lorentzian convention); row n is
-    zero.  The recurrence runs on the gathered rows "kappa without kappa_i,
-    then a zero" and "kappa".  The zero is exact while S_k is finite: its
-    step adds 0 * s to each S_k, and s + 0 * s = s because s is never -0.0
-    (it starts at +0.0, and a sum is -0.0 only when both terms are).
+    Row i < n holds S_0..S_n of kappa without kappa_i, then a zero; row n
+    those of kappa.  The zero is exact while S_k is finite: its step adds
+    0 * s to each S_k, and s + 0 * s = s because s is never -0.0 (it starts
+    at +0.0, and a sum is -0.0 only when both terms are).
     """
     kappa = np.asarray(kappa, dtype=float)
-    n = kappa.shape[-1]
     padded = np.concatenate([kappa, np.zeros(kappa.shape[:-1] + (1,))], axis=-1)
-    s = elementary_symmetric(padded[..., _complement_index(n)])
+    return elementary_symmetric(padded[..., _complement_index(kappa.shape[-1])])
+
+
+def signed_values(s: np.ndarray, signature: str) -> tuple:
+    """(H, newton_eigenvalues) of a :func:`complement_symmetric` table s.
+
+    ``H`` equals :func:`higher_mean_curvatures` bit for bit.  In
+    ``newton_eigenvalues`` entry (k, i) is the eigenvalue of P_k on the i-th
+    principal direction; row n is zero.
+    """
+    n = s.shape[-1] - 1
     signs = _signs(n, signature)
     return signs * s[..., n, :] / binomials(n), signs[:, None] * np.swapaxes(s[..., :n, :], -1, -2)
+
+
+def symmetric_values(kappa: np.ndarray, signature: str) -> tuple:
+    """:func:`signed_values` of the :func:`complement_symmetric` table of kappa."""
+    return signed_values(complement_symmetric(kappa), signature)
 
 
 @dataclass(frozen=True)

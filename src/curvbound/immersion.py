@@ -2,8 +2,8 @@
 
 A patch couples a chart with an ambient model, an orientation convention and
 an optional reference center.  Frames carry everything downstream consumers
-need: position, tangents, metric, unit normal, second fundamental form and
-its principal curvatures (with the principal directions on demand).
+need: position, tangents, metric, unit normal, second fundamental form, its
+principal curvatures with their S_k table (and principal directions on demand).
 
 Orientation conventions:
   inner / outer -- Riemannian; "inner" points toward the declared center
@@ -19,6 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .charts import Chart, build_chart, fd_jet
+from .curvature import complement_symmetric
 from .errors import (
     ConfigError,
     DomainError,
@@ -34,6 +35,9 @@ from .spaceform import LORENTZIAN, RIEMANNIAN, AmbientModel, gradient_rows
 
 # Finite-difference jet step, relative to the per-axis domain width.
 FD_JET_SCALE = 1e-5
+# kappa and H_k of FD jets at that step: within this of the analytic ones,
+# relative to max(1, max|kappa|^k), on geodesic spheres (a property test).
+FD_JET_TOL = 1e-5
 
 # Smallest metric eigenvalue, relative to the largest, at which the chart
 # still counts as immersive (spacelike, in Lorentzian models).
@@ -119,9 +123,10 @@ class PointFrame:
 
     Fields carry the leading sample axes of the points they were evaluated
     at; ``frame[i]`` is the frame of sample i.  The second-order data is the
-    spectrum ``kappa`` of the shape operator and, computed on first use, the
-    principal directions: a Newton tensor P_k acts through its eigenvalue on
-    each of them (see :func:`curvbound.operators.trace_operator`).
+    spectrum ``kappa`` of the shape operator, its S_k table ``symmetric``
+    (:func:`curvbound.curvature.complement_symmetric`) and, computed on first
+    use, the principal directions: a Newton tensor P_k acts through its
+    eigenvalue on each of them (see :func:`curvbound.operators.trace_operator`).
     """
 
     param: np.ndarray
@@ -131,10 +136,11 @@ class PointFrame:
     normal: np.ndarray
     second_form: np.ndarray
     kappa: np.ndarray  # (..., n) principal curvatures, ascending
+    symmetric: np.ndarray  # (..., n+1, n+1) S_k of kappa without kappa_i (row i), of kappa (row n)
 
     def __getitem__(self, i) -> "PointFrame":
         return PointFrame(self.param[i], self.position[i], self.tangent[i], self.metric[i],
-                          self.normal[i], self.second_form[i], self.kappa[i])
+                          self.normal[i], self.second_form[i], self.kappa[i], self.symmetric[i])
 
     @cached_property
     def principal(self) -> np.ndarray:
@@ -144,7 +150,7 @@ class PointFrame:
 
 
 def frames_at(patch: HypersurfacePatch, P: np.ndarray):
-    """Frames at the rows of P (N, n): metric, oriented unit normal, second form and kappa.
+    """Frames at the rows of P (N, n): metric, oriented unit normal, second form, kappa, S_k.
 
     Returns (frames, errors).  ``frames`` holds the rows that have a frame, in
     order; ``errors[i]`` is the GeometryError of row i, or None when row i is
@@ -212,6 +218,7 @@ def frames_at(patch: HypersurfacePatch, P: np.ndarray):
 
     h = np.einsum("...mab,...m->...ab", d2, eta * normal)
     h = 0.5 * (h + np.swapaxes(h, -1, -2))
+    kappa = np.linalg.eigvalsh(orthonormal_shape(g, h)[1])
     frames = PointFrame(
         param=P[rows],
         position=x,
@@ -219,7 +226,8 @@ def frames_at(patch: HypersurfacePatch, P: np.ndarray):
         metric=g,
         normal=normal,
         second_form=h,
-        kappa=np.linalg.eigvalsh(orthonormal_shape(g, h)[1]),
+        kappa=kappa,
+        symmetric=complement_symmetric(kappa),
     )
     return frames, errors
 

@@ -12,6 +12,8 @@ the identity route as an oracle.
 The Newton tensors P_k act through their spectra: P_k and the shape
 operator share the principal directions e_i of the frame, so every
 contraction with P_k is a sum over them weighted by the eigenvalues of P_k.
+The frame carries the S_k table of its principal curvatures, so operator
+data only signs and normalizes it: no S_k recurrence runs here.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from .charts import fd_jet
 from .comparison import phi_b, phi_b_d1, phi_b_d2
-from .curvature import TAU_ELL, _frozen, symmetric_values, trace_coefficients
+from .curvature import TAU_ELL, _frozen, signed_values, trace_coefficients
 from .errors import (
     ConsistencyError,
     GeometryError,
@@ -176,18 +178,20 @@ def restrict_field(patch: HypersurfacePatch, field, frame: PointFrame) -> FieldS
 def intrinsic_hessian_fd(
     patch: HypersurfacePatch, scalar_fn, p: np.ndarray, step_scale: float = 1e-4
 ) -> np.ndarray:
-    """Intrinsic Hessian at p (n,) of a parameter-space scalar via Christoffel symbols.
+    """Intrinsic Hessian at p (n,) of u = scalar_fn∘f via Christoffel symbols.
 
-    ``scalar_fn`` maps parameter rows (..., n) to (...); it and ``patch.jet_at``
-    are called once, on one central-difference stencil.  The result is d_i d_j u -
-    Gamma^l_ij d_l u.  Purely chart-level: never touches the ambient Hessian identity.
+    ``scalar_fn`` maps ambient positions (..., m) to (...).  ``patch.jet_at``
+    is called once, on one central-difference stencil, and ``scalar_fn`` once,
+    on the positions of that jet.  The result is d_i d_j u - Gamma^l_ij d_l u.
+    Purely chart-level: never touches the ambient Hessian identity.
     """
     n = patch.n
     eta = patch.ambient.metric_diag
 
     def scalar_and_metric(q):
-        g = induced_metric(patch.jet_at(q)[1], eta)
-        return np.concatenate([scalar_fn(q)[..., None], g.reshape(g.shape[:-2] + (n * n,))], -1)
+        x, d1, _ = patch.jet_at(q)
+        g = induced_metric(d1, eta)
+        return np.concatenate([scalar_fn(x)[..., None], g.reshape(g.shape[:-2] + (n * n,))], -1)
 
     x, d1, d2 = fd_jet(scalar_and_metric, np.asarray(p, dtype=float),
                        step_scale * patch.domain_width)
@@ -206,7 +210,7 @@ def restriction_hessian(
     model = patch.ambient
     sample = restrict_field(patch, DistanceField(model, o), frame_at(patch, p))
     raise_first(sample.errors)
-    fd = intrinsic_hessian_fd(patch, lambda q: ambient_distance(model, o, patch.chart.value(q)), p)
+    fd = intrinsic_hessian_fd(patch, lambda x: ambient_distance(model, o, x), p)
     scale = max(1.0, float(np.abs(sample.hess).max()))
     if np.abs(sample.hess - fd).max() > check_tol * scale:
         raise ConsistencyError(
@@ -243,8 +247,8 @@ class OperatorData:
 
 
 def operator_data(frame: PointFrame, signature: str) -> OperatorData:
-    """Operator data of a frame, over its leading sample axes."""
-    H, newton_eigenvalues = symmetric_values(frame.kappa, signature)
+    """Operator data of a frame (over its leading axes): its S_k table, signed and normalized."""
+    H, newton_eigenvalues = signed_values(frame.symmetric, signature)
     return OperatorData(
         kappa=frame.kappa,
         newton_eigenvalues=newton_eigenvalues,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from curvbound.immersion import build_patch
 from curvbound.spaceform import (
     LORENTZIAN,
     RIEMANNIAN,
@@ -29,6 +30,27 @@ def all_models(dimension=3):
         AmbientModel.lorentz_space_form(0.7, dimension),
         AmbientModel.lorentz_space_form(-0.8, dimension),
     ]
+
+
+def riemannian_space_form(b, dimension):
+    if b > 0:
+        return AmbientModel.sphere(b, dimension)
+    if b < 0:
+        return AmbientModel.hyperbolic(b, dimension)
+    return AmbientModel.euclidean(dimension)
+
+
+def equality_spheres():
+    """(b, radius, n, jets, resolution, patch): the 18 geodesic spheres on which
+    H_{k+1}/H_k = C_b(radius), for b in {-1, 0, 1}, n in 2..4, analytic and FD jets."""
+    for b in (-1.0, 0.0, 1.0):
+        r = np.pi / 4.0 if b > 0 else 1.0
+        for n, resolution in ((2, 10), (3, 6), (4, 4)):
+            model = riemannian_space_form(b, n + 1)
+            for jets in ("analytic", "fd"):
+                patch = build_patch(model, "geodesic_sphere", {"radius": r},
+                                    center=model.base_point(), jets=jets)
+                yield b, r, n, jets, resolution, patch
 
 
 def base_point(model):

@@ -44,7 +44,14 @@ from curvbound.spaceform import (
     hessian_comparison_residual,
 )
 
-from conftest import all_models, base_point, random_point_at, random_tangent, rho_range
+from conftest import (
+    all_models,
+    base_point,
+    equality_spheres,
+    random_point_at,
+    random_tangent,
+    rho_range,
+)
 
 
 @contextmanager
@@ -59,14 +66,6 @@ def criterion(num, title, limit_s):
         status = "PASS" if (ok and dt < limit_s) else "FAIL"
         print(f"[{status}] criterion {num:2d}: {title} ({dt:.2f}s, limit {limit_s}s)")
     assert dt < limit_s, f"criterion {num} exceeded its runtime budget"
-
-
-def riemannian_space_form(b, dimension):
-    if b > 0:
-        return AmbientModel.sphere(b, dimension)
-    if b < 0:
-        return AmbientModel.hyperbolic(b, dimension)
-    return AmbientModel.euclidean(dimension)
 
 
 def test_criterion_1_trace_identities():
@@ -88,27 +87,16 @@ def test_criterion_1_trace_identities():
 
 def test_criterion_2_geodesic_sphere_equality():
     with criterion(2, "geodesic-sphere ratio equality across b, n, k, jets", 30.0):
-        resolutions = {2: 10, 3: 6, 4: 4}
-        for b in (-1.0, 0.0, 1.0):
-            r = np.pi / 4.0 if b > 0 else 1.0
+        for b, r, n, jets, resolution, patch in equality_spheres():
+            tol = {"analytic": 1e-6, "fd": 1e-3}[jets]
             cbr = c_b(b, r)
-            for n in (2, 3, 4):
-                model = riemannian_space_form(b, n + 1)
-                for jets, tol in (("analytic", 1e-6), ("fd", 1e-3)):
-                    patch = build_patch(
-                        model,
-                        "geodesic_sphere",
-                        {"radius": r},
-                        center=model.base_point(),
-                        jets=jets,
-                    )
-                    grid = sample_grid(patch, resolutions[n])
-                    assert not grid.skipped
-                    for _, frame in grid.points:
-                        data = operator_data(frame, "riemannian")
-                        for k in range(n):
-                            ratio = data.H[k + 1] / data.H[k]
-                            assert abs(ratio - cbr) < tol, (b, n, k, jets)
+            grid = sample_grid(patch, resolution)
+            assert not grid.skipped
+            for _, frame in grid.points:
+                data = operator_data(frame, "riemannian")
+                for k in range(n):
+                    ratio = data.H[k + 1] / data.H[k]
+                    assert abs(ratio - cbr) < tol, (b, n, k, jets)
 
 
 def test_criterion_3_ellipsoid_strict_margin():
@@ -213,9 +201,7 @@ def test_criterion_8_restriction_hessian_identity():
             for _ in range(3):
                 p = patch.domain_lo + rng.uniform(0.2, 0.8, patch.n) * patch.domain_width
                 sample = restrict_field(patch, field, frame_at(patch, p))
-                fd = intrinsic_hessian_fd(
-                    patch, lambda q: field.jet(np.asarray(patch.chart.value(q), float))[0], p
-                )
+                fd = intrinsic_hessian_fd(patch, lambda x: field.jet(x)[0], p)
                 scale = max(1.0, np.abs(sample.hess).max())
                 assert np.abs(sample.hess - fd).max() < 1e-4 * scale
         level_sets = [

@@ -350,6 +350,15 @@ def test_cli_rejects_bad_horizons(argv, capsys):
     assert captured.err.startswith("usage error: ") and "finite" in captured.err
 
 
+def test_cli_rejects_a_horizon_where_g_overflows(capsys):
+    # g grows like e^{int_0^t G}; the horizon is rejected before integrating,
+    # with no overflow warning from the integrator
+    assert main(["sturm", "--G", "const(1)", "--T", "1e5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: g overflows float64 near t = 702.875; choose T below it\n"
+
+
 def test_cli_resolution_and_tol_overrides():
     assert main(["verify", "--scenario", "sphere-equality", "--resolution", "8",
                  "--tol", "1e-5"]) == 0

@@ -21,6 +21,7 @@ from curvbound.comparison import c_b, c_hat_b
 from curvbound.errors import ConfigError, DomainError, GeometryError, SignatureError, no_errors
 from curvbound.harness import bundled_scenarios, load_scenario, scenario_patch
 from curvbound.immersion import (
+    FD_JET_TOL,
     HypersurfacePatch,
     PointFrame,
     build_patch,
@@ -38,6 +39,8 @@ from curvbound.operators import (
     trace_operator,
 )
 from curvbound.spaceform import AmbientModel
+
+from conftest import riemannian_space_form
 
 E3 = AmbientModel.euclidean(3)
 M3 = AmbientModel.minkowski(3)
@@ -217,6 +220,30 @@ def test_fd_jets_agree_with_analytic_on_all_bundled_charts(rng):
             k1 = frame_at(exact, p).kappa
             k2 = frame_at(fd, p).kappa
             np.testing.assert_allclose(k1, k2, atol=1e-4), kind
+
+
+@given(
+    b=st.sampled_from([-1.0, 0.0, 1.0]),
+    n=st.integers(2, 4),
+    fraction=st.floats(0.05, 0.95),
+    point=st.lists(st.floats(0.1, 0.9), min_size=4, max_size=4),
+)
+def test_fd_jets_match_analytic_jets(b, n, fraction, point):
+    # a geodesic sphere below the comparison radius pi / (2 sqrt(b)) of a
+    # sphere model, at an interior parameter point: kappa and H_k from FD
+    # jets agree with the analytic ones within the documented FD tolerance
+    model = riemannian_space_form(b, n + 1)
+    radius = fraction * (np.pi / 2.0 if b > 0 else 3.0)
+    frames = []
+    for jets in ("analytic", "fd"):
+        patch = build_patch(model, "geodesic_sphere", {"radius": radius},
+                            center=model.base_point(), jets=jets)
+        frames.append(frame_at(patch, patch.domain_lo + np.array(point[:n]) * patch.domain_width))
+    exact, fd = frames
+    scale = np.maximum(1.0, np.abs(exact.kappa).max() ** np.arange(n + 1))
+    assert np.abs(fd.kappa - exact.kappa).max() <= FD_JET_TOL * scale[1]
+    H_exact, H_fd = (operator_data(frame, "riemannian").H for frame in frames)
+    assert np.all(np.abs(H_fd - H_exact) <= FD_JET_TOL * scale)
 
 
 # -- finite-difference stencil ----------------------------------------------------

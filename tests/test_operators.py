@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from curvbound import curvature, operators, spaceform
+from curvbound.charts import PerturbedHyperboloidChart
 from curvbound.comparison import c_b, phi_b, phi_b_d1
 from curvbound.errors import DomainError
-from curvbound.harness import bundled_scenarios, collect_samples, load_scenario
+from curvbound.harness import bundled_scenarios, collect_samples, load_scenario, scenario_patch
 from curvbound.immersion import (
     build_patch,
     frame_at,
@@ -34,6 +35,8 @@ from curvbound.operators import (
     trace_operator,
 )
 from curvbound.spaceform import AmbientModel, geodesic_point
+
+from conftest import equality_spheres
 
 E2 = AmbientModel.euclidean(2)
 E3 = AmbientModel.euclidean(3)
@@ -84,9 +87,7 @@ def test_offset_circle_restriction_hessian():
     hess = restriction_hessian(patch, o, np.array([0.0]))
     # u(theta) = sqrt(1.25 - cos theta) has u''(0) = 1/(2 * 0.5) = 1
     assert hess[0, 0] == pytest.approx(1.0, abs=1e-8)
-    fd = intrinsic_hessian_fd(
-        patch, lambda q: np.sqrt(1.25 - np.cos(q[..., 0])), np.array([0.0])
-    )
+    fd = intrinsic_hessian_fd(patch, lambda x: np.sqrt(1.25 - x[..., 0]), np.array([0.0]))
     assert fd[0, 0] == pytest.approx(1.0, abs=1e-6)
 
 
@@ -129,9 +130,7 @@ def test_identity_and_fd_routes_agree_on_bundled_charts(rng):
         field = DistanceField(patch.ambient, o)
         for p in interior_points(patch, rng, 3):
             sample = restrict_field(patch, field, frame_at(patch, p))
-            fd = intrinsic_hessian_fd(
-                patch, lambda q: field.jet(np.asarray(patch.chart.value(q), float))[0], p
-            )
+            fd = intrinsic_hessian_fd(patch, lambda x: field.jet(x)[0], p)
             scale = max(1.0, np.abs(sample.hess).max())
             assert np.abs(sample.hess - fd).max() < 1e-4 * scale
 
@@ -181,7 +180,7 @@ def test_laplacian_of_height_on_unit_sphere(rng):
         lap = l_k_apply(patch, p, 0, height)
         assert lap == pytest.approx(-2.0 * z, abs=1e-9)
         # k = 0 agrees with the raw trace of the FD-route Hessian
-        fd = intrinsic_hessian_fd(patch, lambda q: patch.chart.value(q)[..., 2], p)
+        fd = intrinsic_hessian_fd(patch, lambda x: x[..., 2], p)
         assert np.trace(np.linalg.solve(frame.metric, fd)) == pytest.approx(lap, abs=1e-5)
 
 
@@ -194,9 +193,7 @@ def test_coordinate_field_on_quadric_model(rng):
     field = LinearCoordinateField(model, np.eye(4)[1])
     for p in interior_points(patch, rng, 3):
         s = restrict_field(patch, field, frame_at(patch, p))
-        fd = intrinsic_hessian_fd(
-            patch, lambda q: np.asarray(patch.chart.value(q))[..., 1], p
-        )
+        fd = intrinsic_hessian_fd(patch, lambda x: x[..., 1], p)
         assert np.abs(s.hess - fd).max() < 1e-5
 
 
@@ -248,11 +245,7 @@ def test_lk_of_phi_composition_chain(rng):
         s = restrict_field(patch, dist, frame_at(patch, p))
         data = operator_data(s.frame, "riemannian")
         for k in (0, 1):
-            fd = intrinsic_hessian_fd(
-                patch,
-                lambda q: phi_b(0.0, dist.jet(np.asarray(patch.chart.value(q), float))[0]),
-                p,
-            )
+            fd = intrinsic_hessian_fd(patch, lambda x: phi_b(0.0, dist.jet(x)[0]), p)
             L, P = newton_oracle(s.frame, "riemannian")
             lhs = float(np.trace(P[k] @ congruent(L, fd)))
             lk_u = l_k_apply(patch, p, k, dist)
@@ -268,8 +261,9 @@ def test_lk_of_phi_composition_chain(rng):
 
 
 def test_operator_data_runs_one_recurrence(monkeypatch):
-    # operator data and every Newton-tensor contraction read one S_k
-    # recurrence; the matrix recursion runs only in the oracle
+    # a frame batch runs the one S_k recurrence; operator data (batch or one
+    # row, either signature) and every Newton-tensor contraction only read
+    # its table, and the matrix recursion runs only in the oracle
     calls, tensors = [], []
     recurrence, recursion = curvature.elementary_symmetric, curvature.newton_tensors
 
@@ -286,23 +280,59 @@ def test_operator_data_runs_one_recurrence(monkeypatch):
     monkeypatch.setattr(operators, "newton_tensors", counted_tensors, raising=False)
     patch = ellipsoid_patch()
     field = DistanceField(E3, np.zeros(3))
-    frames = [frame_at(patch, interior_points(patch, np.random.default_rng(3), 1)[0]),
-              sample_grid(patch, 8).frames]
-    for frame in frames:
+    frame = frame_at(patch, interior_points(patch, np.random.default_rng(3), 1)[0])
+    assert calls == [(1, 3, 2)]
+    grid = sample_grid(patch, 8).frames
+    assert calls == [(1, 3, 2), (len(grid.param), 3, 2)]
+    for frame in (frame, grid, grid[5]):
         sample = restrict_field(patch, field, frame)
         for signature in ("riemannian", "lorentzian"):
-            before = len(calls)
             data = operator_data(frame, signature)
             for k in range(patch.n):
                 trace_operator(sample, data, k)
                 newton_quadratic(sample, data, k)
                 key_inequality_rhs(sample, data, k, 0.0)
-            assert len(calls) == before + 1
+    assert len(calls) == 2
     assert tensors == []
-    assert calls[0] == (3, 2) and calls[-1] == (len(frames[1].param), 3, 2)
     for table in (curvature.binomials(3), curvature.trace_coefficients(3)):
         with pytest.raises(ValueError):
             table[0] = 1.0
+
+
+def test_one_row_operator_data_is_the_batch_row():
+    # the bundled grids and the geodesic spheres of every curvature sign,
+    # dimension and jet kind: a row's operator data is bit for bit that row of
+    # the batch, whose H is that of a recurrence on the frames' kappa
+    grids = [sample_grid(scenario_patch(load_scenario(path)), 16).frames
+             for path in bundled_scenarios().values()]
+    grids += [sample_grid(patch, res).frames for *_, res, patch in equality_spheres()]
+    assert len(grids) == 24
+    for frames in grids:
+        for signature in ("riemannian", "lorentzian"):
+            batch = operator_data(frames, signature)
+            H = curvature.higher_mean_curvatures(frames.kappa, frames.kappa.shape[-1], signature)
+            assert np.array_equal(batch.H, H)
+            for i in range(len(frames.param)):
+                row = operator_data(frames[i], signature)
+                assert np.array_equal(row.c, batch.c)
+                for name in ("kappa", "newton_eigenvalues", "H"):
+                    assert np.array_equal(getattr(row, name), getattr(batch, name)[i])
+
+
+def test_fd_oracle_reads_one_chart_jet_per_stencil(monkeypatch):
+    # the oracle's scalar is read off the stencil's positions, so the chart
+    # jets are the frame's row and the oracle's stencil, and nothing else
+    shapes = []
+    jet = PerturbedHyperboloidChart.jet
+
+    def counted(chart, p):
+        shapes.append(np.shape(p))
+        return jet(chart, p)
+
+    monkeypatch.setattr(PerturbedHyperboloidChart, "jet", counted)
+    patch = build_patch(M3, "perturbed_hyperboloid", {"radius": 2.0})
+    restriction_hessian(patch, np.zeros(3), interior_points(patch, np.random.default_rng(5), 1)[0])
+    assert shapes == [(1, 2), (9, 2)]
 
 
 def spectral_oracle_cases():

@@ -9,6 +9,14 @@ curvature orders k, then checks every estimate that applies:
                C_{-b} at the refined distance extrema, plus the outer-ball
                bound.
 
+Each check is one row of data (:class:`Row`): the per-sample values an
+inequality bounds (or a scalar), whether it bounds their sup or their inf,
+the right-hand side, the tolerance, the status a failure earns and the
+hypothesis guard.  The ``verify_*`` functions build their rows and
+:func:`evaluate` turns each into a :class:`CheckRecord`: the margin, its
+status and the worst sample, which is the first sample in grid order within
+``TIE_ULPS`` ulp of the extremum (the margin itself uses the exact extremum).
+
 Reports are deterministic given the configuration (fixed grids, no
 randomness); only ``timing_ms`` varies between runs.
 """
@@ -40,6 +48,10 @@ from .spaceform import RIEMANNIAN, AmbientModel, ReferenceBall, ambient_distance
 
 H_FLOOR = 1e-9  # samples with H_k at or below this are excluded from ratios
 MAX_EXCLUSION_RATE = 0.10
+# Tie band of worst samples: this many ulp of the largest |value| in a check's
+# pool.  The worst sample is the first one in grid order within the band of the
+# extremum, so values that differ only by round-off resolve to the same sample.
+TIE_ULPS = 32
 MIN_RESOLUTION = 8
 
 
@@ -61,6 +73,11 @@ class ScenarioConfig:
     @property
     def n(self) -> int:
         return self.model.dimension - 1
+
+    @property
+    def orders(self) -> range:
+        """The curvature orders k the estimates are checked at."""
+        return range(self.k_range[0], self.k_range[1] + 1)
 
 
 def checked_resolution(value) -> int:
@@ -228,251 +245,166 @@ def refined_distance_extremum(samples: ScenarioSamples, mode: str):
     return refine_extremum(patch, fn, samples.frames.param[idx], cell, sign=sign)
 
 
+def floored_ratio(H: np.ndarray, k: int, floor: float = H_FLOOR):
+    """Per-sample H_{k+1}/H_k where H_k > ``floor`` (NaN elsewhere), and that mask."""
+    kept = H[:, k] > floor
+    return np.divide(H[:, k + 1], H[:, k], out=np.full(len(kept), np.nan), where=kept), kept
+
+
 def _ratio_pool(samples: ScenarioSamples, k: int):
-    """Per-sample H_{k+1}/H_k with the H_k floor applied; returns exclusions."""
-    H = samples.data.H
-    kept = H[:, k] > H_FLOOR
-    return H[kept, k + 1] / H[kept, k], samples.frames.param[kept], int(np.count_nonzero(~kept))
+    """The floored ratios H_{k+1}/H_k that are kept, their parameters and the exclusion count."""
+    ratio, kept = floored_ratio(samples.data.H, k)
+    return ratio[kept], samples.frames.param[kept], int(np.count_nonzero(~kept))
 
 
-def _margin_check(cid, anchor, margin, tol, worst=None) -> CheckRecord:
-    """A check that passes when ``margin`` >= -tol; ``worst`` is the sample attaining it."""
-    status = "pass" if margin >= -tol else "fail"
-    return CheckRecord(
-        cid, anchor, status, float(margin), None if worst is None else list(map(float, worst))
-    )
+@dataclass
+class Row:
+    """One inequality of the paper, or one plumbing figure, as data for :func:`evaluate`.
+
+    The row states ``reduce(values) >= rhs`` (``<= rhs`` when ``upper``) over
+    per-sample ``values`` located at ``params``, or over a scalar.  Its margin
+    is the signed gap; it passes when margin >= -tol (margin > 0 when ``tol``
+    is None) and reports ``on_fail`` otherwise.  A ``status`` reports the
+    margin as a figure with that status.  A ``guard`` is the residual of a
+    hypothesis the row presupposes and that fails: the row then reports it
+    as a hypothesis violation in place of its margin.
+    """
+
+    id: str
+    anchor: str
+    values: np.ndarray | float
+    reduce: str = "inf"  # inf | sup
+    rhs: float = 0.0
+    upper: bool = False
+    tol: float | None = 0.0
+    on_fail: str = "fail"
+    params: np.ndarray | None = None
+    status: str | None = None
+    guard: float | None = None
 
 
-def _hypothesis_check(samples: ScenarioSamples, k: int) -> CheckRecord:
+def evaluate(row: Row) -> CheckRecord:
+    """The check a row states: its margin, the status that earns, and its worst sample."""
+    if row.guard is not None:
+        return CheckRecord(row.id, row.anchor, "hypothesis-violation", float(row.guard), None)
+    values = np.asarray(row.values, dtype=float)
+    extremum = values.max() if row.reduce == "sup" else values.min()
+    margin = float(row.rhs - extremum if row.upper else extremum - row.rhs)
+    if row.status is not None:
+        return CheckRecord(row.id, row.anchor, row.status, margin, None)
+    ok = margin > 0.0 if row.tol is None else margin >= -row.tol
+    worst = None
+    if row.params is not None:  # the first sample in grid order within the tie band
+        band = TIE_ULPS * np.spacing(np.abs(values).max())
+        worst = row.params[np.argmax(np.abs(values - extremum) <= band)].tolist()
+    return CheckRecord(row.id, row.anchor, "pass" if ok else row.on_fail, margin, worst)
+
+
+def _newton_psd_row(samples: ScenarioSamples, k: int) -> Row:
     margins = samples.data.newton_psd_margin(k)
-    worst = np.argmin(margins)
     # Tr P_k = c_k H_k
-    positive_trace = not np.any(samples.data.c[k] * samples.data.H[:, k] <= TAU_ELL)
-    ok = margins[worst] >= -TAU_ELL and positive_trace
-    return CheckRecord(
-        id=f"newton-psd-k{k}",
-        anchor="P_k positive semidefinite with Tr P_k > 0",
-        status="pass" if ok else "hypothesis-violation",
-        residual=float(margins[worst]),
-        worst_sample=list(map(float, samples.frames.param[worst])),
-    )
+    positive_trace = np.all(samples.data.c[k] * samples.data.H[:, k] > TAU_ELL)
+    return Row(f"newton-psd-k{k}", "P_k positive semidefinite with Tr P_k > 0", margins,
+               tol=TAU_ELL, on_fail="hypothesis-violation", params=samples.frames.param,
+               guard=None if positive_trace else margins.min())
 
 
 def verify_riemannian_estimate(config: ScenarioConfig, samples: ScenarioSamples, r: float) -> list:
     """Ratio, power-chain and product bounds; ``r`` is the refined max of u."""
-    checks = []
-    b = config.model.curvature
-    cbr = c_b(b, r)
-    checks.append(
-        CheckRecord("enclosing-radius", "plumbing", "info", float(r), None)
-    )
+    cbr, tol = c_b(config.model.curvature, r), config.tol_margin
+    H, params = samples.data.H, samples.frames.param
+    rows = [Row("enclosing-radius", "plumbing", r, status="info")]
     if config.reference_radius is not None:
-        status = "pass" if r <= config.reference_radius + config.tol_equality else "fail"
-        checks.append(
-            CheckRecord(
-                "declared-radius-consistent",
-                "plumbing",
-                status,
-                float(config.reference_radius - r),
-                None,
-            )
-        )
+        rows.append(Row("declared-radius-consistent", "plumbing", r, upper=True,
+                        rhs=config.reference_radius, tol=config.tol_equality))
     if samples.skipped:
         rate = len(samples.skipped) / (len(samples.skipped) + len(samples.u))
-        checks.append(
-            CheckRecord(
-                "skipped-samples",
-                "plumbing",
-                "inconclusive" if rate > MAX_EXCLUSION_RATE else "info",
-                float(len(samples.skipped)),
-                None,
-            )
-        )
-    total = len(samples.u)
-    H = samples.data.H
-    for k in range(config.k_range[0], config.k_range[1] + 1):
-        checks.append(_hypothesis_check(samples, k))
-        signed, params, excluded = _ratio_pool(samples, k)
-        rate = excluded / max(total, 1)
+        rows.append(Row("skipped-samples", "plumbing", float(len(samples.skipped)),
+                        status="inconclusive" if rate > MAX_EXCLUSION_RATE else "info"))
+    for k in config.orders:
+        rows.append(_newton_psd_row(samples, k))
+        signed, kept_params, excluded = _ratio_pool(samples, k)
+        rate = excluded / max(len(samples.u), 1)
+        ratio_id, ratio_anchor = f"ratio-lower-bound-k{k}", "sup |H_{k+1}|/H_k >= C_b(r)"
         if rate > MAX_EXCLUSION_RATE:
-            checks.append(
-                CheckRecord(
-                    f"ratio-lower-bound-k{k}",
-                    "sup |H_{k+1}|/H_k >= C_b(r)",
-                    "inconclusive",
-                    float(rate),
-                    None,
-                )
-            )
+            rows.append(Row(ratio_id, ratio_anchor, rate, status="inconclusive"))
             continue
-        ratios = np.abs(signed)
-        i_best = int(np.argmax(ratios))
-        margin = float(ratios[i_best] - cbr)
-        checks.append(
-            _margin_check(f"ratio-lower-bound-k{k}", "sup |H_{k+1}|/H_k >= C_b(r)", margin,
-                          config.tol_margin, params[i_best])
-        )
-        checks.append(
-            CheckRecord(
-                f"equality-flag-k{k}",
-                "equality is the distance-sphere case",
-                "info",
-                margin,
-                None,
-            )
-        )
-        # power chain needs positive H_{k+1} throughout
-        hk1 = H[:, k + 1]
-        if np.all(hk1 > 0.0):
-            power = float(np.max(hk1 ** (1.0 / (k + 1))))
-            chain_margin = power - float(signed.max())
-            checks.append(
-                _margin_check(f"power-chain-k{k}", "sup H_{k+1}^{1/(k+1)} >= sup H_{k+1}/H_k",
-                              chain_margin, config.tol_margin)
-            )
-        # product bound never needs exclusions
-        sup_abs = float(np.max(np.abs(hk1)))
-        inf_hk = float(np.min(H[:, k]))
-        margin2 = sup_abs - cbr * inf_hk
-        checks.append(
-            _margin_check(f"product-bound-k{k}", "sup |H_{k+1}| >= C_b(r) inf H_k", margin2,
-                          config.tol_margin)
-        )
-        checks.append(
-            CheckRecord(
-                f"exclusion-rate-k{k}", "plumbing", "info", float(rate), None
-            )
-        )
-    return checks
+        ratios, hk1 = np.abs(signed), H[:, k + 1]
+        rows += [
+            Row(ratio_id, ratio_anchor, ratios, "sup", cbr, tol=tol, params=kept_params),
+            Row(f"equality-flag-k{k}", "equality is the distance-sphere case", ratios, "sup", cbr,
+                status="info"),
+        ]
+        if np.all(hk1 > 0.0):  # the power chain needs H_{k+1} > 0 throughout
+            rows.append(Row(f"power-chain-k{k}", "sup H_{k+1}^{1/(k+1)} >= sup H_{k+1}/H_k",
+                            hk1 ** (1.0 / (k + 1)), "sup", signed.max(), tol=tol, params=params))
+        rows += [  # the product bound never needs exclusions
+            Row(f"product-bound-k{k}", "sup |H_{k+1}| >= C_b(r) inf H_k", np.abs(hk1), "sup",
+                cbr * H[:, k].min(), tol=tol, params=params),
+            Row(f"exclusion-rate-k{k}", "plumbing", rate, status="info"),
+        ]
+    return [evaluate(row) for row in rows]
 
 
 def verify_h2_corollary(config: ScenarioConfig, samples: ScenarioSamples, r: float) -> list:
     """The H_2 corollary; ``r`` is the refined max of u."""
-    checks = []
-    b = config.model.curvature
-    n = config.n
+    b, tol, params = config.model.curvature, config.tol_margin, samples.frames.param
     h1, h2 = samples.data.H[:, 1], samples.data.H[:, 2]
-    if np.any(h2 <= 0.0):
-        return [
-            CheckRecord(
-                "h2-positive",
-                "H_2 > 0 throughout",
-                "hypothesis-violation",
-                float(h2.min()),
-                None,
-            )
-        ]
-    checks.append(CheckRecord("h2-positive", "H_2 > 0 throughout", "pass", float(h2.min()), None))
+    positive = evaluate(Row("h2-positive", "H_2 > 0 throughout", h2, tol=None,
+                            on_fail="hypothesis-violation"))
+    if positive.status != "pass":
+        return [positive]
     cbr = c_b(b, r)
-    sup_ratio = float(np.max(h2 / h1)) if h1.min() > 0.0 else 0.0
-    sup_sqrt = float(np.sqrt(h2.max()))
-    m1 = sup_sqrt - sup_ratio
-    m2 = sup_ratio - cbr
-    checks.append(
-        _margin_check("sqrt-h2-dominates-ratio", "sup sqrt(H_2) >= sup H_2/H_1", m1,
-                      config.tol_margin)
-    )
-    checks.append(
-        _margin_check("h2-ratio-lower-bound", "sup H_2/H_1 >= C_b(r)", m2, config.tol_margin)
-    )
-    # normalized scalar curvature bound, s = b + H_2
-    sup_s = b + float(h2.max())
-    m3 = sup_s - (b + cbr * float(h1.min()))
-    checks.append(
-        _margin_check("scalar-curvature-bound", "sup s >= b + C_b(r) inf H_1", m3,
-                      config.tol_margin)
-    )
-    mu = (n * h1[:, None] - samples.data.kappa).min(axis=-1)
-    worst = np.argmin(mu)
-    checks.append(
-        CheckRecord(
-            "first-newton-eigenvalues-positive",
-            "n H - kappa_j > 0 when H_2 > 0 and H > 0",
-            "pass" if mu[worst] > 0.0 else "fail",
-            float(mu[worst]),
-            list(map(float, samples.frames.param[worst])),
-        )
-    )
-    if h1.min() <= 0.0:  # the ratio bounds and the first Newton eigenvalues presuppose H_1 > 0
-        for c in checks:
-            if c.id not in ("h2-positive", "scalar-curvature-bound"):
-                c.status, c.residual, c.worst_sample = "hypothesis-violation", float(h1.min()), None
-    return checks
+    # the ratio bounds and the first Newton eigenvalues presuppose H_1 > 0
+    ratio, h1_positive = floored_ratio(samples.data.H, 1, floor=0.0)
+    guard = None if h1_positive.all() else h1.min()
+    mu = (config.n * h1[:, None] - samples.data.kappa).min(axis=-1)
+    rows = [
+        Row("sqrt-h2-dominates-ratio", "sup sqrt(H_2) >= sup H_2/H_1", np.sqrt(h2), "sup",
+            ratio.max(), tol=tol, params=params, guard=guard),
+        Row("h2-ratio-lower-bound", "sup H_2/H_1 >= C_b(r)", ratio, "sup", cbr, tol=tol,
+            params=params, guard=guard),
+        # normalized scalar curvature s = b + H_2
+        Row("scalar-curvature-bound", "sup s >= b + C_b(r) inf H_1", b + h2, "sup",
+            b + cbr * h1.min(), tol=tol, params=params),
+        Row("first-newton-eigenvalues-positive", "n H - kappa_j > 0 when H_2 > 0 and H > 0", mu,
+            tol=None, params=params, guard=guard),
+    ]
+    return [positive] + [evaluate(row) for row in rows]
 
 
 def verify_lorentz_estimates(config: ScenarioConfig, samples: ScenarioSamples) -> list:
-    checks = []
-    b = config.model.curvature
-    checks.append(
-        CheckRecord(
-            "spacelike-samples",
-            "every grid point is spacelike and chronology-admissible",
-            "pass" if not samples.skipped else "hypothesis-violation",
-            float(len(samples.skipped)),
-            None,
-        )
-    )
+    """The ratio sandwich at the refined distance extrema, and the outer-ball bound."""
+    rows = [Row("spacelike-samples", "every grid point is spacelike and chronology-admissible",
+                float(len(samples.skipped)),
+                status="hypothesis-violation" if samples.skipped else "pass")]
     if samples.skipped:
-        return checks
+        return [evaluate(row) for row in rows]
+    b, tol = config.model.curvature, config.tol_margin
     _, u_sup = refined_distance_extremum(samples, "max")
     _, u_inf = refined_distance_extremum(samples, "min")
-    c_at_sup = c_hat_b(b, u_sup)
-    c_at_inf = c_hat_b(b, u_inf)
-    for k in range(config.k_range[0], config.k_range[1] + 1):
-        checks.append(_hypothesis_check(samples, k))
+    c_at_sup, c_at_inf = c_hat_b(b, u_sup), c_hat_b(b, u_inf)
+    for k in config.orders:
+        rows.append(_newton_psd_row(samples, k))
         ratios, params, excluded = _ratio_pool(samples, k)
         if excluded:
-            checks.append(
-                CheckRecord(
-                    f"sandwich-k{k}",
-                    "ratio sandwich",
-                    "inconclusive",
-                    float(excluded),
-                    None,
-                )
-            )
+            rows.append(Row(f"sandwich-k{k}", "ratio sandwich", float(excluded),
+                            status="inconclusive"))
             continue
-        inf_ratio = float(ratios.min())
-        sup_ratio = float(ratios.max())
-        gaps = {
-            f"sandwich-lower-k{k}": (
-                "inf H_{k+1}/H_k <= C_{-b}(sup u)",
-                c_at_sup - inf_ratio,
-                params[int(np.argmin(ratios))],
-            ),
-            f"sandwich-middle-k{k}": (
-                "C_{-b}(sup u) <= C_{-b}(inf u)",
-                c_at_inf - c_at_sup,
-                None,
-            ),
-            f"sandwich-upper-k{k}": (
-                "C_{-b}(inf u) <= sup H_{k+1}/H_k",
-                sup_ratio - c_at_inf,
-                params[int(np.argmax(ratios))],
-            ),
-        }
-        for cid, (anchor, gap, wp) in gaps.items():
-            checks.append(_margin_check(cid, anchor, gap, config.tol_margin, wp))
-        checks.append(
-            CheckRecord(
-                f"equality-flag-k{k}",
-                "equality is the distance-level-set case",
-                "info",
-                float(max(abs(c_at_sup - inf_ratio), abs(sup_ratio - c_at_inf))),
-                None,
-            )
-        )
-    delta = u_inf
-    checks.append(
-        CheckRecord(
-            "outer-ball",
-            "bounded ratio keeps the image outside a future ball of radius delta",
-            "pass" if delta > 0.0 else "fail",
-            float(delta),
-            None,
-        )
-    )
-    return checks
+        rows += [
+            Row(f"sandwich-lower-k{k}", "inf H_{k+1}/H_k <= C_{-b}(sup u)", ratios, "inf",
+                c_at_sup, upper=True, tol=tol, params=params),
+            Row(f"sandwich-middle-k{k}", "C_{-b}(sup u) <= C_{-b}(inf u)", c_at_sup,
+                rhs=c_at_inf, upper=True, tol=tol),
+            Row(f"sandwich-upper-k{k}", "C_{-b}(inf u) <= sup H_{k+1}/H_k", ratios, "sup",
+                c_at_inf, tol=tol, params=params),
+            Row(f"equality-flag-k{k}", "equality is the distance-level-set case",
+                max(abs(c_at_sup - ratios.min()), abs(ratios.max() - c_at_inf)), status="info"),
+        ]
+    rows.append(Row("outer-ball",
+                    "bounded ratio keeps the image outside a future ball of radius delta",
+                    u_inf, tol=None))
+    return [evaluate(row) for row in rows]
 
 
 def run_scenario(config: ScenarioConfig) -> VerificationReport:
@@ -508,21 +440,19 @@ def emit_report(report: VerificationReport, path) -> None:
 def emit_samples_csv(config: ScenarioConfig, samples: ScenarioSamples, path) -> None:
     """Per-sample dump of a run's grid: parameters, u, |grad u|, and per-k operator data."""
     frames, data = samples.frames, samples.data
-    ks = list(range(config.k_range[0], config.k_range[1] + 1))
     header = [f"p{i}" for i in range(samples.patch.n)] + ["u", "grad_norm"]
-    for k in ks:
+    for k in config.orders:
         header += [f"H{k}", f"H{k + 1}", f"ratio_k{k}", f"q_lu_k{k}", f"key_residual_k{k}"]
     s = restrict_field(samples.patch, samples.field, frames)
     raise_first(s.errors)
     columns = [frames.param, s.u[:, None], np.sqrt(s.grad_norm_sq)[:, None]]
-    for k in ks:
+    for k in config.orders:
         tr = data.c[k] * data.H[:, k]  # Tr P_k
         lk = trace_operator(s, data, k)
         rhs = key_inequality_rhs(s, data, k, config.model.curvature)
-        Hk, Hk1 = data.H[:, k], data.H[:, k + 1]
-        ratio = np.divide(Hk1, Hk, out=np.full(len(Hk), np.nan), where=Hk > H_FLOOR)
+        ratio, _ = floored_ratio(data.H, k)
         q_lu = np.divide(lk, tr, out=np.full(len(tr), np.nan), where=tr > 0)
-        columns += [np.stack([Hk, Hk1, ratio, q_lu, lk - rhs], axis=-1)]
+        columns += [np.stack([data.H[:, k], data.H[:, k + 1], ratio, q_lu, lk - rhs], axis=-1)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

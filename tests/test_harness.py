@@ -15,8 +15,11 @@ from hypothesis import strategies as st
 import curvbound
 from curvbound import immersion
 from curvbound.cli import main
+from curvbound.curvature import complement_symmetric
 from curvbound.errors import ConfigError
 from curvbound.harness import (
+    H_FLOOR,
+    TIE_ULPS,
     bundled_scenarios,
     collect_samples,
     emit_report,
@@ -25,8 +28,11 @@ from curvbound.harness import (
     refined_distance_extremum,
     run_scenario,
     scenario_patch,
+    verify_h2_corollary,
+    verify_lorentz_estimates,
+    verify_riemannian_estimate,
 )
-from curvbound.operators import key_inequality_residual
+from curvbound.operators import key_inequality_residual, operator_data
 
 
 def bundled(name):
@@ -108,10 +114,13 @@ GOLDEN_REPORTS = Path(__file__).parent / "data" / "golden_reports_res16.json"
 
 @pytest.mark.parametrize("name", sorted(json.loads(GOLDEN_REPORTS.read_text())))
 def test_bundled_reports_match_golden_set(name):
-    # Reports of the bundled scenarios at resolution 16, recorded with
-    # `curvbound verify --emit-report` before the per-sample pipeline was
-    # reworked.  Statuses must match exactly; numbers to round-off, so that
-    # a reordered (e.g. batched) evaluation can still be checked against it.
+    # Reports of the bundled scenarios at resolution 16, from
+    # `curvbound verify --emit-report`.  Ids, anchors, statuses and residuals
+    # date from before the per-sample pipeline was batched.  The worst samples
+    # were regenerated once, when checks became rows of one evaluator: five
+    # checks gained one, and ties within round-off now resolve to the first
+    # sample in grid order.  Statuses must match exactly; numbers to
+    # round-off, so that a reordered evaluation can still be checked.
     golden = json.loads(GOLDEN_REPORTS.read_text())[name]
     config = bundled(name)
     config.resolution = 16
@@ -127,6 +136,91 @@ def test_bundled_reports_match_golden_set(name):
                 assert got[key] is None, (got["id"], key)
             else:
                 assert got[key] == pytest.approx(want[key], rel=1e-10, abs=1e-12), (got["id"], key)
+
+
+def verify_checks(config, samples):
+    """The checks ``run_scenario`` forms from ``samples``."""
+    if config.model.signature != "riemannian":
+        return verify_lorentz_estimates(config, samples)
+    _, r = refined_distance_extremum(samples, "max")
+    checks = verify_riemannian_estimate(config, samples, r)
+    return checks + (verify_h2_corollary(config, samples, r) if config.n >= 2 else [])
+
+
+def nudge_kappa(samples, rng):
+    """``samples`` with every principal curvature moved one ulp up or down."""
+    kappa = samples.frames.kappa
+    kappa = np.nextafter(kappa, rng.choice([-np.inf, np.inf], kappa.shape))
+    frames = dataclasses.replace(samples.frames, kappa=kappa,
+                                 symmetric=complement_symmetric(kappa))
+    data = operator_data(frames, samples.data.signature)
+    return dataclasses.replace(samples, frames=frames, data=data)
+
+
+EQUALITY_SCENARIOS = [
+    "sphere-equality", "sphere-in-sphere", "sphere-in-hyperbolic", "hyperboloid-equality"
+]
+
+
+@pytest.mark.parametrize("name", EQUALITY_SCENARIOS)
+def test_worst_samples_survive_round_off(name):
+    # on the equality scenarios every pool is constant up to round-off, so a
+    # worst sample picked by a bare argmin/argmax follows the rounding noise
+    config = dataclasses.replace(bundled(name), resolution=16)
+    samples = collect_samples(config)
+    base = verify_checks(config, samples)
+    assert any(c.worst_sample is not None for c in base)
+    for seed in range(3):
+        nudged = verify_checks(config, nudge_kappa(samples, np.random.default_rng(seed)))
+        assert [c.id for c in nudged] == [c.id for c in base]
+        for got, want in zip(nudged, base):
+            assert got.worst_sample == want.worst_sample, (seed, got.id)
+            assert abs(got.residual - want.residual) < 1e-14, (seed, got.id)
+
+
+def check_pools(config, samples):
+    """Check id -> (per-sample values, their grid rows, reduction) of every check with a pool."""
+    data, param, b = samples.data, samples.frames.param, config.model.curvature
+    pools = {}
+    for k in config.orders:
+        hk, hk1 = data.H[:, k], data.H[:, k + 1]
+        kept = hk > H_FLOOR
+        ratio = hk1[kept] / hk[kept]
+        pools[f"newton-psd-k{k}"] = (data.newton_psd_margin(k), param, "inf")
+        pools[f"ratio-lower-bound-k{k}"] = (np.abs(ratio), param[kept], "sup")
+        pools[f"power-chain-k{k}"] = (hk1 ** (1.0 / (k + 1)), param, "sup")
+        pools[f"product-bound-k{k}"] = (np.abs(hk1), param, "sup")
+        pools[f"sandwich-lower-k{k}"] = (ratio, param[kept], "inf")
+        pools[f"sandwich-upper-k{k}"] = (ratio, param[kept], "sup")
+    if config.n >= 2:
+        h1, h2 = data.H[:, 1], data.H[:, 2]
+        pools["sqrt-h2-dominates-ratio"] = (np.sqrt(h2), param, "sup")
+        pools["h2-ratio-lower-bound"] = (h2 / h1, param, "sup")
+        pools["scalar-curvature-bound"] = (b + h2, param, "sup")
+        pools["first-newton-eigenvalues-positive"] = (
+            (config.n * h1[:, None] - data.kappa).min(axis=-1), param, "inf")
+    return pools
+
+
+@pytest.mark.parametrize("name", sorted(bundled_scenarios()))
+def test_worst_samples_lie_in_the_tie_band(name):
+    config = dataclasses.replace(bundled(name), resolution=16)
+    samples = collect_samples(config)
+    pools = check_pools(config, samples)
+    checks = verify_checks(config, samples)
+    located = [c for c in checks if c.worst_sample is not None]
+    # every check over a pool of samples names one (none is guarded here)
+    assert [c.id for c in located] == [c.id for c in checks if c.id in pools]
+    for check in located:
+        values, params, reduce = pools[check.id]
+        rows = np.flatnonzero(np.all(params == check.worst_sample, axis=-1))
+        assert len(rows) == 1, check.id
+        assert np.any(np.all(samples.frames.param == check.worst_sample, axis=-1))
+        extremum = values.max() if reduce == "sup" else values.min()
+        band = TIE_ULPS * np.spacing(np.abs(values).max())
+        assert abs(values[rows[0]] - extremum) <= band, check.id
+        # and no earlier sample in grid order lies in the band
+        assert np.all(np.abs(values[: rows[0]] - extremum) > band), check.id
 
 
 def test_equality_scenarios_hit_tolerance():

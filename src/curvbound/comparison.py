@@ -2,14 +2,15 @@
 
 Contains the geodesic-sphere mean curvature C_b, its primitive-side companion
 phi_b, the Lorentzian counterpart C_{-b}, admissible curvature-growth bounds
-G, the Cauchy problem g'' = G^2 g, the explicit supersolution quotient psi,
-and the barrier ingredients phi (A10-style primitive) and the finite
-supremum Lambda.
+G (over arrays of times), the Cauchy problem g'' = G^2 g, the explicit
+supersolution quotient psi, and the barrier ingredients phi (A10-style
+primitive) and the finite supremum Lambda, in closed form.
 
 The scenario pipeline needs only the closed forms (C_b, C_{-b}, phi_b), which
 use no scipy.  scipy loads on the first call of a function that integrates:
-``CurvatureBoundG.admissibility`` (so ``require_admissible``), ``solve_cauchy_g``
-(so ``sturm_profile``/``sturm_margin``), ``psi``, ``lambda_sup``, ``phi_gamma``.
+``CurvatureBoundG.integral`` and ``admissibility`` (so ``require_admissible``),
+``solve_cauchy_g`` (so ``sturm_profile``/``sturm_margin``), ``psi``,
+``lambda_sup``, ``phi_gamma``.
 """
 
 from __future__ import annotations
@@ -109,32 +110,39 @@ class CurvatureBoundG:
     The last condition is asymptotic, hence only heuristically checkable: we
     accept G when the reciprocal integral over decade windows [10^k, 10^k+1]
     is not shrinking geometrically (or when the total mass is already large).
+
+    ``fn`` and ``dfn`` (G and G') take a float or an array of times; a
+    constant may come back as a scalar, and is broadcast to the times' shape.
     """
 
-    fn: Callable[[float], float]
-    dfn: Callable[[float], float] | None = None
+    fn: Callable
+    dfn: Callable
     name: str = "G"
 
-    def __call__(self, t: float) -> float:
-        return float(self.fn(t))
+    def __call__(self, t):
+        return _over(t, self.fn(t))
 
-    def derivative(self, t: float, h: float = 1e-6) -> float:
-        if self.dfn is not None:
-            return float(self.dfn(t))
-        return (self.fn(t + h) - self.fn(max(t - h, 0.0))) / (h + min(t, h))
+    def derivative(self, t):
+        return _over(t, self.dfn(t))
+
+    def integral(self, a: float, b: float) -> float:
+        """int_a^b G by adaptive quadrature; every integral of G goes through here."""
+        from scipy import integrate
+        return integrate.quad(self, a, b, limit=200)[0]
 
     def admissibility(self) -> AdmissibilityFlags:
         from scipy import integrate
-        g0 = self(0.0)
-        grid = np.linspace(0.0, 100.0, 501)
-        nondec = all(self.derivative(float(t)) >= -1e-10 for t in grid)
+        positive = self(0.0) > 0.0
+        nondec = bool(np.all(self.derivative(np.linspace(0.0, 100.0, 501)) >= -1e-10))
+        if not (positive and nondec):  # 1/G may be undefined; the test would mean nothing
+            return AdmissibilityFlags(positive, nondec, False)
         windows = []
         for k in range(6):
             val, _ = integrate.quad(lambda s: 1.0 / self(s), 10.0**k, 10.0 ** (k + 1), limit=200)
             windows.append(val)
         total = sum(windows)
         not_l1 = total > 50.0 or windows[5] >= 0.5 * windows[4]
-        return AdmissibilityFlags(g0 > 0.0, nondec, not_l1)
+        return AdmissibilityFlags(positive, nondec, not_l1)
 
     def require_admissible(self) -> None:
         flags = self.admissibility()
@@ -142,6 +150,13 @@ class CurvatureBoundG:
             raise HypothesisViolationError(
                 f"{self.name} is not an admissible growth bound: {flags}"
             )
+
+
+def _over(t, values):
+    """values as a float for a scalar t, else as an array of t's shape."""
+    if np.ndim(t) == 0:
+        return float(values)
+    return np.broadcast_to(np.asarray(values, dtype=float), np.shape(t))
 
 
 _BOUND_PATTERN = re.compile(r"^\s*(\w+)\s*\(\s*([^)]*)\s*\)\s*$")
@@ -157,6 +172,8 @@ def make_bound(spec: str) -> CurvatureBoundG:
         args = [float(s) for s in raw.split(",")] if raw.strip() else []
     except ValueError as exc:
         raise DomainError(f"bad parameters in {spec!r}") from exc
+    if not all(map(math.isfinite, args)):
+        raise DomainError(f"parameters of {spec!r} must be finite")
     if name == "const" and len(args) == 1:
         c = args[0]
         return CurvatureBoundG(lambda t: c, lambda t: 0.0, spec.strip())
@@ -165,9 +182,11 @@ def make_bound(spec: str) -> CurvatureBoundG:
         return CurvatureBoundG(lambda t: a + sl * t, lambda t: sl, spec.strip())
     if name == "sqrt_growth" and len(args) == 1:
         a = args[0]
+        if a < 0.0:
+            raise DomainError(f"sqrt_growth(a) needs a >= 0 to be defined on [0, inf): {spec!r}")
         return CurvatureBoundG(
-            lambda t: 1.0 + math.sqrt(a + t),
-            lambda t: 0.5 / math.sqrt(a + t),
+            lambda t: 1.0 + np.sqrt(a + t),
+            lambda t: 0.5 / np.sqrt(a + t),
             spec.strip(),
         )
     raise DomainError(f"unknown growth bound {spec!r}")
@@ -209,7 +228,7 @@ def solve_cauchy_g(G: CurvatureBoundG, T: float, num: int = 1001) -> OdeSolution
     # integrator's stages g' and G^2 g; DOP853 sums them with weights of a few hundred
     def log_stage(t):
         gt = G(t)
-        return integrate.quad(G, 0.0, t, limit=200)[0] + math.log(gt * max(1.0, gt) / G(0.0))
+        return G.integral(0.0, t) + math.log(gt * max(1.0, gt) / G(0.0))
 
     limit = math.log(np.finfo(float).max / 1e3)
     t_hi = min(T, (limit + 1.0) / G(0.0))  # log_stage(t) >= t G(0)
@@ -222,7 +241,7 @@ def solve_cauchy_g(G: CurvatureBoundG, T: float, num: int = 1001) -> OdeSolution
     y0 = [
         t0 + g0sq * t0**3 / 6.0,
         1.0 + g0sq * t0**2 / 2.0,
-        integrate.quad(G, 0.0, t0)[0],
+        G.integral(0.0, t0),
     ]
 
     def rhs(t, y):
@@ -262,15 +281,12 @@ def psi(G: CurvatureBoundG, t: float) -> float:
         raise DomainError("psi requires t >= 0")
     if t == 0.0:
         return 0.0
-    from scipy import integrate
-    total, _ = integrate.quad(G, 0.0, t, limit=200)
-    return math.expm1(total) / G(0.0)
+    return math.expm1(G.integral(0.0, t)) / G(0.0)
 
 
 def psi_quotient(G: CurvatureBoundG, integral: np.ndarray, t: np.ndarray) -> np.ndarray:
     """psi'/psi = G(t) e^I / (e^I - 1), evaluated overflow-free."""
-    gvals = np.array([G(float(ti)) for ti in np.atleast_1d(t)])
-    return gvals / (-np.expm1(-np.asarray(integral)))
+    return G(np.asarray(t, dtype=float)) / (-np.expm1(-np.asarray(integral)))
 
 
 def sturm_profile(G: CurvatureBoundG, T: float, num: int = 1000):
@@ -305,40 +321,21 @@ class LambdaResult:
     tail_limit: float
 
 
-def lambda_sup(G: CurvatureBoundG, t_max: float = 50.0, num: int = 2000) -> LambdaResult:
-    """Supremum over [2, t_max] of e^{int_0^t G} / (e^{int_1^t G} - 1).
+def lambda_sup(G: CurvatureBoundG, t_max: float = 50.0) -> LambdaResult:
+    """Supremum over [2, t_max] of F(t) = e^{int_0^t G} / (e^{int_1^t G} - 1).
 
-    Evaluated in the overflow-free form e^{I1} / (1 - e^{-(I-I1)}), refined
-    with golden-section search around the grid argmax.  The tail limit
-    e^{int_0^1 G} is reported separately.
+    An admissible G has G(0) > 0 and G' >= 0, so G > 0 and F(t) =
+    e^{I1} / (1 - e^{-int_1^t G}) is strictly decreasing: Lambda = F(2) =
+    e^{I1} / (-expm1(-int_1^2 G)) for every horizon, with I1 = int_0^1 G.
+    ``t_max`` is only validated.  The tail limit lim F = e^{I1} is reported
+    separately.
     """
     if not 2.0 <= t_max < math.inf:
         raise DomainError("lambda_sup requires a finite t_max >= 2")
-    from scipy import integrate, optimize
     G.require_admissible()
-    fine = np.linspace(0.0, t_max, 8 * num + 1)
-    gvals = np.array([G(float(t)) for t in fine])
-    running = integrate.cumulative_simpson(gvals, x=fine, initial=0.0)
-
-    def I(t):
-        return float(np.interp(t, fine, running))
-
-    i1 = I(1.0)
-
-    def F(t):
-        return math.exp(i1) / (-math.expm1(-(I(t) - i1)))
-
-    ts = np.linspace(2.0, t_max, num)
-    vals = np.array([F(float(t)) for t in ts])
-    i_best = int(vals.argmax())
-    lo = ts[max(i_best - 1, 0)]
-    hi = ts[min(i_best + 1, num - 1)]
-    res = optimize.minimize_scalar(lambda t: -F(t), bounds=(lo, hi), method="bounded")
-    t_star = float(res.x)
-    v_star = float(-res.fun)
-    if vals[i_best] >= v_star:
-        t_star, v_star = float(ts[i_best]), float(vals[i_best])
-    return LambdaResult(value=v_star, argmax=t_star, tail_limit=math.exp(i1))
+    tail = math.exp(G.integral(0.0, 1.0))
+    value = tail / -math.expm1(-G.integral(1.0, 2.0))
+    return LambdaResult(value=value, argmax=2.0, tail_limit=tail)
 
 
 def phi_gamma(G: CurvatureBoundG, t: float) -> float:

@@ -17,6 +17,7 @@ from curvbound.comparison import (
     phi_gamma,
     phi_ode_residual,
     psi,
+    psi_quotient,
     solve_cauchy_g,
     sturm_margin,
     sturm_profile,
@@ -118,10 +119,40 @@ def test_make_bound_parses_names():
     assert make_bound("const(2)")(17.0) == 2.0
     assert make_bound("affine(1, 1)")(2.0) == 3.0
     assert make_bound("sqrt_growth(1)")(0.0) == 2.0
-    with pytest.raises(DomainError):
-        make_bound("powerlaw(2)")
-    with pytest.raises(DomainError):
-        make_bound("const(a)")
+    for spec in ("powerlaw(2)", "const(a)", "const(inf)", "const(nan)", "affine(1,-inf)",
+                 "sqrt_growth(-5)"):
+        with pytest.raises(DomainError):
+            make_bound(spec)
+
+
+def test_bounds_evaluate_over_arrays():
+    t = np.linspace(0.0, 3.0, 7)
+    for spec in TEST_BOUNDS:
+        G = make_bound(spec)
+        np.testing.assert_array_equal(G(t), [G(float(ti)) for ti in t])
+        np.testing.assert_array_equal(G.derivative(t), [G.derivative(float(ti)) for ti in t])
+    const = CurvatureBoundG(lambda t: -1.0, lambda t: 0.0, "negative")
+    assert const(t).shape == const.derivative(t).shape == t.shape
+    assert isinstance(const(0.5), float)
+
+
+def test_array_consumers_call_g_once():
+    calls = {"fn": 0, "dfn": 0}
+
+    def counted(key, f):
+        def wrapped(t):
+            calls[key] += 1
+            return f(t)
+        return wrapped
+
+    base = make_bound("affine(1,1)")
+    G = CurvatureBoundG(counted("fn", base.fn), counted("dfn", base.dfn), base.name)
+    t = np.linspace(0.01, 3.0, 1000)
+    expected = base(t) / -np.expm1(-(t + t * t / 2.0))
+    np.testing.assert_array_equal(psi_quotient(G, t + t * t / 2.0, t), expected)
+    assert calls["fn"] == 1
+    assert G.admissibility().ok
+    assert calls["dfn"] == 1
 
 
 def test_admissibility_of_test_set():
@@ -246,12 +277,38 @@ def test_lambda_requires_t_max_of_at_least_two():
 
 def test_lambda_constant_bound():
     res = lambda_sup(make_bound("const(1)"))
-    assert res.value == pytest.approx(math.e**2 / (math.e - 1.0), abs=1e-4)
-    assert res.argmax == pytest.approx(2.0, abs=1e-3)
-    assert res.tail_limit == pytest.approx(math.e, rel=1e-6)
+    assert res.value == pytest.approx(math.e**2 / (math.e - 1.0), rel=1e-13)
+    assert res.argmax == 2.0
+    assert res.tail_limit == pytest.approx(math.e, rel=1e-13)
     res2 = lambda_sup(make_bound("const(2)"))
-    assert res2.value == pytest.approx(math.exp(4.0) / math.expm1(2.0), abs=1e-3)
-    assert res2.argmax == pytest.approx(2.0, abs=1e-3)
+    assert res2.value == pytest.approx(math.exp(4.0) / math.expm1(2.0), rel=1e-13)
+    assert res2.argmax == 2.0
+
+
+# int_0^t G in closed form for the four bench bounds
+PRIMITIVES = {
+    "const(1)": lambda t: t,
+    "const(2)": lambda t: 2.0 * t,
+    "affine(1,1)": lambda t: t + t * t / 2.0,
+    "sqrt_growth(1)": lambda t: t + 2.0 / 3.0 * ((1.0 + t) ** 1.5 - 1.0),
+}
+
+
+@pytest.mark.parametrize("spec", TEST_BOUNDS)
+def test_lambda_matches_closed_form_primitives(spec):
+    # F is decreasing, so Lambda = F(2) = e^{I(1)} / (1 - e^{-(I(2) - I(1))})
+    I = PRIMITIVES[spec]
+    res = lambda_sup(make_bound(spec))
+    assert res.argmax == 2.0
+    assert res.value == pytest.approx(math.exp(I(1.0)) / -math.expm1(I(1.0) - I(2.0)), rel=1e-13)
+    assert res.tail_limit == pytest.approx(math.exp(I(1.0)), rel=1e-13)
+
+
+@pytest.mark.parametrize("spec", TEST_BOUNDS)
+def test_lambda_does_not_depend_on_the_horizon(spec):
+    G = make_bound(spec)
+    first, *rest = (lambda_sup(G, t_max=t_max) for t_max in (2.0, 50.0, 5000.0))
+    assert all(res == first for res in rest)
 
 
 def test_lambda_affine_bound_is_finite_with_decreasing_tail():

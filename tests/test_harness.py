@@ -444,6 +444,35 @@ def test_cli_rejects_bad_horizons(argv, capsys):
     assert captured.err.startswith("usage error: ") and "finite" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["lambda", "--G", "const(inf)"],
+    ["lambda", "--G", "const(nan)"],
+    ["lambda", "--G", "sqrt_growth(-5)"],
+    ["sturm", "--G", "const(inf)", "--T", "3"],
+    ["sturm", "--G", "affine(1,nan)", "--T", "3"],
+    ["sturm", "--G", "sqrt_growth(-5)", "--T", "3"],
+], ids=lambda argv: f"{argv[0]}-{argv[2]}")
+def test_cli_rejects_bad_bound_parameters(argv, capsys):
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ") and argv[2] in captured.err
+
+
+@pytest.mark.parametrize("spec", ["const(0)", "const(-1)"])
+def test_cli_reports_a_non_positive_constant_bound_as_a_hypothesis_violation(spec, capsys):
+    assert main(["lambda", "--G", spec]) == 2
+    assert capsys.readouterr().err.startswith(f"hypothesis violation: {spec}")
+
+
+@pytest.mark.parametrize("t_max", ["50", "5000"])
+def test_cli_lambda_does_not_depend_on_the_horizon(t_max, capsys):
+    assert main(["lambda", "--G", "sqrt_growth(1)", "--t-max", t_max]) == 0
+    assert capsys.readouterr().out == (
+        "Lambda = 9.953004857 attained at t = 2.000000\ntail limit = 9.197681271\n"
+    )
+
+
 def test_cli_rejects_a_horizon_where_g_overflows(capsys):
     # g grows like e^{int_0^t G}; the horizon is rejected before integrating,
     # with no overflow warning from the integrator

@@ -19,6 +19,7 @@ from operator import mul
 
 import numpy as np
 
+from .comparison import cs, sn
 from .errors import ConfigError, DomainError, flag, no_errors, raise_first
 from .spaceform import LORENTZIAN, RIEMANNIAN, AmbientModel
 
@@ -288,17 +289,9 @@ class GeodesicSphereChart(Chart):
         return np.array(basis)
 
     def _exp_coefficients(self):
-        b, r = self.model.curvature, self.radius
-        if not self.model.is_quadric:
-            return 1.0, r
-        # geodesics satisfy gamma'' = -b <v,v> gamma with <v,v> = +-1
-        vv = -1.0 if self.model.signature == LORENTZIAN else 1.0
-        w2 = b * vv
-        if w2 > 0:
-            w = np.sqrt(w2)
-            return np.cos(w * r), np.sin(w * r) / w
-        mu = np.sqrt(-w2)
-        return np.cosh(mu * r), np.sinh(mu * r) / mu
+        # the radial geodesics have <v,v> = eps, so they run with k = eps b
+        k = self.model.epsilon * self.model.curvature
+        return cs(k, self.radius), sn(k, self.radius)
 
     def _direction_jet(self, p):
         p = np.asarray(p, dtype=float)

@@ -1,13 +1,15 @@
-"""Scalar comparison functions and the Sturm/barrier machinery.
+"""Comparison functions and the Sturm/barrier machinery.
 
-Contains the geodesic-sphere mean curvature C_b, its primitive-side companion
-phi_b, the Lorentzian counterpart C_{-b}, admissible curvature-growth bounds
-G (over arrays of times), the Cauchy problem g'' = G^2 g, the explicit
-supersolution quotient psi, and the barrier ingredients phi (A10-style
-primitive) and the finite supremum Lambda, in closed form.
+Contains the model functions sn_k, cs_k of constant curvature k, the
+geodesic-sphere mean curvature C_b, its primitive-side companion phi_b and
+the Lorentzian counterpart C_{-b} (each over a float or an array of t),
+admissible curvature-growth bounds G (over arrays of times), the Cauchy
+problem g'' = G^2 g, the explicit supersolution quotient psi, and the
+barrier ingredients phi (A10-style primitive) and the finite supremum
+Lambda, in closed form.
 
-The scenario pipeline needs only the closed forms (C_b, C_{-b}, phi_b), which
-use no scipy.  scipy loads on the first call of a function that integrates:
+The scenario pipeline needs only these closed forms, which use no scipy.
+scipy loads on the first call of a function that integrates:
 ``CurvatureBoundG.integral`` and ``admissibility`` (so ``require_admissible``),
 ``solve_cauchy_g`` (so ``sturm_profile``/``sturm_margin``), ``psi``,
 ``lambda_sup``, ``phi_gamma``.
@@ -25,63 +27,69 @@ import numpy as np
 from .errors import DomainError, HypothesisViolationError, NumericalError
 
 
-def c_b(b: float, t: float) -> float:
-    """Mean curvature of the geodesic sphere of radius t, curvature b.
+def sn(k: float, t):
+    """sin(sqrt(k) t)/sqrt(k), t or sinh(sqrt(-k) t)/sqrt(-k): f'' + k f = 0, f(0) = 0, f'(0) = 1.
+
+    k is a scalar; t is a float or an array, and the result has its shape.
+    """
+    if k == 0.0:
+        return t * 1.0
+    sk = math.sqrt(abs(k))
+    return (np.sin if k > 0.0 else np.sinh)(sk * t) / sk
+
+
+def cs(k: float, t):
+    """cos(sqrt(k) t), 1 or cosh(sqrt(-k) t): the derivative of :func:`sn`."""
+    if k == 0.0:
+        return np.ones(np.shape(t))[()]
+    return (np.cos if k > 0.0 else np.cosh)(math.sqrt(abs(k)) * t)
+
+
+def c_b(b: float, t):
+    """Mean curvature of the geodesic sphere of radius t, curvature b, per entry of t.
 
     sqrt(b) cot(sqrt(b) t) for b > 0 (valid for t < pi/(2 sqrt(b))),
-    1/t for b = 0, sqrt(-b) coth(sqrt(-b) t) for b < 0.
+    1/t for b = 0, sqrt(-b) coth(sqrt(-b) t) for b < 0; cs/sn would overflow
+    to inf/inf from sqrt(|b|) t > 710 on.  Raises if b or any t is out of the domain.
     """
-    if t <= 0.0:
+    t = np.asarray(t, dtype=float)
+    if not (math.isfinite(b) and np.isfinite(t).all()):
+        raise DomainError("c_b requires finite b and t")
+    if (t <= 0.0).any():
         raise DomainError("c_b requires t > 0")
-    if b > 0.0:
-        sb = math.sqrt(b)
-        if t >= math.pi / (2.0 * sb):
-            raise DomainError("c_b requires t < pi/(2 sqrt(b)) when b > 0")
-        return sb / math.tan(sb * t)
     if b == 0.0:
         return 1.0 / t
-    sb = math.sqrt(-b)
-    return sb / math.tanh(sb * t)
+    sb = math.sqrt(abs(b))
+    if b > 0.0 and (t >= math.pi / (2.0 * sb)).any():
+        raise DomainError("c_b requires t < pi/(2 sqrt(b)) when b > 0")
+    return sb / (np.tan if b > 0.0 else np.tanh)(sb * t)
 
 
-def c_hat_b(b: float, t: float) -> float:
+def c_hat_b(b: float, t):
     """Future mean curvature of the Lorentzian distance level set: C_{-b}(t)."""
     return c_b(-b, t)
 
 
-def phi_b(b: float, t: float) -> float:
-    """Increasing solution of phi'' - C_b(t) phi' = 0 with phi(0) = 0.
+def phi_b(b: float, t):
+    """Increasing solution of phi'' - C_b(t) phi' = 0 with phi(0) = 0, per entry of t.
 
     1 - cos(sqrt(b) t) for b > 0, t^2 for b = 0, cosh(sqrt(-b) t) - 1 for
     b < 0.  The hyperbolic branch is the unique choice with phi' > 0 that
-    actually satisfies the defining equation (coth fails both).
+    actually satisfies the defining equation (coth fails both).  So phi_b' and
+    phi_b'' are |b| sn_b and |b| cs_b (2 sn_0 and 2 cs_0 for b = 0).
     """
-    if b > 0.0:
-        return 1.0 - math.cos(math.sqrt(b) * t)
-    if b == 0.0:
-        return t * t
-    return math.cosh(math.sqrt(-b) * t) - 1.0
+    return t * t if b == 0.0 else np.abs(1.0 - cs(b, t))
 
 
-def phi_b_d1(b: float, t: float) -> float:
-    if b > 0.0:
-        sb = math.sqrt(b)
-        return sb * math.sin(sb * t)
-    if b == 0.0:
-        return 2.0 * t
-    sb = math.sqrt(-b)
-    return sb * math.sinh(sb * t)
+def phi_b_d1(b: float, t):
+    return (abs(b) or 2.0) * sn(b, t)
 
 
-def phi_b_d2(b: float, t: float) -> float:
-    if b > 0.0:
-        return b * math.cos(math.sqrt(b) * t)
-    if b == 0.0:
-        return 2.0
-    return -b * math.cosh(math.sqrt(-b) * t)
+def phi_b_d2(b: float, t):
+    return (abs(b) or 2.0) * cs(b, t)
 
 
-def phi_ode_residual(b: float, t: float) -> float:
+def phi_ode_residual(b: float, t):
     """phi_b''(t) - C_b(t) phi_b'(t); zero on the valid domain."""
     return phi_b_d2(b, t) - c_b(b, t) * phi_b_d1(b, t)
 
@@ -184,11 +192,12 @@ def make_bound(spec: str) -> CurvatureBoundG:
         a = args[0]
         if a < 0.0:
             raise DomainError(f"sqrt_growth(a) needs a >= 0 to be defined on [0, inf): {spec!r}")
-        return CurvatureBoundG(
-            lambda t: 1.0 + np.sqrt(a + t),
-            lambda t: 0.5 / np.sqrt(a + t),
-            spec.strip(),
-        )
+
+        def dfn(t):
+            with np.errstate(divide="ignore"):  # G'(0) = +inf for a = 0 is admissible
+                return 0.5 / np.sqrt(a + t)
+
+        return CurvatureBoundG(lambda t: 1.0 + np.sqrt(a + t), dfn, spec.strip())
     raise DomainError(f"unknown growth bound {spec!r}")
 
 

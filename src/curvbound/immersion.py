@@ -31,7 +31,7 @@ from .errors import (
     no_errors,
     raise_first,
 )
-from .spaceform import LORENTZIAN, RIEMANNIAN, AmbientModel, gradient_rows
+from .spaceform import LORENTZIAN, AmbientModel, gradient_rows
 
 # Finite-difference jet step, relative to the per-axis domain width.
 FD_JET_SCALE = 1e-5
@@ -198,7 +198,7 @@ def frames_at(patch: HypersurfacePatch, P: np.ndarray):
     w = model.tangent_project(x, w / eta)
     nu2 = model.flat_inner(w, w)
     # the unit normal is spacelike in Riemannian and timelike in Lorentzian models
-    eps = 1.0 if model.signature == RIEMANNIAN else -1.0
+    eps = model.epsilon
     wrong = ImmersionDegeneracyError("normal direction degenerates") if eps > 0 else (
         SignatureError("normal direction is not timelike"))
     x, d1, d2, g, w, nu2 = reject(eps * nu2 <= 0.0, wrong, x, d1, d2, g, w, nu2)

@@ -19,12 +19,12 @@ data only signs and normalizes it: no S_k recurrence runs here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 
 from .charts import fd_jet
-from .comparison import phi_b, phi_b_d1, phi_b_d2
+from .comparison import c_b, phi_b, phi_b_d1, phi_b_d2
 from .curvature import TAU_ELL, _frozen, signed_values, trace_coefficients
 from .errors import (
     ConsistencyError,
@@ -48,7 +48,6 @@ from .spaceform import (
     RIEMANNIAN,
     AmbientModel,
     ambient_distance,
-    comparison_coefficient,
     distance_jet,
 )
 
@@ -93,11 +92,16 @@ class LinearCoordinateField:
 
 
 class ComposedField:
-    """phi(u) for a scalar reparametrization phi with two derivatives, applied entry by entry."""
+    """phi(u) for a scalar reparametrization phi with two derivatives.
+
+    ``fn``, ``d1`` and ``d2`` (phi, phi', phi'') take an array of values u of
+    any shape and return an array of the same shape; they are called once per
+    jet, on all rows.
+    """
 
     def __init__(self, base, fn, d1, d2):
         self.base = base
-        self.fn, self.d1, self.d2 = (np.vectorize(f, otypes=[float]) for f in (fn, d1, d2))
+        self.fn, self.d1, self.d2 = fn, d1, d2
 
     def jet(self, x):
         u, g, base_hessian, errors = self.base.jet(x)
@@ -114,10 +118,7 @@ class ComposedField:
 def phi_of_distance_field(model: AmbientModel, origin: np.ndarray, b: float) -> ComposedField:
     """The bounded composition phi_b(rho), the function the estimates drive."""
     return ComposedField(
-        DistanceField(model, origin),
-        lambda t: phi_b(b, t),
-        lambda t: phi_b_d1(b, t),
-        lambda t: phi_b_d2(b, t),
+        DistanceField(model, origin), partial(phi_b, b), partial(phi_b_d1, b), partial(phi_b_d2, b)
     )
 
 
@@ -158,13 +159,12 @@ def restrict_field(patch: HypersurfacePatch, field, frame: PointFrame) -> FieldS
     pairs = hessian(X, Y)
     hess = np.empty(d1.shape[:-2] + (patch.n, patch.n))
     hess[..., i, j] = hess[..., j, i] = pairs
-    eps = 1.0 if model.signature == RIEMANNIAN else -1.0
     return FieldSample(
         u=u,
         grad=grad,
         grad_norm_sq=np.vecdot(du, grad),
         normal_coef=normal_coef,
-        hess=hess + eps * normal_coef[..., None, None] * frame.second_form,
+        hess=hess + model.epsilon * normal_coef[..., None, None] * frame.second_form,
         frame=frame,
         errors=errors,
     )
@@ -291,10 +291,9 @@ def key_inequality_rhs(sample: FieldSample, data: OperatorData, k: int, b: float
     """
     quad = newton_quadratic(sample, data, k)
     ck, Hk, Hk1 = data.c[k], data.H[..., k], data.H[..., k + 1]
-    coeff = comparison_coefficient(data.signature, b, sample.u)
     if data.signature == RIEMANNIAN:
-        return coeff * (ck * Hk - quad) + ck * Hk1 * sample.normal_coef
-    return -coeff * (ck * Hk + quad) + ck * Hk1 * np.sqrt(1.0 + sample.grad_norm_sq)
+        return c_b(b, sample.u) * (ck * Hk - quad) + ck * Hk1 * sample.normal_coef
+    return -c_b(-b, sample.u) * (ck * Hk + quad) + ck * Hk1 * np.sqrt(1.0 + sample.grad_norm_sq)
 
 
 def key_inequality_residual(

@@ -17,6 +17,13 @@ lorentz_spaceform b<0  (--+...+) dim n+2     arccos(b<x,o>)/sqrt(-b)
 
 Lorentzian distance is defined on the chronological future of the reference
 point only; its gradient is a past-directed unit timelike field there.
+
+Every other formula is written once, with the model functions sn_k, cs_k of
+:mod:`curvbound.comparison` and eps = <N,N> = ``AmbientModel.epsilon`` (+1
+Riemannian, -1 Lorentzian): geodesics gamma(t) = cs_k(t) x + sn_k(t) v with
+k = b<v,v>; grad rho = -eps P_x(o - x) / sn_{eps b}(rho), with P_x the tangent
+projection at x (the identity in flat models); and Hess rho(X, Y) =
+eps C_{eps b}(rho) (<X,Y> - eps drho(X) drho(Y)).
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .comparison import c_b, c_hat_b
+from .comparison import c_b, cs, sn
 from .errors import DomainError, UndefinedGradientError, failed, flag, no_errors, raise_first
 
 RIEMANNIAN = "riemannian"
@@ -43,10 +50,6 @@ MODEL_KINDS = (
 # Distances below this are rejected by gradient/Hessian routines: the
 # comparison quantities blow up like 1/rho there.
 COINCIDENCE_TOL = 1e-8
-
-_QUADRIC_KINDS = frozenset(
-    {"sphere_embedded", "hyperboloid_embedded", "lorentz_spaceform"}
-)
 
 
 @dataclass(frozen=True)
@@ -109,8 +112,13 @@ class AmbientModel:
     # -- embedding data ----------------------------------------------------
 
     @property
+    def epsilon(self) -> float:
+        """<N, N> of a unit normal: +1 in Riemannian and -1 in Lorentzian models."""
+        return 1.0 if self.signature == RIEMANNIAN else -1.0
+
+    @property
     def is_quadric(self) -> bool:
-        return self.model_kind in _QUADRIC_KINDS
+        return self.curvature != 0.0  # the flat models are the two with b = 0
 
     @property
     def embedding_dim(self) -> int:
@@ -118,15 +126,9 @@ class AmbientModel:
 
     @cached_property
     def metric_diag(self) -> np.ndarray:
-        m = self.embedding_dim
-        diag = np.ones(m)
-        kind = self.model_kind
-        if kind in ("minkowski", "hyperboloid_embedded"):
-            diag[0] = -1.0
-        elif kind == "lorentz_spaceform":
-            diag[0] = -1.0
-            if self.curvature < 0.0:
-                diag[1] = -1.0
+        # leading negative axes: one for a Lorentzian signature and one for b < 0
+        diag = np.ones(self.embedding_dim)
+        diag[:sum((self.signature == LORENTZIAN, self.curvature < 0.0))] = -1.0
         diag.flags.writeable = False
         return diag
 
@@ -224,7 +226,7 @@ class ReferenceBall:
         model.check_point(self.center)
         if self.radius <= 0.0:
             raise DomainError("reference ball radius must be positive")
-        if self.radius >= comparison_radius(model.signature, model.curvature):
+        if self.radius >= comparison_radius(model):
             raise DomainError("radius must be below the comparison radius pi/(2 sqrt(|b|))")
 
 
@@ -236,38 +238,21 @@ class ReferenceBall:
 def geodesic_point(model: AmbientModel, x: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
     """Point at parameter t on the model geodesic with gamma(0)=x, gamma'(0)=v.
 
-    On the quadric the flat acceleration is purely normal, gamma'' = -b<v,v>
-    gamma, so the geodesic is an explicit trig/hyperbolic combination of x
-    and v.
+    On the quadric the flat acceleration is purely normal, gamma'' = -k gamma
+    with k = b<v,v> (k = 0 in flat models), so gamma = cs_k(t) x + sn_k(t) v.
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    if not model.is_quadric:
-        return x + t * v
-    w2 = model.curvature * model.flat_inner(v, v)
-    if abs(w2) < 1e-300:
-        return x + t * v
-    if w2 > 0.0:
-        w = np.sqrt(w2)
-        return np.cos(w * t) * x + np.sin(w * t) / w * v
-    mu = np.sqrt(-w2)
-    return np.cosh(mu * t) * x + np.sinh(mu * t) / mu * v
+    k = model.curvature * model.flat_inner(v, v)
+    return cs(k, t) * x + sn(k, t) * v
 
 
 def geodesic_velocity(model: AmbientModel, x: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
-    """Velocity gamma'(t) of the geodesic of :func:`geodesic_point`."""
+    """Velocity gamma'(t) = -k sn_k(t) x + cs_k(t) v of the geodesic of :func:`geodesic_point`."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    if not model.is_quadric:
-        return v.copy()
-    w2 = model.curvature * model.flat_inner(v, v)
-    if abs(w2) < 1e-300:
-        return v.copy()
-    if w2 > 0.0:
-        w = np.sqrt(w2)
-        return -w * np.sin(w * t) * x + np.cos(w * t) * v
-    mu = np.sqrt(-w2)
-    return mu * np.sinh(mu * t) * x + np.cosh(mu * t) * v
+    k = model.curvature * model.flat_inner(v, v)
+    return -k * sn(k, t) * x + cs(k, t) * v
 
 
 # ---------------------------------------------------------------------------
@@ -331,34 +316,22 @@ def ambient_distance(model: AmbientModel, o: np.ndarray, x: np.ndarray):
 def gradient_rows(model: AmbientModel, o: np.ndarray, x: np.ndarray):
     """(rho, grad, errors): :func:`distance_rows` and the distance gradients at x (..., m).
 
-    Unit tangent to the radial geodesic: outward in Riemannian models, and a
-    past-directed unit timelike vector in Lorentzian models.  Rows within
-    COINCIDENCE_TOL of o get an :class:`UndefinedGradientError`.
+    grad rho = -eps P_x(o - x) / sn_{eps b}(rho), with P_x the tangent
+    projection at x (the identity in flat models): a unit tangent to the
+    radial geodesic, outward in Riemannian models and past-directed timelike
+    in Lorentzian ones.  Rows within COINCIDENCE_TOL of o get an
+    :class:`UndefinedGradientError`.
     """
     rho, errors = distance_rows(model, o, x)
     flag(errors, rho < COINCIDENCE_TOL,
          UndefinedGradientError, "distance gradient undefined at the reference point")
     r = np.maximum(rho, COINCIDENCE_TOL)[..., None]  # finite quotients on failed rows
+    eps = model.epsilon
     o = np.asarray(o, dtype=float)
     x = np.asarray(x, dtype=float)
-    kind = model.model_kind
-    b = model.curvature
-    if kind == "euclidean":
-        return rho, (x - o) / r, errors
-    if kind == "minkowski":
-        return rho, -(x - o) / r, errors
-    proj = model.tangent_project(x, o)  # o minus its normal component at x
-    if kind == "sphere_embedded":
-        sb = np.sqrt(b)
-        return rho, -sb * proj / np.sin(sb * r), errors
-    if kind == "hyperboloid_embedded":
-        sb = np.sqrt(-b)
-        return rho, b * proj / (sb * np.sinh(sb * r)), errors
-    if b > 0.0:
-        sb = np.sqrt(b)
-        return rho, b * proj / (sb * np.sinh(sb * r)), errors
-    sb = np.sqrt(-b)
-    return rho, -b * proj / (sb * np.sin(sb * r)), errors
+    grad = model.tangent_project(x, o - x)
+    grad /= -eps * sn(eps * model.curvature, r)
+    return rho, grad, errors
 
 
 def distance_gradient(model: AmbientModel, o: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -368,38 +341,33 @@ def distance_gradient(model: AmbientModel, o: np.ndarray, x: np.ndarray) -> np.n
     return grad
 
 
-def comparison_coefficient(signature: str, b: float, rho):
-    """C_b(rho) in Riemannian models, C_{-b}(rho) in Lorentzian ones, per entry of rho."""
-    return np.vectorize(c_b if signature == RIEMANNIAN else c_hat_b, otypes=[float])(b, rho)
-
-
-def comparison_radius(signature: str, b: float) -> float:
-    """Distance from which :func:`comparison_coefficient` is undefined (inf if never)."""
-    b = b if signature == RIEMANNIAN else -b
-    return np.pi / (2.0 * np.sqrt(b)) if b > 0.0 else np.inf
+def comparison_radius(model: AmbientModel) -> float:
+    """Distance from which C_{eps b} is undefined (inf if never)."""
+    k = model.epsilon * model.curvature
+    return np.pi / (2.0 * np.sqrt(k)) if k > 0.0 else np.inf
 
 
 def distance_jet(model: AmbientModel, o: np.ndarray, x: np.ndarray):
     """(rho, grad, hessian, errors): :func:`gradient_rows`, failing from the comparison radius on.
 
     ``hessian(X, Y)`` on tangent pairs X, Y (..., P, m) at each row is the closed
-    form C_b(rho) (<X,Y> - drho(X) drho(Y)), or -C_{-b}(rho) (<X,Y> + drho(X) drho(Y))
-    in Lorentzian models; C is evaluated once per row, on the rows without an error.
+    form eps C (<X,Y> - eps drho(X) drho(Y)) with C = C_{eps b}(rho): C_b in
+    Riemannian and C_{-b} in Lorentzian models.  C is evaluated in one call, on
+    the rows without an error.
     """
     rho, grad, errors = gradient_rows(model, o, x)
-    flag(errors, rho >= comparison_radius(model.signature, model.curvature),
+    flag(errors, rho >= comparison_radius(model),
          DomainError, "distance at or beyond the comparison radius pi/(2 sqrt(|b|))")
+    eps = model.epsilon
     ok = ~failed(errors)
     coeff = np.zeros(np.shape(rho))
-    coeff[ok] = comparison_coefficient(model.signature, model.curvature, rho[ok])
-    x, g, c = np.asarray(x, dtype=float)[..., None, :], grad[..., None, :], coeff[..., None]
+    coeff[ok] = c_b(eps * model.curvature, rho[ok])
+    x, g, c = np.asarray(x, dtype=float)[..., None, :], grad[..., None, :], eps * coeff[..., None]
 
     def hessian(X, Y):
         X, Y = model.check_tangent(x, X), model.check_tangent(x, Y)
         gx, gy, xy = model.flat_inner(g, X), model.flat_inner(g, Y), model.flat_inner(X, Y)
-        if model.signature == RIEMANNIAN:
-            return c * (xy - gx * gy)
-        return -c * (xy + gx * gy)
+        return c * (xy - eps * gx * gy)
 
     return rho, grad, hessian, errors
 

@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from curvbound.comparison import (
     CurvatureBoundG,
     c_b,
     c_hat_b,
+    cs,
     lambda_sup,
     make_bound,
     phi_b,
@@ -18,6 +21,7 @@ from curvbound.comparison import (
     phi_ode_residual,
     psi,
     psi_quotient,
+    sn,
     solve_cauchy_g,
     sturm_margin,
     sturm_profile,
@@ -112,6 +116,54 @@ def test_phi_increasing():
     assert phi_b(-1.0, 0.0) == 0.0
 
 
+# -- the closed forms over arrays ---------------------------------------------
+
+ARRAY_CURVATURES = [-2.0, -1.0, -1e-8, 0.0, 1e-8, 1.0, 2.0]
+CLOSED_FORMS = [c_b, c_hat_b, phi_b, phi_b_d1, phi_b_d2, phi_ode_residual, sn, cs]
+
+
+@pytest.mark.parametrize("b", ARRAY_CURVATURES)
+@pytest.mark.parametrize("f", CLOSED_FORMS, ids=lambda f: f.__name__)
+def test_closed_forms_over_arrays_match_scalar_calls(f, b):
+    # inside the domain of both C_b and C_{-b}: t < pi/(2 sqrt 2)
+    t = np.linspace(0.01, 1.1, 12).reshape(3, 4)
+    values = f(b, t)
+    assert values.shape == t.shape
+    scalars = np.array([[f(b, float(ti)) for ti in row] for row in t])
+    assert values.tobytes() == scalars.tobytes()
+
+
+def test_c_b_rejects_an_array_with_one_entry_out_of_the_domain():
+    for b, bad in ((0.0, 0.0), (-1.0, -0.5), (1.0, np.pi / 2.0), (4.0, 0.8),
+                   (-1.0, np.nan), (-1.0, np.inf)):
+        t = np.array([0.3, 0.5, bad, 0.7])
+        with pytest.raises(DomainError):
+            c_b(b, t)
+        with pytest.raises(DomainError):
+            c_b(b, t.reshape(2, 2))
+    for b in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainError, match="finite"):
+            c_b(b, 1.0)
+
+
+def test_c_b_saturates_far_out():
+    # cs/sn would be inf/inf = nan here; cot/coth tends to sqrt(-b)
+    assert c_b(-1.0, 1000.0) == 1.0
+    assert c_hat_b(1.0, 1000.0) == 1.0
+    assert np.all(c_b(-4.0, np.array([400.0, 1e4])) == 2.0)
+
+
+@given(k=st.floats(-4.0, 4.0), t=st.floats(0.0, 1.5))
+def test_model_functions_solve_their_ode(k, t):
+    s, c = sn(k, t), cs(k, t)
+    assert c * c + k * s * s == pytest.approx(1.0, abs=1e-12)
+    h = 1e-5
+    ds = (sn(k, t + h) - sn(k, t - h)) / (2.0 * h)
+    dc = (cs(k, t + h) - cs(k, t - h)) / (2.0 * h)
+    assert ds == pytest.approx(c, abs=1e-8)
+    assert dc == pytest.approx(-k * s, abs=1e-8)
+
+
 # -- growth bounds ------------------------------------------------------------
 
 
@@ -134,6 +186,13 @@ def test_bounds_evaluate_over_arrays():
     const = CurvatureBoundG(lambda t: -1.0, lambda t: 0.0, "negative")
     assert const(t).shape == const.derivative(t).shape == t.shape
     assert isinstance(const(0.5), float)
+
+
+def test_sqrt_growth_at_zero_has_an_infinite_initial_slope():
+    G = make_bound("sqrt_growth(0)")
+    assert G.derivative(0.0) == math.inf
+    assert G.admissibility().ok
+    assert lambda_sup(G).value == pytest.approx(5.940342198, abs=1e-9)
 
 
 def test_array_consumers_call_g_once():

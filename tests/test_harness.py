@@ -459,6 +459,27 @@ def test_cli_rejects_bad_bound_parameters(argv, capsys):
     assert captured.err.startswith("usage error: ") and argv[2] in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["comparison", "--b", "1", "--t", "nan"],
+    ["comparison", "--b", "nan", "--t", "1"],
+    ["comparison", "--b", "-1", "--t", "inf"],
+    ["comparison", "--b", "0", "--t", "inf"],
+], ids=lambda argv: f"b{argv[2]}-t{argv[4]}")
+def test_cli_rejects_non_finite_comparison_arguments(argv, capsys):
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: c_b requires finite b and t\n"
+
+
+def test_cli_lambda_accepts_an_infinite_initial_slope(capsys):
+    # sqrt_growth(0) has G'(0) = +inf, which is admissible and must not warn
+    assert main(["lambda", "--G", "sqrt_growth(0)"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "Lambda = 5.940342198 attained at t = 2.000000\ntail limit = 5.294490050\n"
+    assert captured.err == ""
+
+
 @pytest.mark.parametrize("spec", ["const(0)", "const(-1)"])
 def test_cli_reports_a_non_positive_constant_bound_as_a_hypothesis_violation(spec, capsys):
     assert main(["lambda", "--G", spec]) == 2

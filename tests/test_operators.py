@@ -10,7 +10,13 @@ from curvbound import curvature, operators, spaceform
 from curvbound.charts import PerturbedHyperboloidChart
 from curvbound.comparison import c_b, phi_b, phi_b_d1
 from curvbound.errors import DomainError
-from curvbound.harness import bundled_scenarios, collect_samples, load_scenario, scenario_patch
+from curvbound.harness import (
+    bundled_scenarios,
+    collect_samples,
+    emit_samples_csv,
+    load_scenario,
+    scenario_patch,
+)
 from curvbound.immersion import (
     build_patch,
     frame_at,
@@ -258,6 +264,24 @@ def test_lk_of_phi_composition_chain(rng):
                                   + l_k_apply(patch, p, 0, dist)),
             abs=1e-9,
         )
+
+
+def test_field_path_makes_no_per_row_python_calls(monkeypatch, tmp_path):
+    # C_b, C_{-b} and phi_b run over the rows as arrays, never one Python call per row
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.vectorize called on the field path")
+
+    monkeypatch.setattr(np, "vectorize", refuse)
+    model = AmbientModel.hyperbolic(-1.0, 3)
+    o = model.base_point()
+    patch = build_patch(model, "geodesic_sphere", {"radius": 0.8}, center=o)
+    p = patch.domain_lo + 0.4 * patch.domain_width
+    assert abs(key_inequality_residual(patch, p, 1)) < 1e-8
+    assert np.isfinite(l_k_apply(patch, p, 1, phi_of_distance_field(model, o, -1.0)))
+    for name in ("sphere-in-hyperbolic", "hyperboloid-equality"):
+        config = load_scenario(bundled_scenarios()[name])
+        config.resolution = 8
+        emit_samples_csv(config, collect_samples(config), tmp_path / f"{name}.csv")
 
 
 def test_operator_data_runs_one_recurrence(monkeypatch):

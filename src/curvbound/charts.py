@@ -256,8 +256,10 @@ class GeodesicSphereChart(Chart):
                  half_width: float = 2.0):
         if radius <= 0:
             raise ConfigError("geodesic sphere radius must be positive")
-        b = model.curvature
-        if model.signature == RIEMANNIAN and b > 0 and radius >= np.pi / np.sqrt(b):
+        # the radial geodesics have <v,v> = eps, so they run with k = eps b and,
+        # for k > 0, refocus at the conjugate radius pi/sqrt(k)
+        k = model.epsilon * model.curvature
+        if k > 0.0 and radius >= np.pi / np.sqrt(k):
             raise ConfigError("geodesic sphere radius reaches the conjugate locus")
         self.model = model
         self.center = model.check_point(np.asarray(center, dtype=float))
@@ -265,7 +267,7 @@ class GeodesicSphereChart(Chart):
         self.half_width = float(half_width)
         self.nparams = model.dimension - 1
         self._frame = self._tangent_frame()
-        self._alpha, self._beta = self._exp_coefficients()
+        self._alpha, self._beta = cs(k, self.radius), sn(k, self.radius)
 
     def _tangent_frame(self):
         model, o = self.model, self.center
@@ -287,11 +289,6 @@ class GeodesicSphereChart(Chart):
         if len(basis) != model.dimension:
             raise ConfigError("failed to build a tangent frame at the center")
         return np.array(basis)
-
-    def _exp_coefficients(self):
-        # the radial geodesics have <v,v> = eps, so they run with k = eps b
-        k = self.model.epsilon * self.model.curvature
-        return cs(k, self.radius), sn(k, self.radius)
 
     def _direction_jet(self, p):
         p = np.asarray(p, dtype=float)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -139,6 +140,11 @@ class CurvatureBoundG:
         return integrate.quad(self, a, b, limit=200)[0]
 
     def admissibility(self) -> AdmissibilityFlags:
+        """The three conditions, checked on the first call and kept: the bound is frozen."""
+        return self._admissibility
+
+    @cached_property
+    def _admissibility(self) -> AdmissibilityFlags:
         from scipy import integrate
         positive = self(0.0) > 0.0
         nondec = bool(np.all(self.derivative(np.linspace(0.0, 100.0, 501)) >= -1e-10))
@@ -298,11 +304,11 @@ def psi_quotient(G: CurvatureBoundG, integral: np.ndarray, t: np.ndarray) -> np.
     return G(np.asarray(t, dtype=float)) / (-np.expm1(-np.asarray(integral)))
 
 
-def sturm_profile(G: CurvatureBoundG, T: float, num: int = 1000):
-    """Grid, g, g', psi, and the margin psi'/psi - g'/g over (0, T]."""
+def sturm_profile(G: CurvatureBoundG, T: float):
+    """Grid, g, g', psi, and the margin psi'/psi - g'/g at 1000 points over (0, T]."""
     if not 0.1 <= T < math.inf:
         raise DomainError("sturm comparison requires a finite T >= 0.1")
-    sol = solve_cauchy_g(G, T, num=num + 1)
+    sol = solve_cauchy_g(G, T, num=1001)
     grid = sol.grid[1:]
     g = sol.g[1:]
     dg = sol.dg[1:]
@@ -312,9 +318,9 @@ def sturm_profile(G: CurvatureBoundG, T: float, num: int = 1000):
     return grid, g, dg, psi_vals, margins
 
 
-def sturm_margin(G: CurvatureBoundG, T: float, num: int = 1000) -> float:
-    """Minimum of psi'/psi - g'/g over a grid on (0, T]; nonnegative in theory."""
-    _, _, _, _, margins = sturm_profile(G, T, num=num)
+def sturm_margin(G: CurvatureBoundG, T: float) -> float:
+    """Minimum of psi'/psi - g'/g over the grid of :func:`sturm_profile`; nonnegative in theory."""
+    _, _, _, _, margins = sturm_profile(G, T)
     return float(margins.min())
 
 

@@ -114,31 +114,6 @@ def symmetric_values(kappa: np.ndarray, signature: str) -> tuple:
     return signed_values(complement_symmetric(kappa), signature)
 
 
-@dataclass(frozen=True)
-class CurvatureProfile:
-    """Per-point curvature data: spectrum, S_k, H_k, trace coefficients."""
-
-    n: int
-    kappa: np.ndarray
-    S: np.ndarray
-    H: np.ndarray
-    c: np.ndarray
-    signature: str
-
-    @classmethod
-    def from_kappa(cls, kappa: np.ndarray, signature: str) -> "CurvatureProfile":
-        kappa = np.sort(np.asarray(kappa, dtype=float))
-        n = kappa.size
-        return cls(
-            n=n,
-            kappa=kappa,
-            S=elementary_symmetric(kappa),
-            H=higher_mean_curvatures(kappa, n, signature),
-            c=trace_coefficients(n),
-            signature=signature,
-        )
-
-
 def _check_symmetric(A: np.ndarray) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     scale = max(1.0, float(np.abs(A).max()))
@@ -149,12 +124,12 @@ def _check_symmetric(A: np.ndarray) -> np.ndarray:
     return 0.5 * (A + A.T)
 
 
-def classify_definiteness(eigenvalues: np.ndarray, tol: float = 1e-12) -> str:
-    scale = max(1.0, float(np.abs(eigenvalues).max()))
+def classify_definiteness(eigenvalues: np.ndarray) -> str:
+    tol = 1e-12 * max(1.0, float(np.abs(eigenvalues).max()))
     low = eigenvalues.min()
-    if low > tol * scale:
+    if low > tol:
         return "positive_definite"
-    if low > -tol * scale:
+    if low > -tol:
         return "positive_semidefinite"
     return "indefinite"
 
@@ -177,18 +152,18 @@ class NewtonFamily:
 def newton_tensors(A: np.ndarray, kappa: np.ndarray, signature: str) -> list:
     """P_0..P_n by the inductive matrix recursion, with S_k taken from kappa.
 
-    ``A`` (..., n, n) must be symmetric and ``kappa`` (..., n) its spectrum.
-    An oracle: the pipeline reads P_k only through :func:`symmetric_values`.
+    P_k = sign_k S_k I - eps A P_{k-1}, with sign_k the sign of S_k in
+    binom(n,k) H_k and eps = <N,N>.  ``A`` (..., n, n) must be symmetric and
+    ``kappa`` (..., n) its spectrum.  An oracle: the pipeline reads P_k only
+    through :func:`symmetric_values`.
     """
     n = A.shape[-1]
-    s = elementary_symmetric(kappa)[..., None, None]
+    s = _signs(n, signature)[:, None, None] * elementary_symmetric(kappa)[..., None, None]
+    eps = 1.0 if signature == RIEMANNIAN else -1.0
     eye = np.eye(n)
     P = [np.broadcast_to(eye, A.shape)]
     for k in range(1, n + 1):
-        if signature == RIEMANNIAN:
-            nxt = s[..., k, :, :] * eye - A @ P[k - 1]
-        else:
-            nxt = (-1.0) ** k * s[..., k, :, :] * eye + A @ P[k - 1]
+        nxt = s[..., k, :, :] * eye - eps * (A @ P[k - 1])
         P.append(0.5 * (nxt + np.swapaxes(nxt, -1, -2)))
     return P
 

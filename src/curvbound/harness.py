@@ -115,10 +115,14 @@ def load_scenario(source) -> ScenarioConfig:
             signature=need(amb, "signature", "ambient"),
             curvature=float(need(amb, "curvature", "ambient")),
             dimension=int(need(amb, "dimension", "ambient")),
-            model_kind=need(amb, "model_kind", "ambient"),
         )
     except ValueError as exc:
         raise ConfigError(f"bad ambient model: {exc}") from exc
+    if need(amb, "model_kind", "ambient") != model.model_kind:
+        raise ConfigError(
+            f"bad ambient model: model_kind {amb['model_kind']!r} disagrees with the signature "
+            f"and the sign of b, which make it {model.model_kind!r}"
+        )
     ref = need(raw, "reference", "scenario")
     center = np.asarray(need(ref, "center", "reference"), dtype=float)
     radius = ref.get("radius")

@@ -76,10 +76,10 @@ class HypersurfacePatch:
     def domain_width(self) -> np.ndarray:
         return self.domain_hi - self.domain_lo
 
-    def contains(self, p: np.ndarray, slack: float = 1e-9):
-        """Whether each parameter point p (..., n) lies in the domain box."""
+    def contains(self, p: np.ndarray):
+        """Whether each parameter point p (..., n) lies in the domain box, up to round-off."""
         p = np.asarray(p, dtype=float)
-        pad = slack * np.maximum(1.0, np.abs(self.domain_width))
+        pad = 1e-9 * np.maximum(1.0, np.abs(self.domain_width))
         return np.all((p >= self.domain_lo - pad) & (p <= self.domain_hi + pad), axis=-1)
 
     def jet_at(self, p: np.ndarray):

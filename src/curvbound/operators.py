@@ -175,9 +175,7 @@ def restrict_field(patch: HypersurfacePatch, field, frame: PointFrame) -> FieldS
 # ---------------------------------------------------------------------------
 
 
-def intrinsic_hessian_fd(
-    patch: HypersurfacePatch, scalar_fn, p: np.ndarray, step_scale: float = 1e-4
-) -> np.ndarray:
+def intrinsic_hessian_fd(patch: HypersurfacePatch, scalar_fn, p: np.ndarray) -> np.ndarray:
     """Intrinsic Hessian at p (n,) of u = scalar_fn∘f via Christoffel symbols.
 
     ``scalar_fn`` maps ambient positions (..., m) to (...).  ``patch.jet_at``
@@ -193,8 +191,7 @@ def intrinsic_hessian_fd(
         g = induced_metric(d1, eta)
         return np.concatenate([scalar_fn(x)[..., None], g.reshape(g.shape[:-2] + (n * n,))], -1)
 
-    x, d1, d2 = fd_jet(scalar_and_metric, np.asarray(p, dtype=float),
-                       step_scale * patch.domain_width)
+    x, d1, d2 = fd_jet(scalar_and_metric, np.asarray(p, dtype=float), 1e-4 * patch.domain_width)
     du, d2u = d1[0], d2[0]
     dg = np.moveaxis(d1[1:].reshape(n, n, n), -1, 0)  # dg[k] = d_k g
     g_inv = np.linalg.inv(x[1:].reshape(n, n))
@@ -203,16 +200,14 @@ def intrinsic_hessian_fd(
     return d2u - np.einsum("lij,l->ij", gamma, du)
 
 
-def restriction_hessian(
-    patch: HypersurfacePatch, o: np.ndarray, p: np.ndarray, check_tol: float = 1e-3
-) -> np.ndarray:
+def restriction_hessian(patch: HypersurfacePatch, o: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Intrinsic Hessian of u = rho∘f, identity route, FD cross-checked."""
     model = patch.ambient
     sample = restrict_field(patch, DistanceField(model, o), frame_at(patch, p))
     raise_first(sample.errors)
     fd = intrinsic_hessian_fd(patch, lambda x: ambient_distance(model, o, x), p)
     scale = max(1.0, float(np.abs(sample.hess).max()))
-    if np.abs(sample.hess - fd).max() > check_tol * scale:
+    if np.abs(sample.hess - fd).max() > 1e-3 * scale:
         raise ConsistencyError(
             "identity-route and finite-difference Hessians disagree "
             f"by {np.abs(sample.hess - fd).max():.3e}"
@@ -382,16 +377,15 @@ def omori_yau_search(
     resolution: int = 24,
     j_max: int = 6,
     rounds: int = 8,
-    top_quantile: float = 0.1,
 ) -> OmoriYauReport:
     """Search for points realizing the three extremum-sequence conditions.
 
     For each j <= j_max a candidate p must satisfy u(p) > u* - 1/j,
     |grad u(p)| < 1/j and (1/Tr P_k) L_k u(p) < 1/j.  The search runs a
-    coarse grid, filters the near-supremum set, then repeatedly halves a
-    local grid around the best point (the default 8 rounds resolve gradients
-    to roughly cell/256; raise ``rounds`` for tighter targets).  Every point
-    evaluated joins the candidate pool.
+    coarse grid, starts from the smallest gradient in the top tenth of its u
+    values, then repeatedly halves a local grid around the best point (the
+    default 8 rounds resolve gradients to roughly cell/256; raise ``rounds``
+    for tighter targets).  Every point evaluated joins the candidate pool.
     """
     axes = grid_axes(patch, resolution)
     records, errors, excluded = _evaluate_rows(patch, field, k, grid_points(axes))
@@ -399,7 +393,7 @@ def omori_yau_search(
         raise GeometryError("no valid samples for the extremum search")
     order = np.argsort(records[1], kind="stable")
     pool = [tuple(a[order] for a in records)]
-    top = order[int(np.floor((1.0 - top_quantile) * len(order))):]
+    top = order[int(np.floor(0.9 * len(order))):]
     start = records[0][top[np.argmin(records[2][top])]]  # smallest gradient near the supremum
 
     def pooled_u(Q):

@@ -4,23 +4,27 @@ Curved models are realized as quadrics { <x,x> = 1/b } inside a flat
 (pseudo-)Euclidean embedding space of one extra dimension, which keeps the
 distance function, its gradient and its Hessian analytically exact:
 
-=====================  ====================  =========================
-model_kind             embedding metric      distance to o
-=====================  ====================  =========================
-euclidean              (+...+)   dim n+1     |x - o|
-sphere_embedded        (+...+)   dim n+2     arccos(b<x,o>)/sqrt(b)
-hyperboloid_embedded   (-+...+)  dim n+2     arccosh(b<x,o>)/sqrt(-b)
-minkowski              (-+...+)  dim n+1     sqrt(-<x-o,x-o>)
-lorentz_spaceform b>0  (-+...+)  dim n+2     arccosh(b<x,o>)/sqrt(b)
-lorentz_spaceform b<0  (--+...+) dim n+2     arccos(b<x,o>)/sqrt(-b)
-=====================  ====================  =========================
+=====================  ===========  ====================  ===========================
+model_kind             (eps, b)     embedding metric      distance rho to o, k = eps b
+=====================  ===========  ====================  ===========================
+euclidean              (+1, 0)      (+...+)   dim n+1     sqrt(eps<x-o,x-o>)
+minkowski              (-1, 0)      (-+...+)  dim n+1     sqrt(eps<x-o,x-o>)
+sphere_embedded        (+1, b > 0)  (+...+)   dim n+2     arccos: cs_k(rho) = b<x,o>
+hyperboloid_embedded   (+1, b < 0)  (-+...+)  dim n+2     arccosh: cs_k(rho) = b<x,o>
+lorentz_spaceform      (-1, b > 0)  (-+...+)  dim n+2     arccosh: cs_k(rho) = b<x,o>
+lorentz_spaceform      (-1, b < 0)  (--+...+) dim n+2     arccos: cs_k(rho) = b<x,o>
+=====================  ===========  ====================  ===========================
+
+A model is (signature, b, dimension), with eps = <N,N> = ``AmbientModel.epsilon``
+(+1 Riemannian, -1 Lorentzian); ``model_kind`` is derived from them.  Each
+model keeps its own cut-locus or chronology guard on the distance.
 
 Lorentzian distance is defined on the chronological future of the reference
-point only; its gradient is a past-directed unit timelike field there.
+point only, the points x with <P_o(x - o), T(o)> < 0 for the time orientation
+T; its gradient is a past-directed unit timelike field there.
 
 Every other formula is written once, with the model functions sn_k, cs_k of
-:mod:`curvbound.comparison` and eps = <N,N> = ``AmbientModel.epsilon`` (+1
-Riemannian, -1 Lorentzian): geodesics gamma(t) = cs_k(t) x + sn_k(t) v with
+:mod:`curvbound.comparison`: geodesics gamma(t) = cs_k(t) x + sn_k(t) v with
 k = b<v,v>; grad rho = -eps P_x(o - x) / sn_{eps b}(rho), with P_x the tangent
 projection at x (the identity in flat models); and Hess rho(X, Y) =
 eps C_{eps b}(rho) (<X,Y> - eps drho(X) drho(Y)).
@@ -39,16 +43,9 @@ from .errors import DomainError, UndefinedGradientError, failed, flag, no_errors
 RIEMANNIAN = "riemannian"
 LORENTZIAN = "lorentzian"
 
-MODEL_KINDS = (
-    "euclidean",
-    "sphere_embedded",
-    "hyperboloid_embedded",
-    "minkowski",
-    "lorentz_spaceform",
-)
-
-# Distances below this are rejected by gradient/Hessian routines: the
-# comparison quantities blow up like 1/rho there.
+# Distances up to this fraction of the coordinate scale max(|x|, |o|) are
+# rejected by gradient/Hessian routines: the comparison quantities blow up
+# like 1/rho there, and x - o keeps at most half of its digits.
 COINCIDENCE_TOL = 1e-8
 
 
@@ -63,53 +60,52 @@ class AmbientModel:
     signature: str
     curvature: float
     dimension: int
-    model_kind: str
 
     def __post_init__(self):
         if self.signature not in (RIEMANNIAN, LORENTZIAN):
             raise ValueError(f"unknown signature {self.signature!r}")
-        if self.model_kind not in MODEL_KINDS:
-            raise ValueError(f"unknown model_kind {self.model_kind!r}")
+        if not np.isfinite(self.curvature):
+            raise ValueError(f"curvature must be finite, got {self.curvature!r}")
         if self.dimension < 2:
             raise ValueError("model dimension must be at least 2")
-        b = self.curvature
-        kind = self.model_kind
-        if kind == "euclidean" and (b != 0.0 or self.signature != RIEMANNIAN):
-            raise ValueError("euclidean model requires b = 0, riemannian")
-        if kind == "minkowski" and (b != 0.0 or self.signature != LORENTZIAN):
-            raise ValueError("minkowski model requires b = 0, lorentzian")
-        if kind == "sphere_embedded" and not (b > 0.0 and self.signature == RIEMANNIAN):
-            raise ValueError("sphere_embedded requires b > 0, riemannian")
-        if kind == "hyperboloid_embedded" and not (
-            b < 0.0 and self.signature == RIEMANNIAN
-        ):
-            raise ValueError("hyperboloid_embedded requires b < 0, riemannian")
-        if kind == "lorentz_spaceform" and not (b != 0.0 and self.signature == LORENTZIAN):
-            raise ValueError("lorentz_spaceform requires b != 0, lorentzian")
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def euclidean(cls, dimension: int) -> "AmbientModel":
-        return cls(RIEMANNIAN, 0.0, dimension, "euclidean")
+        return cls(RIEMANNIAN, 0.0, dimension)
 
     @classmethod
     def sphere(cls, curvature: float, dimension: int) -> "AmbientModel":
-        return cls(RIEMANNIAN, float(curvature), dimension, "sphere_embedded")
+        if not curvature > 0.0:
+            raise ValueError("sphere_embedded requires b > 0")
+        return cls(RIEMANNIAN, float(curvature), dimension)
 
     @classmethod
     def hyperbolic(cls, curvature: float, dimension: int) -> "AmbientModel":
-        return cls(RIEMANNIAN, float(curvature), dimension, "hyperboloid_embedded")
+        if not curvature < 0.0:
+            raise ValueError("hyperboloid_embedded requires b < 0")
+        return cls(RIEMANNIAN, float(curvature), dimension)
 
     @classmethod
     def minkowski(cls, dimension: int) -> "AmbientModel":
-        return cls(LORENTZIAN, 0.0, dimension, "minkowski")
+        return cls(LORENTZIAN, 0.0, dimension)
 
     @classmethod
     def lorentz_space_form(cls, curvature: float, dimension: int) -> "AmbientModel":
-        return cls(LORENTZIAN, float(curvature), dimension, "lorentz_spaceform")
+        if curvature == 0.0:
+            raise ValueError("lorentz_spaceform requires b != 0")
+        return cls(LORENTZIAN, float(curvature), dimension)
 
     # -- embedding data ----------------------------------------------------
+
+    @property
+    def model_kind(self) -> str:
+        """The model's name, derived from the signature and the sign of b."""
+        b = self.curvature
+        if self.signature == LORENTZIAN:
+            return "lorentz_spaceform" if b else "minkowski"
+        return "sphere_embedded" if b > 0.0 else "hyperboloid_embedded" if b else "euclidean"
 
     @property
     def epsilon(self) -> float:
@@ -135,28 +131,23 @@ class AmbientModel:
     # -- point and tangent utilities ---------------------------------------
 
     def base_point(self) -> np.ndarray:
-        """A canonical model point: the origin, or a vertex of the quadric."""
+        """A canonical model point: the origin, or the quadric's vertex 1/sqrt|b| on an
+        axis whose metric sign is that of b (the first, or the last in de Sitter space)."""
         x = np.zeros(self.embedding_dim)
-        b = self.curvature
-        if self.model_kind == "sphere_embedded":
-            x[0] = 1.0 / np.sqrt(b)
-        elif self.model_kind == "hyperboloid_embedded":
-            x[0] = 1.0 / np.sqrt(-b)
-        elif self.model_kind == "lorentz_spaceform":
-            if b > 0:
-                x[-1] = 1.0 / np.sqrt(b)
-            else:
-                x[0] = 1.0 / np.sqrt(-b)
+        if self.is_quadric:
+            b = self.curvature
+            x[0 if self.metric_diag[0] * b > 0.0 else -1] = 1.0 / np.sqrt(abs(b))
         return x
 
     def flat_inner(self, u: np.ndarray, v: np.ndarray):
         """Flat embedding inner product over the last axis."""
         return np.vecdot(self.metric_diag * np.asarray(u), np.asarray(v))
 
-    def point_errors(self, x: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    def point_errors(self, x: np.ndarray) -> np.ndarray:
         """Per-row DomainError where x (..., m) is off the model quadric.
 
-        Raises at once when x has the wrong number of coordinates.
+        Riemannian b < 0 takes the upper sheet, x_0 > 0.  Raises at once when
+        x has the wrong number of coordinates.
         """
         x = np.asarray(x, dtype=float)
         if x.shape[-1:] != (self.embedding_dim,):
@@ -166,8 +157,8 @@ class AmbientModel:
         errors = no_errors(x.shape[:-1])
         if self.is_quadric:
             b = self.curvature
-            off = np.abs(self.flat_inner(x, x) - 1.0 / b) > tol * max(1.0, abs(1.0 / b))
-            if self.model_kind == "hyperboloid_embedded":
+            off = np.abs(self.flat_inner(x, x) - 1.0 / b) > 1e-9 * max(1.0, abs(1.0 / b))
+            if self.signature == RIEMANNIAN and b < 0.0:
                 off |= x[..., 0] <= 0.0
             flag(errors, off, DomainError, "point does not satisfy the model quadric constraint")
         return errors
@@ -185,14 +176,14 @@ class AmbientModel:
         b = self.curvature
         return v - (b * self.flat_inner(v, x))[..., None] * np.asarray(x)
 
-    def check_tangent(self, x: np.ndarray, v: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+    def check_tangent(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """v (..., m), checked to be tangent to the model at x (..., m) row by row."""
         v = np.asarray(v, dtype=float)
         if v.shape[-1:] != (self.embedding_dim,):
             raise DomainError("tangent vector has wrong length")
         if self.is_quadric:
             scale = np.maximum(1.0, np.abs(v).max(axis=-1) * np.abs(x).max(axis=-1))
-            if np.any(np.abs(self.flat_inner(v, x)) > tol * scale):
+            if np.any(np.abs(self.flat_inner(v, x)) > 1e-8 * scale):
                 raise DomainError("vector is not tangent to the model at x")
         return v
 
@@ -202,17 +193,14 @@ class AmbientModel:
             raise DomainError("time orientation only defined for lorentzian models")
         x = np.asarray(x, dtype=float)
         t = np.zeros(x.shape)
-        if self.model_kind == "minkowski":
-            t[..., 0] = 1.0
+        if self.curvature < 0.0:
+            # anti-de Sitter: rotation in the (x0, x1) timelike plane is a global
+            # timelike Killing field and is already tangent to the quadric.
+            t[..., 0] = -x[..., 1]
+            t[..., 1] = x[..., 0]
             return t
-        if self.curvature > 0.0:
-            t[..., 0] = 1.0
-            return self.tangent_project(x, t)
-        # anti-de Sitter: rotation in the (x0, x1) timelike plane is a global
-        # timelike Killing field and is already tangent to the quadric.
-        t[..., 0] = -x[..., 1]
-        t[..., 1] = x[..., 0]
-        return t
+        t[..., 0] = 1.0  # Minkowski and de Sitter: e_0, projected
+        return self.tangent_project(x, t)
 
 
 @dataclass(frozen=True)
@@ -260,6 +248,21 @@ def geodesic_velocity(model: AmbientModel, x: np.ndarray, v: np.ndarray, t: floa
 # ---------------------------------------------------------------------------
 
 
+# Each quadric's domain guard on c = b<x,o> = cs_{eps b}(rho), keyed by (signature, b > 0):
+# the rows where its distance is undefined, and why.
+_QUADRIC_GUARDS = {
+    (RIEMANNIAN, True): (lambda c: c <= -1.0 + 1e-12,
+                         "antipodal or beyond: spherical distance undefined"),
+    (RIEMANNIAN, False): (lambda c: c < 1.0 - 1e-9, "point not on the same hyperboloid sheet"),
+    (LORENTZIAN, True): (lambda c: c <= 1.0,
+                         "point is not chronologically related to the reference"),
+    # b < 0: the distance is smooth and positive only while rho < pi/(2 sqrt(-b))
+    (LORENTZIAN, False): (lambda c: (c <= 0.0) | (c >= 1.0),
+                          "point outside the guarded chronological range"),
+}
+_NOT_FUTURE = "point is not in the chronological future of the reference"
+
+
 def distance_rows(model: AmbientModel, o: np.ndarray, x: np.ndarray):
     """(rho, errors): distances from the reference point o to the points x (..., m).
 
@@ -271,38 +274,26 @@ def distance_rows(model: AmbientModel, o: np.ndarray, x: np.ndarray):
     o = model.check_point(o)
     x = np.asarray(x, dtype=float)
     errors = model.point_errors(x)
-    kind = model.model_kind
-    b = model.curvature
-    if kind == "euclidean":
+    eps, b = model.epsilon, model.curvature
+    k = eps * b
+    if b == 0.0:
         d = x - o
-        return np.sqrt(np.vecdot(d, d)), errors
-    if kind == "minkowski":
-        d = x - o
-        q = model.flat_inner(d, d)
-        flag(errors, (q >= 0.0) | (d[..., 0] <= 0.0),
-             DomainError, "point is not in the chronological future of the reference")
-        return np.sqrt(np.maximum(-q, 0.0)), errors
-    c = b * model.flat_inner(x, o)
-    if kind == "sphere_embedded":
-        flag(errors, c <= -1.0 + 1e-12,
-             DomainError, "antipodal or beyond: spherical distance undefined")
-        return np.arccos(np.minimum(np.maximum(c, -1.0), 1.0)) / np.sqrt(b), errors
-    if kind == "hyperboloid_embedded":
-        flag(errors, c < 1.0 - 1e-9, DomainError, "point not on the same hyperboloid sheet")
-        return np.arccosh(np.maximum(c, 1.0)) / np.sqrt(-b), errors
-    # lorentz_spaceform: w is tangent at o and points toward x
-    w = model.tangent_project(o, x)
-    past = model.flat_inner(w, model.time_orientation(o)) >= 0.0
-    if b > 0.0:
-        flag(errors, c <= 1.0,
-             DomainError, "point is not chronologically related to the reference")
-        rho = np.arccosh(np.maximum(c, 1.0)) / np.sqrt(b)
+        s = eps * model.flat_inner(d, d)
+        if eps < 0.0:
+            flag(errors, s <= 0.0, DomainError, _NOT_FUTURE)
+        rho = np.sqrt(np.maximum(s, 0.0))
     else:
-        # b < 0: distance is smooth and positive only while rho < pi/(2 sqrt(-b))
-        flag(errors, (c <= 0.0) | (c >= 1.0),
-             DomainError, "point outside the guarded chronological range")
-        rho = np.arccos(np.minimum(np.maximum(c, -1.0), 1.0)) / np.sqrt(-b)
-    flag(errors, past, DomainError, "point is not in the chronological future of the reference")
+        c = b * model.flat_inner(x, o)
+        guard, message = _QUADRIC_GUARDS[model.signature, b > 0.0]
+        flag(errors, guard(c), DomainError, message)
+        if k > 0.0:
+            rho = np.arccos(np.minimum(np.maximum(c, -1.0), 1.0)) / np.sqrt(k)
+        else:
+            rho = np.arccosh(np.maximum(c, 1.0)) / np.sqrt(-k)
+    if eps < 0.0:
+        w = model.tangent_project(o, x - o)
+        flag(errors, model.flat_inner(w, model.time_orientation(o)) >= 0.0,
+             DomainError, _NOT_FUTURE)
     return rho, errors
 
 
@@ -319,16 +310,17 @@ def gradient_rows(model: AmbientModel, o: np.ndarray, x: np.ndarray):
     grad rho = -eps P_x(o - x) / sn_{eps b}(rho), with P_x the tangent
     projection at x (the identity in flat models): a unit tangent to the
     radial geodesic, outward in Riemannian models and past-directed timelike
-    in Lorentzian ones.  Rows within COINCIDENCE_TOL of o get an
-    :class:`UndefinedGradientError`.
+    in Lorentzian ones.  Rows with rho <= COINCIDENCE_TOL max(|x|, |o|) (max
+    norms), rho = 0 included, get an :class:`UndefinedGradientError`.
     """
     rho, errors = distance_rows(model, o, x)
-    flag(errors, rho < COINCIDENCE_TOL,
-         UndefinedGradientError, "distance gradient undefined at the reference point")
-    r = np.maximum(rho, COINCIDENCE_TOL)[..., None]  # finite quotients on failed rows
-    eps = model.epsilon
     o = np.asarray(o, dtype=float)
     x = np.asarray(x, dtype=float)
+    coincident = rho <= COINCIDENCE_TOL * np.maximum(np.abs(x).max(axis=-1), np.abs(o).max())
+    flag(errors, coincident,
+         UndefinedGradientError, "distance gradient undefined at the reference point")
+    r = np.where(coincident, COINCIDENCE_TOL, rho)[..., None]  # finite quotients on failed rows
+    eps = model.epsilon
     grad = model.tangent_project(x, o - x)
     grad /= -eps * sn(eps * model.curvature, r)
     return rho, grad, errors
@@ -389,7 +381,6 @@ def fd_distance_hessian_quadform(
     o: np.ndarray,
     x: np.ndarray,
     X: np.ndarray,
-    step: float | None = None,
 ) -> float:
     """Finite-difference Hess rho(X, X) along the model geodesic through x.
 
@@ -403,8 +394,7 @@ def fd_distance_hessian_quadform(
     if scale < 1e-14:
         return 0.0
     Xn = X / scale
-    if step is None:
-        step = 1e-3 * max(1.0, float(np.abs(x).max()))
+    step = 1e-3 * max(1.0, float(np.abs(x).max()))
     f = [
         ambient_distance(model, o, geodesic_point(model, x, Xn, k * step))
         for k in (-2, -1, 0, 1, 2)

@@ -53,22 +53,6 @@ def equality_spheres():
                 yield b, r, n, jets, resolution, patch
 
 
-def base_point(model):
-    """A canonical point to use as reference: origin, or a quadric vertex."""
-    x = np.zeros(model.embedding_dim)
-    b = model.curvature
-    if model.model_kind == "sphere_embedded":
-        x[0] = 1.0 / np.sqrt(b)
-    elif model.model_kind == "hyperboloid_embedded":
-        x[0] = 1.0 / np.sqrt(-b)
-    elif model.model_kind == "lorentz_spaceform":
-        if b > 0:
-            x[-1] = 1.0 / np.sqrt(b)
-        else:
-            x[0] = 1.0 / np.sqrt(-b)
-    return x
-
-
 def rho_range(model):
     """A distance range staying inside every domain guard of the model."""
     b = model.curvature

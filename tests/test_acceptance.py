@@ -46,7 +46,6 @@ from curvbound.spaceform import (
 
 from conftest import (
     all_models,
-    base_point,
     equality_spheres,
     random_point_at,
     random_tangent,
@@ -142,7 +141,7 @@ def test_criterion_7_hessian_comparison():
     with criterion(7, "closed-form vs FD distance Hessian in every model", 10.0):
         rng = np.random.default_rng(707)
         for model in all_models():
-            o = base_point(model)
+            o = model.base_point()
             lo, hi = rho_range(model)
             for _ in range(100):
                 x = random_point_at(model, o, lo + (hi - lo) * rng.random(), rng)

@@ -220,6 +220,23 @@ def test_admissibility_of_test_set():
         assert flags.ok, spec
 
 
+def test_admissibility_runs_once_per_bound(monkeypatch):
+    from scipy import integrate
+
+    G = make_bound("sqrt_growth(1)")
+    lambda_sup(G)
+    windows = []
+    quad = integrate.quad
+
+    def counting_quad(f, a, b, **kwargs):
+        windows.extend([(a, b)] if b >= 10.0 else [])  # 1/G over [10^k, 10^(k+1)]
+        return quad(f, a, b, **kwargs)
+
+    monkeypatch.setattr(integrate, "quad", counting_quad)
+    assert lambda_sup(G).value == lambda_sup(make_bound("sqrt_growth(1)")).value
+    assert len(windows) == 6  # the fresh bound's scan only
+
+
 def test_inadmissible_bounds_flagged():
     quad = CurvatureBoundG(lambda t: (1.0 + t) ** 2, lambda t: 2.0 * (1.0 + t), "quadratic")
     assert not quad.admissibility().reciprocal_not_integrable

@@ -54,6 +54,23 @@ def test_all_bundled_scenarios_pass():
         assert report.exit_code == 0, (name, [c for c in report.checks if c.status != "pass"])
 
 
+def scaled_sphere_equality(lam):
+    """sphere-equality under the homothety x -> lam x (b = 0 stays 0)."""
+    raw = json.loads(Path(bundled_scenarios()["sphere-equality"]).read_text())
+    raw["reference"]["radius"] *= lam
+    raw["chart"]["params"]["radius"] *= lam
+    return run_scenario(load_scenario(raw))
+
+
+@pytest.mark.parametrize("lam", [1e-12, 1e-9, 1e-8, 1e4, 1e8])
+def test_sphere_equality_is_homothety_invariant(lam):
+    # every floor is relative to the sample's own scale, so no status moves
+    statuses = [(c.id, c.status) for c in scaled_sphere_equality(1.0).checks]
+    report = scaled_sphere_equality(lam)
+    assert report.exit_code == 0
+    assert [(c.id, c.status) for c in report.checks] == statuses
+
+
 def test_k_range_out_of_bounds_names_valid_range():
     cfg = json.loads(json.dumps({
         "name": "bad",
@@ -81,6 +98,15 @@ def test_missing_field_diagnostics():
             "k_range": [0, 1],
             "resolution": 4,
         })
+
+
+def test_model_kind_must_agree_with_signature_and_curvature(tmp_path, capsys):
+    raw = json.loads(Path(bundled_scenarios()["sphere-in-sphere"]).read_text())
+    raw["ambient"]["model_kind"] = "hyperboloid_embedded"
+    path = tmp_path / "mismatch.json"
+    path.write_text(json.dumps(raw))
+    assert main(["verify", "--scenario", str(path)]) == 3
+    assert "'sphere_embedded'" in capsys.readouterr().err
 
 
 def test_scenario_file_not_found():

@@ -547,6 +547,15 @@ def test_spacelike_violation_detected():
         frame_at(patch, np.array([0.0, 0.0]))
 
 
+def test_geodesic_sphere_stops_short_of_the_conjugate_locus():
+    # the radial geodesics of both models refocus at pi/sqrt(eps b)
+    for model in (AmbientModel.sphere(1.0, 3), AmbientModel.lorentz_space_form(-1.0, 3)):
+        with pytest.raises(ConfigError, match="conjugate locus"):
+            build_patch(model, "geodesic_sphere", {"radius": np.pi})
+        patch = build_patch(model, "geodesic_sphere", {"radius": np.pi - 1e-3})
+        assert patch.chart.radius == np.pi - 1e-3
+
+
 def test_future_orientation_requires_lorentzian():
     with pytest.raises(ConfigError):
         build_patch(E3, "sphere", {"radius": 1.0}, orientation="future")

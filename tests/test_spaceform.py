@@ -1,5 +1,7 @@
 """Distance machinery of the constant-curvature models."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,6 @@ from curvbound.spaceform import (
 
 from conftest import (
     all_models,
-    base_point,
     random_point_at,
     random_tangent,
     rho_range,
@@ -65,7 +66,7 @@ def test_minkowski_chronology_guards():
 
 def test_distance_along_radial_geodesics_all_models(rng):
     for model in all_models():
-        o = base_point(model)
+        o = model.base_point()
         lo, hi = rho_range(model)
         for _ in range(20):
             v = unit_radial(model, o, rng)
@@ -92,7 +93,7 @@ def test_minkowski_gradient_past_directed_unit():
 
 def test_gradient_unit_norm_everywhere(rng):
     for model in all_models():
-        o = base_point(model)
+        o = model.base_point()
         lo, hi = rho_range(model)
         for _ in range(25):
             x = random_point_at(model, o, lo + (hi - lo) * rng.random(), rng)
@@ -103,7 +104,7 @@ def test_gradient_unit_norm_everywhere(rng):
 def test_gradient_is_radial_velocity(rng):
     # Riemannian: grad rho = gamma'(rho); Lorentzian: grad rho = -gamma'(rho).
     for model in all_models():
-        o = base_point(model)
+        o = model.base_point()
         lo, hi = rho_range(model)
         sign = 1.0 if model.signature == "riemannian" else -1.0
         for _ in range(10):
@@ -124,8 +125,20 @@ def test_gradient_rejected_at_reference():
 
 def test_near_coincident_rejected():
     model = AmbientModel.euclidean(2)
+    o = np.array([1.0, 0.0])
     with pytest.raises(UndefinedGradientError):
-        distance_hessian_quadform(model, np.zeros(2), np.array([1e-9, 0.0]), np.array([0.0, 1.0]))
+        distance_hessian_quadform(model, o, o + np.array([1e-9, 0.0]), np.array([0.0, 1.0]))
+
+
+def test_coincidence_floor_is_relative_to_the_coordinates():
+    """The floor is COINCIDENCE_TOL times the coordinate scale, so a point at relative
+    distance 1e-6 has a gradient at every scale, and a tiny model keeps its gradients."""
+    model = AmbientModel.euclidean(2)
+    for scale in (1e-12, 1.0, 1e8):
+        o = np.array([scale, 0.0])
+        x = o + np.array([0.0, 1e-6 * scale])
+        np.testing.assert_allclose(distance_gradient(model, o, x), [0.0, 1.0], atol=1e-9)
+        np.testing.assert_allclose(distance_gradient(model, 0.0 * o, 1e-6 * o), [1.0, 0.0])
 
 
 # -- Hessians ----------------------------------------------------------------
@@ -142,7 +155,7 @@ def test_radial_direction_annihilated(rng):
     for model in all_models():
         if model.signature != "riemannian":
             continue
-        o = base_point(model)
+        o = model.base_point()
         lo, hi = rho_range(model)
         x = random_point_at(model, o, 0.5 * (lo + hi), rng)
         g = distance_gradient(model, o, x)
@@ -160,7 +173,7 @@ def test_minkowski_hessian_spacelike_orthogonal():
 
 def test_hyperbolic_hessian_is_coth(rng):
     model = AmbientModel.hyperbolic(-1.0, 3)
-    o = base_point(model)
+    o = model.base_point()
     x = random_point_at(model, o, 1.0, rng)
     g = distance_gradient(model, o, x)
     X = random_tangent(model, x, rng)
@@ -173,7 +186,7 @@ def test_hyperbolic_hessian_is_coth(rng):
 
 def test_hessian_polarization_symmetry(rng):
     for model in all_models():
-        o = base_point(model)
+        o = model.base_point()
         lo, hi = rho_range(model)
         for _ in range(10):
             x = random_point_at(model, o, lo + (hi - lo) * rng.random(), rng)
@@ -191,7 +204,7 @@ def test_hessian_polarization_symmetry(rng):
 
 def test_fd_hessian_matches_closed_form_all_models(rng):
     for model in all_models():
-        o = base_point(model)
+        o = model.base_point()
         lo, hi = rho_range(model)
         for _ in range(100):
             x = random_point_at(model, o, lo + (hi - lo) * rng.random(), rng)
@@ -203,7 +216,7 @@ def test_fd_hessian_matches_closed_form_all_models(rng):
 
 def test_comparison_residual_vanishes_in_space_forms(rng):
     for model in all_models():
-        o = base_point(model)
+        o = model.base_point()
         lo, hi = rho_range(model)
         for _ in range(30):
             x = random_point_at(model, o, lo + (hi - lo) * rng.random(), rng)
@@ -226,25 +239,37 @@ def test_non_tangent_vector_rejected():
 
 def test_reference_ball_guards():
     sphere = AmbientModel.sphere(1.0, 3)
-    ReferenceBall(base_point(sphere), 1.5).validate(sphere)
+    ReferenceBall(sphere.base_point(), 1.5).validate(sphere)
     with pytest.raises(DomainError):
-        ReferenceBall(base_point(sphere), np.pi / 2).validate(sphere)
+        ReferenceBall(sphere.base_point(), np.pi / 2).validate(sphere)
     ads = AmbientModel.lorentz_space_form(-1.0, 3)
     with pytest.raises(DomainError):
-        ReferenceBall(base_point(ads), np.pi / 2).validate(ads)
+        ReferenceBall(ads.base_point(), np.pi / 2).validate(ads)
     with pytest.raises(DomainError):
-        ReferenceBall(base_point(sphere), -1.0).validate(sphere)
+        ReferenceBall(sphere.base_point(), -1.0).validate(sphere)
 
 
 def test_model_invariants_enforced():
     with pytest.raises(ValueError):
-        AmbientModel("riemannian", -1.0, 3, "sphere_embedded")
+        AmbientModel.sphere(-1.0, 3)
     with pytest.raises(ValueError):
-        AmbientModel("riemannian", 0.5, 3, "euclidean")
+        AmbientModel.hyperbolic(0.5, 3)
     with pytest.raises(ValueError):
-        AmbientModel("riemannian", 1.0, 1, "sphere_embedded")
+        AmbientModel.sphere(1.0, 1)
     with pytest.raises(ValueError):
-        AmbientModel("lorentzian", 0.0, 3, "lorentz_spaceform")
+        AmbientModel.lorentz_space_form(0.0, 3)
+
+
+def test_model_is_signature_curvature_and_dimension():
+    assert [f.name for f in dataclasses.fields(AmbientModel)] == [
+        "signature", "curvature", "dimension"]
+    kinds = [model.model_kind for model in all_models()]
+    assert kinds == ["euclidean", "sphere_embedded", "hyperboloid_embedded", "minkowski",
+                     "lorentz_spaceform", "lorentz_spaceform"]
+    assert AmbientModel("riemannian", -2.0, 3) == AmbientModel.hyperbolic(-2.0, 3)
+    for b in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            AmbientModel("lorentzian", b, 3)
 
 
 def test_off_model_points_rejected():

@@ -13,7 +13,7 @@ Orientation conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -44,9 +44,13 @@ FD_JET_TOL = 1e-5
 DEGENERACY_TOL = 1e-12
 
 
-@dataclass
+@dataclass(frozen=True)
 class HypersurfacePatch:
-    """A chart bound to an ambient model with orientation and jet policy."""
+    """A chart bound to an ambient model with orientation and jet policy.
+
+    A patch is frozen and holds read-only copies of its domain and center,
+    so the frame :func:`frame_at` keeps for its last point cannot go stale.
+    """
 
     chart: Chart
     ambient: AmbientModel
@@ -55,10 +59,15 @@ class HypersurfacePatch:
     domain_hi: np.ndarray
     center: np.ndarray | None = None
     jets: str = "auto"  # auto | analytic | fd
+    # frame_at's last frame, keyed by the bytes of its parameter point
+    _last_frame: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.domain_lo = np.asarray(self.domain_lo, dtype=float)
-        self.domain_hi = np.asarray(self.domain_hi, dtype=float)
+        for name in ("domain_lo", "domain_hi", "center"):
+            if getattr(self, name) is not None:
+                value = np.array(getattr(self, name), dtype=float)
+                value.flags.writeable = False
+                object.__setattr__(self, name, value)
         if self.orientation not in ("inner", "outer", "future"):
             raise ConfigError(f"unknown orientation {self.orientation!r}")
         if (self.orientation == "future") != (self.ambient.signature == LORENTZIAN):
@@ -146,7 +155,9 @@ class PointFrame:
     def principal(self) -> np.ndarray:
         """(..., n, n): metric-orthonormal principal directions as columns, in kappa's order."""
         L, A = orthonormal_shape(self.metric, self.second_form)
-        return np.linalg.solve(np.swapaxes(L, -1, -2), np.linalg.eigh(A)[1])
+        E = np.linalg.solve(np.swapaxes(L, -1, -2), np.linalg.eigh(A)[1])
+        E.flags.writeable = False
+        return E
 
 
 def frames_at(patch: HypersurfacePatch, P: np.ndarray):
@@ -233,10 +244,24 @@ def frames_at(patch: HypersurfacePatch, P: np.ndarray):
 
 
 def frame_at(patch: HypersurfacePatch, p: np.ndarray) -> PointFrame:
-    """The frame at one parameter point p (n,); raises its GeometryError."""
-    frames, errors = frames_at(patch, np.asarray(p, dtype=float)[None])
-    raise_first(errors)
-    return frames[0]
+    """The frame at one parameter point p (n,); raises its GeometryError.
+
+    The patch keeps the last frame built here, so repeated calls at one p
+    return the same frame, with read-only arrays.  A point without a frame
+    is not kept: it raises on every call.
+    """
+    p = np.asarray(p, dtype=float)
+    key = p.tobytes()
+    frame = patch._last_frame.get(key)
+    if frame is None:
+        frames, errors = frames_at(patch, p[None])
+        raise_first(errors)
+        frame = frames[0]
+        for f in fields(frame):
+            getattr(frame, f.name).flags.writeable = False
+        patch._last_frame.clear()
+        patch._last_frame[key] = frame
+    return frame
 
 
 @dataclass

@@ -144,7 +144,7 @@ class AmbientModel:
         return np.vecdot(self.metric_diag * np.asarray(u), np.asarray(v))
 
     def point_errors(self, x: np.ndarray) -> np.ndarray:
-        """Per-row DomainError where x (..., m) is off the model quadric.
+        """Per-row DomainError where x (..., m) is not finite or off the model quadric.
 
         Riemannian b < 0 takes the upper sheet, x_0 > 0.  Raises at once when
         x has the wrong number of coordinates.
@@ -155,9 +155,15 @@ class AmbientModel:
                 f"point has {x.shape} coordinates, expected ({self.embedding_dim},)"
             )
         errors = no_errors(x.shape[:-1])
+        if not np.isfinite(x).all():  # one whole-array test on the common, all-finite path
+            flag(errors, ~np.isfinite(x).all(axis=-1), DomainError, "point has non-finite coordinates")
         if self.is_quadric:
             b = self.curvature
-            off = np.abs(self.flat_inner(x, x) - 1.0 / b) > 1e-9 * max(1.0, abs(1.0 / b))
+            deviation = np.abs(self.flat_inner(x, x) - 1.0 / b)
+            off = deviation > 1e-9 * max(1.0, abs(1.0 / b))
+            if off.any():
+                # <x,x> cancels terms as large as sum_a x_a^2: its round-off scales with them
+                off &= deviation > 1e-9 * np.vecdot(x, x)
             if self.signature == RIEMANNIAN and b < 0.0:
                 off |= x[..., 0] <= 0.0
             flag(errors, off, DomainError, "point does not satisfy the model quadric constraint")
@@ -269,7 +275,7 @@ def distance_rows(model: AmbientModel, o: np.ndarray, x: np.ndarray):
     Riemannian models give the geodesic distance; Lorentzian models give the
     Lorentzian distance, defined only on the chronological future of o.
     ``errors`` holds a :class:`DomainError` for each point where the distance
-    is undefined; rho is finite but meaningless there.
+    is undefined; rho is meaningless there.
     """
     o = model.check_point(o)
     x = np.asarray(x, dtype=float)

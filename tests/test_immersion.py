@@ -1,5 +1,6 @@
 """Frames, principal curvatures and grids of the bundled charts."""
 
+import dataclasses
 import zlib
 
 import numpy as np
@@ -561,6 +562,75 @@ def test_future_orientation_requires_lorentzian():
         build_patch(E3, "sphere", {"radius": 1.0}, orientation="future")
     with pytest.raises(ConfigError):
         build_patch(M3, "hyperboloid", {"radius": 1.0}, orientation="inner")
+
+
+# -- the last frame of a patch ------------------------------------------------------
+
+
+def counted(monkeypatch, owner, name):
+    """Wrap ``owner.name`` so that each call is appended to the returned list."""
+    calls, fn = [], getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def test_frame_at_reuses_the_frame_of_the_last_point(monkeypatch):
+    patch = sphere_patch()
+    jets = counted(monkeypatch, patch.chart, "jet")
+    p, q = np.array([1.0, 2.0]), np.array([1.1, 2.0])
+    frame = frame_at(patch, p)
+    assert frame_at(patch, p.copy()) is frame
+    assert len(jets) == 1
+    assert frame_at(patch, q) is not frame
+    again = frame_at(patch, p)  # p, q, p: one entry, so p is built again
+    assert again is not frame
+    assert len(jets) == 3
+    for field in (*PointFrame.__dataclass_fields__, "principal"):
+        assert np.array_equal(getattr(again, field), getattr(frame, field)), field
+
+
+def test_frame_at_raises_at_a_rejected_point_on_every_call():
+    patch = sphere_patch()
+    for _ in range(2):
+        with pytest.raises(DomainError, match="outside the patch domain"):
+            frame_at(patch, patch.domain_hi + 1.0)
+
+
+def test_frames_of_frame_at_are_read_only_and_the_caller_keeps_its_arrays():
+    center, lo, hi = np.zeros(3), np.array([0.2, 0.0]), np.array([2.9, 6.0])
+    patch = build_patch(E3, "sphere", {"radius": 1.0}, center=center, domain=(lo, hi))
+    p = np.array([1.0, 2.0])
+    frame = frame_at(patch, p)
+    with pytest.raises(ValueError, match="read-only"):
+        frame.kappa[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        frame.principal[0, 0] = 0.0
+    for a in (p, center, lo, hi):
+        assert a.flags.writeable
+    # a write to an array the patch was built from leaves the patch as it was
+    center[0], lo[0], p[0] = 5.0, 1.5, 1.2
+    assert np.array_equal(patch.center, np.zeros(3))
+    assert np.array_equal(patch.domain_lo, [0.2, 0.0])
+    assert frame_at(patch, p) is not frame
+
+
+def test_patch_is_frozen_and_a_replaced_patch_starts_without_a_frame():
+    patch = sphere_patch()
+    p = np.array([1.0, 2.0])
+    frame = frame_at(patch, p)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        patch.jets = "fd"
+    fd = dataclasses.replace(patch, jets="fd")
+    assert fd._last_frame == {}
+    fd_frame = frame_at(fd, p)
+    assert fd_frame is not frame
+    assert not np.array_equal(fd_frame.kappa, frame.kappa)
+    np.testing.assert_allclose(fd_frame.kappa, frame.kappa, atol=FD_JET_TOL)
 
 
 # -- tabulated charts --------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Restriction Hessians, trace operators, the key inequality, extremum search."""
 
+import dataclasses
 import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from curvbound import curvature, operators, spaceform
+from curvbound import curvature, immersion, operators, spaceform
 from curvbound.charts import PerturbedHyperboloidChart
 from curvbound.comparison import c_b, phi_b, phi_b_d1
 from curvbound.errors import DomainError
@@ -414,6 +415,58 @@ def test_restriction_evaluates_the_distance_once(monkeypatch):
             before = len(calls)
             restrict_field(patch, field, frame)
             assert calls[before:] == [frame.position.shape]
+
+
+def test_repeated_key_inequality_reuses_the_frame_and_its_directions(monkeypatch):
+    patch = ellipsoid_patch()
+    p = interior_points(patch, np.random.default_rng(5), 1)[0]
+    first = key_inequality_residual(patch, p, 1)
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    assert key_inequality_residual(patch, p, 1) == first
+    assert calls == []
+
+
+def probe_patches():
+    """The charts of the single-point probes, each with its reference point."""
+    S3, H3 = AmbientModel.sphere(1.0, 3), AmbientModel.hyperbolic(-1.0, 3)
+    yield pytest.param(ellipsoid_patch(), np.zeros(3), id="ellipsoid")
+    for label, model, radius in (("S3", S3, 0.7), ("H3", H3, 1.1)):
+        o = model.base_point()
+        patch = build_patch(model, "geodesic_sphere", {"radius": radius}, center=o)
+        yield pytest.param(patch, o, id=f"{label}-geodesic-sphere")
+    patch = build_patch(M3, "perturbed_hyperboloid", {"radius": 2.0})
+    yield pytest.param(patch, np.zeros(3), id="perturbed-hyperboloid")
+
+
+@pytest.mark.parametrize("patch, o", probe_patches())
+def test_single_point_calls_on_a_kept_frame_are_bit_identical(monkeypatch, patch, o):
+    # the five calls at one probe point build its frame once, and each reads
+    # the bits of the same call on a copy of the patch that has kept no frame
+    built = []
+    frames_at = immersion.frames_at
+
+    def counted(q, P):
+        built.append(q is patch)
+        return frames_at(q, P)
+
+    monkeypatch.setattr(immersion, "frames_at", counted)
+    field = DistanceField(patch.ambient, o)
+    points = interior_points(patch, np.random.default_rng(15), 5)
+    for p in points:
+        for fn, *args in ((restriction_hessian, o, p),
+                          (key_inequality_residual, p, 0, None, o), (l_k_apply, p, 0, field),
+                          (key_inequality_residual, p, 1, None, o), (l_k_apply, p, 1, field)):
+            kept, fresh = fn(patch, *args), fn(dataclasses.replace(patch), *args)
+            assert np.asarray(kept).tobytes() == np.asarray(fresh).tobytes(), fn.__name__
+    assert built.count(True) == len(points)
+    assert built.count(False) == 5 * len(points)
 
 
 # -- extremum-sequence search ---------------------------------------------------------

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from curvbound.errors import DomainError, UndefinedGradientError
+from curvbound.errors import DomainError, UndefinedGradientError, failed
 from curvbound.spaceform import (
     AmbientModel,
     ReferenceBall,
@@ -16,6 +16,7 @@ from curvbound.spaceform import (
     fd_distance_hessian_quadform,
     geodesic_point,
     geodesic_velocity,
+    gradient_rows,
     hessian_comparison_residual,
 )
 
@@ -276,3 +277,50 @@ def test_off_model_points_rejected():
     model = AmbientModel.sphere(1.0, 2)
     with pytest.raises(DomainError):
         ambient_distance(model, np.array([1.0, 0.0, 0.0]), np.array([2.0, 0.0, 0.0]))
+
+
+def test_non_finite_points_are_domain_errors():
+    nan = np.nan
+    for model, bad in ((AmbientModel.sphere(1.0, 3), [nan] * 4),
+                       (AmbientModel.euclidean(3), [nan, 0.0, 0.0])):
+        o = model.base_point()
+        good = geodesic_point(model, o, unit_radial(model, o, np.random.default_rng(0)), 0.5)
+        for x in ([bad], [good, bad, good]):
+            _, _, errors = gradient_rows(model, o, np.array(x))
+            assert [type(e) for e in errors] == [
+                DomainError if np.isnan(row).any() else type(None) for row in x]
+        with pytest.raises(DomainError, match="non-finite"):
+            model.check_point(np.array(bad))
+
+
+def test_exact_hyperboloid_points_far_from_the_vertex_are_accepted():
+    model = AmbientModel.hyperbolic(-1.0, 3)
+    o = model.base_point()
+    t = np.linspace(5.0, 15.0, 1001)[:, None]
+    x = geodesic_point(model, o, np.array([0.0, 1.0, 0.0, 0.0]), t)
+    assert not failed(model.point_errors(x)).any()
+    # 1e-6 relative off the quadric is rejected, near the vertex and far from it
+    for y in (x, geodesic_point(model, o, np.array([0.0, 1.0, 0.0, 0.0]), t - 5.0)):
+        y[:, 0] *= 1.0 + 1e-6
+        assert failed(model.point_errors(y)).all()
+
+
+def test_quadric_tolerance_only_widens(rng):
+    """Every finite point the absolute tolerance 1e-9 max(1, 1/|b|) accepted is still
+    accepted: on-model points at distances up to 12 and points moved off by 1e-12 to 1e-3."""
+    for model in all_models():
+        if not model.is_quadric:
+            continue
+        o = model.base_point()
+        b = model.curvature
+        x = np.array([random_point_at(model, o, rho, rng)
+                      for rho in rng.uniform(*rho_range(model), size=200)]
+                     + [geodesic_point(model, o, random_tangent(model, o, rng, spacelike=True), s)
+                        for s in rng.uniform(0.0, 12.0, size=200)])
+        x = x * (1.0 + 10.0 ** rng.uniform(-12.0, -3.0, size=(len(x), 1))
+                 * rng.choice([-1.0, 0.0, 1.0], size=x.shape))
+        accepted_before = np.abs(model.flat_inner(x, x) - 1.0 / b) <= 1e-9 * max(1.0, 1.0 / abs(b))
+        if model.signature == "riemannian" and b < 0.0:
+            accepted_before &= x[:, 0] > 0.0
+        assert accepted_before.any() and not accepted_before.all()
+        assert not failed(model.point_errors(x[accepted_before])).any()

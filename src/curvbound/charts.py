@@ -27,6 +27,13 @@ from .spaceform import LORENTZIAN, RIEMANNIAN, AmbientModel
 POLAR_MARGIN = 0.15
 
 
+def _frozen(a) -> np.ndarray:
+    """A read-only float copy of an array parameter, so a chart shares no array with its caller."""
+    a = np.array(a, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
 def hypersphere_direction(angles: np.ndarray) -> np.ndarray:
     """Unit vectors on S^n (n = angles.shape[-1]); leading axes of ``angles`` are sample axes.
 
@@ -142,8 +149,8 @@ class EllipsoidChart(Chart):
     """Axis-aligned ellipsoid; chart poles sit on the first semi-axis."""
 
     def __init__(self, center: np.ndarray, semi_axes: np.ndarray):
-        self.center = np.asarray(center, dtype=float)
-        self.semi_axes = np.asarray(semi_axes, dtype=float)
+        self.center = _frozen(center)
+        self.semi_axes = _frozen(semi_axes)
         if np.any(self.semi_axes <= 0):
             raise ConfigError("ellipsoid semi-axes must be positive")
         if self.semi_axes.size != self.center.size:
@@ -168,7 +175,7 @@ class CylinderChart(Chart):
     nparams = 2
 
     def __init__(self, center: np.ndarray, radius: float, half_length: float = 1.0):
-        self.center = np.asarray(center, dtype=float)
+        self.center = _frozen(center)
         if self.center.size != 3:
             raise ConfigError("cylinder chart lives in R^3")
         self.radius = float(radius)
@@ -199,12 +206,12 @@ class PolynomialGraphChart(Chart):
     """
 
     def __init__(self, terms, box_lo, box_hi):
-        self.box_lo = np.asarray(box_lo, dtype=float)
-        self.box_hi = np.asarray(box_hi, dtype=float)
+        self.box_lo = _frozen(box_lo)
+        self.box_hi = _frozen(box_hi)
         self.nparams = self.box_lo.size
-        self.terms = [
+        self.terms = tuple(
             (float(c), tuple(int(e) for e in exps)) for c, exps in terms
-        ]
+        )
         for _, exps in self.terms:
             if len(exps) != self.nparams:
                 raise ConfigError("polynomial exponents must match parameter count")
@@ -262,11 +269,11 @@ class GeodesicSphereChart(Chart):
         if k > 0.0 and radius >= np.pi / np.sqrt(k):
             raise ConfigError("geodesic sphere radius reaches the conjugate locus")
         self.model = model
-        self.center = model.check_point(np.asarray(center, dtype=float))
+        self.center = _frozen(model.check_point(np.asarray(center, dtype=float)))
         self.radius = float(radius)
         self.half_width = float(half_width)
         self.nparams = model.dimension - 1
-        self._frame = self._tangent_frame()
+        self._frame = _frozen(self._tangent_frame())
         self._alpha, self._beta = cs(k, self.radius), sn(k, self.radius)
 
     def _tangent_frame(self):
@@ -340,14 +347,14 @@ class PerturbedHyperboloidChart(Chart):
     def __init__(self, center, radius, epsilon=0.01, offset=1.0, half_width=2.0):
         if radius <= 0:
             raise ConfigError("hyperboloid radius must be positive")
-        self.center = np.asarray(center, dtype=float)
+        self.center = _frozen(center)
         self.radius = float(radius)
         self.epsilon = float(epsilon)
         self.half_width = float(half_width)
         self.nparams = self.center.size - 1
         y0 = np.zeros(self.nparams)
         y0[0] = float(offset)
-        self.y0 = y0
+        self.y0 = _frozen(y0)
 
     def _radial_jet(self, y):
         n = y.shape[-1]
@@ -397,17 +404,18 @@ class TabulatedChart(Chart):
     MATCH_TOL = 1e-9
 
     def __init__(self, params, positions, d1=None, d2=None):
-        self.params = np.asarray(params, dtype=float)
-        self.positions = np.asarray(positions, dtype=float)
+        self.params = _frozen(params)
+        self.positions = _frozen(positions)
         self.nparams = self.params.shape[1]
-        self.d1 = None if d1 is None else np.asarray(d1, dtype=float)
-        self.d2 = None if d2 is None else np.asarray(d2, dtype=float)
+        self.d1 = None if d1 is None else _frozen(d1)
+        self.d2 = None if d2 is None else _frozen(d2)
         self.axes = [np.unique(np.round(self.params[:, i], 9)) for i in range(self.nparams)]
         self._rows = np.full([a.size for a in self.axes], -1)
         index, _ = self._lookup(self.params)
         self._rows[tuple(np.moveaxis(index, -1, 0))] = np.arange(self.params.shape[0])
         if self._rows.size != self.params.shape[0] or np.any(self._rows < 0):
             raise ConfigError("tabulated samples do not form a complete grid")
+        self._rows.setflags(write=False)
 
     def _lookup(self, p, jet=False):
         """(index, errors): per-axis grid index of each point of p (..., n).

@@ -6,21 +6,22 @@ the Lorentzian counterpart C_{-b} (each over a float or an array of t),
 admissible curvature-growth bounds G (over arrays of times), the Cauchy
 problem g'' = G^2 g, the explicit supersolution quotient psi, and the
 barrier ingredients phi (A10-style primitive) and the finite supremum
-Lambda, in closed form.
+Lambda.
 
-The scenario pipeline needs only these closed forms, which use no scipy.
-scipy loads on the first call of a function that integrates:
-``CurvatureBoundG.integral`` and ``admissibility`` (so ``require_admissible``),
-``solve_cauchy_g`` (so ``sturm_profile``/``sturm_margin``), ``psi``,
-``lambda_sup``, ``phi_gamma``.
-"""
+Everything here is numpy.  A growth bound carries its primitive
+I(t) = int_0^t G, so int G, psi, Lambda and the overflow guard of the Cauchy
+problem are closed forms.  The Cauchy problem is solved by fourth-order
+Magnus steps (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 2009): exact for a
+constant G, each step's propagator in closed form, and their prefix
+products taken over arrays.  The integrals of 1/G (the admissibility windows
+and phi_gamma) use composite Gauss-Legendre on geometrically graded panels."""
 
 from __future__ import annotations
 
 import math
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable
 
 import numpy as np
@@ -99,6 +100,15 @@ def phi_ode_residual(b: float, t):
 # admissible curvature bounds G
 # ---------------------------------------------------------------------------
 
+GL_NODES = 10  # Gauss-Legendre nodes per panel of CurvatureBoundG.reciprocal_integral
+
+
+@cache
+def _gauss_legendre():
+    """Nodes and weights on [-1, 1]; numpy.polynomial loads on the first 1/G integral."""
+    from numpy.polynomial.legendre import leggauss
+    return leggauss(GL_NODES)
+
 
 @dataclass(frozen=True)
 class AdmissibilityFlags:
@@ -120,12 +130,14 @@ class CurvatureBoundG:
     accept G when the reciprocal integral over decade windows [10^k, 10^k+1]
     is not shrinking geometrically (or when the total mass is already large).
 
-    ``fn`` and ``dfn`` (G and G') take a float or an array of times; a
-    constant may come back as a scalar, and is broadcast to the times' shape.
+    ``fn``, ``dfn`` and ``ifn`` (G, G' and the primitive I(t) = int_0^t G)
+    take a float or an array of times; a constant may come back as a scalar,
+    and is broadcast to the times' shape.
     """
 
     fn: Callable
     dfn: Callable
+    ifn: Callable
     name: str = "G"
 
     def __call__(self, t):
@@ -134,10 +146,29 @@ class CurvatureBoundG:
     def derivative(self, t):
         return _over(t, self.dfn(t))
 
+    def primitive(self, t):
+        """I(t) = int_0^t G from ``ifn``; every integral of G goes through here."""
+        return _over(t, self.ifn(t))
+
     def integral(self, a: float, b: float) -> float:
-        """int_a^b G by adaptive quadrature; every integral of G goes through here."""
-        from scipy import integrate
-        return integrate.quad(self, a, b, limit=200)[0]
+        """int_a^b G = I(b) - I(a)."""
+        return self.primitive(b) - self.primitive(a)
+
+    def reciprocal_integral(self, a: float, length: float) -> float:
+        """int_a^{a+length} ds / G(s) for a > 0 and length >= 0.
+
+        Composite Gauss-Legendre on the panels [a 2^i, a 2^(i+1)], the last one
+        cut at a + length.  Each panel lies its own length away from s <= 0,
+        where the bounds may be singular (sqrt_growth(0) at s = 0), so the
+        error decays like 5.8^(-2 GL_NODES) there.
+        """
+        nodes, weights = _gauss_legendre()
+        panels = max(1, math.ceil(math.log2(1.0 + length / a)))
+        edges = np.minimum(a * (2.0 ** np.arange(panels + 1) - 1.0), length)  # offsets from a
+        edges[-1] = length
+        half = 0.5 * np.diff(edges)[:, None]
+        s = a + edges[:-1, None] + half * (1.0 + nodes)
+        return float(np.sum(half * weights / self(s)))
 
     def admissibility(self) -> AdmissibilityFlags:
         """The three conditions, checked on the first call and kept: the bound is frozen."""
@@ -145,15 +176,11 @@ class CurvatureBoundG:
 
     @cached_property
     def _admissibility(self) -> AdmissibilityFlags:
-        from scipy import integrate
         positive = self(0.0) > 0.0
         nondec = bool(np.all(self.derivative(np.linspace(0.0, 100.0, 501)) >= -1e-10))
         if not (positive and nondec):  # 1/G may be undefined; the test would mean nothing
             return AdmissibilityFlags(positive, nondec, False)
-        windows = []
-        for k in range(6):
-            val, _ = integrate.quad(lambda s: 1.0 / self(s), 10.0**k, 10.0 ** (k + 1), limit=200)
-            windows.append(val)
+        windows = [self.reciprocal_integral(10.0**k, 9.0 * 10.0**k) for k in range(6)]
         total = sum(windows)
         not_l1 = total > 50.0 or windows[5] >= 0.5 * windows[4]
         return AdmissibilityFlags(positive, nondec, not_l1)
@@ -177,7 +204,7 @@ _BOUND_PATTERN = re.compile(r"^\s*(\w+)\s*\(\s*([^)]*)\s*\)\s*$")
 
 
 def make_bound(spec: str) -> CurvatureBoundG:
-    """Build a named growth bound: const(c), affine(a,b), sqrt_growth(a)."""
+    """Build a named growth bound: const(c), affine(a,b), sqrt_growth(a), with its primitive."""
     m = _BOUND_PATTERN.match(spec)
     if not m:
         raise DomainError(f"cannot parse growth-bound spec {spec!r}")
@@ -190,10 +217,12 @@ def make_bound(spec: str) -> CurvatureBoundG:
         raise DomainError(f"parameters of {spec!r} must be finite")
     if name == "const" and len(args) == 1:
         c = args[0]
-        return CurvatureBoundG(lambda t: c, lambda t: 0.0, spec.strip())
+        return CurvatureBoundG(lambda t: c, lambda t: 0.0, lambda t: c * t, spec.strip())
     if name == "affine" and len(args) == 2:
         a, sl = args
-        return CurvatureBoundG(lambda t: a + sl * t, lambda t: sl, spec.strip())
+        return CurvatureBoundG(
+            lambda t: a + sl * t, lambda t: sl, lambda t: a * t + 0.5 * sl * t * t, spec.strip()
+        )
     if name == "sqrt_growth" and len(args) == 1:
         a = args[0]
         if a < 0.0:
@@ -203,7 +232,11 @@ def make_bound(spec: str) -> CurvatureBoundG:
             with np.errstate(divide="ignore"):  # G'(0) = +inf for a = 0 is admissible
                 return 0.5 / np.sqrt(a + t)
 
-        return CurvatureBoundG(lambda t: 1.0 + np.sqrt(a + t), dfn, spec.strip())
+        def ifn(t):  # t + 2/3 ((a + t)^(3/2) - a^(3/2)), with no cancellation at small t
+            rise = np.power(t, 1.5) if a == 0.0 else a**1.5 * np.expm1(1.5 * np.log1p(t / a))
+            return t + 2.0 / 3.0 * rise
+
+        return CurvatureBoundG(lambda t: 1.0 + np.sqrt(a + t), dfn, ifn, spec.strip())
     raise DomainError(f"unknown growth bound {spec!r}")
 
 
@@ -216,8 +249,9 @@ def make_bound(spec: str) -> CurvatureBoundG:
 class OdeSolution:
     """Solution of g'' = G^2 g, g(0) = 0, g'(0) = 1 on a grid over [0, T].
 
-    ``integral_G`` carries int_0^t G alongside, so quotient comparisons can
-    be formed without re-quadrature.
+    ``integral_G`` carries int_0^t G (the bound's primitive) alongside, so
+    quotient comparisons need no quadrature.  ``diagnostics["steps"]`` is the
+    number of Magnus steps taken.
     """
 
     grid: np.ndarray
@@ -227,76 +261,116 @@ class OdeSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
-def solve_cauchy_g(G: CurvatureBoundG, T: float, num: int = 1001) -> OdeSolution:
-    """Integrate the Cauchy problem with an adaptive high-order RK scheme.
+# 2-point Gauss nodes on [0, 1] and the weight of the commutator in Omega
+_GAUSS = 0.5 + np.array([-1.0, 1.0]) * (math.sqrt(3.0) / 6.0)
+_COMMUTATOR = math.sqrt(3.0) / 12.0
+MAX_STEP_GH = 0.02  # largest G h of a Magnus step
+FIRST_STEP_GRADING = 30  # the first step is cut at 2^-30, ..., 1/2 of its length
 
-    The first step is taken from the series g = t + G(0)^2 t^3/6 + O(t^4) to
-    avoid quotient singularities at t = 0.  Raises DomainError when g would
-    overflow float64 before T.
+
+def _magnus_propagators(G: CurvatureBoundG, lo: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """exp(Omega) of the fourth-order Magnus step over each [lo, lo + h], shape (n, 2, 2).
+
+    With A = [[0, 1], [q, 0]], q = G^2, at the two Gauss nodes (q1, q2),
+    Omega = h (A1 + A2)/2 - sqrt(3)/12 h^2 [A1, A2] = [[-d, h], [h qm, d]] with
+    d = sqrt(3)/12 h^2 (q2 - q1) and qm = (q1 + q2)/2.  Omega is traceless, so
+    Omega^2 = delta^2 I with delta^2 = -det Omega = d^2 + h^2 qm > 0 and
+    exp(Omega) = cosh(delta) I + sinh(delta)/delta Omega.
+    """
+    q = G(lo[:, None] + h[:, None] * _GAUSS) ** 2
+    d = _COMMUTATOR * h * h * (q[:, 1] - q[:, 0])
+    qm = 0.5 * (q[:, 0] + q[:, 1])
+    delta = np.sqrt(d * d + h * h * qm)
+    c, s = np.cosh(delta), np.sinh(delta) / delta
+    return np.stack([c - s * d, s * h, s * h * qm, c + s * d], axis=-1).reshape(-1, 2, 2)
+
+
+def _prefix_products(E: np.ndarray) -> np.ndarray:
+    """P[j] = E[j] @ ... @ E[0] over the first axis of an (n, 2, 2) stack.
+
+    Each round multiplies adjacent pairs, so the span of a product doubles:
+    ceil(log2 n) rounds of batched matmul and fewer than 2n products in all.
+    """
+    n = len(E)
+    if n == 1:
+        return E.copy()
+    pairs = _prefix_products(E[1::2] @ E[:-1:2])  # pairs[i] = P[2i + 1]
+    P = np.empty_like(E)
+    P[0] = E[0]
+    P[1::2] = pairs
+    P[2::2] = E[2::2] @ pairs[: (n - 1) // 2]
+    return P
+
+
+def _require_no_overflow(G: CurvatureBoundG, T: float) -> None:
+    """Raise DomainError when the propagator entries could overflow float64 before T.
+
+    g <= psi < e^I/G(0) and g' <= psi' = G e^I/G(0) (Sturm comparison), and
+    the solution from (1, 0) stays below e^I and G e^I, so every entry is below
+    e^I max(1, G)^2/G(0), whose log is log_stage (G >= G(0)).  log_stage
+    increases, so its crossing of the limit is found by bisection.
+    """
+
+    def log_stage(t):
+        return G.primitive(t) + math.log(max(1.0, G(t)) ** 2 / G(0.0))
+
+    limit = math.log(np.finfo(float).max / 1e3)
+    hi = min(T, (limit + 1.0) / G(0.0))  # log_stage(t) >= t G(0)
+    if log_stage(hi) <= limit:
+        return
+    lo = 0.0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (lo, mid) if log_stage(mid) > limit else (mid, hi)
+    raise DomainError(f"g overflows float64 near t = {hi:.6g}; choose T below it")
+
+
+def solve_cauchy_g(G: CurvatureBoundG, T: float, num: int = 1001) -> OdeSolution:
+    """Solve g'' = G^2 g, g(0) = 0, g'(0) = 1 at ``num`` points over [0, T] by Magnus steps.
+
+    y = (g, g') solves the linear system y' = A(t) y, A = [[0, 1], [G^2, 0]].
+    Each step is fourth-order Magnus with 2-point Gauss nodes
+    (:func:`_magnus_propagators`); it is exact for a constant G.  Every grid
+    interval takes the same number of equal steps, the least with
+    G(T) h <= MAX_STEP_GH (G is nondecreasing).  The first step is cut
+    geometrically into FIRST_STEP_GRADING + 1 pieces, because G' may be
+    infinite at 0 (sqrt_growth(0)), where the Gauss nodes lose their order.
+    All step propagators come from one numpy evaluation; their prefix products
+    carry y(0) = (0, 1) to every grid point.  ``integral_G`` is the bound's
+    primitive on the grid.  Raises DomainError when g would overflow float64
+    before T.
     """
     if not 0.0 < T < math.inf:  # written so that NaN fails it
         raise DomainError("solve_cauchy_g requires a finite T > 0")
-    from scipy import integrate
+    if num < 2:
+        raise DomainError("solve_cauchy_g requires num >= 2")
     G.require_admissible()
-
-    # g <= psi and g' <= psi' (Sturm comparison), so log_stage bounds the log of the
-    # integrator's stages g' and G^2 g; DOP853 sums them with weights of a few hundred
-    def log_stage(t):
-        gt = G(t)
-        return G.integral(0.0, t) + math.log(gt * max(1.0, gt) / G(0.0))
-
-    limit = math.log(np.finfo(float).max / 1e3)
-    t_hi = min(T, (limit + 1.0) / G(0.0))  # log_stage(t) >= t G(0)
-    if log_stage(t_hi) > limit:
-        from scipy import optimize
-        where = optimize.brentq(lambda t: log_stage(t) - limit, 0.0, t_hi)
-        raise DomainError(f"g overflows float64 near t = {where:.6g}; choose T below it")
-    g0sq = G(0.0) ** 2
-    t0 = min(1e-6, T * 1e-6)
-    y0 = [
-        t0 + g0sq * t0**3 / 6.0,
-        1.0 + g0sq * t0**2 / 2.0,
-        G.integral(0.0, t0),
-    ]
-
-    def rhs(t, y):
-        gval = G(t)
-        return [y[1], gval * gval * y[0], gval]
-
-    sol = integrate.solve_ivp(
-        rhs, (t0, T), y0, method="DOP853", rtol=1e-9, atol=1e-12, dense_output=True
-    )
-    if not sol.success:
-        raise NumericalError(f"Cauchy integration failed: {sol.message}")
+    _require_no_overflow(G, T)
     grid = np.linspace(0.0, T, num)
-    vals = np.empty((3, num))
-    vals[:, 0] = [0.0, 1.0, 0.0]
-    inside = grid > t0
-    vals[:, inside] = sol.sol(grid[inside])
-    small = (~inside) & (grid > 0.0)
-    if small.any():
-        ts = grid[small]
-        vals[0, small] = ts + g0sq * ts**3 / 6.0
-        vals[1, small] = 1.0 + g0sq * ts**2 / 2.0
-        vals[2, small] = ts * G(0.0)
-    if np.any(vals[0, grid > 0.0] <= 0.0):
-        raise NumericalError("positivity of g lost: bound inadmissible or tolerance too loose")
+    sub = math.ceil(G(T) * grid[1] / MAX_STEP_GH)
+    h = grid[1] / sub
+    n = (num - 1) * sub
+    cuts = h * 2.0 ** np.arange(-FIRST_STEP_GRADING, 1)
+    lo = np.concatenate([[0.0], cuts[:-1], h * np.arange(1, n)])
+    widths = np.concatenate([np.diff(cuts, prepend=0.0), np.full(n - 1, h)])
+    P = _prefix_products(_magnus_propagators(G, lo, widths))
+    ends = P[FIRST_STEP_GRADING - 1 + sub * np.arange(1, num)]  # the step ending at each grid point
+    g = np.concatenate([[0.0], ends[:, 0, 1]])
+    if np.any(g[1:] <= 0.0):
+        raise NumericalError("positivity of g lost: bound inadmissible or steps too coarse")
     return OdeSolution(
         grid=grid,
-        g=vals[0],
-        dg=vals[1],
-        integral_G=vals[2],
-        diagnostics={"nfev": sol.nfev, "status": sol.status},
+        g=g,
+        dg=np.concatenate([[1.0], ends[:, 1, 1]]),
+        integral_G=G.primitive(grid),
+        diagnostics={"steps": widths.size},
     )
 
 
 def psi(G: CurvatureBoundG, t: float) -> float:
     """Explicit subsolution (e^{int_0^t G} - 1)/G(0) of the Cauchy problem."""
-    if t < 0.0:
-        raise DomainError("psi requires t >= 0")
-    if t == 0.0:
-        return 0.0
-    return math.expm1(G.integral(0.0, t)) / G(0.0)
+    if not 0.0 <= t < math.inf:
+        raise DomainError("psi requires a finite t >= 0")
+    return math.expm1(G.primitive(t)) / G(0.0)
 
 
 def psi_quotient(G: CurvatureBoundG, integral: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -348,17 +422,13 @@ def lambda_sup(G: CurvatureBoundG, t_max: float = 50.0) -> LambdaResult:
     if not 2.0 <= t_max < math.inf:
         raise DomainError("lambda_sup requires a finite t_max >= 2")
     G.require_admissible()
-    tail = math.exp(G.integral(0.0, 1.0))
+    tail = math.exp(G.primitive(1.0))
     value = tail / -math.expm1(-G.integral(1.0, 2.0))
     return LambdaResult(value=value, argmax=2.0, tail_limit=tail)
 
 
 def phi_gamma(G: CurvatureBoundG, t: float) -> float:
     """Increasing concave primitive int_0^t ds / G(s+1) of the barrier."""
-    if t < 0.0:
-        raise DomainError("phi_gamma requires t >= 0")
-    if t == 0.0:
-        return 0.0
-    from scipy import integrate
-    val, _ = integrate.quad(lambda s: 1.0 / G(s + 1.0), 0.0, t, limit=200)
-    return val
+    if not 0.0 <= t < math.inf:
+        raise DomainError("phi_gamma requires a finite t >= 0")
+    return G.reciprocal_integral(1.0, t)

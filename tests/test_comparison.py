@@ -1,6 +1,7 @@
 """Comparison functions, the Cauchy problem, and the Sturm machinery."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,6 +30,14 @@ from curvbound.comparison import (
 from curvbound.errors import DomainError, HypothesisViolationError
 
 TEST_BOUNDS = ["const(1)", "const(2)", "affine(1,1)", "sqrt_growth(1)"]
+# the test set with a steep slope and an infinite initial slope G'(0)
+ORACLE_BOUNDS = TEST_BOUNDS + ["affine(0.3,2)", "sqrt_growth(0)"]
+
+
+def quad(f, a, b):
+    """scipy's adaptive quadrature at a tight tolerance: a test-only oracle."""
+    integrate = pytest.importorskip("scipy.integrate")
+    return integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=500)[0]
 
 
 # -- C_b and its Lorentzian twin ----------------------------------------------
@@ -183,9 +192,10 @@ def test_bounds_evaluate_over_arrays():
         G = make_bound(spec)
         np.testing.assert_array_equal(G(t), [G(float(ti)) for ti in t])
         np.testing.assert_array_equal(G.derivative(t), [G.derivative(float(ti)) for ti in t])
-    const = CurvatureBoundG(lambda t: -1.0, lambda t: 0.0, "negative")
-    assert const(t).shape == const.derivative(t).shape == t.shape
+    const = CurvatureBoundG(lambda t: -1.0, lambda t: 0.0, lambda t: -t, "negative")
+    assert const(t).shape == const.derivative(t).shape == const.primitive(t).shape == t.shape
     assert isinstance(const(0.5), float)
+    assert isinstance(const.primitive(0.5), float)
 
 
 def test_sqrt_growth_at_zero_has_an_infinite_initial_slope():
@@ -205,7 +215,7 @@ def test_array_consumers_call_g_once():
         return wrapped
 
     base = make_bound("affine(1,1)")
-    G = CurvatureBoundG(counted("fn", base.fn), counted("dfn", base.dfn), base.name)
+    G = CurvatureBoundG(counted("fn", base.fn), counted("dfn", base.dfn), base.ifn, base.name)
     t = np.linspace(0.01, 3.0, 1000)
     expected = base(t) / -np.expm1(-(t + t * t / 2.0))
     np.testing.assert_array_equal(psi_quotient(G, t + t * t / 2.0, t), expected)
@@ -220,27 +230,29 @@ def test_admissibility_of_test_set():
         assert flags.ok, spec
 
 
-def test_admissibility_runs_once_per_bound(monkeypatch):
-    from scipy import integrate
+def test_admissibility_runs_once_per_bound():
+    windows = []  # the array evaluations of G: 1/G over [10^k, 10^(k+1)]
+    base = make_bound("sqrt_growth(1)")
 
-    G = make_bound("sqrt_growth(1)")
+    def counted(t):
+        if np.ndim(t):
+            windows.append((np.min(t), np.max(t)))
+        return base.fn(t)
+
+    G = CurvatureBoundG(counted, base.dfn, base.ifn, base.name)
     lambda_sup(G)
-    windows = []
-    quad = integrate.quad
-
-    def counting_quad(f, a, b, **kwargs):
-        windows.extend([(a, b)] if b >= 10.0 else [])  # 1/G over [10^k, 10^(k+1)]
-        return quad(f, a, b, **kwargs)
-
-    monkeypatch.setattr(integrate, "quad", counting_quad)
+    assert len(windows) == 6
+    assert all(10.0**k < lo < hi < 10.0 ** (k + 1) for k, (lo, hi) in enumerate(windows))
+    windows.clear()
     assert lambda_sup(G).value == lambda_sup(make_bound("sqrt_growth(1)")).value
-    assert len(windows) == 6  # the fresh bound's scan only
+    assert windows == []  # the flags are kept: no window is integrated again
 
 
 def test_inadmissible_bounds_flagged():
-    quad = CurvatureBoundG(lambda t: (1.0 + t) ** 2, lambda t: 2.0 * (1.0 + t), "quadratic")
+    quad = CurvatureBoundG(lambda t: (1.0 + t) ** 2, lambda t: 2.0 * (1.0 + t),
+                           lambda t: ((1.0 + t) ** 3 - 1.0) / 3.0, "quadratic")
     assert not quad.admissibility().reciprocal_not_integrable
-    neg = CurvatureBoundG(lambda t: -1.0, lambda t: 0.0, "negative")
+    neg = CurvatureBoundG(lambda t: -1.0, lambda t: 0.0, lambda t: -t, "negative")
     assert not neg.admissibility().positive_at_zero
     with pytest.raises(HypothesisViolationError):
         solve_cauchy_g(quad, 1.0)
@@ -272,6 +284,78 @@ def test_cauchy_initial_slope():
         assert abs(sol.g[1] / t - 1.0) < 1e-6, spec
     assert sol.g[0] == 0.0
     assert sol.dg[0] == 1.0
+
+
+def overflow_point(G):
+    with pytest.raises(DomainError, match="overflows float64") as info:
+        solve_cauchy_g(G, 1e12)
+    return float(re.search(r"near t = (\S+);", str(info.value)).group(1))
+
+
+def scaled_rhs(G):
+    """z' = (A - G) z for z = e^{-I} (g, g'): the Cauchy problem without its growth e^I.
+
+    The same solution, which DOP853 resolves in far fewer steps near the
+    overflow point.
+    """
+    def rhs(t, z):
+        gt = G(t)
+        return [z[1] - gt * z[0], gt * (gt * z[0] - z[1])]
+    return rhs
+
+
+@pytest.mark.parametrize("spec", ORACLE_BOUNDS)
+def test_magnus_matches_a_tight_runge_kutta_reference(spec):
+    integrate = pytest.importorskip("scipy.integrate")
+    G = make_bound(spec)
+    for T in (0.5, 5.0, 0.999 * overflow_point(G)):
+        sol = solve_cauchy_g(G, T)
+        ref = integrate.solve_ivp(scaled_rhs(G), (0.0, T), [0.0, 1.0], method="DOP853",
+                                  rtol=1e-13, atol=1e-14, t_eval=sol.grid)
+        assert ref.success
+        g, dg = ref.y * np.exp(G.primitive(sol.grid))
+        assert np.max(np.abs(sol.g[1:] / g[1:] - 1.0)) <= 1e-9, (spec, T)
+        assert np.max(np.abs(sol.dg / dg - 1.0)) <= 1e-9, (spec, T)
+        assert sol.diagnostics["steps"] >= sol.grid.size - 1
+
+
+def test_a_small_bound_stays_finite_below_the_overflow_point():
+    # g ~ e^I/(2 G(0)): the guard must leave room for the factor 1/G(0)
+    G = make_bound("const(1e-6)")
+    sol = solve_cauchy_g(G, 0.999 * overflow_point(G))
+    assert np.all(np.isfinite(sol.g)) and np.all(np.isfinite(sol.dg))
+
+
+@pytest.mark.parametrize("spec", ORACLE_BOUNDS)
+def test_primitives_match_quadrature(spec):
+    G = make_bound(spec)
+    t = np.array([1e-6, 0.3, 1.0, 2.0, 5.0, 50.0])
+    expected = [quad(G, 0.0, float(ti)) for ti in t]
+    np.testing.assert_allclose(G.primitive(t), expected, rtol=1e-12, atol=0.0)
+    assert G.primitive(0.0) == 0.0
+    assert G.integral(1.0, 2.0) == G.primitive(2.0) - G.primitive(1.0)
+
+
+@pytest.mark.parametrize("spec", ORACLE_BOUNDS)
+def test_reciprocal_integrals_match_quadrature(spec):
+    G = make_bound(spec)
+    for k in range(6):  # the admissibility windows
+        expected = quad(lambda s: 1.0 / G(s), 10.0**k, 10.0 ** (k + 1))
+        assert G.reciprocal_integral(10.0**k, 9.0 * 10.0**k) == pytest.approx(expected, rel=1e-10)
+    for t in (1e-9, 0.5, 3.7, 100.0, 1e4):
+        expected = quad(lambda s: 1.0 / G(s + 1.0), 0.0, t)
+        assert phi_gamma(G, t) == pytest.approx(expected, rel=1e-10)
+
+
+def test_growth_functions_reject_non_finite_times():
+    G = make_bound("const(1)")
+    for t in (math.nan, math.inf, -1.0):
+        with pytest.raises(DomainError):
+            psi(G, t)
+        with pytest.raises(DomainError):
+            phi_gamma(G, t)
+    with pytest.raises(DomainError):
+        solve_cauchy_g(G, 1.0, num=1)
 
 
 # -- psi and the Sturm comparison ----------------------------------------------

@@ -545,17 +545,14 @@ def test_package_namespace_resolves():
     assert len(set(curvbound.__all__)) == len(curvbound.__all__)
 
 
-# The child imports the package, runs every bundled scenario and the CLI
-# commands that need no integration, then one Sturm margin.  It prints the
-# scipy modules loaded before and after that call, and the margin.
+# The child imports the package, runs every bundled scenario, every CLI
+# command and each growth function, then prints the scipy modules loaded
+# and a Sturm margin.
 NO_SCIPY_CHILD = """
 import json, sys
 import curvbound
 from curvbound import cli
 from curvbound.harness import bundled_scenarios, load_scenario, run_scenario
-
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
 for source in bundled_scenarios().values():
     config = load_scenario(source)
@@ -565,11 +562,15 @@ codes = [
     cli.main(["verify", "--scenario", "sphere-equality", "--resolution", "8"]),
     cli.main(["comparison", "--b", "-1", "--t", "1"]),
     cli.main(["list-scenarios"]),
+    cli.main(["sturm", "--G", "sqrt_growth(0)", "--T", "5"]),
+    cli.main(["lambda", "--G", "affine(1,1)"]),
 ]
-before = scipy_modules()
-margin = curvbound.sturm_margin(curvbound.make_bound("const(1)"), 5.0)
-print(json.dumps({"codes": codes, "before": before, "after": scipy_modules(),
-                  "margin": margin.hex()}))
+G = curvbound.make_bound("const(1)")
+curvbound.psi(G, 2.0)
+curvbound.phi_gamma(G, 1e4)
+margin = curvbound.sturm_margin(G, 5.0)
+print(json.dumps({"codes": codes, "margin": margin.hex(),
+                  "scipy": sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}))
 """
 
 
@@ -578,9 +579,8 @@ def test_verify_path_imports_no_scipy():
     done = subprocess.run([sys.executable, "-c", NO_SCIPY_CHILD], capture_output=True,
                           text=True, check=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
     child = json.loads(done.stdout.splitlines()[-1])
-    assert child["codes"] == [0, 0, 0]
-    assert child["before"] == []
-    assert "scipy.integrate" in child["after"]
+    assert child["codes"] == [0, 0, 0, 0, 0]
+    assert child["scipy"] == []
     margin = curvbound.sturm_margin(curvbound.make_bound("const(1)"), 5.0)
     assert float.fromhex(child["margin"]) == margin
 

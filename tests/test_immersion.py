@@ -27,6 +27,7 @@ from curvbound.immersion import (
     PointFrame,
     build_patch,
     frame_at,
+    frames_at,
     grid_points,
     refine_extremum,
     sample_grid,
@@ -617,6 +618,45 @@ def test_frames_of_frame_at_are_read_only_and_the_caller_keeps_its_arrays():
     assert np.array_equal(patch.center, np.zeros(3))
     assert np.array_equal(patch.domain_lo, [0.2, 0.0])
     assert frame_at(patch, p) is not frame
+
+
+def test_a_write_to_a_chart_parameter_array_leaves_the_kept_frame_valid():
+    axes = np.array([0.6, 1.0, 1.0])
+    patch = build_patch(E3, "ellipsoid", {"semi_axes": axes}, center=np.zeros(3))
+    p = np.array([1.0, 2.0])
+    kept = frame_at(patch, p)
+    axes[0] = 2.0
+    assert not np.shares_memory(patch.chart.semi_axes, axes)
+    frames, _ = frames_at(patch, p[None])
+    assert np.array_equal(frame_at(patch, p).kappa, frames.kappa[0])
+    assert np.array_equal(kept.kappa, frames.kappa[0])
+
+
+def test_chart_array_parameters_are_read_only_copies(tmp_path):
+    terms = [[1.0, [2, 0]], [0.5, [0, 2]]]
+    lo, hi = np.array([-1.0, -1.0]), np.array([1.0, 1.0])
+    path = tmp_path / "sphere.csv"
+    sphere = build_chart(E3, "sphere", {"radius": 1.0})
+    write_chart_csv(sphere, *sphere.default_domain(), 5, path)
+    charts = [
+        build_chart(E3, "ellipsoid", {"semi_axes": [0.6, 1.0, 1.0]}),
+        build_chart(E3, "cylinder", {"radius": 1.0}),
+        build_chart(E3, "graph", {"terms": terms, "box_lo": lo, "box_hi": hi}),
+        build_chart(AmbientModel.sphere(1.0, 3), "geodesic_sphere", {"radius": 0.7}),
+        build_chart(M3, "perturbed_hyperboloid", {"radius": 2.0}),
+        build_chart(E3, "tabulated", {"path": str(path)}),
+    ]
+    for chart in charts:
+        arrays = {k: v for k, v in vars(chart).items() if isinstance(v, np.ndarray)}
+        assert arrays, type(chart).__name__
+        for a in arrays.values():
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 0.0
+    graph = charts[2]
+    assert not np.shares_memory(graph.box_lo, lo)
+    assert isinstance(graph.terms, tuple)
+    lo[0] = 0.5
+    assert graph.default_domain()[0][0] == -1.0
 
 
 def test_patch_is_frozen_and_a_replaced_patch_starts_without_a_frame():

@@ -214,13 +214,25 @@ def test_key_inequality_equality_on_geodesic_sphere(rng):
             assert key_inequality_residual(patch, p, k) == pytest.approx(0.0, abs=1e-9)
 
 
-def test_key_inequality_equality_on_ellipsoid(rng):
-    patch = ellipsoid_patch()
-    for p in interior_points(patch, rng, 10):
+def assert_key_equality_off_level_sets(patch, points):
+    # the Hessian comparison is an identity in a space form, so L_k u equals the
+    # right-hand side to round-off on any hypersurface, where grad u != 0 too
+    field = DistanceField(patch.ambient, np.zeros(3))
+    for p in points:
         for k in (0, 1):
             res = key_inequality_residual(patch, p, k, b=0.0, origin=np.zeros(3))
-            assert res > -1e-6
-            assert abs(res) < 1e-4
+            assert abs(res) <= 1e-12 * max(1.0, abs(l_k_apply(patch, p, k, field))), (p, k)
+
+
+def test_key_inequality_equality_on_ellipsoid(rng):
+    patch = ellipsoid_patch()
+    assert_key_equality_off_level_sets(patch, interior_points(patch, rng, 10))
+
+
+@pytest.mark.parametrize("epsilon", [0.01, 0.05])
+def test_key_inequality_equality_on_perturbed_hyperboloid(rng, epsilon):
+    patch = build_patch(M3, "perturbed_hyperboloid", {"radius": 2.0, "epsilon": epsilon})
+    assert_key_equality_off_level_sets(patch, interior_points(patch, rng, 10))
 
 
 def test_key_inequality_equality_on_lorentz_hyperboloid(rng):

@@ -5,6 +5,13 @@ an optional reference center.  Frames carry everything downstream consumers
 need: position, tangents, metric, unit normal, second fundamental form, its
 principal curvatures with their S_k table (and principal directions on demand).
 
+A frame is assembled by array arithmetic over the sample axis.  The only
+per-matrix LAPACK calls are the metric's Cholesky factorization and the
+symmetric eigenvalue routines; the triangular inverse R = L^-1 of that factor
+(the congruence kept on the frame) and the cofactor normal (a Laplace
+expansion over column subsets) are elementwise, so a sample's bits do not
+depend on the batch it was built in.
+
 Orientation conventions:
   inner / outer -- Riemannian; "inner" points toward the declared center
                    (sign fixed by <N, grad rho> < 0).
@@ -14,7 +21,8 @@ Orientation conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -109,11 +117,59 @@ def induced_metric(d1: np.ndarray, eta: np.ndarray) -> np.ndarray:
     return 0.5 * (g + np.swapaxes(g, -1, -2))
 
 
-def orthonormal_shape(g: np.ndarray, h: np.ndarray) -> tuple:
-    """(L, A): the Cholesky factors of the metrics g and the shape operators L^-1 h L^-T.
+# The kernels below run on "samples last" copies: the matrix axes lead and the
+# sample axes trail, C-contiguous, so every elementwise step is one long
+# inner loop over the samples.  Each entry is a fixed sequence of IEEE
+# products and sums, so a sample's bits do not depend on its batch.
 
-    In the orthonormal frame the shape operator is symmetric, which keeps its
-    spectrum real by construction.
+
+def _samples_last(a: np.ndarray, core: int = 2) -> np.ndarray:
+    """A C-contiguous copy of a (..., *c) with its ``core`` trailing axes moved to the front."""
+    lead = a.ndim - core
+    return np.ascontiguousarray(a.transpose(tuple(range(lead, a.ndim)) + tuple(range(lead))))
+
+
+def _samples_first(a: np.ndarray, core: int = 2) -> np.ndarray:
+    """The inverse of :func:`_samples_last`: (*c, ...) to a C-contiguous (..., *c)."""
+    return np.ascontiguousarray(a.transpose(tuple(range(core, a.ndim)) + tuple(range(core))))
+
+
+def _matmul(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """X Y of samples-last stacks X (I, K, ...) and Y (K, J, ...), summed term by term in K."""
+    acc = X[:, 0, None] * Y[0]
+    for k in range(1, X.shape[1]):
+        acc = acc + X[:, k, None] * Y[k]
+    return acc
+
+
+def triangular_inverse(L: np.ndarray) -> np.ndarray:
+    """R = L^-1 of lower-triangular L (..., n, n) by forward substitution, one row per step."""
+    Lt = _samples_last(L)
+    Rt = np.zeros(Lt.shape)
+    for i in range(len(Lt)):
+        Rt[i, i] = 1.0
+        for k in range(i):
+            Rt[i] -= Lt[i, k] * Rt[k]
+        Rt[i] /= Lt[i, i]
+    return _samples_first(Rt)
+
+
+def congruence(R: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """sym(R h R^T): the bilinear forms h (..., n, n) in the frame orthonormalized by R."""
+    Rt = _samples_last(R)
+    A = _matmul(_matmul(Rt, _samples_last(h)), np.swapaxes(Rt, 0, 1))
+    return _samples_first(0.5 * (A + np.swapaxes(A, 0, 1)))
+
+
+def orthonormal_shape(g: np.ndarray, h: np.ndarray) -> tuple:
+    """(R, A): the congruences R = L^-1 of the metrics g = L L^T and the shape operators R h R^T.
+
+    The Cholesky factorization is the one per-matrix LAPACK call; R comes by
+    forward substitution and A by elementwise products.  g^-1 = R^T R, and
+    R^T maps coordinates in the g-orthonormal frame to the chart basis.  In
+    that frame the shape operator is symmetric, which keeps its spectrum real
+    by construction.  Raises NumericalError when a metric has no Cholesky
+    factor.
     """
     try:
         L = np.linalg.cholesky(g)
@@ -121,9 +177,54 @@ def orthonormal_shape(g: np.ndarray, h: np.ndarray) -> tuple:
         raise NumericalError(
             f"metric not positive definite (cond ~ {np.max(np.linalg.cond(g)):.3e})"
         ) from exc
-    B = np.linalg.solve(L, h)
-    B = np.swapaxes(np.linalg.solve(L, np.swapaxes(B, -1, -2)), -1, -2)
-    return L, 0.5 * (B + np.swapaxes(B, -1, -2))
+    R = triangular_inverse(L)
+    return R, congruence(R, h)
+
+
+@lru_cache(maxsize=None)
+def _laplace_plan(m: int) -> list:
+    """Per row k of an (m-1) x m matrix: the (columns, parents) of its Laplace step.
+
+    Step k expands the (k+1)-square determinants of rows 0..k over the
+    column subsets of size k+1, along row k: term t of a subset takes its
+    t-th column, with sign (-1)^(k+t), times the determinant of the parent
+    subset without that column.  A column c with a negative sign reads as
+    c + m, an index into the row followed by its negation.  The last step
+    lists the subset without column a at index a and folds in the cofactor
+    sign (-1)^a.
+    """
+    plan, index = [], {(): 0}
+    for k in range(m - 1):
+        subsets = (list(combinations(range(m), k + 1)) if k < m - 2
+                   else [tuple(c for c in range(m) if c != a) for a in range(m)])
+        parents = np.array([[index[s[:t] + s[t + 1:]] for t in range(k + 1)] for s in subsets])
+        negative = (k + np.arange(k + 1)) % 2 == 1
+        if k == m - 2:
+            negative = negative ^ (np.arange(m)[:, None] % 2 == 1)
+        cols = np.array(subsets) + m * negative
+        cols.flags.writeable = parents.flags.writeable = False
+        plan.append((cols, parents))
+        index = {s: i for i, s in enumerate(subsets)}
+    return plan
+
+
+def cofactor_vector(M: np.ndarray) -> np.ndarray:
+    """w (..., m), w_a = (-1)^a det(M without column a), of the row stacks M (..., m-1, m).
+
+    <w, v> (flat, index lowered) is the determinant of M with v appended as a
+    last row, so w is flat-orthogonal to every row of M.  Laplace expansion
+    over column subsets: one gather and one product per row, the terms
+    summed elementwise.
+    """
+    Mt = _samples_last(M)
+    D = np.ones((1,) + Mt.shape[2:])
+    for k, (cols, parents) in enumerate(_laplace_plan(Mt.shape[1])):
+        terms = np.concatenate([Mt[k], -Mt[k]])[cols] * D[parents]
+        D = terms[:, 0]
+        for t in range(1, terms.shape[1]):
+            D = D + terms[:, t]
+    # C order: flat inner products downstream round by the memory layout of w
+    return _samples_first(D, 1)
 
 
 @dataclass
@@ -136,6 +237,11 @@ class PointFrame:
     (:func:`curvbound.curvature.complement_symmetric`) and, computed on first
     use, the principal directions: a Newton tensor P_k acts through its
     eigenvalue on each of them (see :func:`curvbound.operators.trace_operator`).
+
+    ``congruence`` is the frame's one factorization of the metric: the
+    triangular R = L^-1 of its Cholesky factor L (:func:`orthonormal_shape`),
+    so g^-1 = R^T R.  The principal directions and :meth:`raise_index` read
+    it instead of factoring or solving with the metric again.
     """
 
     param: np.ndarray
@@ -146,18 +252,27 @@ class PointFrame:
     second_form: np.ndarray
     kappa: np.ndarray  # (..., n) principal curvatures, ascending
     symmetric: np.ndarray  # (..., n+1, n+1) S_k of kappa without kappa_i (row i), of kappa (row n)
+    congruence: np.ndarray  # (..., n, n) R = L^-1, lower triangular, with g = L L^T
 
     def __getitem__(self, i) -> "PointFrame":
         return PointFrame(self.param[i], self.position[i], self.tangent[i], self.metric[i],
-                          self.normal[i], self.second_form[i], self.kappa[i], self.symmetric[i])
+                          self.normal[i], self.second_form[i], self.kappa[i], self.symmetric[i],
+                          self.congruence[i])
 
     @cached_property
     def principal(self) -> np.ndarray:
         """(..., n, n): metric-orthonormal principal directions as columns, in kappa's order."""
-        L, A = orthonormal_shape(self.metric, self.second_form)
-        E = np.linalg.solve(np.swapaxes(L, -1, -2), np.linalg.eigh(A)[1])
+        V = np.linalg.eigh(congruence(self.congruence, self.second_form))[1]
+        Rt = _samples_last(self.congruence)
+        E = _samples_first(_matmul(np.swapaxes(Rt, 0, 1), _samples_last(V)))  # R^T V
         E.flags.writeable = False
         return E
+
+    def raise_index(self, covector: np.ndarray) -> np.ndarray:
+        """g^-1 covector = R^T (R covector), for covectors (..., n) in the chart basis."""
+        Rt = _samples_last(self.congruence)
+        y = _matmul(Rt, _samples_last(covector, 1)[:, None])
+        return _samples_first(_matmul(np.swapaxes(Rt, 0, 1), y)[:, 0], 1)
 
 
 def frames_at(patch: HypersurfacePatch, P: np.ndarray):
@@ -202,11 +317,7 @@ def frames_at(patch: HypersurfacePatch, P: np.ndarray):
     # index raised: a vector flat-orthogonal to all of them
     M = np.concatenate([np.swapaxes(d1, -1, -2), x[:, None, :]] if model.is_quadric
                        else [np.swapaxes(d1, -1, -2)], axis=-2)
-    m = x.shape[-1]
-    minors = np.swapaxes(M[..., [[c for c in range(m) if c != a] for a in range(m)]], -3, -2)
-    # C order: flat inner products below round by the memory layout of w
-    w = (-1.0) ** np.arange(m) * np.linalg.det(np.ascontiguousarray(minors))
-    w = model.tangent_project(x, w / eta)
+    w = model.tangent_project(x, cofactor_vector(M) / eta)
     nu2 = model.flat_inner(w, w)
     # the unit normal is spacelike in Riemannian and timelike in Lorentzian models
     eps = model.epsilon
@@ -229,7 +340,8 @@ def frames_at(patch: HypersurfacePatch, P: np.ndarray):
 
     h = np.einsum("...mab,...m->...ab", d2, eta * normal)
     h = 0.5 * (h + np.swapaxes(h, -1, -2))
-    kappa = np.linalg.eigvalsh(orthonormal_shape(g, h)[1])
+    R, A = orthonormal_shape(g, h)
+    kappa = np.linalg.eigvalsh(A)
     frames = PointFrame(
         param=P[rows],
         position=x,
@@ -239,6 +351,7 @@ def frames_at(patch: HypersurfacePatch, P: np.ndarray):
         second_form=h,
         kappa=kappa,
         symmetric=complement_symmetric(kappa),
+        congruence=R,
     )
     return frames, errors
 
@@ -308,6 +421,15 @@ def sample_grid(patch: HypersurfacePatch, resolution) -> GridSamples:
     return GridSamples(frames=frames, skipped=skipped, axes=axes)
 
 
+@lru_cache(maxsize=None)
+def _refinement_stencil(n: int) -> np.ndarray:
+    """The 5^n offsets (in cells) of a refinement round, read-only, in grid order."""
+    offsets = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+    stencil = grid_points([offsets] * n)
+    stencil.flags.writeable = False
+    return stencil
+
+
 def refine_extremum(patch: HypersurfacePatch, fn, start, cell, rounds=14, sign=1.0):
     """Local grid-halving refinement of a scalar's max (min for sign = -1).
 
@@ -322,11 +444,10 @@ def refine_extremum(patch: HypersurfacePatch, fn, start, cell, rounds=14, sign=1
     values, errors = fn(center[None])
     raise_first(errors)
     best = sign * values[0]
-    offsets = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+    stencil = _refinement_stencil(center.size)
     cell = np.asarray(cell, dtype=float)
     for _ in range(rounds):
-        Q = np.clip(grid_points([center[i] + offsets * cell[i] for i in range(center.size)]),
-                    patch.domain_lo, patch.domain_hi)
+        Q = np.clip(center + stencil * cell, patch.domain_lo, patch.domain_hi)
         values, errors = fn(Q)
         values = np.where(failed(errors), -np.inf, sign * values)
         i = np.argmax(values)

@@ -150,7 +150,7 @@ def restrict_field(patch: HypersurfacePatch, field, frame: PointFrame) -> FieldS
     x, d1 = frame.position, frame.tangent
     u, gbar, hessian, errors = field.jet(x)
     du = (np.swapaxes(d1, -1, -2) @ (model.metric_diag * gbar)[..., None])[..., 0]
-    grad = np.linalg.solve(frame.metric, du[..., None])[..., 0]
+    grad = frame.raise_index(du)
     normal_coef = model.flat_inner(gbar, frame.normal)
     # one Hessian call on every pair (i >= j) of tangent columns; the columns
     # are strided in memory, so their flat inner products round as for d1[:, i]

@@ -53,6 +53,12 @@ def equality_spheres():
                 yield b, r, n, jets, resolution, patch
 
 
+def congruent(L, form):
+    """L^-1 form L^-T by two LU solves: a chart-basis bilinear form in the frame orthonormalized by L."""
+    tmp = np.linalg.solve(L, form)
+    return np.swapaxes(np.linalg.solve(L, np.swapaxes(tmp, -1, -2)), -1, -2)
+
+
 def rho_range(model):
     """A distance range staying inside every domain guard of the model."""
     b = model.curvature

@@ -19,16 +19,28 @@ from curvbound.charts import (
     write_chart_csv,
 )
 from curvbound.comparison import c_b, c_hat_b
-from curvbound.errors import ConfigError, DomainError, GeometryError, SignatureError, no_errors
+from curvbound.errors import (
+    ConfigError,
+    DomainError,
+    EmptySampleError,
+    GeometryError,
+    ImmersionDegeneracyError,
+    NumericalError,
+    SignatureError,
+    no_errors,
+)
 from curvbound.harness import bundled_scenarios, load_scenario, scenario_patch
 from curvbound.immersion import (
     FD_JET_TOL,
     HypersurfacePatch,
     PointFrame,
     build_patch,
+    cofactor_vector,
     frame_at,
     frames_at,
+    grid_axes,
     grid_points,
+    orthonormal_shape,
     refine_extremum,
     sample_grid,
 )
@@ -42,7 +54,7 @@ from curvbound.operators import (
 )
 from curvbound.spaceform import AmbientModel
 
-from conftest import riemannian_space_form
+from conftest import congruent, riemannian_space_form
 
 E3 = AmbientModel.euclidean(3)
 M3 = AmbientModel.minkowski(3)
@@ -419,6 +431,22 @@ def test_immersion_test_is_scale_free(kind, params, resolution):
     assert len(grid.points) == resolution**2
 
 
+@pytest.mark.parametrize("radius, kept", [(1e-4, 64), (1e-7, 0)])
+def test_degeneracy_floor_sits_between_thin_and_collapsed_cylinders(radius, kept):
+    # the metric of a cylinder of radius r has eigenvalues r^2 and 1: a ratio
+    # of 1e-8 is immersive, 1e-14 is below DEGENERACY_TOL = 1e-12 (a floor of
+    # 1e-6 would reject the thin one, a floor of 1e-15 would keep the collapsed one)
+    patch = build_patch(E3, "cylinder", {"radius": radius}, center=np.zeros(3))
+    if kept:
+        grid = sample_grid(patch, 8)
+        assert len(grid.points) == kept and not grid.skipped
+    else:
+        with pytest.raises(EmptySampleError, match="every grid point was rejected"):
+            sample_grid(patch, 8)
+        frames, errors = frames_at(patch, grid_points(grid_axes(patch, 8)))
+        assert all(isinstance(e, ImmersionDegeneracyError) for e in errors)
+
+
 def one_implementation_cases():
     for name, path in bundled_scenarios().items():
         yield pytest.param(name, scenario_patch(load_scenario(path)), 8, id=name)
@@ -671,6 +699,98 @@ def test_patch_is_frozen_and_a_replaced_patch_starts_without_a_frame():
     assert fd_frame is not frame
     assert not np.array_equal(fd_frame.kappa, frame.kappa)
     np.testing.assert_allclose(fd_frame.kappa, frame.kappa, atol=FD_JET_TOL)
+
+
+# -- frame kernels: LAPACK as the oracle -------------------------------------------
+
+
+def cofactor_oracle(M):
+    """(-1)^a det(M without column a), one LAPACK determinant per minor."""
+    m = M.shape[-1]
+    return np.stack([(-1.0) ** a * np.linalg.det(np.delete(M, a, axis=-1)) for a in range(m)], -1)
+
+
+@given(m=st.integers(2, 6), batch=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_cofactor_vector_matches_lapack_minors(m, batch, seed):
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((batch, m - 1, m)) * rng.uniform(0.1, 10.0, (batch, 1, 1))
+    strided = np.swapaxes(np.array(np.swapaxes(M, -1, -2), order="C"), -1, -2)
+    padded = np.zeros((batch, m - 1, 2 * m))
+    padded[..., ::2] = M
+    w = cofactor_vector(M)
+    assert w.flags.c_contiguous
+    # |w_a| is at most the product of M's row norms (Hadamard)
+    scale = np.prod(np.linalg.norm(M, axis=-1), axis=-1)[:, None]
+    assert np.all(np.abs(w - cofactor_oracle(M)) <= 1e-12 * scale)
+    assert not padded[..., ::2].flags.c_contiguous
+    for other in (strided, padded[..., ::2]):
+        assert np.array_equal(cofactor_vector(other), w)
+    assert np.allclose(np.einsum("...a,...ra->...r", w, M), 0.0, atol=1e-12 * scale)
+    for i in range(batch):
+        assert np.array_equal(cofactor_vector(M[i]), w[i])
+        assert np.array_equal(cofactor_vector(M[i:i + 1])[0], w[i])
+
+
+@given(n=st.integers(1, 5), batch=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_triangular_congruence_matches_two_solves(n, batch, seed):
+    X, Y = np.random.default_rng(seed).standard_normal((2, batch, n, n))
+    g = X @ np.swapaxes(X, -1, -2) + 0.05 * np.eye(n)
+    h = Y + np.swapaxes(Y, -1, -2)
+    R, A = orthonormal_shape(g, h)
+    L = np.linalg.cholesky(g)
+    assert np.array_equal(R, np.tril(R))
+    assert np.allclose(R @ L, np.eye(n), rtol=0.0, atol=1e-12 * np.abs(R).max())
+    oracle = congruent(L, h)
+    oracle = 0.5 * (oracle + np.swapaxes(oracle, -1, -2))
+    assert np.array_equal(A, np.swapaxes(A, -1, -2))
+    assert np.allclose(A, oracle, rtol=0.0, atol=1e-12 * np.abs(oracle).max())
+    for i in range(batch):
+        for rows in (i, slice(i, i + 1)):
+            one_R, one_A = orthonormal_shape(g[rows], h[rows])
+            assert np.array_equal(one_R, R[rows]) and np.array_equal(one_A, A[rows])
+
+
+def test_non_positive_definite_metric_raises_numerical_error():
+    g = np.array([[[1.0, 0.0], [0.0, 1.0]], [[1.0, 2.0], [2.0, 1.0]]])
+    with pytest.raises(NumericalError, match="metric not positive definite"):
+        orthonormal_shape(g, np.zeros_like(g))
+
+
+def principal_cases():
+    yield pytest.param(sphere_patch(), id="sphere")
+    yield pytest.param(build_patch(E3, "ellipsoid", {"semi_axes": [0.6, 1.0, 1.7]},
+                                   center=np.zeros(3)), id="ellipsoid")
+    yield pytest.param(build_patch(M3, "perturbed_hyperboloid", {"radius": 2.0, "epsilon": 0.05}),
+                       id="perturbed-hyperboloid")
+    S4 = AmbientModel.sphere(1.0, 4)
+    yield pytest.param(build_patch(S4, "geodesic_sphere", {"radius": 0.7},
+                                   center=S4.base_point()), id="S4-geodesic-sphere")
+
+
+@pytest.mark.parametrize("patch", principal_cases())
+def test_principal_directions_are_orthonormal_and_diagonalize_the_second_form(patch):
+    frames = sample_grid(patch, 6).frames
+    E, n = frames.principal, patch.n
+    ET = np.swapaxes(E, -1, -2)
+    assert np.allclose(ET @ frames.metric @ E, np.eye(n), rtol=0.0, atol=1e-12)
+    scale = np.maximum(1.0, np.abs(frames.kappa).max(axis=-1))[:, None, None]
+    diagonal = ET @ frames.second_form @ E
+    assert np.all(np.abs(diagonal - frames.kappa[..., None] * np.eye(n)) <= 1e-12 * scale)
+    # g^-1 from the kept congruence
+    du = np.random.default_rng(2).standard_normal(frames.kappa.shape)
+    grad = frames.raise_index(du)
+    assert np.allclose(np.einsum("...ij,...j->...i", frames.metric, grad), du, rtol=0.0, atol=1e-12)
+
+
+def test_a_frame_costs_one_factorization(monkeypatch):
+    # frame_at, its principal directions and a restriction at one point factor
+    # the metric once and run no LU solve or determinant
+    patch = build_patch(E3, "ellipsoid", {"semi_axes": [0.6, 1.0, 1.7]}, center=np.zeros(3))
+    calls = {name: counted(monkeypatch, np.linalg, name) for name in ("cholesky", "solve", "det")}
+    frame = frame_at(patch, np.array([1.1, 2.3]))
+    frame.principal
+    restrict_field(patch, DistanceField(E3, np.zeros(3)), frame)
+    assert {name: len(c) for name, c in calls.items()} == {"cholesky": 1, "solve": 0, "det": 0}
 
 
 # -- tabulated charts --------------------------------------------------------------

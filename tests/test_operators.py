@@ -43,7 +43,7 @@ from curvbound.operators import (
 )
 from curvbound.spaceform import AmbientModel, geodesic_point
 
-from conftest import equality_spheres
+from conftest import congruent, equality_spheres
 
 E2 = AmbientModel.euclidean(2)
 E3 = AmbientModel.euclidean(3)
@@ -59,12 +59,6 @@ def interior_points(patch, rng, count=6):
         patch.domain_lo + rng.uniform(0.15, 0.85, patch.n) * patch.domain_width
         for _ in range(count)
     ]
-
-
-def congruent(L, form):
-    """L^-1 form L^-T: a chart-basis bilinear form in the frame orthonormalized by L."""
-    tmp = np.linalg.solve(L, form)
-    return np.swapaxes(np.linalg.solve(L, np.swapaxes(tmp, -1, -2)), -1, -2)
 
 
 def newton_oracle(frame, signature):

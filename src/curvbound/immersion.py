@@ -26,7 +26,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .charts import Chart, build_chart, fd_jet
+from .charts import Chart, _frozen, build_chart, fd_jet
 from .curvature import complement_symmetric
 from .errors import (
     ConfigError,
@@ -56,8 +56,9 @@ DEGENERACY_TOL = 1e-12
 class HypersurfacePatch:
     """A chart bound to an ambient model with orientation and jet policy.
 
-    A patch is frozen and holds read-only copies of its domain and center,
-    so the frame :func:`frame_at` keeps for its last point cannot go stale.
+    A patch is frozen and holds read-only copies of its domain and center
+    (validated here as a model point), so the frame :func:`frame_at` keeps
+    for its last point cannot go stale.
     """
 
     chart: Chart
@@ -67,15 +68,17 @@ class HypersurfacePatch:
     domain_hi: np.ndarray
     center: np.ndarray | None = None
     jets: str = "auto"  # auto | analytic | fd
-    # frame_at's last frame, keyed by the bytes of its parameter point
+    # frame_at's last frame, keyed by the bytes of its parameter point, and what
+    # operators.restriction_at keeps beside it, keyed by field; frame_at clears
+    # all of it when it builds the frame of another point
     _last_frame: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("domain_lo", "domain_hi", "center"):
             if getattr(self, name) is not None:
-                value = np.array(getattr(self, name), dtype=float)
-                value.flags.writeable = False
-                object.__setattr__(self, name, value)
+                object.__setattr__(self, name, _frozen(getattr(self, name)))
+        if self.center is not None:
+            self.ambient.check_point(self.center)
         if self.orientation not in ("inner", "outer", "future"):
             raise ConfigError(f"unknown orientation {self.orientation!r}")
         if (self.orientation == "future") != (self.ambient.signature == LORENTZIAN):
@@ -356,12 +359,23 @@ def frames_at(patch: HypersurfacePatch, P: np.ndarray):
     return frames, errors
 
 
+def read_only(record):
+    """``record``, a dataclass, with each of its array fields set read-only."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return record
+
+
 def frame_at(patch: HypersurfacePatch, p: np.ndarray) -> PointFrame:
     """The frame at one parameter point p (n,); raises its GeometryError.
 
     The patch keeps the last frame built here, so repeated calls at one p
-    return the same frame, with read-only arrays.  A point without a frame
-    is not kept: it raises on every call.
+    return the same frame, with read-only arrays; building the frame of
+    another point drops it, with the restrictions
+    :func:`curvbound.operators.restriction_at` kept beside it.  A point
+    without a frame is not kept: it raises on every call.
     """
     p = np.asarray(p, dtype=float)
     key = p.tobytes()
@@ -369,9 +383,7 @@ def frame_at(patch: HypersurfacePatch, p: np.ndarray) -> PointFrame:
     if frame is None:
         frames, errors = frames_at(patch, p[None])
         raise_first(errors)
-        frame = frames[0]
-        for f in fields(frame):
-            getattr(frame, f.name).flags.writeable = False
+        frame = read_only(frames[0])
         patch._last_frame.clear()
         patch._last_frame[key] = frame
     return frame
@@ -474,8 +486,6 @@ def build_patch(
         lo, hi = chart.default_domain()
     else:
         lo, hi = np.asarray(domain[0], dtype=float), np.asarray(domain[1], dtype=float)
-    if center is not None:
-        center = model.check_point(np.asarray(center, dtype=float))
     return HypersurfacePatch(
         chart=chart,
         ambient=model,

@@ -14,18 +14,27 @@ operator share the principal directions e_i of the frame, so every
 contraction with P_k is a sum over them weighted by the eigenvalues of P_k.
 The frame carries the S_k table of its principal curvatures, so operator
 data only signs and normalizes it: no S_k recurrence runs here.
+
+Fields are frozen values: each holds read-only copies of its arrays, a
+distance field validates its origin once, when it is built, and equal
+fields (same model and array bits) are equal and hash alike.  The
+single-point calls (:func:`restriction_hessian`, :func:`key_inequality_residual`,
+:func:`l_k_apply`) share one restriction per field and point:
+:func:`restriction_at` keeps the restriction and the operator data beside
+the patch's last frame.  Every call still raises the sample's errors and
+runs its own checks (the P_k test, the finite-difference cross-check).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as attribute
 from functools import cache, partial
 
 import numpy as np
 
-from .charts import fd_jet
+from .charts import _frozen, fd_jet
 from .comparison import c_b, phi_b, phi_b_d1, phi_b_d2
-from .curvature import TAU_ELL, _frozen, signed_values, trace_coefficients
+from .curvature import TAU_ELL, signed_values, trace_coefficients
 from .errors import (
     ConsistencyError,
     GeometryError,
@@ -42,43 +51,59 @@ from .immersion import (
     grid_axes,
     grid_points,
     induced_metric,
+    read_only,
     refine_extremum,
 )
 from .spaceform import (
     RIEMANNIAN,
     AmbientModel,
-    ambient_distance,
     distance_jet,
+    distance_rows,
 )
 
 
+@dataclass(frozen=True)
 class DistanceField:
     """u = rho(., o): the ambient distance to a reference point.
 
     Like every field, ``jet(x)`` at points x (..., m) returns (u, ambient
     gradient, hessian(X, Y) on tangent pairs (..., P, m) at each row, errors),
     ``errors`` holding the GeometryError of each row where one of them is
-    undefined; :func:`distance_jet` lists the rows.
+    undefined; :func:`distance_jet` lists the rows.  The origin is a
+    read-only copy, validated as a model point here and nowhere downstream;
+    fields with equal origin bits are equal.
     """
 
-    def __init__(self, model: AmbientModel, origin: np.ndarray):
-        self.model = model
-        self.origin = model.check_point(np.asarray(origin, dtype=float))
+    model: AmbientModel
+    origin: np.ndarray = attribute(compare=False)
+    _origin_bits: bytes = attribute(init=False, repr=False)
+
+    def __post_init__(self):
+        origin = self.model.check_point(_frozen(self.origin))
+        object.__setattr__(self, "origin", origin)
+        object.__setattr__(self, "_origin_bits", origin.tobytes())
 
     def jet(self, x):
         return distance_jet(self.model, self.origin, x)
 
 
+@dataclass(frozen=True)
 class LinearCoordinateField:
     """Restriction of the linear ambient function x -> sum_a c_a x_a.
 
     On a quadric the intrinsic Hessian picks up the second-form correction
-    -b <X,Y> l(x); in flat models (b = 0) it vanishes.
+    -b <X,Y> l(x); in flat models (b = 0) it vanishes.  The coefficients are
+    a read-only copy; fields with equal coefficient bits are equal.
     """
 
-    def __init__(self, model: AmbientModel, coefficients: np.ndarray):
-        self.model = model
-        self.coefficients = np.asarray(coefficients, dtype=float)
+    model: AmbientModel
+    coefficients: np.ndarray = attribute(compare=False)
+    _coefficient_bits: bytes = attribute(init=False, repr=False)
+
+    def __post_init__(self):
+        coefficients = _frozen(self.coefficients)
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "_coefficient_bits", coefficients.tobytes())
 
     def jet(self, x):
         u = np.vecdot(x, self.coefficients)
@@ -91,17 +116,20 @@ class LinearCoordinateField:
         return u, grad, hessian, no_errors(np.shape(x)[:-1])
 
 
+@dataclass(frozen=True)
 class ComposedField:
     """phi(u) for a scalar reparametrization phi with two derivatives.
 
     ``fn``, ``d1`` and ``d2`` (phi, phi', phi'') take an array of values u of
     any shape and return an array of the same shape; they are called once per
-    jet, on all rows.
+    jet, on all rows.  Two composed fields are equal when their bases are and
+    their functions are the same objects.
     """
 
-    def __init__(self, base, fn, d1, d2):
-        self.base = base
-        self.fn, self.d1, self.d2 = fn, d1, d2
+    base: object
+    fn: object
+    d1: object
+    d2: object
 
     def jet(self, x):
         u, g, base_hessian, errors = self.base.jet(x)
@@ -137,7 +165,9 @@ class FieldSample:
 
 @cache
 def _lower_triangle(n: int) -> tuple:
-    return tuple(_frozen(a) for a in np.tril_indices(n))
+    i, j = np.tril_indices(n)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
 
 
 def restrict_field(patch: HypersurfacePatch, field, frame: PointFrame) -> FieldSample:
@@ -201,11 +231,17 @@ def intrinsic_hessian_fd(patch: HypersurfacePatch, scalar_fn, p: np.ndarray) -> 
 
 
 def restriction_hessian(patch: HypersurfacePatch, o: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Intrinsic Hessian of u = rho∘f, identity route, FD cross-checked."""
-    model = patch.ambient
-    sample = restrict_field(patch, DistanceField(model, o), frame_at(patch, p))
+    """Intrinsic Hessian of u = rho∘f, identity route, FD cross-checked on every call."""
+    field = DistanceField(patch.ambient, o)
+    sample, _ = restriction_at(patch, p, field)
     raise_first(sample.errors)
-    fd = intrinsic_hessian_fd(patch, lambda x: ambient_distance(model, o, x), p)
+
+    def rho(x):
+        values, errors = distance_rows(field.model, field.origin, x)
+        raise_first(errors)
+        return values
+
+    fd = intrinsic_hessian_fd(patch, rho, p)
     scale = max(1.0, float(np.abs(sample.hess).max()))
     if np.abs(sample.hess - fd).max() > 1e-3 * scale:
         raise ConsistencyError(
@@ -262,12 +298,29 @@ def trace_operator(sample: FieldSample, data: OperatorData, k: int):
     return np.vecdot(data.newton_eigenvalues[..., k, :], np.vecdot(E, sample.hess @ E, axis=-2))
 
 
+def restriction_at(patch: HypersurfacePatch, p: np.ndarray, field) -> tuple:
+    """(sample, data): :func:`restrict_field` and :func:`operator_data` of :func:`frame_at`.
+
+    The patch keeps them, with read-only arrays, beside its last frame, one
+    pair per field (a field is hashable; equal fields share a pair), and
+    drops them when :func:`frame_at` builds the frame of another point.  So
+    the single-point calls at one point restrict each field once.  The
+    sample's errors are not raised here: the caller raises them on every call.
+    """
+    frame = frame_at(patch, p)
+    kept = patch._last_frame.get(field)
+    if kept is None:
+        sample = read_only(restrict_field(patch, field, frame))
+        data = read_only(operator_data(frame, patch.ambient.signature))
+        kept = patch._last_frame[field] = (sample, data)
+    return kept
+
+
 def l_k_apply(patch: HypersurfacePatch, p: np.ndarray, k: int, field) -> float:
     """L_k u = Tr(P_k ∘ hess u) at the parameter point p."""
-    frame = frame_at(patch, p)
-    sample = restrict_field(patch, field, frame)
+    sample, data = restriction_at(patch, p, field)
     raise_first(sample.errors)
-    return float(trace_operator(sample, operator_data(frame, patch.ambient.signature), k))
+    return float(trace_operator(sample, data, k))
 
 
 def newton_quadratic(sample: FieldSample, data: OperatorData, k: int):
@@ -306,10 +359,8 @@ def key_inequality_residual(
         origin = patch.center
     if origin is None:
         raise GeometryError("no reference point available for the distance field")
-    frame = frame_at(patch, p)
-    sample = restrict_field(patch, DistanceField(model, origin), frame)
+    sample, data = restriction_at(patch, p, DistanceField(model, origin))
     raise_first(sample.errors)
-    data = operator_data(frame, model.signature)
     if data.newton_psd_margin(k) < -TAU_ELL:
         raise HypothesisViolationError(f"P_{k} is not positive semidefinite at this point")
     return float(trace_operator(sample, data, k) - key_inequality_rhs(sample, data, k, b))

@@ -275,9 +275,11 @@ def distance_rows(model: AmbientModel, o: np.ndarray, x: np.ndarray):
     Riemannian models give the geodesic distance; Lorentzian models give the
     Lorentzian distance, defined only on the chronological future of o.
     ``errors`` holds a :class:`DomainError` for each point where the distance
-    is undefined; rho is meaningless there.
+    is undefined; rho is meaningless there.  The reference point is not
+    checked here: it is validated once, where it enters (a field, a patch
+    center, a reference ball, :func:`ambient_distance`, :func:`distance_gradient`).
     """
-    o = model.check_point(o)
+    o = np.asarray(o, dtype=float)
     x = np.asarray(x, dtype=float)
     errors = model.point_errors(x)
     eps, b = model.epsilon, model.curvature
@@ -304,8 +306,8 @@ def distance_rows(model: AmbientModel, o: np.ndarray, x: np.ndarray):
 
 
 def ambient_distance(model: AmbientModel, o: np.ndarray, x: np.ndarray):
-    """Distance from the reference point o to x; raises where it is undefined."""
-    rho, errors = distance_rows(model, o, x)
+    """Distance from the reference point o to x; raises where it is undefined or o is invalid."""
+    rho, errors = distance_rows(model, model.check_point(o), x)
     raise_first(errors)
     return rho
 
@@ -333,8 +335,8 @@ def gradient_rows(model: AmbientModel, o: np.ndarray, x: np.ndarray):
 
 
 def distance_gradient(model: AmbientModel, o: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Gradient of the distance function at x; raises where it is undefined."""
-    _, grad, errors = gradient_rows(model, o, x)
+    """Gradient of the distance function at x; raises where it is undefined or o is invalid."""
+    _, grad, errors = gradient_rows(model, model.check_point(o), x)
     raise_first(errors)
     return grad
 
@@ -372,7 +374,7 @@ def distance_jet(model: AmbientModel, o: np.ndarray, x: np.ndarray):
 
 def distance_hessian_bilinear(model: AmbientModel, o: np.ndarray, x: np.ndarray, X, Y):
     """Hess rho(X, Y) for tangent vectors X, Y at x (:func:`distance_jet`), over leading axes."""
-    _, _, hessian, errors = distance_jet(model, o, x)
+    _, _, hessian, errors = distance_jet(model, model.check_point(o), x)
     raise_first(errors)
     return hessian(np.asarray(X)[..., None, :], np.asarray(Y)[..., None, :])[..., 0]
 

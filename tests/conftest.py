@@ -109,3 +109,15 @@ def random_tangent(model, x, rng, spacelike=False):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240517)
+
+
+def counted(monkeypatch, owner, name):
+    """Wrap ``owner.name`` so that each call is appended to the returned list."""
+    calls, fn = [], getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls

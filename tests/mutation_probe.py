@@ -1,0 +1,135 @@
+"""Mutation probe: which one-edit mutants of the library does tier-1 let through?
+
+Each mutant is (name, file, old text, new text): one edit to a file under
+``src/curvbound``, where ``old`` occurs exactly once.  The probe copies
+``src/``, ``tests/`` and ``pyproject.toml`` into a temporary directory once,
+then for each mutant applies its edit, runs the tier-1 suite there (stopping
+at the first failure) and restores the file.  A mutant that passes tier-1
+survives.  pytest does not collect this file (its name does not start with
+``test_``).  Run it from the root of a checkout:
+
+    python tests/mutation_probe.py              # every mutant
+    python tests/mutation_probe.py TIE cache    # mutants whose name contains TIE or cache
+
+It prints one line per mutant and, last, the survivors.  ``EQUIVALENT``
+names the mutants that cannot change any result, with the reason.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TIMEOUT_S = 600
+
+MUTANTS = [
+    # tolerances and floors
+    ("DEGENERACY_TOL 1e-12 -> 1e-6", "immersion.py",
+     "DEGENERACY_TOL = 1e-12", "DEGENERACY_TOL = 1e-6"),
+    ("DEGENERACY_TOL 1e-12 -> 1e-15", "immersion.py",
+     "DEGENERACY_TOL = 1e-12", "DEGENERACY_TOL = 1e-15"),
+    ("TIE_ULPS 32 -> 32000", "harness.py", "TIE_ULPS = 32", "TIE_ULPS = 32000"),
+    ("contains pad 1e-9 -> 1e-3", "immersion.py",
+     "pad = 1e-9 * np.maximum", "pad = 1e-3 * np.maximum"),
+    ("check_tangent 1e-8 -> 1e-3", "spaceform.py", "> 1e-8 * scale", "> 1e-3 * scale"),
+    ("restriction_hessian FD bar 1e-3 -> 1", "operators.py",
+     "max() > 1e-3 * scale:", "max() > 1.0 * scale:"),
+    ("hyperboloid-sheet guard 1e-9 -> 1e-3", "spaceform.py",
+     "c < 1.0 - 1e-9", "c < 1.0 - 1e-3"),
+    ("classify_definiteness 1e-12 -> 1e-3", "curvature.py",
+     "tol = 1e-12 * max(1.0, float(np.abs(eigenvalues).max()))",
+     "tol = 1e-3 * max(1.0, float(np.abs(eigenvalues).max()))"),
+    ("FD_JET_SCALE 1e-5 -> 1e-2", "immersion.py", "FD_JET_SCALE = 1e-5", "FD_JET_SCALE = 1e-2"),
+    ("MAX_EXCLUSION_RATE 0.10 -> 0.5", "harness.py",
+     "MAX_EXCLUSION_RATE = 0.10", "MAX_EXCLUSION_RATE = 0.5"),
+    ("POLAR_MARGIN 0.15 -> 0.3", "charts.py", "POLAR_MARGIN = 0.15", "POLAR_MARGIN = 0.3"),
+    # formulas
+    ("Lorentzian key rhs sqrt(1 + 2|grad u|^2)", "operators.py",
+     "np.sqrt(1.0 + sample.grad_norm_sq)", "np.sqrt(1.0 + 2.0 * sample.grad_norm_sq)"),
+    ("power-chain guard hk1 > 0 -> hk1 > -1", "harness.py",
+     "if np.all(hk1 > 0.0):", "if np.all(hk1 > -1.0):"),
+    ("orientation flip s > 0 -> s >= 0", "immersion.py",
+     "flip = s > 0.0 if", "flip = s >= 0.0 if"),
+    ("Riemannian normal term sign", "operators.py",
+     "+ ck * Hk1 * sample.normal_coef", "- ck * Hk1 * sample.normal_coef"),
+    ("newton_quadratic halved", "operators.py",
+     "return np.vecdot(data.newton_eigenvalues[..., k, :], du * du)",
+     "return 0.5 * np.vecdot(data.newton_eigenvalues[..., k, :], du * du)"),
+    ("H_2 corollary dropped", "harness.py",
+     "checks += verify_h2_corollary(config, samples, r)", "checks += []"),
+    # the restrictions kept beside a patch's last frame
+    ("cache: key without the origin", "operators.py",
+     'object.__setattr__(self, "_origin_bits", origin.tobytes())',
+     'object.__setattr__(self, "_origin_bits", b"")'),
+    ("cache: entry kept across points", "immersion.py",
+     "        patch._last_frame.clear()\n", ""),
+    ("cache: FD check skipped on a hit", "operators.py",
+     "    fd = intrinsic_hessian_fd(patch, rho, p)\n",
+     "    hit = getattr(sample, 'checked', False)\n"
+     "    sample.checked = True\n"
+     "    fd = sample.hess if hit else intrinsic_hessian_fd(patch, rho, p)\n"),
+]
+
+EQUIVALENT = {
+    "orientation flip s > 0 -> s >= 0":
+        "likely (not proved): it differs only where s = <N, grad rho> is exactly 0, where the "
+        "surface contains the radial direction of its center and neither side is inner",
+}
+
+
+def run_tier1(root: Path) -> tuple[bool, str]:
+    """(passed, last line of the pytest summary) of tier-1 on the copy at ``root``."""
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"],
+            cwd=root, env={**os.environ, "PYTHONPATH": str(root / "src")},
+            capture_output=True, text=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return False, f"timed out after {TIMEOUT_S} s"
+    lines = done.stdout.strip().splitlines()
+    return done.returncode == 0, lines[-1] if lines else done.stderr.strip()[-200:]
+
+
+def main(patterns: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not patterns or any(p in m[0] for p in patterns)]
+    survivors = []
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, root / name, ignore=ignore)
+        shutil.copy(ROOT / "pyproject.toml", root)
+        passed, summary = run_tier1(root)
+        if not passed:
+            print(f"tier-1 fails on the unmutated copy: {summary}")
+            return 2
+        for name, file, old, new in chosen:
+            path = root / "src" / "curvbound" / file
+            text = path.read_text()
+            if text.count(old) != 1:
+                raise SystemExit(f"{name}: the old text occurs {text.count(old)} times in {file}")
+            path.write_text(text.replace(old, new))
+            t0 = time.perf_counter()
+            try:
+                passed, summary = run_tier1(root)
+            finally:
+                path.write_text(text)
+            verdict = "SURVIVES" if passed else "killed"
+            print(f"{verdict:8}  {name}  ({summary}; {time.perf_counter() - t0:.1f} s)", flush=True)
+            if passed:
+                survivors.append(name)
+    print(f"\n{len(survivors)} of {len(chosen)} mutants survive tier-1:")
+    for name in survivors:
+        note = EQUIVALENT.get(name)
+        print(f"  {name}" + (f"  [equivalent: {note}]" if note else ""))
+    return 1 if set(survivors) - set(EQUIVALENT) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

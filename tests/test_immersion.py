@@ -54,7 +54,7 @@ from curvbound.operators import (
 )
 from curvbound.spaceform import AmbientModel
 
-from conftest import congruent, riemannian_space_form
+from conftest import congruent, counted, riemannian_space_form
 
 E3 = AmbientModel.euclidean(3)
 M3 = AmbientModel.minkowski(3)
@@ -594,18 +594,6 @@ def test_future_orientation_requires_lorentzian():
 
 
 # -- the last frame of a patch ------------------------------------------------------
-
-
-def counted(monkeypatch, owner, name):
-    """Wrap ``owner.name`` so that each call is appended to the returned list."""
-    calls, fn = [], getattr(owner, name)
-
-    def wrapper(*args, **kwargs):
-        calls.append(args)
-        return fn(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, wrapper)
-    return calls
 
 
 def test_frame_at_reuses_the_frame_of_the_last_point(monkeypatch):

@@ -8,9 +8,14 @@ import numpy as np
 import pytest
 
 from curvbound import curvature, immersion, operators, spaceform
-from curvbound.charts import PerturbedHyperboloidChart
+from curvbound.charts import EllipsoidChart, PerturbedHyperboloidChart
 from curvbound.comparison import c_b, phi_b, phi_b_d1
-from curvbound.errors import DomainError
+from curvbound.errors import (
+    ConsistencyError,
+    DomainError,
+    HypothesisViolationError,
+    UndefinedGradientError,
+)
 from curvbound.harness import (
     bundled_scenarios,
     collect_samples,
@@ -19,6 +24,7 @@ from curvbound.harness import (
     scenario_patch,
 )
 from curvbound.immersion import (
+    HypersurfacePatch,
     build_patch,
     frame_at,
     frames_at,
@@ -38,12 +44,13 @@ from curvbound.operators import (
     operator_data,
     phi_of_distance_field,
     restrict_field,
+    restriction_at,
     restriction_hessian,
     trace_operator,
 )
 from curvbound.spaceform import AmbientModel, geodesic_point
 
-from conftest import congruent, equality_spheres
+from conftest import congruent, counted, equality_spheres
 
 E2 = AmbientModel.euclidean(2)
 E3 = AmbientModel.euclidean(3)
@@ -453,16 +460,14 @@ def probe_patches():
 
 @pytest.mark.parametrize("patch, o", probe_patches())
 def test_single_point_calls_on_a_kept_frame_are_bit_identical(monkeypatch, patch, o):
-    # the five calls at one probe point build its frame once, and each reads
-    # the bits of the same call on a copy of the patch that has kept no frame
-    built = []
-    frames_at = immersion.frames_at
-
-    def counted(q, P):
-        built.append(q is patch)
-        return frames_at(q, P)
-
-    monkeypatch.setattr(immersion, "frames_at", counted)
+    # the five calls at one probe point build its frame once, restrict the
+    # distance once and sign its S_k table once, and each reads the bits of the
+    # same call on a copy of the patch that has kept no frame; the FD oracle
+    # runs on every restriction_hessian call
+    patch = dataclasses.replace(patch)  # one that has kept nothing from other tests
+    calls = {name: counted(monkeypatch, owner, name) for owner, name in (
+        (immersion, "frames_at"), (operators, "restrict_field"),
+        (operators, "intrinsic_hessian_fd"), (operators, "signed_values"))}
     field = DistanceField(patch.ambient, o)
     points = interior_points(patch, np.random.default_rng(15), 5)
     for p in points:
@@ -471,8 +476,129 @@ def test_single_point_calls_on_a_kept_frame_are_bit_identical(monkeypatch, patch
                           (key_inequality_residual, p, 1, None, o), (l_k_apply, p, 1, field)):
             kept, fresh = fn(patch, *args), fn(dataclasses.replace(patch), *args)
             assert np.asarray(kept).tobytes() == np.asarray(fresh).tobytes(), fn.__name__
-    assert built.count(True) == len(points)
-    assert built.count(False) == 5 * len(points)
+    # one of each per point on the kept patch; one per call on the fresh copies
+    n = len(points)
+    assert {name: len(c) for name, c in calls.items()} == {
+        "frames_at": n + 5 * n, "restrict_field": n + 5 * n,
+        "intrinsic_hessian_fd": n + n, "signed_values": n + 5 * n}
+    for name in ("frames_at", "restrict_field", "intrinsic_hessian_fd"):
+        assert sum(args[0] is patch for args in calls[name]) == n, name
+    restriction_hessian(patch, o, points[-1])  # a repeated call runs the oracle again
+    assert sum(args[0] is patch for args in calls["intrinsic_hessian_fd"]) == n + 1
+
+
+def test_fields_hold_read_only_copies_and_the_kept_restriction_stays_valid():
+    patch = ellipsoid_patch()
+    p, o = np.array([1.0, 2.0]), np.array([0.1, 0.0, 0.0])
+    field = DistanceField(E3, o)
+    kept, data = restriction_at(patch, p, field)
+    o[0] = 5.0
+    assert restriction_at(patch, p, field)[0] is kept
+    fresh = restriction_at(dataclasses.replace(patch), p, DistanceField(E3, [0.1, 0.0, 0.0]))[0]
+    for name in ("u", "grad", "grad_norm_sq", "normal_coef", "hess"):
+        assert getattr(kept, name).tobytes() == getattr(fresh, name).tobytes(), name
+    for a in (field.origin, kept.hess, kept.grad, data.H, data.newton_eigenvalues):
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 0.0
+    coefficients = np.array([0.0, 0.0, 1.0])
+    height = LinearCoordinateField(E3, coefficients)
+    assert not np.shares_memory(height.coefficients, coefficients)
+    with pytest.raises(ValueError, match="read-only"):
+        height.coefficients[0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        field.origin = o
+
+
+def test_fields_are_equal_by_value():
+    o = AmbientModel.sphere(1.0, 3).base_point()
+    S3 = AmbientModel.sphere(1.0, 3)
+    assert DistanceField(S3, o) == DistanceField(S3, list(o))
+    assert hash(DistanceField(S3, o)) == hash(DistanceField(S3, o.copy()))
+    assert DistanceField(S3, o) != DistanceField(S3, -o)
+    assert DistanceField(E3, np.zeros(3)) != LinearCoordinateField(E3, np.zeros(3))
+    composed = phi_of_distance_field(E3, np.zeros(3), 0.0)
+    assert composed == dataclasses.replace(composed)
+    assert composed != phi_of_distance_field(E3, np.zeros(3), 0.0)  # other phi objects
+
+
+class SkewedEllipsoidChart(EllipsoidChart):
+    """An ellipsoid whose analytic second derivatives are 3% too large."""
+
+    def jet(self, p):
+        x, d1, d2 = super().jet(p)
+        return x, d1, 1.03 * d2
+
+
+def test_restriction_hessian_raises_on_a_wrong_second_jet_on_every_call():
+    # the identity route reads the chart's d2, the FD route only positions and
+    # first derivatives: 3% off is far above the 1e-3 bar, and far below 1
+    chart = SkewedEllipsoidChart(np.zeros(3), np.ones(3))
+    patch = HypersurfacePatch(chart, E3, "inner", *chart.default_domain(), center=np.zeros(3))
+    p = np.array([1.0, 2.0])
+    for _ in range(2):
+        with pytest.raises(ConsistencyError):
+            restriction_hessian(patch, np.zeros(3), p)
+    assert patch._last_frame  # the frame and the restriction were kept
+
+
+def test_undefined_and_violating_points_raise_on_every_call():
+    patch = ellipsoid_patch()
+    p = np.array([1.0, 2.0])
+    x = frame_at(patch, p).position
+    calls = ((restriction_hessian, x, p), (key_inequality_residual, p, 0, None, x),
+             (l_k_apply, p, 0, DistanceField(E3, x)))
+    for _ in range(2):
+        for fn, *args in calls:
+            with pytest.raises(UndefinedGradientError):
+                fn(patch, *args)
+    saddle = build_patch(E3, "graph", {"terms": [[1.0, [2, 0]], [-1.0, [0, 2]]],
+                                       "box_lo": [-1, -1], "box_hi": [1, 1]})
+    q = np.array([0.1, 0.2])
+    assert operator_data(frame_at(saddle, q), "riemannian").newton_psd_margin(1) < -1e-3
+    for _ in range(2):
+        with pytest.raises(HypothesisViolationError, match="P_1"):
+            key_inequality_residual(saddle, q, 1, origin=np.array([0.0, 0.0, 2.0]))
+
+
+def test_two_origins_at_one_point_give_two_restrictions():
+    S3 = AmbientModel.sphere(1.0, 3)
+    o = S3.base_point()
+    patch = build_patch(S3, "geodesic_sphere", {"radius": 0.7}, center=o)
+    origins = [o, geodesic_point(S3, o, np.eye(4)[1], 0.3)]
+    p = interior_points(patch, np.random.default_rng(4), 1)[0]
+    for _ in range(2):
+        for origin in origins:
+            for k in (0, 1):
+                kept = key_inequality_residual(patch, p, k, origin=origin)
+                fresh = key_inequality_residual(dataclasses.replace(patch), p, k, origin=origin)
+                assert kept == fresh
+                assert l_k_apply(patch, p, k, DistanceField(S3, origin)) == l_k_apply(
+                    dataclasses.replace(patch), p, k, DistanceField(S3, origin))
+    samples = [restriction_at(patch, p, DistanceField(S3, origin))[0] for origin in origins]
+    assert not np.array_equal(samples[0].hess, samples[1].hess)
+
+
+def test_an_origin_is_validated_once_where_it_enters(monkeypatch):
+    # a field validates its origin when it is built and a patch its center;
+    # frames and single-point calls on a kept frame check neither again
+    patch = ellipsoid_patch()
+    o = np.array([0.1, 0.0, 0.0])
+    checked = counted(monkeypatch, AmbientModel, "point_errors")
+
+    def count(a):
+        return sum(np.array_equal(x, a) for _, x in checked)
+
+    field = DistanceField(E3, o)
+    assert count(o) == 1
+    for point in (np.array([1.0, 2.0]), np.array([1.2, 2.0])):
+        checked.clear()
+        frame_at(patch, point)
+        for k in (0, 1):
+            l_k_apply(patch, point, k, field)
+        assert count(o) == count(patch.center) == 0
+        restriction_hessian(patch, o, point)
+        assert count(o) == 1  # the raw origin, as its field is built
+
 
 
 # -- extremum-sequence search ---------------------------------------------------------

@@ -5,10 +5,8 @@ of an ambient model.  Charts that can supply closed-form first and second
 derivatives implement :meth:`Chart.jet`; the rest fall back to finite
 differences inside the patch machinery.
 
-Registry names: sphere, ellipsoid, cylinder, graph, geodesic_sphere,
-hyperboloid, perturbed_hyperboloid, tabulated.  ``sphere`` is an alias for an
-ellipsoid with equal semi-axes and ``hyperboloid`` for a perturbed hyperboloid
-with epsilon = 0.
+:func:`build_chart` makes a chart of a kind listed in ``_KINDS`` from keyword
+parameters: the kind's constructor signature is its parameter schema.
 """
 
 from __future__ import annotations
@@ -109,9 +107,8 @@ def fd_jet(value, p: np.ndarray, h: np.ndarray):
 def _angle_domain(n: int):
     lo = np.zeros(n)
     hi = np.full(n, 2.0 * np.pi)
-    if n > 1:
-        lo[: n - 1] = POLAR_MARGIN
-        hi[: n - 1] = np.pi - POLAR_MARGIN
+    lo[: n - 1] = POLAR_MARGIN
+    hi[: n - 1] = np.pi - POLAR_MARGIN
     return lo, hi
 
 
@@ -352,9 +349,7 @@ class PerturbedHyperboloidChart(Chart):
         self.epsilon = float(epsilon)
         self.half_width = float(half_width)
         self.nparams = self.center.size - 1
-        y0 = np.zeros(self.nparams)
-        y0[0] = float(offset)
-        self.y0 = _frozen(y0)
+        self.y0 = _frozen([float(offset)] + [0.0] * (self.nparams - 1))
 
     def _radial_jet(self, y):
         n = y.shape[-1]
@@ -518,52 +513,47 @@ def write_chart_csv(chart, domain_lo, domain_hi, resolution, path, include_jets=
         writer.writerows(np.hstack(columns).tolist())
 
 
+def _model_free(make):
+    return lambda model, **params: make(**params)
+
+
+def _sphere(model, center, radius):
+    """``sphere``: an ellipsoid with equal semi-axes."""
+    return EllipsoidChart(center, np.full(np.size(center), float(radius)))
+
+
+def _hyperboloid(model, center, radius, **params):
+    """``hyperboloid``: a perturbed hyperboloid with epsilon = 0."""
+    return PerturbedHyperboloidChart(center, radius, epsilon=0.0, **params)
+
+
+# kind -> (make, called as make(model, **params); required model_kind; default center)
+_KINDS = {
+    "sphere": (_sphere, "euclidean", AmbientModel.base_point),
+    "ellipsoid": (_model_free(EllipsoidChart), "euclidean", AmbientModel.base_point),
+    "cylinder": (_model_free(CylinderChart), "euclidean", AmbientModel.base_point),
+    "graph": (_model_free(PolynomialGraphChart), "euclidean", None),
+    "geodesic_sphere": (GeodesicSphereChart, None, AmbientModel.base_point),
+    "hyperboloid": (_hyperboloid, "minkowski", AmbientModel.base_point),
+    "perturbed_hyperboloid": (_model_free(PerturbedHyperboloidChart), "minkowski",
+                              AmbientModel.base_point),
+    "tabulated": (_model_free(TabulatedChart.from_csv), None, None),
+}
+
+
 def build_chart(model: AmbientModel, kind: str, params: dict) -> Chart:
-    """Instantiate a chart by registry name against an ambient model."""
+    """A chart of a kind in ``_KINDS``; a bad parameter in ``params`` raises ConfigError."""
+    if kind not in _KINDS:
+        raise ConfigError(f"unknown chart kind {kind!r}")
+    make, model_kind, default_center = _KINDS[kind]
+    if model_kind not in (None, model.model_kind):
+        raise ConfigError(f"{kind} chart requires a {model_kind} ambient")
     params = dict(params)
-    center = params.pop("center", None)
-    if center is not None:
-        center = np.asarray(center, dtype=float)
-    if kind == "sphere":
-        if model.model_kind != "euclidean":
-            raise ConfigError("sphere chart requires a euclidean ambient")
-        radius = float(params.pop("radius"))
-        if radius <= 0:
-            raise ConfigError("sphere radius must be positive")
-        c = center if center is not None else np.zeros(model.embedding_dim)
-        return EllipsoidChart(c, np.full(c.size, radius))
-    if kind == "ellipsoid":
-        if model.model_kind != "euclidean":
-            raise ConfigError("ellipsoid chart requires a euclidean ambient")
-        c = center if center is not None else np.zeros(model.embedding_dim)
-        return EllipsoidChart(c, np.asarray(params.pop("semi_axes"), dtype=float))
-    if kind == "cylinder":
-        if model.model_kind != "euclidean" or model.embedding_dim != 3:
-            raise ConfigError("cylinder chart requires euclidean R^3")
-        c = center if center is not None else np.zeros(3)
-        return CylinderChart(c, params.pop("radius"), params.pop("half_length", 1.0))
-    if kind == "graph":
-        if model.model_kind != "euclidean":
-            raise ConfigError("graph chart requires a euclidean ambient")
-        return PolynomialGraphChart(
-            params.pop("terms"), params.pop("box_lo"), params.pop("box_hi")
-        )
-    if kind == "geodesic_sphere":
-        c = center if center is not None else model.base_point()
-        return GeodesicSphereChart(
-            model, c, params.pop("radius"), params.pop("half_width", 2.0)
-        )
-    if kind in ("hyperboloid", "perturbed_hyperboloid"):
-        if model.model_kind != "minkowski":
-            raise ConfigError(f"{kind} chart requires a minkowski ambient")
-        c = center if center is not None else np.zeros(model.embedding_dim)
-        return PerturbedHyperboloidChart(
-            c,
-            params.pop("radius"),
-            0.0 if kind == "hyperboloid" else params.pop("epsilon", 0.01),
-            params.pop("offset", 1.0),
-            params.pop("half_width", 2.0),
-        )
-    if kind == "tabulated":
-        return TabulatedChart.from_csv(params.pop("path"))
-    raise ConfigError(f"unknown chart kind {kind!r}")
+    if default_center is not None and params.get("center") is None:
+        params["center"] = default_center(model)
+    try:
+        if default_center is not None and np.shape(params["center"]) != (model.embedding_dim,):
+            raise ConfigError(f"{kind} chart center needs {model.embedding_dim} coordinates")
+        return make(model, **params)
+    except (TypeError, ValueError, OSError) as exc:
+        raise ConfigError(f"bad {kind} chart parameters: {exc}") from exc

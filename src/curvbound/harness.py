@@ -108,8 +108,16 @@ def load_scenario(source) -> ScenarioConfig:
             raise ConfigError(f"missing field {key!r} in {where}")
         return obj[key]
 
+    def known(obj, where, keys):
+        unknown = set(obj) - set(keys.split())
+        if unknown:
+            raise ConfigError(f"unknown key {min(unknown)!r} in {where}")
+        return obj
+
+    known(raw, "scenario", "name ambient reference chart k_range resolution tolerances jets")
     name = need(raw, "name", "scenario")
-    amb = need(raw, "ambient", "scenario")
+    amb = known(need(raw, "ambient", "scenario"), "ambient",
+                "signature curvature dimension model_kind")
     try:
         model = AmbientModel(
             signature=need(amb, "signature", "ambient"),
@@ -123,10 +131,10 @@ def load_scenario(source) -> ScenarioConfig:
             f"bad ambient model: model_kind {amb['model_kind']!r} disagrees with the signature "
             f"and the sign of b, which make it {model.model_kind!r}"
         )
-    ref = need(raw, "reference", "scenario")
+    ref = known(need(raw, "reference", "scenario"), "reference", "center radius")
     center = np.asarray(need(ref, "center", "reference"), dtype=float)
     radius = ref.get("radius")
-    chart = need(raw, "chart", "scenario")
+    chart = known(need(raw, "chart", "scenario"), "chart", "kind params orientation")
     k_range = tuple(int(v) for v in need(raw, "k_range", "scenario"))
     n = model.dimension - 1
     if len(k_range) != 2 or not (0 <= k_range[0] <= k_range[1] <= n - 1):
@@ -134,7 +142,7 @@ def load_scenario(source) -> ScenarioConfig:
             f"k_range must lie within [0, {n - 1}] for dimension {model.dimension}"
         )
     resolution = checked_resolution(raw.get("resolution", 16))
-    tol = raw.get("tolerances", {})
+    tol = known(raw.get("tolerances", {}), "tolerances", "equality margin")
     jets = raw.get("jets", "auto")
     default_eq = 1e-3 if jets == "fd" else 1e-6
     return ScenarioConfig(

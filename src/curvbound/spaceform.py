@@ -255,11 +255,11 @@ def geodesic_velocity(model: AmbientModel, x: np.ndarray, v: np.ndarray, t: floa
 
 
 # Each quadric's domain guard on c = b<x,o> = cs_{eps b}(rho), keyed by (signature, b > 0):
-# the rows where its distance is undefined, and why.
+# the rows where its distance is undefined, and why (none in hyperbolic space: both points
+# lie on the upper sheet, x by point_errors and o where it enters).
 _QUADRIC_GUARDS = {
     (RIEMANNIAN, True): (lambda c: c <= -1.0 + 1e-12,
                          "antipodal or beyond: spherical distance undefined"),
-    (RIEMANNIAN, False): (lambda c: c < 1.0 - 1e-9, "point not on the same hyperboloid sheet"),
     (LORENTZIAN, True): (lambda c: c <= 1.0,
                          "point is not chronologically related to the reference"),
     # b < 0: the distance is smooth and positive only while rho < pi/(2 sqrt(-b))
@@ -292,8 +292,9 @@ def distance_rows(model: AmbientModel, o: np.ndarray, x: np.ndarray):
         rho = np.sqrt(np.maximum(s, 0.0))
     else:
         c = b * model.flat_inner(x, o)
-        guard, message = _QUADRIC_GUARDS[model.signature, b > 0.0]
-        flag(errors, guard(c), DomainError, message)
+        if (model.signature, b > 0.0) in _QUADRIC_GUARDS:
+            guard, message = _QUADRIC_GUARDS[model.signature, b > 0.0]
+            flag(errors, guard(c), DomainError, message)
         if k > 0.0:
             rho = np.arccos(np.minimum(np.maximum(c, -1.0), 1.0)) / np.sqrt(k)
         else:

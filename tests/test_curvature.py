@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from curvbound.curvature import (
+    classify_definiteness,
     elementary_symmetric,
     garding_chain,
     gauss_identities,
@@ -180,6 +181,14 @@ def test_newton_lorentzian_hyperboloid_operator():
     fam = newton_family(-(1.0 / r) * np.eye(2), "lorentzian")
     np.testing.assert_allclose(fam.P[1], (1.0 / r) * np.eye(2), atol=1e-14)
     assert fam.definiteness[1] == "positive_definite"
+
+
+def test_definiteness_floor_is_relative_round_off():
+    # a negative eigenvalue of 1e-6 of the largest is real, one of 1e-13 is round-off
+    assert classify_definiteness(np.array([1.0, -1e-6])) == "indefinite"
+    assert classify_definiteness(np.array([1.0, -1e-13])) == "positive_semidefinite"
+    assert classify_definiteness(np.array([1.0, 1e-13])) == "positive_semidefinite"
+    assert classify_definiteness(np.array([1.0, 1e-6])) == "positive_definite"
 
 
 def test_newton_asymmetric_rejected():

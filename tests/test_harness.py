@@ -20,10 +20,12 @@ from curvbound.errors import ConfigError
 from curvbound.harness import (
     H_FLOOR,
     TIE_ULPS,
+    Row,
     bundled_scenarios,
     collect_samples,
     emit_report,
     emit_samples_csv,
+    evaluate,
     load_scenario,
     refined_distance_extremum,
     run_scenario,
@@ -249,6 +251,15 @@ def test_worst_samples_lie_in_the_tie_band(name):
         assert np.all(np.abs(values[: rows[0]] - extremum) > band), check.id
 
 
+def test_worst_sample_band_is_a_few_ulp():
+    # the first sample in grid order within TIE_ULPS of the extremum is the worst;
+    # one 16 ulp below the sup is within the band, one 1000 ulp below it is not
+    top, params = 3.0, np.array([[0.0], [1.0]])
+    for ulps, worst in ((16, [0.0]), (1000, [1.0])):
+        values = np.array([top - ulps * np.spacing(top), top])
+        assert evaluate(Row("x", "test", values, reduce="sup", params=params)).worst_sample == worst
+
+
 def test_equality_scenarios_hit_tolerance():
     for name in ("sphere-equality", "sphere-in-sphere", "sphere-in-hyperbolic"):
         report = run_scenario(bundled(name))
@@ -293,6 +304,8 @@ def test_cylinder_triggers_hypothesis_violation():
     assert report.exit_code == 2
     h2 = next(c for c in report.checks if c.id == "h2-positive")
     assert h2.status == "hypothesis-violation"
+    # H_2 is exactly 0 on the grid, so the power chain H_2^(1/2) <= ... is not checked
+    assert "power-chain-k1" not in {c.id for c in report.checks}
 
 
 def test_h2_corollary_needs_positive_mean_curvature():
@@ -421,19 +434,42 @@ def test_cli_verify_bundled(tmp_path, capsys):
     assert "ratio-lower-bound-k1" in out
 
 
-def test_cli_usage_error_for_bad_scenario(tmp_path, capsys):
+def _params(raw):
+    return raw["chart"]["params"]
+
+
+# case -> (bundled scenario, an edit that breaks it, text its usage error names)
+BAD_SCENARIOS = {
+    "k_range": ("sphere-equality", lambda raw: raw.update(k_range=[0, 2]), "[0, 1]"),
+    "eps": ("perturbed-hyperboloid",
+            lambda raw: _params(raw).update(eps=_params(raw).pop("epsilon")), "'eps'"),
+    "missing-radius": ("sphere-equality", lambda raw: _params(raw).pop("radius"), "'radius'"),
+    "radius-two": ("sphere-equality", lambda raw: _params(raw).update(radius="two"), "'str'"),
+    "epsilon-on-hyperboloid": ("hyperboloid-equality",
+                               lambda raw: _params(raw).update(epsilon=0.3), "'epsilon'"),
+    "center-on-graph": ("ellipsoid", lambda raw: raw["chart"].update(kind="graph", params={
+        "terms": [[1.0, [2, 0]]], "box_lo": [-1, -1], "box_hi": [1, 1], "center": [0, 0, 0]}),
+        "'center'"),
+    "short-center": ("ellipsoid", lambda raw: _params(raw).update(center=[0.0, 0.0]),
+                     "3 coordinates"),
+    "missing-table": ("ellipsoid", lambda raw: raw["chart"].update(
+        kind="tabulated", params={"path": "/nonexistent/table.csv"}), "/nonexistent/table.csv"),
+    "tolerance": ("ellipsoid", lambda raw: raw.update(tolerance=raw.pop("tolerances")),
+                  "'tolerance' in scenario"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_SCENARIOS)
+def test_cli_usage_error_for_bad_scenario(case, tmp_path, capsys):
+    name, edit, named = BAD_SCENARIOS[case]
+    raw = json.loads(Path(bundled_scenarios()[name]).read_text())
+    edit(raw)
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({
-        "name": "bad",
-        "ambient": {"signature": "riemannian", "curvature": 0.0,
-                    "dimension": 3, "model_kind": "euclidean"},
-        "reference": {"center": [0.0, 0.0, 0.0]},
-        "chart": {"kind": "sphere", "params": {"radius": 1.0}},
-        "k_range": [0, 2],
-        "resolution": 8,
-    }))
+    bad.write_text(json.dumps(raw))
     assert main(["verify", "--scenario", str(bad)]) == 3
-    assert "[0, 1]" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1, err
+    assert named in err
 
 
 def test_cli_analysis_subcommands(tmp_path, capsys):

@@ -613,9 +613,10 @@ def test_frame_at_reuses_the_frame_of_the_last_point(monkeypatch):
 
 def test_frame_at_raises_at_a_rejected_point_on_every_call():
     patch = sphere_patch()
-    for _ in range(2):
-        with pytest.raises(DomainError, match="outside the patch domain"):
-            frame_at(patch, patch.domain_hi + 1.0)
+    for outside in (1.0, 1e-6 * patch.domain_width):
+        for _ in range(2):
+            with pytest.raises(DomainError, match="outside the patch domain"):
+                frame_at(patch, patch.domain_hi + outside)
 
 
 def test_frames_of_frame_at_are_read_only_and_the_caller_keeps_its_arrays():

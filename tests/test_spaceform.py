@@ -13,6 +13,7 @@ from curvbound.spaceform import (
     distance_gradient,
     distance_hessian_bilinear,
     distance_hessian_quadform,
+    distance_rows,
     fd_distance_hessian_quadform,
     geodesic_point,
     geodesic_velocity,
@@ -233,6 +234,10 @@ def test_non_tangent_vector_rejected():
     x = np.array([np.cos(1.0), np.sin(1.0), 0.0])
     with pytest.raises(DomainError):
         distance_hessian_quadform(model, o, x, x)  # position vector is normal
+    tangent = np.array([-np.sin(1.0), np.cos(1.0), 0.0])
+    distance_hessian_quadform(model, o, x, tangent)
+    with pytest.raises(DomainError):  # a normal component of 1e-5 of its size
+        distance_hessian_quadform(model, o, x, tangent + 1e-5 * x)
 
 
 # -- reference balls and model validation ------------------------------------
@@ -303,6 +308,22 @@ def test_exact_hyperboloid_points_far_from_the_vertex_are_accepted():
     for y in (x, geodesic_point(model, o, np.array([0.0, 1.0, 0.0, 0.0]), t - 5.0)):
         y[:, 0] *= 1.0 + 1e-6
         assert failed(model.point_errors(y)).all()
+
+
+def test_nearby_points_far_from_the_hyperbolic_vertex_have_a_distance(rng):
+    """c = b<x,o> reads 1 from terms of size cosh^2 of the distance to the vertex, so it
+    can fall below 1 for two points 1e-4 apart at distance 10 from it: both lie on the
+    upper sheet, and their distance is defined.  It lies within the round-off of
+    arccosh near 1, and only the coincidence floor (1e-8 x 1.1e4) speaks for it."""
+    model = AmbientModel.hyperbolic(-1.0, 3)
+    for _ in range(200):
+        o = random_point_at(model, model.base_point(), 10.0, rng)
+        x = random_point_at(model, o, 1e-4, rng)
+        rho, errors = distance_rows(model, o, x)
+        assert not failed(errors)
+        assert abs(rho - 1e-4) <= 2.5e-4
+        _, _, errors = gradient_rows(model, o, x)
+        assert errors.item() is None or isinstance(errors.item(), UndefinedGradientError)
 
 
 def test_quadric_tolerance_only_widens(rng):

@@ -18,18 +18,19 @@ from operator import mul
 import numpy as np
 
 from .comparison import cs, sn
-from .errors import ConfigError, DomainError, flag, no_errors, raise_first
+from .errors import (
+    ConfigError,
+    DomainError,
+    flag,
+    no_errors,
+    raise_first,
+    read_only,
+    read_only_copy,
+)
 from .spaceform import LORENTZIAN, RIEMANNIAN, AmbientModel
 
 # Default exclusion band around the coordinate poles of spherical charts.
 POLAR_MARGIN = 0.15
-
-
-def _frozen(a) -> np.ndarray:
-    """A read-only float copy of an array parameter, so a chart shares no array with its caller."""
-    a = np.array(a, dtype=float)
-    a.setflags(write=False)
-    return a
 
 
 def hypersphere_direction(angles: np.ndarray) -> np.ndarray:
@@ -104,6 +105,11 @@ def fd_jet(value, p: np.ndarray, h: np.ndarray):
     return x, d1, d2
 
 
+def grid_points(axes: list) -> np.ndarray:
+    """The product grid of ``axes`` as rows (N, n), last axis varying fastest."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+
+
 def _angle_domain(n: int):
     lo = np.zeros(n)
     hi = np.full(n, 2.0 * np.pi)
@@ -117,9 +123,21 @@ class Chart:
 
     ``value`` and ``jet`` take parameter points of shape (..., n); leading
     axes are sample axes and carry through to the results.
+
+    A chart is immutable, so a frame a patch keeps cannot go stale: its constructor
+    sets each attribute once, to a read-only array or an immutable value, and
+    rebinding or deleting any attribute, a method included, raises AttributeError.
     """
 
     nparams: int
+
+    def __setattr__(self, name, value):
+        if hasattr(self, name):
+            raise AttributeError(f"{type(self).__name__}.{name} is set once")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__}.{name} is set once")
 
     def value(self, p: np.ndarray) -> np.ndarray:
         return self.jet(p)[0]
@@ -146,8 +164,8 @@ class EllipsoidChart(Chart):
     """Axis-aligned ellipsoid; chart poles sit on the first semi-axis."""
 
     def __init__(self, center: np.ndarray, semi_axes: np.ndarray):
-        self.center = _frozen(center)
-        self.semi_axes = _frozen(semi_axes)
+        self.center = read_only_copy(center)
+        self.semi_axes = read_only_copy(semi_axes)
         if np.any(self.semi_axes <= 0):
             raise ConfigError("ellipsoid semi-axes must be positive")
         if self.semi_axes.size != self.center.size:
@@ -172,7 +190,7 @@ class CylinderChart(Chart):
     nparams = 2
 
     def __init__(self, center: np.ndarray, radius: float, half_length: float = 1.0):
-        self.center = _frozen(center)
+        self.center = read_only_copy(center)
         if self.center.size != 3:
             raise ConfigError("cylinder chart lives in R^3")
         self.radius = float(radius)
@@ -203,8 +221,8 @@ class PolynomialGraphChart(Chart):
     """
 
     def __init__(self, terms, box_lo, box_hi):
-        self.box_lo = _frozen(box_lo)
-        self.box_hi = _frozen(box_hi)
+        self.box_lo = read_only_copy(box_lo)
+        self.box_hi = read_only_copy(box_hi)
         self.nparams = self.box_lo.size
         self.terms = tuple(
             (float(c), tuple(int(e) for e in exps)) for c, exps in terms
@@ -266,11 +284,11 @@ class GeodesicSphereChart(Chart):
         if k > 0.0 and radius >= np.pi / np.sqrt(k):
             raise ConfigError("geodesic sphere radius reaches the conjugate locus")
         self.model = model
-        self.center = _frozen(model.check_point(np.asarray(center, dtype=float)))
+        self.center = model.check_point(read_only_copy(center))
         self.radius = float(radius)
         self.half_width = float(half_width)
         self.nparams = model.dimension - 1
-        self._frame = _frozen(self._tangent_frame())
+        self._frame = read_only(self._tangent_frame())
         self._alpha, self._beta = cs(k, self.radius), sn(k, self.radius)
 
     def _tangent_frame(self):
@@ -344,12 +362,12 @@ class PerturbedHyperboloidChart(Chart):
     def __init__(self, center, radius, epsilon=0.01, offset=1.0, half_width=2.0):
         if radius <= 0:
             raise ConfigError("hyperboloid radius must be positive")
-        self.center = _frozen(center)
+        self.center = read_only_copy(center)
         self.radius = float(radius)
         self.epsilon = float(epsilon)
         self.half_width = float(half_width)
         self.nparams = self.center.size - 1
-        self.y0 = _frozen([float(offset)] + [0.0] * (self.nparams - 1))
+        self.y0 = read_only_copy([float(offset)] + [0.0] * (self.nparams - 1))
 
     def _radial_jet(self, y):
         n = y.shape[-1]
@@ -399,18 +417,18 @@ class TabulatedChart(Chart):
     MATCH_TOL = 1e-9
 
     def __init__(self, params, positions, d1=None, d2=None):
-        self.params = _frozen(params)
-        self.positions = _frozen(positions)
+        self.params = read_only_copy(params)
+        self.positions = read_only_copy(positions)
         self.nparams = self.params.shape[1]
-        self.d1 = None if d1 is None else _frozen(d1)
-        self.d2 = None if d2 is None else _frozen(d2)
-        self.axes = [np.unique(np.round(self.params[:, i], 9)) for i in range(self.nparams)]
+        self.d1 = None if d1 is None else read_only_copy(d1)
+        self.d2 = None if d2 is None else read_only_copy(d2)
+        self.axes = read_only(tuple(np.unique(np.round(p, 9)) for p in self.params.T))
         self._rows = np.full([a.size for a in self.axes], -1)
         index, _ = self._lookup(self.params)
         self._rows[tuple(np.moveaxis(index, -1, 0))] = np.arange(self.params.shape[0])
         if self._rows.size != self.params.shape[0] or np.any(self._rows < 0):
             raise ConfigError("tabulated samples do not form a complete grid")
-        self._rows.setflags(write=False)
+        read_only(self._rows)
 
     def _lookup(self, p, jet=False):
         """(index, errors): per-axis grid index of each point of p (..., n).
@@ -458,9 +476,7 @@ class TabulatedChart(Chart):
         return fd_jet(self.value, p, steps)
 
     def default_domain(self):
-        lo = np.array([a[0] for a in self.axes])
-        hi = np.array([a[-1] for a in self.axes])
-        return lo, hi
+        return np.array([a[0] for a in self.axes]), np.array([a[-1] for a in self.axes])
 
     @classmethod
     def from_csv(cls, path):
@@ -475,8 +491,7 @@ class TabulatedChart(Chart):
         m = sum(1 for name in header if name.startswith("x"))
         if n == 0 or m == 0:
             raise ConfigError("tabulated CSV needs p* and x* columns")
-        params = data[:, :n]
-        positions = data[:, n : n + m]
+        params, positions = data[:, :n], data[:, n : n + m]
         rest = data.shape[1] - n - m
         if rest == 0:
             return cls(params, positions)
@@ -492,17 +507,12 @@ def write_chart_csv(chart, domain_lo, domain_hi, resolution, path, include_jets=
     n = chart.nparams
     res = [resolution] * n if np.isscalar(resolution) else list(resolution)
     axes = [np.linspace(domain_lo[i], domain_hi[i], res[i]) for i in range(n)]
-    points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-    if include_jets:
-        jet = chart.jet(points)
-        if jet is None:
-            raise ConfigError("chart has no analytic jets to export")
-        x, d1, d2 = jet
-        columns = [points, x, d1.reshape(len(points), -1), d2.reshape(len(points), -1)]
-    else:
-        x = chart.value(points)
-        columns = [points, x]
-    m = x.shape[-1]
+    points = grid_points(axes)
+    jet = chart.jet(points) if include_jets else (chart.value(points),)
+    if jet is None:
+        raise ConfigError("chart has no analytic jets to export")
+    columns = [points] + [a.reshape(len(points), -1) for a in jet]
+    m = jet[0].shape[-1]
     header = [f"p{i}" for i in range(n)] + [f"x{a}" for a in range(m)]
     if include_jets:
         header += [f"d1_{a}_{i}" for a in range(m) for i in range(n)]

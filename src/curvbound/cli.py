@@ -32,6 +32,7 @@ from .errors import ConfigError, DomainError, GeometryError, HypothesisViolation
 from .harness import (
     bundled_scenarios,
     checked_resolution,
+    checked_tolerance,
     emit_report,
     emit_samples_csv,
     load_scenario,
@@ -85,8 +86,7 @@ def _cmd_verify(args) -> int:
     if args.resolution is not None:
         config.resolution = checked_resolution(args.resolution)
     if args.tol is not None:
-        config.tol_equality = args.tol
-        config.tol_margin = args.tol
+        config.tol_equality = config.tol_margin = checked_tolerance(args.tol)
     report = run_scenario(config)
     for check in report.checks:
         residual = "" if check.residual is None else f" residual={check.residual:+.6e}"

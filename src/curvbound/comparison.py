@@ -245,7 +245,7 @@ def make_bound(spec: str) -> CurvatureBoundG:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class OdeSolution:
     """Solution of g'' = G^2 g, g(0) = 0, g'(0) = 1 on a grid over [0, T].
 

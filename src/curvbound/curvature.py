@@ -20,7 +20,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import HypothesisViolationError
+from .errors import HypothesisViolationError, read_only
 from .spaceform import LORENTZIAN, RIEMANNIAN
 
 # Strict-positivity threshold for elliptic-point detection; matches the
@@ -47,33 +47,27 @@ def elementary_symmetric(kappa: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(s.transpose((*range(1, s.ndim), 0)))  # S_k back to the last axis
 
 
-def _frozen(table: np.ndarray) -> np.ndarray:
-    """Mark a cached per-n table read-only: every caller gets the same array."""
-    table.flags.writeable = False
-    return table
-
-
 @cache
 def binomials(n: int) -> np.ndarray:
-    return _frozen(np.array([comb(n, k) for k in range(n + 1)], dtype=float))
+    return read_only(np.array([comb(n, k) for k in range(n + 1)], dtype=float))
 
 
 @cache
 def trace_coefficients(n: int) -> np.ndarray:
     """c_k = (n-k) binom(n,k) = (k+1) binom(n,k+1) for k = 0..n-1."""
-    return _frozen(np.array([(n - k) * comb(n, k) for k in range(n)], dtype=float))
+    return read_only(np.array([(n - k) * comb(n, k) for k in range(n)], dtype=float))
 
 
 @cache
 def _signs(n: int, signature: str) -> np.ndarray:
     """The sign of S_k in binom(n,k) H_k, k = 0..n: (-1)^k in the lorentzian convention."""
-    return _frozen((-1.0) ** np.arange(n + 1) if signature == LORENTZIAN else np.ones(n + 1))
+    return read_only((-1.0) ** np.arange(n + 1) if signature == LORENTZIAN else np.ones(n + 1))
 
 
 @cache
 def _complement_index(n: int) -> np.ndarray:
     """Row i: the indices 0..n without i, where index n is a padded zero (so row n is 0..n-1)."""
-    return _frozen(np.array([np.delete(np.arange(n + 1), i) for i in range(n + 1)]))
+    return read_only(np.array([np.delete(np.arange(n + 1), i) for i in range(n + 1)]))
 
 
 def higher_mean_curvatures(kappa: np.ndarray, n: int, signature: str) -> np.ndarray:
@@ -134,7 +128,7 @@ def classify_definiteness(eigenvalues: np.ndarray) -> str:
     return "indefinite"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NewtonFamily:
     """Newton tensors P_0..P_n of a shape operator, with spectral data.
 

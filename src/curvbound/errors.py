@@ -1,8 +1,11 @@
-"""Exception types shared across the toolkit, and per-row error arrays.
+"""Exception types shared across the toolkit, per-row error arrays, and the read-only rule.
 
 Routines that evaluate many sample points at once do not raise for a point
 that fails: they return an object array with one slot per point, holding the
 point's exception or None.  Single-point entry points raise the slot.
+
+Every array the toolkit keeps is read-only: one a caller hands in is kept as a
+:func:`read_only_copy`, and one the code built is marked :func:`read_only` in place.
 """
 
 import numpy as np
@@ -75,3 +78,17 @@ def raise_first(errors: np.ndarray) -> None:
     for exc in errors.flat:
         if exc is not None:
             raise exc
+
+
+def read_only(value):
+    """``value`` (an array, a tuple of arrays or a record), with its arrays set read-only."""
+    for a in ((value,) if isinstance(value, np.ndarray)
+              else value if isinstance(value, tuple) else vars(value).values()):
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    return value
+
+
+def read_only_copy(a) -> np.ndarray:
+    """A read-only float copy of an array a caller hands in."""
+    return read_only(np.array(a, dtype=float))

@@ -55,7 +55,7 @@ TIE_ULPS = 32
 MIN_RESOLUTION = 8
 
 
-@dataclass
+@dataclass(eq=False)
 class ScenarioConfig:
     name: str
     model: AmbientModel
@@ -88,8 +88,16 @@ def checked_resolution(value) -> int:
     return resolution
 
 
+def checked_tolerance(value) -> float:
+    """A check tolerance, rejected unless finite and non-negative."""
+    tol = float(value)
+    if not 0.0 <= tol < np.inf:
+        raise ConfigError(f"tolerances must be finite and non-negative, not {tol!r}")
+    return tol
+
+
 def load_scenario(source) -> ScenarioConfig:
-    """Parse a scenario from a dict, a JSON string, or a file path."""
+    """Parse a scenario from a dict or a file path; a malformed one raises ConfigError."""
     if isinstance(source, (str, Path)):
         path = Path(source)
         try:
@@ -102,13 +110,21 @@ def load_scenario(source) -> ScenarioConfig:
         raw = source
     else:
         raise ConfigError("scenario source must be a path or a dict")
+    try:
+        return _parse_scenario(raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed scenario value: {exc}") from exc
 
+
+def _parse_scenario(raw: dict) -> ScenarioConfig:
     def need(obj, key, where):
         if key not in obj:
             raise ConfigError(f"missing field {key!r} in {where}")
         return obj[key]
 
     def known(obj, where, keys):
+        if not isinstance(obj, dict):
+            raise ConfigError(f"{where} must be a JSON object")
         unknown = set(obj) - set(keys.split())
         if unknown:
             raise ConfigError(f"unknown key {min(unknown)!r} in {where}")
@@ -138,9 +154,7 @@ def load_scenario(source) -> ScenarioConfig:
     k_range = tuple(int(v) for v in need(raw, "k_range", "scenario"))
     n = model.dimension - 1
     if len(k_range) != 2 or not (0 <= k_range[0] <= k_range[1] <= n - 1):
-        raise ConfigError(
-            f"k_range must lie within [0, {n - 1}] for dimension {model.dimension}"
-        )
+        raise ConfigError(f"k_range must lie within [0, {n - 1}] for dimension {model.dimension}")
     resolution = checked_resolution(raw.get("resolution", 16))
     tol = known(raw.get("tolerances", {}), "tolerances", "equality margin")
     jets = raw.get("jets", "auto")
@@ -155,8 +169,8 @@ def load_scenario(source) -> ScenarioConfig:
         orientation=chart.get("orientation"),
         k_range=k_range,
         resolution=resolution,
-        tol_equality=float(tol.get("equality", default_eq)),
-        tol_margin=float(tol.get("margin", 1e-6)),
+        tol_equality=checked_tolerance(tol.get("equality", default_eq)),
+        tol_margin=checked_tolerance(tol.get("margin", 1e-6)),
         jets=jets,
     )
 
@@ -200,17 +214,11 @@ def scenario_patch(config: ScenarioConfig):
     params = dict(config.chart_params)
     if config.chart_kind in ("geodesic_sphere", "hyperboloid", "perturbed_hyperboloid"):
         params.setdefault("center", list(config.reference_center))
-    return build_patch(
-        config.model,
-        config.chart_kind,
-        params,
-        orientation=config.orientation,
-        center=config.reference_center,
-        jets=config.jets,
-    )
+    return build_patch(config.model, config.chart_kind, params, config.orientation,
+                       config.reference_center, config.jets)
 
 
-@dataclass
+@dataclass(eq=False)
 class ScenarioSamples:
     """Grid samples as arrays over a leading sample axis.
 
@@ -269,7 +277,7 @@ def _ratio_pool(samples: ScenarioSamples, k: int):
     return ratio[kept], samples.frames.param[kept], int(np.count_nonzero(~kept))
 
 
-@dataclass
+@dataclass(eq=False)
 class Row:
     """One inequality of the paper, or one plumbing figure, as data for :func:`evaluate`.
 
@@ -473,9 +481,6 @@ def emit_samples_csv(config: ScenarioConfig, samples: ScenarioSamples, path) -> 
 
 def bundled_scenarios() -> dict:
     """Name -> path for the scenario files shipped with the package."""
-    out = {}
-    root = resources.files("curvbound").joinpath("scenarios")
-    for entry in sorted(root.iterdir(), key=lambda e: e.name):
-        if entry.name.endswith(".json"):
-            out[entry.name[:-5]] = entry
-    return out
+    entries = sorted(resources.files("curvbound").joinpath("scenarios").iterdir(),
+                     key=lambda e: e.name)
+    return {e.name[:-5]: e for e in entries if e.name.endswith(".json")}

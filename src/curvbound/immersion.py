@@ -20,13 +20,13 @@ Orientation conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations
 
 import numpy as np
 
-from .charts import Chart, _frozen, build_chart, fd_jet
+from .charts import Chart, build_chart, fd_jet, grid_points
 from .curvature import complement_symmetric
 from .errors import (
     ConfigError,
@@ -38,6 +38,8 @@ from .errors import (
     failed,
     no_errors,
     raise_first,
+    read_only,
+    read_only_copy,
 )
 from .spaceform import LORENTZIAN, AmbientModel, gradient_rows
 
@@ -52,13 +54,13 @@ FD_JET_TOL = 1e-5
 DEGENERACY_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HypersurfacePatch:
     """A chart bound to an ambient model with orientation and jet policy.
 
-    A patch is frozen and holds read-only copies of its domain and center
-    (validated here as a model point), so the frame :func:`frame_at` keeps
-    for its last point cannot go stale.
+    A patch is frozen, over an immutable chart, and holds read-only copies of its
+    domain and center (validated here as a model point), so the frame :func:`frame_at`
+    keeps for its last point cannot go stale.  Patches compare by identity.
     """
 
     chart: Chart
@@ -76,7 +78,7 @@ class HypersurfacePatch:
     def __post_init__(self):
         for name in ("domain_lo", "domain_hi", "center"):
             if getattr(self, name) is not None:
-                object.__setattr__(self, name, _frozen(getattr(self, name)))
+                object.__setattr__(self, name, read_only_copy(getattr(self, name)))
         if self.center is not None:
             self.ambient.check_point(self.center)
         if self.orientation not in ("inner", "outer", "future"):
@@ -204,9 +206,7 @@ def _laplace_plan(m: int) -> list:
         negative = (k + np.arange(k + 1)) % 2 == 1
         if k == m - 2:
             negative = negative ^ (np.arange(m)[:, None] % 2 == 1)
-        cols = np.array(subsets) + m * negative
-        cols.flags.writeable = parents.flags.writeable = False
-        plan.append((cols, parents))
+        plan.append(read_only((np.array(subsets) + m * negative, parents)))
         index = {s: i for i, s in enumerate(subsets)}
     return plan
 
@@ -230,7 +230,7 @@ def cofactor_vector(M: np.ndarray) -> np.ndarray:
     return _samples_first(D, 1)
 
 
-@dataclass
+@dataclass(eq=False)
 class PointFrame:
     """Second-order data of the immersion at parameter points.
 
@@ -268,8 +268,7 @@ class PointFrame:
         V = np.linalg.eigh(congruence(self.congruence, self.second_form))[1]
         Rt = _samples_last(self.congruence)
         E = _samples_first(_matmul(np.swapaxes(Rt, 0, 1), _samples_last(V)))  # R^T V
-        E.flags.writeable = False
-        return E
+        return read_only(E)
 
     def raise_index(self, covector: np.ndarray) -> np.ndarray:
         """g^-1 covector = R^T (R covector), for covectors (..., n) in the chart basis."""
@@ -359,15 +358,6 @@ def frames_at(patch: HypersurfacePatch, P: np.ndarray):
     return frames, errors
 
 
-def read_only(record):
-    """``record``, a dataclass, with each of its array fields set read-only."""
-    for f in fields(record):
-        value = getattr(record, f.name)
-        if isinstance(value, np.ndarray):
-            value.flags.writeable = False
-    return record
-
-
 def frame_at(patch: HypersurfacePatch, p: np.ndarray) -> PointFrame:
     """The frame at one parameter point p (n,); raises its GeometryError.
 
@@ -389,13 +379,12 @@ def frame_at(patch: HypersurfacePatch, p: np.ndarray) -> PointFrame:
     return frame
 
 
-@dataclass
+@dataclass(eq=False)
 class GridSamples:
     """Frames over a quasi-uniform grid, with skipped points recorded."""
 
     frames: PointFrame  # the grid points that have a frame, along a leading axis
     skipped: list  # (param, reason)
-    axes: list
 
     @cached_property
     def points(self) -> list:
@@ -410,36 +399,24 @@ def grid_axes(patch: HypersurfacePatch, resolution) -> list:
         raise DomainError("resolution must give one count per parameter axis")
     if any(r < 2 for r in res):
         raise DomainError("resolution must be at least 2 per axis")
-    return [
-        np.linspace(patch.domain_lo[i], patch.domain_hi[i], res[i]) for i in range(n)
-    ]
-
-
-def grid_points(axes: list) -> np.ndarray:
-    """The product grid of ``axes`` as rows (N, n), last axis varying fastest."""
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    return [np.linspace(patch.domain_lo[i], patch.domain_hi[i], res[i]) for i in range(n)]
 
 
 def sample_grid(patch: HypersurfacePatch, resolution) -> GridSamples:
     """Evaluate frames over the product grid, skipping degenerate points."""
-    axes = grid_axes(patch, resolution)
-    P = grid_points(axes)
+    P = grid_points(grid_axes(patch, resolution))
     frames, errors = frames_at(patch, P)
     if not len(frames.param):
         raise EmptySampleError("every grid point was rejected")
-    skipped = [
-        (P[i], f"{type(exc).__name__}: {exc}") for i, exc in enumerate(errors) if exc is not None
-    ]
-    return GridSamples(frames=frames, skipped=skipped, axes=axes)
+    skipped = [(P[i], f"{type(exc).__name__}: {exc}") for i, exc in enumerate(errors)
+               if exc is not None]
+    return GridSamples(frames=frames, skipped=skipped)
 
 
 @lru_cache(maxsize=None)
 def _refinement_stencil(n: int) -> np.ndarray:
     """The 5^n offsets (in cells) of a refinement round, read-only, in grid order."""
-    offsets = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
-    stencil = grid_points([offsets] * n)
-    stencil.flags.writeable = False
-    return stencil
+    return read_only(grid_points([np.array([-1.0, -0.5, 0.0, 0.5, 1.0])] * n))
 
 
 def refine_extremum(patch: HypersurfacePatch, fn, start, cell, rounds=14, sign=1.0):
@@ -482,16 +459,5 @@ def build_patch(
     chart = build_chart(model, kind, params)
     if orientation is None:
         orientation = "future" if model.signature == LORENTZIAN else "inner"
-    if domain is None:
-        lo, hi = chart.default_domain()
-    else:
-        lo, hi = np.asarray(domain[0], dtype=float), np.asarray(domain[1], dtype=float)
-    return HypersurfacePatch(
-        chart=chart,
-        ambient=model,
-        orientation=orientation,
-        domain_lo=lo,
-        domain_hi=hi,
-        center=center,
-        jets=jets,
-    )
+    lo, hi = chart.default_domain() if domain is None else domain
+    return HypersurfacePatch(chart, model, orientation, lo, hi, center, jets)

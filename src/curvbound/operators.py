@@ -32,7 +32,7 @@ from functools import cache, partial
 
 import numpy as np
 
-from .charts import _frozen, fd_jet
+from .charts import fd_jet
 from .comparison import c_b, phi_b, phi_b_d1, phi_b_d2
 from .curvature import TAU_ELL, signed_values, trace_coefficients
 from .errors import (
@@ -42,6 +42,8 @@ from .errors import (
     failed,
     no_errors,
     raise_first,
+    read_only,
+    read_only_copy,
 )
 from .immersion import (
     HypersurfacePatch,
@@ -51,7 +53,6 @@ from .immersion import (
     grid_axes,
     grid_points,
     induced_metric,
-    read_only,
     refine_extremum,
 )
 from .spaceform import (
@@ -79,7 +80,7 @@ class DistanceField:
     _origin_bits: bytes = attribute(init=False, repr=False)
 
     def __post_init__(self):
-        origin = self.model.check_point(_frozen(self.origin))
+        origin = self.model.check_point(read_only_copy(self.origin))
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "_origin_bits", origin.tobytes())
 
@@ -101,7 +102,7 @@ class LinearCoordinateField:
     _coefficient_bits: bytes = attribute(init=False, repr=False)
 
     def __post_init__(self):
-        coefficients = _frozen(self.coefficients)
+        coefficients = read_only_copy(self.coefficients)
         object.__setattr__(self, "coefficients", coefficients)
         object.__setattr__(self, "_coefficient_bits", coefficients.tobytes())
 
@@ -150,7 +151,7 @@ def phi_of_distance_field(model: AmbientModel, origin: np.ndarray, b: float) -> 
     )
 
 
-@dataclass
+@dataclass(eq=False)
 class FieldSample:
     """Restriction data of an ambient field over the leading sample axes of a frame."""
 
@@ -165,9 +166,7 @@ class FieldSample:
 
 @cache
 def _lower_triangle(n: int) -> tuple:
-    i, j = np.tril_indices(n)
-    i.flags.writeable = j.flags.writeable = False
-    return i, j
+    return read_only(np.tril_indices(n))
 
 
 def restrict_field(patch: HypersurfacePatch, field, frame: PointFrame) -> FieldSample:
@@ -256,7 +255,7 @@ def restriction_hessian(patch: HypersurfacePatch, o: np.ndarray, p: np.ndarray) 
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class OperatorData:
     """Principal curvatures, H_k and Newton-tensor spectra of a frame.
 
@@ -371,7 +370,7 @@ def key_inequality_residual(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class OmoriYauCandidate:
     param: np.ndarray
     u: float
@@ -380,14 +379,14 @@ class OmoriYauCandidate:
     j: int
 
 
-@dataclass
+@dataclass(eq=False)
 class OmoriYauOutcome:
     j: int
     candidate: OmoriYauCandidate | None
     best_violation: float  # worst condition margin of the closest miss (<= 0 ok)
 
 
-@dataclass
+@dataclass(eq=False)
 class OmoriYauReport:
     outcomes: list
     refined_max: OmoriYauCandidate

@@ -38,7 +38,15 @@ from functools import cached_property
 import numpy as np
 
 from .comparison import c_b, cs, sn
-from .errors import DomainError, UndefinedGradientError, failed, flag, no_errors, raise_first
+from .errors import (
+    DomainError,
+    UndefinedGradientError,
+    failed,
+    flag,
+    no_errors,
+    raise_first,
+    read_only,
+)
 
 RIEMANNIAN = "riemannian"
 LORENTZIAN = "lorentzian"
@@ -125,8 +133,7 @@ class AmbientModel:
         # leading negative axes: one for a Lorentzian signature and one for b < 0
         diag = np.ones(self.embedding_dim)
         diag[:sum((self.signature == LORENTZIAN, self.curvature < 0.0))] = -1.0
-        diag.flags.writeable = False
-        return diag
+        return read_only(diag)
 
     # -- point and tangent utilities ---------------------------------------
 
@@ -209,7 +216,7 @@ class AmbientModel:
         return self.tangent_project(x, t)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReferenceBall:
     """Geodesic ball (or future ball) about a reference point."""
 

@@ -66,6 +66,12 @@ MUTANTS = [
      "except (TypeError, ValueError, OSError) as exc:", "except () as exc:"),
     ("load_scenario: unknown keys accepted", "harness.py", "        if unknown:\n",
      "        if False:\n"),
+    ("load_scenario: no ConfigError conversion", "harness.py",
+     "    except (TypeError, ValueError) as exc:\n", "    except () as exc:\n"),
+    ("checked_tolerance: any float accepted", "harness.py",
+     "    if not 0.0 <= tol < np.inf:\n", "    if False:\n"),
+    ("chart: an attribute can be rebound", "charts.py",
+     "        if hasattr(self, name):\n", "        if False:\n"),
     # the restrictions kept beside a patch's last frame
     ("cache: key without the origin", "operators.py",
      'object.__setattr__(self, "_origin_bits", origin.tobytes())',

@@ -456,6 +456,13 @@ BAD_SCENARIOS = {
         kind="tabulated", params={"path": "/nonexistent/table.csv"}), "/nonexistent/table.csv"),
     "tolerance": ("ellipsoid", lambda raw: raw.update(tolerance=raw.pop("tolerances")),
                   "'tolerance' in scenario"),
+    "tolerances-scalar": ("ellipsoid", lambda raw: raw.update(tolerances=0.5), "tolerances"),
+    "margin-abc": ("ellipsoid", lambda raw: raw["tolerances"].update(margin="abc"), "'abc'"),
+    "k_range-letter": ("ellipsoid", lambda raw: raw.update(k_range=["a", 1]), "'a'"),
+    "resolution-x": ("ellipsoid", lambda raw: raw.update(resolution="x"), "'x'"),
+    "center-abc": ("ellipsoid", lambda raw: raw["reference"].update(center="abc"), "'abc'"),
+    "margin-infinity": ("ellipsoid", lambda raw: raw["tolerances"].update(margin=float("inf")),
+                        "inf"),
 }
 
 
@@ -569,6 +576,33 @@ def test_cli_resolution_and_tol_overrides():
     assert main(["verify", "--scenario", "sphere-equality", "--resolution", "8",
                  "--tol", "1e-5"]) == 0
     assert main(["verify", "--scenario", "sphere-equality", "--resolution", "2"]) == 3
+
+
+def test_json_infinity_is_a_rejected_tolerance(tmp_path):
+    raw = json.loads(Path(bundled_scenarios()["ellipsoid"]).read_text())
+    raw["tolerances"]["equality"] = float("inf")
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps(raw))
+    assert "Infinity" in path.read_text()
+    with pytest.raises(ConfigError, match="finite and non-negative, not inf"):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+def test_cli_rejects_a_tolerance_that_is_not_finite_and_non_negative(tol, tmp_path, capsys):
+    # ellipsoid.json with reference radius 0.5 fails declared-radius-consistent,
+    # and an infinite tolerance would turn that failure into a pass
+    raw = json.loads(Path(bundled_scenarios()["ellipsoid"]).read_text())
+    raw["reference"]["radius"] = 0.5
+    path = tmp_path / "small-ball.json"
+    path.write_text(json.dumps(raw))
+    assert main(["verify", "--scenario", str(path)]) == 1
+    capsys.readouterr()
+    assert main(["verify", "--scenario", str(path), "--tol", tol]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"usage error: tolerances must be finite and non-negative, not {float(tol)!r}\n")
 
 
 def test_package_namespace_resolves():

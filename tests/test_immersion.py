@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from curvbound.charts import (
+    _KINDS,
     Chart,
     EllipsoidChart,
     GeodesicSphereChart,
@@ -598,7 +599,7 @@ def test_future_orientation_requires_lorentzian():
 
 def test_frame_at_reuses_the_frame_of_the_last_point(monkeypatch):
     patch = sphere_patch()
-    jets = counted(monkeypatch, patch.chart, "jet")
+    jets = counted(monkeypatch, type(patch.chart), "jet")  # a chart is immutable
     p, q = np.array([1.0, 2.0]), np.array([1.1, 2.0])
     frame = frame_at(patch, p)
     assert frame_at(patch, p.copy()) is frame
@@ -688,6 +689,60 @@ def test_patch_is_frozen_and_a_replaced_patch_starts_without_a_frame():
     assert fd_frame is not frame
     assert not np.array_equal(fd_frame.kappa, frame.kappa)
     np.testing.assert_allclose(fd_frame.kappa, frame.kappa, atol=FD_JET_TOL)
+
+
+def test_patches_and_charts_compare_by_identity():
+    patch = sphere_patch()
+    twin = dataclasses.replace(patch)
+    assert twin != patch and twin.chart is patch.chart
+    assert patch == patch and {patch: 1, twin: 2}[patch] == 1
+    assert build_chart(E3, "sphere", {"radius": 1.0}) != build_chart(E3, "sphere", {"radius": 1.0})
+
+
+def test_a_chart_attribute_cannot_be_rebound_under_a_kept_frame():
+    patch = build_patch(E3, "cylinder", {"radius": 1.0})
+    p = np.array([1.0, 0.5])
+    kept = frame_at(patch, p)
+    np.testing.assert_allclose(kept.kappa, [-1.0, 0.0], atol=1e-12)
+    with pytest.raises(AttributeError, match="CylinderChart.radius is set once"):
+        patch.chart.radius = 2.0
+    assert patch.chart.radius == 1.0
+    assert frame_at(patch, p) is kept
+    assert np.array_equal(kept.kappa, frames_at(patch, p[None])[0].kappa[0])
+
+
+# kind -> (ambient, parameters) of one chart of each kind in charts._KINDS
+CHART_OF_KIND = {
+    "sphere": (E3, {"radius": 1.0}),
+    "ellipsoid": (E3, {"semi_axes": [0.6, 1.0, 1.0]}),
+    "cylinder": (E3, {"radius": 1.0}),
+    "graph": (E3, {"terms": [[1.0, [2, 0]]], "box_lo": [-1, -1], "box_hi": [1, 1]}),
+    "geodesic_sphere": (AmbientModel.sphere(1.0, 3), {"radius": 0.7}),
+    "hyperboloid": (M3, {"radius": 2.0}),
+    "perturbed_hyperboloid": (M3, {"radius": 2.0}),
+    "tabulated": (E3, {"path": "sphere.csv"}),  # written by the test, in its tmp_path
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_every_chart_attribute_is_set_once(kind, tmp_path, monkeypatch):
+    model, params = CHART_OF_KIND[kind]
+    if kind == "tabulated":
+        monkeypatch.chdir(tmp_path)
+        sphere = build_chart(E3, "sphere", {"radius": 1.0})
+        write_chart_csv(sphere, *sphere.default_domain(), 5, params["path"])
+    chart = build_chart(model, kind, params)
+    bound = dict(vars(chart))
+    for name, value in bound.items():  # read-only arrays, alone or in a tuple
+        for a in value if isinstance(value, tuple) else (value,):
+            assert not isinstance(a, np.ndarray) or not a.flags.writeable, name
+    for name in (*bound, "nparams", "jet", "value"):
+        with pytest.raises(AttributeError, match=f"{name} is set once"):
+            setattr(chart, name, None)
+        with pytest.raises(AttributeError, match=f"{name} is set once"):
+            delattr(chart, name)
+    assert vars(chart).keys() == bound.keys()
+    assert all(vars(chart)[name] is value for name, value in bound.items())
 
 
 # -- frame kernels: LAPACK as the oracle -------------------------------------------

@@ -110,17 +110,28 @@ def load_scenario(source) -> ScenarioConfig:
         raw = source
     else:
         raise ConfigError("scenario source must be a path or a dict")
-    try:
-        return _parse_scenario(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed scenario value: {exc}") from exc
+    return _parse_scenario(raw)
+
+
+_REQUIRED = object()
+
+
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, not {type(value).__name__}")
+    return value
 
 
 def _parse_scenario(raw: dict) -> ScenarioConfig:
-    def need(obj, key, where):
-        if key not in obj:
+    def need(obj, key, where, read=None, default=_REQUIRED):
+        """obj[key], or ``default`` if given, through ``read``; a value it rejects names the key."""
+        value = obj.get(key, default)
+        if value is _REQUIRED:
             raise ConfigError(f"missing field {key!r} in {where}")
-        return obj[key]
+        try:
+            return value if read is None else read(value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed scenario value {key!r} in {where}: {exc}") from exc
 
     def known(obj, where, keys):
         if not isinstance(obj, dict):
@@ -131,14 +142,14 @@ def _parse_scenario(raw: dict) -> ScenarioConfig:
         return obj
 
     known(raw, "scenario", "name ambient reference chart k_range resolution tolerances jets")
-    name = need(raw, "name", "scenario")
+    name = need(raw, "name", "scenario", _string)
     amb = known(need(raw, "ambient", "scenario"), "ambient",
                 "signature curvature dimension model_kind")
     try:
         model = AmbientModel(
             signature=need(amb, "signature", "ambient"),
-            curvature=float(need(amb, "curvature", "ambient")),
-            dimension=int(need(amb, "dimension", "ambient")),
+            curvature=need(amb, "curvature", "ambient", float),
+            dimension=need(amb, "dimension", "ambient", int),
         )
     except ValueError as exc:
         raise ConfigError(f"bad ambient model: {exc}") from exc
@@ -148,14 +159,14 @@ def _parse_scenario(raw: dict) -> ScenarioConfig:
             f"and the sign of b, which make it {model.model_kind!r}"
         )
     ref = known(need(raw, "reference", "scenario"), "reference", "center radius")
-    center = np.asarray(need(ref, "center", "reference"), dtype=float)
-    radius = ref.get("radius")
+    center = need(ref, "center", "reference", lambda v: np.asarray(v, dtype=float))
+    radius = need(ref, "radius", "reference", lambda v: None if v is None else float(v), None)
     chart = known(need(raw, "chart", "scenario"), "chart", "kind params orientation")
-    k_range = tuple(int(v) for v in need(raw, "k_range", "scenario"))
+    k_range = need(raw, "k_range", "scenario", lambda v: tuple(int(x) for x in v))
     n = model.dimension - 1
     if len(k_range) != 2 or not (0 <= k_range[0] <= k_range[1] <= n - 1):
         raise ConfigError(f"k_range must lie within [0, {n - 1}] for dimension {model.dimension}")
-    resolution = checked_resolution(raw.get("resolution", 16))
+    resolution = need(raw, "resolution", "scenario", checked_resolution, 16)
     tol = known(raw.get("tolerances", {}), "tolerances", "equality margin")
     jets = raw.get("jets", "auto")
     default_eq = 1e-3 if jets == "fd" else 1e-6
@@ -163,14 +174,14 @@ def _parse_scenario(raw: dict) -> ScenarioConfig:
         name=name,
         model=model,
         reference_center=center,
-        reference_radius=None if radius is None else float(radius),
-        chart_kind=need(chart, "kind", "chart"),
-        chart_params=dict(chart.get("params", {})),
+        reference_radius=radius,
+        chart_kind=need(chart, "kind", "chart", _string),
+        chart_params=need(chart, "params", "chart", dict, {}),
         orientation=chart.get("orientation"),
         k_range=k_range,
         resolution=resolution,
-        tol_equality=checked_tolerance(tol.get("equality", default_eq)),
-        tol_margin=checked_tolerance(tol.get("margin", 1e-6)),
+        tol_equality=need(tol, "equality", "tolerances", checked_tolerance, default_eq),
+        tol_margin=need(tol, "margin", "tolerances", checked_tolerance, 1e-6),
         jets=jets,
     )
 

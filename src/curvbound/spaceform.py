@@ -23,11 +23,10 @@ Lorentzian distance is defined on the chronological future of the reference
 point only, the points x with <P_o(x - o), T(o)> < 0 for the time orientation
 T; its gradient is a past-directed unit timelike field there.
 
-Every other formula is written once, with the model functions sn_k, cs_k of
-:mod:`curvbound.comparison`: geodesics gamma(t) = cs_k(t) x + sn_k(t) v with
-k = b<v,v>; grad rho = -eps P_x(o - x) / sn_{eps b}(rho), with P_x the tangent
-projection at x (the identity in flat models); and Hess rho(X, Y) =
-eps C_{eps b}(rho) (<X,Y> - eps drho(X) drho(Y)).
+Every other formula is written once, with the model function sn_k of
+:mod:`curvbound.comparison`: grad rho = -eps P_x(o - x) / sn_{eps b}(rho), with
+P_x the tangent projection at x (the identity in flat models); and
+Hess rho(X, Y) = eps C_{eps b}(rho) (<X,Y> - eps drho(X) drho(Y)).
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .comparison import c_b, cs, sn
+from .comparison import c_b, sn
 from .errors import (
     DomainError,
     UndefinedGradientError,
@@ -232,31 +231,6 @@ class ReferenceBall:
 
 
 # ---------------------------------------------------------------------------
-# geodesics
-# ---------------------------------------------------------------------------
-
-
-def geodesic_point(model: AmbientModel, x: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
-    """Point at parameter t on the model geodesic with gamma(0)=x, gamma'(0)=v.
-
-    On the quadric the flat acceleration is purely normal, gamma'' = -k gamma
-    with k = b<v,v> (k = 0 in flat models), so gamma = cs_k(t) x + sn_k(t) v.
-    """
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    k = model.curvature * model.flat_inner(v, v)
-    return cs(k, t) * x + sn(k, t) * v
-
-
-def geodesic_velocity(model: AmbientModel, x: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
-    """Velocity gamma'(t) = -k sn_k(t) x + cs_k(t) v of the geodesic of :func:`geodesic_point`."""
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    k = model.curvature * model.flat_inner(v, v)
-    return -k * sn(k, t) * x + cs(k, t) * v
-
-
-# ---------------------------------------------------------------------------
 # distance, gradient, Hessian
 # ---------------------------------------------------------------------------
 
@@ -284,7 +258,7 @@ def distance_rows(model: AmbientModel, o: np.ndarray, x: np.ndarray):
     ``errors`` holds a :class:`DomainError` for each point where the distance
     is undefined; rho is meaningless there.  The reference point is not
     checked here: it is validated once, where it enters (a field, a patch
-    center, a reference ball, :func:`ambient_distance`, :func:`distance_gradient`).
+    center, a reference ball, :func:`ambient_distance`).
     """
     o = np.asarray(o, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -342,13 +316,6 @@ def gradient_rows(model: AmbientModel, o: np.ndarray, x: np.ndarray):
     return rho, grad, errors
 
 
-def distance_gradient(model: AmbientModel, o: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Gradient of the distance function at x; raises where it is undefined or o is invalid."""
-    _, grad, errors = gradient_rows(model, model.check_point(o), x)
-    raise_first(errors)
-    return grad
-
-
 def comparison_radius(model: AmbientModel) -> float:
     """Distance from which C_{eps b} is undefined (inf if never)."""
     k = model.epsilon * model.curvature
@@ -378,56 +345,3 @@ def distance_jet(model: AmbientModel, o: np.ndarray, x: np.ndarray):
         return c * (xy - eps * gx * gy)
 
     return rho, grad, hessian, errors
-
-
-def distance_hessian_bilinear(model: AmbientModel, o: np.ndarray, x: np.ndarray, X, Y):
-    """Hess rho(X, Y) for tangent vectors X, Y at x (:func:`distance_jet`), over leading axes."""
-    _, _, hessian, errors = distance_jet(model, model.check_point(o), x)
-    raise_first(errors)
-    return hessian(np.asarray(X)[..., None, :], np.asarray(Y)[..., None, :])[..., 0]
-
-
-def distance_hessian_quadform(model: AmbientModel, o: np.ndarray, x: np.ndarray, X: np.ndarray):
-    """Hess rho(X, X) for a tangent vector X at x."""
-    return distance_hessian_bilinear(model, o, x, X, X)
-
-
-def fd_distance_hessian_quadform(
-    model: AmbientModel,
-    o: np.ndarray,
-    x: np.ndarray,
-    X: np.ndarray,
-) -> float:
-    """Finite-difference Hess rho(X, X) along the model geodesic through x.
-
-    Along a geodesic d^2/dt^2 rho(gamma(t)) = Hess rho(gamma', gamma'), so a
-    five-point second difference of the plain distance function is an oracle
-    that never touches the closed-form gradient or Hessian.
-    """
-    x = np.asarray(x, dtype=float)
-    X = np.asarray(X, dtype=float)
-    scale = float(np.linalg.norm(X))
-    if scale < 1e-14:
-        return 0.0
-    Xn = X / scale
-    step = 1e-3 * max(1.0, float(np.abs(x).max()))
-    f = [
-        ambient_distance(model, o, geodesic_point(model, x, Xn, k * step))
-        for k in (-2, -1, 0, 1, 2)
-    ]
-    second = (-f[4] + 16.0 * f[3] - 30.0 * f[2] + 16.0 * f[1] - f[0]) / (12.0 * step**2)
-    return second * scale**2
-
-
-def hessian_comparison_residual(
-    model: AmbientModel, o: np.ndarray, x: np.ndarray, X: np.ndarray
-) -> float:
-    """Hess rho(X,X) minus the comparison bound of the model's own curvature.
-
-    The bound is the closed form of :func:`distance_hessian_bilinear`.  In a
-    space form the radial curvature equals b exactly, so both directions of
-    the comparison inequality apply and the residual must vanish (up to the
-    finite-difference noise of the cross-checked Hessian).
-    """
-    hess = fd_distance_hessian_quadform(model, o, x, X)
-    return hess - distance_hessian_quadform(model, o, x, X)

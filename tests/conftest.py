@@ -5,12 +5,9 @@ import pytest
 from hypothesis import settings
 
 from curvbound.immersion import build_patch
-from curvbound.spaceform import (
-    LORENTZIAN,
-    RIEMANNIAN,
-    AmbientModel,
-    geodesic_point,
-)
+from curvbound.spaceform import LORENTZIAN, RIEMANNIAN, AmbientModel
+
+from oracles import geodesic_point
 
 # Property tests draw the same bounded set of examples on every run, so
 # tier-1 stays deterministic and fast.

@@ -40,9 +40,6 @@ MUTANTS = [
     ("check_tangent 1e-8 -> 1e-3", "spaceform.py", "> 1e-8 * scale", "> 1e-3 * scale"),
     ("restriction_hessian FD bar 1e-3 -> 1", "operators.py",
      "max() > 1e-3 * scale:", "max() > 1.0 * scale:"),
-    ("classify_definiteness 1e-12 -> 1e-3", "curvature.py",
-     "tol = 1e-12 * max(1.0, float(np.abs(eigenvalues).max()))",
-     "tol = 1e-3 * max(1.0, float(np.abs(eigenvalues).max()))"),
     ("FD_JET_SCALE 1e-5 -> 1e-2", "immersion.py", "FD_JET_SCALE = 1e-5", "FD_JET_SCALE = 1e-2"),
     ("MAX_EXCLUSION_RATE 0.10 -> 0.5", "harness.py",
      "MAX_EXCLUSION_RATE = 0.10", "MAX_EXCLUSION_RATE = 0.5"),
@@ -67,7 +64,9 @@ MUTANTS = [
     ("load_scenario: unknown keys accepted", "harness.py", "        if unknown:\n",
      "        if False:\n"),
     ("load_scenario: no ConfigError conversion", "harness.py",
-     "    except (TypeError, ValueError) as exc:\n", "    except () as exc:\n"),
+     "        except (TypeError, ValueError) as exc:\n", "        except () as exc:\n"),
+    ("load_scenario: a string field takes any value", "harness.py",
+     "    if not isinstance(value, str):\n", "    if False:\n"),
     ("checked_tolerance: any float accepted", "harness.py",
      "    if not 0.0 <= tol < np.inf:\n", "    if False:\n"),
     ("chart: an attribute can be rebound", "charts.py",
@@ -93,10 +92,16 @@ EQUIVALENT = {
 
 
 def run_tier1(root: Path) -> tuple[bool, str]:
-    """(passed, last line of the pytest summary) of tier-1 on the copy at ``root``."""
+    """(passed, last line of the pytest summary) of tier-1 on the copy at ``root``.
+
+    ``test_mutation_probe.py`` is left out: it checks that each mutant's old
+    text is in the library, which every applied mutant removes, so it would
+    kill them all whatever the behaviour.
+    """
     try:
         done = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"],
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+             "--ignore", str(root / "tests" / "test_mutation_probe.py")],
             cwd=root, env={**os.environ, "PYTHONPATH": str(root / "src")},
             capture_output=True, text=True, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:

@@ -20,12 +20,7 @@ from curvbound.comparison import (
     sturm_margin,
     sturm_profile,
 )
-from curvbound.curvature import (
-    garding_chain,
-    higher_mean_curvatures,
-    trace_coefficients,
-    trace_identity_residuals,
-)
+from curvbound.curvature import trace_coefficients
 from curvbound.harness import bundled_scenarios, load_scenario, run_scenario
 from curvbound.immersion import build_patch, frame_at, sample_grid
 from curvbound.operators import (
@@ -37,12 +32,7 @@ from curvbound.operators import (
     operator_data,
     restrict_field,
 )
-from curvbound.spaceform import (
-    AmbientModel,
-    distance_hessian_quadform,
-    fd_distance_hessian_quadform,
-    hessian_comparison_residual,
-)
+from curvbound.spaceform import AmbientModel
 
 from conftest import (
     all_models,
@@ -50,6 +40,14 @@ from conftest import (
     random_point_at,
     random_tangent,
     rho_range,
+)
+from oracles import (
+    distance_hessian_quadform,
+    fd_distance_hessian_quadform,
+    garding_chain,
+    hessian_comparison_residual,
+    higher_mean_curvatures,
+    trace_identity_residuals,
 )
 
 

@@ -463,6 +463,10 @@ BAD_SCENARIOS = {
     "center-abc": ("ellipsoid", lambda raw: raw["reference"].update(center="abc"), "'abc'"),
     "margin-infinity": ("ellipsoid", lambda raw: raw["tolerances"].update(margin=float("inf")),
                         "inf"),
+    "name-list": ("ellipsoid", lambda raw: raw.update(name=[1]), "'name'"),
+    "kind-list": ("ellipsoid", lambda raw: raw["chart"].update(kind=[1]), "'kind'"),
+    "k_range-int": ("ellipsoid", lambda raw: raw.update(k_range=5), "'k_range'"),
+    "params-int": ("ellipsoid", lambda raw: raw["chart"].update(params=5), "'params'"),
 }
 
 

@@ -48,9 +48,10 @@ from curvbound.operators import (
     restriction_hessian,
     trace_operator,
 )
-from curvbound.spaceform import AmbientModel, geodesic_point
+from curvbound.spaceform import AmbientModel
 
 from conftest import congruent, counted, equality_spheres
+from oracles import geodesic_point, higher_mean_curvatures, newton_tensors
 
 E2 = AmbientModel.euclidean(2)
 E3 = AmbientModel.euclidean(3)
@@ -73,7 +74,7 @@ def newton_oracle(frame, signature):
     L = np.linalg.cholesky(frame.metric)
     A = congruent(L, frame.second_form)
     A = 0.5 * (A + np.swapaxes(A, -1, -2))
-    return L, curvature.newton_tensors(A, np.linalg.eigvalsh(A), signature)
+    return L, newton_tensors(A, np.linalg.eigvalsh(A), signature)
 
 
 # -- restriction Hessian --------------------------------------------------------
@@ -301,21 +302,15 @@ def test_field_path_makes_no_per_row_python_calls(monkeypatch, tmp_path):
 def test_operator_data_runs_one_recurrence(monkeypatch):
     # a frame batch runs the one S_k recurrence; operator data (batch or one
     # row, either signature) and every Newton-tensor contraction only read
-    # its table, and the matrix recursion runs only in the oracle
-    calls, tensors = [], []
-    recurrence, recursion = curvature.elementary_symmetric, curvature.newton_tensors
+    # its table
+    calls = []
+    recurrence = curvature.elementary_symmetric
 
     def counted(kappa):
         calls.append(np.shape(kappa))
         return recurrence(kappa)
 
-    def counted_tensors(*args):
-        tensors.append(args)
-        return recursion(*args)
-
     monkeypatch.setattr(curvature, "elementary_symmetric", counted)
-    monkeypatch.setattr(curvature, "newton_tensors", counted_tensors)
-    monkeypatch.setattr(operators, "newton_tensors", counted_tensors, raising=False)
     patch = ellipsoid_patch()
     field = DistanceField(E3, np.zeros(3))
     frame = frame_at(patch, interior_points(patch, np.random.default_rng(3), 1)[0])
@@ -331,7 +326,6 @@ def test_operator_data_runs_one_recurrence(monkeypatch):
                 newton_quadratic(sample, data, k)
                 key_inequality_rhs(sample, data, k, 0.0)
     assert len(calls) == 2
-    assert tensors == []
     for table in (curvature.binomials(3), curvature.trace_coefficients(3)):
         with pytest.raises(ValueError):
             table[0] = 1.0
@@ -348,7 +342,7 @@ def test_one_row_operator_data_is_the_batch_row():
     for frames in grids:
         for signature in ("riemannian", "lorentzian"):
             batch = operator_data(frames, signature)
-            H = curvature.higher_mean_curvatures(frames.kappa, frames.kappa.shape[-1], signature)
+            H = higher_mean_curvatures(frames.kappa, frames.kappa.shape[-1], signature)
             assert np.array_equal(batch.H, H)
             for i in range(len(frames.param)):
                 row = operator_data(frames[i], signature)

@@ -10,15 +10,8 @@ from curvbound.spaceform import (
     AmbientModel,
     ReferenceBall,
     ambient_distance,
-    distance_gradient,
-    distance_hessian_bilinear,
-    distance_hessian_quadform,
     distance_rows,
-    fd_distance_hessian_quadform,
-    geodesic_point,
-    geodesic_velocity,
     gradient_rows,
-    hessian_comparison_residual,
 )
 
 from conftest import (
@@ -27,6 +20,15 @@ from conftest import (
     random_tangent,
     rho_range,
     unit_radial,
+)
+from oracles import (
+    distance_gradient,
+    distance_hessian_bilinear,
+    distance_hessian_quadform,
+    fd_distance_hessian_quadform,
+    geodesic_point,
+    geodesic_velocity,
+    hessian_comparison_residual,
 )
 
 

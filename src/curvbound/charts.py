@@ -369,30 +369,40 @@ class PerturbedHyperboloidChart(Chart):
         self.nparams = self.center.size - 1
         self.y0 = read_only_copy([float(offset)] + [0.0] * (self.nparams - 1))
 
-    def _radial_jet(self, y):
-        n = y.shape[-1]
-        q = self.radius
-        dq = np.zeros(y.shape)
-        d2q = np.zeros(y.shape + (n,))
+    def _radial(self, y):
+        """q(y) and the two dipole bumps (sign, z = y - sign y0, e^{-|z|^2}) it sums."""
+        q, bumps = self.radius, []
         for sgn in (1.0, -1.0):
             z = y - sgn * self.y0
             g = np.exp(-np.vecdot(z, z))[..., None]
             q = q + sgn * self.epsilon * g
-            dq = dq + sgn * self.epsilon * (-2.0 * z) * g
-            outer = z[..., :, None] * z[..., None, :]
-            d2q = d2q + sgn * self.epsilon * (4.0 * outer - 2.0 * np.eye(n)) * g[..., None]
-        return q, dq, d2q
+            bumps.append((sgn, z, g))
+        return q, bumps
+
+    def _position(self, y, q):
+        """(T, x) at y: T = sqrt(q^2 + |y|^2) and the point x = center + (T, y)."""
+        T = np.sqrt(q * q + np.vecdot(y, y)[..., None])
+        return T, self.center + np.concatenate([T, y], axis=-1)
+
+    def value(self, p):
+        y = np.asarray(p, dtype=float)
+        return self._position(y, self._radial(y)[0])[1]
 
     def jet(self, p):
         y = np.asarray(p, dtype=float)
         n = self.nparams
-        q, dq, d2q = self._radial_jet(y)
-        T = np.sqrt(q * q + np.vecdot(y, y)[..., None])
+        q, bumps = self._radial(y)
+        dq = np.zeros(y.shape)
+        d2q = np.zeros(y.shape + (n,))
+        for sgn, z, g in bumps:
+            dq = dq + sgn * self.epsilon * (-2.0 * z) * g
+            outer = z[..., :, None] * z[..., None, :]
+            d2q = d2q + sgn * self.epsilon * (4.0 * outer - 2.0 * np.eye(n)) * g[..., None]
+        T, x = self._position(y, q)
         dT = (q * dq + y) / T
         outer_q = dq[..., :, None] * dq[..., None, :]
         outer_T = dT[..., :, None] * dT[..., None, :]
         d2T = (outer_q + q[..., None] * d2q + np.eye(n) - outer_T) / T[..., None]
-        x = self.center + np.concatenate([T, y], axis=-1)
         d1 = np.zeros(y.shape[:-1] + (n + 1, n))
         d1[..., 0, :] = dT
         d1[..., 1:, :] = np.eye(n)

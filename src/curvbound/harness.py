@@ -122,6 +122,14 @@ def _string(value) -> str:
     return value
 
 
+def _whole(value) -> int:
+    """A JSON number with no fractional part (16 or 16.0, not 16.9, "16" or true)."""
+    if isinstance(value, bool) or not (
+            isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"expected a whole number, not {value!r}")
+    return int(value)
+
+
 def _parse_scenario(raw: dict) -> ScenarioConfig:
     def need(obj, key, where, read=None, default=_REQUIRED):
         """obj[key], or ``default`` if given, through ``read``; a value it rejects names the key."""
@@ -149,7 +157,7 @@ def _parse_scenario(raw: dict) -> ScenarioConfig:
         model = AmbientModel(
             signature=need(amb, "signature", "ambient"),
             curvature=need(amb, "curvature", "ambient", float),
-            dimension=need(amb, "dimension", "ambient", int),
+            dimension=need(amb, "dimension", "ambient", _whole),
         )
     except ValueError as exc:
         raise ConfigError(f"bad ambient model: {exc}") from exc
@@ -162,11 +170,11 @@ def _parse_scenario(raw: dict) -> ScenarioConfig:
     center = need(ref, "center", "reference", lambda v: np.asarray(v, dtype=float))
     radius = need(ref, "radius", "reference", lambda v: None if v is None else float(v), None)
     chart = known(need(raw, "chart", "scenario"), "chart", "kind params orientation")
-    k_range = need(raw, "k_range", "scenario", lambda v: tuple(int(x) for x in v))
+    k_range = need(raw, "k_range", "scenario", lambda v: tuple(_whole(x) for x in v))
     n = model.dimension - 1
     if len(k_range) != 2 or not (0 <= k_range[0] <= k_range[1] <= n - 1):
         raise ConfigError(f"k_range must lie within [0, {n - 1}] for dimension {model.dimension}")
-    resolution = need(raw, "resolution", "scenario", checked_resolution, 16)
+    resolution = need(raw, "resolution", "scenario", lambda v: checked_resolution(_whole(v)), 16)
     tol = known(raw.get("tolerances", {}), "tolerances", "equality margin")
     jets = raw.get("jets", "auto")
     default_eq = 1e-3 if jets == "fd" else 1e-6

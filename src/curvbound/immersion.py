@@ -6,11 +6,12 @@ need: position, tangents, metric, unit normal, second fundamental form, its
 principal curvatures with their S_k table (and principal directions on demand).
 
 A frame is assembled by array arithmetic over the sample axis.  The only
-per-matrix LAPACK calls are the metric's Cholesky factorization and the
-symmetric eigenvalue routines; the triangular inverse R = L^-1 of that factor
-(the congruence kept on the frame) and the cofactor normal (a Laplace
-expansion over column subsets) are elementwise, so a sample's bits do not
-depend on the batch it was built in.
+per-matrix LAPACK calls are the symmetric eigenvalue routines: for kappa (and
+the principal directions on demand), and on the rare rows the immersion test
+rejects, to name the reason.  The metric's LDL^T factorization, whose pivots
+decide the immersion test, the congruence R = D^-1/2 L^-1 kept on the frame
+and the cofactor normal (a Laplace expansion over column subsets) are
+elementwise, so a sample's bits do not depend on the batch it was built in.
 
 Orientation conventions:
   inner / outer -- Riemannian; "inner" points toward the declared center
@@ -49,8 +50,10 @@ FD_JET_SCALE = 1e-5
 # relative to max(1, max|kappa|^k), on geodesic spheres (a property test).
 FD_JET_TOL = 1e-5
 
-# Smallest metric eigenvalue, relative to the largest, at which the chart
-# still counts as immersive (spacelike, in Lorentzian models).
+# Smallest LDL^T pivot of the metric, relative to the largest pivot in
+# magnitude, at which the chart still counts as immersive (spacelike, in
+# Lorentzian models).  The pivots of a positive definite metric lie within its
+# spectrum, so a row whose eigenvalue ratio is above this passes too.
 DEGENERACY_TOL = 1e-12
 
 
@@ -147,43 +150,74 @@ def _matmul(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return acc
 
 
-def triangular_inverse(L: np.ndarray) -> np.ndarray:
-    """R = L^-1 of lower-triangular L (..., n, n) by forward substitution, one row per step."""
-    Lt = _samples_last(L)
+def ldl(gt: np.ndarray) -> tuple:
+    """(L, d) with g = L diag(d) L^T, L unit lower triangular, of samples-last g (n, n, ...).
+
+    One pivot step at a time: step k scales column k of the trailing block by
+    the pivot d_k into L and subtracts the rank-one update.  There is no
+    pivoting, so a zero pivot of an indefinite or degenerate g makes the later
+    entries inf or NaN; :func:`immersive` rejects such rows.
+    """
+    S = np.array(gt, dtype=float)
+    Lt = np.zeros(S.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(len(S) - 1):
+            Lt[k + 1:, k] = S[k + 1:, k] / S[k, k]
+            S[k + 1:, k + 1:] -= Lt[k + 1:, k, None] * S[k, k + 1:]
+    diagonal = np.arange(len(S))
+    Lt[diagonal, diagonal] = 1.0
+    return Lt, S[diagonal, diagonal]  # step k leaves the pivot d_k at S[k, k]
+
+
+def immersive(d: np.ndarray) -> np.ndarray:
+    """Rows whose pivots d (n, ...) are all finite and above DEGENERACY_TOL of the largest |d|.
+
+    The floor is DEGENERACY_TOL max(-min d, max d).  A row with an infinite or
+    NaN pivot has an infinite or NaN floor, which no pivot exceeds, so it fails.
+    """
+    return np.all(d > DEGENERACY_TOL * np.abs(d).max(axis=0), axis=0)
+
+
+def factored_shape(Lt: np.ndarray, d: np.ndarray, ht: np.ndarray) -> tuple:
+    """(R, A), samples first, from the samples-last factor g = L diag(d) L^T and forms h.
+
+    R = D^-1/2 L^-1 by forward substitution, one row per step, and A = sym(R h R^T).
+    """
     Rt = np.zeros(Lt.shape)
     for i in range(len(Lt)):
         Rt[i, i] = 1.0
         for k in range(i):
             Rt[i] -= Lt[i, k] * Rt[k]
-        Rt[i] /= Lt[i, i]
-    return _samples_first(Rt)
+    Rt /= np.sqrt(d)[:, None]
+    return _samples_first(Rt), _samples_first(_symmetric_congruence(Rt, ht))
+
+
+def _symmetric_congruence(Rt: np.ndarray, ht: np.ndarray) -> np.ndarray:
+    """sym(R h R^T) of samples-last stacks R and h, samples last."""
+    A = _matmul(_matmul(Rt, ht), np.swapaxes(Rt, 0, 1))
+    return 0.5 * (A + np.swapaxes(A, 0, 1))
 
 
 def congruence(R: np.ndarray, h: np.ndarray) -> np.ndarray:
     """sym(R h R^T): the bilinear forms h (..., n, n) in the frame orthonormalized by R."""
-    Rt = _samples_last(R)
-    A = _matmul(_matmul(Rt, _samples_last(h)), np.swapaxes(Rt, 0, 1))
-    return _samples_first(0.5 * (A + np.swapaxes(A, 0, 1)))
+    return _samples_first(_symmetric_congruence(_samples_last(R), _samples_last(h)))
 
 
 def orthonormal_shape(g: np.ndarray, h: np.ndarray) -> tuple:
     """(R, A): the congruences R = L^-1 of the metrics g = L L^T and the shape operators R h R^T.
 
-    The Cholesky factorization is the one per-matrix LAPACK call; R comes by
-    forward substitution and A by elementwise products.  g^-1 = R^T R, and
-    R^T maps coordinates in the g-orthonormal frame to the chart basis.  In
-    that frame the shape operator is symmetric, which keeps its spectrum real
-    by construction.  Raises NumericalError when a metric has no Cholesky
-    factor.
+    L = L_1 D^1/2 is the Cholesky factor read from the LDL^T factorization
+    g = L_1 D L_1^T (:func:`ldl`); R and A come by elementwise products.
+    g^-1 = R^T R, and R^T maps coordinates in the g-orthonormal frame to the
+    chart basis.  In that frame the shape operator is symmetric, which keeps
+    its spectrum real by construction.  Raises NumericalError when a metric
+    has a pivot that is not positive, that is, no Cholesky factor.
     """
-    try:
-        L = np.linalg.cholesky(g)
-    except np.linalg.LinAlgError as exc:
+    Lt, d = ldl(_samples_last(g))
+    if not np.all(d > 0.0):
         raise NumericalError(
-            f"metric not positive definite (cond ~ {np.max(np.linalg.cond(g)):.3e})"
-        ) from exc
-    R = triangular_inverse(L)
-    return R, congruence(R, h)
+            f"metric not positive definite (cond ~ {np.max(np.linalg.cond(g)):.3e})")
+    return factored_shape(Lt, d, _samples_last(h))
 
 
 @lru_cache(maxsize=None)
@@ -242,9 +276,10 @@ class PointFrame:
     eigenvalue on each of them (see :func:`curvbound.operators.trace_operator`).
 
     ``congruence`` is the frame's one factorization of the metric: the
-    triangular R = L^-1 of its Cholesky factor L (:func:`orthonormal_shape`),
-    so g^-1 = R^T R.  The principal directions and :meth:`raise_index` read
-    it instead of factoring or solving with the metric again.
+    triangular R = D^-1/2 L^-1 of its LDL^T factorization (:func:`ldl`), the
+    inverse of the Cholesky factor L D^1/2, so g^-1 = R^T R.  The principal
+    directions and :meth:`raise_index` read it instead of factoring or solving
+    with the metric again.
     """
 
     param: np.ndarray
@@ -255,7 +290,7 @@ class PointFrame:
     second_form: np.ndarray
     kappa: np.ndarray  # (..., n) principal curvatures, ascending
     symmetric: np.ndarray  # (..., n+1, n+1) S_k of kappa without kappa_i (row i), of kappa (row n)
-    congruence: np.ndarray  # (..., n, n) R = L^-1, lower triangular, with g = L L^T
+    congruence: np.ndarray  # (..., n, n) R = D^-1/2 L^-1, lower triangular, with g = L D L^T
 
     def __getitem__(self, i) -> "PointFrame":
         return PointFrame(self.param[i], self.position[i], self.tangent[i], self.metric[i],
@@ -283,37 +318,48 @@ def frames_at(patch: HypersurfacePatch, P: np.ndarray):
     Returns (frames, errors).  ``frames`` holds the rows that have a frame, in
     order; ``errors[i]`` is the GeometryError of row i, or None when row i is
     among them.  Each failing check removes its rows before the next step, so
-    stacked linear algebra only sees rows that passed.  Raises NumericalError
-    when a metric that passed the immersion test has no Cholesky factor.
+    stacked linear algebra only sees rows that passed.  A row whose jet has a
+    non-finite entry fails before its metric is formed.  The metric is
+    factored once, as g = L diag(d) L^T: the pivots d decide the immersion
+    test, and the same factor gives the congruence and the shape operator.
     """
     P = np.asarray(P, dtype=float)
     model = patch.ambient
     errors = no_errors(len(P))
     rows = np.arange(len(P))
+    factor = ()  # (L, d) of the surviving rows' metrics, samples last
 
     def reject(bad, exc, *arrays):
         """Record exc for the surviving rows flagged bad; return ``arrays`` without them."""
-        nonlocal rows
+        nonlocal rows, factor
         if not bad.any():
             return arrays
         errors[rows[bad]] = exc[bad] if isinstance(exc, np.ndarray) else exc
         rows = rows[~bad]
+        factor = tuple(a[..., ~bad] for a in factor)
         return [a[~bad] for a in arrays]
 
     reject(~patch.contains(P), DomainError("parameter point outside the patch domain"))
     undefined = patch.chart.undefined(P[rows], jet=patch.jets != "fd")
     reject(failed(undefined), undefined)
     x, d1, d2 = patch.jet_at(P[rows])
+    finite = (np.isfinite(x).all(-1) & np.isfinite(d1).all((-2, -1))
+              & np.isfinite(d2).all((-3, -2, -1)))
+    x, d1, d2 = reject(~finite, DomainError("chart jet is not finite at this parameter"), x, d1, d2)
     eta = model.metric_diag
     g = induced_metric(d1, eta)
-    eigs = np.linalg.eigvalsh(g)
-    low = eigs[:, 0]  # eigvalsh sorts ascending
-    floor = DEGENERACY_TOL * np.maximum(-low, eigs[:, -1])
-    if model.signature == LORENTZIAN:
-        x, d1, d2, g, low, floor = reject(low < -floor, SignatureError(
-            "tangent plane is not spacelike"), x, d1, d2, g, low, floor)
-    x, d1, d2, g = reject(low <= floor, ImmersionDegeneracyError(
-        "chart is not immersive at this parameter"), x, d1, d2, g)
+    factor = ldl(_samples_last(g))
+    bad = ~immersive(factor[1])
+    if bad.any():
+        # the pivots decide which rows fail and the spectrum of those rows names
+        # the reason: a rejected row has lambda_min/lambda_max <= d_min/d_max
+        kinds = no_errors(len(bad))
+        kinds[bad] = ImmersionDegeneracyError("chart is not immersive at this parameter")
+        if model.signature == LORENTZIAN:
+            eigs = np.linalg.eigvalsh(g[bad])  # ascending
+            timelike = eigs[:, 0] < -DEGENERACY_TOL * np.maximum(-eigs[:, 0], eigs[:, -1])
+            kinds[np.flatnonzero(bad)[timelike]] = SignatureError("tangent plane is not spacelike")
+        x, d1, d2, g = reject(bad, kinds, x, d1, d2, g)
 
     # cofactor expansion of the tangent (and, on a quadric, position) rows,
     # index raised: a vector flat-orthogonal to all of them
@@ -342,7 +388,7 @@ def frames_at(patch: HypersurfacePatch, P: np.ndarray):
 
     h = np.einsum("...mab,...m->...ab", d2, eta * normal)
     h = 0.5 * (h + np.swapaxes(h, -1, -2))
-    R, A = orthonormal_shape(g, h)
+    R, A = factored_shape(*factor, _samples_last(h))
     kappa = np.linalg.eigvalsh(A)
     frames = PointFrame(
         param=P[rows],
@@ -408,8 +454,8 @@ def sample_grid(patch: HypersurfacePatch, resolution) -> GridSamples:
     frames, errors = frames_at(patch, P)
     if not len(frames.param):
         raise EmptySampleError("every grid point was rejected")
-    skipped = [(P[i], f"{type(exc).__name__}: {exc}") for i, exc in enumerate(errors)
-               if exc is not None]
+    skipped = [(P[i], f"{type(errors[i]).__name__}: {errors[i]}")
+               for i in np.flatnonzero(failed(errors))]
     return GridSamples(frames=frames, skipped=skipped)
 
 

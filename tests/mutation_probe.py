@@ -59,6 +59,10 @@ MUTANTS = [
     ("H_2 corollary dropped", "harness.py",
      "checks += verify_h2_corollary(config, samples, r)", "checks += []"),
     # input checks
+    ("frames_at: non-finite jets kept", "immersion.py",
+     "reject(~finite, DomainError(", "reject(finite & False, DomainError("),
+    ("immersive: a NaN pivot passes", "immersion.py",
+     "return np.all(d > DEGENERACY_TOL", "return ~np.any(d <= DEGENERACY_TOL"),
     ("build_chart: no ConfigError conversion", "charts.py",
      "except (TypeError, ValueError, OSError) as exc:", "except () as exc:"),
     ("load_scenario: unknown keys accepted", "harness.py", "        if unknown:\n",
@@ -67,6 +71,8 @@ MUTANTS = [
      "        except (TypeError, ValueError) as exc:\n", "        except () as exc:\n"),
     ("load_scenario: a string field takes any value", "harness.py",
      "    if not isinstance(value, str):\n", "    if False:\n"),
+    ("load_scenario: a fractional integer field is truncated", "harness.py",
+     '        raise ValueError(f"expected a whole number, not {value!r}")\n', "        pass\n"),
     ("checked_tolerance: any float accepted", "harness.py",
      "    if not 0.0 <= tol < np.inf:\n", "    if False:\n"),
     ("chart: an attribute can be rebound", "charts.py",

@@ -35,6 +35,7 @@ from curvbound.harness import (
     verify_riemannian_estimate,
 )
 from curvbound.operators import key_inequality_residual, operator_data
+from curvbound.spaceform import AmbientModel
 
 
 def bundled(name):
@@ -352,6 +353,40 @@ def test_riemannian_report_flags_skipped_samples(tmp_path):
     assert report.exit_code == 1
 
 
+def test_non_finite_jets_are_skipped_not_fatal(tmp_path, capsys):
+    # an ellipsoid table with one NaN in d1 (row 17) and one in d2 (row 90):
+    # both rows are skipped with a DomainError, and the run reports them
+    from curvbound.charts import build_chart, grid_points, write_chart_csv
+    from curvbound.errors import DomainError, failed
+    from curvbound.immersion import frames_at, grid_axes
+
+    raw = json.loads(Path(bundled_scenarios()["ellipsoid"]).read_text())
+    chart = build_chart(AmbientModel.euclidean(3), "ellipsoid", raw["chart"]["params"])
+    table = tmp_path / "ellipsoid.csv"
+    write_chart_csv(chart, *chart.default_domain(), 12, table, include_jets=True)
+    lines = table.read_text().splitlines()
+    header = lines[0].split(",")
+    for row, column in ((17, "d1_1_0"), (90, "d2_2_1_1")):
+        values = lines[1 + row].split(",")
+        values[header.index(column)] = "nan"
+        lines[1 + row] = ",".join(values)
+    table.write_text("\n".join(lines) + "\n")
+    raw["chart"] = {"kind": "tabulated", "params": {"path": str(table)}, "orientation": "inner"}
+    raw["resolution"] = 12
+    scenario, report = tmp_path / "scenario.json", tmp_path / "report.json"
+    scenario.write_text(json.dumps(raw))
+    assert main(["verify", "--scenario", str(scenario), "--emit-report", str(report)]) == 0
+    assert capsys.readouterr().err == ""
+    checks = {c["id"]: c for c in json.loads(report.read_text())["checks"]}
+    assert (checks["skipped-samples"]["status"], checks["skipped-samples"]["residual"]) == (
+        "info", 2.0)
+    patch = scenario_patch(load_scenario(scenario))
+    _, errors = frames_at(patch, grid_points(grid_axes(patch, 12)))
+    assert np.flatnonzero(failed(errors)).tolist() == [17, 90]
+    assert all(type(errors[i]) is DomainError for i in (17, 90))
+    assert "not finite" in str(errors[17])
+
+
 def tabulated_sphere_scenario(tmp_path, resolution, include_jets):
     from curvbound.charts import build_chart, write_chart_csv
     from curvbound.spaceform import AmbientModel
@@ -467,6 +502,11 @@ BAD_SCENARIOS = {
     "kind-list": ("ellipsoid", lambda raw: raw["chart"].update(kind=[1]), "'kind'"),
     "k_range-int": ("ellipsoid", lambda raw: raw.update(k_range=5), "'k_range'"),
     "params-int": ("ellipsoid", lambda raw: raw["chart"].update(params=5), "'params'"),
+    "k_range-fractional": ("ellipsoid", lambda raw: raw.update(k_range=[0.7, 1.9]), "'k_range'"),
+    "resolution-fractional": ("ellipsoid", lambda raw: raw.update(resolution=16.9),
+                              "'resolution'"),
+    "dimension-fractional": ("ellipsoid", lambda raw: raw["ambient"].update(dimension=3.6),
+                             "'dimension'"),
 }
 
 

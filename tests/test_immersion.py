@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from curvbound import immersion
 from curvbound.charts import (
     _KINDS,
     Chart,
@@ -29,6 +30,7 @@ from curvbound.errors import (
     NumericalError,
     SignatureError,
     no_errors,
+    read_only_copy,
 )
 from curvbound.harness import bundled_scenarios, load_scenario, scenario_patch
 from curvbound.immersion import (
@@ -37,10 +39,14 @@ from curvbound.immersion import (
     PointFrame,
     build_patch,
     cofactor_vector,
+    congruence,
     frame_at,
     frames_at,
     grid_axes,
     grid_points,
+    immersive,
+    induced_metric,
+    ldl,
     orthonormal_shape,
     refine_extremum,
     sample_grid,
@@ -373,6 +379,46 @@ def test_chart_value_is_the_jet_position(tmp_path, rng):
         assert table.value(inner).tobytes() == table.jet(inner)[0].tobytes()
 
 
+def _sphere_table(tmp_path, resolution=9):
+    sphere = build_chart(E3, "sphere", {"radius": 1.0})
+    path = tmp_path / "sphere.csv"
+    write_chart_csv(sphere, *sphere.default_domain(), resolution, path, include_jets=True)
+    return build_chart(E3, "tabulated", {"path": str(path)})
+
+
+# the charts that define both value and jet, one case per model or parameter regime
+VALUE_CHARTS = {
+    "ellipsoid": lambda tmp: build_chart(E3, "ellipsoid", {"semi_axes": [0.6, 1.0, 1.3]}),
+    "geodesic-sphere-S3": lambda tmp: build_chart(
+        AmbientModel.sphere(1.0, 3), "geodesic_sphere", {"radius": 0.7}),
+    "geodesic-sphere-H3": lambda tmp: build_chart(
+        AmbientModel.hyperbolic(-1.0, 3), "geodesic_sphere", {"radius": 1.1}),
+    "geodesic-sphere-L3": lambda tmp: build_chart(
+        AmbientModel.lorentz_space_form(-0.8, 3), "geodesic_sphere", {"radius": 0.5}),
+    "perturbed-hyperboloid-eps0": lambda tmp: build_chart(
+        M3, "perturbed_hyperboloid", {"radius": 2.0, "epsilon": 0.0}),
+    "perturbed-hyperboloid-eps0.05": lambda tmp: build_chart(
+        M3, "perturbed_hyperboloid", {"radius": 2.0, "epsilon": 0.05}),
+    "tabulated": _sphere_table,
+}
+
+
+@pytest.mark.parametrize("name", VALUE_CHARTS)
+def test_value_is_the_jet_position_on_a_grid_and_at_a_point(name, tmp_path):
+    # FD jets read value, so a chart's FD outputs cannot move while this holds
+    chart = VALUE_CHARTS[name](tmp_path)
+    lo, hi = chart.default_domain()
+    P = grid_points([np.linspace(lo[i], hi[i], 9) for i in range(chart.nparams)])
+    for p in (P, P[len(P) // 2 + 3]):
+        assert chart.value(p).tobytes() == chart.jet(p)[0].tobytes()
+
+
+def test_every_chart_with_its_own_value_has_a_value_case(tmp_path):
+    both = {cls for cls in Chart.__subclasses__()
+            if cls.__module__ == "curvbound.charts" and {"value", "jet"} <= vars(cls).keys()}
+    assert both == {type(make(tmp_path)) for make in VALUE_CHARTS.values()}
+
+
 def test_one_value_call_per_stencil(monkeypatch):
     # one fd_jet evaluates its 1 + 2n + 2n(n-1) points in one call, and the
     # FD oracle behind restriction_hessian reads the patch jets in one call
@@ -576,6 +622,41 @@ def test_spacelike_violation_detected():
     )
     with pytest.raises(SignatureError):
         frame_at(patch, np.array([0.0, 0.0]))
+
+
+class LinearChart(Chart):
+    """p -> B p, with exact jets."""
+
+    nparams = 2
+
+    def __init__(self, B):
+        self.B = read_only_copy(B)
+
+    def value(self, p):
+        return p @ self.B.T
+
+    def jet(self, p):
+        d1 = np.broadcast_to(self.B, p.shape[:-1] + self.B.shape)
+        return self.value(p), d1, np.zeros(d1.shape + (2,))
+
+    def default_domain(self):
+        return np.array([-1.0, -1.0]), np.array([1.0, 1.0])
+
+
+@pytest.mark.parametrize("B, metric, kind, message", [
+    # (p0 + p1, p0 - p1, 0): a null tangent basis, the plane is timelike
+    ([[1, 1], [1, -1], [0, 0]], [[0, -2], [-2, 0]], SignatureError, "not spacelike"),
+    # (p0, p0, p1): one null tangent direction
+    ([[1, 0], [1, 0], [0, 1]], [[0, 0], [0, 1]], ImmersionDegeneracyError, "not immersive"),
+])
+def test_rejected_lorentzian_tangent_planes_keep_their_error_kind(B, metric, kind, message):
+    # the pivots of both metrics start with 0; the spectrum names the reason
+    chart = LinearChart(np.array(B, dtype=float))
+    assert np.array_equal(induced_metric(chart.B, M3.metric_diag), metric)
+    patch = HypersurfacePatch(chart, M3, "future", *chart.default_domain())
+    with pytest.raises(kind, match=message) as raised:
+        frame_at(patch, np.array([0.3, -0.2]))
+    assert type(raised.value) is kind
 
 
 def test_geodesic_sphere_stops_short_of_the_conjugate_locus():
@@ -794,6 +875,32 @@ def test_triangular_congruence_matches_two_solves(n, batch, seed):
             assert np.array_equal(one_R, R[rows]) and np.array_equal(one_A, A[rows])
 
 
+@given(n=st.integers(1, 5), batch=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_ldl_factors_the_metric_with_pivots_inside_its_spectrum(n, batch, seed):
+    X = np.random.default_rng(seed).standard_normal((batch, n, n))
+    g = X @ np.swapaxes(X, -1, -2) + 0.05 * np.eye(n)
+    Lt, d = ldl(np.moveaxis(g, 0, -1))
+    L, D = np.moveaxis(Lt, -1, 0), d.T
+    assert np.array_equal(L, np.tril(L)) and np.all(np.diagonal(L, 0, -2, -1) == 1.0)
+    scale = np.abs(g).max()
+    LDLT = (L * D[:, None, :]) @ np.swapaxes(L, -1, -2)
+    assert np.allclose(LDLT, g, rtol=0.0, atol=1e-12 * scale)
+    # the pivots are Schur complements: lambda_min <= d <= lambda_max, so a row
+    # the pivot test rejects has lambda_min/lambda_max <= d_min/d_max
+    eigs = np.linalg.eigvalsh(g)
+    assert np.all(D >= eigs[:, :1] - 1e-12 * scale) and np.all(D <= eigs[:, -1:] + 1e-12 * scale)
+    for i in range(batch):
+        one_L, one_d = ldl(g[i])
+        assert np.array_equal(one_L, L[i]) and np.array_equal(one_d, D[i])
+
+
+def test_the_pivot_test_rejects_small_negative_and_non_finite_pivots():
+    nan, inf = np.nan, np.inf
+    d = np.array([[1.0, 1.0, 1.0, nan, 1.0, 1.0, -1.0, 1.0, 1.0],
+                  [1.0, nan, inf, 1.0, 1e-13, 2e-12, 1.0, 0.0, -inf]])
+    assert immersive(d).tolist() == [True] + [False] * 4 + [True] + [False] * 3
+
+
 def test_non_positive_definite_metric_raises_numerical_error():
     g = np.array([[[1.0, 0.0], [0.0, 1.0]], [[1.0, 2.0], [2.0, 1.0]]])
     with pytest.raises(NumericalError, match="metric not positive definite"):
@@ -828,13 +935,19 @@ def test_principal_directions_are_orthonormal_and_diagonalize_the_second_form(pa
 
 def test_a_frame_costs_one_factorization(monkeypatch):
     # frame_at, its principal directions and a restriction at one point factor
-    # the metric once and run no LU solve or determinant
+    # the metric once (one LDL^T, no Cholesky), run no LU solve or determinant,
+    # and call eigvalsh once, for kappa
     patch = build_patch(E3, "ellipsoid", {"semi_axes": [0.6, 1.0, 1.7]}, center=np.zeros(3))
-    calls = {name: counted(monkeypatch, np.linalg, name) for name in ("cholesky", "solve", "det")}
+    calls = {name: counted(monkeypatch, np.linalg, name)
+             for name in ("cholesky", "solve", "det", "eigvalsh")}
+    calls["ldl"] = counted(monkeypatch, immersion, "ldl")
     frame = frame_at(patch, np.array([1.1, 2.3]))
     frame.principal
     restrict_field(patch, DistanceField(E3, np.zeros(3)), frame)
-    assert {name: len(c) for name, c in calls.items()} == {"cholesky": 1, "solve": 0, "det": 0}
+    assert {name: len(c) for name, c in calls.items()} == {
+        "cholesky": 0, "solve": 0, "det": 0, "eigvalsh": 1, "ldl": 1}
+    (A,), = calls["eigvalsh"]  # the frame's one row
+    assert np.array_equal(A[0], congruence(frame.congruence, frame.second_form))
 
 
 # -- tabulated charts --------------------------------------------------------------

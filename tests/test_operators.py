@@ -428,16 +428,11 @@ def test_repeated_key_inequality_reuses_the_frame_and_its_directions(monkeypatch
     patch = ellipsoid_patch()
     p = interior_points(patch, np.random.default_rng(5), 1)[0]
     first = key_inequality_residual(patch, p, 1)
-    calls = []
-    cholesky = np.linalg.cholesky
-
-    def counted(a):
-        calls.append(np.shape(a))
-        return cholesky(a)
-
-    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    calls = {name: counted(monkeypatch, np.linalg, name)
+             for name in ("cholesky", "solve", "det", "eigvalsh")}
+    calls["ldl"] = counted(monkeypatch, immersion, "ldl")
     assert key_inequality_residual(patch, p, 1) == first
-    assert calls == []
+    assert all(c == [] for c in calls.values())
 
 
 def probe_patches():

@@ -34,7 +34,6 @@ from .errors import (
     DomainError,
     EmptySampleError,
     ImmersionDegeneracyError,
-    NumericalError,
     SignatureError,
     failed,
     no_errors,
@@ -63,7 +62,9 @@ class HypersurfacePatch:
 
     A patch is frozen, over an immutable chart, and holds read-only copies of its
     domain and center (validated here as a model point), so the frame :func:`frame_at`
-    keeps for its last point cannot go stale.  Patches compare by identity.
+    keeps for its last point cannot go stale.  Patches compare by identity.  What
+    every call would rebuild from the domain is built here once, read-only: the
+    ``domain_width``, the padded box :meth:`contains` tests and the FD-jet steps.
     """
 
     chart: Chart
@@ -73,6 +74,9 @@ class HypersurfacePatch:
     domain_hi: np.ndarray
     center: np.ndarray | None = None
     jets: str = "auto"  # auto | analytic | fd
+    domain_width: np.ndarray = field(init=False, repr=False)
+    _padded_box: tuple = field(init=False, repr=False)  # (lo, hi), widened by round-off
+    _fd_steps: np.ndarray = field(init=False, repr=False)
     # frame_at's last frame, keyed by the bytes of its parameter point, and what
     # operators.restriction_at keeps beside it, keyed by field; frame_at clears
     # all of it when it builds the frame of another point
@@ -92,20 +96,22 @@ class HypersurfacePatch:
             raise ConfigError(f"unknown jet policy {self.jets!r}")
         if np.any(self.domain_hi <= self.domain_lo):
             raise ConfigError("empty parameter domain")
+        width = read_only(self.domain_hi - self.domain_lo)
+        pad = 1e-9 * np.maximum(1.0, np.abs(width))
+        object.__setattr__(self, "domain_width", width)
+        object.__setattr__(self, "_padded_box", read_only((self.domain_lo - pad,
+                                                           self.domain_hi + pad)))
+        object.__setattr__(self, "_fd_steps", read_only(FD_JET_SCALE * width))
 
     @property
     def n(self) -> int:
         return self.chart.nparams
 
-    @property
-    def domain_width(self) -> np.ndarray:
-        return self.domain_hi - self.domain_lo
-
     def contains(self, p: np.ndarray):
         """Whether each parameter point p (..., n) lies in the domain box, up to round-off."""
         p = np.asarray(p, dtype=float)
-        pad = 1e-9 * np.maximum(1.0, np.abs(self.domain_width))
-        return np.all((p >= self.domain_lo - pad) & (p <= self.domain_hi + pad), axis=-1)
+        lo, hi = self._padded_box
+        return np.all((p >= lo) & (p <= hi), axis=-1)
 
     def jet_at(self, p: np.ndarray):
         """(position, d1, d2) at the parameter points p (..., n)."""
@@ -116,7 +122,7 @@ class HypersurfacePatch:
                 return jet
             if self.jets == "analytic":
                 raise ConfigError("chart provides no analytic jets")
-        return fd_jet(self.chart.value, p, FD_JET_SCALE * self.domain_width)
+        return fd_jet(self.chart.value, p, self._fd_steps)
 
 
 def induced_metric(d1: np.ndarray, eta: np.ndarray) -> np.ndarray:
@@ -179,7 +185,7 @@ def immersive(d: np.ndarray) -> np.ndarray:
 
 
 def factored_shape(Lt: np.ndarray, d: np.ndarray, ht: np.ndarray) -> tuple:
-    """(R, A), samples first, from the samples-last factor g = L diag(d) L^T and forms h.
+    """(R, A) from the samples-last factor g = L diag(d) L^T and forms h: R samples last, A first.
 
     R = D^-1/2 L^-1 by forward substitution, one row per step, and A = sym(R h R^T).
     """
@@ -189,7 +195,7 @@ def factored_shape(Lt: np.ndarray, d: np.ndarray, ht: np.ndarray) -> tuple:
         for k in range(i):
             Rt[i] -= Lt[i, k] * Rt[k]
     Rt /= np.sqrt(d)[:, None]
-    return _samples_first(Rt), _samples_first(_symmetric_congruence(Rt, ht))
+    return Rt, _samples_first(_symmetric_congruence(Rt, ht))
 
 
 def _symmetric_congruence(Rt: np.ndarray, ht: np.ndarray) -> np.ndarray:
@@ -198,26 +204,12 @@ def _symmetric_congruence(Rt: np.ndarray, ht: np.ndarray) -> np.ndarray:
     return 0.5 * (A + np.swapaxes(A, 0, 1))
 
 
-def congruence(R: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """sym(R h R^T): the bilinear forms h (..., n, n) in the frame orthonormalized by R."""
-    return _samples_first(_symmetric_congruence(_samples_last(R), _samples_last(h)))
+def congruence(Rt: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """sym(R h R^T): the bilinear forms h (..., n, n) in the frame orthonormalized by R (n, n, ...).
 
-
-def orthonormal_shape(g: np.ndarray, h: np.ndarray) -> tuple:
-    """(R, A): the congruences R = L^-1 of the metrics g = L L^T and the shape operators R h R^T.
-
-    L = L_1 D^1/2 is the Cholesky factor read from the LDL^T factorization
-    g = L_1 D L_1^T (:func:`ldl`); R and A come by elementwise products.
-    g^-1 = R^T R, and R^T maps coordinates in the g-orthonormal frame to the
-    chart basis.  In that frame the shape operator is symmetric, which keeps
-    its spectrum real by construction.  Raises NumericalError when a metric
-    has a pivot that is not positive, that is, no Cholesky factor.
+    R is samples last, as a frame keeps it; the result is samples first, like h.
     """
-    Lt, d = ldl(_samples_last(g))
-    if not np.all(d > 0.0):
-        raise NumericalError(
-            f"metric not positive definite (cond ~ {np.max(np.linalg.cond(g)):.3e})")
-    return factored_shape(Lt, d, _samples_last(h))
+    return _samples_first(_symmetric_congruence(Rt, _samples_last(h)))
 
 
 @lru_cache(maxsize=None)
@@ -277,9 +269,10 @@ class PointFrame:
 
     ``congruence`` is the frame's one factorization of the metric: the
     triangular R = D^-1/2 L^-1 of its LDL^T factorization (:func:`ldl`), the
-    inverse of the Cholesky factor L D^1/2, so g^-1 = R^T R.  The principal
-    directions and :meth:`raise_index` read it instead of factoring or solving
-    with the metric again.
+    inverse of the Cholesky factor L D^1/2, so g^-1 = R^T R.  It is kept
+    samples last, (n, n, ...), the layout of the elementwise kernels, so the
+    principal directions and :meth:`raise_index` read it as it is, without
+    factoring or solving with the metric again.
     """
 
     param: np.ndarray
@@ -290,24 +283,24 @@ class PointFrame:
     second_form: np.ndarray
     kappa: np.ndarray  # (..., n) principal curvatures, ascending
     symmetric: np.ndarray  # (..., n+1, n+1) S_k of kappa without kappa_i (row i), of kappa (row n)
-    congruence: np.ndarray  # (..., n, n) R = D^-1/2 L^-1, lower triangular, with g = L D L^T
+    congruence: np.ndarray  # (n, n, ...) R = D^-1/2 L^-1, lower triangular, with g = L D L^T
 
     def __getitem__(self, i) -> "PointFrame":
         return PointFrame(self.param[i], self.position[i], self.tangent[i], self.metric[i],
                           self.normal[i], self.second_form[i], self.kappa[i], self.symmetric[i],
-                          self.congruence[i])
+                          self.congruence[:, :, i])
 
     @cached_property
     def principal(self) -> np.ndarray:
         """(..., n, n): metric-orthonormal principal directions as columns, in kappa's order."""
-        V = np.linalg.eigh(congruence(self.congruence, self.second_form))[1]
-        Rt = _samples_last(self.congruence)
+        Rt = self.congruence
+        V = np.linalg.eigh(congruence(Rt, self.second_form))[1]
         E = _samples_first(_matmul(np.swapaxes(Rt, 0, 1), _samples_last(V)))  # R^T V
         return read_only(E)
 
     def raise_index(self, covector: np.ndarray) -> np.ndarray:
         """g^-1 covector = R^T (R covector), for covectors (..., n) in the chart basis."""
-        Rt = _samples_last(self.congruence)
+        Rt = self.congruence
         y = _matmul(Rt, _samples_last(covector, 1)[:, None])
         return _samples_first(_matmul(np.swapaxes(Rt, 0, 1), y)[:, 0], 1)
 
@@ -340,8 +333,10 @@ def frames_at(patch: HypersurfacePatch, P: np.ndarray):
         return [a[~bad] for a in arrays]
 
     reject(~patch.contains(P), DomainError("parameter point outside the patch domain"))
-    undefined = patch.chart.undefined(P[rows], jet=patch.jets != "fd")
-    reject(failed(undefined), undefined)
+    # a chart that keeps the base Chart.undefined is defined on its whole box
+    if type(patch.chart).undefined is not Chart.undefined:
+        undefined = patch.chart.undefined(P[rows], jet=patch.jets != "fd")
+        reject(failed(undefined), undefined)
     x, d1, d2 = patch.jet_at(P[rows])
     finite = (np.isfinite(x).all(-1) & np.isfinite(d1).all((-2, -1))
               & np.isfinite(d2).all((-3, -2, -1)))
@@ -411,9 +406,12 @@ def frame_at(patch: HypersurfacePatch, p: np.ndarray) -> PointFrame:
     return the same frame, with read-only arrays; building the frame of
     another point drops it, with the restrictions
     :func:`curvbound.operators.restriction_at` kept beside it.  A point
-    without a frame is not kept: it raises on every call.
+    without a frame is not kept: it raises on every call, and so does a p
+    of another shape than (n,).
     """
     p = np.asarray(p, dtype=float)
+    if p.shape != (patch.n,):
+        raise DomainError(f"parameter point has shape {p.shape}, expected ({patch.n},)")
     key = p.tobytes()
     frame = patch._last_frame.get(key)
     if frame is None:

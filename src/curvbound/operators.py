@@ -222,10 +222,10 @@ def intrinsic_hessian_fd(patch: HypersurfacePatch, scalar_fn, p: np.ndarray) -> 
 
     x, d1, d2 = fd_jet(scalar_and_metric, np.asarray(p, dtype=float), 1e-4 * patch.domain_width)
     du, d2u = d1[0], d2[0]
-    dg = np.moveaxis(d1[1:].reshape(n, n, n), -1, 0)  # dg[k] = d_k g
+    dg = d1[1:].reshape(n, n, n).transpose(2, 0, 1)  # dg[k] = d_k g
     g_inv = np.linalg.inv(x[1:].reshape(n, n))
-    lowered = dg + np.swapaxes(dg, 0, 1) - np.moveaxis(dg, 0, -1)  # [i, j, l]
-    gamma = np.moveaxis((0.5 * g_inv @ lowered[..., None])[..., 0], -1, 0)  # gamma[l, i, j]
+    lowered = dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)  # [i, j, l]
+    gamma = (0.5 * g_inv @ lowered[..., None])[..., 0].transpose(2, 0, 1)  # gamma[l, i, j]
     return d2u - np.einsum("lij,l->ij", gamma, du)
 
 

@@ -36,7 +36,7 @@ MUTANTS = [
      "DEGENERACY_TOL = 1e-12", "DEGENERACY_TOL = 1e-15"),
     ("TIE_ULPS 32 -> 32000", "harness.py", "TIE_ULPS = 32", "TIE_ULPS = 32000"),
     ("contains pad 1e-9 -> 1e-3", "immersion.py",
-     "pad = 1e-9 * np.maximum", "pad = 1e-3 * np.maximum"),
+     "pad = 1e-9 * np.maximum(1.0, np.abs(width))", "pad = 1e-3 * np.maximum(1.0, np.abs(width))"),
     ("check_tangent 1e-8 -> 1e-3", "spaceform.py", "> 1e-8 * scale", "> 1e-3 * scale"),
     ("restriction_hessian FD bar 1e-3 -> 1", "operators.py",
      "max() > 1e-3 * scale:", "max() > 1.0 * scale:"),
@@ -77,6 +77,17 @@ MUTANTS = [
      "    if not 0.0 <= tol < np.inf:\n", "    if False:\n"),
     ("chart: an attribute can be rebound", "charts.py",
      "        if hasattr(self, name):\n", "        if False:\n"),
+    ("frame_at: a point of any shape is taken", "immersion.py",
+     "    if p.shape != (patch.n,):\n", "    if False:\n"),
+    ("frames_at: a chart's undefined rows go unchecked", "immersion.py",
+     "    if type(patch.chart).undefined is not Chart.undefined:", "    if False:"),
+    # the tables built once
+    ("fd_jet stencil: a cross row's sign flipped", "charts.py",
+     "offsets += [e[i] + e[j], e[i] - e[j],", "offsets += [e[i] + e[j], e[i] + e[j],"),
+    ("fd_jet stencil: writable", "charts.py",
+     "    return read_only(np.stack(offsets))", "    return np.stack(offsets)"),
+    ("patch FD steps: writable", "immersion.py",
+     '"_fd_steps", read_only(FD_JET_SCALE * width)', '"_fd_steps", FD_JET_SCALE * width'),
     # the restrictions kept beside a patch's last frame
     ("cache: key without the origin", "operators.py",
      'object.__setattr__(self, "_origin_bits", origin.tobytes())',

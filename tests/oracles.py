@@ -11,7 +11,9 @@ routines in single-point calls that raise the first error:
   the Gauss-equation byproducts;
 - distance: model geodesics, single-point wrappers of the distance gradient
   and the closed-form Hessian, and a five-point finite-difference Hessian
-  along a geodesic that never touches the closed forms.
+  along a geodesic that never touches the closed forms;
+- frames: the congruence and shape operators of stacked metrics in the
+  samples-first layout, from the library's LDL^T kernels.
 
 Sign conventions are those of :mod:`curvbound.curvature`.
 """
@@ -32,7 +34,8 @@ from curvbound.curvature import (
     signed_values,
     trace_coefficients,
 )
-from curvbound.errors import HypothesisViolationError, raise_first
+from curvbound.errors import HypothesisViolationError, NumericalError, raise_first
+from curvbound.immersion import _samples_first, _samples_last, factored_shape, ldl
 from curvbound.spaceform import (
     RIEMANNIAN,
     AmbientModel,
@@ -269,3 +272,28 @@ def hessian_comparison_residual(
     """
     hess = fd_distance_hessian_quadform(model, o, x, X)
     return hess - distance_hessian_quadform(model, o, x, X)
+
+
+# ---------------------------------------------------------------------------
+# frames
+# ---------------------------------------------------------------------------
+
+
+def orthonormal_shape(g: np.ndarray, h: np.ndarray) -> tuple:
+    """(R, A): the congruences R = L^-1 of the metrics g = L L^T and the shape operators R h R^T.
+
+    Both samples first, (..., n, n).  L = L_1 D^1/2 is the Cholesky factor read
+    from the LDL^T factorization g = L_1 D L_1^T (:func:`curvbound.immersion.ldl`);
+    R and A come by the elementwise products of
+    :func:`curvbound.immersion.factored_shape`.  g^-1 = R^T R, and R^T maps
+    coordinates in the g-orthonormal frame to the chart basis.  In that frame
+    the shape operator is symmetric, which keeps its spectrum real by
+    construction.  Raises NumericalError when a metric has a pivot that is
+    not positive, that is, no Cholesky factor.
+    """
+    Lt, d = ldl(_samples_last(g))
+    if not np.all(d > 0.0):
+        raise NumericalError(
+            f"metric not positive definite (cond ~ {np.max(np.linalg.cond(g)):.3e})")
+    Rt, A = factored_shape(Lt, d, _samples_last(h))
+    return _samples_first(Rt), A

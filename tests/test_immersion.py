@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from curvbound import immersion
 from curvbound.charts import (
     _KINDS,
+    _unit_stencil,
     Chart,
     EllipsoidChart,
     GeodesicSphereChart,
@@ -47,13 +48,13 @@ from curvbound.immersion import (
     immersive,
     induced_metric,
     ldl,
-    orthonormal_shape,
     refine_extremum,
     sample_grid,
 )
 from curvbound.operators import (
     DistanceField,
     key_inequality_rhs,
+    l_k_apply,
     operator_data,
     restrict_field,
     restriction_hessian,
@@ -62,6 +63,7 @@ from curvbound.operators import (
 from curvbound.spaceform import AmbientModel
 
 from conftest import congruent, counted, riemannian_space_form
+from oracles import orthonormal_shape
 
 E3 = AmbientModel.euclidean(3)
 M3 = AmbientModel.minkowski(3)
@@ -347,6 +349,41 @@ def test_stacked_stencil_matches_per_offset_loop(n, batch, per_point, kind, fail
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+@given(n=st.integers(1, 4), seed=st.integers(0, 2**16))
+def test_the_cached_stencil_is_exact_on_quadratics_and_row_by_row(n, seed):
+    rng = np.random.default_rng(seed)
+    c, B = rng.uniform(-1.0, 1.0, 2), rng.uniform(-1.0, 1.0, (2, n))
+    A = rng.uniform(-1.0, 1.0, (2, n, n))
+
+    def quadratic(q):
+        # term by term over the coordinates, so a row's bits do not depend on its batch
+        out = np.broadcast_to(c, q.shape[:-1] + (2,))
+        for i in range(n):
+            out = out + B[:, i] * q[..., i, None]
+            for j in range(n):
+                out = out + A[:, i, j] * (q[..., i, None] * q[..., j, None])
+        return out
+
+    p, h = rng.uniform(-2.0, 2.0, (5, n)), rng.uniform(1e-3, 1e-1, (5, n))
+    x, d1, d2 = fd_jet(quadratic, p, h)
+    # central differences of a quadratic are exact: what is left is the round-off
+    # of values of size at most F (|q| <= 2.1 per axis), divided by the steps
+    F = (1.0 + 2.1 * n) ** 2
+    tol = 16 * np.finfo(float).eps * F
+    grad = B + np.einsum("mij,pj->pmi", A + np.swapaxes(A, -1, -2), p)
+    assert np.array_equal(x, quadratic(p))
+    assert np.all(np.abs(d1 - grad) <= tol / h[:, None, :])
+    hess = np.broadcast_to(A + np.swapaxes(A, -1, -2), d2.shape)
+    assert np.all(np.abs(d2 - hess) <= tol / (h[:, None, :, None] * h[:, None, None, :]))
+    for i in range(len(p)):  # a batch's rows are the single-row calls, bit for bit
+        for batch, row in zip((x, d1, d2), fd_jet(quadratic, p[i], h[i])):
+            assert batch[i].tobytes() == row.tobytes()
+    stencil = _unit_stencil(n)
+    assert stencil.shape == (1 + 2 * n * n, n) and not stencil.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        stencil[0, 0] = 1.0
+
+
 def test_chart_value_is_the_jet_position(tmp_path, rng):
     S3, H3 = AmbientModel.sphere(1.0, 3), AmbientModel.hyperbolic(-1.0, 3)
     L3 = AmbientModel.lorentz_space_form(-0.8, 3)
@@ -519,7 +556,9 @@ def test_grid_and_single_point_paths_agree(name, patch, resolution):
     for i, (p, frame) in enumerate(grid.points):
         single = frame_at(patch, p)
         for field in (*PointFrame.__dataclass_fields__, "principal"):
-            batch_field = getattr(grid.frames, field)[i]
+            # the congruence is kept samples last, every other field samples first
+            batch_field = (grid.frames.congruence[..., i] if field == "congruence"
+                           else getattr(grid.frames, field)[i])
             assert np.array_equal(batch_field, getattr(single, field)), (name, field)
         data = operator_data(single, signature)
         for field in ("kappa", "newton_eigenvalues", "H"):
@@ -701,6 +740,20 @@ def test_frame_at_raises_at_a_rejected_point_on_every_call():
                 frame_at(patch, patch.domain_hi + outside)
 
 
+def test_frame_at_takes_one_point_of_shape_n():
+    # a (1, n) point and the (n,) point with the same bytes once shared the kept
+    # frame, so the next single-point call read a batch-shaped frame
+    patch = build_patch(E3, "ellipsoid", {"semi_axes": [0.6, 1.0, 1.0]}, center=np.zeros(3))
+    p = np.array([1.0, 2.0])
+    with pytest.raises(DomainError, match=r"shape \(1, 2\), expected \(2,\)"):
+        frame_at(patch, p[None])
+    assert frame_at(patch, p).kappa.shape == (2,)
+    assert np.isfinite(l_k_apply(patch, p, 0, DistanceField(E3, np.zeros(3))))
+    for wrong in ([1.0, 2.0, 3.0], [1.0], 1.0):
+        with pytest.raises(DomainError, match=r"expected \(2,\)"):
+            frame_at(patch, np.array(wrong))
+
+
 def test_frames_of_frame_at_are_read_only_and_the_caller_keeps_its_arrays():
     center, lo, hi = np.zeros(3), np.array([0.2, 0.0]), np.array([2.9, 6.0])
     patch = build_patch(E3, "sphere", {"radius": 1.0}, center=center, domain=(lo, hi))
@@ -712,6 +765,8 @@ def test_frames_of_frame_at_are_read_only_and_the_caller_keeps_its_arrays():
         frame.principal[0, 0] = 0.0
     for a in (p, center, lo, hi):
         assert a.flags.writeable
+    for a in (patch.domain_width, *patch._padded_box, patch._fd_steps):  # built once
+        assert not a.flags.writeable
     # a write to an array the patch was built from leaves the patch as it was
     center[0], lo[0], p[0] = 5.0, 1.5, 1.2
     assert np.array_equal(patch.center, np.zeros(3))
@@ -936,16 +991,16 @@ def test_principal_directions_are_orthonormal_and_diagonalize_the_second_form(pa
 def test_a_frame_costs_one_factorization(monkeypatch):
     # frame_at, its principal directions and a restriction at one point factor
     # the metric once (one LDL^T, no Cholesky), run no LU solve or determinant,
-    # and call eigvalsh once, for kappa
+    # and call eigvalsh once, for kappa, and eigh once, for the principal directions
     patch = build_patch(E3, "ellipsoid", {"semi_axes": [0.6, 1.0, 1.7]}, center=np.zeros(3))
     calls = {name: counted(monkeypatch, np.linalg, name)
-             for name in ("cholesky", "solve", "det", "eigvalsh")}
+             for name in ("cholesky", "solve", "det", "eigvalsh", "eigh")}
     calls["ldl"] = counted(monkeypatch, immersion, "ldl")
     frame = frame_at(patch, np.array([1.1, 2.3]))
     frame.principal
     restrict_field(patch, DistanceField(E3, np.zeros(3)), frame)
     assert {name: len(c) for name, c in calls.items()} == {
-        "cholesky": 0, "solve": 0, "det": 0, "eigvalsh": 1, "ldl": 1}
+        "cholesky": 0, "solve": 0, "det": 0, "eigvalsh": 1, "eigh": 1, "ldl": 1}
     (A,), = calls["eigvalsh"]  # the frame's one row
     assert np.array_equal(A[0], congruence(frame.congruence, frame.second_form))
 

@@ -425,14 +425,32 @@ def test_restriction_evaluates_the_distance_once(monkeypatch):
 
 
 def test_repeated_key_inequality_reuses_the_frame_and_its_directions(monkeypatch):
+    # one probe point's five calls factor the metric once, take one spectrum for
+    # kappa and one eigenbasis for the principal directions, read the chart jets
+    # once for the frame and once for the oracle's stencil, and copy the frame's
+    # congruence R nowhere: it is kept in the kernels' samples-last layout
     patch = ellipsoid_patch()
-    p = interior_points(patch, np.random.default_rng(5), 1)[0]
-    first = key_inequality_residual(patch, p, 1)
+    p, o = interior_points(patch, np.random.default_rng(5), 1)[0], np.zeros(3)
+    field = DistanceField(E3, o)
     calls = {name: counted(monkeypatch, np.linalg, name)
-             for name in ("cholesky", "solve", "det", "eigvalsh")}
+             for name in ("cholesky", "solve", "det", "eigvalsh", "eigh")}
     calls["ldl"] = counted(monkeypatch, immersion, "ldl")
-    assert key_inequality_residual(patch, p, 1) == first
-    assert all(c == [] for c in calls.values())
+    calls["jet_at"] = counted(monkeypatch, HypersurfacePatch, "jet_at")
+    copies = counted(monkeypatch, immersion, "_samples_last")
+    restriction_hessian(patch, o, p)
+    for k in (0, 1):
+        key_inequality_residual(patch, p, k, origin=o)
+        l_k_apply(patch, p, k, field)
+    assert {name: len(c) for name, c in calls.items()} == {
+        "cholesky": 0, "solve": 0, "det": 0, "eigvalsh": 1, "eigh": 1, "ldl": 1, "jet_at": 2}
+    assert [np.shape(q) for _, q in calls["jet_at"]] == [(1, 2), (9, 2)]
+    R = frame_at(patch, p).congruence
+    assert not any(np.shares_memory(args[0], R) for args in copies)
+    # a repeated call runs none of them
+    first = key_inequality_residual(patch, p, 1, origin=o)
+    before = {name: len(c) for name, c in calls.items()}
+    assert key_inequality_residual(patch, p, 1, origin=o) == first
+    assert {name: len(c) for name, c in calls.items()} == before
 
 
 def probe_patches():

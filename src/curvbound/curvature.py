@@ -8,9 +8,10 @@ Sign conventions follow the ambient signature.  With binom = binomial(n, k):
 In both cases Tr P_k = c_k H_k with c_k = (n-k) binom(n,k), while
 Tr(A P_k) = c_k H_{k+1} riemannian and -c_k H_{k+1} lorentzian.
 
-H_k and the P_k eigenvalues come from one S_k table: :func:`complement_symmetric`
-builds it (once per frame batch), :func:`signed_values` signs and normalizes it.
-The matrix recursion above is an oracle of the tests (``tests/oracles.py``).
+H_k and the P_k eigenvalues come from one S_k table per frame batch, built by
+:func:`complement_symmetric` and signed by :func:`signed_values` for the ambient;
+the other convention differs by the exact factor (-1)^k.  The matrix recursion
+above is an oracle of the tests (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -59,9 +60,16 @@ def trace_coefficients(n: int) -> np.ndarray:
 
 
 @cache
-def _signs(n: int, signature: str) -> np.ndarray:
+def convention_signs(n: int, signature: str) -> np.ndarray:
     """The sign of S_k in binom(n,k) H_k, k = 0..n: (-1)^k in the lorentzian convention."""
     return read_only((-1.0) ** np.arange(n + 1) if signature == LORENTZIAN else np.ones(n + 1))
+
+
+@cache
+def _signed_tables(n: int, signature: str) -> tuple:
+    """(binomials, signs of the n rows i < n of an S_k table), signed like S_k in binom(n,k) H_k."""
+    signs = convention_signs(n, signature)
+    return read_only((signs * binomials(n), np.tile(signs, n)))
 
 
 @cache
@@ -91,5 +99,10 @@ def signed_values(s: np.ndarray, signature: str) -> tuple:
     is the eigenvalue of P_k on the i-th principal direction; row n is zero.
     """
     n = s.shape[-1] - 1
-    signs = _signs(n, signature)
-    return signs * s[..., n, :] / binomials(n), signs[:, None] * np.swapaxes(s[..., :n, :], -1, -2)
+    lead = s.shape[:-2]
+    signed_binomials, row_signs = _signed_tables(n, signature)
+    # (+-s)/b = s/(+-b) exactly, signed zeros included.  Rows i < n of a
+    # sample's table are its first n(n+1) entries: one product signs them,
+    # and a transposed view puts k first
+    rows = s.reshape(lead + ((n + 1) ** 2,))[..., :n * (n + 1)] * row_signs
+    return s[..., n, :] / signed_binomials, np.swapaxes(rows.reshape(lead + (n, n + 1)), -1, -2)

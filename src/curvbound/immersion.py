@@ -3,7 +3,8 @@
 A patch couples a chart with an ambient model, an orientation convention and
 an optional reference center.  Frames carry everything downstream consumers
 need: position, tangents, metric, unit normal, second fundamental form, its
-principal curvatures with their S_k table (and principal directions on demand).
+principal curvatures with the H_k and Newton-tensor spectra of the ambient
+signature (and principal directions on demand).
 
 A frame is assembled by array arithmetic over the sample axis.  The only
 per-matrix LAPACK calls are the symmetric eigenvalue routines: for kappa (and
@@ -28,7 +29,7 @@ from itertools import combinations
 import numpy as np
 
 from .charts import Chart, build_chart, fd_jet, grid_points
-from .curvature import complement_symmetric
+from .curvature import complement_symmetric, signed_values
 from .errors import (
     ConfigError,
     DomainError,
@@ -261,11 +262,14 @@ class PointFrame:
     """Second-order data of the immersion at parameter points.
 
     Fields carry the leading sample axes of the points they were evaluated
-    at; ``frame[i]`` is the frame of sample i.  The second-order data is the
-    spectrum ``kappa`` of the shape operator, its S_k table ``symmetric``
-    (:func:`curvbound.curvature.complement_symmetric`) and, computed on first
-    use, the principal directions: a Newton tensor P_k acts through its
-    eigenvalue on each of them (see :func:`curvbound.operators.trace_operator`).
+    at; ``frame[i]`` is the frame of sample i, each field a view of its row.
+    The second-order data is the spectrum ``kappa`` of the shape operator, the
+    normalized curvatures ``H`` and the Newton-tensor spectra
+    ``newton_eigenvalues`` signed for the ambient ``signature``
+    (:func:`curvbound.curvature.signed_values`, run once per batch) and,
+    computed on first use, the principal directions: a Newton tensor P_k acts
+    through its eigenvalue on each of them (see
+    :func:`curvbound.operators.trace_operator`).
 
     ``congruence`` is the frame's one factorization of the metric: the
     triangular R = D^-1/2 L^-1 of its LDL^T factorization (:func:`ldl`), the
@@ -282,13 +286,15 @@ class PointFrame:
     normal: np.ndarray
     second_form: np.ndarray
     kappa: np.ndarray  # (..., n) principal curvatures, ascending
-    symmetric: np.ndarray  # (..., n+1, n+1) S_k of kappa without kappa_i (row i), of kappa (row n)
+    H: np.ndarray  # (..., n+1) H_0..H_n in the convention of ``signature``
+    newton_eigenvalues: np.ndarray  # (..., n+1, n) entry (k, i): P_k on direction i; row n zero
     congruence: np.ndarray  # (n, n, ...) R = D^-1/2 L^-1, lower triangular, with g = L D L^T
+    signature: str  # the ambient signature H and newton_eigenvalues are signed for
 
     def __getitem__(self, i) -> "PointFrame":
         return PointFrame(self.param[i], self.position[i], self.tangent[i], self.metric[i],
-                          self.normal[i], self.second_form[i], self.kappa[i], self.symmetric[i],
-                          self.congruence[:, :, i])
+                          self.normal[i], self.second_form[i], self.kappa[i], self.H[i],
+                          self.newton_eigenvalues[i], self.congruence[:, :, i], self.signature)
 
     @cached_property
     def principal(self) -> np.ndarray:
@@ -306,7 +312,7 @@ class PointFrame:
 
 
 def frames_at(patch: HypersurfacePatch, P: np.ndarray):
-    """Frames at the rows of P (N, n): metric, oriented unit normal, second form, kappa, S_k.
+    """Frames at the rows of P (N, n): metric, oriented unit normal, second form, kappa, H_k.
 
     Returns (frames, errors).  ``frames`` holds the rows that have a frame, in
     order; ``errors[i]`` is the GeometryError of row i, or None when row i is
@@ -315,6 +321,7 @@ def frames_at(patch: HypersurfacePatch, P: np.ndarray):
     non-finite entry fails before its metric is formed.  The metric is
     factored once, as g = L diag(d) L^T: the pivots d decide the immersion
     test, and the same factor gives the congruence and the shape operator.
+    The S_k table of the spectra is built and signed once, for the batch.
     """
     P = np.asarray(P, dtype=float)
     model = patch.ambient
@@ -385,6 +392,7 @@ def frames_at(patch: HypersurfacePatch, P: np.ndarray):
     h = 0.5 * (h + np.swapaxes(h, -1, -2))
     R, A = factored_shape(*factor, _samples_last(h))
     kappa = np.linalg.eigvalsh(A)
+    H, newton_eigenvalues = signed_values(complement_symmetric(kappa), model.signature)
     frames = PointFrame(
         param=P[rows],
         position=x,
@@ -393,8 +401,10 @@ def frames_at(patch: HypersurfacePatch, P: np.ndarray):
         normal=normal,
         second_form=h,
         kappa=kappa,
-        symmetric=complement_symmetric(kappa),
+        H=H,
+        newton_eigenvalues=newton_eigenvalues,
         congruence=R,
+        signature=model.signature,
     )
     return frames, errors
 
@@ -432,8 +442,15 @@ class GridSamples:
 
     @cached_property
     def points(self) -> list:
-        """(param, PointFrame) for each grid point that has a frame."""
-        return [(self.frames.param[i], self.frames[i]) for i in range(len(self.frames.param))]
+        """(param, PointFrame) for each grid point that has a frame, as ``frames[i]``.
+
+        The row frames come from one pass over each field's rows (the
+        congruence's along its last axis), so their fields are views.
+        """
+        f = self.frames
+        rows = zip(f.param, f.position, f.tangent, f.metric, f.normal, f.second_form, f.kappa,
+                   f.H, f.newton_eigenvalues, np.moveaxis(f.congruence, -1, 0))
+        return [(row[0], PointFrame(*row, f.signature)) for row in rows]
 
 
 def grid_axes(patch: HypersurfacePatch, resolution) -> list:

@@ -12,8 +12,10 @@ the identity route as an oracle.
 The Newton tensors P_k act through their spectra: P_k and the shape
 operator share the principal directions e_i of the frame, so every
 contraction with P_k is a sum over them weighted by the eigenvalues of P_k.
-The frame carries the S_k table of its principal curvatures, so operator
-data only signs and normalizes it: no S_k recurrence runs here.
+The frame carries H_k and those eigenvalues, signed for its ambient
+signature once per frame batch, so operator data wraps the frame's arrays:
+no S_k recurrence and no normalization runs here, and the other signature
+only multiplies by the exact signs (-1)^k.
 
 Fields are frozen values: each holds read-only copies of its arrays, a
 distance field validates its origin once, when it is built, and equal
@@ -34,7 +36,7 @@ import numpy as np
 
 from .charts import fd_jet
 from .comparison import c_b, phi_b, phi_b_d1, phi_b_d2
-from .curvature import TAU_ELL, signed_values, trace_coefficients
+from .curvature import TAU_ELL, convention_signs, trace_coefficients
 from .errors import (
     ConsistencyError,
     GeometryError,
@@ -56,6 +58,7 @@ from .immersion import (
     refine_extremum,
 )
 from .spaceform import (
+    LORENTZIAN,
     RIEMANNIAN,
     AmbientModel,
     distance_jet,
@@ -277,13 +280,21 @@ class OperatorData:
 
 
 def operator_data(frame: PointFrame, signature: str) -> OperatorData:
-    """Operator data of a frame (over its leading axes): its S_k table, signed and normalized."""
-    H, newton_eigenvalues = signed_values(frame.symmetric, signature)
+    """Operator data of a frame (over its leading axes) in the convention of ``signature``.
+
+    In the frame's own signature it holds the frame's arrays.  In the other,
+    H_k and row k of the Newton spectra are multiplied by (-1)^k, which is exact.
+    """
+    n = frame.kappa.shape[-1]
+    H, newton_eigenvalues = frame.H, frame.newton_eigenvalues
+    if signature != frame.signature:
+        flips = convention_signs(n, LORENTZIAN)
+        H, newton_eigenvalues = H * flips, newton_eigenvalues * flips[:, None]
     return OperatorData(
         kappa=frame.kappa,
         newton_eigenvalues=newton_eigenvalues,
         H=H,
-        c=trace_coefficients(frame.kappa.shape[-1]),
+        c=trace_coefficients(n),
         signature=signature,
     )
 

@@ -325,7 +325,7 @@ def comparison_radius(model: AmbientModel) -> float:
 def distance_jet(model: AmbientModel, o: np.ndarray, x: np.ndarray):
     """(rho, grad, hessian, errors): :func:`gradient_rows`, failing from the comparison radius on.
 
-    ``hessian(X, Y)`` on tangent pairs X, Y (..., P, m) at each row is the closed
+    ``hessian(X, Y)`` on tangent pairs X, Y (..., P, m), of one shape, at each row is the closed
     form eps C (<X,Y> - eps drho(X) drho(Y)) with C = C_{eps b}(rho): C_b in
     Riemannian and C_{-b} in Lorentzian models.  C is evaluated in one call, on
     the rows without an error.
@@ -340,7 +340,8 @@ def distance_jet(model: AmbientModel, o: np.ndarray, x: np.ndarray):
     x, g, c = np.asarray(x, dtype=float)[..., None, :], grad[..., None, :], eps * coeff[..., None]
 
     def hessian(X, Y):
-        X, Y = model.check_tangent(x, X), model.check_tangent(x, Y)
+        X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
+        model.check_tangent(x, np.concatenate((X, Y), axis=-2))
         gx, gy, xy = model.flat_inner(g, X), model.flat_inner(g, Y), model.flat_inner(X, Y)
         return c * (xy - eps * gx * gy)
 

@@ -38,6 +38,8 @@ MUTANTS = [
     ("contains pad 1e-9 -> 1e-3", "immersion.py",
      "pad = 1e-9 * np.maximum(1.0, np.abs(width))", "pad = 1e-3 * np.maximum(1.0, np.abs(width))"),
     ("check_tangent 1e-8 -> 1e-3", "spaceform.py", "> 1e-8 * scale", "> 1e-3 * scale"),
+    ("distance Hessian: only X checked for tangency", "spaceform.py",
+     "model.check_tangent(x, np.concatenate((X, Y), axis=-2))", "model.check_tangent(x, X)"),
     ("restriction_hessian FD bar 1e-3 -> 1", "operators.py",
      "max() > 1e-3 * scale:", "max() > 1.0 * scale:"),
     ("FD_JET_SCALE 1e-5 -> 1e-2", "immersion.py", "FD_JET_SCALE = 1e-5", "FD_JET_SCALE = 1e-2"),
@@ -88,6 +90,13 @@ MUTANTS = [
      "    return read_only(np.stack(offsets))", "    return np.stack(offsets)"),
     ("patch FD steps: writable", "immersion.py",
      '"_fd_steps", read_only(FD_JET_SCALE * width)', '"_fd_steps", FD_JET_SCALE * width'),
+    # the S_k table, signed once per frame batch
+    ("operator_data: the other signature is not sign-flipped", "operators.py",
+     "H, newton_eigenvalues = H * flips, newton_eigenvalues * flips[:, None]",
+     "H, newton_eigenvalues = H * 1.0, newton_eigenvalues * 1.0"),
+    ("frames_at: the table is always signed riemannian", "immersion.py",
+     "signed_values(complement_symmetric(kappa), model.signature)",
+     'signed_values(complement_symmetric(kappa), "riemannian")'),
     # the restrictions kept beside a patch's last frame
     ("cache: key without the origin", "operators.py",
      'object.__setattr__(self, "_origin_bits", origin.tobytes())',

@@ -27,9 +27,9 @@ import numpy as np
 from curvbound.comparison import cs, sn
 from curvbound.curvature import (
     TAU_ELL,
-    _signs,
     binomials,
     complement_symmetric,
+    convention_signs,
     elementary_symmetric,
     signed_values,
     trace_coefficients,
@@ -54,7 +54,7 @@ def higher_mean_curvatures(kappa: np.ndarray, n: int, signature: str) -> np.ndar
     kappa = np.asarray(kappa, dtype=float)
     if kappa.shape[-1:] != (n,):
         raise ValueError("kappa must have length n")
-    return _signs(n, signature) * elementary_symmetric(kappa) / binomials(n)
+    return convention_signs(n, signature) * elementary_symmetric(kappa) / binomials(n)
 
 
 def symmetric_values(kappa: np.ndarray, signature: str) -> tuple:
@@ -105,7 +105,7 @@ def newton_tensors(A: np.ndarray, kappa: np.ndarray, signature: str) -> list:
     ``kappa`` (..., n) its spectrum.
     """
     n = A.shape[-1]
-    s = _signs(n, signature)[:, None, None] * elementary_symmetric(kappa)[..., None, None]
+    s = convention_signs(n, signature)[:, None, None] * elementary_symmetric(kappa)[..., None, None]
     eps = 1.0 if signature == RIEMANNIAN else -1.0
     eye = np.eye(n)
     P = [np.broadcast_to(eye, A.shape)]

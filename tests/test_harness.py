@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import curvbound
 from curvbound import immersion
 from curvbound.cli import main
-from curvbound.curvature import complement_symmetric
+from curvbound.curvature import complement_symmetric, signed_values
 from curvbound.errors import ConfigError
 from curvbound.harness import (
     H_FLOOR,
@@ -180,8 +180,9 @@ def nudge_kappa(samples, rng):
     """``samples`` with every principal curvature moved one ulp up or down."""
     kappa = samples.frames.kappa
     kappa = np.nextafter(kappa, rng.choice([-np.inf, np.inf], kappa.shape))
-    frames = dataclasses.replace(samples.frames, kappa=kappa,
-                                 symmetric=complement_symmetric(kappa))
+    H, newton_eigenvalues = signed_values(complement_symmetric(kappa), samples.frames.signature)
+    frames = dataclasses.replace(samples.frames, kappa=kappa, H=H,
+                                 newton_eigenvalues=newton_eigenvalues)
     data = operator_data(frames, samples.data.signature)
     return dataclasses.replace(samples, frames=frames, data=data)
 

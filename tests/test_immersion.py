@@ -555,7 +555,9 @@ def test_grid_and_single_point_paths_agree(name, patch, resolution):
     restricted = restrict_field(patch, dist, grid.frames)
     for i, (p, frame) in enumerate(grid.points):
         single = frame_at(patch, p)
-        for field in (*PointFrame.__dataclass_fields__, "principal"):
+        assert single.signature == frame.signature == grid.frames.signature == signature
+        arrays = [field for field in PointFrame.__dataclass_fields__ if field != "signature"]
+        for field in (*arrays, "principal"):
             # the congruence is kept samples last, every other field samples first
             batch_field = (grid.frames.congruence[..., i] if field == "congruence"
                            else getattr(grid.frames, field)[i])

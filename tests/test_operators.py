@@ -51,7 +51,7 @@ from curvbound.operators import (
 from curvbound.spaceform import AmbientModel
 
 from conftest import congruent, counted, equality_spheres
-from oracles import geodesic_point, higher_mean_curvatures, newton_tensors
+from oracles import geodesic_point, higher_mean_curvatures, newton_tensors, symmetric_values
 
 E2 = AmbientModel.euclidean(2)
 E3 = AmbientModel.euclidean(3)
@@ -351,6 +351,35 @@ def test_one_row_operator_data_is_the_batch_row():
                     assert np.array_equal(getattr(row, name), getattr(batch, name)[i])
 
 
+@pytest.mark.parametrize("name", ["ellipsoid", "hyperboloid-equality", "sphere-in-hyperbolic"])
+def test_operator_data_wraps_the_frames_signed_arrays(name):
+    # a frame keeps H and the P_k spectra signed for its ambient signature:
+    # in that signature operator data holds the frame's arrays (a grid row's
+    # are views of the batch's), and in the other one they are the oracle's
+    # bit for bit, signed zeros included
+    patch = scenario_patch(load_scenario(bundled_scenarios()[name]))
+    own = patch.ambient.signature
+    other = {"riemannian": "lorentzian", "lorentzian": "riemannian"}[own]
+    grid = sample_grid(patch, 8)
+    i = 11
+    single = frame_at(dataclasses.replace(patch), grid.frames.param[i])
+    for frame, batch in ((grid.frames, grid.frames), (grid.points[i][1], grid.frames),
+                         (grid.frames[i], grid.frames), (single, single)):
+        assert frame.signature == own
+        data = operator_data(frame, own)
+        for field in ("kappa", "H", "newton_eigenvalues"):
+            assert np.shares_memory(getattr(data, field), getattr(frame, field)), field
+            assert np.shares_memory(getattr(data, field), getattr(batch, field)), field
+        kappa = frame.kappa
+        for signature, data in ((own, data), (other, operator_data(frame, other))):
+            H = higher_mean_curvatures(kappa, patch.n, signature)
+            assert data.H.tobytes() == H.tobytes(), signature
+            newton = symmetric_values(kappa, signature)[1]
+            assert data.newton_eigenvalues.tobytes() == newton.tobytes(), signature
+            assert data.signature == signature
+        assert not np.shares_memory(operator_data(frame, other).H, frame.H)
+
+
 def test_fd_oracle_reads_one_chart_jet_per_stencil(monkeypatch):
     # the oracle's scalar is read off the stencil's positions, so the chart
     # jets are the frame's row and the oracle's stencil, and nothing else
@@ -467,14 +496,14 @@ def probe_patches():
 
 @pytest.mark.parametrize("patch, o", probe_patches())
 def test_single_point_calls_on_a_kept_frame_are_bit_identical(monkeypatch, patch, o):
-    # the five calls at one probe point build its frame once, restrict the
-    # distance once and sign its S_k table once, and each reads the bits of the
+    # the five calls at one probe point build its frame once (and sign its S_k
+    # table there, once), restrict the distance once, and each reads the bits of the
     # same call on a copy of the patch that has kept no frame; the FD oracle
     # runs on every restriction_hessian call
     patch = dataclasses.replace(patch)  # one that has kept nothing from other tests
     calls = {name: counted(monkeypatch, owner, name) for owner, name in (
         (immersion, "frames_at"), (operators, "restrict_field"),
-        (operators, "intrinsic_hessian_fd"), (operators, "signed_values"))}
+        (operators, "intrinsic_hessian_fd"), (immersion, "signed_values"))}
     field = DistanceField(patch.ambient, o)
     points = interior_points(patch, np.random.default_rng(15), 5)
     for p in points:

@@ -240,6 +240,9 @@ def test_non_tangent_vector_rejected():
     distance_hessian_quadform(model, o, x, tangent)
     with pytest.raises(DomainError):  # a normal component of 1e-5 of its size
         distance_hessian_quadform(model, o, x, tangent + 1e-5 * x)
+    for X, Y in ((tangent, x), (x, tangent)):  # either vector of a pair
+        with pytest.raises(DomainError, match="not tangent"):
+            distance_hessian_bilinear(model, o, x, X, Y)
 
 
 # -- reference balls and model validation ------------------------------------

@@ -7,12 +7,14 @@ principal curvatures with the H_k and Newton-tensor spectra of the ambient
 signature (and principal directions on demand).
 
 A frame is assembled by array arithmetic over the sample axis.  The only
-per-matrix LAPACK calls are the symmetric eigenvalue routines: for kappa (and
-the principal directions on demand), and on the rare rows the immersion test
-rejects, to name the reason.  The metric's LDL^T factorization, whose pivots
-decide the immersion test, the congruence R = D^-1/2 L^-1 kept on the frame
-and the cofactor normal (a Laplace expansion over column subsets) are
-elementwise, so a sample's bits do not depend on the batch it was built in.
+per-matrix LAPACK calls are the symmetric eigenvalue routines: from n = 3 on,
+for kappa and, on the rare rows the immersion test rejects, to name the
+reason (a surface's 2 x 2 spectra are in closed form,
+:func:`_symmetric_spectrum`); and for the principal directions on demand.
+The metric's LDL^T factorization, whose pivots decide the immersion test, the
+congruence R = D^-1/2 L^-1 kept on the frame, the cofactor normal (a Laplace
+expansion over column subsets) and the closed-form spectra are elementwise,
+so a sample's bits do not depend on the batch it was built in.
 
 Orientation conventions:
   inner / outer -- Riemannian; "inner" points toward the declared center
@@ -45,7 +47,7 @@ from .errors import (
 from .spaceform import LORENTZIAN, AmbientModel, gradient_rows
 
 # Finite-difference jet step, relative to the per-axis domain width.
-FD_JET_SCALE = 1e-5
+FD_JET_SCALE = 1e-4
 # kappa and H_k of FD jets at that step: within this of the analytic ones,
 # relative to max(1, max|kappa|^k), on geodesic spheres (a property test).
 FD_JET_TOL = 1e-5
@@ -213,6 +215,24 @@ def congruence(Rt: np.ndarray, h: np.ndarray) -> np.ndarray:
     return _samples_first(_symmetric_congruence(Rt, _samples_last(h)))
 
 
+def _symmetric_spectrum(A: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues (..., n) of the symmetric matrices A (..., n, n).
+
+    At n = 2 they are m -+ r, with m the mean of the diagonal and r =
+    hypot((a - c)/2, b) the radius of the spectrum, elementwise over the
+    samples; from n = 3 on, LAPACK's eigvalsh.
+    """
+    if A.shape[-1] != 2:
+        return np.linalg.eigvalsh(A)
+    a, b, c = A[..., 0, 0], A[..., 0, 1], A[..., 1, 1]
+    m = 0.5 * (a + c)
+    r = np.hypot(0.5 * (a - c), b)
+    spectrum = np.empty(A.shape[:-1])
+    spectrum[..., 0] = m - r
+    spectrum[..., 1] = m + r
+    return spectrum
+
+
 @lru_cache(maxsize=None)
 def _laplace_plan(m: int) -> list:
     """Per row k of an (m-1) x m matrix: the (columns, parents) of its Laplace step.
@@ -358,7 +378,7 @@ def frames_at(patch: HypersurfacePatch, P: np.ndarray):
         kinds = no_errors(len(bad))
         kinds[bad] = ImmersionDegeneracyError("chart is not immersive at this parameter")
         if model.signature == LORENTZIAN:
-            eigs = np.linalg.eigvalsh(g[bad])  # ascending
+            eigs = _symmetric_spectrum(g[bad])
             timelike = eigs[:, 0] < -DEGENERACY_TOL * np.maximum(-eigs[:, 0], eigs[:, -1])
             kinds[np.flatnonzero(bad)[timelike]] = SignatureError("tangent plane is not spacelike")
         x, d1, d2, g = reject(bad, kinds, x, d1, d2, g)
@@ -391,7 +411,7 @@ def frames_at(patch: HypersurfacePatch, P: np.ndarray):
     h = np.einsum("...mab,...m->...ab", d2, eta * normal)
     h = 0.5 * (h + np.swapaxes(h, -1, -2))
     R, A = factored_shape(*factor, _samples_last(h))
-    kappa = np.linalg.eigvalsh(A)
+    kappa = _symmetric_spectrum(A)
     H, newton_eigenvalues = signed_values(complement_symmetric(kappa), model.signature)
     frames = PointFrame(
         param=P[rows],

@@ -245,7 +245,7 @@ def restriction_hessian(patch: HypersurfacePatch, o: np.ndarray, p: np.ndarray) 
 
     fd = intrinsic_hessian_fd(patch, rho, p)
     scale = max(1.0, float(np.abs(sample.hess).max()))
-    if np.abs(sample.hess - fd).max() > 1e-3 * scale:
+    if np.abs(sample.hess - fd).max() > 1e-4 * scale:
         raise ConsistencyError(
             "identity-route and finite-difference Hessians disagree "
             f"by {np.abs(sample.hess - fd).max():.3e}"

@@ -40,9 +40,16 @@ MUTANTS = [
     ("check_tangent 1e-8 -> 1e-3", "spaceform.py", "> 1e-8 * scale", "> 1e-3 * scale"),
     ("distance Hessian: only X checked for tangency", "spaceform.py",
      "model.check_tangent(x, np.concatenate((X, Y), axis=-2))", "model.check_tangent(x, X)"),
-    ("restriction_hessian FD bar 1e-3 -> 1", "operators.py",
-     "max() > 1e-3 * scale:", "max() > 1.0 * scale:"),
-    ("FD_JET_SCALE 1e-5 -> 1e-2", "immersion.py", "FD_JET_SCALE = 1e-5", "FD_JET_SCALE = 1e-2"),
+    ("restriction_hessian FD bar 1e-4 -> 1", "operators.py",
+     "max() > 1e-4 * scale:", "max() > 1.0 * scale:"),
+    ("restriction_hessian FD bar 1e-4 -> 1e-3", "operators.py",
+     "max() > 1e-4 * scale:", "max() > 1e-3 * scale:"),
+    ("restriction_hessian FD bar 1e-4 -> 1e-5", "operators.py",
+     "max() > 1e-4 * scale:", "max() > 1e-5 * scale:"),
+    ("FD_JET_SCALE 1e-4 -> 1e-2", "immersion.py", "FD_JET_SCALE = 1e-4", "FD_JET_SCALE = 1e-2"),
+    ("evaluate: a margin passes down to -10 tol", "harness.py",
+     "margin >= -row.tol", "margin >= -10.0 * row.tol"),
+    ("TabulatedChart.MATCH_TOL 1e-9 -> 1e-3", "charts.py", "MATCH_TOL = 1e-9", "MATCH_TOL = 1e-3"),
     ("MAX_EXCLUSION_RATE 0.10 -> 0.5", "harness.py",
      "MAX_EXCLUSION_RATE = 0.10", "MAX_EXCLUSION_RATE = 0.5"),
     ("POLAR_MARGIN 0.15 -> 0.3", "charts.py", "POLAR_MARGIN = 0.15", "POLAR_MARGIN = 0.3"),
@@ -97,6 +104,12 @@ MUTANTS = [
     ("frames_at: the table is always signed riemannian", "immersion.py",
      "signed_values(complement_symmetric(kappa), model.signature)",
      'signed_values(complement_symmetric(kappa), "riemannian")'),
+    # the closed-form spectrum of surfaces
+    ("closed-form spectrum: eigenvalues swapped", "immersion.py",
+     "    spectrum[..., 0] = m - r\n    spectrum[..., 1] = m + r\n",
+     "    spectrum[..., 0] = m + r\n    spectrum[..., 1] = m - r\n"),
+    ("closed-form spectrum: radius of a - c, not (a - c)/2", "immersion.py",
+     "np.hypot(0.5 * (a - c), b)", "np.hypot((a - c), b)"),
     # the restrictions kept beside a patch's last frame
     ("cache: key without the origin", "operators.py",
      'object.__setattr__(self, "_origin_bits", origin.tobytes())',

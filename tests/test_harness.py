@@ -262,6 +262,14 @@ def test_worst_sample_band_is_a_few_ulp():
         assert evaluate(Row("x", "test", values, reduce="sup", params=params)).worst_sample == worst
 
 
+def test_a_margin_beyond_its_tolerance_fails():
+    # a row passes down to margin = -tol and no further
+    tol = 1e-3
+    for margin, status in ((-0.5 * tol, "pass"), (-tol, "pass"), (-2.0 * tol, "fail")):
+        record = evaluate(Row("x", "test", np.array([margin, 1.0]), rhs=0.0, tol=tol))
+        assert (record.status, record.residual) == (status, margin)
+
+
 def test_equality_scenarios_hit_tolerance():
     for name in ("sphere-equality", "sphere-in-sphere", "sphere-in-hyperbolic"):
         report = run_scenario(bundled(name))

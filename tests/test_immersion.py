@@ -423,6 +423,17 @@ def _sphere_table(tmp_path, resolution=9):
     return build_chart(E3, "tabulated", {"path": str(path)})
 
 
+def test_a_tabulated_point_a_millionth_off_its_grid_is_rejected(tmp_path):
+    table = _sphere_table(tmp_path)
+    on = np.array([axis[3] for axis in table.axes])
+    assert np.array_equal(table.value(on + 1e-12), table.value(on))
+    for i in range(len(on)):
+        off = on.copy()
+        off[i] += 1e-6
+        with pytest.raises(DomainError, match="not tabulated"):
+            table.value(off)
+
+
 # the charts that define both value and jet, one case per model or parameter regime
 VALUE_CHARTS = {
     "ellipsoid": lambda tmp: build_chart(E3, "ellipsoid", {"semi_axes": [0.6, 1.0, 1.3]}),
@@ -990,21 +1001,65 @@ def test_principal_directions_are_orthonormal_and_diagonalize_the_second_form(pa
     assert np.allclose(np.einsum("...ij,...j->...i", frames.metric, grad), du, rtol=0.0, atol=1e-12)
 
 
-def test_a_frame_costs_one_factorization(monkeypatch):
-    # frame_at, its principal directions and a restriction at one point factor
-    # the metric once (one LDL^T, no Cholesky), run no LU solve or determinant,
-    # and call eigvalsh once, for kappa, and eigh once, for the principal directions
-    patch = build_patch(E3, "ellipsoid", {"semi_axes": [0.6, 1.0, 1.7]}, center=np.zeros(3))
+def linalg_calls_of_one_frame(monkeypatch, patch, p, origin):
+    """Calls to the factorizations of np.linalg and to ``ldl`` from frame_at, its
+    principal directions and a restriction of the distance from ``origin`` at p."""
     calls = {name: counted(monkeypatch, np.linalg, name)
              for name in ("cholesky", "solve", "det", "eigvalsh", "eigh")}
     calls["ldl"] = counted(monkeypatch, immersion, "ldl")
-    frame = frame_at(patch, np.array([1.1, 2.3]))
+    frame = frame_at(patch, p)
     frame.principal
-    restrict_field(patch, DistanceField(E3, np.zeros(3)), frame)
+    restrict_field(patch, DistanceField(patch.ambient, origin), frame)
+    return frame, calls
+
+
+def test_a_frame_costs_one_factorization(monkeypatch):
+    # a surface's frame, its principal directions and a restriction at one point
+    # factor the metric once (one LDL^T, no Cholesky), run no LU solve or
+    # determinant, take kappa in closed form and call eigh once, for the
+    # principal directions
+    patch = build_patch(E3, "ellipsoid", {"semi_axes": [0.6, 1.0, 1.7]}, center=np.zeros(3))
+    _, calls = linalg_calls_of_one_frame(monkeypatch, patch, np.array([1.1, 2.3]), np.zeros(3))
+    assert {name: len(c) for name, c in calls.items()} == {
+        "cholesky": 0, "solve": 0, "det": 0, "eigvalsh": 0, "eigh": 1, "ldl": 1}
+
+
+def test_a_frame_of_a_three_dimensional_hypersurface_calls_eigvalsh_once(monkeypatch):
+    # from n = 3 on, kappa is LAPACK's spectrum of the frame's shape matrix
+    S4 = AmbientModel.sphere(1.0, 4)
+    o = S4.base_point()
+    patch = build_patch(S4, "geodesic_sphere", {"radius": 0.7}, center=o)
+    frame, calls = linalg_calls_of_one_frame(monkeypatch, patch, np.array([1.1, 2.3, 0.4]), o)
     assert {name: len(c) for name, c in calls.items()} == {
         "cholesky": 0, "solve": 0, "det": 0, "eigvalsh": 1, "eigh": 1, "ldl": 1}
     (A,), = calls["eigvalsh"]  # the frame's one row
     assert np.array_equal(A[0], congruence(frame.congruence, frame.second_form))
+
+
+def symmetric_2x2_batches():
+    """Symmetric 2 x 2 batches (N, 2, 2) at one scale from 1e-150 to 1e150, with
+    umbilic rows, rows whose off-diagonal dominates and rows of rank one (up to
+    the rounding of their products) among them."""
+    entry = st.floats(-1.0, 1.0, allow_subnormal=False)
+    row = st.one_of(
+        st.tuples(entry, entry, entry),
+        entry.map(lambda a: (a, 0.0, a)),  # umbilic
+        st.tuples(entry, entry).map(lambda t: (1e-9 * t[0], t[1] or 1.0, 1e-9 * t[0])),
+        st.tuples(entry, entry).map(lambda t: (t[0] * t[0], t[0] * t[1], t[1] * t[1])),  # rank 1
+    )
+    return st.tuples(st.lists(row, min_size=1, max_size=8), st.integers(-150, 150)).map(
+        lambda t: 10.0 ** t[1] * np.array([[[a, b], [b, c]] for a, b, c in t[0]]))
+
+
+@given(A=symmetric_2x2_batches())
+def test_closed_form_spectrum_of_surfaces_matches_eigvalsh(A):
+    kappa = immersion._symmetric_spectrum(A)
+    assert kappa.shape == A.shape[:-1]
+    assert np.all(kappa[:, 0] <= kappa[:, 1])
+    scale = np.abs(A).max(axis=(-2, -1))
+    assert np.all(np.abs(kappa - np.linalg.eigvalsh(A)) <= 4 * np.spacing(scale)[:, None])
+    for i in range(len(A)):  # elementwise: a row's bits do not depend on its batch
+        assert np.array_equal(immersion._symmetric_spectrum(A[i:i + 1]), kappa[i:i + 1])
 
 
 # -- tabulated charts --------------------------------------------------------------

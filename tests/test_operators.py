@@ -454,8 +454,8 @@ def test_restriction_evaluates_the_distance_once(monkeypatch):
 
 
 def test_repeated_key_inequality_reuses_the_frame_and_its_directions(monkeypatch):
-    # one probe point's five calls factor the metric once, take one spectrum for
-    # kappa and one eigenbasis for the principal directions, read the chart jets
+    # one probe point's five calls factor the metric once, take kappa in closed
+    # form and one eigenbasis for the principal directions, read the chart jets
     # once for the frame and once for the oracle's stencil, and copy the frame's
     # congruence R nowhere: it is kept in the kernels' samples-last layout
     patch = ellipsoid_patch()
@@ -471,7 +471,7 @@ def test_repeated_key_inequality_reuses_the_frame_and_its_directions(monkeypatch
         key_inequality_residual(patch, p, k, origin=o)
         l_k_apply(patch, p, k, field)
     assert {name: len(c) for name, c in calls.items()} == {
-        "cholesky": 0, "solve": 0, "det": 0, "eigvalsh": 1, "eigh": 1, "ldl": 1, "jet_at": 2}
+        "cholesky": 0, "solve": 0, "det": 0, "eigvalsh": 0, "eigh": 1, "ldl": 1, "jet_at": 2}
     assert [np.shape(q) for _, q in calls["jet_at"]] == [(1, 2), (9, 2)]
     R = frame_at(patch, p).congruence
     assert not any(np.shares_memory(args[0], R) for args in copies)
@@ -558,16 +558,22 @@ def test_fields_are_equal_by_value():
 
 
 class SkewedEllipsoidChart(EllipsoidChart):
-    """An ellipsoid whose analytic second derivatives are 3% too large."""
+    """An ellipsoid whose analytic second derivatives are a fraction SKEW too large."""
+
+    SKEW = 0.03
 
     def jet(self, p):
         x, d1, d2 = super().jet(p)
-        return x, d1, 1.03 * d2
+        return x, d1, (1.0 + self.SKEW) * d2
+
+
+class SlightlySkewedEllipsoidChart(SkewedEllipsoidChart):
+    SKEW = 3e-4
 
 
 def test_restriction_hessian_raises_on_a_wrong_second_jet_on_every_call():
     # the identity route reads the chart's d2, the FD route only positions and
-    # first derivatives: 3% off is far above the 1e-3 bar, and far below 1
+    # first derivatives: 3% off is far above the 1e-4 bar, and far below 1
     chart = SkewedEllipsoidChart(np.zeros(3), np.ones(3))
     patch = HypersurfacePatch(chart, E3, "inner", *chart.default_domain(), center=np.zeros(3))
     p = np.array([1.0, 2.0])
@@ -575,6 +581,20 @@ def test_restriction_hessian_raises_on_a_wrong_second_jet_on_every_call():
         with pytest.raises(ConsistencyError):
             restriction_hessian(patch, np.zeros(3), p)
     assert patch._last_frame  # the frame and the restriction were kept
+
+
+def test_restriction_hessian_bar_lies_between_fd_error_and_a_wrong_jet():
+    # on an ellipsoid with semi-axes 0.1, 1 and 20 the FD truncation error of
+    # right jets reaches 2.9e-5 of the Hessian's scale, which passes the 1e-4
+    # bar; a second jet 3e-4 too large on the unit sphere raises
+    def patch_of(chart):
+        return HypersurfacePatch(chart, E3, "inner", *chart.default_domain(), center=np.zeros(3))
+
+    eccentric = patch_of(EllipsoidChart(np.zeros(3), np.array([0.1, 1.0, 20.0])))
+    restriction_hessian(eccentric, np.zeros(3), np.array([1.2, 6.2]))
+    with pytest.raises(ConsistencyError):
+        restriction_hessian(patch_of(SlightlySkewedEllipsoidChart(np.zeros(3), np.ones(3))),
+                            np.zeros(3), np.array([1.0, 2.0]))
 
 
 def test_undefined_and_violating_points_raise_on_every_call():

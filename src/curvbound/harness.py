@@ -36,14 +36,7 @@ from .comparison import c_b, c_hat_b
 from .curvature import TAU_ELL
 from .errors import ConfigError, failed, raise_first
 from .immersion import PointFrame, build_patch, refine_extremum, sample_grid
-from .operators import (
-    DistanceField,
-    OperatorData,
-    key_inequality_rhs,
-    operator_data,
-    restrict_field,
-    trace_operator,
-)
+from .operators import DistanceField, key_inequality_rhs, restrict_field, trace_operator
 from .spaceform import RIEMANNIAN, AmbientModel, ReferenceBall, ambient_distance, distance_rows
 
 H_FLOOR = 1e-9  # samples with H_k at or below this are excluded from ratios
@@ -89,8 +82,8 @@ def checked_resolution(value) -> int:
 
 
 def checked_tolerance(value) -> float:
-    """A check tolerance, rejected unless finite and non-negative."""
-    tol = float(value)
+    """A check tolerance, rejected unless a finite and non-negative number."""
+    tol = _real(value)
     if not 0.0 <= tol < np.inf:
         raise ConfigError(f"tolerances must be finite and non-negative, not {tol!r}")
     return tol
@@ -130,6 +123,25 @@ def _whole(value) -> int:
     return int(value)
 
 
+def _real(value) -> float:
+    """A JSON number (0.5, 1 or 1e-3, not "0.5" or true)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, not {value!r}")
+    return float(value)
+
+
+def _reals(value) -> np.ndarray:
+    if not isinstance(value, list):
+        raise ValueError(f"expected a list of numbers, not {value!r}")
+    return np.array([_real(x) for x in value], dtype=float)
+
+
+def _object(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"expected a JSON object, not {type(value).__name__}")
+    return value
+
+
 def _parse_scenario(raw: dict) -> ScenarioConfig:
     def need(obj, key, where, read=None, default=_REQUIRED):
         """obj[key], or ``default`` if given, through ``read``; a value it rejects names the key."""
@@ -138,7 +150,7 @@ def _parse_scenario(raw: dict) -> ScenarioConfig:
             raise ConfigError(f"missing field {key!r} in {where}")
         try:
             return value if read is None else read(value)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"malformed scenario value {key!r} in {where}: {exc}") from exc
 
     def known(obj, where, keys):
@@ -156,7 +168,7 @@ def _parse_scenario(raw: dict) -> ScenarioConfig:
     try:
         model = AmbientModel(
             signature=need(amb, "signature", "ambient"),
-            curvature=need(amb, "curvature", "ambient", float),
+            curvature=need(amb, "curvature", "ambient", _real),
             dimension=need(amb, "dimension", "ambient", _whole),
         )
     except ValueError as exc:
@@ -167,8 +179,8 @@ def _parse_scenario(raw: dict) -> ScenarioConfig:
             f"and the sign of b, which make it {model.model_kind!r}"
         )
     ref = known(need(raw, "reference", "scenario"), "reference", "center radius")
-    center = need(ref, "center", "reference", lambda v: np.asarray(v, dtype=float))
-    radius = need(ref, "radius", "reference", lambda v: None if v is None else float(v), None)
+    center = need(ref, "center", "reference", _reals)
+    radius = need(ref, "radius", "reference", lambda v: None if v is None else _real(v), None)
     chart = known(need(raw, "chart", "scenario"), "chart", "kind params orientation")
     k_range = need(raw, "k_range", "scenario", lambda v: tuple(_whole(x) for x in v))
     n = model.dimension - 1
@@ -184,7 +196,7 @@ def _parse_scenario(raw: dict) -> ScenarioConfig:
         reference_center=center,
         reference_radius=radius,
         chart_kind=need(chart, "kind", "chart", _string),
-        chart_params=need(chart, "params", "chart", dict, {}),
+        chart_params=need(chart, "params", "chart", _object, {}),
         orientation=chart.get("orientation"),
         k_range=k_range,
         resolution=resolution,
@@ -241,12 +253,12 @@ def scenario_patch(config: ScenarioConfig):
 class ScenarioSamples:
     """Grid samples as arrays over a leading sample axis.
 
-    ``frames`` are those of the N grid points that have a frame, ``data``
-    their operator data (H, kappa, Newton eigenvalues), ``u`` (N,) the distance.
+    ``frames`` are those of the N grid points that have a frame, with their
+    operator data (H, kappa, Newton eigenvalues) in the scenario's signature;
+    ``u`` (N,) is the distance.
     """
 
     frames: PointFrame
-    data: OperatorData
     u: np.ndarray
     skipped: list
     patch: object = None
@@ -259,7 +271,6 @@ def collect_samples(config: ScenarioConfig, resolution=None) -> ScenarioSamples:
     grid = sample_grid(patch, resolution or config.resolution)
     return ScenarioSamples(
         frames=grid.frames,
-        data=operator_data(grid.frames, config.model.signature),
         u=ambient_distance(dist.model, dist.origin, grid.frames.position),
         skipped=grid.skipped,
         patch=patch,
@@ -292,7 +303,7 @@ def floored_ratio(H: np.ndarray, k: int, floor: float = H_FLOOR):
 
 def _ratio_pool(samples: ScenarioSamples, k: int):
     """The floored ratios H_{k+1}/H_k that are kept, their parameters and the exclusion count."""
-    ratio, kept = floored_ratio(samples.data.H, k)
+    ratio, kept = floored_ratio(samples.frames.H, k)
     return ratio[kept], samples.frames.param[kept], int(np.count_nonzero(~kept))
 
 
@@ -340,9 +351,8 @@ def evaluate(row: Row) -> CheckRecord:
 
 
 def _newton_psd_row(samples: ScenarioSamples, k: int) -> Row:
-    margins = samples.data.newton_psd_margin(k)
-    # Tr P_k = c_k H_k
-    positive_trace = np.all(samples.data.c[k] * samples.data.H[:, k] > TAU_ELL)
+    margins = samples.frames.newton_psd_margin(k)
+    positive_trace = np.all(samples.frames.newton_trace(k) > TAU_ELL)
     return Row(f"newton-psd-k{k}", "P_k positive semidefinite with Tr P_k > 0", margins,
                tol=TAU_ELL, on_fail="hypothesis-violation", params=samples.frames.param,
                guard=None if positive_trace else margins.min())
@@ -351,7 +361,7 @@ def _newton_psd_row(samples: ScenarioSamples, k: int) -> Row:
 def verify_riemannian_estimate(config: ScenarioConfig, samples: ScenarioSamples, r: float) -> list:
     """Ratio, power-chain and product bounds; ``r`` is the refined max of u."""
     cbr, tol = c_b(config.model.curvature, r), config.tol_margin
-    H, params = samples.data.H, samples.frames.param
+    H, params = samples.frames.H, samples.frames.param
     rows = [Row("enclosing-radius", "plumbing", r, status="info")]
     if config.reference_radius is not None:
         rows.append(Row("declared-radius-consistent", "plumbing", r, upper=True,
@@ -388,16 +398,16 @@ def verify_riemannian_estimate(config: ScenarioConfig, samples: ScenarioSamples,
 def verify_h2_corollary(config: ScenarioConfig, samples: ScenarioSamples, r: float) -> list:
     """The H_2 corollary; ``r`` is the refined max of u."""
     b, tol, params = config.model.curvature, config.tol_margin, samples.frames.param
-    h1, h2 = samples.data.H[:, 1], samples.data.H[:, 2]
+    h1, h2 = samples.frames.H[:, 1], samples.frames.H[:, 2]
     positive = evaluate(Row("h2-positive", "H_2 > 0 throughout", h2, tol=None,
                             on_fail="hypothesis-violation"))
     if positive.status != "pass":
         return [positive]
     cbr = c_b(b, r)
     # the ratio bounds and the first Newton eigenvalues presuppose H_1 > 0
-    ratio, h1_positive = floored_ratio(samples.data.H, 1, floor=0.0)
+    ratio, h1_positive = floored_ratio(samples.frames.H, 1, floor=0.0)
     guard = None if h1_positive.all() else h1.min()
-    mu = (config.n * h1[:, None] - samples.data.kappa).min(axis=-1)
+    mu = (config.n * h1[:, None] - samples.frames.kappa).min(axis=-1)
     rows = [
         Row("sqrt-h2-dominates-ratio", "sup sqrt(H_2) >= sup H_2/H_1", np.sqrt(h2), "sup",
             ratio.max(), tol=tol, params=params, guard=guard),
@@ -478,7 +488,7 @@ def emit_report(report: VerificationReport, path) -> None:
 
 def emit_samples_csv(config: ScenarioConfig, samples: ScenarioSamples, path) -> None:
     """Per-sample dump of a run's grid: parameters, u, |grad u|, and per-k operator data."""
-    frames, data = samples.frames, samples.data
+    frames = samples.frames
     header = [f"p{i}" for i in range(samples.patch.n)] + ["u", "grad_norm"]
     for k in config.orders:
         header += [f"H{k}", f"H{k + 1}", f"ratio_k{k}", f"q_lu_k{k}", f"key_residual_k{k}"]
@@ -486,12 +496,12 @@ def emit_samples_csv(config: ScenarioConfig, samples: ScenarioSamples, path) -> 
     raise_first(s.errors)
     columns = [frames.param, s.u[:, None], np.sqrt(s.grad_norm_sq)[:, None]]
     for k in config.orders:
-        tr = data.c[k] * data.H[:, k]  # Tr P_k
-        lk = trace_operator(s, data, k)
-        rhs = key_inequality_rhs(s, data, k, config.model.curvature)
-        ratio, _ = floored_ratio(data.H, k)
+        tr = frames.newton_trace(k)
+        lk = trace_operator(s, k)
+        rhs = key_inequality_rhs(s, k, config.model.curvature)
+        ratio, _ = floored_ratio(frames.H, k)
         q_lu = np.divide(lk, tr, out=np.full(len(tr), np.nan), where=tr > 0)
-        columns += [np.stack([data.H[:, k], data.H[:, k + 1], ratio, q_lu, lk - rhs], axis=-1)]
+        columns += [np.stack([frames.H[:, k], frames.H[:, k + 1], ratio, q_lu, lk - rhs], axis=-1)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

@@ -31,7 +31,7 @@ from itertools import combinations
 import numpy as np
 
 from .charts import Chart, build_chart, fd_jet, grid_points
-from .curvature import complement_symmetric, signed_values
+from .curvature import complement_symmetric, signed_values, trace_coefficients
 from .errors import (
     ConfigError,
     DomainError,
@@ -288,8 +288,8 @@ class PointFrame:
     ``newton_eigenvalues`` signed for the ambient ``signature``
     (:func:`curvbound.curvature.signed_values`, run once per batch) and,
     computed on first use, the principal directions: a Newton tensor P_k acts
-    through its eigenvalue on each of them (see
-    :func:`curvbound.operators.trace_operator`).
+    through its eigenvalue on each of them.  This is all the operator data the
+    contractions of :mod:`curvbound.operators` read from a sample's frame.
 
     ``congruence`` is the frame's one factorization of the metric: the
     triangular R = D^-1/2 L^-1 of its LDL^T factorization (:func:`ldl`), the
@@ -323,6 +323,15 @@ class PointFrame:
         V = np.linalg.eigh(congruence(Rt, self.second_form))[1]
         E = _samples_first(_matmul(np.swapaxes(Rt, 0, 1), _samples_last(V)))  # R^T V
         return read_only(E)
+
+    def newton_trace(self, k: int):
+        """Tr P_k = c_k H_k, over the leading axes."""
+        return trace_coefficients(self.kappa.shape[-1])[k] * self.H[..., k]
+
+    def newton_psd_margin(self, k: int):
+        """Smallest eigenvalue of P_k over max(1, max|kappa|^k); P_k is PSD down to -TAU_ELL."""
+        scale = np.abs(self.kappa).max(axis=-1) ** max(k, 1)
+        return self.newton_eigenvalues[..., k, :].min(axis=-1) / np.maximum(1.0, scale)
 
     def raise_index(self, covector: np.ndarray) -> np.ndarray:
         """g^-1 covector = R^T (R covector), for covectors (..., n) in the chart basis."""

@@ -13,23 +13,26 @@ The Newton tensors P_k act through their spectra: P_k and the shape
 operator share the principal directions e_i of the frame, so every
 contraction with P_k is a sum over them weighted by the eigenvalues of P_k.
 The frame carries H_k and those eigenvalues, signed for its ambient
-signature once per frame batch, so operator data wraps the frame's arrays:
-no S_k recurrence and no normalization runs here, and the other signature
-only multiplies by the exact signs (-1)^k.
+signature once per frame batch, and a :class:`FieldSample` carries its
+frame: the contractions (:func:`trace_operator`, :func:`newton_quadratic`,
+:func:`key_inequality_rhs`) read the sample's own frame, in its convention.
+No S_k recurrence and no normalization runs here; :func:`operator_data`
+gives the frame in the other signature's convention by the exact signs
+(-1)^k.
 
 Fields are frozen values: each holds read-only copies of its arrays, a
 distance field validates its origin once, when it is built, and equal
 fields (same model and array bits) are equal and hash alike.  The
 single-point calls (:func:`restriction_hessian`, :func:`key_inequality_residual`,
 :func:`l_k_apply`) share one restriction per field and point:
-:func:`restriction_at` keeps the restriction and the operator data beside
-the patch's last frame.  Every call still raises the sample's errors and
-runs its own checks (the P_k test, the finite-difference cross-check).
+:func:`restriction_at` keeps one sample per field beside the patch's last
+frame.  Every call still raises the sample's errors and runs its own checks
+(the P_k test, the finite-difference cross-check).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as attribute
+from dataclasses import dataclass, field as attribute, replace
 from functools import cache, partial
 
 import numpy as np
@@ -235,7 +238,7 @@ def intrinsic_hessian_fd(patch: HypersurfacePatch, scalar_fn, p: np.ndarray) -> 
 def restriction_hessian(patch: HypersurfacePatch, o: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Intrinsic Hessian of u = rho∘f, identity route, FD cross-checked on every call."""
     field = DistanceField(patch.ambient, o)
-    sample, _ = restriction_at(patch, p, field)
+    sample = restriction_at(patch, p, field)
     raise_first(sample.errors)
 
     def rho(x):
@@ -258,98 +261,73 @@ def restriction_hessian(patch: HypersurfacePatch, o: np.ndarray, p: np.ndarray) 
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False)
-class OperatorData:
-    """Principal curvatures, H_k and Newton-tensor spectra of a frame.
+def operator_data(frame: PointFrame, signature: str) -> PointFrame:
+    """The frame (over its leading axes) in the convention of ``signature``.
 
-    Fields carry the leading sample axes of the frame they were computed
-    from.  ``newton_eigenvalues[..., k, i]`` is the eigenvalue of P_k on the
-    principal direction ``frame.principal[..., :, i]``, and Tr P_k = c_k H_k.
+    In the frame's own signature it is the frame itself.  In the other, a copy
+    whose H_k and row k of the Newton spectra are multiplied by (-1)^k, which
+    is exact.
     """
-
-    kappa: np.ndarray
-    newton_eigenvalues: np.ndarray
-    H: np.ndarray
-    c: np.ndarray
-    signature: str
-
-    def newton_psd_margin(self, k: int):
-        """Smallest eigenvalue of P_k over max(1, max|kappa|^k); P_k is PSD down to -TAU_ELL."""
-        scale = np.abs(self.kappa).max(axis=-1) ** max(k, 1)
-        return self.newton_eigenvalues[..., k, :].min(axis=-1) / np.maximum(1.0, scale)
+    if signature == frame.signature:
+        return frame
+    flips = convention_signs(frame.kappa.shape[-1], LORENTZIAN)
+    return replace(frame, H=frame.H * flips,
+                   newton_eigenvalues=frame.newton_eigenvalues * flips[:, None],
+                   signature=signature)
 
 
-def operator_data(frame: PointFrame, signature: str) -> OperatorData:
-    """Operator data of a frame (over its leading axes) in the convention of ``signature``.
-
-    In the frame's own signature it holds the frame's arrays.  In the other,
-    H_k and row k of the Newton spectra are multiplied by (-1)^k, which is exact.
-    """
-    n = frame.kappa.shape[-1]
-    H, newton_eigenvalues = frame.H, frame.newton_eigenvalues
-    if signature != frame.signature:
-        flips = convention_signs(n, LORENTZIAN)
-        H, newton_eigenvalues = H * flips, newton_eigenvalues * flips[:, None]
-    return OperatorData(
-        kappa=frame.kappa,
-        newton_eigenvalues=newton_eigenvalues,
-        H=H,
-        c=trace_coefficients(n),
-        signature=signature,
-    )
-
-
-def trace_operator(sample: FieldSample, data: OperatorData, k: int):
+def trace_operator(sample: FieldSample, k: int):
     """L_k u = Tr(P_k ∘ hess u) = sum_i mu_{k,i} hess u(e_i, e_i), over leading axes.
 
-    e_i are the frame's principal directions and mu_{k,i} the eigenvalues of P_k on them.
+    e_i are the sample frame's principal directions and mu_{k,i} the eigenvalues of P_k on them.
     """
-    E = sample.frame.principal
-    return np.vecdot(data.newton_eigenvalues[..., k, :], np.vecdot(E, sample.hess @ E, axis=-2))
+    frame = sample.frame
+    E = frame.principal
+    return np.vecdot(frame.newton_eigenvalues[..., k, :], np.vecdot(E, sample.hess @ E, axis=-2))
 
 
-def restriction_at(patch: HypersurfacePatch, p: np.ndarray, field) -> tuple:
-    """(sample, data): :func:`restrict_field` and :func:`operator_data` of :func:`frame_at`.
+def restriction_at(patch: HypersurfacePatch, p: np.ndarray, field) -> FieldSample:
+    """:func:`restrict_field` of ``field`` on the frame :func:`frame_at` returns.
 
-    The patch keeps them, with read-only arrays, beside its last frame, one
-    pair per field (a field is hashable; equal fields share a pair), and
-    drops them when :func:`frame_at` builds the frame of another point.  So
-    the single-point calls at one point restrict each field once.  The
-    sample's errors are not raised here: the caller raises them on every call.
+    The patch keeps the sample, with read-only arrays, beside its last frame,
+    one per field (a field is hashable; equal fields share a sample), and
+    drops it when :func:`frame_at` builds the frame of another point.  So the
+    single-point calls at one point restrict each field once.  The sample's
+    errors are not raised here: the caller raises them on every call.
     """
     frame = frame_at(patch, p)
-    kept = patch._last_frame.get(field)
-    if kept is None:
-        sample = read_only(restrict_field(patch, field, frame))
-        data = read_only(operator_data(frame, patch.ambient.signature))
-        kept = patch._last_frame[field] = (sample, data)
-    return kept
+    if field not in patch._last_frame:
+        patch._last_frame[field] = read_only(restrict_field(patch, field, frame))
+    return patch._last_frame[field]
 
 
 def l_k_apply(patch: HypersurfacePatch, p: np.ndarray, k: int, field) -> float:
     """L_k u = Tr(P_k ∘ hess u) at the parameter point p."""
-    sample, data = restriction_at(patch, p, field)
+    sample = restriction_at(patch, p, field)
     raise_first(sample.errors)
-    return float(trace_operator(sample, data, k))
+    return float(trace_operator(sample, k))
 
 
-def newton_quadratic(sample: FieldSample, data: OperatorData, k: int):
+def newton_quadratic(sample: FieldSample, k: int):
     """<grad u, P_k grad u> = sum_i mu_{k,i} du(e_i)^2, over leading axes."""
     frame = sample.frame
     du = np.vecdot(frame.principal, frame.metric @ sample.grad[..., None], axis=-2)
-    return np.vecdot(data.newton_eigenvalues[..., k, :], du * du)
+    return np.vecdot(frame.newton_eigenvalues[..., k, :], du * du)
 
 
-def key_inequality_rhs(sample: FieldSample, data: OperatorData, k: int, b: float):
+def key_inequality_rhs(sample: FieldSample, k: int, b: float):
     """Right-hand side of the key inequality for u = rho, over leading axes.
 
     Riemannian: C_b(u)(c_k H_k - <grad u, P_k grad u>) + c_k H_{k+1} <grad rho, N>.
     Lorentzian: -C_{-b}(u)(c_k H_k + <grad u, P_k grad u>)
                 + c_k H_{k+1} sqrt(1 + |grad u|^2).
+    The signature of the sample's frame picks the convention.
     """
-    quad = newton_quadratic(sample, data, k)
-    ck, Hk, Hk1 = data.c[k], data.H[..., k], data.H[..., k + 1]
-    if data.signature == RIEMANNIAN:
+    frame = sample.frame
+    quad = newton_quadratic(sample, k)
+    ck = trace_coefficients(frame.kappa.shape[-1])[k]
+    Hk, Hk1 = frame.H[..., k], frame.H[..., k + 1]
+    if frame.signature == RIEMANNIAN:
         return c_b(b, sample.u) * (ck * Hk - quad) + ck * Hk1 * sample.normal_coef
     return -c_b(-b, sample.u) * (ck * Hk + quad) + ck * Hk1 * np.sqrt(1.0 + sample.grad_norm_sq)
 
@@ -369,11 +347,11 @@ def key_inequality_residual(
         origin = patch.center
     if origin is None:
         raise GeometryError("no reference point available for the distance field")
-    sample, data = restriction_at(patch, p, DistanceField(model, origin))
+    sample = restriction_at(patch, p, DistanceField(model, origin))
     raise_first(sample.errors)
-    if data.newton_psd_margin(k) < -TAU_ELL:
+    if sample.frame.newton_psd_margin(k) < -TAU_ELL:
         raise HypothesisViolationError(f"P_{k} is not positive semidefinite at this point")
-    return float(trace_operator(sample, data, k) - key_inequality_rhs(sample, data, k, b))
+    return float(trace_operator(sample, k) - key_inequality_rhs(sample, k, b))
 
 
 # ---------------------------------------------------------------------------
@@ -420,13 +398,12 @@ def _evaluate_rows(patch, field, k, Q):
     frames, errors = frames_at(patch, Q)
     rows = np.flatnonzero(~failed(errors))
     sample = restrict_field(patch, field, frames)
-    data = operator_data(frames, patch.ambient.signature)
-    tr = data.c[k] * data.H[..., k]  # Tr P_k
+    tr = frames.newton_trace(k)
     errors[rows] = sample.errors
     excluded = ~failed(sample.errors) & ~(tr > TAU_ELL)
     errors[rows[excluded]] = HypothesisViolationError(f"Tr P_{k} is not positive at this point")
     ok = ~failed(errors[rows])
-    lk = trace_operator(sample, data, k)
+    lk = trace_operator(sample, k)
     records = (frames.param[ok], sample.u[ok], np.sqrt(sample.grad_norm_sq[ok]), lk[ok] / tr[ok])
     return records, errors, int(np.count_nonzero(excluded))
 

@@ -63,8 +63,10 @@ MUTANTS = [
     ("Riemannian normal term sign", "operators.py",
      "+ ck * Hk1 * sample.normal_coef", "- ck * Hk1 * sample.normal_coef"),
     ("newton_quadratic halved", "operators.py",
-     "return np.vecdot(data.newton_eigenvalues[..., k, :], du * du)",
-     "return 0.5 * np.vecdot(data.newton_eigenvalues[..., k, :], du * du)"),
+     "return np.vecdot(frame.newton_eigenvalues[..., k, :], du * du)",
+     "return 0.5 * np.vecdot(frame.newton_eigenvalues[..., k, :], du * du)"),
+    ("key_inequality_rhs: the Riemannian branch whatever the frame's signature", "operators.py",
+     "    if frame.signature == RIEMANNIAN:\n", "    if True:\n"),
     ("H_2 corollary dropped", "harness.py",
      "checks += verify_h2_corollary(config, samples, r)", "checks += []"),
     # input checks
@@ -77,11 +79,14 @@ MUTANTS = [
     ("load_scenario: unknown keys accepted", "harness.py", "        if unknown:\n",
      "        if False:\n"),
     ("load_scenario: no ConfigError conversion", "harness.py",
-     "        except (TypeError, ValueError) as exc:\n", "        except () as exc:\n"),
+     "        except (TypeError, ValueError, OverflowError) as exc:\n", "        except () as exc:\n"),
     ("load_scenario: a string field takes any value", "harness.py",
      "    if not isinstance(value, str):\n", "    if False:\n"),
     ("load_scenario: a fractional integer field is truncated", "harness.py",
      '        raise ValueError(f"expected a whole number, not {value!r}")\n', "        pass\n"),
+    ("load_scenario: a real field takes true", "harness.py",
+     "    if isinstance(value, bool) or not isinstance(value, (int, float)):\n",
+     "    if not isinstance(value, (int, float)):\n"),
     ("checked_tolerance: any float accepted", "harness.py",
      "    if not 0.0 <= tol < np.inf:\n", "    if False:\n"),
     ("chart: an attribute can be rebound", "charts.py",
@@ -99,8 +104,8 @@ MUTANTS = [
      '"_fd_steps", read_only(FD_JET_SCALE * width)', '"_fd_steps", FD_JET_SCALE * width'),
     # the S_k table, signed once per frame batch
     ("operator_data: the other signature is not sign-flipped", "operators.py",
-     "H, newton_eigenvalues = H * flips, newton_eigenvalues * flips[:, None]",
-     "H, newton_eigenvalues = H * 1.0, newton_eigenvalues * 1.0"),
+     "flips = convention_signs(frame.kappa.shape[-1], LORENTZIAN)",
+     "flips = np.ones(frame.kappa.shape[-1] + 1)"),
     ("frames_at: the table is always signed riemannian", "immersion.py",
      "signed_values(complement_symmetric(kappa), model.signature)",
      'signed_values(complement_symmetric(kappa), "riemannian")'),

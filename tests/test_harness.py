@@ -34,7 +34,7 @@ from curvbound.harness import (
     verify_lorentz_estimates,
     verify_riemannian_estimate,
 )
-from curvbound.operators import key_inequality_residual, operator_data
+from curvbound.operators import key_inequality_residual
 from curvbound.spaceform import AmbientModel
 
 
@@ -183,8 +183,7 @@ def nudge_kappa(samples, rng):
     H, newton_eigenvalues = signed_values(complement_symmetric(kappa), samples.frames.signature)
     frames = dataclasses.replace(samples.frames, kappa=kappa, H=H,
                                  newton_eigenvalues=newton_eigenvalues)
-    data = operator_data(frames, samples.data.signature)
-    return dataclasses.replace(samples, frames=frames, data=data)
+    return dataclasses.replace(samples, frames=frames)
 
 
 EQUALITY_SCENARIOS = [
@@ -210,25 +209,26 @@ def test_worst_samples_survive_round_off(name):
 
 def check_pools(config, samples):
     """Check id -> (per-sample values, their grid rows, reduction) of every check with a pool."""
-    data, param, b = samples.data, samples.frames.param, config.model.curvature
+    frames, b = samples.frames, config.model.curvature
+    param = frames.param
     pools = {}
     for k in config.orders:
-        hk, hk1 = data.H[:, k], data.H[:, k + 1]
+        hk, hk1 = frames.H[:, k], frames.H[:, k + 1]
         kept = hk > H_FLOOR
         ratio = hk1[kept] / hk[kept]
-        pools[f"newton-psd-k{k}"] = (data.newton_psd_margin(k), param, "inf")
+        pools[f"newton-psd-k{k}"] = (frames.newton_psd_margin(k), param, "inf")
         pools[f"ratio-lower-bound-k{k}"] = (np.abs(ratio), param[kept], "sup")
         pools[f"power-chain-k{k}"] = (hk1 ** (1.0 / (k + 1)), param, "sup")
         pools[f"product-bound-k{k}"] = (np.abs(hk1), param, "sup")
         pools[f"sandwich-lower-k{k}"] = (ratio, param[kept], "inf")
         pools[f"sandwich-upper-k{k}"] = (ratio, param[kept], "sup")
     if config.n >= 2:
-        h1, h2 = data.H[:, 1], data.H[:, 2]
+        h1, h2 = frames.H[:, 1], frames.H[:, 2]
         pools["sqrt-h2-dominates-ratio"] = (np.sqrt(h2), param, "sup")
         pools["h2-ratio-lower-bound"] = (h2 / h1, param, "sup")
         pools["scalar-curvature-bound"] = (b + h2, param, "sup")
         pools["first-newton-eigenvalues-positive"] = (
-            (config.n * h1[:, None] - data.kappa).min(axis=-1), param, "inf")
+            (config.n * h1[:, None] - frames.kappa).min(axis=-1), param, "inf")
     return pools
 
 
@@ -324,7 +324,7 @@ def test_h2_corollary_needs_positive_mean_curvature():
     config = bundled("ellipsoid")
     config.orientation = "outer"
     report = run_scenario(config)
-    h1_min = collect_samples(config).data.H[:, 1].min()
+    h1_min = collect_samples(config).frames.H[:, 1].min()
     assert h1_min < 0.0
     statuses = {c.id: (c.status, c.residual) for c in report.checks}
     for cid in ("sqrt-h2-dominates-ratio", "h2-ratio-lower-bound",
@@ -516,6 +516,24 @@ BAD_SCENARIOS = {
                               "'resolution'"),
     "dimension-fractional": ("ellipsoid", lambda raw: raw["ambient"].update(dimension=3.6),
                              "'dimension'"),
+    "margin-true": ("sphere-in-sphere", lambda raw: raw["tolerances"].update(margin=True),
+                    "'margin'"),
+    "equality-true": ("sphere-in-sphere", lambda raw: raw["tolerances"].update(equality=True),
+                      "'equality'"),
+    "curvature-true": ("sphere-in-sphere", lambda raw: raw["ambient"].update(curvature=True),
+                       "'curvature'"),
+    "radius-string": ("sphere-in-sphere", lambda raw: raw["reference"].update(radius="0.5"),
+                      "'radius' in reference"),
+    "margin-string": ("sphere-in-sphere", lambda raw: raw["tolerances"].update(margin="1e-3"),
+                      "'margin'"),
+    "center-strings": ("sphere-in-sphere",
+                       lambda raw: raw["reference"].update(center=["1", "0", "0", "0"]),
+                       "'center'"),
+    "curvature-huge": ("sphere-in-sphere", lambda raw: raw["ambient"].update(curvature=10**400),
+                       "'curvature'"),
+    "params-pairs": ("ellipsoid",
+                     lambda raw: raw["chart"].update(params=[["semi_axes", [0.6, 1, 1]]]),
+                     "'params'"),
 }
 
 
@@ -717,7 +735,7 @@ RIEMANNIAN_SCENARIOS = ["ellipsoid", "sphere-equality", "sphere-in-hyperbolic", 
 def test_orientation_flip_negates_odd_mean_curvatures(name, resolution):
     # kappa -> -kappa under the flip, so H_k -> (-1)^k H_k exactly
     config = dataclasses.replace(bundled(name), resolution=resolution)
-    inner = collect_samples(dataclasses.replace(config, orientation="inner")).data.H
-    outer = collect_samples(dataclasses.replace(config, orientation="outer")).data.H
+    inner = collect_samples(dataclasses.replace(config, orientation="inner")).frames.H
+    outer = collect_samples(dataclasses.replace(config, orientation="outer")).frames.H
     signs = (-1.0) ** np.arange(inner.shape[-1])
     assert np.array_equal(outer, signs * inner)

@@ -580,10 +580,10 @@ def test_grid_and_single_point_paths_agree(name, patch, resolution):
         for field in ("u", "grad", "grad_norm_sq", "normal_coef", "hess"):
             assert np.array_equal(getattr(restricted, field)[i], getattr(one, field)), (name, field)
         for k in range(patch.n):
-            assert np.array_equal(trace_operator(restricted, batch, k)[i],
-                                  trace_operator(one, data, k)), (name, k)
-            assert np.array_equal(key_inequality_rhs(restricted, batch, k, b)[i],
-                                  key_inequality_rhs(one, data, k, b)), (name, k)
+            assert np.array_equal(trace_operator(restricted, k)[i],
+                                  trace_operator(one, k)), (name, k)
+            assert np.array_equal(key_inequality_rhs(restricted, k, b)[i],
+                                  key_inequality_rhs(one, k, b)), (name, k)
     for p, reason in grid.skipped:
         with pytest.raises(GeometryError) as exc:
             frame_at(patch, p)

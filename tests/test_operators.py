@@ -34,6 +34,7 @@ from curvbound.immersion import (
 )
 from curvbound.operators import (
     DistanceField,
+    FieldSample,
     LinearCoordinateField,
     intrinsic_hessian_fd,
     key_inequality_residual,
@@ -250,10 +251,9 @@ def test_newton_quadratic_monotone_bound(rng):
     field = DistanceField(E3, np.zeros(3))
     for p in interior_points(patch, rng, 8):
         s = restrict_field(patch, field, frame_at(patch, p))
-        data = operator_data(s.frame, "riemannian")
         for k in (0, 1):
-            quad = newton_quadratic(s, data, k)
-            upper = data.c[k] * data.H[k] * s.grad_norm_sq
+            quad = newton_quadratic(s, k)
+            upper = s.frame.newton_trace(k) * s.grad_norm_sq
             assert -1e-10 <= quad <= upper + 1e-10
 
 
@@ -264,18 +264,17 @@ def test_lk_of_phi_composition_chain(rng):
     composed = phi_of_distance_field(E3, o, 0.0)
     for p in interior_points(patch, rng, 5):
         s = restrict_field(patch, dist, frame_at(patch, p))
-        data = operator_data(s.frame, "riemannian")
         for k in (0, 1):
             fd = intrinsic_hessian_fd(patch, lambda x: phi_b(0.0, dist.jet(x)[0]), p)
             L, P = newton_oracle(s.frame, "riemannian")
             lhs = float(np.trace(P[k] @ congruent(L, fd)))
             lk_u = l_k_apply(patch, p, k, dist)
             rhs = phi_b_d1(0.0, s.u) * (
-                c_b(0.0, s.u) * newton_quadratic(s, data, k) + lk_u
+                c_b(0.0, s.u) * newton_quadratic(s, k) + lk_u
             )
             assert lhs == pytest.approx(rhs, abs=1e-4)
         assert l_k_apply(patch, p, 0, composed) == pytest.approx(
-            phi_b_d1(0.0, s.u) * (c_b(0.0, s.u) * newton_quadratic(s, data, 0)
+            phi_b_d1(0.0, s.u) * (c_b(0.0, s.u) * newton_quadratic(s, 0)
                                   + l_k_apply(patch, p, 0, dist)),
             abs=1e-9,
         )
@@ -318,13 +317,12 @@ def test_operator_data_runs_one_recurrence(monkeypatch):
     grid = sample_grid(patch, 8).frames
     assert calls == [(1, 3, 2), (len(grid.param), 3, 2)]
     for frame in (frame, grid, grid[5]):
-        sample = restrict_field(patch, field, frame)
         for signature in ("riemannian", "lorentzian"):
-            data = operator_data(frame, signature)
+            sample = restrict_field(patch, field, operator_data(frame, signature))
             for k in range(patch.n):
-                trace_operator(sample, data, k)
-                newton_quadratic(sample, data, k)
-                key_inequality_rhs(sample, data, k, 0.0)
+                trace_operator(sample, k)
+                newton_quadratic(sample, k)
+                key_inequality_rhs(sample, k, 0.0)
     assert len(calls) == 2
     for table in (curvature.binomials(3), curvature.trace_coefficients(3)):
         with pytest.raises(ValueError):
@@ -346,7 +344,9 @@ def test_one_row_operator_data_is_the_batch_row():
             assert np.array_equal(batch.H, H)
             for i in range(len(frames.param)):
                 row = operator_data(frames[i], signature)
-                assert np.array_equal(row.c, batch.c)
+                assert row.signature == batch.signature == signature
+                for k in range(frames.kappa.shape[-1]):
+                    assert np.array_equal(row.newton_trace(k), batch.newton_trace(k)[i])
                 for name in ("kappa", "newton_eigenvalues", "H"):
                     assert np.array_equal(getattr(row, name), getattr(batch, name)[i])
 
@@ -380,6 +380,26 @@ def test_operator_data_wraps_the_frames_signed_arrays(name):
         assert not np.shares_memory(operator_data(frame, other).H, frame.H)
 
 
+def test_a_frame_is_its_own_operator_data_and_a_point_keeps_one_sample_per_field():
+    # in its own signature operator_data returns the frame itself: a grid
+    # batch, a grid row and the frame frame_at keeps; at a point the patch
+    # keeps that frame and one FieldSample per field, on that frame
+    patch = ellipsoid_patch()
+    grid = sample_grid(patch, 8)
+    p = grid.frames.param[5]
+    kept = frame_at(patch, p)
+    for frame in (grid.frames, grid.points[5][1], kept):
+        assert operator_data(frame, frame.signature) is frame
+    fields = [DistanceField(E3, np.zeros(3)), DistanceField(E3, [0.1, 0.0, 0.0]),
+              LinearCoordinateField(E3, [0.0, 0.0, 1.0])]
+    samples = [restriction_at(patch, p, field) for field in fields]
+    for field, sample in zip(fields, samples):
+        assert isinstance(sample, FieldSample) and sample.frame is kept
+    key_inequality_residual(patch, p, 1)  # its field equals fields[0]
+    l_k_apply(patch, p, 0, DistanceField(E3, [0.1, 0.0, 0.0]))
+    assert patch._last_frame == {p.tobytes(): kept, **dict(zip(fields, samples))}
+
+
 def test_fd_oracle_reads_one_chart_jet_per_stencil(monkeypatch):
     # the oracle's scalar is read off the stencil's positions, so the chart
     # jets are the frame's row and the oracle's stencil, and nothing else
@@ -407,8 +427,7 @@ def spectral_oracle_cases():
             origin = geodesic_point(model, center, np.eye(n + 2)[1], 0.3)
             frames = sample_grid(patch, {3: 6, 4: 4}[n]).frames
             yield (f"{model.model_kind} n={n}", SimpleNamespace(
-                patch=patch, field=DistanceField(model, origin), frames=frames,
-                data=operator_data(frames, model.signature)))
+                patch=patch, field=DistanceField(model, origin), frames=frames))
 
 
 def test_spectral_contractions_match_newton_recursion():
@@ -416,18 +435,18 @@ def test_spectral_contractions_match_newton_recursion():
     # with the same contractions of the recursion's matrices
     for label, samples in spectral_oracle_cases():
         s = restrict_field(samples.patch, samples.field, samples.frames)
-        data = samples.data
-        L, P = newton_oracle(samples.frames, data.signature)
+        frames = samples.frames
+        L, P = newton_oracle(frames, frames.signature)
         hess = congruent(L, s.hess)
         v = (np.swapaxes(L, -1, -2) @ s.grad[..., None])[..., 0]
         for k in range(samples.patch.n):
             size = np.abs(P[k]).max(axis=(-2, -1))
             checks = (
-                (trace_operator(s, data, k), np.trace(P[k] @ hess, axis1=-2, axis2=-1),
+                (trace_operator(s, k), np.trace(P[k] @ hess, axis1=-2, axis2=-1),
                  size * np.abs(hess).max(axis=(-2, -1))),
-                (newton_quadratic(s, data, k), np.vecdot((v[:, None, :] @ P[k])[:, 0], v),
+                (newton_quadratic(s, k), np.vecdot((v[:, None, :] @ P[k])[:, 0], v),
                  size * np.vecdot(v, v)),
-                (data.c[k] * data.H[:, k], np.trace(P[k], axis1=-2, axis2=-1), size),
+                (frames.newton_trace(k), np.trace(P[k], axis1=-2, axis2=-1), size),
             )
             for got, want, scale in checks:
                 err = np.abs(got - want) / np.maximum(1.0, samples.patch.n * scale)
@@ -527,13 +546,13 @@ def test_fields_hold_read_only_copies_and_the_kept_restriction_stays_valid():
     patch = ellipsoid_patch()
     p, o = np.array([1.0, 2.0]), np.array([0.1, 0.0, 0.0])
     field = DistanceField(E3, o)
-    kept, data = restriction_at(patch, p, field)
+    kept = restriction_at(patch, p, field)
     o[0] = 5.0
-    assert restriction_at(patch, p, field)[0] is kept
-    fresh = restriction_at(dataclasses.replace(patch), p, DistanceField(E3, [0.1, 0.0, 0.0]))[0]
+    assert restriction_at(patch, p, field) is kept
+    fresh = restriction_at(dataclasses.replace(patch), p, DistanceField(E3, [0.1, 0.0, 0.0]))
     for name in ("u", "grad", "grad_norm_sq", "normal_coef", "hess"):
         assert getattr(kept, name).tobytes() == getattr(fresh, name).tobytes(), name
-    for a in (field.origin, kept.hess, kept.grad, data.H, data.newton_eigenvalues):
+    for a in (field.origin, kept.hess, kept.grad, kept.frame.H, kept.frame.newton_eigenvalues):
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 0.0
     coefficients = np.array([0.0, 0.0, 1.0])
@@ -610,7 +629,7 @@ def test_undefined_and_violating_points_raise_on_every_call():
     saddle = build_patch(E3, "graph", {"terms": [[1.0, [2, 0]], [-1.0, [0, 2]]],
                                        "box_lo": [-1, -1], "box_hi": [1, 1]})
     q = np.array([0.1, 0.2])
-    assert operator_data(frame_at(saddle, q), "riemannian").newton_psd_margin(1) < -1e-3
+    assert frame_at(saddle, q).newton_psd_margin(1) < -1e-3
     for _ in range(2):
         with pytest.raises(HypothesisViolationError, match="P_1"):
             key_inequality_residual(saddle, q, 1, origin=np.array([0.0, 0.0, 2.0]))
@@ -630,7 +649,7 @@ def test_two_origins_at_one_point_give_two_restrictions():
                 assert kept == fresh
                 assert l_k_apply(patch, p, k, DistanceField(S3, origin)) == l_k_apply(
                     dataclasses.replace(patch), p, k, DistanceField(S3, origin))
-    samples = [restriction_at(patch, p, DistanceField(S3, origin))[0] for origin in origins]
+    samples = [restriction_at(patch, p, DistanceField(S3, origin)) for origin in origins]
     assert not np.array_equal(samples[0].hess, samples[1].hess)
 
 

@@ -33,7 +33,7 @@ frame.  Every call still raises the sample's errors and runs its own checks
 from __future__ import annotations
 
 from dataclasses import dataclass, field as attribute, replace
-from functools import cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -74,9 +74,11 @@ class DistanceField:
     """u = rho(., o): the ambient distance to a reference point.
 
     Like every field, ``jet(x)`` at points x (..., m) returns (u, ambient
-    gradient, hessian(X, Y) on tangent pairs (..., P, m) at each row, errors),
-    ``errors`` holding the GeometryError of each row where one of them is
-    undefined; :func:`distance_jet` lists the rows.  The origin is a
+    gradient, hessian, errors), ``errors`` holding the GeometryError of each
+    row where one of them is undefined; :func:`distance_jet` lists the rows.
+    ``hessian(d1, metric)`` takes the tangent columns d1 (..., m, n) at the
+    rows and their induced metric (..., n, n), and returns the ambient
+    Hessian on them in the chart basis (..., n, n).  The origin is a
     read-only copy, validated as a model point here and nowhere downstream;
     fields with equal origin bits are equal.
     """
@@ -99,8 +101,9 @@ class LinearCoordinateField:
     """Restriction of the linear ambient function x -> sum_a c_a x_a.
 
     On a quadric the intrinsic Hessian picks up the second-form correction
-    -b <X,Y> l(x); in flat models (b = 0) it vanishes.  The coefficients are
-    a read-only copy; fields with equal coefficient bits are equal.
+    -b l(x) g, g the induced metric; in flat models (b = 0) it vanishes.  The
+    coefficients are a read-only copy; fields with equal coefficient bits are
+    equal.
     """
 
     model: AmbientModel
@@ -117,8 +120,8 @@ class LinearCoordinateField:
         raised = self.coefficients / self.model.metric_diag
         grad = self.model.tangent_project(x, np.broadcast_to(raised, np.shape(x)))
 
-        def hessian(X, Y):
-            return -self.model.curvature * self.model.flat_inner(X, Y) * u[..., None]
+        def hessian(d1, metric):
+            return -self.model.curvature * metric * u[..., None, None]
 
         return u, grad, hessian, no_errors(np.shape(x)[:-1])
 
@@ -140,14 +143,15 @@ class ComposedField:
 
     def jet(self, x):
         u, g, base_hessian, errors = self.base.jet(x)
-        flat_inner = self.base.model.flat_inner
-        d1u, d2u = self.d1(u)[..., None], self.d2(u)[..., None]
+        lowered = (self.base.model.metric_diag * g)[..., None]
+        d1u, d2u = self.d1(u), self.d2(u)
 
-        def hessian(X, Y):
-            g1 = g[..., None, :]
-            return d2u * flat_inner(g1, X) * flat_inner(g1, Y) + d1u * base_hessian(X, Y)
+        def hessian(d1, metric):
+            du = (np.swapaxes(d1, -1, -2) @ lowered)[..., 0]  # the base field's differential
+            return (d2u[..., None, None] * (du[..., :, None] * du[..., None, :])
+                    + d1u[..., None, None] * base_hessian(d1, metric))
 
-        return self.fn(u), d1u * g, hessian, errors
+        return self.fn(u), d1u[..., None] * g, hessian, errors
 
 
 def phi_of_distance_field(model: AmbientModel, origin: np.ndarray, b: float) -> ComposedField:
@@ -170,11 +174,6 @@ class FieldSample:
     errors: np.ndarray  # per-row GeometryError of the field, None where it is defined
 
 
-@cache
-def _lower_triangle(n: int) -> tuple:
-    return read_only(np.tril_indices(n))
-
-
 def restrict_field(patch: HypersurfacePatch, field, frame: PointFrame) -> FieldSample:
     """Value, gradient and intrinsic Hessian of ``field`` restricted to the frame's points.
 
@@ -182,24 +181,18 @@ def restrict_field(patch: HypersurfacePatch, field, frame: PointFrame) -> FieldS
     is undefined: its error is in ``errors`` and its values are meaningless.
     """
     model = patch.ambient
-    x, d1 = frame.position, frame.tangent
-    u, gbar, hessian, errors = field.jet(x)
+    d1 = frame.tangent
+    u, gbar, hessian, errors = field.jet(frame.position)
     du = (np.swapaxes(d1, -1, -2) @ (model.metric_diag * gbar)[..., None])[..., 0]
     grad = frame.raise_index(du)
     normal_coef = model.flat_inner(gbar, frame.normal)
-    # one Hessian call on every pair (i >= j) of tangent columns; the columns
-    # are strided in memory, so their flat inner products round as for d1[:, i]
-    i, j = _lower_triangle(patch.n)
-    X, Y = (np.swapaxes(np.ascontiguousarray(d1[..., c]), -1, -2) for c in (i, j))
-    pairs = hessian(X, Y)
-    hess = np.empty(d1.shape[:-2] + (patch.n, patch.n))
-    hess[..., i, j] = hess[..., j, i] = pairs
     return FieldSample(
         u=u,
         grad=grad,
         grad_norm_sq=np.vecdot(du, grad),
         normal_coef=normal_coef,
-        hess=hess + model.epsilon * normal_coef[..., None, None] * frame.second_form,
+        hess=hessian(d1, frame.metric)
+        + model.epsilon * normal_coef[..., None, None] * frame.second_form,
         frame=frame,
         errors=errors,
     )

@@ -325,8 +325,9 @@ def comparison_radius(model: AmbientModel) -> float:
 def distance_jet(model: AmbientModel, o: np.ndarray, x: np.ndarray):
     """(rho, grad, hessian, errors): :func:`gradient_rows`, failing from the comparison radius on.
 
-    ``hessian(X, Y)`` on tangent pairs X, Y (..., P, m), of one shape, at each row is the closed
-    form eps C (<X,Y> - eps drho(X) drho(Y)) with C = C_{eps b}(rho): C_b in
+    ``hessian(d1, metric)`` takes tangent columns d1 (..., m, n) at the rows and their induced
+    metric (..., n, n), and returns the chart-basis Hessian, the closed form
+    eps C (metric - eps drho drho^T) with drho = d1^T eta grad and C = C_{eps b}(rho): C_b in
     Riemannian and C_{-b} in Lorentzian models.  C is evaluated in one call, on
     the rows without an error.
     """
@@ -337,12 +338,13 @@ def distance_jet(model: AmbientModel, o: np.ndarray, x: np.ndarray):
     ok = ~failed(errors)
     coeff = np.zeros(np.shape(rho))
     coeff[ok] = c_b(eps * model.curvature, rho[ok])
-    x, g, c = np.asarray(x, dtype=float)[..., None, :], grad[..., None, :], eps * coeff[..., None]
+    x, c = np.asarray(x, dtype=float)[..., None, :], eps * coeff[..., None, None]
+    lowered = (model.metric_diag * grad)[..., None]
 
-    def hessian(X, Y):
-        X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
-        model.check_tangent(x, np.concatenate((X, Y), axis=-2))
-        gx, gy, xy = model.flat_inner(g, X), model.flat_inner(g, Y), model.flat_inner(X, Y)
-        return c * (xy - eps * gx * gy)
+    def hessian(d1, metric):
+        columns = np.swapaxes(np.asarray(d1, dtype=float), -1, -2)
+        model.check_tangent(x, columns)
+        dr = (columns @ lowered)[..., 0]
+        return c * (metric - eps * (dr[..., :, None] * dr[..., None, :]))
 
     return rho, grad, hessian, errors

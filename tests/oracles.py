@@ -10,8 +10,11 @@ routines in single-point calls that raise the first error:
   inductive matrix recursion, their trace identities, the Garding chain and
   the Gauss-equation byproducts;
 - distance: model geodesics, single-point wrappers of the distance gradient
-  and the closed-form Hessian, and a five-point finite-difference Hessian
-  along a geodesic that never touches the closed forms;
+  and of the closed-form Hessian (whose ``hessian(d1, metric)`` takes a
+  tangent matrix and its metric: Hess rho(X, Y) is entry (0, 1) on the
+  two-column matrix [X, Y] and its Gram matrix), and a five-point
+  finite-difference Hessian along a geodesic that never touches the closed
+  forms;
 - frames: the congruence and shape operators of stacked metrics in the
   samples-first layout, from the library's LDL^T kernels.
 
@@ -35,7 +38,7 @@ from curvbound.curvature import (
     trace_coefficients,
 )
 from curvbound.errors import HypothesisViolationError, NumericalError, raise_first
-from curvbound.immersion import _samples_first, _samples_last, factored_shape, ldl
+from curvbound.immersion import _samples_first, _samples_last, factored_shape, induced_metric, ldl
 from curvbound.spaceform import (
     RIEMANNIAN,
     AmbientModel,
@@ -225,7 +228,8 @@ def distance_hessian_bilinear(model: AmbientModel, o: np.ndarray, x: np.ndarray,
     """Hess rho(X, Y) for tangent vectors X, Y at x (:func:`distance_jet`), over leading axes."""
     _, _, hessian, errors = distance_jet(model, model.check_point(o), x)
     raise_first(errors)
-    return hessian(np.asarray(X)[..., None, :], np.asarray(Y)[..., None, :])[..., 0]
+    d1 = np.stack(np.broadcast_arrays(X, Y), axis=-1)  # (..., m, 2)
+    return hessian(d1, induced_metric(d1, model.metric_diag))[..., 0, 1]
 
 
 def distance_hessian_quadform(model: AmbientModel, o: np.ndarray, x: np.ndarray, X: np.ndarray):

@@ -57,9 +57,11 @@ def test_all_bundled_scenarios_pass():
         assert report.exit_code == 0, (name, [c for c in report.checks if c.status != "pass"])
 
 
-def scaled_sphere_equality(lam):
-    """sphere-equality under the homothety x -> lam x (b = 0 stays 0)."""
-    raw = json.loads(Path(bundled_scenarios()["sphere-equality"]).read_text())
+def scaled_sphere_scenario(lam, name="sphere-equality"):
+    """A bundled geodesic-sphere scenario under the homothety x -> lam x, b -> b / lam^2."""
+    raw = json.loads(Path(bundled_scenarios()[name]).read_text())
+    raw["ambient"]["curvature"] /= lam**2
+    raw["reference"]["center"] = [lam * c for c in raw["reference"]["center"]]
     raw["reference"]["radius"] *= lam
     raw["chart"]["params"]["radius"] *= lam
     return run_scenario(load_scenario(raw))
@@ -68,8 +70,19 @@ def scaled_sphere_equality(lam):
 @pytest.mark.parametrize("lam", [1e-12, 1e-9, 1e-8, 1e4, 1e8])
 def test_sphere_equality_is_homothety_invariant(lam):
     # every floor is relative to the sample's own scale, so no status moves
-    statuses = [(c.id, c.status) for c in scaled_sphere_equality(1.0).checks]
-    report = scaled_sphere_equality(lam)
+    statuses = [(c.id, c.status) for c in scaled_sphere_scenario(1.0).checks]
+    report = scaled_sphere_scenario(lam)
+    assert report.exit_code == 0
+    assert [(c.id, c.status) for c in report.checks] == statuses
+
+
+@pytest.mark.parametrize("name", ["sphere-in-hyperbolic", "sphere-in-sphere"])
+@pytest.mark.parametrize("lam", [1e-12, 1e-10, 1e8])
+def test_spheres_in_curved_models_are_homothety_invariant(name, lam):
+    # at lam = 1e-12 sphere-in-hyperbolic once failed power-chain-k1 and
+    # sqrt-h2-dominates-ratio by one ulp of values near 1e12
+    statuses = [(c.id, c.status) for c in scaled_sphere_scenario(1.0, name).checks]
+    report = scaled_sphere_scenario(lam, name)
     assert report.exit_code == 0
     assert [(c.id, c.status) for c in report.checks] == statuses
 

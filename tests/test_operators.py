@@ -15,6 +15,7 @@ from curvbound.errors import (
     DomainError,
     HypothesisViolationError,
     UndefinedGradientError,
+    failed,
 )
 from curvbound.harness import (
     bundled_scenarios,
@@ -56,7 +57,9 @@ from oracles import geodesic_point, higher_mean_curvatures, newton_tensors, symm
 
 E2 = AmbientModel.euclidean(2)
 E3 = AmbientModel.euclidean(3)
+E4 = AmbientModel.euclidean(4)
 M3 = AmbientModel.minkowski(3)
+M4 = AmbientModel.minkowski(4)
 
 
 def ellipsoid_patch():
@@ -164,18 +167,48 @@ def test_lorentzian_gradient_decomposition(rng):
         assert s.normal_coef == pytest.approx(np.sqrt(1.0 + s.grad_norm_sq), abs=1e-8)
 
 
-def test_restrict_field_builds_pair_indices_once(monkeypatch):
-    # the (i >= j) pair indices are cached per n and read-only
-    calls, tril = [], np.tril_indices
-    monkeypatch.setattr(np, "tril_indices", lambda n: calls.append(n) or tril(n))
-    operators._lower_triangle.cache_clear()
-    patch = ellipsoid_patch()
-    field = DistanceField(E3, np.zeros(3))
-    for p in interior_points(patch, np.random.default_rng(5), 3):
-        restrict_field(patch, field, frame_at(patch, p))
-    assert calls == [2]
-    with pytest.raises(ValueError):
-        operators._lower_triangle(2)[0][0] = 1
+def matrix_form_cases():
+    """(patch, origin): both signatures, flat and curved models, n = 2 and 3.
+
+    Off the bundled scenarios, the origin is moved off the center of each
+    geodesic sphere, so that the distance's differential on the patch is not 0.
+    """
+    for path in bundled_scenarios().values():
+        patch = scenario_patch(load_scenario(path))
+        yield patch, patch.center
+    yield build_patch(E4, "ellipsoid", {"semi_axes": [0.6, 1.0, 1.3, 0.8]}), np.full(4, 0.1)
+    yield build_patch(M4, "perturbed_hyperboloid", {"radius": 2.0}), np.zeros(4)
+    spacelike = np.array([0.0, 0.0, 0.3, 0.2, 0.0])
+    for model in (AmbientModel.sphere(1.0, 4), AmbientModel.hyperbolic(-1.0, 4),
+                  AmbientModel.lorentz_space_form(0.7, 4),
+                  AmbientModel.lorentz_space_form(-0.8, 4)):
+        center = model.base_point()
+        v = spacelike if model.epsilon > 0 else spacelike / 4 - 0.3 * model.time_orientation(center)
+        origin = geodesic_point(model, center, model.tangent_project(center, v), 1.0)
+        yield build_patch(model, "geodesic_sphere", {"radius": 0.6}, center=center), origin
+
+
+def test_grid_restrictions_are_one_row_restrictions_with_symmetric_hessians():
+    # each field's Hessian is one matrix expression in (d1, metric): a grid row
+    # restricts as the single-point frame at its parameter does, bit for bit,
+    # and every Hessian is exactly symmetric
+    rows = 0
+    for patch, origin in matrix_form_cases():
+        model, n = patch.ambient, patch.n
+        fields = (DistanceField(model, origin), phi_of_distance_field(model, origin, model.curvature),
+                  LinearCoordinateField(model, np.linspace(0.3, 1.1, model.embedding_dim)))
+        grid = sample_grid(patch, 8 if n == 2 else 4)
+        for field in fields:
+            batch = restrict_field(patch, field, grid.frames)
+            assert not failed(batch.errors).any()
+            assert np.array_equal(batch.hess, np.swapaxes(batch.hess, -1, -2))
+            for i, (p, _) in enumerate(grid.points):
+                one = restrict_field(patch, field, frame_at(patch, p))
+                for name in ("u", "grad", "grad_norm_sq", "normal_coef", "hess"):
+                    assert np.array_equal(getattr(batch, name)[i], getattr(one, name)), (
+                        model.model_kind, n, field, name)
+                rows += 1
+    assert rows == 3 * 12 * 64  # no grid row is skipped
 
 
 # -- L_k ---------------------------------------------------------------------------

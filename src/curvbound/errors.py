@@ -2,7 +2,9 @@
 
 Routines that evaluate many sample points at once do not raise for a point
 that fails: they return an object array with one slot per point, holding the
-point's exception or None.  Single-point entry points raise the slot.
+point's exception or None.  Single-point entry points raise the slot.  A max,
+min or all over each point's few entries is :func:`fold_last`, one elementwise
+call per entry over all the points.
 
 Every array the toolkit keeps is read-only: one a caller hands in is kept as a
 :func:`read_only_copy`, and one the code built is marked :func:`read_only` in place.
@@ -71,6 +73,21 @@ def flag(errors: np.ndarray, mask, kind: type, message: str) -> None:
     mask = np.asarray(mask)
     if mask.any():
         errors[mask & ~failed(errors)] = kind(message)
+
+
+def fold_last(ufunc, a: np.ndarray) -> np.ndarray:
+    """``ufunc`` folded over the last axis of ``a``, one elementwise call per entry, in order.
+
+    For np.maximum and np.minimum this is ``a.max(-1)`` and ``a.min(-1)`` bit
+    for bit (a NaN result may carry another sign bit when ``a`` holds NaNs of
+    both signs), and for np.logical_and over a boolean ``a`` it is
+    ``a.all(-1)``; but each call runs over the leading axes at once, where
+    numpy's reduction runs its inner loop once per row of a short last axis.
+    """
+    acc = a[..., 0]
+    for i in range(1, a.shape[-1]):
+        acc = ufunc(acc, a[..., i])
+    return acc
 
 
 def raise_first(errors: np.ndarray) -> None:

@@ -34,7 +34,7 @@ import numpy as np
 
 from .comparison import c_b, c_hat_b
 from .curvature import TAU_ELL
-from .errors import ConfigError, failed, raise_first
+from .errors import ConfigError, failed, fold_last, raise_first
 from .immersion import PointFrame, build_patch, refine_extremum, sample_grid
 from .operators import DistanceField, key_inequality_rhs, restrict_field, trace_operator
 from .spaceform import RIEMANNIAN, AmbientModel, ReferenceBall, ambient_distance, distance_rows
@@ -407,7 +407,7 @@ def verify_h2_corollary(config: ScenarioConfig, samples: ScenarioSamples, r: flo
     # the ratio bounds and the first Newton eigenvalues presuppose H_1 > 0
     ratio, h1_positive = floored_ratio(samples.frames.H, 1, floor=0.0)
     guard = None if h1_positive.all() else h1.min()
-    mu = (config.n * h1[:, None] - samples.frames.kappa).min(axis=-1)
+    mu = fold_last(np.minimum, config.n * h1[:, None] - samples.frames.kappa)
     rows = [
         Row("sqrt-h2-dominates-ratio", "sup sqrt(H_2) >= sup H_2/H_1", np.sqrt(h2), "sup",
             ratio.max(), tol=tol, params=params, guard=guard),

@@ -14,7 +14,10 @@ reason (a surface's 2 x 2 spectra are in closed form,
 The metric's LDL^T factorization, whose pivots decide the immersion test, the
 congruence R = D^-1/2 L^-1 kept on the frame, the cofactor normal (a Laplace
 expansion over column subsets) and the closed-form spectra are elementwise,
-so a sample's bits do not depend on the batch it was built in.
+so a sample's bits do not depend on the batch it was built in.  No
+reduction runs per row over a short axis: a max, min or all over a sample's
+few entries is folded elementwise over the samples (:func:`fold_last`), and
+the jets' finite test is one whole-array test, per row only when it fails.
 
 Orientation conventions:
   inner / outer -- Riemannian; "inner" points toward the declared center
@@ -39,6 +42,7 @@ from .errors import (
     ImmersionDegeneracyError,
     SignatureError,
     failed,
+    fold_last,
     no_errors,
     raise_first,
     read_only,
@@ -114,7 +118,7 @@ class HypersurfacePatch:
         """Whether each parameter point p (..., n) lies in the domain box, up to round-off."""
         p = np.asarray(p, dtype=float)
         lo, hi = self._padded_box
-        return np.all((p >= lo) & (p <= hi), axis=-1)
+        return fold_last(np.logical_and, (p >= lo) & (p <= hi))
 
     def jet_at(self, p: np.ndarray):
         """(position, d1, d2) at the parameter points p (..., n)."""
@@ -329,9 +333,15 @@ class PointFrame:
         return trace_coefficients(self.kappa.shape[-1])[k] * self.H[..., k]
 
     def newton_psd_margin(self, k: int):
-        """Smallest eigenvalue of P_k over max(1, max|kappa|^k); P_k is PSD down to -TAU_ELL."""
-        scale = np.abs(self.kappa).max(axis=-1) ** max(k, 1)
-        return self.newton_eigenvalues[..., k, :].min(axis=-1) / np.maximum(1.0, scale)
+        """Smallest eigenvalue of P_k over max(1, max|kappa|^max(k, 1)).
+
+        P_k is PSD down to -TAU_ELL.  At k = 0 the scale is max(1, max|kappa|), not 1.
+        The power is the ufunc's at one sample too (a float64 scalar's ``**``
+        calls libm's pow, which can round differently), so a grid row and
+        :func:`frame_at` agree bit for bit.
+        """
+        scale = np.power(fold_last(np.maximum, np.abs(self.kappa)), max(k, 1))
+        return fold_last(np.minimum, self.newton_eigenvalues[..., k, :]) / np.maximum(1.0, scale)
 
     def raise_index(self, covector: np.ndarray) -> np.ndarray:
         """g^-1 covector = R^T (R covector), for covectors (..., n) in the chart basis."""
@@ -374,9 +384,12 @@ def frames_at(patch: HypersurfacePatch, P: np.ndarray):
         undefined = patch.chart.undefined(P[rows], jet=patch.jets != "fd")
         reject(failed(undefined), undefined)
     x, d1, d2 = patch.jet_at(P[rows])
-    finite = (np.isfinite(x).all(-1) & np.isfinite(d1).all((-2, -1))
-              & np.isfinite(d2).all((-3, -2, -1)))
-    x, d1, d2 = reject(~finite, DomainError("chart jet is not finite at this parameter"), x, d1, d2)
+    # one whole-array test on the common, all-finite path
+    if not (np.isfinite(x).all() and np.isfinite(d1).all() and np.isfinite(d2).all()):
+        finite = (np.isfinite(x).all(-1) & np.isfinite(d1).all((-2, -1))
+                  & np.isfinite(d2).all((-3, -2, -1)))
+        x, d1, d2 = reject(~finite, DomainError("chart jet is not finite at this parameter"),
+                           x, d1, d2)
     eta = model.metric_diag
     g = induced_metric(d1, eta)
     factor = ldl(_samples_last(g))

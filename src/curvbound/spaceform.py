@@ -42,6 +42,7 @@ from .errors import (
     UndefinedGradientError,
     failed,
     flag,
+    fold_last,
     no_errors,
     raise_first,
     read_only,
@@ -194,7 +195,8 @@ class AmbientModel:
         if v.shape[-1:] != (self.embedding_dim,):
             raise DomainError("tangent vector has wrong length")
         if self.is_quadric:
-            scale = np.maximum(1.0, np.abs(v).max(axis=-1) * np.abs(x).max(axis=-1))
+            scale = np.maximum(1.0, fold_last(np.maximum, np.abs(v))
+                               * fold_last(np.maximum, np.abs(x)))
             if np.any(np.abs(self.flat_inner(v, x)) > 1e-8 * scale):
                 raise DomainError("vector is not tangent to the model at x")
         return v
@@ -306,7 +308,8 @@ def gradient_rows(model: AmbientModel, o: np.ndarray, x: np.ndarray):
     rho, errors = distance_rows(model, o, x)
     o = np.asarray(o, dtype=float)
     x = np.asarray(x, dtype=float)
-    coincident = rho <= COINCIDENCE_TOL * np.maximum(np.abs(x).max(axis=-1), np.abs(o).max())
+    coincident = rho <= COINCIDENCE_TOL * np.maximum(fold_last(np.maximum, np.abs(x)),
+                                                     np.abs(o).max())
     flag(errors, coincident,
          UndefinedGradientError, "distance gradient undefined at the reference point")
     r = np.where(coincident, COINCIDENCE_TOL, rho)[..., None]  # finite quotients on failed rows

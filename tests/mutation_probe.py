@@ -82,6 +82,9 @@ MUTANTS = [
     # input checks
     ("frames_at: non-finite jets kept", "immersion.py",
      "reject(~finite, DomainError(", "reject(finite & False, DomainError("),
+    ("frames_at: the whole-array finite gate always passes", "immersion.py",
+     "    if not (np.isfinite(x).all() and np.isfinite(d1).all() and np.isfinite(d2).all()):\n",
+     "    if False:\n"),
     ("immersive: a NaN pivot passes", "immersion.py",
      "return np.all(d > DEGENERACY_TOL", "return ~np.any(d <= DEGENERACY_TOL"),
     ("build_chart: no ConfigError conversion", "charts.py",
@@ -125,6 +128,9 @@ MUTANTS = [
      "    spectrum[..., 0] = m + r\n    spectrum[..., 1] = m - r\n"),
     ("closed-form spectrum: radius of a - c, not (a - c)/2", "immersion.py",
      "np.hypot(0.5 * (a - c), b)", "np.hypot((a - c), b)"),
+    # reductions over a short per-sample axis, folded elementwise
+    ("fold drops the last entry", "errors.py",
+     "    for i in range(1, a.shape[-1]):\n", "    for i in range(1, a.shape[-1] - 1):\n"),
     # the restrictions kept beside a patch's last frame
     ("cache: key without the origin", "operators.py",
      'object.__setattr__(self, "_origin_bits", origin.tobytes())',

@@ -576,6 +576,9 @@ def test_grid_and_single_point_paths_agree(name, patch, resolution):
         data = operator_data(single, signature)
         for field in ("kappa", "newton_eigenvalues", "H"):
             assert np.array_equal(getattr(batch, field)[i], getattr(data, field)), (name, field)
+        for k in range(patch.n + 1):
+            assert (grid.frames.newton_psd_margin(k)[i].tobytes()
+                    == single.newton_psd_margin(k).tobytes()), (name, k)
         one = restrict_field(patch, dist, single)
         for field in ("u", "grad", "grad_norm_sq", "normal_coef", "hess"):
             assert np.array_equal(getattr(restricted, field)[i], getattr(one, field)), (name, field)

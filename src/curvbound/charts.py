@@ -461,8 +461,13 @@ class TabulatedChart(Chart):
         miss = np.zeros(p.shape[:-1], dtype=bool)
         for i, axis in enumerate(self.axes):
             v = p[..., i]
-            j = np.abs(axis - v[..., None]).argmin(axis=-1)
-            miss |= np.abs(axis[j] - v) > self.MATCH_TOL
+            # |axis - v| falls up to the first node >= v and rises after it,
+            # though rounding can hold it flat: step back from that node while
+            # the previous one is no farther, to the first nearest node
+            j = np.minimum(np.searchsorted(axis, v), axis.size - 1)
+            while np.any(back := (j > 0) & (np.abs(axis[j - 1] - v) <= np.abs(axis[j] - v))):
+                j = j - back
+            miss |= ~(np.abs(axis[j] - v) <= self.MATCH_TOL)  # NaN misses too
             index[..., i] = j
         errors = no_errors(p.shape[:-1])
         flag(errors, miss, DomainError, "parameter point is not tabulated")

@@ -142,6 +142,17 @@ MUTANTS = [
      "    hit = getattr(sample, 'checked', False)\n"
      "    sample.checked = True\n"
      "    fd = sample.hess if hit else intrinsic_hessian_fd(patch, rho, p)\n"),
+    # the heap policy set on import
+    ("heap policy: trim threshold 8 MiB -> 8 KiB", "__init__.py",
+     "_TRIM_THRESHOLD_BYTES = 8 * 2**20", "_TRIM_THRESHOLD_BYTES = 8 * 2**10"),
+    ("heap policy: mmap threshold 4 MiB -> 64 KiB", "__init__.py",
+     "_MMAP_THRESHOLD_BYTES = 4 * 2**20", "_MMAP_THRESHOLD_BYTES = 64 * 2**10"),
+    ("heap policy: the mallopt calls dropped", "__init__.py",
+     "    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)\n"
+     "    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)\n", ""),
+    # the tabulated chart's node lookup
+    ("tabulated lookup: a NaN coordinate matches", "charts.py",
+     "miss |= ~(np.abs(axis[j] - v) <= self.MATCH_TOL)", "miss |= np.abs(axis[j] - v) > self.MATCH_TOL"),
 ]
 
 EQUIVALENT = {

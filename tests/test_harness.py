@@ -1,8 +1,10 @@
 """Scenario loading, verification reports, CSV emission, CLI exit codes."""
 
+import ctypes
 import dataclasses
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -737,6 +739,54 @@ def test_verify_path_imports_no_scipy():
     assert child["scipy"] == []
     margin = curvbound.sturm_margin(curvbound.make_bound("const(1)"), 5.0)
     assert float.fromhex(child["margin"]) == margin
+
+
+# The child warms up on two resolution-48 scenarios, runs them once more and
+# prints the minor page faults of that last pass.
+WARM_PASS_CHILD = """
+import json, resource
+from curvbound.harness import bundled_scenarios, load_scenario, run_scenario
+
+sources = bundled_scenarios()
+
+def one_pass():
+    for name in ("ellipsoid", "sphere-in-sphere"):
+        config = load_scenario(sources[name])
+        config.resolution = 48
+        run_scenario(config)
+
+one_pass()
+one_pass()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+one_pass()
+print(json.dumps(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap policy sets glibc's mallopt")
+def test_a_warm_verify_pass_takes_no_page_faults():
+    # glibc's default thresholds give the freed batch arrays back to the kernel
+    # and fault them in again: about 300 and 615 faults for these two scenarios
+    src = str(Path(curvbound.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", WARM_PASS_CHILD], capture_output=True,
+                          text=True, check=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert json.loads(done.stdout.splitlines()[-1]) <= 16
+
+
+def _raising(exc):
+    def cdll(name):
+        raise exc
+    return cdll
+
+
+@pytest.mark.parametrize("cdll", [
+    pytest.param(lambda name: object(), id="no-mallopt"),
+    pytest.param(_raising(OSError("no such library")), id="oserror"),
+    pytest.param(_raising(TypeError("expected str, not None")), id="windows"),
+])
+def test_the_heap_policy_is_skipped_where_libc_has_no_mallopt(monkeypatch, cdll):
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert curvbound._keep_freed_heap() is None
 
 
 # -- invariances -------------------------------------------------------------------

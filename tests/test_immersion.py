@@ -428,10 +428,32 @@ def test_a_tabulated_point_a_millionth_off_its_grid_is_rejected(tmp_path):
     on = np.array([axis[3] for axis in table.axes])
     assert np.array_equal(table.value(on + 1e-12), table.value(on))
     for i in range(len(on)):
-        off = on.copy()
-        off[i] += 1e-6
-        with pytest.raises(DomainError, match="not tabulated"):
-            table.value(off)
+        for shift in (1e-6, np.nan, np.inf, -np.inf):
+            off = on.copy()
+            off[i] += shift
+            with pytest.raises(DomainError, match="not tabulated"):
+                table.value(off)
+
+
+def test_tabulated_lookup_takes_the_dense_argmin_index():
+    # the first nearest node, as np.abs(axis - v).argmin() picks it: dyadic axes
+    # make each midpoint an exact tie, and at |v| ~ 1e17 rounding flattens
+    # |axis - v| over several nodes
+    axes = (np.array([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0]), np.array([0.0, 0.125, 0.25, 2.0]))
+    params = grid_points(axes)
+    table = TabulatedChart(params, np.zeros((len(params), 3)))
+    rng = np.random.default_rng(3)
+    points = np.concatenate([
+        params,
+        grid_points([0.5 * (a[1:] + a[:-1]) for a in axes]),
+        rng.uniform(-3.0, 3.0, (400, 2)),
+        params + rng.uniform(-1e-9, 1e-9, params.shape),
+        [[1e17, -1e17], [-3e300, 3e300], [5e-324, -5e-324]],
+    ])
+    index, _ = table._lookup(points)
+    dense = np.stack([np.abs(a - points[:, i, None]).argmin(axis=-1)
+                      for i, a in enumerate(axes)], axis=-1)
+    assert np.array_equal(index, dense)
 
 
 # the charts that define both value and jet, one case per model or parameter regime

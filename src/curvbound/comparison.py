@@ -366,11 +366,11 @@ def solve_cauchy_g(G: CurvatureBoundG, T: float, num: int = 1001) -> OdeSolution
     )
 
 
-def psi(G: CurvatureBoundG, t: float) -> float:
-    """Explicit subsolution (e^{int_0^t G} - 1)/G(0) of the Cauchy problem."""
-    if not 0.0 <= t < math.inf:
+def psi(G: CurvatureBoundG, t):
+    """Explicit subsolution (e^{int_0^t G} - 1)/G(0) of the Cauchy problem, at t or an array."""
+    if not np.all(np.isfinite(t) & np.greater_equal(t, 0.0)):
         raise DomainError("psi requires a finite t >= 0")
-    return math.expm1(G.primitive(t)) / G(0.0)
+    return _over(t, np.expm1(G.primitive(t)) / G(0.0))
 
 
 def psi_quotient(G: CurvatureBoundG, integral: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -388,8 +388,7 @@ def sturm_profile(G: CurvatureBoundG, T: float):
     dg = sol.dg[1:]
     integral = sol.integral_G[1:]
     margins = psi_quotient(G, integral, grid) - dg / g
-    psi_vals = np.expm1(integral) / G(0.0)
-    return grid, g, dg, psi_vals, margins
+    return grid, g, dg, psi(G, grid), margins
 
 
 def sturm_margin(G: CurvatureBoundG, T: float) -> float:

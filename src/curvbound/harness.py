@@ -35,9 +35,9 @@ import numpy as np
 from .comparison import c_b, c_hat_b
 from .curvature import TAU_ELL
 from .errors import ConfigError, failed, fold_last, raise_first
-from .immersion import PointFrame, build_patch, refine_extremum, sample_grid
+from .immersion import GridSamples, build_patch, refine_extremum, sample_grid
 from .operators import DistanceField, key_inequality_rhs, restrict_field, trace_operator
-from .spaceform import RIEMANNIAN, AmbientModel, ReferenceBall, ambient_distance, distance_rows
+from .spaceform import RIEMANNIAN, AmbientModel, ReferenceBall, distance_rows
 
 H_FLOOR = 1e-9  # samples with H_k at or below this are excluded from ratios
 MAX_EXCLUSION_RATE = 0.10
@@ -249,39 +249,17 @@ def scenario_patch(config: ScenarioConfig):
                        config.reference_center, config.jets)
 
 
-@dataclass(eq=False)
-class ScenarioSamples:
-    """Grid samples as arrays over a leading sample axis.
-
-    ``frames`` are those of the N grid points that have a frame, with their
-    operator data (H, kappa, Newton eigenvalues) in the scenario's signature;
-    ``u`` (N,) is the distance.
-    """
-
-    frames: PointFrame
-    u: np.ndarray
-    skipped: list
-    patch: object = None
-    field: object = None
+def collect_samples(config: ScenarioConfig, resolution=None) -> GridSamples:
+    """The scenario patch's grid, with the distances ``u`` to its reference point."""
+    samples = sample_grid(scenario_patch(config), resolution or config.resolution)
+    samples.u  # a kept row without a distance raises here, skipped rows or not
+    return samples
 
 
-def collect_samples(config: ScenarioConfig, resolution=None) -> ScenarioSamples:
-    patch = scenario_patch(config)
-    dist = DistanceField(config.model, config.reference_center)
-    grid = sample_grid(patch, resolution or config.resolution)
-    return ScenarioSamples(
-        frames=grid.frames,
-        u=ambient_distance(dist.model, dist.origin, grid.frames.position),
-        skipped=grid.skipped,
-        patch=patch,
-        field=dist,
-    )
-
-
-def refined_distance_extremum(samples: ScenarioSamples, mode: str):
+def refined_distance_extremum(samples: GridSamples, mode: str):
     """(param, value) of the refined max or min of u over the patch."""
     sign = 1.0 if mode == "max" else -1.0
-    patch, dist = samples.patch, samples.field
+    patch = samples.patch
     idx = np.argmax(samples.u) if mode == "max" else np.argmin(samples.u)
     cell = patch.domain_width / max(2, len(samples.u) ** (1.0 / patch.n))
 
@@ -289,7 +267,7 @@ def refined_distance_extremum(samples: ScenarioSamples, mode: str):
         errors = patch.chart.undefined(Q)
         ok = ~failed(errors)
         rho = np.zeros(len(Q))
-        rho[ok], errors[ok] = distance_rows(dist.model, dist.origin, patch.chart.value(Q[ok]))
+        rho[ok], errors[ok] = distance_rows(patch.ambient, patch.center, patch.chart.value(Q[ok]))
         return rho, errors
 
     return refine_extremum(patch, fn, samples.frames.param[idx], cell, sign=sign)
@@ -301,7 +279,7 @@ def floored_ratio(H: np.ndarray, k: int, floor: float = H_FLOOR):
     return np.divide(H[:, k + 1], H[:, k], out=np.full(len(kept), np.nan), where=kept), kept
 
 
-def _ratio_pool(samples: ScenarioSamples, k: int):
+def _ratio_pool(samples: GridSamples, k: int):
     """The floored ratios H_{k+1}/H_k that are kept, their parameters and the exclusion count."""
     ratio, kept = floored_ratio(samples.frames.H, k)
     return ratio[kept], samples.frames.param[kept], int(np.count_nonzero(~kept))
@@ -350,7 +328,7 @@ def evaluate(row: Row) -> CheckRecord:
     return CheckRecord(row.id, row.anchor, "pass" if ok else row.on_fail, margin, worst)
 
 
-def _newton_psd_row(samples: ScenarioSamples, k: int) -> Row:
+def _newton_psd_row(samples: GridSamples, k: int) -> Row:
     margins = samples.frames.newton_psd_margin(k)
     positive_trace = np.all(samples.frames.newton_trace(k) > TAU_ELL)
     return Row(f"newton-psd-k{k}", "P_k positive semidefinite with Tr P_k > 0", margins,
@@ -358,7 +336,7 @@ def _newton_psd_row(samples: ScenarioSamples, k: int) -> Row:
                guard=None if positive_trace else margins.min())
 
 
-def verify_riemannian_estimate(config: ScenarioConfig, samples: ScenarioSamples, r: float) -> list:
+def verify_riemannian_estimate(config: ScenarioConfig, samples: GridSamples, r: float) -> list:
     """Ratio, power-chain and product bounds; ``r`` is the refined max of u."""
     cbr, tol = c_b(config.model.curvature, r), config.tol_margin
     H, params = samples.frames.H, samples.frames.param
@@ -395,7 +373,7 @@ def verify_riemannian_estimate(config: ScenarioConfig, samples: ScenarioSamples,
     return [evaluate(row) for row in rows]
 
 
-def verify_h2_corollary(config: ScenarioConfig, samples: ScenarioSamples, r: float) -> list:
+def verify_h2_corollary(config: ScenarioConfig, samples: GridSamples, r: float) -> list:
     """The H_2 corollary; ``r`` is the refined max of u."""
     b, tol, params = config.model.curvature, config.tol_margin, samples.frames.param
     h1, h2 = samples.frames.H[:, 1], samples.frames.H[:, 2]
@@ -422,7 +400,7 @@ def verify_h2_corollary(config: ScenarioConfig, samples: ScenarioSamples, r: flo
     return [positive] + [evaluate(row) for row in rows]
 
 
-def verify_lorentz_estimates(config: ScenarioConfig, samples: ScenarioSamples) -> list:
+def verify_lorentz_estimates(config: ScenarioConfig, samples: GridSamples) -> list:
     """The ratio sandwich at the refined distance extrema, and the outer-ball bound."""
     rows = [Row("spacelike-samples", "every grid point is spacelike and chronology-admissible",
                 float(len(samples.skipped)),
@@ -456,18 +434,23 @@ def verify_lorentz_estimates(config: ScenarioConfig, samples: ScenarioSamples) -
     return [evaluate(row) for row in rows]
 
 
+def scenario_checks(config: ScenarioConfig, samples: GridSamples) -> list:
+    """The checks of every estimate that applies to the scenario, over its samples."""
+    if config.model.signature != RIEMANNIAN:
+        return verify_lorentz_estimates(config, samples)
+    _, r = refined_distance_extremum(samples, "max")
+    checks = verify_riemannian_estimate(config, samples, r)
+    if config.n >= 2:
+        checks += verify_h2_corollary(config, samples, r)
+    return checks
+
+
 def run_scenario(config: ScenarioConfig) -> VerificationReport:
     t0 = time.perf_counter()
     if config.reference_radius is not None:
         ReferenceBall(config.reference_center, config.reference_radius).validate(config.model)
     samples = collect_samples(config)
-    if config.model.signature == RIEMANNIAN:
-        _, r = refined_distance_extremum(samples, "max")
-        checks = verify_riemannian_estimate(config, samples, r)
-        if config.n >= 2:
-            checks += verify_h2_corollary(config, samples, r)
-    else:
-        checks = verify_lorentz_estimates(config, samples)
+    checks = scenario_checks(config, samples)
     timing = (time.perf_counter() - t0) * 1000.0
     return VerificationReport(
         scenario=config.name,
@@ -486,13 +469,13 @@ def emit_report(report: VerificationReport, path) -> None:
     Path(path).write_text(json.dumps(report.to_dict(), indent=2) + "\n")
 
 
-def emit_samples_csv(config: ScenarioConfig, samples: ScenarioSamples, path) -> None:
+def emit_samples_csv(config: ScenarioConfig, samples: GridSamples, path) -> None:
     """Per-sample dump of a run's grid: parameters, u, |grad u|, and per-k operator data."""
-    frames = samples.frames
-    header = [f"p{i}" for i in range(samples.patch.n)] + ["u", "grad_norm"]
+    frames, patch = samples.frames, samples.patch
+    header = [f"p{i}" for i in range(patch.n)] + ["u", "grad_norm"]
     for k in config.orders:
         header += [f"H{k}", f"H{k + 1}", f"ratio_k{k}", f"q_lu_k{k}", f"key_residual_k{k}"]
-    s = restrict_field(samples.patch, samples.field, frames)
+    s = restrict_field(patch, DistanceField(patch.ambient, patch.center), frames)
     raise_first(s.errors)
     columns = [frames.param, s.u[:, None], np.sqrt(s.grad_norm_sq)[:, None]]
     for k in config.orders:

@@ -48,7 +48,7 @@ from .errors import (
     read_only,
     read_only_copy,
 )
-from .spaceform import LORENTZIAN, AmbientModel, gradient_rows
+from .spaceform import LORENTZIAN, AmbientModel, ambient_distance, gradient_rows
 
 # Finite-difference jet step, relative to the per-axis domain width.
 FD_JET_SCALE = 1e-4
@@ -138,20 +138,21 @@ def induced_metric(d1: np.ndarray, eta: np.ndarray) -> np.ndarray:
     return 0.5 * (g + np.swapaxes(g, -1, -2))
 
 
-# The kernels below run on "samples last" copies: the matrix axes lead and the
-# sample axes trail, C-contiguous, so every elementwise step is one long
-# inner loop over the samples.  Each entry is a fixed sequence of IEEE
+# The kernels below run on "samples last" arrays: the matrix axes lead and the
+# sample axes trail, C-contiguous, so every elementwise step is one long inner
+# loop over the samples.  Such an array may be a view of the caller's, so no
+# kernel writes into its inputs.  Each entry is a fixed sequence of IEEE
 # products and sums, so a sample's bits do not depend on its batch.
 
 
 def _samples_last(a: np.ndarray, core: int = 2) -> np.ndarray:
-    """A C-contiguous copy of a (..., *c) with its ``core`` trailing axes moved to the front."""
+    """a (..., *c) as a C-contiguous (*c, ...): a view of ``a`` if it has that layout, or a copy."""
     lead = a.ndim - core
     return np.ascontiguousarray(a.transpose(tuple(range(lead, a.ndim)) + tuple(range(lead))))
 
 
 def _samples_first(a: np.ndarray, core: int = 2) -> np.ndarray:
-    """The inverse of :func:`_samples_last`: (*c, ...) to a C-contiguous (..., *c)."""
+    """The inverse of :func:`_samples_last`: (*c, ...) as a C-contiguous (..., *c), view or copy."""
     return np.ascontiguousarray(a.transpose(tuple(range(core, a.ndim)) + tuple(range(core))))
 
 
@@ -477,10 +478,19 @@ def frame_at(patch: HypersurfacePatch, p: np.ndarray) -> PointFrame:
 
 @dataclass(eq=False)
 class GridSamples:
-    """Frames over a quasi-uniform grid, with skipped points recorded."""
+    """Frames over a quasi-uniform grid of a patch, with skipped points recorded."""
 
     frames: PointFrame  # the grid points that have a frame, along a leading axis
     skipped: list  # (param, reason)
+    patch: HypersurfacePatch
+
+    @cached_property
+    def u(self) -> np.ndarray:
+        """(N,) read-only distances from the patch's center; raises where one is undefined."""
+        if self.patch.center is None:
+            raise DomainError("the patch has no center to measure the distance from")
+        return read_only(ambient_distance(self.patch.ambient, self.patch.center,
+                                          self.frames.position))
 
     @cached_property
     def points(self) -> list:
@@ -513,7 +523,7 @@ def sample_grid(patch: HypersurfacePatch, resolution) -> GridSamples:
         raise EmptySampleError("every grid point was rejected")
     skipped = [(P[i], f"{type(errors[i]).__name__}: {errors[i]}")
                for i in np.flatnonzero(failed(errors))]
-    return GridSamples(frames=frames, skipped=skipped)
+    return GridSamples(frames=frames, skipped=skipped, patch=patch)
 
 
 @lru_cache(maxsize=None)

@@ -161,9 +161,12 @@ def phi_of_distance_field(model: AmbientModel, origin: np.ndarray, b: float) -> 
     )
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class FieldSample:
-    """Restriction data of an ambient field over the leading sample axes of a frame."""
+    """Restriction data of an ambient field over the leading sample axes of a frame.
+
+    Frozen, like the fields: :func:`restriction_at` keeps one beside a patch's last frame.
+    """
 
     u: np.ndarray
     grad: np.ndarray  # vector in the chart basis

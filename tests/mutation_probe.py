@@ -140,8 +140,17 @@ MUTANTS = [
     ("cache: FD check skipped on a hit", "operators.py",
      "    fd = intrinsic_hessian_fd(patch, rho, p)\n",
      "    hit = getattr(sample, 'checked', False)\n"
-     "    sample.checked = True\n"
+     "    object.__setattr__(sample, 'checked', True)\n"
      "    fd = sample.hess if hit else intrinsic_hessian_fd(patch, rho, p)\n"),
+    ("cache: a kept sample can be rebound", "operators.py",
+     "@dataclass(frozen=True, eq=False)\nclass FieldSample:",
+     "@dataclass(eq=False)\nclass FieldSample:"),
+    # a scenario's samples: the patch's grid and the distances to its center
+    ("collect_samples: the distances are not evaluated", "harness.py",
+     "    samples.u  # a kept row without a distance raises here, skipped rows or not\n", ""),
+    # the kernels read their inputs, which may be views of the caller's arrays
+    ("ldl: factors its input in place", "immersion.py",
+     "    S = np.array(gt, dtype=float)\n", "    S = np.asarray(gt, dtype=float)\n"),
     # the heap policy set on import
     ("heap policy: trim threshold 8 MiB -> 8 KiB", "__init__.py",
      "_TRIM_THRESHOLD_BYTES = 8 * 2**20", "_TRIM_THRESHOLD_BYTES = 8 * 2**10"),

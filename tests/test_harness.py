@@ -18,7 +18,7 @@ import curvbound
 from curvbound import immersion
 from curvbound.cli import main
 from curvbound.curvature import complement_symmetric, signed_values
-from curvbound.errors import ConfigError
+from curvbound.errors import ConfigError, DomainError
 from curvbound.harness import (
     H_FLOOR,
     TIE_ULPS,
@@ -31,13 +31,14 @@ from curvbound.harness import (
     load_scenario,
     refined_distance_extremum,
     run_scenario,
+    scenario_checks,
     scenario_patch,
-    verify_h2_corollary,
-    verify_lorentz_estimates,
-    verify_riemannian_estimate,
 )
-from curvbound.operators import key_inequality_residual
-from curvbound.spaceform import AmbientModel
+from curvbound.immersion import GridSamples
+from curvbound.operators import DistanceField, key_inequality_residual
+from curvbound.spaceform import AmbientModel, ambient_distance
+
+from conftest import counted
 
 
 def bundled(name):
@@ -182,15 +183,6 @@ def test_bundled_reports_match_golden_set(name):
                 assert got[key] == pytest.approx(want[key], rel=1e-10, abs=1e-12), (got["id"], key)
 
 
-def verify_checks(config, samples):
-    """The checks ``run_scenario`` forms from ``samples``."""
-    if config.model.signature != "riemannian":
-        return verify_lorentz_estimates(config, samples)
-    _, r = refined_distance_extremum(samples, "max")
-    checks = verify_riemannian_estimate(config, samples, r)
-    return checks + (verify_h2_corollary(config, samples, r) if config.n >= 2 else [])
-
-
 def nudge_kappa(samples, rng):
     """``samples`` with every principal curvature moved one ulp up or down."""
     kappa = samples.frames.kappa
@@ -212,10 +204,10 @@ def test_worst_samples_survive_round_off(name):
     # worst sample picked by a bare argmin/argmax follows the rounding noise
     config = dataclasses.replace(bundled(name), resolution=16)
     samples = collect_samples(config)
-    base = verify_checks(config, samples)
+    base = scenario_checks(config, samples)
     assert any(c.worst_sample is not None for c in base)
     for seed in range(3):
-        nudged = verify_checks(config, nudge_kappa(samples, np.random.default_rng(seed)))
+        nudged = scenario_checks(config, nudge_kappa(samples, np.random.default_rng(seed)))
         assert [c.id for c in nudged] == [c.id for c in base]
         for got, want in zip(nudged, base):
             assert got.worst_sample == want.worst_sample, (seed, got.id)
@@ -252,7 +244,7 @@ def test_worst_samples_lie_in_the_tie_band(name):
     config = dataclasses.replace(bundled(name), resolution=16)
     samples = collect_samples(config)
     pools = check_pools(config, samples)
-    checks = verify_checks(config, samples)
+    checks = scenario_checks(config, samples)
     located = [c for c in checks if c.worst_sample is not None]
     # every check over a pool of samples names one (none is guarded here)
     assert [c.id for c in located] == [c.id for c in checks if c.id in pools]
@@ -348,6 +340,34 @@ def test_h2_corollary_needs_positive_mean_curvature():
     assert statuses["h2-positive"][0] == "pass"
     assert not any(c.status == "fail" for c in report.checks)
     assert report.exit_code == 2
+
+
+def test_collect_samples_is_the_scenario_patch_grid():
+    config = dataclasses.replace(bundled("ellipsoid"), resolution=16)
+    samples = collect_samples(config)
+    assert isinstance(samples, GridSamples)
+    assert samples.patch.center.tobytes() == config.reference_center.tobytes()
+    expected = ambient_distance(config.model, config.reference_center, samples.frames.position)
+    assert samples.u.tobytes() == expected.tobytes()
+
+
+def test_collect_samples_raises_where_a_kept_row_has_no_distance():
+    # the hyperboloid is centered at the origin and the reference point is not:
+    # every grid point has a frame, but some lie outside the reference's future
+    config = bundled("hyperboloid-equality")
+    config = dataclasses.replace(config, reference_center=np.array([1.5, 0.0, 0.0]),
+                                 chart_params={**config.chart_params, "center": [0.0, 0.0, 0.0]})
+    with pytest.raises(DomainError, match="not in the chronological future"):
+        collect_samples(config)
+
+
+def test_run_scenario_builds_no_distance_field(monkeypatch):
+    # the reference point is the patch's center: the checks read the distance
+    # off the grid and refine it with the patch's model and center
+    built = counted(monkeypatch, DistanceField, "__post_init__")
+    for name in bundled_scenarios():
+        run_scenario(dataclasses.replace(bundled(name), resolution=8))
+    assert built == []
 
 
 def test_refined_extremum_reaches_touching_radius():

@@ -38,9 +38,11 @@ from curvbound.immersion import (
     FD_JET_TOL,
     HypersurfacePatch,
     PointFrame,
+    _samples_last,
     build_patch,
     cofactor_vector,
     congruence,
+    factored_shape,
     frame_at,
     frames_at,
     grid_axes,
@@ -522,6 +524,20 @@ def test_sample_grid_full_sphere_counts():
     assert len(grid.skipped) == 0
 
 
+def test_grid_distances_are_those_to_the_patch_center():
+    patch = build_patch(E3, "sphere", {"radius": 1.0}, center=np.array([0.1, 0.0, 0.0]))
+    grid = sample_grid(patch, 10)
+    assert grid.patch is patch
+    expected = np.linalg.norm(grid.frames.position - patch.center, axis=-1)
+    assert np.allclose(grid.u, expected, rtol=0.0, atol=1e-15)
+    assert grid.u is grid.u  # computed once
+    with pytest.raises(ValueError, match="read-only"):
+        grid.u[0] = 0.0
+    centerless = sample_grid(build_patch(E3, "sphere", {"radius": 1.0}), 10)
+    with pytest.raises(DomainError, match="no center"):
+        centerless.u
+
+
 def test_polar_cap_skips_exactly_on_singular_axis():
     chart_patch = build_patch(
         E3,
@@ -992,6 +1008,31 @@ def test_the_pivot_test_rejects_small_negative_and_non_finite_pivots():
     d = np.array([[1.0, 1.0, 1.0, nan, 1.0, 1.0, -1.0, 1.0, 1.0],
                   [1.0, nan, inf, 1.0, 1e-13, 2e-12, 1.0, 0.0, -inf]])
     assert immersive(d).tolist() == [True] + [False] * 4 + [True] + [False] * 3
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+def test_the_frame_kernels_leave_their_inputs_unchanged(batch):
+    # the samples-last layout of one sample is a view of its input, not a copy,
+    # so a kernel that wrote into what it reads would rewrite the caller's arrays
+    rng = np.random.default_rng(batch)
+    for patch in (sphere_patch(), build_patch(M3, "hyperboloid", {"radius": 2.0})):
+        frames = sample_grid(patch, 8).frames
+        g, h = np.array(frames.metric[:batch]), np.array(frames.second_form[:batch])
+        Rt = np.array(frames.congruence[..., :batch])
+        M = np.array(np.swapaxes(frames.tangent[:batch], -1, -2))
+        covector = rng.standard_normal((batch, patch.n))
+        frame = dataclasses.replace(frames[:batch], congruence=Rt)
+        gt, ht = _samples_last(g), _samples_last(h)
+        assert np.shares_memory(gt, g) == (batch == 1)
+        before = [a.tobytes() for a in (g, h, Rt, M, covector)]
+        Lt, d = ldl(gt)
+        inputs = (g, h, Rt, M, covector, Lt, d)
+        before += [Lt.tobytes(), d.tobytes()]
+        factored_shape(Lt, d, ht)
+        congruence(Rt, h)
+        cofactor_vector(M)
+        frame.raise_index(covector)
+        assert [a.tobytes() for a in inputs] == before
 
 
 def test_non_positive_definite_metric_raises_numerical_error():

@@ -2,7 +2,6 @@
 
 import dataclasses
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -450,29 +449,30 @@ def test_fd_oracle_reads_one_chart_jet_per_stencil(monkeypatch):
 
 
 def spectral_oracle_cases():
-    """(label, samples): the bundled grids at 16 and off-center views of geodesic spheres."""
+    """(label, patch, field, frames): the bundled grids at 16 with the distance to their
+    reference points, and off-center views of geodesic spheres."""
     for name, path in bundled_scenarios().items():
-        yield name, collect_samples(load_scenario(path), 16)
+        samples = collect_samples(load_scenario(path), 16)
+        patch = samples.patch
+        yield name, patch, DistanceField(patch.ambient, patch.center), samples.frames
     for n in (3, 4):
         for model in (AmbientModel.sphere(1.0, n + 1), AmbientModel.hyperbolic(-1.0, n + 1)):
             center = model.base_point()
             patch = build_patch(model, "geodesic_sphere", {"radius": 0.7}, center=center)
             origin = geodesic_point(model, center, np.eye(n + 2)[1], 0.3)
             frames = sample_grid(patch, {3: 6, 4: 4}[n]).frames
-            yield (f"{model.model_kind} n={n}", SimpleNamespace(
-                patch=patch, field=DistanceField(model, origin), frames=frames))
+            yield f"{model.model_kind} n={n}", patch, DistanceField(model, origin), frames
 
 
 def test_spectral_contractions_match_newton_recursion():
     # L_k u, <grad u, P_k grad u> and Tr P_k from the spectra of P_k agree
     # with the same contractions of the recursion's matrices
-    for label, samples in spectral_oracle_cases():
-        s = restrict_field(samples.patch, samples.field, samples.frames)
-        frames = samples.frames
+    for label, patch, field, frames in spectral_oracle_cases():
+        s = restrict_field(patch, field, frames)
         L, P = newton_oracle(frames, frames.signature)
         hess = congruent(L, s.hess)
         v = (np.swapaxes(L, -1, -2) @ s.grad[..., None])[..., 0]
-        for k in range(samples.patch.n):
+        for k in range(patch.n):
             size = np.abs(P[k]).max(axis=(-2, -1))
             checks = (
                 (trace_operator(s, k), np.trace(P[k] @ hess, axis1=-2, axis2=-1),
@@ -482,7 +482,7 @@ def test_spectral_contractions_match_newton_recursion():
                 (frames.newton_trace(k), np.trace(P[k], axis1=-2, axis2=-1), size),
             )
             for got, want, scale in checks:
-                err = np.abs(got - want) / np.maximum(1.0, samples.patch.n * scale)
+                err = np.abs(got - want) / np.maximum(1.0, patch.n * scale)
                 assert err.max() < 1e-13, (label, k, err.max())
 
 
@@ -595,6 +595,26 @@ def test_fields_hold_read_only_copies_and_the_kept_restriction_stays_valid():
         height.coefficients[0] = 1.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         field.origin = o
+
+
+def test_a_kept_sample_cannot_be_rebound():
+    # restriction_at keeps the sample beside the patch's last frame, so a field
+    # rebound on it would change every later call at that point
+    patch = ellipsoid_patch()
+    p, field = np.array([1.0, 2.0]), DistanceField(E3, [0.1, 0.0, 0.0])
+    before = l_k_apply(patch, p, 1, field)
+    kept = restriction_at(patch, p, field)
+    skewed = dataclasses.replace(kept.frame, H=2.0 * kept.frame.H)
+    for spec in dataclasses.fields(FieldSample):
+        value = getattr(kept, spec.name)
+        other = skewed if spec.name == "frame" else (
+            value if value.dtype == object else 2.0 * value)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(kept, spec.name, other)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(kept, spec.name)
+    assert restriction_at(patch, p, field) is kept
+    assert l_k_apply(patch, p, 1, field) == before
 
 
 def test_fields_are_equal_by_value():

@@ -24,24 +24,17 @@ _TRIM_THRESHOLD_BYTES = 8 * 2**20
 def _keep_freed_heap() -> None:
     """Keep the heap that transient batch arrays free mapped, where libc has ``mallopt``.
 
-    A resolution-48 ``run_scenario`` allocates and frees about 2 MB of batch
-    arrays (tracemalloc peak 1.7-2.2 MB per bundled scenario, 3.0-3.75 MB at
-    resolution 64).  With glibc's defaults the top of the heap goes back to
-    the kernel when it is freed and is faulted in again by the next
-    scenario: about 2100 minor faults per warm pass of the six bundled
-    scenarios at resolution 48, 4400 at 64.  Two thresholds stop that, each
-    with room above what resolution 64 needs:
+    Under glibc's defaults the freed top of the heap goes back to the kernel
+    and the next scenario faults it in again; README section "Memory" gives
+    the fault counts and heap sizes.  Two thresholds stop that, each with
+    room above what resolution 64 needs:
 
     - ``M_MMAP_THRESHOLD`` 4 MiB: smaller blocks come from the heap, not from
-      a fresh mmap on every call.  A 256 KiB threshold leaves 0 faults at
-      resolution 48 and 194 at 64; 512 KiB leaves 0 at both.  Setting the
-      trim threshold alone would freeze glibc's dynamic mmap threshold at
-      128 KiB, and the 147 KB jet arrays of a 48x48 grid would still be
-      mapped anew on every call (220 faults per pass).
+      a fresh mmap on every call.  Setting the trim threshold alone would
+      freeze glibc's dynamic mmap threshold at 128 KiB, and a grid's larger
+      jet arrays would still be mapped anew on every call.
     - ``M_TRIM_THRESHOLD`` 8 MiB: the heap keeps at most 8 MiB free above its
-      live data, at least twice the per-scenario transient peak.  A 2 MiB
-      threshold leaves 0 faults at resolution 48 and 4224 at 64; 4 MiB leaves
-      0 at both.
+      live data, at least twice the per-scenario transient peak.
 
     Where the lookup fails (no ``mallopt`` on macOS; ``CDLL(None)`` raises
     TypeError on Windows) this does nothing; on musl ``mallopt`` is a stub.

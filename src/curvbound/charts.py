@@ -120,6 +120,17 @@ def grid_points(axes: list) -> np.ndarray:
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
+def grid_axes(lo, hi, resolution) -> list:
+    """Grid axes over the box [lo, hi]: ``resolution`` points each, or one count (>= 2) per axis."""
+    n = len(lo)
+    res = [int(resolution)] * n if np.isscalar(resolution) else [int(r) for r in resolution]
+    if len(res) != n:
+        raise DomainError("resolution must give one count per parameter axis")
+    if any(r < 2 for r in res):
+        raise DomainError("resolution must be at least 2 per axis")
+    return [np.linspace(lo[i], hi[i], res[i]) for i in range(n)]
+
+
 def _angle_domain(n: int):
     lo = np.zeros(n)
     hi = np.full(n, 2.0 * np.pi)
@@ -530,9 +541,7 @@ class TabulatedChart(Chart):
 def write_chart_csv(chart, domain_lo, domain_hi, resolution, path, include_jets=True):
     """Dump chart samples over a grid to CSV in the tabulated-chart format."""
     n = chart.nparams
-    res = [resolution] * n if np.isscalar(resolution) else list(resolution)
-    axes = [np.linspace(domain_lo[i], domain_hi[i], res[i]) for i in range(n)]
-    points = grid_points(axes)
+    points = grid_points(grid_axes(domain_lo, domain_hi, resolution))
     jet = chart.jet(points) if include_jets else (chart.value(points),)
     if jet is None:
         raise ConfigError("chart has no analytic jets to export")

@@ -11,11 +11,12 @@ per-matrix LAPACK calls are the symmetric eigenvalue routines: from n = 3 on,
 for kappa and, on the rare rows the immersion test rejects, to name the
 reason (a surface's 2 x 2 spectra are in closed form,
 :func:`_symmetric_spectrum`); and for the principal directions on demand.
-The metric's LDL^T factorization, whose pivots decide the immersion test, the
-congruence R = D^-1/2 L^-1 kept on the frame, the cofactor normal (a Laplace
-expansion over column subsets) and the closed-form spectra are elementwise,
-so a sample's bits do not depend on the batch it was built in.  No
-reduction runs per row over a short axis: a max, min or all over a sample's
+One elimination on [g | I] factors the metric: it yields the LDL^T pivots,
+which decide the immersion test, and L^-1, for the congruence
+R = D^-1/2 L^-1 kept on the frame.  That elimination, the cofactor normal
+(a Laplace expansion over column subsets) and the closed-form spectra are
+elementwise, so a sample's bits do not depend on the batch it was built in.
+No reduction runs per row over a short axis: a max, min or all over a sample's
 few entries is folded elementwise over the samples (:func:`fold_last`), and
 the jets' finite test is one whole-array test, per row only when it fails.
 
@@ -33,7 +34,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .charts import Chart, build_chart, fd_jet, grid_points
+from .charts import Chart, build_chart, fd_jet, grid_axes, grid_points
 from .curvature import complement_symmetric, signed_values, trace_coefficients
 from .errors import (
     ConfigError,
@@ -48,7 +49,7 @@ from .errors import (
     read_only,
     read_only_copy,
 )
-from .spaceform import LORENTZIAN, AmbientModel, ambient_distance, gradient_rows
+from .spaceform import LORENTZIAN, AmbientModel, distance_rows, gradient_rows
 
 # Finite-difference jet step, relative to the per-axis domain width.
 FD_JET_SCALE = 1e-4
@@ -165,22 +166,22 @@ def _matmul(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 
 def ldl(gt: np.ndarray) -> tuple:
-    """(L, d) with g = L diag(d) L^T, L unit lower triangular, of samples-last g (n, n, ...).
+    """(d, L^-1) with g = L diag(d) L^T, L unit lower triangular, of samples-last g (n, n, ...).
 
-    One pivot step at a time: step k scales column k of the trailing block by
-    the pivot d_k into L and subtracts the rank-one update.  There is no
-    pivoting, so a zero pivot of an indefinite or degenerate g makes the later
-    entries inf or NaN; :func:`immersive` rejects such rows.
+    One elimination on the block [g | I], one pivot step at a time: step k
+    subtracts multiples of row k from the rows below it, clearing column k of
+    g, so the pivot d_k is left on g's diagonal and the I block, under the
+    same row operations, becomes L^-1.  There is no pivoting, so a zero pivot
+    of an indefinite or degenerate g makes the later entries inf or NaN;
+    :func:`immersive` rejects such rows.
     """
-    S = np.array(gt, dtype=float)
-    Lt = np.zeros(S.shape)
+    n, diagonal = len(gt), np.arange(len(gt))
+    S = np.concatenate([gt, np.zeros(gt.shape)], axis=1)
+    S[diagonal, n + diagonal] = 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        for k in range(len(S) - 1):
-            Lt[k + 1:, k] = S[k + 1:, k] / S[k, k]
-            S[k + 1:, k + 1:] -= Lt[k + 1:, k, None] * S[k, k + 1:]
-    diagonal = np.arange(len(S))
-    Lt[diagonal, diagonal] = 1.0
-    return Lt, S[diagonal, diagonal]  # step k leaves the pivot d_k at S[k, k]
+        for k in range(n - 1):
+            S[k + 1:, k + 1:] -= (S[k + 1:, k] / S[k, k])[:, None] * S[k, k + 1:]
+    return S[diagonal, diagonal], S[:, n:]
 
 
 def immersive(d: np.ndarray) -> np.ndarray:
@@ -192,32 +193,13 @@ def immersive(d: np.ndarray) -> np.ndarray:
     return np.all(d > DEGENERACY_TOL * np.abs(d).max(axis=0), axis=0)
 
 
-def factored_shape(Lt: np.ndarray, d: np.ndarray, ht: np.ndarray) -> tuple:
-    """(R, A) from the samples-last factor g = L diag(d) L^T and forms h: R samples last, A first.
-
-    R = D^-1/2 L^-1 by forward substitution, one row per step, and A = sym(R h R^T).
-    """
-    Rt = np.zeros(Lt.shape)
-    for i in range(len(Lt)):
-        Rt[i, i] = 1.0
-        for k in range(i):
-            Rt[i] -= Lt[i, k] * Rt[k]
-    Rt /= np.sqrt(d)[:, None]
-    return Rt, _samples_first(_symmetric_congruence(Rt, ht))
-
-
-def _symmetric_congruence(Rt: np.ndarray, ht: np.ndarray) -> np.ndarray:
-    """sym(R h R^T) of samples-last stacks R and h, samples last."""
-    A = _matmul(_matmul(Rt, ht), np.swapaxes(Rt, 0, 1))
-    return 0.5 * (A + np.swapaxes(A, 0, 1))
-
-
 def congruence(Rt: np.ndarray, h: np.ndarray) -> np.ndarray:
     """sym(R h R^T): the bilinear forms h (..., n, n) in the frame orthonormalized by R (n, n, ...).
 
     R is samples last, as a frame keeps it; the result is samples first, like h.
     """
-    return _samples_first(_symmetric_congruence(Rt, _samples_last(h)))
+    A = _matmul(_matmul(Rt, _samples_last(h)), np.swapaxes(Rt, 0, 1))
+    return _samples_first(0.5 * (A + np.swapaxes(A, 0, 1)))
 
 
 def _symmetric_spectrum(A: np.ndarray) -> np.ndarray:
@@ -297,8 +279,8 @@ class PointFrame:
     contractions of :mod:`curvbound.operators` read from a sample's frame.
 
     ``congruence`` is the frame's one factorization of the metric: the
-    triangular R = D^-1/2 L^-1 of its LDL^T factorization (:func:`ldl`), the
-    inverse of the Cholesky factor L D^1/2, so g^-1 = R^T R.  It is kept
+    triangular R = D^-1/2 L^-1 from one elimination on [g | I] (:func:`ldl`),
+    the inverse of the Cholesky factor L D^1/2, so g^-1 = R^T R.  It is kept
     samples last, (n, n, ...), the layout of the elementwise kernels, so the
     principal directions and :meth:`raise_index` read it as it is, without
     factoring or solving with the metric again.
@@ -359,15 +341,15 @@ def frames_at(patch: HypersurfacePatch, P: np.ndarray):
     among them.  Each failing check removes its rows before the next step, so
     stacked linear algebra only sees rows that passed.  A row whose jet has a
     non-finite entry fails before its metric is formed.  The metric is
-    factored once, as g = L diag(d) L^T: the pivots d decide the immersion
-    test, and the same factor gives the congruence and the shape operator.
+    factored once, by one elimination on [g | I] (:func:`ldl`): its pivots d
+    decide the immersion test, and R = D^-1/2 L^-1 gives the shape operator R h R^T.
     The S_k table of the spectra is built and signed once, for the batch.
     """
     P = np.asarray(P, dtype=float)
     model = patch.ambient
     errors = no_errors(len(P))
     rows = np.arange(len(P))
-    factor = ()  # (L, d) of the surviving rows' metrics, samples last
+    factor = ()  # (d, L^-1) of the surviving rows' metrics, samples last
 
     def reject(bad, exc, *arrays):
         """Record exc for the surviving rows flagged bad; return ``arrays`` without them."""
@@ -394,7 +376,7 @@ def frames_at(patch: HypersurfacePatch, P: np.ndarray):
     eta = model.metric_diag
     g = induced_metric(d1, eta)
     factor = ldl(_samples_last(g))
-    bad = ~immersive(factor[1])
+    bad = ~immersive(factor[0])
     if bad.any():
         # the pivots decide which rows fail and the spectrum of those rows names
         # the reason: a rejected row has lambda_min/lambda_max <= d_min/d_max
@@ -433,8 +415,8 @@ def frames_at(patch: HypersurfacePatch, P: np.ndarray):
 
     h = np.einsum("...mab,...m->...ab", d2, eta * normal)
     h = 0.5 * (h + np.swapaxes(h, -1, -2))
-    R, A = factored_shape(*factor, _samples_last(h))
-    kappa = _symmetric_spectrum(A)
+    R = factor[1] / np.sqrt(factor[0])[:, None]  # D^-1/2 L^-1
+    kappa = _symmetric_spectrum(congruence(R, h))
     H, newton_eigenvalues = signed_values(complement_symmetric(kappa), model.signature)
     frames = PointFrame(
         param=P[rows],
@@ -489,8 +471,10 @@ class GridSamples:
         """(N,) read-only distances from the patch's center; raises where one is undefined."""
         if self.patch.center is None:
             raise DomainError("the patch has no center to measure the distance from")
-        return read_only(ambient_distance(self.patch.ambient, self.patch.center,
-                                          self.frames.position))
+        # the patch validated its center, so only the positions are checked here
+        rho, errors = distance_rows(self.patch.ambient, self.patch.center, self.frames.position)
+        raise_first(errors)
+        return read_only(rho)
 
     @cached_property
     def points(self) -> list:
@@ -505,19 +489,9 @@ class GridSamples:
         return [(row[0], PointFrame(*row, f.signature)) for row in rows]
 
 
-def grid_axes(patch: HypersurfacePatch, resolution) -> list:
-    n = patch.n
-    res = [int(resolution)] * n if np.isscalar(resolution) else [int(r) for r in resolution]
-    if len(res) != n:
-        raise DomainError("resolution must give one count per parameter axis")
-    if any(r < 2 for r in res):
-        raise DomainError("resolution must be at least 2 per axis")
-    return [np.linspace(patch.domain_lo[i], patch.domain_hi[i], res[i]) for i in range(n)]
-
-
 def sample_grid(patch: HypersurfacePatch, resolution) -> GridSamples:
     """Evaluate frames over the product grid, skipping degenerate points."""
-    P = grid_points(grid_axes(patch, resolution))
+    P = grid_points(grid_axes(patch.domain_lo, patch.domain_hi, resolution))
     frames, errors = frames_at(patch, P)
     if not len(frames.param):
         raise EmptySampleError("every grid point was rejected")

@@ -37,7 +37,7 @@ from functools import partial
 
 import numpy as np
 
-from .charts import fd_jet
+from .charts import fd_jet, grid_axes, grid_points
 from .comparison import c_b, phi_b, phi_b_d1, phi_b_d2
 from .curvature import TAU_ELL, convention_signs, trace_coefficients
 from .errors import (
@@ -55,8 +55,6 @@ from .immersion import (
     PointFrame,
     frame_at,
     frames_at,
-    grid_axes,
-    grid_points,
     induced_metric,
     refine_extremum,
 )
@@ -421,7 +419,7 @@ def omori_yau_search(
     default 8 rounds resolve gradients to roughly cell/256; raise ``rounds``
     for tighter targets).  Every point evaluated joins the candidate pool.
     """
-    axes = grid_axes(patch, resolution)
+    axes = grid_axes(patch.domain_lo, patch.domain_hi, resolution)
     records, errors, excluded = _evaluate_rows(patch, field, k, grid_points(axes))
     if not len(records[1]):
         raise GeometryError("no valid samples for the extremum search")

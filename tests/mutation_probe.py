@@ -148,9 +148,10 @@ MUTANTS = [
     # a scenario's samples: the patch's grid and the distances to its center
     ("collect_samples: the distances are not evaluated", "harness.py",
      "    samples.u  # a kept row without a distance raises here, skipped rows or not\n", ""),
-    # the kernels read their inputs, which may be views of the caller's arrays
-    ("ldl: factors its input in place", "immersion.py",
-     "    S = np.array(gt, dtype=float)\n", "    S = np.asarray(gt, dtype=float)\n"),
+    # the one elimination on [g | I]: L^-1 comes from the row operations on I
+    ("ldl: the identity block left out of the row update", "immersion.py",
+     "S[k + 1:, k + 1:] -= (S[k + 1:, k] / S[k, k])[:, None] * S[k, k + 1:]\n",
+     "S[k + 1:, k + 1:n] -= (S[k + 1:, k] / S[k, k])[:, None] * S[k, k + 1:n]\n"),
     # the heap policy set on import
     ("heap policy: trim threshold 8 MiB -> 8 KiB", "__init__.py",
      "_TRIM_THRESHOLD_BYTES = 8 * 2**20", "_TRIM_THRESHOLD_BYTES = 8 * 2**10"),

@@ -16,7 +16,9 @@ routines in single-point calls that raise the first error:
   finite-difference Hessian along a geodesic that never touches the closed
   forms;
 - frames: the congruence and shape operators of stacked metrics in the
-  samples-first layout, from the library's LDL^T kernels.
+  samples-first layout, from the library's elimination on [g | I], and the
+  same by an explicit LDL^T factor and forward substitution, the reference
+  that elimination matches bit for bit.
 
 Sign conventions are those of :mod:`curvbound.curvature`.
 """
@@ -38,7 +40,14 @@ from curvbound.curvature import (
     trace_coefficients,
 )
 from curvbound.errors import HypothesisViolationError, NumericalError, raise_first
-from curvbound.immersion import _samples_first, _samples_last, factored_shape, induced_metric, ldl
+from curvbound.immersion import (
+    _matmul,
+    _samples_first,
+    _samples_last,
+    congruence,
+    induced_metric,
+    ldl,
+)
 from curvbound.spaceform import (
     RIEMANNIAN,
     AmbientModel,
@@ -286,18 +295,48 @@ def hessian_comparison_residual(
 def orthonormal_shape(g: np.ndarray, h: np.ndarray) -> tuple:
     """(R, A): the congruences R = L^-1 of the metrics g = L L^T and the shape operators R h R^T.
 
-    Both samples first, (..., n, n).  L = L_1 D^1/2 is the Cholesky factor read
-    from the LDL^T factorization g = L_1 D L_1^T (:func:`curvbound.immersion.ldl`);
-    R and A come by the elementwise products of
-    :func:`curvbound.immersion.factored_shape`.  g^-1 = R^T R, and R^T maps
+    Both samples first, (..., n, n).  L = L_1 D^1/2 is the Cholesky factor of
+    g = L_1 D L_1^T: one elimination on [g | I] (:func:`curvbound.immersion.ldl`)
+    yields the pivots D and L_1^-1, so R = D^-1/2 L_1^-1, and A is
+    :func:`curvbound.immersion.congruence`.  g^-1 = R^T R, and R^T maps
     coordinates in the g-orthonormal frame to the chart basis.  In that frame
     the shape operator is symmetric, which keeps its spectrum real by
     construction.  Raises NumericalError when a metric has a pivot that is
     not positive, that is, no Cholesky factor.
     """
-    Lt, d = ldl(_samples_last(g))
+    d, Linv = ldl(_samples_last(g))
     if not np.all(d > 0.0):
         raise NumericalError(
             f"metric not positive definite (cond ~ {np.max(np.linalg.cond(g)):.3e})")
-    Rt, A = factored_shape(Lt, d, _samples_last(h))
-    return _samples_first(Rt), A
+    Rt = Linv / np.sqrt(d)[:, None]
+    return _samples_first(Rt), congruence(Rt, h)
+
+
+def substitution_shape(g: np.ndarray, h: np.ndarray) -> tuple:
+    """(d, R, A) of the metrics g and forms h (..., n, n) by an explicit factor L and substitution.
+
+    The LDL^T factorization stores L, unit lower triangular, one pivot step
+    at a time; forward substitution then inverts it one row per step, and
+    R = D^-1/2 L^-1 and A = sym(R h R^T) follow, R and A samples first.
+    Each entry takes the same IEEE operations, in the same order, as in
+    :func:`curvbound.immersion.ldl`'s elimination on [g | I], so rows with
+    positive pivots match the library's bit for bit.  Rows with a zero or
+    negative pivot give inf or NaN, without a warning.
+    """
+    S = np.array(_samples_last(g), dtype=float)
+    n = len(S)
+    Lt = np.zeros(S.shape)
+    Rt = np.zeros(S.shape)
+    with np.errstate(all="ignore"):
+        for k in range(n - 1):
+            Lt[k + 1:, k] = S[k + 1:, k] / S[k, k]
+            S[k + 1:, k + 1:] -= Lt[k + 1:, k, None] * S[k, k + 1:]
+        for i in range(n):
+            Rt[i, i] = 1.0
+            for k in range(i):
+                Rt[i] -= Lt[i, k] * Rt[k]
+        d = S[np.arange(n), np.arange(n)]
+        Rt /= np.sqrt(d)[:, None]
+        A = _matmul(_matmul(Rt, _samples_last(h)), np.swapaxes(Rt, 0, 1))
+        A = 0.5 * (A + np.swapaxes(A, 0, 1))
+    return _samples_first(d, 1), _samples_first(Rt), _samples_first(A)

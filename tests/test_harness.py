@@ -351,6 +351,14 @@ def test_collect_samples_is_the_scenario_patch_grid():
     assert samples.u.tobytes() == expected.tobytes()
 
 
+def test_collect_samples_checks_the_reference_point_once(monkeypatch):
+    # the patch validates its center where it enters, and the distances trust it
+    config = bundled("ellipsoid")
+    checked = counted(monkeypatch, AmbientModel, "check_point")
+    collect_samples(config)
+    assert [args[1].tobytes() for args in checked] == [config.reference_center.tobytes()]
+
+
 def test_collect_samples_raises_where_a_kept_row_has_no_distance():
     # the hyperboloid is centered at the origin and the reference point is not:
     # every grid point has a frame, but some lie outside the reference's future
@@ -400,9 +408,9 @@ def test_riemannian_report_flags_skipped_samples(tmp_path):
 def test_non_finite_jets_are_skipped_not_fatal(tmp_path, capsys):
     # an ellipsoid table with one NaN in d1 (row 17) and one in d2 (row 90):
     # both rows are skipped with a DomainError, and the run reports them
-    from curvbound.charts import build_chart, grid_points, write_chart_csv
+    from curvbound.charts import build_chart, grid_axes, grid_points, write_chart_csv
     from curvbound.errors import DomainError, failed
-    from curvbound.immersion import frames_at, grid_axes
+    from curvbound.immersion import frames_at
 
     raw = json.loads(Path(bundled_scenarios()["ellipsoid"]).read_text())
     chart = build_chart(AmbientModel.euclidean(3), "ellipsoid", raw["chart"]["params"])
@@ -425,7 +433,7 @@ def test_non_finite_jets_are_skipped_not_fatal(tmp_path, capsys):
     assert (checks["skipped-samples"]["status"], checks["skipped-samples"]["residual"]) == (
         "info", 2.0)
     patch = scenario_patch(load_scenario(scenario))
-    _, errors = frames_at(patch, grid_points(grid_axes(patch, 12)))
+    _, errors = frames_at(patch, grid_points(grid_axes(patch.domain_lo, patch.domain_hi, 12)))
     assert np.flatnonzero(failed(errors)).tolist() == [17, 90]
     assert all(type(errors[i]) is DomainError for i in (17, 90))
     assert "not finite" in str(errors[17])

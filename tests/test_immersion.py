@@ -18,6 +18,7 @@ from curvbound.charts import (
     TabulatedChart,
     build_chart,
     fd_jet,
+    grid_axes,
     hypersphere_direction_jet,
     write_chart_csv,
 )
@@ -42,10 +43,8 @@ from curvbound.immersion import (
     build_patch,
     cofactor_vector,
     congruence,
-    factored_shape,
     frame_at,
     frames_at,
-    grid_axes,
     grid_points,
     immersive,
     induced_metric,
@@ -57,6 +56,7 @@ from curvbound.operators import (
     DistanceField,
     key_inequality_rhs,
     l_k_apply,
+    omori_yau_search,
     operator_data,
     restrict_field,
     restriction_hessian,
@@ -65,7 +65,7 @@ from curvbound.operators import (
 from curvbound.spaceform import AmbientModel
 
 from conftest import congruent, counted, riemannian_space_form
-from oracles import orthonormal_shape
+from oracles import orthonormal_shape, substitution_shape
 
 E3 = AmbientModel.euclidean(3)
 M3 = AmbientModel.minkowski(3)
@@ -418,6 +418,20 @@ def test_chart_value_is_the_jet_position(tmp_path, rng):
         assert table.value(inner).tobytes() == table.jet(inner)[0].tobytes()
 
 
+@pytest.mark.parametrize("resolution", [[6], [6, 6, 6], 1, [6, 1]])
+def test_every_grid_takes_one_count_of_at_least_two_per_axis(tmp_path, resolution):
+    # a table, a sample grid and a search grid share one axis builder
+    patch = sphere_patch()
+    path = tmp_path / "table.csv"
+    with pytest.raises(DomainError, match="resolution"):
+        write_chart_csv(patch.chart, patch.domain_lo, patch.domain_hi, resolution, path)
+    assert not path.exists()
+    with pytest.raises(DomainError, match="resolution"):
+        sample_grid(patch, resolution)
+    with pytest.raises(DomainError, match="resolution"):
+        omori_yau_search(patch, DistanceField(E3, np.zeros(3)), 1, resolution=resolution)
+
+
 def _sphere_table(tmp_path, resolution=9):
     sphere = build_chart(E3, "sphere", {"radius": 1.0})
     path = tmp_path / "sphere.csv"
@@ -576,7 +590,8 @@ def test_degeneracy_floor_sits_between_thin_and_collapsed_cylinders(radius, kept
     else:
         with pytest.raises(EmptySampleError, match="every grid point was rejected"):
             sample_grid(patch, 8)
-        frames, errors = frames_at(patch, grid_points(grid_axes(patch, 8)))
+        P = grid_points(grid_axes(patch.domain_lo, patch.domain_hi, 8))
+        frames, errors = frames_at(patch, P)
         assert all(isinstance(e, ImmersionDegeneracyError) for e in errors)
 
 
@@ -985,22 +1000,41 @@ def test_triangular_congruence_matches_two_solves(n, batch, seed):
 
 
 @given(n=st.integers(1, 5), batch=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_one_elimination_matches_the_factor_and_substitution_bit_for_bit(n, batch, seed):
+    # positive definite metrics and, in about half the rows, metrics of a random
+    # inertia, whose non-positive pivots the immersion test rejects
+    rng = np.random.default_rng(seed)
+    X, Y = rng.standard_normal((2, batch, n, n))
+    signs = np.where(rng.random((batch, 1)) < 0.5, rng.choice([-1.0, 1.0], (batch, n)), 1.0)
+    g = (X * signs[:, None, :]) @ np.swapaxes(X, -1, -2) + 0.05 * np.eye(n)
+    h = Y + np.swapaxes(Y, -1, -2)
+    d_ref, R_ref, A_ref = substitution_shape(g, h)
+    d, _ = ldl(_samples_last(g))
+    assert np.array_equal(d.T, d_ref, equal_nan=True)
+    ok = immersive(d)
+    R, A = orthonormal_shape(g[ok], h[ok])
+    assert R.tobytes() == R_ref[ok].tobytes() and A.tobytes() == A_ref[ok].tobytes()
+
+
+@given(n=st.integers(1, 5), batch=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
 def test_ldl_factors_the_metric_with_pivots_inside_its_spectrum(n, batch, seed):
     X = np.random.default_rng(seed).standard_normal((batch, n, n))
     g = X @ np.swapaxes(X, -1, -2) + 0.05 * np.eye(n)
-    Lt, d = ldl(np.moveaxis(g, 0, -1))
-    L, D = np.moveaxis(Lt, -1, 0), d.T
-    assert np.array_equal(L, np.tril(L)) and np.all(np.diagonal(L, 0, -2, -1) == 1.0)
+    d, Linv_t = ldl(np.moveaxis(g, 0, -1))
+    Linv, D = np.moveaxis(Linv_t, -1, 0), d.T
+    assert np.array_equal(Linv, np.tril(Linv)) and np.all(np.diagonal(Linv, 0, -2, -1) == 1.0)
     scale = np.abs(g).max()
-    LDLT = (L * D[:, None, :]) @ np.swapaxes(L, -1, -2)
-    assert np.allclose(LDLT, g, rtol=0.0, atol=1e-12 * scale)
+    # L^-1 g L^-T = diag(d), up to the round-off of products with L^-1's entries
+    congruent_g = Linv @ g @ np.swapaxes(Linv, -1, -2)
+    assert np.allclose(congruent_g, D[:, :, None] * np.eye(n), rtol=0.0,
+                       atol=1e-12 * scale * max(1.0, np.abs(Linv).max()) ** 2)
     # the pivots are Schur complements: lambda_min <= d <= lambda_max, so a row
     # the pivot test rejects has lambda_min/lambda_max <= d_min/d_max
     eigs = np.linalg.eigvalsh(g)
     assert np.all(D >= eigs[:, :1] - 1e-12 * scale) and np.all(D <= eigs[:, -1:] + 1e-12 * scale)
     for i in range(batch):
-        one_L, one_d = ldl(g[i])
-        assert np.array_equal(one_L, L[i]) and np.array_equal(one_d, D[i])
+        one_d, one_Linv = ldl(g[i])
+        assert np.array_equal(one_Linv, Linv[i]) and np.array_equal(one_d, D[i])
 
 
 def test_the_pivot_test_rejects_small_negative_and_non_finite_pivots():
@@ -1022,13 +1056,11 @@ def test_the_frame_kernels_leave_their_inputs_unchanged(batch):
         M = np.array(np.swapaxes(frames.tangent[:batch], -1, -2))
         covector = rng.standard_normal((batch, patch.n))
         frame = dataclasses.replace(frames[:batch], congruence=Rt)
-        gt, ht = _samples_last(g), _samples_last(h)
+        gt = _samples_last(g)
         assert np.shares_memory(gt, g) == (batch == 1)
-        before = [a.tobytes() for a in (g, h, Rt, M, covector)]
-        Lt, d = ldl(gt)
-        inputs = (g, h, Rt, M, covector, Lt, d)
-        before += [Lt.tobytes(), d.tobytes()]
-        factored_shape(Lt, d, ht)
+        inputs = (g, h, Rt, M, covector)
+        before = [a.tobytes() for a in inputs]
+        ldl(gt)
         congruence(Rt, h)
         cofactor_vector(M)
         frame.raise_index(covector)

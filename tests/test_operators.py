@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from curvbound import curvature, immersion, operators, spaceform
-from curvbound.charts import EllipsoidChart, PerturbedHyperboloidChart
+from curvbound.charts import EllipsoidChart, PerturbedHyperboloidChart, grid_axes
 from curvbound.comparison import c_b, phi_b, phi_b_d1
 from curvbound.errors import (
     ConsistencyError,
@@ -28,7 +28,6 @@ from curvbound.immersion import (
     build_patch,
     frame_at,
     frames_at,
-    grid_axes,
     grid_points,
     sample_grid,
 )
@@ -773,7 +772,7 @@ def test_search_reports_failure_without_raising():
 def test_search_counts_skipped_rows():
     # the distance field has no gradient at its own origin, grid row 37
     patch = build_patch(E3, "sphere", {"radius": 1.0}, center=np.zeros(3))
-    origin = patch.chart.value(grid_points(grid_axes(patch, 10))[37])
+    origin = patch.chart.value(grid_points(grid_axes(patch.domain_lo, patch.domain_hi, 10))[37])
     report = omori_yau_search(patch, DistanceField(E3, origin), 0, resolution=10, rounds=4)
     assert (report.skipped, report.excluded, report.evaluations) == (1, 0, 200)
 
@@ -819,7 +818,7 @@ def test_search_skips_rows_beyond_comparison_radius():
     report = omori_yau_search(patch, field, 0, resolution=10, rounds=2)
     assert (report.skipped, report.excluded) == (30, 0)
     assert report.u_star < np.pi / 2
-    frames, _ = frames_at(patch, grid_points(grid_axes(patch, 10)))
+    frames, _ = frames_at(patch, grid_points(grid_axes(patch.domain_lo, patch.domain_hi, 10)))
     beyond = frames.param[np.vecdot(frames.position, far) <= 0.0]
     assert len(beyond) == 30
     with pytest.raises(DomainError):

@@ -249,15 +249,12 @@ def make_bound(spec: str) -> CurvatureBoundG:
 class OdeSolution:
     """Solution of g'' = G^2 g, g(0) = 0, g'(0) = 1 on a grid over [0, T].
 
-    ``integral_G`` carries int_0^t G (the bound's primitive) alongside, so
-    quotient comparisons need no quadrature.  ``diagnostics["steps"]`` is the
-    number of Magnus steps taken.
+    ``diagnostics["steps"]`` is the number of Magnus steps taken.
     """
 
     grid: np.ndarray
     g: np.ndarray
     dg: np.ndarray
-    integral_G: np.ndarray
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -335,9 +332,8 @@ def solve_cauchy_g(G: CurvatureBoundG, T: float, num: int = 1001) -> OdeSolution
     geometrically into FIRST_STEP_GRADING + 1 pieces, because G' may be
     infinite at 0 (sqrt_growth(0)), where the Gauss nodes lose their order.
     All step propagators come from one numpy evaluation; their prefix products
-    carry y(0) = (0, 1) to every grid point.  ``integral_G`` is the bound's
-    primitive on the grid.  Raises DomainError when g would overflow float64
-    before T.
+    carry y(0) = (0, 1) to every grid point.  Raises DomainError when g
+    would overflow float64 before T.
     """
     if not 0.0 < T < math.inf:  # written so that NaN fails it
         raise DomainError("solve_cauchy_g requires a finite T > 0")
@@ -361,7 +357,6 @@ def solve_cauchy_g(G: CurvatureBoundG, T: float, num: int = 1001) -> OdeSolution
         grid=grid,
         g=g,
         dg=np.concatenate([[1.0], ends[:, 1, 1]]),
-        integral_G=G.primitive(grid),
         diagnostics={"steps": widths.size},
     )
 
@@ -386,8 +381,7 @@ def sturm_profile(G: CurvatureBoundG, T: float):
     grid = sol.grid[1:]
     g = sol.g[1:]
     dg = sol.dg[1:]
-    integral = sol.integral_G[1:]
-    margins = psi_quotient(G, integral, grid) - dg / g
+    margins = psi_quotient(G, G.primitive(grid), grid) - dg / g
     return grid, g, dg, psi(G, grid), margins
 
 

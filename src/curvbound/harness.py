@@ -9,13 +9,13 @@ curvature orders k, then checks every estimate that applies:
                C_{-b} at the refined distance extrema, plus the outer-ball
                bound.
 
-Each check is one row of data (:class:`Row`): the per-sample values an
-inequality bounds (or a scalar), whether it bounds their sup or their inf,
-the right-hand side, the tolerance, the status a failure earns and the
-hypothesis guard.  The ``verify_*`` functions build their rows and
-:func:`evaluate` turns each into a :class:`CheckRecord`: the margin, its
-status and the worst sample, which is the first sample in grid order within
-``TIE_ULPS`` ulp of the extremum (the margin itself uses the exact extremum).
+Each check is one call of :func:`evaluate`, where a ``verify_*`` function
+states it: the per-sample values an inequality bounds (or a scalar), whether
+it bounds their sup or their inf, the right-hand side, the tolerance, the
+status a failure earns and the hypothesis guard.  It returns the
+:class:`CheckRecord`: the margin, its status and the worst sample, which is
+the first sample in grid order within ``TIE_ULPS`` ulp of the extremum (the
+margin itself uses the exact extremum).
 
 Reports are deterministic given the configuration (fixed grids, no
 randomness); only ``timing_ms`` varies between runs.
@@ -249,9 +249,9 @@ def scenario_patch(config: ScenarioConfig):
                        config.reference_center, config.jets)
 
 
-def collect_samples(config: ScenarioConfig, resolution=None) -> GridSamples:
+def collect_samples(config: ScenarioConfig) -> GridSamples:
     """The scenario patch's grid, with the distances ``u`` to its reference point."""
-    samples = sample_grid(scenario_patch(config), resolution or config.resolution)
+    samples = sample_grid(scenario_patch(config), config.resolution)
     samples.u  # a kept row without a distance raises here, skipped rows or not
     return samples
 
@@ -285,153 +285,143 @@ def _ratio_pool(samples: GridSamples, k: int):
     return ratio[kept], samples.frames.param[kept], int(np.count_nonzero(~kept))
 
 
-@dataclass(eq=False)
-class Row:
-    """One inequality of the paper, or one plumbing figure, as data for :func:`evaluate`.
+def evaluate(id: str, anchor: str, values, reduce: str = "inf", rhs: float = 0.0,
+             upper: bool = False, tol: float | None = 0.0, on_fail: str = "fail",
+             params: np.ndarray | None = None, status: str | None = None,
+             guard: float | None = None) -> CheckRecord:
+    """One inequality of the paper, or one plumbing figure, as a :class:`CheckRecord`.
 
-    The row states ``reduce(values) >= rhs`` (``<= rhs`` when ``upper``) over
-    per-sample ``values`` located at ``params``, or over a scalar.  Its margin
-    is the signed gap; it passes when margin >= -tol (margin > 0 when ``tol``
-    is None) and reports ``on_fail`` otherwise.  A ``status`` reports the
-    margin as a figure with that status.  A ``guard`` is the residual of a
-    hypothesis the row presupposes and that fails: the row then reports it
-    as a hypothesis violation in place of its margin.
+    The check states ``reduce(values) >= rhs`` (``<= rhs`` when ``upper``) over
+    per-sample ``values`` located at ``params``, or over a scalar; ``reduce``
+    is inf or sup.  Its margin is the signed gap; it passes when margin >= -tol
+    (margin > 0 when ``tol`` is None) and reports ``on_fail`` otherwise.  A
+    ``status`` reports the margin as a figure with that status.  A ``guard`` is
+    the residual of a hypothesis the check presupposes and that fails: the
+    check then reports it as a hypothesis violation in place of its margin.
     """
-
-    id: str
-    anchor: str
-    values: np.ndarray | float
-    reduce: str = "inf"  # inf | sup
-    rhs: float = 0.0
-    upper: bool = False
-    tol: float | None = 0.0
-    on_fail: str = "fail"
-    params: np.ndarray | None = None
-    status: str | None = None
-    guard: float | None = None
-
-
-def evaluate(row: Row) -> CheckRecord:
-    """The check a row states: its margin, the status that earns, and its worst sample."""
-    if row.guard is not None:
-        return CheckRecord(row.id, row.anchor, "hypothesis-violation", float(row.guard), None)
-    values = np.asarray(row.values, dtype=float)
-    extremum = values.max() if row.reduce == "sup" else values.min()
-    margin = float(row.rhs - extremum if row.upper else extremum - row.rhs)
-    if row.status is not None:
-        return CheckRecord(row.id, row.anchor, row.status, margin, None)
-    ok = margin > 0.0 if row.tol is None else margin >= -row.tol
+    if guard is not None:
+        return CheckRecord(id, anchor, "hypothesis-violation", float(guard), None)
+    values = np.asarray(values, dtype=float)
+    extremum = values.max() if reduce == "sup" else values.min()
+    margin = float(rhs - extremum if upper else extremum - rhs)
+    if status is not None:
+        return CheckRecord(id, anchor, status, margin, None)
+    ok = margin > 0.0 if tol is None else margin >= -tol
     worst = None
-    if row.params is not None:  # the first sample in grid order within the tie band
+    if params is not None:  # the first sample in grid order within the tie band
         band = TIE_ULPS * np.spacing(np.abs(values).max())
-        worst = row.params[np.argmax(np.abs(values - extremum) <= band)].tolist()
-    return CheckRecord(row.id, row.anchor, "pass" if ok else row.on_fail, margin, worst)
+        worst = params[np.argmax(np.abs(values - extremum) <= band)].tolist()
+    return CheckRecord(id, anchor, "pass" if ok else on_fail, margin, worst)
 
 
-def _newton_psd_row(samples: GridSamples, k: int) -> Row:
+def _newton_psd_check(samples: GridSamples, k: int) -> CheckRecord:
     margins = samples.frames.newton_psd_margin(k)
     positive_trace = np.all(samples.frames.newton_trace(k) > TAU_ELL)
-    return Row(f"newton-psd-k{k}", "P_k positive semidefinite with Tr P_k > 0", margins,
-               tol=TAU_ELL, on_fail="hypothesis-violation", params=samples.frames.param,
-               guard=None if positive_trace else margins.min())
+    return evaluate(f"newton-psd-k{k}", "P_k positive semidefinite with Tr P_k > 0", margins,
+                    tol=TAU_ELL, on_fail="hypothesis-violation", params=samples.frames.param,
+                    guard=None if positive_trace else margins.min())
 
 
 def verify_riemannian_estimate(config: ScenarioConfig, samples: GridSamples, r: float) -> list:
     """Ratio, power-chain and product bounds; ``r`` is the refined max of u."""
     cbr, tol = c_b(config.model.curvature, r), config.tol_margin
     H, params = samples.frames.H, samples.frames.param
-    rows = [Row("enclosing-radius", "plumbing", r, status="info")]
+    checks = [evaluate("enclosing-radius", "plumbing", r, status="info")]
     if config.reference_radius is not None:
-        rows.append(Row("declared-radius-consistent", "plumbing", r, upper=True,
-                        rhs=config.reference_radius, tol=config.tol_equality))
+        checks.append(evaluate("declared-radius-consistent", "plumbing", r, upper=True,
+                               rhs=config.reference_radius, tol=config.tol_equality))
     if samples.skipped:
         rate = len(samples.skipped) / (len(samples.skipped) + len(samples.u))
-        rows.append(Row("skipped-samples", "plumbing", float(len(samples.skipped)),
-                        status="inconclusive" if rate > MAX_EXCLUSION_RATE else "info"))
+        checks.append(evaluate("skipped-samples", "plumbing", float(len(samples.skipped)),
+                               status="inconclusive" if rate > MAX_EXCLUSION_RATE else "info"))
     for k in config.orders:
-        rows.append(_newton_psd_row(samples, k))
+        checks.append(_newton_psd_check(samples, k))
         signed, kept_params, excluded = _ratio_pool(samples, k)
         rate = excluded / max(len(samples.u), 1)
         ratio_id, ratio_anchor = f"ratio-lower-bound-k{k}", "sup |H_{k+1}|/H_k >= C_b(r)"
         if rate > MAX_EXCLUSION_RATE:
-            rows.append(Row(ratio_id, ratio_anchor, rate, status="inconclusive"))
+            checks.append(evaluate(ratio_id, ratio_anchor, rate, status="inconclusive"))
             continue
         ratios, hk1 = np.abs(signed), H[:, k + 1]
-        rows += [
-            Row(ratio_id, ratio_anchor, ratios, "sup", cbr, tol=tol, params=kept_params),
-            Row(f"equality-flag-k{k}", "equality is the distance-sphere case", ratios, "sup", cbr,
-                status="info"),
+        checks += [
+            evaluate(ratio_id, ratio_anchor, ratios, "sup", cbr, tol=tol, params=kept_params),
+            evaluate(f"equality-flag-k{k}", "equality is the distance-sphere case", ratios, "sup",
+                     cbr, status="info"),
         ]
         if np.all(hk1 > 0.0):  # the power chain needs H_{k+1} > 0 throughout
-            rows.append(Row(f"power-chain-k{k}", "sup H_{k+1}^{1/(k+1)} >= sup H_{k+1}/H_k",
-                            hk1 ** (1.0 / (k + 1)), "sup", signed.max(), tol=tol, params=params))
-        rows += [  # the product bound never needs exclusions
-            Row(f"product-bound-k{k}", "sup |H_{k+1}| >= C_b(r) inf H_k", np.abs(hk1), "sup",
-                cbr * H[:, k].min(), tol=tol, params=params),
-            Row(f"exclusion-rate-k{k}", "plumbing", rate, status="info"),
+            checks.append(evaluate(f"power-chain-k{k}", "sup H_{k+1}^{1/(k+1)} >= sup H_{k+1}/H_k",
+                                   hk1 ** (1.0 / (k + 1)), "sup", signed.max(), tol=tol,
+                                   params=params))
+        checks += [  # the product bound never needs exclusions
+            evaluate(f"product-bound-k{k}", "sup |H_{k+1}| >= C_b(r) inf H_k", np.abs(hk1), "sup",
+                     cbr * H[:, k].min(), tol=tol, params=params),
+            evaluate(f"exclusion-rate-k{k}", "plumbing", rate, status="info"),
         ]
-    return [evaluate(row) for row in rows]
+    return checks
 
 
 def verify_h2_corollary(config: ScenarioConfig, samples: GridSamples, r: float) -> list:
     """The H_2 corollary; ``r`` is the refined max of u."""
     b, tol, params = config.model.curvature, config.tol_margin, samples.frames.param
     h1, h2 = samples.frames.H[:, 1], samples.frames.H[:, 2]
-    positive = evaluate(Row("h2-positive", "H_2 > 0 throughout", h2, tol=None,
-                            on_fail="hypothesis-violation"))
+    positive = evaluate("h2-positive", "H_2 > 0 throughout", h2, tol=None,
+                        on_fail="hypothesis-violation")
     if positive.status != "pass":
         return [positive]
     cbr = c_b(b, r)
     # the ratio bounds and the first Newton eigenvalues presuppose H_1 > 0
     ratio, h1_positive = floored_ratio(samples.frames.H, 1, floor=0.0)
     guard = None if h1_positive.all() else h1.min()
-    mu = fold_last(np.minimum, config.n * h1[:, None] - samples.frames.kappa)
-    rows = [
-        Row("sqrt-h2-dominates-ratio", "sup sqrt(H_2) >= sup H_2/H_1", np.sqrt(h2), "sup",
-            ratio.max(), tol=tol, params=params, guard=guard),
-        Row("h2-ratio-lower-bound", "sup H_2/H_1 >= C_b(r)", ratio, "sup", cbr, tol=tol,
-            params=params, guard=guard),
+    # P_1's eigenvalues n H_1 - kappa_j, as the frame's S_k table gives them
+    mu = fold_last(np.minimum, samples.frames.newton_eigenvalues[:, 1, :])
+    return [
+        positive,
+        evaluate("sqrt-h2-dominates-ratio", "sup sqrt(H_2) >= sup H_2/H_1", np.sqrt(h2), "sup",
+                 ratio.max(), tol=tol, params=params, guard=guard),
+        evaluate("h2-ratio-lower-bound", "sup H_2/H_1 >= C_b(r)", ratio, "sup", cbr, tol=tol,
+                 params=params, guard=guard),
         # normalized scalar curvature s = b + H_2
-        Row("scalar-curvature-bound", "sup s >= b + C_b(r) inf H_1", b + h2, "sup",
-            b + cbr * h1.min(), tol=tol, params=params),
-        Row("first-newton-eigenvalues-positive", "n H - kappa_j > 0 when H_2 > 0 and H > 0", mu,
-            tol=None, params=params, guard=guard),
+        evaluate("scalar-curvature-bound", "sup s >= b + C_b(r) inf H_1", b + h2, "sup",
+                 b + cbr * h1.min(), tol=tol, params=params),
+        evaluate("first-newton-eigenvalues-positive", "n H - kappa_j > 0 when H_2 > 0 and H > 0",
+                 mu, tol=None, params=params, guard=guard),
     ]
-    return [positive] + [evaluate(row) for row in rows]
 
 
 def verify_lorentz_estimates(config: ScenarioConfig, samples: GridSamples) -> list:
     """The ratio sandwich at the refined distance extrema, and the outer-ball bound."""
-    rows = [Row("spacelike-samples", "every grid point is spacelike and chronology-admissible",
-                float(len(samples.skipped)),
-                status="hypothesis-violation" if samples.skipped else "pass")]
+    checks = [evaluate("spacelike-samples",
+                       "every grid point is spacelike and chronology-admissible",
+                       float(len(samples.skipped)),
+                       status="hypothesis-violation" if samples.skipped else "pass")]
     if samples.skipped:
-        return [evaluate(row) for row in rows]
+        return checks
     b, tol = config.model.curvature, config.tol_margin
     _, u_sup = refined_distance_extremum(samples, "max")
     _, u_inf = refined_distance_extremum(samples, "min")
     c_at_sup, c_at_inf = c_hat_b(b, u_sup), c_hat_b(b, u_inf)
     for k in config.orders:
-        rows.append(_newton_psd_row(samples, k))
+        checks.append(_newton_psd_check(samples, k))
         ratios, params, excluded = _ratio_pool(samples, k)
         if excluded:
-            rows.append(Row(f"sandwich-k{k}", "ratio sandwich", float(excluded),
-                            status="inconclusive"))
+            checks.append(evaluate(f"sandwich-k{k}", "ratio sandwich", float(excluded),
+                                   status="inconclusive"))
             continue
-        rows += [
-            Row(f"sandwich-lower-k{k}", "inf H_{k+1}/H_k <= C_{-b}(sup u)", ratios, "inf",
-                c_at_sup, upper=True, tol=tol, params=params),
-            Row(f"sandwich-middle-k{k}", "C_{-b}(sup u) <= C_{-b}(inf u)", c_at_sup,
-                rhs=c_at_inf, upper=True, tol=tol),
-            Row(f"sandwich-upper-k{k}", "C_{-b}(inf u) <= sup H_{k+1}/H_k", ratios, "sup",
-                c_at_inf, tol=tol, params=params),
-            Row(f"equality-flag-k{k}", "equality is the distance-level-set case",
-                max(abs(c_at_sup - ratios.min()), abs(ratios.max() - c_at_inf)), status="info"),
+        checks += [
+            evaluate(f"sandwich-lower-k{k}", "inf H_{k+1}/H_k <= C_{-b}(sup u)", ratios, "inf",
+                     c_at_sup, upper=True, tol=tol, params=params),
+            evaluate(f"sandwich-middle-k{k}", "C_{-b}(sup u) <= C_{-b}(inf u)", c_at_sup,
+                     rhs=c_at_inf, upper=True, tol=tol),
+            evaluate(f"sandwich-upper-k{k}", "C_{-b}(inf u) <= sup H_{k+1}/H_k", ratios, "sup",
+                     c_at_inf, tol=tol, params=params),
+            evaluate(f"equality-flag-k{k}", "equality is the distance-level-set case",
+                     max(abs(c_at_sup - ratios.min()), abs(ratios.max() - c_at_inf)),
+                     status="info"),
         ]
-    rows.append(Row("outer-ball",
-                    "bounded ratio keeps the image outside a future ball of radius delta",
-                    u_inf, tol=None))
-    return [evaluate(row) for row in rows]
+    checks.append(evaluate("outer-ball",
+                           "bounded ratio keeps the image outside a future ball of radius delta",
+                           u_inf, tol=None))
+    return checks
 
 
 def scenario_checks(config: ScenarioConfig, samples: GridSamples) -> list:

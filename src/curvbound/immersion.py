@@ -102,6 +102,10 @@ class HypersurfacePatch:
             raise ConfigError("'future' orientation is required exactly for lorentzian ambients")
         if self.jets not in ("auto", "analytic", "fd"):
             raise ConfigError(f"unknown jet policy {self.jets!r}")
+        if self.jets == "fd" and type(self.chart).undefined is not Chart.undefined:
+            # such a chart (a table) is defined only at some points, and FD steps leave them
+            raise ConfigError(f"jet policy 'fd' is not available for {type(self.chart).__name__}, "
+                              "which is defined only at some points")
         if np.any(self.domain_hi <= self.domain_lo):
             raise ConfigError("empty parameter domain")
         width = read_only(self.domain_hi - self.domain_lo)
@@ -364,7 +368,7 @@ def frames_at(patch: HypersurfacePatch, P: np.ndarray):
     reject(~patch.contains(P), DomainError("parameter point outside the patch domain"))
     # a chart that keeps the base Chart.undefined is defined on its whole box
     if type(patch.chart).undefined is not Chart.undefined:
-        undefined = patch.chart.undefined(P[rows], jet=patch.jets != "fd")
+        undefined = patch.chart.undefined(P[rows], jet=True)
         reject(failed(undefined), undefined)
     x, d1, d2 = patch.jet_at(P[rows])
     # one whole-array test on the common, all-finite path

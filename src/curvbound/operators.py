@@ -417,14 +417,15 @@ def omori_yau_search(
     coarse grid, starts from the smallest gradient in the top tenth of its u
     values, then repeatedly halves a local grid around the best point (the
     default 8 rounds resolve gradients to roughly cell/256; raise ``rounds``
-    for tighter targets).  Every point evaluated joins the candidate pool.
+    for tighter targets).  Every point evaluated joins the candidate pool, in
+    the order evaluated, and each selection takes the first maximum there.
     """
     axes = grid_axes(patch.domain_lo, patch.domain_hi, resolution)
     records, errors, excluded = _evaluate_rows(patch, field, k, grid_points(axes))
     if not len(records[1]):
         raise GeometryError("no valid samples for the extremum search")
+    pool = [records]
     order = np.argsort(records[1], kind="stable")
-    pool = [tuple(a[order] for a in records)]
     top = order[int(np.floor(0.9 * len(order))):]
     start = records[0][top[np.argmin(records[2][top])]]  # smallest gradient near the supremum
 

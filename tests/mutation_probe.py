@@ -48,7 +48,7 @@ MUTANTS = [
      "max() > 1e-4 * scale:", "max() > 1e-5 * scale:"),
     ("FD_JET_SCALE 1e-4 -> 1e-2", "immersion.py", "FD_JET_SCALE = 1e-4", "FD_JET_SCALE = 1e-2"),
     ("evaluate: a margin passes down to -10 tol", "harness.py",
-     "margin >= -row.tol", "margin >= -10.0 * row.tol"),
+     "else margin >= -tol", "else margin >= -10.0 * tol"),
     ("TabulatedChart.MATCH_TOL 1e-9 -> 1e-3", "charts.py", "MATCH_TOL = 1e-9", "MATCH_TOL = 1e-3"),
     ("MAX_EXCLUSION_RATE 0.10 -> 0.5", "harness.py",
      "MAX_EXCLUSION_RATE = 0.10", "MAX_EXCLUSION_RATE = 0.5"),
@@ -79,6 +79,8 @@ MUTANTS = [
      "    if frame.signature == RIEMANNIAN:\n", "    if True:\n"),
     ("H_2 corollary dropped", "harness.py",
      "checks += verify_h2_corollary(config, samples, r)", "checks += []"),
+    ("H_2 corollary: P_0's row read for P_1", "harness.py",
+     "newton_eigenvalues[:, 1, :]", "newton_eigenvalues[:, 0, :]"),
     # input checks
     ("frames_at: non-finite jets kept", "immersion.py",
      "reject(~finite, DomainError(", "reject(finite & False, DomainError("),
@@ -108,6 +110,9 @@ MUTANTS = [
      "    if p.shape != (patch.n,):\n", "    if False:\n"),
     ("frames_at: a chart's undefined rows go unchecked", "immersion.py",
      "    if type(patch.chart).undefined is not Chart.undefined:", "    if False:"),
+    ("patch: FD jets taken on a tabulated chart", "immersion.py",
+     'if self.jets == "fd" and type(self.chart).undefined is not Chart.undefined:',
+     "if False:"),
     # the tables built once
     ("fd_jet stencil: a cross row's sign flipped", "charts.py",
      "offsets += [e[i] + e[j], e[i] - e[j],", "offsets += [e[i] + e[j], e[i] + e[j],"),

@@ -22,7 +22,6 @@ from curvbound.errors import ConfigError, DomainError
 from curvbound.harness import (
     H_FLOOR,
     TIE_ULPS,
-    Row,
     bundled_scenarios,
     collect_samples,
     emit_report,
@@ -266,14 +265,14 @@ def test_worst_sample_band_is_a_few_ulp():
     top, params = 3.0, np.array([[0.0], [1.0]])
     for ulps, worst in ((16, [0.0]), (1000, [1.0])):
         values = np.array([top - ulps * np.spacing(top), top])
-        assert evaluate(Row("x", "test", values, reduce="sup", params=params)).worst_sample == worst
+        assert evaluate("x", "test", values, reduce="sup", params=params).worst_sample == worst
 
 
 def test_a_margin_beyond_its_tolerance_fails():
-    # a row passes down to margin = -tol and no further
+    # a check passes down to margin = -tol and no further
     tol = 1e-3
     for margin, status in ((-0.5 * tol, "pass"), (-tol, "pass"), (-2.0 * tol, "fail")):
-        record = evaluate(Row("x", "test", np.array([margin, 1.0]), rhs=0.0, tol=tol))
+        record = evaluate("x", "test", np.array([margin, 1.0]), rhs=0.0, tol=tol)
         assert (record.status, record.residual) == (status, margin)
 
 
@@ -342,6 +341,24 @@ def test_h2_corollary_needs_positive_mean_curvature():
     assert report.exit_code == 2
 
 
+def test_h2_corollary_reads_the_first_newton_eigenvalues_from_the_frame():
+    # P_1's spectrum from the frame's S_k table is n H_1 - kappa_j, and the
+    # corollary's residual is its minimum over the grid
+    for name, path in bundled_scenarios().items():
+        config = load_scenario(path)
+        if config.model.signature != "riemannian":
+            continue
+        assert config.resolution == 16
+        samples = collect_samples(config)
+        frames = samples.frames
+        expected = config.n * frames.H[:, 1, None] - frames.kappa
+        mu = frames.newton_eigenvalues[:, 1, :]
+        assert np.all(np.abs(mu - expected) <= 1e-15 * np.abs(expected)), name
+        check = next(c for c in scenario_checks(config, samples)
+                     if c.id == "first-newton-eigenvalues-positive")
+        assert abs(check.residual - expected.min()) <= 4 * np.spacing(expected.min()), name
+
+
 def test_collect_samples_is_the_scenario_patch_grid():
     config = dataclasses.replace(bundled("ellipsoid"), resolution=16)
     samples = collect_samples(config)
@@ -394,6 +411,26 @@ def test_tabulated_chart_scenario(tmp_path):
         assert report.exit_code == 0
         flags = [c for c in report.checks if c.id.startswith("equality-flag")]
         assert flags and all(abs(c.residual) < 1e-6 for c in flags)
+
+
+def test_tabulated_chart_rejects_fd_jets(tmp_path, capsys):
+    # a table is defined only at its nodes, where FD stencils do not sample it:
+    # the patch refuses the policy, with or without jet columns
+    for include_jets in (True, False):
+        config = tabulated_sphere_scenario(tmp_path, 12, include_jets=include_jets)
+        with pytest.raises(ConfigError, match="jet policy 'fd'"):
+            collect_samples(dataclasses.replace(config, jets="fd"))
+    raw = {"name": "tabulated-fd",
+           "ambient": {"signature": "riemannian", "curvature": 0.0, "dimension": 3,
+                       "model_kind": "euclidean"},
+           "reference": {"center": [0.0, 0.0, 0.0]},
+           "chart": {"kind": "tabulated", "params": {"path": str(tmp_path / "table12.csv")},
+                     "orientation": "inner"},
+           "k_range": [0, 1], "resolution": 12, "jets": "fd"}
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(raw))
+    assert main(["verify", "--scenario", str(scenario)]) == 3
+    assert "jet policy 'fd'" in capsys.readouterr().err
 
 
 def test_riemannian_report_flags_skipped_samples(tmp_path):

@@ -196,12 +196,16 @@ def test_grid_restrictions_are_one_row_restrictions_with_symmetric_hessians():
         fields = (DistanceField(model, origin), phi_of_distance_field(model, origin, model.curvature),
                   LinearCoordinateField(model, np.linspace(0.3, 1.1, model.embedding_dim)))
         grid = sample_grid(patch, 8 if n == 2 else 4)
-        for field in fields:
-            batch = restrict_field(patch, field, grid.frames)
+        batches = [restrict_field(patch, field, grid.frames) for field in fields]
+        for batch in batches:
             assert not failed(batch.errors).any()
             assert np.array_equal(batch.hess, np.swapaxes(batch.hess, -1, -2))
-            for i, (p, _) in enumerate(grid.points):
-                one = restrict_field(patch, field, frame_at(patch, p))
+        # rows outside fields: the patch keeps one point's frame, so each row's
+        # frame is built once
+        for i, (p, _) in enumerate(grid.points):
+            frame = frame_at(patch, p)
+            for field, batch in zip(fields, batches):
+                one = restrict_field(patch, field, frame)
                 for name in ("u", "grad", "grad_norm_sq", "normal_coef", "hess"):
                     assert np.array_equal(getattr(batch, name)[i], getattr(one, name)), (
                         model.model_kind, n, field, name)
@@ -451,7 +455,7 @@ def spectral_oracle_cases():
     """(label, patch, field, frames): the bundled grids at 16 with the distance to their
     reference points, and off-center views of geodesic spheres."""
     for name, path in bundled_scenarios().items():
-        samples = collect_samples(load_scenario(path), 16)
+        samples = collect_samples(load_scenario(path))
         patch = samples.patch
         yield name, patch, DistanceField(patch.ambient, patch.center), samples.frames
     for n in (3, 4):

@@ -150,10 +150,6 @@ class CurvatureBoundG:
         """I(t) = int_0^t G from ``ifn``; every integral of G goes through here."""
         return _over(t, self.ifn(t))
 
-    def integral(self, a: float, b: float) -> float:
-        """int_a^b G = I(b) - I(a)."""
-        return self.primitive(b) - self.primitive(a)
-
     def reciprocal_integral(self, a: float, length: float) -> float:
         """int_a^{a+length} ds / G(s) for a > 0 and length >= 0.
 
@@ -368,11 +364,6 @@ def psi(G: CurvatureBoundG, t):
     return _over(t, np.expm1(G.primitive(t)) / G(0.0))
 
 
-def psi_quotient(G: CurvatureBoundG, integral: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """psi'/psi = G(t) e^I / (e^I - 1), evaluated overflow-free."""
-    return G(np.asarray(t, dtype=float)) / (-np.expm1(-np.asarray(integral)))
-
-
 def sturm_profile(G: CurvatureBoundG, T: float):
     """Grid, g, g', psi, and the margin psi'/psi - g'/g at 1000 points over (0, T]."""
     if not 0.1 <= T < math.inf:
@@ -381,8 +372,9 @@ def sturm_profile(G: CurvatureBoundG, T: float):
     grid = sol.grid[1:]
     g = sol.g[1:]
     dg = sol.dg[1:]
-    margins = psi_quotient(G, G.primitive(grid), grid) - dg / g
-    return grid, g, dg, psi(G, grid), margins
+    integral = G.primitive(grid)  # psi = (e^I - 1)/G(0), psi'/psi = G/(1 - e^-I)
+    margins = G(grid) / -np.expm1(-integral) - dg / g
+    return grid, g, dg, np.expm1(integral) / G(0.0), margins
 
 
 def sturm_margin(G: CurvatureBoundG, T: float) -> float:
@@ -416,7 +408,7 @@ def lambda_sup(G: CurvatureBoundG, t_max: float = 50.0) -> LambdaResult:
         raise DomainError("lambda_sup requires a finite t_max >= 2")
     G.require_admissible()
     tail = math.exp(G.primitive(1.0))
-    value = tail / -math.expm1(-G.integral(1.0, 2.0))
+    value = tail / -math.expm1(-(G.primitive(2.0) - G.primitive(1.0)))
     return LambdaResult(value=value, argmax=2.0, tail_limit=tail)
 
 

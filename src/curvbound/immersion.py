@@ -28,7 +28,7 @@ Orientation conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
 from itertools import combinations
 
@@ -200,7 +200,7 @@ def immersive(d: np.ndarray) -> np.ndarray:
 def congruence(Rt: np.ndarray, h: np.ndarray) -> np.ndarray:
     """sym(R h R^T): the bilinear forms h (..., n, n) in the frame orthonormalized by R (n, n, ...).
 
-    R is samples last, as a frame keeps it; the result is samples first, like h.
+    R is samples last, the kernels' layout; the result is samples first, like h.
     """
     A = _matmul(_matmul(Rt, _samples_last(h)), np.swapaxes(Rt, 0, 1))
     return _samples_first(0.5 * (A + np.swapaxes(A, 0, 1)))
@@ -284,10 +284,10 @@ class PointFrame:
 
     ``congruence`` is the frame's one factorization of the metric: the
     triangular R = D^-1/2 L^-1 from one elimination on [g | I] (:func:`ldl`),
-    the inverse of the Cholesky factor L D^1/2, so g^-1 = R^T R.  It is kept
-    samples last, (n, n, ...), the layout of the elementwise kernels, so the
-    principal directions and :meth:`raise_index` read it as it is, without
-    factoring or solving with the metric again.
+    the inverse of the Cholesky factor L D^1/2, so g^-1 = R^T R.  The principal
+    directions and :meth:`raise_index` read it without factoring or solving
+    with the metric again.  Every field is samples first, like ``param``; the
+    kernels' samples-last form of a row's R is a view of it.
     """
 
     param: np.ndarray
@@ -299,18 +299,16 @@ class PointFrame:
     kappa: np.ndarray  # (..., n) principal curvatures, ascending
     H: np.ndarray  # (..., n+1) H_0..H_n in the convention of ``signature``
     newton_eigenvalues: np.ndarray  # (..., n+1, n) entry (k, i): P_k on direction i; row n zero
-    congruence: np.ndarray  # (n, n, ...) R = D^-1/2 L^-1, lower triangular, with g = L D L^T
+    congruence: np.ndarray  # (..., n, n) R = D^-1/2 L^-1, lower triangular, with g = L D L^T
     signature: str  # the ambient signature H and newton_eigenvalues are signed for
 
     def __getitem__(self, i) -> "PointFrame":
-        return PointFrame(self.param[i], self.position[i], self.tangent[i], self.metric[i],
-                          self.normal[i], self.second_form[i], self.kappa[i], self.H[i],
-                          self.newton_eigenvalues[i], self.congruence[:, :, i], self.signature)
+        return PointFrame(*(getattr(self, name)[i] for name in ROW_FIELDS), self.signature)
 
     @cached_property
     def principal(self) -> np.ndarray:
         """(..., n, n): metric-orthonormal principal directions as columns, in kappa's order."""
-        Rt = self.congruence
+        Rt = _samples_last(self.congruence)
         V = np.linalg.eigh(congruence(Rt, self.second_form))[1]
         E = _samples_first(_matmul(np.swapaxes(Rt, 0, 1), _samples_last(V)))  # R^T V
         return read_only(E)
@@ -332,9 +330,13 @@ class PointFrame:
 
     def raise_index(self, covector: np.ndarray) -> np.ndarray:
         """g^-1 covector = R^T (R covector), for covectors (..., n) in the chart basis."""
-        Rt = self.congruence
+        Rt = _samples_last(self.congruence)
         y = _matmul(Rt, _samples_last(covector, 1)[:, None])
         return _samples_first(_matmul(np.swapaxes(Rt, 0, 1), y)[:, 0], 1)
+
+
+# the array fields of a frame, in constructor order: frame[i] takes row i of each
+ROW_FIELDS = tuple(f.name for f in fields(PointFrame) if f.name != "signature")
 
 
 def frames_at(patch: HypersurfacePatch, P: np.ndarray):
@@ -347,7 +349,8 @@ def frames_at(patch: HypersurfacePatch, P: np.ndarray):
     non-finite entry fails before its metric is formed.  The metric is
     factored once, by one elimination on [g | I] (:func:`ldl`): its pivots d
     decide the immersion test, and R = D^-1/2 L^-1 gives the shape operator R h R^T.
-    The S_k table of the spectra is built and signed once, for the batch.
+    The S_k table of the spectra is built and signed once, for the batch, and
+    every array of ``frames`` is read-only.
     """
     P = np.asarray(P, dtype=float)
     model = patch.ambient
@@ -432,10 +435,10 @@ def frames_at(patch: HypersurfacePatch, P: np.ndarray):
         kappa=kappa,
         H=H,
         newton_eigenvalues=newton_eigenvalues,
-        congruence=R,
+        congruence=_samples_first(R),
         signature=model.signature,
     )
-    return frames, errors
+    return read_only(frames), errors
 
 
 def frame_at(patch: HypersurfacePatch, p: np.ndarray) -> PointFrame:
@@ -456,7 +459,7 @@ def frame_at(patch: HypersurfacePatch, p: np.ndarray) -> PointFrame:
     if frame is None:
         frames, errors = frames_at(patch, p[None])
         raise_first(errors)
-        frame = read_only(frames[0])
+        frame = frames[0]
         patch._last_frame.clear()
         patch._last_frame[key] = frame
     return frame
@@ -482,14 +485,9 @@ class GridSamples:
 
     @cached_property
     def points(self) -> list:
-        """(param, PointFrame) for each grid point that has a frame, as ``frames[i]``.
-
-        The row frames come from one pass over each field's rows (the
-        congruence's along its last axis), so their fields are views.
-        """
+        """(param, frames[i]) for each grid point that has a frame, from one pass over the rows."""
         f = self.frames
-        rows = zip(f.param, f.position, f.tangent, f.metric, f.normal, f.second_form, f.kappa,
-                   f.H, f.newton_eigenvalues, np.moveaxis(f.congruence, -1, 0))
+        rows = zip(*(getattr(f, name) for name in ROW_FIELDS))
         return [(row[0], PointFrame(*row, f.signature)) for row in rows]
 
 

@@ -26,8 +26,8 @@ fields (same model and array bits) are equal and hash alike.  The
 single-point calls (:func:`restriction_hessian`, :func:`key_inequality_residual`,
 :func:`l_k_apply`) share one restriction per field and point:
 :func:`restriction_at` keeps one sample per field beside the patch's last
-frame.  Every call still raises the sample's errors and runs its own checks
-(the P_k test, the finite-difference cross-check).
+frame and raises its errors on every call; each call runs its own checks
+(the orders k and j_max, the P_k test, the finite-difference cross-check).
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .comparison import c_b, phi_b, phi_b_d1, phi_b_d2
 from .curvature import TAU_ELL, convention_signs, trace_coefficients
 from .errors import (
     ConsistencyError,
+    DomainError,
     GeometryError,
     HypothesisViolationError,
     failed,
@@ -208,9 +209,9 @@ def intrinsic_hessian_fd(patch: HypersurfacePatch, scalar_fn, p: np.ndarray) -> 
     """Intrinsic Hessian at p (n,) of u = scalar_fn∘f via Christoffel symbols.
 
     ``scalar_fn`` maps ambient positions (..., m) to (...).  ``patch.jet_at``
-    is called once, on one central-difference stencil, and ``scalar_fn`` once,
-    on the positions of that jet.  The result is d_i d_j u - Gamma^l_ij d_l u.
-    Purely chart-level: never touches the ambient Hessian identity.
+    is called once, on one central-difference stencil of the patch's FD-jet
+    steps, and ``scalar_fn`` once, on its positions.  The result is
+    d_i d_j u - Gamma^l_ij d_l u, chart-level: no ambient Hessian identity.
     """
     n = patch.n
     eta = patch.ambient.metric_diag
@@ -220,7 +221,7 @@ def intrinsic_hessian_fd(patch: HypersurfacePatch, scalar_fn, p: np.ndarray) -> 
         g = induced_metric(d1, eta)
         return np.concatenate([scalar_fn(x)[..., None], g.reshape(g.shape[:-2] + (n * n,))], -1)
 
-    x, d1, d2 = fd_jet(scalar_and_metric, np.asarray(p, dtype=float), 1e-4 * patch.domain_width)
+    x, d1, d2 = fd_jet(scalar_and_metric, np.asarray(p, dtype=float), patch._fd_steps)
     du, d2u = d1[0], d2[0]
     dg = d1[1:].reshape(n, n, n).transpose(2, 0, 1)  # dg[k] = d_k g
     g_inv = np.linalg.inv(x[1:].reshape(n, n))
@@ -233,7 +234,6 @@ def restriction_hessian(patch: HypersurfacePatch, o: np.ndarray, p: np.ndarray) 
     """Intrinsic Hessian of u = rho∘f, identity route, FD cross-checked on every call."""
     field = DistanceField(patch.ambient, o)
     sample = restriction_at(patch, p, field)
-    raise_first(sample.errors)
 
     def rho(x):
         values, errors = distance_rows(field.model, field.origin, x)
@@ -260,13 +260,13 @@ def operator_data(frame: PointFrame, signature: str) -> PointFrame:
 
     In the frame's own signature it is the frame itself.  In the other, a copy
     whose H_k and row k of the Newton spectra are multiplied by (-1)^k, which
-    is exact.
+    is exact, into read-only arrays.
     """
     if signature == frame.signature:
         return frame
     flips = convention_signs(frame.kappa.shape[-1], LORENTZIAN)
-    return replace(frame, H=frame.H * flips,
-                   newton_eigenvalues=frame.newton_eigenvalues * flips[:, None],
+    return replace(frame, H=read_only(frame.H * flips),
+                   newton_eigenvalues=read_only(frame.newton_eigenvalues * flips[:, None]),
                    signature=signature)
 
 
@@ -286,20 +286,21 @@ def restriction_at(patch: HypersurfacePatch, p: np.ndarray, field) -> FieldSampl
     The patch keeps the sample, with read-only arrays, beside its last frame,
     one per field (a field is hashable; equal fields share a sample), and
     drops it when :func:`frame_at` builds the frame of another point.  So the
-    single-point calls at one point restrict each field once.  The sample's
-    errors are not raised here: the caller raises them on every call.
+    single-point calls at one point restrict each field once, and raise the
+    sample's errors on every call.
     """
     frame = frame_at(patch, p)
     if field not in patch._last_frame:
         patch._last_frame[field] = read_only(restrict_field(patch, field, frame))
+    raise_first(patch._last_frame[field].errors)
     return patch._last_frame[field]
 
 
 def l_k_apply(patch: HypersurfacePatch, p: np.ndarray, k: int, field) -> float:
-    """L_k u = Tr(P_k ∘ hess u) at the parameter point p."""
-    sample = restriction_at(patch, p, field)
-    raise_first(sample.errors)
-    return float(trace_operator(sample, k))
+    """L_k u = Tr(P_k ∘ hess u) at the parameter point p, for k in 0..n."""
+    if not 0 <= k <= patch.n:
+        raise DomainError(f"order k = {k} is outside 0..{patch.n}")
+    return float(trace_operator(restriction_at(patch, p, field), k))
 
 
 def newton_quadratic(sample: FieldSample, k: int):
@@ -333,7 +334,9 @@ def key_inequality_residual(
     b: float | None = None,
     origin: np.ndarray | None = None,
 ) -> float:
-    """L_k u minus :func:`key_inequality_rhs`; >= 0, zero in space forms."""
+    """L_k u minus :func:`key_inequality_rhs`, for k in 0..n-1; >= 0, zero in space forms."""
+    if not 0 <= k < patch.n:
+        raise DomainError(f"order k = {k} is outside 0..{patch.n - 1}")
     model = patch.ambient
     if b is None:
         b = model.curvature
@@ -342,7 +345,6 @@ def key_inequality_residual(
     if origin is None:
         raise GeometryError("no reference point available for the distance field")
     sample = restriction_at(patch, p, DistanceField(model, origin))
-    raise_first(sample.errors)
     if sample.frame.newton_psd_margin(k) < -TAU_ELL:
         raise HypothesisViolationError(f"P_{k} is not positive semidefinite at this point")
     return float(trace_operator(sample, k) - key_inequality_rhs(sample, k, b))
@@ -420,6 +422,8 @@ def omori_yau_search(
     for tighter targets).  Every point evaluated joins the candidate pool, in
     the order evaluated, and each selection takes the first maximum there.
     """
+    if not (0 <= k < patch.n and j_max >= 1):
+        raise DomainError(f"order k = {k} is outside 0..{patch.n - 1} or j_max = {j_max} < 1")
     axes = grid_axes(patch.domain_lo, patch.domain_hi, resolution)
     records, errors, excluded = _evaluate_rows(patch, field, k, grid_points(axes))
     if not len(records[1]):

@@ -157,6 +157,23 @@ MUTANTS = [
     ("ldl: the identity block left out of the row update", "immersion.py",
      "S[k + 1:, k + 1:] -= (S[k + 1:, k] / S[k, k])[:, None] * S[k, k + 1:]\n",
      "S[k + 1:, k + 1:n] -= (S[k + 1:, k] / S[k, k])[:, None] * S[k, k + 1:n]\n"),
+    # the read-only rule, applied where the batch is built
+    ("frames_at: the batch is not marked read-only", "immersion.py",
+     "    return read_only(frames), errors\n", "    return frames, errors\n"),
+    ("operator_data: the other signature's H writable", "operators.py",
+     "H=read_only(frame.H * flips)", "H=frame.H * flips"),
+    # a single-point fact with one owner each
+    ("restriction_at: the sample's errors not raised", "operators.py",
+     "    raise_first(patch._last_frame[field].errors)\n", ""),
+    # orders checked where they enter
+    ("l_k_apply: any order k taken", "operators.py",
+     "    if not 0 <= k <= patch.n:\n", "    if False:\n"),
+    ("key_inequality_residual: any order k taken", "operators.py",
+     "    if not 0 <= k < patch.n:\n", "    if False:\n"),
+    ("omori_yau_search: any order k taken", "operators.py",
+     "if not (0 <= k < patch.n and j_max >= 1):", "if not (j_max >= 1):"),
+    ("omori_yau_search: j_max below 1 taken", "operators.py",
+     "if not (0 <= k < patch.n and j_max >= 1):", "if not (0 <= k < patch.n):"),
     # the heap policy set on import
     ("heap policy: trim threshold 8 MiB -> 8 KiB", "__init__.py",
      "_TRIM_THRESHOLD_BYTES = 8 * 2**20", "_TRIM_THRESHOLD_BYTES = 8 * 2**10"),

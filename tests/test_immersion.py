@@ -622,10 +622,8 @@ def test_grid_and_single_point_paths_agree(name, patch, resolution):
         assert single.signature == frame.signature == grid.frames.signature == signature
         arrays = [field for field in PointFrame.__dataclass_fields__ if field != "signature"]
         for field in (*arrays, "principal"):
-            # the congruence is kept samples last, every other field samples first
-            batch_field = (grid.frames.congruence[..., i] if field == "congruence"
-                           else getattr(grid.frames, field)[i])
-            assert np.array_equal(batch_field, getattr(single, field)), (name, field)
+            assert np.array_equal(getattr(grid.frames, field)[i], getattr(single, field)), (
+                name, field)
         data = operator_data(single, signature)
         for field in ("kappa", "newton_eigenvalues", "H"):
             assert np.array_equal(getattr(batch, field)[i], getattr(data, field)), (name, field)
@@ -1052,13 +1050,13 @@ def test_the_frame_kernels_leave_their_inputs_unchanged(batch):
     for patch in (sphere_patch(), build_patch(M3, "hyperboloid", {"radius": 2.0})):
         frames = sample_grid(patch, 8).frames
         g, h = np.array(frames.metric[:batch]), np.array(frames.second_form[:batch])
-        Rt = np.array(frames.congruence[..., :batch])
+        R = np.array(frames.congruence[:batch])
         M = np.array(np.swapaxes(frames.tangent[:batch], -1, -2))
         covector = rng.standard_normal((batch, patch.n))
-        frame = dataclasses.replace(frames[:batch], congruence=Rt)
-        gt = _samples_last(g)
-        assert np.shares_memory(gt, g) == (batch == 1)
-        inputs = (g, h, Rt, M, covector)
+        frame = dataclasses.replace(frames[:batch], congruence=R)
+        gt, Rt = _samples_last(g), _samples_last(R)
+        assert np.shares_memory(gt, g) == np.shares_memory(Rt, R) == (batch == 1)
+        inputs = (g, h, R, M, covector)
         before = [a.tobytes() for a in inputs]
         ldl(gt)
         congruence(Rt, h)

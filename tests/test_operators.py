@@ -21,6 +21,7 @@ from curvbound.harness import (
     collect_samples,
     emit_samples_csv,
     load_scenario,
+    run_scenario,
     scenario_patch,
 )
 from curvbound.immersion import (
@@ -512,7 +513,7 @@ def test_repeated_key_inequality_reuses_the_frame_and_its_directions(monkeypatch
     # one probe point's five calls factor the metric once, take kappa in closed
     # form and one eigenbasis for the principal directions, read the chart jets
     # once for the frame and once for the oracle's stencil, and copy the frame's
-    # congruence R nowhere: it is kept in the kernels' samples-last layout
+    # congruence R nowhere: the kernels' samples-last form of a row's R is a view
     patch = ellipsoid_patch()
     p, o = interior_points(patch, np.random.default_rng(5), 1)[0], np.zeros(3)
     field = DistanceField(E3, o)
@@ -520,7 +521,13 @@ def test_repeated_key_inequality_reuses_the_frame_and_its_directions(monkeypatch
              for name in ("cholesky", "solve", "det", "eigvalsh", "eigh")}
     calls["ldl"] = counted(monkeypatch, immersion, "ldl")
     calls["jet_at"] = counted(monkeypatch, HypersurfacePatch, "jet_at")
-    copies = counted(monkeypatch, immersion, "_samples_last")
+    forms, samples_last = [], immersion._samples_last  # (input, samples-last form)
+
+    def recorded(a, core=2):
+        forms.append((a, samples_last(a, core)))
+        return forms[-1][1]
+
+    monkeypatch.setattr(immersion, "_samples_last", recorded)
     restriction_hessian(patch, o, p)
     for k in (0, 1):
         key_inequality_residual(patch, p, k, origin=o)
@@ -529,7 +536,8 @@ def test_repeated_key_inequality_reuses_the_frame_and_its_directions(monkeypatch
         "cholesky": 0, "solve": 0, "det": 0, "eigvalsh": 0, "eigh": 1, "ldl": 1, "jet_at": 2}
     assert [np.shape(q) for _, q in calls["jet_at"]] == [(1, 2), (9, 2)]
     R = frame_at(patch, p).congruence
-    assert not any(np.shares_memory(args[0], R) for args in copies)
+    of_R = [form for a, form in forms if a is R]
+    assert of_R and all(np.shares_memory(form, R) for form in of_R)
     # a repeated call runs none of them
     first = key_inequality_residual(patch, p, 1, origin=o)
     before = {name: len(c) for name, c in calls.items()}
@@ -689,6 +697,54 @@ def test_undefined_and_violating_points_raise_on_every_call():
     for _ in range(2):
         with pytest.raises(HypothesisViolationError, match="P_1"):
             key_inequality_residual(saddle, q, 1, origin=np.array([0.0, 0.0, 2.0]))
+
+
+def order_cases():
+    """(call, args, kwargs) of each single-point call at an order outside its range, on a
+    surface (n = 2): L_k for k in 0..n, the key inequality and the search for k in 0..n-1."""
+    field = DistanceField(E3, np.zeros(3))
+    p = np.array([1.0, 2.0])
+    for k in (-2, -1, 3):
+        yield pytest.param(l_k_apply, (p, k, field), {}, id=f"l_k_apply-k={k}")
+    for k in (-1, 2):
+        yield pytest.param(key_inequality_residual, (p, k), {}, id=f"key_inequality-k={k}")
+        yield pytest.param(omori_yau_search, (field, k), {}, id=f"search-k={k}")
+    for j_max in (0, -1):
+        yield pytest.param(omori_yau_search, (field, 0), {"j_max": j_max},
+                           id=f"search-j_max={j_max}")
+
+
+@pytest.mark.parametrize("call, args, kwargs", order_cases())
+def test_orders_outside_their_range_raise_domain_error(call, args, kwargs):
+    # a negative order would read P_{n+1+k}'s row and a large one a row that is
+    # not there; both are rejected where the order enters
+    with pytest.raises(DomainError, match=r"outside 0\.\."):
+        call(ellipsoid_patch(), *args, **kwargs)
+
+
+def test_orders_at_the_ends_of_their_range_are_accepted():
+    patch, p, field = ellipsoid_patch(), np.array([1.0, 2.0]), DistanceField(E3, np.zeros(3))
+    assert l_k_apply(patch, p, 2, field) == 0.0  # P_n = 0
+    assert np.isfinite(l_k_apply(patch, p, 0, field))
+    assert key_inequality_residual(patch, p, 1) >= -1e-9
+    report = omori_yau_search(patch, phi_of_distance_field(E3, np.zeros(3), 0.0), 1,
+                              resolution=8, j_max=1, rounds=2)
+    assert [o.j for o in report.outcomes] == [1]
+
+
+def test_kept_frames_and_their_copies_are_read_only():
+    # frames_at marks its batch read-only, so a grid, a scenario's kept grid,
+    # every row frame and the other-signature copy of operator_data follow the rule
+    patch = ellipsoid_patch()
+    grid = sample_grid(patch, 8)
+    report = run_scenario(load_scenario(bundled_scenarios()["ellipsoid"]))
+    records = [grid.frames, report.samples.frames, *(frame for _, frame in grid.points),
+               frames_at(patch, grid.frames.param[:3])[0], frame_at(patch, grid.frames.param[4])]
+    records += [operator_data(frame, "lorentzian") for frame in records[:3]]
+    for record in records:
+        arrays = [getattr(record, f.name) for f in dataclasses.fields(record)
+                  if f.name != "signature"]
+        assert not any(a.flags.writeable for a in (*arrays, record.principal))
 
 
 def test_two_origins_at_one_point_give_two_restrictions():

@@ -90,6 +90,11 @@ def fold_last(ufunc, a: np.ndarray) -> np.ndarray:
     return acc
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def raise_first(errors: np.ndarray) -> None:
     """Raise the error of the first failed row, if any."""
     for exc in errors.flat:

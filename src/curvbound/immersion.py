@@ -28,6 +28,7 @@ Orientation conventions:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -44,6 +45,7 @@ from .errors import (
     SignatureError,
     failed,
     fold_last,
+    is_integer,
     no_errors,
     raise_first,
     read_only,
@@ -62,6 +64,11 @@ FD_JET_TOL = 1e-5
 # Lorentzian models).  The pivots of a positive definite metric lie within its
 # spectrum, so a row whose eigenvalue ratio is above this passes too.
 DEGENERACY_TOL = 1e-12
+
+# A refinement stencil whose values spread over at most this many ulp of the
+# best one is flat; the distance spreads over up to 6 on the bundled distance
+# spheres.  It also bounds the round-off of the quadratic fit's coefficients.
+ROUNDOFF_ULPS = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -508,30 +515,110 @@ def _refinement_stencil(n: int) -> np.ndarray:
     return read_only(grid_points([np.array([-1.0, -0.5, 0.0, 0.5, 1.0])] * n))
 
 
+@lru_cache(maxsize=None)
+def _quadratic_fit(n: int) -> np.ndarray:
+    """(n + n^2, 5^n) read-only rows of the stencil's pseudo-inverse for a quadratic fit.
+
+    The fit is q(s) = c + g.s + s.H s / 2 over the stencil offsets s, in
+    cells; the rows map the 5^n values to g, then to H row-major.  On the
+    tensor stencil the terms 1, s_i, s_i s_j (i < j) and s_i^2 - mean(s_i^2)
+    are orthogonal, so each least-squares coefficient is the projection onto
+    its own term, with no factorization.
+    """
+    s = _refinement_stencil(n)
+    terms = np.concatenate([s, (s[:, :, None] * s[:, None, :]).reshape(len(s), n * n)], axis=1)
+    diagonal = n + np.arange(n) * (n + 1)
+    terms[:, diagonal] = s * s - np.mean(s * s, axis=0)
+    fit = terms / np.sum(terms * terms, axis=0)
+    fit[:, diagonal] *= 2.0  # H_ii is twice the coefficient of s_i^2
+    return read_only(np.ascontiguousarray(fit.T))
+
+
+def _symmetric_eigen(H: np.ndarray) -> tuple:
+    """Ascending eigenvalues and orthonormal eigenvectors (columns) of one symmetric H.
+
+    At n = 2 in closed form, the eigenvalues as in :func:`_symmetric_spectrum`
+    and the vectors at the angle atan2(2b, a - c) / 2; otherwise LAPACK's eigh.
+    """
+    if H.shape != (2, 2):
+        return np.linalg.eigh(H)
+    t = 0.5 * math.atan2(2.0 * H[0, 1], H[0, 0] - H[1, 1])
+    cos, sin = math.cos(t), math.sin(t)
+    return _symmetric_spectrum(H), np.array([[-sin, cos], [cos, sin]])
+
+
+def _quadratic_vertex(values: np.ndarray, n: int, noise: float):
+    """Offset (in cells) of the maximum of the quadratic fitted to one stencil's values.
+
+    The fit must curve down by more than ``noise`` (the values' round-off)
+    along each eigenvector of its Hessian, or be flat within it: curvature and
+    slope at most ``noise``, as along the equator of a spheroid, where the
+    vertex keeps its coordinate.  None unless some direction curves down, no
+    other direction is more than flat, and the vertex lies in the stencil.
+    """
+    c = _quadratic_fit(n) @ values
+    lam, V = _symmetric_eigen(c[n:].reshape(n, n))
+    slope = V.T @ c[:n]
+    down = lam < -noise
+    flat = ~down
+    if not down.any() or np.any(np.maximum(lam[flat], np.abs(slope[flat])) > noise):
+        return None
+    s = V[:, down] @ (-slope[down] / lam[down])
+    return s if np.abs(s).max() <= 1.0 else None
+
+
 def refine_extremum(patch: HypersurfacePatch, fn, start, cell, rounds=14, sign=1.0):
-    """Local grid-halving refinement of a scalar's max (min for sign = -1).
+    """Local refinement of a scalar's max (min for sign = -1) on a shrinking stencil.
 
     ``fn`` maps parameter rows (N, n) to (values, errors), ``errors[i]`` being
     the GeometryError of a row without a value.  Each round evaluates a 5^n
-    stencil of half and whole cells around the current point, clipped to the
-    parameter box, in one call, moves to the first best row only on a strict
-    improvement over the best value so far, then halves the cell.  Returns
-    (param, value); raises the start point's error.
+    stencil of half and whole cells, clipped to the parameter box, in one
+    call and moves the best point to the first best row only on a strict
+    improvement over the best value so far.  Then:
+
+    - it stops if every row has a value and the values spread over at most
+      ``ROUNDOFF_ULPS`` ulp of the best one: the scalar is flat at this scale
+      (on a level set, after one stencil);
+    - where no row failed, the stencil was not clipped and the least-squares
+      quadratic through its values has a maximum inside it, the next stencil
+      is centered on that vertex and the cell is divided by 4;
+    - otherwise the next stencil is centered on the best point and the cell
+      is halved.
+
+    ``rounds`` (a non-negative integer) bounds the halvings of the cell, a
+    division by 4 counting as two, so there are at most ``rounds`` + 1 calls
+    of ``fn`` and the last stencil's cell is at least ``cell / 2**rounds``.
+    Returns (param, value) of the best row evaluated; raises the start
+    point's error.
     """
+    if not (is_integer(rounds) and rounds >= 0):
+        raise DomainError(f"rounds = {rounds!r} is not a non-negative integer")
     center = np.asarray(start, dtype=float)
     values, errors = fn(center[None])
     raise_first(errors)
     best = sign * values[0]
-    stencil = _refinement_stencil(center.size)
-    cell = np.asarray(cell, dtype=float)
-    for _ in range(rounds):
-        Q = np.clip(center + stencil * cell, patch.domain_lo, patch.domain_hi)
+    n, lo, hi = center.size, patch.domain_lo, patch.domain_hi
+    stencil = _refinement_stencil(n)
+    middle, cell, halvings = center, np.asarray(cell, dtype=float), 0
+    while halvings < rounds:
+        Q = np.clip(middle + stencil * cell, lo, hi)
         values, errors = fn(Q)
-        values = np.where(failed(errors), -np.inf, sign * values)
+        bad = failed(errors)
+        complete = not bad.any()
+        values = np.where(bad, -np.inf, sign * values)
         i = np.argmax(values)
         if values[i] > best:
             best, center = values[i], Q[i]
-        cell = cell / 2.0
+        noise = ROUNDOFF_ULPS * np.spacing(abs(best))
+        if complete and values.max() - values.min() <= noise:
+            break
+        vertex = None
+        if complete and np.all(lo <= middle - cell) and np.all(middle + cell <= hi):
+            vertex = _quadratic_vertex(values - best, n, noise)
+        if vertex is None:
+            middle, cell, halvings = center, cell / 2.0, halvings + 1
+        else:
+            middle, cell, halvings = middle + vertex * cell, cell / 4.0, halvings + 2
     return center, sign * best
 
 

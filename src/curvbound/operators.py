@@ -46,6 +46,7 @@ from .errors import (
     GeometryError,
     HypothesisViolationError,
     failed,
+    is_integer,
     no_errors,
     raise_first,
     read_only,
@@ -298,8 +299,8 @@ def restriction_at(patch: HypersurfacePatch, p: np.ndarray, field) -> FieldSampl
 
 def l_k_apply(patch: HypersurfacePatch, p: np.ndarray, k: int, field) -> float:
     """L_k u = Tr(P_k ∘ hess u) at the parameter point p, for k in 0..n."""
-    if not 0 <= k <= patch.n:
-        raise DomainError(f"order k = {k} is outside 0..{patch.n}")
+    if not (is_integer(k) and 0 <= k <= patch.n):
+        raise DomainError(f"order k = {k!r} is outside 0..{patch.n} or not an integer")
     return float(trace_operator(restriction_at(patch, p, field), k))
 
 
@@ -335,8 +336,8 @@ def key_inequality_residual(
     origin: np.ndarray | None = None,
 ) -> float:
     """L_k u minus :func:`key_inequality_rhs`, for k in 0..n-1; >= 0, zero in space forms."""
-    if not 0 <= k < patch.n:
-        raise DomainError(f"order k = {k} is outside 0..{patch.n - 1}")
+    if not (is_integer(k) and 0 <= k < patch.n):
+        raise DomainError(f"order k = {k!r} is outside 0..{patch.n - 1} or not an integer")
     model = patch.ambient
     if b is None:
         b = model.curvature
@@ -417,13 +418,17 @@ def omori_yau_search(
     For each j <= j_max a candidate p must satisfy u(p) > u* - 1/j,
     |grad u(p)| < 1/j and (1/Tr P_k) L_k u(p) < 1/j.  The search runs a
     coarse grid, starts from the smallest gradient in the top tenth of its u
-    values, then repeatedly halves a local grid around the best point (the
-    default 8 rounds resolve gradients to roughly cell/256; raise ``rounds``
-    for tighter targets).  Every point evaluated joins the candidate pool, in
-    the order evaluated, and each selection takes the first maximum there.
+    values, then refines the max of u from there with :func:`refine_extremum`
+    on stencils of the grid's cell.  ``rounds`` (a non-negative integer) bounds
+    the halvings of that cell, a round that divides it by 4 counting as two,
+    so the refinement evaluates at most ``rounds`` stencils and the last one's
+    cell is at least cell/2^rounds; raise ``rounds`` for tighter targets.
+    Every point evaluated joins the candidate pool, in the order evaluated, and
+    each selection takes the first maximum there.
     """
-    if not (0 <= k < patch.n and j_max >= 1):
-        raise DomainError(f"order k = {k} is outside 0..{patch.n - 1} or j_max = {j_max} < 1")
+    if not (is_integer(k) and 0 <= k < patch.n and j_max >= 1):
+        raise DomainError(f"order k = {k!r} is outside 0..{patch.n - 1} or not an integer,"
+                          f" or j_max = {j_max} < 1")
     axes = grid_axes(patch.domain_lo, patch.domain_hi, resolution)
     records, errors, excluded = _evaluate_rows(patch, field, k, grid_points(axes))
     if not len(records[1]):

@@ -167,13 +167,32 @@ MUTANTS = [
      "    raise_first(patch._last_frame[field].errors)\n", ""),
     # orders checked where they enter
     ("l_k_apply: any order k taken", "operators.py",
-     "    if not 0 <= k <= patch.n:\n", "    if False:\n"),
+     "    if not (is_integer(k) and 0 <= k <= patch.n):\n", "    if False:\n"),
     ("key_inequality_residual: any order k taken", "operators.py",
-     "    if not 0 <= k < patch.n:\n", "    if False:\n"),
+     "    if not (is_integer(k) and 0 <= k < patch.n):\n", "    if False:\n"),
     ("omori_yau_search: any order k taken", "operators.py",
-     "if not (0 <= k < patch.n and j_max >= 1):", "if not (j_max >= 1):"),
+     "if not (is_integer(k) and 0 <= k < patch.n and j_max >= 1):", "if not (j_max >= 1):"),
     ("omori_yau_search: j_max below 1 taken", "operators.py",
-     "if not (0 <= k < patch.n and j_max >= 1):", "if not (0 <= k < patch.n):"),
+     "if not (is_integer(k) and 0 <= k < patch.n and j_max >= 1):",
+     "if not (is_integer(k) and 0 <= k < patch.n):"),
+    ("orders: a fractional order taken", "errors.py",
+     "return isinstance(value, (int, np.integer)) and not isinstance(value, bool)",
+     "return not isinstance(value, bool)"),
+    ("orders: a bool taken as an order", "errors.py",
+     "return isinstance(value, (int, np.integer)) and not isinstance(value, bool)",
+     "return isinstance(value, (int, np.integer))"),
+    ("refine_extremum: negative rounds taken", "immersion.py",
+     "if not (is_integer(rounds) and rounds >= 0):", "if not is_integer(rounds):"),
+    # the refiner's quadratic step and round-off stop
+    ("refine: the definiteness test's sign flipped", "immersion.py",
+     "down = lam < -noise", "down = lam > noise"),
+    ("refine: a clipped or failed stencil fitted", "immersion.py",
+     "        if complete and np.all(lo <= middle - cell) and np.all(middle + cell <= hi):\n",
+     "        if True:\n"),
+    ("refine: round-off stop ulps x1e6", "immersion.py",
+     "ROUNDOFF_ULPS = 16", "ROUNDOFF_ULPS = 16e6"),
+    ("refine: a quartering round counted as one halving", "immersion.py",
+     "cell / 4.0, halvings + 2", "cell / 4.0, halvings + 1"),
     # the heap policy set on import
     ("heap policy: trim threshold 8 MiB -> 8 KiB", "__init__.py",
      "_TRIM_THRESHOLD_BYTES = 8 * 2**20", "_TRIM_THRESHOLD_BYTES = 8 * 2**10"),

@@ -18,7 +18,10 @@ routines in single-point calls that raise the first error:
 - frames: the congruence and shape operators of stacked metrics in the
   samples-first layout, from the library's elimination on [g | I], and the
   same by an explicit LDL^T factor and forward substitution, the reference
-  that elimination matches bit for bit.
+  that elimination matches bit for bit;
+- refinement: the per-point grid-halving loop, which evaluates one stencil
+  point at a time and always halves the cell, and a long run of it that
+  gives a scalar's extremum to round-off.
 
 Sign conventions are those of :mod:`curvbound.curvature`.
 """
@@ -29,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from curvbound.charts import grid_points
 from curvbound.comparison import cs, sn
 from curvbound.curvature import (
     TAU_ELL,
@@ -39,7 +43,12 @@ from curvbound.curvature import (
     signed_values,
     trace_coefficients,
 )
-from curvbound.errors import HypothesisViolationError, NumericalError, raise_first
+from curvbound.errors import (
+    GeometryError,
+    HypothesisViolationError,
+    NumericalError,
+    raise_first,
+)
 from curvbound.immersion import (
     _matmul,
     _samples_first,
@@ -340,3 +349,47 @@ def substitution_shape(g: np.ndarray, h: np.ndarray) -> tuple:
         A = _matmul(_matmul(Rt, _samples_last(h)), np.swapaxes(Rt, 0, 1))
         A = 0.5 * (A + np.swapaxes(A, 0, 1))
     return _samples_first(d, 1), _samples_first(Rt), _samples_first(A)
+
+
+# ---------------------------------------------------------------------------
+# refinement
+# ---------------------------------------------------------------------------
+
+
+def sequential_refine(patch, fn, start, cell, rounds, sign):
+    """Grid-halving refinement of max(sign * fn), one stencil point at a time.
+
+    ``fn`` maps one parameter point to a value or raises GeometryError.  Each
+    round tries the 5^n points of half and whole cells around the best point,
+    clipped to the box, in grid order, moves on a strict improvement, then
+    halves the cell.  Returns (param, value).
+    """
+    center = np.asarray(start, dtype=float)
+    best = sign * fn(center)
+    offsets = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+    cell = np.asarray(cell, dtype=float)
+    for _ in range(rounds):
+        for combo in grid_points([center[i] + offsets * cell[i] for i in range(center.size)]):
+            q = np.clip(combo, patch.domain_lo, patch.domain_hi)
+            try:
+                val = sign * fn(q)
+            except GeometryError:
+                continue
+            if val > best:
+                best, center = val, q
+        cell = cell / 2.0
+    return center, sign * best
+
+
+def halving_reference(patch, fn, start, cell, sign, rounds=60):
+    """:func:`sequential_refine` for ``rounds`` rounds of ``fn``, which maps rows to (values, errors).
+
+    After 60 halvings the cell is below the parameters' round-off, so the
+    value is the extremum to round-off.
+    """
+    def value_at(q):
+        values, errors = fn(q[None])
+        raise_first(errors)
+        return values[0]
+
+    return sequential_refine(patch, value_at, start, cell, rounds, sign)

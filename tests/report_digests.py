@@ -5,6 +5,11 @@ It prints one line per digest, ``<what> <digest>``:
 - ``verify``: for each bundled scenario at resolutions 16, 32 and 48, the
   report JSON (``timing_ms`` masked), the stdout (the run time and the output
   paths masked) and the samples CSV of ``verify --emit-report --emit-samples``;
+- ``refine``: for each bundled scenario at those resolutions and each refined
+  distance extremum its checks read (the max, and in a Lorentzian scenario
+  the min), the value and parameter bytes in hex in place of a digest, and on
+  a line of its own the number of calls of the refined function, so a diff
+  shows which extrema moved and which refinements changed their work;
 - ``sturm``, ``lambda`` and ``comparison``: the stdout (and ``sturm``'s CSV)
   for a few growth bounds and arguments;
 - ``point``: ``restriction_hessian``, ``key_inequality_residual`` and
@@ -69,6 +74,38 @@ def verify_digests(name: str, resolution: int, tmp: Path) -> dict:
     masked["timing_ms"] = None
     return {"report": sha(json.dumps(masked, indent=2).encode()), "stdout": sha(stdout),
             "samples": sha(samples.read_bytes())}
+
+
+def refine_values(name: str, resolution: int) -> dict:
+    """``value=<float hex>,param=<bytes hex>`` and the fn call count of each extremum the checks read."""
+    import dataclasses
+
+    from curvbound import harness
+    from curvbound.spaceform import LORENTZIAN
+
+    config = harness.load_scenario(harness.bundled_scenarios()[name])
+    config = dataclasses.replace(config, resolution=resolution)
+    samples = harness.collect_samples(config)
+    refine, calls = harness.refine_extremum, []
+
+    def counted(patch, fn, *args, **kwargs):
+        def counted_fn(Q):
+            calls.append(len(Q))
+            return fn(Q)
+
+        return refine(patch, counted_fn, *args, **kwargs)
+
+    harness.refine_extremum = counted
+    try:
+        values = {}
+        for mode in ("max", "min") if config.model.signature == LORENTZIAN else ("max",):
+            calls.clear()
+            param, value = harness.refined_distance_extremum(samples, mode)
+            values[mode] = f"value={float(value).hex()},param={param.tobytes().hex()}"
+            values[f"{mode} calls"] = str(len(calls))
+        return values
+    finally:
+        harness.refine_extremum = refine
 
 
 def sturm_digests(spec: str, tmp: Path) -> dict:
@@ -180,6 +217,8 @@ def print_digests(src: Path) -> None:
             for resolution in RESOLUTIONS:
                 for kind, digest in verify_digests(name, resolution, tmp).items():
                     print(f"verify {name} {resolution} {kind} {digest}", flush=True)
+                for mode, value in refine_values(name, resolution).items():
+                    print(f"refine {name} {resolution} {mode} {value}", flush=True)
         for spec in STURM_BOUNDS:
             for kind, digest in sturm_digests(spec, tmp).items():
                 print(f"sturm {spec} T={STURM_T} {kind} {digest}", flush=True)

@@ -15,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import curvbound
-from curvbound import immersion
+from curvbound import harness, immersion
 from curvbound.cli import main
 from curvbound.curvature import complement_symmetric, signed_values
 from curvbound.errors import ConfigError, DomainError
@@ -35,9 +35,10 @@ from curvbound.harness import (
 )
 from curvbound.immersion import GridSamples
 from curvbound.operators import DistanceField, key_inequality_residual
-from curvbound.spaceform import AmbientModel, ambient_distance
+from curvbound.spaceform import LORENTZIAN, AmbientModel, ambient_distance
 
 from conftest import counted
+from oracles import halving_reference
 
 
 def bundled(name):
@@ -399,6 +400,36 @@ def test_refined_extremum_reaches_touching_radius():
     samples = collect_samples(bundled("ellipsoid"))
     _, r = refined_distance_extremum(samples, "max")
     assert r == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("resolution", [16, 48])
+def test_refined_extrema_match_a_long_halving_reference(monkeypatch, resolution):
+    # each extremum the checks read is the 60-round halving loop's to 1e-15;
+    # quadratic steps get there in at most 8 stencils, and a distance sphere's
+    # first stencil is flat to round-off, so its refinement stops there
+    runs = []
+
+    def recorded(patch, fn, start, cell, rounds=14, sign=1.0):
+        calls = []
+
+        def counted_fn(Q):
+            calls.append(len(Q))
+            return fn(Q)
+
+        runs.append((halving_reference(patch, fn, start, cell, sign), calls))
+        return immersion.refine_extremum(patch, counted_fn, start, cell, rounds, sign)
+
+    monkeypatch.setattr(harness, "refine_extremum", recorded)
+    for name in bundled_scenarios():
+        config = dataclasses.replace(bundled(name), resolution=resolution)
+        samples = collect_samples(config)
+        flat = np.ptp(samples.u) <= 1e-12 * samples.u.max()
+        for mode in ("max", "min") if config.model.signature == LORENTZIAN else ("max",):
+            runs.clear()
+            _, value = refined_distance_extremum(samples, mode)
+            [((_, reference), calls)] = runs
+            assert abs(value - reference) <= 1e-15 * abs(reference), (name, mode)
+            assert len(calls) == 2 if flat else len(calls) <= 9, (name, mode, len(calls))
 
 
 def test_tabulated_chart_scenario(tmp_path):

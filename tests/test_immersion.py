@@ -65,7 +65,7 @@ from curvbound.operators import (
 from curvbound.spaceform import AmbientModel
 
 from conftest import congruent, counted, riemannian_space_form
-from oracles import orthonormal_shape, substitution_shape
+from oracles import orthonormal_shape, sequential_refine, substitution_shape
 
 E3 = AmbientModel.euclidean(3)
 M3 = AmbientModel.minkowski(3)
@@ -645,23 +645,53 @@ def test_grid_and_single_point_paths_agree(name, patch, resolution):
     assert len(grid.skipped) == (8 if name == "polar cap" else 0)
 
 
-def sequential_refine(patch, fn, start, cell, rounds, sign):
-    """The per-point refinement loop that refine_extremum replaced, kept as its reference."""
-    center = np.asarray(start, dtype=float)
-    best = sign * fn(center)
-    offsets = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
-    cell = np.asarray(cell, dtype=float)
-    for _ in range(rounds):
-        for combo in grid_points([center[i] + offsets * cell[i] for i in range(center.size)]):
-            q = np.clip(combo, patch.domain_lo, patch.domain_hi)
-            try:
-                val = sign * fn(q)
-            except GeometryError:
-                continue
-            if val > best:
-                best, center = val, q
-        cell = cell / 2.0
-    return center, sign * best
+def refine_both_ways(patch, lookup, start, cell, rounds, sign):
+    """(result, points) of refine_extremum, then of sequential_refine, the points being
+    those each evaluated, in order, for ``lookup(q) -> (value, fails)``; None where the
+    start point fails and both raise its DomainError."""
+    tried, seen = [], []
+
+    def value_at(q):
+        tried.append(q)
+        value, fails = lookup(q)
+        if fails:
+            raise DomainError("no value at this stencil point")
+        return value
+
+    def rows(Q):
+        seen.extend(Q)
+        values, errors = np.zeros(len(Q)), no_errors(len(Q))
+        for i, q in enumerate(Q):
+            values[i], fails = lookup(q)
+            if fails:
+                errors[i] = DomainError("no value at this stencil point")
+        return values, errors
+
+    try:
+        expected = sequential_refine(patch, value_at, start, cell, rounds, sign)
+    except DomainError:
+        with pytest.raises(DomainError):
+            refine_extremum(patch, rows, start, cell, rounds=rounds, sign=sign)
+        return None
+    return refine_extremum(patch, rows, start, cell, rounds=rounds, sign=sign), seen, expected, tried
+
+
+def assert_moves_like_the_loop(both, fallback, n):
+    """The refiner evaluates the loop's stencils through the first round of the loop
+    that ``fallback`` does not mark, the round that may step; it returns the loop's
+    result if every round is marked."""
+    got, seen, expected, tried = both
+    alike = len(fallback) if all(fallback) else fallback.index(False) + 1
+    m = 1 + alike * 5**n
+    assert np.array_equal(np.array(seen[:m]), np.array(tried[:m]))
+    if all(fallback):
+        assert len(seen) == len(tried)
+        assert np.array_equal(got[0], expected[0]) and got[1] == expected[1]
+
+
+def box_patch(n):
+    return build_patch(AmbientModel.euclidean(n + 1), "graph",
+                       {"terms": [[1.0, [0] * n]], "box_lo": [-1] * n, "box_hi": [1] * n})
 
 
 @given(
@@ -674,34 +704,74 @@ def sequential_refine(patch, fn, start, cell, rounds, sign):
 )
 def test_refinement_moves_like_the_sequential_loop(n, rounds, sign, table, start, cell):
     # stencil values come from a 5-entry table of small integers, so rows tie
-    # often, and some rows fail; the stencil runs past the box and is clipped
-    patch = build_patch(AmbientModel.euclidean(n + 1), "graph",
-                        {"terms": [[1.0, [0] * n]], "box_lo": [-1] * n, "box_hi": [1] * n})
-
-    def value_at(q):
+    # often; a stencil with a failed row is neither flat nor fitted, so the
+    # refiner moves to the first best row and halves the cell, as the loop does
+    def lookup(q):
         value, fails = table[zlib.crc32(np.ascontiguousarray(q).tobytes()) % len(table)]
-        if fails:
-            raise DomainError("no value at this stencil point")
-        return float(value)
+        return float(value), fails
 
-    def rows(Q):
-        values, errors = np.zeros(len(Q)), no_errors(len(Q))
-        for i, q in enumerate(Q):
-            try:
-                values[i] = value_at(q)
-            except GeometryError as exc:
-                errors[i] = exc
-        return values, errors
+    both = refine_both_ways(box_patch(n), lookup, np.array(start[:n]), np.full(n, cell),
+                            rounds, sign)
+    if both is not None:
+        failed_rows = np.reshape([lookup(q)[1] for q in both[3][1:]], (rounds, -1))
+        assert_moves_like_the_loop(both, failed_rows.any(axis=1).tolist(), n)
 
-    args = (np.array(start[:n]), np.full(n, cell))
-    try:
-        expected = sequential_refine(patch, value_at, *args, rounds=rounds, sign=sign)
-    except DomainError:
-        with pytest.raises(DomainError):
-            refine_extremum(patch, rows, *args, rounds=rounds, sign=sign)
-        return
-    center, value = refine_extremum(patch, rows, *args, rounds=rounds, sign=sign)
-    assert np.array_equal(center, expected[0]) and value == expected[1]
+
+@given(
+    n=st.integers(1, 2),
+    rounds=st.integers(1, 4),
+    sign=st.sampled_from([1.0, -1.0]),
+    curve=st.sampled_from([1.0, -1.0]),
+    peak=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+    start=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    cell=st.floats(0.05, 1.5),
+)
+def test_refinement_moves_like_the_sequential_loop_without_a_fitted_maximum(
+        n, rounds, sign, curve, peak, start, cell):
+    # the refined scalar sign * f is curve * |q - peak|^2, its own quadratic fit:
+    # it has a maximum only if it curves down, at the peak.  A round takes no
+    # step where the box clips its stencil, the bowl curves up or the peak lies
+    # outside the stencil (by more than round-off)
+    peak = np.array(peak[:n])
+
+    def lookup(q):
+        return sign * curve * float(np.sum((q - peak) ** 2)), False
+
+    both = refine_both_ways(box_patch(n), lookup, np.array(start[:n]), np.full(n, cell),
+                            rounds, sign)
+    stencils = np.reshape(both[3][1:], (rounds, 5**n, n))
+    fallback = []
+    for r, center in enumerate(stencils[:, (5**n - 1) // 2]):  # the zero offset
+        width = cell / 2**r
+        clipped = np.any(center - width < -1.0) or np.any(center + width > 1.0)
+        outside = np.abs(peak - center).max() > width * (1.0 + 1e-9)
+        fallback.append(bool(clipped or curve > 0.0 or outside))
+    assert_moves_like_the_loop(both, fallback, n)
+
+
+@given(a=st.floats(-10.0, 10.0), b=st.floats(-10.0, 10.0), c=st.floats(-10.0, 10.0))
+def test_closed_form_eigenvectors_of_a_2x2_match_lapack(a, b, c):
+    H = np.array([[a, b], [b, c]])
+    lam, V = immersion._symmetric_eigen(H)
+    scale = max(1.0, np.abs(H).max())
+    assert np.allclose(lam, np.linalg.eigvalsh(H), rtol=0.0, atol=1e-14 * scale)
+    assert np.allclose(V.T @ V, np.eye(2), rtol=0.0, atol=1e-15)
+    assert np.allclose(H @ V, V * lam, rtol=0.0, atol=1e-14 * scale)
+
+
+@pytest.mark.parametrize("rounds", [-1, 1.5, True, None])
+def test_refinement_rounds_must_be_a_non_negative_integer(rounds):
+    patch = box_patch(2)
+    calls = []
+
+    def fn(Q):
+        calls.append(len(Q))
+        return np.zeros(len(Q)), no_errors(len(Q))
+
+    with pytest.raises(DomainError, match="rounds"):
+        refine_extremum(patch, fn, np.zeros(2), np.full(2, 0.1), rounds=rounds)
+    assert calls == []
+    assert refine_extremum(patch, fn, np.zeros(2), np.full(2, 0.1), rounds=np.int64(0))[1] == 0.0
 
 
 def test_resolution_one_rejected():

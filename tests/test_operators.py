@@ -701,12 +701,13 @@ def test_undefined_and_violating_points_raise_on_every_call():
 
 def order_cases():
     """(call, args, kwargs) of each single-point call at an order outside its range, on a
-    surface (n = 2): L_k for k in 0..n, the key inequality and the search for k in 0..n-1."""
+    surface (n = 2): L_k for k in 0..n, the key inequality and the search for k in 0..n-1,
+    each an integer (a bool is not)."""
     field = DistanceField(E3, np.zeros(3))
     p = np.array([1.0, 2.0])
-    for k in (-2, -1, 3):
+    for k in (-2, -1, 3, 1.5, True):
         yield pytest.param(l_k_apply, (p, k, field), {}, id=f"l_k_apply-k={k}")
-    for k in (-1, 2):
+    for k in (-1, 2, 0.5, True, np.float64(1.0)):
         yield pytest.param(key_inequality_residual, (p, k), {}, id=f"key_inequality-k={k}")
         yield pytest.param(omori_yau_search, (field, k), {}, id=f"search-k={k}")
     for j_max in (0, -1):
@@ -727,6 +728,8 @@ def test_orders_at_the_ends_of_their_range_are_accepted():
     assert l_k_apply(patch, p, 2, field) == 0.0  # P_n = 0
     assert np.isfinite(l_k_apply(patch, p, 0, field))
     assert key_inequality_residual(patch, p, 1) >= -1e-9
+    assert l_k_apply(patch, p, np.int64(1), field) == l_k_apply(patch, p, 1, field)
+    assert key_inequality_residual(patch, p, np.int64(1)) == key_inequality_residual(patch, p, 1)
     report = omori_yau_search(patch, phi_of_distance_field(E3, np.zeros(3), 0.0), 1,
                               resolution=8, j_max=1, rounds=2)
     assert [o.j for o in report.outcomes] == [1]
@@ -791,12 +794,20 @@ def test_an_origin_is_validated_once_where_it_enters(monkeypatch):
 # -- extremum-sequence search ---------------------------------------------------------
 
 
+@pytest.mark.parametrize("rounds", [-1, 0.5, True])
+def test_search_rounds_must_be_a_non_negative_integer(rounds):
+    height = LinearCoordinateField(E3, np.array([0.0, 0.0, 1.0]))
+    with pytest.raises(DomainError, match="rounds"):
+        omori_yau_search(ellipsoid_patch(), height, 0, resolution=8, rounds=rounds)
+
+
 def test_search_on_unit_sphere_height():
     patch = build_patch(E3, "sphere", {"radius": 1.0}, center=np.zeros(3))
     height = LinearCoordinateField(E3, np.array([0.0, 0.0, 1.0]))
     report = omori_yau_search(patch, height, 0, resolution=24, j_max=6, rounds=20)
     assert report.all_found
-    assert report.evaluations == 1077
+    # 576 grid rows, the start and 10 stencils of 25: each round quarters the cell
+    assert report.evaluations == 827
     assert report.u_star == pytest.approx(1.0, abs=1e-9)
     assert report.refined_max.grad_norm < 1e-6
     assert report.refined_max.q_lu <= 1e-6
@@ -834,7 +845,8 @@ def test_search_counts_skipped_rows():
     patch = build_patch(E3, "sphere", {"radius": 1.0}, center=np.zeros(3))
     origin = patch.chart.value(grid_points(grid_axes(patch.domain_lo, patch.domain_hi, 10))[37])
     report = omori_yau_search(patch, DistanceField(E3, origin), 0, resolution=10, rounds=4)
-    assert (report.skipped, report.excluded, report.evaluations) == (1, 0, 200)
+    # 100 grid rows but the origin's, the start and 2 quartering stencils of 25
+    assert (report.skipped, report.excluded, report.evaluations) == (1, 0, 150)
 
 
 def test_search_counts_excluded_rows():

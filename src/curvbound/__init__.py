@@ -13,6 +13,7 @@ back calls ``mallopt`` itself after the import.
 """
 
 import ctypes
+from types import ModuleType
 
 # glibc's mallopt parameter numbers (malloc.h)
 _M_TRIM_THRESHOLD = -1
@@ -51,6 +52,9 @@ def _keep_freed_heap() -> None:
 
 # before the submodules load, so every entry point runs under the policy
 _keep_freed_heap()
+
+__version__ = "0.1.0"
+_PREAMBLE = set(globals()) | {"_PREAMBLE"}
 
 from .comparison import (
     AdmissibilityFlags,
@@ -127,67 +131,6 @@ from .spaceform import (
     ambient_distance,
 )
 
-__version__ = "0.1.0"
-
-__all__ = [
-    "AdmissibilityFlags",
-    "AmbientModel",
-    "CheckRecord",
-    "ComposedField",
-    "ConfigError",
-    "ConsistencyError",
-    "CurvatureBoundG",
-    "DistanceField",
-    "DomainError",
-    "EmptySampleError",
-    "FieldSample",
-    "GeometryError",
-    "GridSamples",
-    "HypersurfacePatch",
-    "HypothesisViolationError",
-    "ImmersionDegeneracyError",
-    "LambdaResult",
-    "LinearCoordinateField",
-    "NumericalError",
-    "OdeSolution",
-    "OmoriYauCandidate",
-    "OmoriYauReport",
-    "PointFrame",
-    "ReferenceBall",
-    "ScenarioConfig",
-    "SignatureError",
-    "TAU_ELL",
-    "UndefinedGradientError",
-    "VerificationReport",
-    "ambient_distance",
-    "build_patch",
-    "bundled_scenarios",
-    "c_b",
-    "c_hat_b",
-    "elementary_symmetric",
-    "emit_report",
-    "emit_samples_csv",
-    "frame_at",
-    "intrinsic_hessian_fd",
-    "key_inequality_residual",
-    "l_k_apply",
-    "lambda_sup",
-    "load_scenario",
-    "make_bound",
-    "omori_yau_search",
-    "phi_b",
-    "phi_b_d1",
-    "phi_b_d2",
-    "phi_gamma",
-    "phi_of_distance_field",
-    "phi_ode_residual",
-    "psi",
-    "restrict_field",
-    "restriction_hessian",
-    "run_scenario",
-    "sample_grid",
-    "solve_cauchy_g",
-    "sturm_margin",
-    "sturm_profile",
-    "trace_coefficients",
-]
+# the public surface is what the imports above bind, less the submodules they load
+__all__ = sorted(name for name, value in globals().items()
+                 if name not in _PREAMBLE and not isinstance(value, ModuleType))

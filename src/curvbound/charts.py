@@ -151,6 +151,9 @@ class Chart:
     """
 
     nparams: int
+    # the parameter axes (negative ones count from the last) on which the chart
+    # is 2 pi periodic; a patch whose box spans exactly 2 pi on one wraps it
+    periodic_axes: tuple = ()
 
     def __setattr__(self, name, value):
         if hasattr(self, name):
@@ -184,6 +187,8 @@ class Chart:
 class EllipsoidChart(Chart):
     """Axis-aligned ellipsoid; chart poles sit on the first semi-axis."""
 
+    periodic_axes = (-1,)  # the longitude
+
     def __init__(self, center: np.ndarray, semi_axes: np.ndarray):
         self.center = read_only_copy(center)
         self.semi_axes = read_only_copy(semi_axes)
@@ -209,6 +214,7 @@ class CylinderChart(Chart):
     """Circular cylinder in R^3, parameters (angle, height)."""
 
     nparams = 2
+    periodic_axes = (0,)  # the angle
 
     def __init__(self, center: np.ndarray, radius: float, half_length: float = 1.0):
         self.center = read_only_copy(center)
@@ -311,6 +317,11 @@ class GeodesicSphereChart(Chart):
         self.nparams = model.dimension - 1
         self._frame = read_only(self._tangent_frame())
         self._alpha, self._beta = cs(k, self.radius), sn(k, self.radius)
+
+    @property
+    def periodic_axes(self) -> tuple:
+        """The longitude of the Riemannian angle chart; the Lorentzian box has none."""
+        return (-1,) if self.model.signature == RIEMANNIAN else ()
 
     def _tangent_frame(self):
         model, o = self.model, self.center

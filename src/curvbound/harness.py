@@ -257,11 +257,10 @@ def collect_samples(config: ScenarioConfig) -> GridSamples:
 
 
 def refined_distance_extremum(samples: GridSamples, mode: str):
-    """(param, value) of the refined max or min of u over the patch."""
+    """(param, value) of the refined max or min of u over the patch, from the grid's cell."""
     sign = 1.0 if mode == "max" else -1.0
     patch = samples.patch
     idx = np.argmax(samples.u) if mode == "max" else np.argmin(samples.u)
-    cell = patch.domain_width / max(2, len(samples.u) ** (1.0 / patch.n))
 
     def fn(Q):
         errors = patch.chart.undefined(Q)
@@ -270,7 +269,7 @@ def refined_distance_extremum(samples: GridSamples, mode: str):
         rho[ok], errors[ok] = distance_rows(patch.ambient, patch.center, patch.chart.value(Q[ok]))
         return rho, errors
 
-    return refine_extremum(patch, fn, samples.frames.param[idx], cell, sign=sign)
+    return refine_extremum(patch, fn, samples.frames.param[idx], samples.cell, sign=sign)
 
 
 def floored_ratio(H: np.ndarray, k: int, floor: float = H_FLOOR):

@@ -79,7 +79,9 @@ class HypersurfacePatch:
     domain and center (validated here as a model point), so the frame :func:`frame_at`
     keeps for its last point cannot go stale.  Patches compare by identity.  What
     every call would rebuild from the domain is built here once, read-only: the
-    ``domain_width``, the padded box :meth:`contains` tests and the FD-jet steps.
+    ``domain_width``, the axes that ``wraps``, the padded box :meth:`contains`
+    tests and the FD-jet steps.  An axis wraps where the chart names it periodic
+    and the box spans exactly 2 pi on it: its two ends are one point.
     """
 
     chart: Chart
@@ -90,6 +92,7 @@ class HypersurfacePatch:
     center: np.ndarray | None = None
     jets: str = "auto"  # auto | analytic | fd
     domain_width: np.ndarray = field(init=False, repr=False)
+    wraps: np.ndarray = field(init=False, repr=False)  # (n,) bool
     _padded_box: tuple = field(init=False, repr=False)  # (lo, hi), widened by round-off
     _fd_steps: np.ndarray = field(init=False, repr=False)
     # frame_at's last frame, keyed by the bytes of its parameter point, and what
@@ -117,7 +120,10 @@ class HypersurfacePatch:
             raise ConfigError("empty parameter domain")
         width = read_only(self.domain_hi - self.domain_lo)
         pad = 1e-9 * np.maximum(1.0, np.abs(width))
+        wraps = np.zeros(width.shape, dtype=bool)
+        wraps[list(self.chart.periodic_axes)] = True
         object.__setattr__(self, "domain_width", width)
+        object.__setattr__(self, "wraps", read_only(wraps & (width == 2.0 * np.pi)))
         object.__setattr__(self, "_padded_box", read_only((self.domain_lo - pad,
                                                            self.domain_hi + pad)))
         object.__setattr__(self, "_fd_steps", read_only(FD_JET_SCALE * width))
@@ -131,6 +137,18 @@ class HypersurfacePatch:
         p = np.asarray(p, dtype=float)
         lo, hi = self._padded_box
         return fold_last(np.logical_and, (p >= lo) & (p <= hi))
+
+    def grid(self, resolution) -> tuple:
+        """(P, cell): the box's product grid as rows (N, n), last axis fastest, and its step (n,).
+
+        ``resolution`` is the nodes per axis, one count or one per axis, each
+        at least 2, evenly spaced from ``domain_lo`` to ``domain_hi``.  On an
+        axis that wraps, the node at ``domain_hi`` is the one at ``domain_lo``
+        and is left out, so no two rows are one point.
+        """
+        axes = grid_axes(self.domain_lo, self.domain_hi, resolution)
+        cell = self.domain_width / np.array([len(a) - 1 for a in axes])
+        return grid_points([a[:-1] if w else a for a, w in zip(axes, self.wraps)]), read_only(cell)
 
     def jet_at(self, p: np.ndarray):
         """(position, d1, d2) at the parameter points p (..., n)."""
@@ -474,11 +492,12 @@ def frame_at(patch: HypersurfacePatch, p: np.ndarray) -> PointFrame:
 
 @dataclass(eq=False)
 class GridSamples:
-    """Frames over a quasi-uniform grid of a patch, with skipped points recorded."""
+    """Frames over a patch's grid (:meth:`HypersurfacePatch.grid`), with skipped points recorded."""
 
     frames: PointFrame  # the grid points that have a frame, along a leading axis
     skipped: list  # (param, reason)
     patch: HypersurfacePatch
+    cell: np.ndarray  # (n,) the grid's step per axis
 
     @cached_property
     def u(self) -> np.ndarray:
@@ -499,14 +518,14 @@ class GridSamples:
 
 
 def sample_grid(patch: HypersurfacePatch, resolution) -> GridSamples:
-    """Evaluate frames over the product grid, skipping degenerate points."""
-    P = grid_points(grid_axes(patch.domain_lo, patch.domain_hi, resolution))
+    """Frames at the rows of ``patch.grid(resolution)``, each point once; skips those without one."""
+    P, cell = patch.grid(resolution)
     frames, errors = frames_at(patch, P)
     if not len(frames.param):
         raise EmptySampleError("every grid point was rejected")
     skipped = [(P[i], f"{type(errors[i]).__name__}: {errors[i]}")
                for i in np.flatnonzero(failed(errors))]
-    return GridSamples(frames=frames, skipped=skipped, patch=patch)
+    return GridSamples(frames=frames, skipped=skipped, patch=patch, cell=cell)
 
 
 @lru_cache(maxsize=None)
@@ -572,14 +591,15 @@ def refine_extremum(patch: HypersurfacePatch, fn, start, cell, rounds=14, sign=1
 
     ``fn`` maps parameter rows (N, n) to (values, errors), ``errors[i]`` being
     the GeometryError of a row without a value.  Each round evaluates a 5^n
-    stencil of half and whole cells, clipped to the parameter box, in one
-    call and moves the best point to the first best row only on a strict
-    improvement over the best value so far.  Then:
+    stencil of half and whole cells in one call, its coordinates taken modulo
+    the width on an axis that wraps and clipped to the box on the others, and
+    moves the best point to the first best row only on a strict improvement
+    over the best value so far.  Then:
 
     - it stops if every row has a value and the values spread over at most
       ``ROUNDOFF_ULPS`` ulp of the best one: the scalar is flat at this scale
       (on a level set, after one stencil);
-    - where no row failed, the stencil was not clipped and the least-squares
+    - where no row failed, no coordinate was clipped and the least-squares
       quadratic through its values has a maximum inside it, the next stencil
       is centered on that vertex and the cell is divided by 4;
     - otherwise the next stencil is centered on the best point and the cell
@@ -597,11 +617,14 @@ def refine_extremum(patch: HypersurfacePatch, fn, start, cell, rounds=14, sign=1
     values, errors = fn(center[None])
     raise_first(errors)
     best = sign * values[0]
-    n, lo, hi = center.size, patch.domain_lo, patch.domain_hi
+    n, lo, hi, wraps = center.size, patch.domain_lo, patch.domain_hi, patch.wraps
     stencil = _refinement_stencil(n)
     middle, cell, halvings = center, np.asarray(cell, dtype=float), 0
     while halvings < rounds:
-        Q = np.clip(middle + stencil * cell, lo, hi)
+        Q = middle + stencil * cell
+        outside = (middle - cell < lo) | (middle + cell > hi)  # per axis: the stencil leaves the box
+        if outside.any():
+            Q = np.where(wraps, lo + np.mod(Q - lo, patch.domain_width), np.clip(Q, lo, hi))
         values, errors = fn(Q)
         bad = failed(errors)
         complete = not bad.any()
@@ -613,7 +636,7 @@ def refine_extremum(patch: HypersurfacePatch, fn, start, cell, rounds=14, sign=1
         if complete and values.max() - values.min() <= noise:
             break
         vertex = None
-        if complete and np.all(lo <= middle - cell) and np.all(middle + cell <= hi):
+        if complete and not np.any(outside & ~wraps):
             vertex = _quadratic_vertex(values - best, n, noise)
         if vertex is None:
             middle, cell, halvings = center, cell / 2.0, halvings + 1

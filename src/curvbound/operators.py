@@ -37,7 +37,7 @@ from functools import partial
 
 import numpy as np
 
-from .charts import fd_jet, grid_axes, grid_points
+from .charts import fd_jet
 from .comparison import c_b, phi_b, phi_b_d1, phi_b_d2
 from .curvature import TAU_ELL, convention_signs, trace_coefficients
 from .errors import (
@@ -416,10 +416,11 @@ def omori_yau_search(
     """Search for points realizing the three extremum-sequence conditions.
 
     For each j <= j_max a candidate p must satisfy u(p) > u* - 1/j,
-    |grad u(p)| < 1/j and (1/Tr P_k) L_k u(p) < 1/j.  The search runs a
-    coarse grid, starts from the smallest gradient in the top tenth of its u
-    values, then refines the max of u from there with :func:`refine_extremum`
-    on stencils of the grid's cell.  ``rounds`` (a non-negative integer) bounds
+    |grad u(p)| < 1/j and (1/Tr P_k) L_k u(p) < 1/j.  The search runs the
+    patch's coarse grid (:meth:`HypersurfacePatch.grid`, each point once),
+    starts from the smallest gradient in the top tenth of its u values, then
+    refines the max of u from there with :func:`refine_extremum` on stencils
+    of the grid's cell.  ``rounds`` (a non-negative integer) bounds
     the halvings of that cell, a round that divides it by 4 counting as two,
     so the refinement evaluates at most ``rounds`` stencils and the last one's
     cell is at least cell/2^rounds; raise ``rounds`` for tighter targets.
@@ -429,8 +430,8 @@ def omori_yau_search(
     if not (is_integer(k) and 0 <= k < patch.n and j_max >= 1):
         raise DomainError(f"order k = {k!r} is outside 0..{patch.n - 1} or not an integer,"
                           f" or j_max = {j_max} < 1")
-    axes = grid_axes(patch.domain_lo, patch.domain_hi, resolution)
-    records, errors, excluded = _evaluate_rows(patch, field, k, grid_points(axes))
+    P, cell = patch.grid(resolution)
+    records, errors, excluded = _evaluate_rows(patch, field, k, P)
     if not len(records[1]):
         raise GeometryError("no valid samples for the extremum search")
     pool = [records]
@@ -445,7 +446,6 @@ def omori_yau_search(
         u[~failed(row_errors)] = rows[1]
         return u, row_errors
 
-    cell = np.array([ax[1] - ax[0] for ax in axes])
     refine_extremum(patch, pooled_u, start, cell, rounds=rounds)
     params, u, grad_norm, q_lu = (np.concatenate(a) for a in zip(*pool))
 

@@ -56,6 +56,12 @@ def congruent(L, form):
     return np.swapaxes(np.linalg.solve(L, np.swapaxes(tmp, -1, -2)), -1, -2)
 
 
+def coincident_rows(x, tol=1e-12):
+    """Pairs [i, j], i < j, of rows of x (N, m) within ``tol`` of each other in every coordinate."""
+    close = np.all(np.abs(x[:, None, :] - x[None, :, :]) <= tol, axis=-1)
+    return np.argwhere(np.triu(close, 1)).tolist()
+
+
 def rho_range(model):
     """A distance range staying inside every domain guard of the model."""
     b = model.curvature

@@ -187,12 +187,20 @@ MUTANTS = [
     ("refine: the definiteness test's sign flipped", "immersion.py",
      "down = lam < -noise", "down = lam > noise"),
     ("refine: a clipped or failed stencil fitted", "immersion.py",
-     "        if complete and np.all(lo <= middle - cell) and np.all(middle + cell <= hi):\n",
+     "        if complete and not np.any(outside & ~wraps):\n",
      "        if True:\n"),
     ("refine: round-off stop ulps x1e6", "immersion.py",
      "ROUNDOFF_ULPS = 16", "ROUNDOFF_ULPS = 16e6"),
     ("refine: a quartering round counted as one halving", "immersion.py",
      "cell / 4.0, halvings + 2", "cell / 4.0, halvings + 1"),
+    # the grid and the refiner know the seam of a periodic axis
+    ("grid: the last node of a wrapping axis kept", "immersion.py",
+     "grid_points([a[:-1] if w else a for a, w in zip(axes, self.wraps)])", "grid_points(axes)"),
+    ("refine: a wrapping coordinate clipped", "immersion.py",
+     "Q = np.where(wraps, lo + np.mod(Q - lo, patch.domain_width), np.clip(Q, lo, hi))",
+     "Q = np.clip(Q, lo, hi)"),
+    ("wraps: a periodic axis wraps whatever the box's width", "immersion.py",
+     "read_only(wraps & (width == 2.0 * np.pi))", "read_only(wraps)"),
     # the heap policy set on import
     ("heap policy: trim threshold 8 MiB -> 8 KiB", "__init__.py",
      "_TRIM_THRESHOLD_BYTES = 8 * 2**20", "_TRIM_THRESHOLD_BYTES = 8 * 2**10"),

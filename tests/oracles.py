@@ -361,16 +361,18 @@ def sequential_refine(patch, fn, start, cell, rounds, sign):
 
     ``fn`` maps one parameter point to a value or raises GeometryError.  Each
     round tries the 5^n points of half and whole cells around the best point,
-    clipped to the box, in grid order, moves on a strict improvement, then
-    halves the cell.  Returns (param, value).
+    in grid order, each coordinate taken modulo the width on an axis the patch
+    wraps and clipped to the box on the others, moves on a strict improvement,
+    then halves the cell.  Returns (param, value).
     """
     center = np.asarray(start, dtype=float)
     best = sign * fn(center)
     offsets = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
     cell = np.asarray(cell, dtype=float)
+    lo, hi = patch.domain_lo, patch.domain_hi
     for _ in range(rounds):
         for combo in grid_points([center[i] + offsets * cell[i] for i in range(center.size)]):
-            q = np.clip(combo, patch.domain_lo, patch.domain_hi)
+            q = np.where(patch.wraps, lo + np.mod(combo - lo, hi - lo), np.clip(combo, lo, hi))
             try:
                 val = sign * fn(q)
             except GeometryError:

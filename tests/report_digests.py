@@ -5,6 +5,8 @@ It prints one line per digest, ``<what> <digest>``:
 - ``verify``: for each bundled scenario at resolutions 16, 32 and 48, the
   report JSON (``timing_ms`` masked), the stdout (the run time and the output
   paths masked) and the samples CSV of ``verify --emit-report --emit-samples``;
+- ``grid``: for each bundled scenario at those resolutions, the counts of
+  grid rows kept and skipped, so a diff names a change of the grid itself;
 - ``refine``: for each bundled scenario at those resolutions and each refined
   distance extremum its checks read (the max, and in a Lorentzian scenario
   the min), the value and parameter bytes in hex in place of a digest, and on
@@ -76,16 +78,21 @@ def verify_digests(name: str, resolution: int, tmp: Path) -> dict:
             "samples": sha(samples.read_bytes())}
 
 
-def refine_values(name: str, resolution: int) -> dict:
-    """``value=<float hex>,param=<bytes hex>`` and the fn call count of each extremum the checks read."""
+def scenario_samples(name: str, resolution: int):
+    """The bundled scenario's samples at ``resolution``."""
     import dataclasses
 
     from curvbound import harness
-    from curvbound.spaceform import LORENTZIAN
 
     config = harness.load_scenario(harness.bundled_scenarios()[name])
-    config = dataclasses.replace(config, resolution=resolution)
-    samples = harness.collect_samples(config)
+    return harness.collect_samples(dataclasses.replace(config, resolution=resolution))
+
+
+def refine_values(samples) -> dict:
+    """``value=<float hex>,param=<bytes hex>`` and the fn call count of each extremum the checks read."""
+    from curvbound import harness
+    from curvbound.spaceform import LORENTZIAN
+
     refine, calls = harness.refine_extremum, []
 
     def counted(patch, fn, *args, **kwargs):
@@ -98,7 +105,7 @@ def refine_values(name: str, resolution: int) -> dict:
     harness.refine_extremum = counted
     try:
         values = {}
-        for mode in ("max", "min") if config.model.signature == LORENTZIAN else ("max",):
+        for mode in ("max", "min") if samples.patch.ambient.signature == LORENTZIAN else ("max",):
             calls.clear()
             param, value = harness.refined_distance_extremum(samples, mode)
             values[mode] = f"value={float(value).hex()},param={param.tobytes().hex()}"
@@ -217,7 +224,10 @@ def print_digests(src: Path) -> None:
             for resolution in RESOLUTIONS:
                 for kind, digest in verify_digests(name, resolution, tmp).items():
                     print(f"verify {name} {resolution} {kind} {digest}", flush=True)
-                for mode, value in refine_values(name, resolution).items():
+                samples = scenario_samples(name, resolution)
+                print(f"grid {name} {resolution} kept={len(samples.frames.param)},"
+                      f"skipped={len(samples.skipped)}", flush=True)
+                for mode, value in refine_values(samples).items():
                     print(f"refine {name} {resolution} {mode} {value}", flush=True)
         for spec in STURM_BOUNDS:
             for kind, digest in sturm_digests(spec, tmp).items():

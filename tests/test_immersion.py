@@ -65,7 +65,7 @@ from curvbound.operators import (
 from curvbound.spaceform import AmbientModel
 
 from conftest import congruent, counted, riemannian_space_form
-from oracles import orthonormal_shape, sequential_refine, substitution_shape
+from oracles import halving_reference, orthonormal_shape, sequential_refine, substitution_shape
 
 E3 = AmbientModel.euclidean(3)
 M3 = AmbientModel.minkowski(3)
@@ -534,7 +534,7 @@ def test_one_value_call_per_stencil(monkeypatch):
 
 def test_sample_grid_full_sphere_counts():
     grid = sample_grid(sphere_patch(), 10)
-    assert len(grid.points) == 100
+    assert len(grid.points) == 10 * 9  # the longitude wraps: 9 nodes
     assert len(grid.skipped) == 0
 
 
@@ -561,9 +561,70 @@ def test_polar_cap_skips_exactly_on_singular_axis():
         domain=([0.0, 0.0], [0.5, 2 * np.pi]),
     )
     grid = sample_grid(chart_patch, 8)
-    assert len(grid.skipped) == 8
+    assert len(grid.skipped) == 7  # the pole's ring, whose longitude wraps: 7 nodes
     assert all(p[0] == 0.0 for p, _ in grid.skipped)
     assert all(p[0] > 0.0 for p, _ in grid.points)
+
+
+def half_longitude_patch():
+    return build_patch(E3, "sphere", {"radius": 1.0}, center=np.zeros(3),
+                       domain=([0.15, 0.0], [np.pi - 0.15, np.pi]))
+
+
+def test_a_longitude_wraps_only_where_the_box_spans_two_pi():
+    # the chart names its longitude periodic: over [0, 2 pi] the node at 2 pi is
+    # the node at 0 and is left out; over [0, pi] both end nodes are kept
+    for patch, hi, wraps in ((sphere_patch(), 2.0 * np.pi, True),
+                             (half_longitude_patch(), np.pi, False)):
+        assert patch.wraps.tolist() == [False, wraps]
+        P, cell = patch.grid(8)
+        nodes = np.linspace(0.0, hi, 8)
+        assert np.array_equal(np.unique(P[:, 1]), nodes[:-1] if wraps else nodes)
+        assert len(P) == 8 * len(np.unique(P[:, 1]))
+        assert np.array_equal(cell, patch.domain_width / 7)
+
+
+def seam_peak(Q):
+    """cos(phi + 0.3) at the rows Q: its peak sits 0.3 below phi = 2 pi."""
+    return np.cos(Q[:, 1] + 0.3), no_errors(len(Q))
+
+
+def seam_refinement(patch, cell):
+    """refine_extremum of :func:`seam_peak`, from phi = 0, and the rows of each of its calls."""
+    calls = []
+
+    def fn(Q):
+        calls.append(Q)
+        return seam_peak(Q)
+
+    return refine_extremum(patch, fn, np.array([np.pi / 2, 0.0]), cell), calls
+
+
+def test_refiner_wraps_the_longitude_across_the_seam():
+    # the stencil around phi = 0 takes its negative offsets modulo 2 pi, counts
+    # as unclipped and takes the quadratic step, which quarters the cell
+    patch = sphere_patch()
+    cell = patch.grid(16)[1]
+    (param, value), calls = seam_refinement(patch, cell)
+    first, second = calls[1][:, 1], calls[2][:, 1]
+    assert np.all((first <= cell[1]) | (first >= 2.0 * np.pi - cell[1]))
+    assert first.max() > np.pi
+    assert np.ptp(second) == pytest.approx(cell[1] / 2.0, rel=1e-12)
+    assert param[1] == pytest.approx(2.0 * np.pi - 0.3, abs=1e-6)
+    assert value == pytest.approx(1.0, abs=1e-15)
+    # the halving loop wraps the same way and reaches the same peak
+    _, reference = halving_reference(patch, seam_peak, np.array([np.pi / 2, 0.0]), cell, 1.0)
+    assert value == pytest.approx(reference, abs=1e-15)
+
+
+def test_refiner_clips_a_longitude_box_that_does_not_wrap():
+    # over [0, pi] the stencil around phi = 0 is clipped at the box's edge, not
+    # taken modulo pi, and the max stays on that edge
+    patch = half_longitude_patch()
+    cell = patch.grid(16)[1]
+    (param, value), calls = seam_refinement(patch, cell)
+    assert calls[1][:, 1].min() == 0.0 and calls[1][:, 1].max() == cell[1]
+    assert param[1] == 0.0 and value == np.cos(0.3)
 
 
 @pytest.mark.parametrize("kind, params, resolution", [
@@ -575,10 +636,10 @@ def test_immersion_test_is_scale_free(kind, params, resolution):
     # rejected every point of the small sphere and the ellipsoid's polar rows
     grid = sample_grid(build_patch(E3, kind, params, center=np.zeros(3)), resolution)
     assert not grid.skipped
-    assert len(grid.points) == resolution**2
+    assert len(grid.points) == resolution * (resolution - 1)  # the longitude wraps
 
 
-@pytest.mark.parametrize("radius, kept", [(1e-4, 64), (1e-7, 0)])
+@pytest.mark.parametrize("radius, kept", [(1e-4, 8 * 7), (1e-7, 0)])  # the angle wraps
 def test_degeneracy_floor_sits_between_thin_and_collapsed_cylinders(radius, kept):
     # the metric of a cylinder of radius r has eigenvalues r^2 and 1: a ratio
     # of 1e-8 is immersive, 1e-14 is below DEGENERACY_TOL = 1e-12 (a floor of
@@ -642,7 +703,7 @@ def test_grid_and_single_point_paths_agree(name, patch, resolution):
         with pytest.raises(GeometryError) as exc:
             frame_at(patch, p)
         assert reason == f"{type(exc.value).__name__}: {exc.value}"
-    assert len(grid.skipped) == (8 if name == "polar cap" else 0)
+    assert len(grid.skipped) == (7 if name == "polar cap" else 0)  # the pole's ring
 
 
 def refine_both_ways(patch, lookup, start, cell, rounds, sign):

@@ -51,7 +51,7 @@ from curvbound.operators import (
 )
 from curvbound.spaceform import AmbientModel
 
-from conftest import congruent, counted, equality_spheres
+from conftest import coincident_rows, congruent, counted, equality_spheres
 from oracles import geodesic_point, higher_mean_curvatures, newton_tensors, symmetric_values
 
 E2 = AmbientModel.euclidean(2)
@@ -211,7 +211,9 @@ def test_grid_restrictions_are_one_row_restrictions_with_symmetric_hessians():
                     assert np.array_equal(getattr(batch, name)[i], getattr(one, name)), (
                         model.model_kind, n, field, name)
                 rows += 1
-    assert rows == 3 * 12 * 64  # no grid row is skipped
+    # no grid row is skipped; the 4 spherical scenarios at n = 2 (res 8) and the
+    # ellipsoid and 2 geodesic spheres at n = 3 (res 4) wrap their longitude
+    assert rows == 3 * (4 * 8 * 7 + 2 * 8 * 8 + 3 * 4 * 4 * 3 + 3 * 4 * 4 * 4)
 
 
 # -- L_k ---------------------------------------------------------------------------
@@ -806,12 +808,23 @@ def test_search_on_unit_sphere_height():
     height = LinearCoordinateField(E3, np.array([0.0, 0.0, 1.0]))
     report = omori_yau_search(patch, height, 0, resolution=24, j_max=6, rounds=20)
     assert report.all_found
-    # 576 grid rows, the start and 10 stencils of 25: each round quarters the cell
-    assert report.evaluations == 827
+    # 24 * 23 grid rows (the longitude wraps), the start and 10 stencils of 25:
+    # each round quarters the cell
+    assert report.evaluations == 24 * 23 + 1 + 10 * 25
     assert report.u_star == pytest.approx(1.0, abs=1e-9)
     assert report.refined_max.grad_norm < 1e-6
     assert report.refined_max.q_lu <= 1e-6
     assert report.refined_max.q_lu == pytest.approx(-1.0, abs=1e-6)  # q Lu = -z at the top
+
+
+def test_search_grid_samples_each_point_once(monkeypatch):
+    patch = build_patch(E3, "sphere", {"radius": 1.0}, center=np.zeros(3))
+    height = LinearCoordinateField(E3, np.array([0.0, 0.0, 1.0]))
+    rows = counted(monkeypatch, operators, "_evaluate_rows")
+    omori_yau_search(patch, height, 0, resolution=12, rounds=0)
+    grid = rows[0][3]  # the coarse grid, before the refinement's start point
+    assert len(grid) == 12 * 11  # the longitude wraps: 11 nodes
+    assert coincident_rows(patch.chart.value(grid)) == []
 
 
 def test_search_trivial_for_constant_function():
@@ -845,8 +858,9 @@ def test_search_counts_skipped_rows():
     patch = build_patch(E3, "sphere", {"radius": 1.0}, center=np.zeros(3))
     origin = patch.chart.value(grid_points(grid_axes(patch.domain_lo, patch.domain_hi, 10))[37])
     report = omori_yau_search(patch, DistanceField(E3, origin), 0, resolution=10, rounds=4)
-    # 100 grid rows but the origin's, the start and 2 quartering stencils of 25
-    assert (report.skipped, report.excluded, report.evaluations) == (1, 0, 150)
+    # 10 * 9 grid rows (the longitude wraps) but the origin's, the start and 2
+    # quartering stencils of 25
+    assert (report.skipped, report.excluded, report.evaluations) == (1, 0, 10 * 9 - 1 + 1 + 2 * 25)
 
 
 def test_search_counts_excluded_rows():
@@ -881,17 +895,17 @@ def test_search_reproduces_ratio_bound_on_ellipsoid(rng):
 
 
 def test_search_skips_rows_beyond_comparison_radius():
-    # C_1(rho) = cot(rho) is undefined from rho = pi/2 on: the 30 coarse-grid
+    # C_1(rho) = cot(rho) is undefined from rho = pi/2 on: the 27 coarse-grid
     # rows that far from the reference point are skipped, not fatal
     model = AmbientModel.sphere(1.0, 3)
     patch = build_patch(model, "geodesic_sphere", {"radius": 0.7}, center=model.base_point())
     far = geodesic_point(model, model.base_point(), np.eye(4)[1], 1.2)
     field = DistanceField(model, far)
     report = omori_yau_search(patch, field, 0, resolution=10, rounds=2)
-    assert (report.skipped, report.excluded) == (30, 0)
+    assert (report.skipped, report.excluded) == (27, 0)
     assert report.u_star < np.pi / 2
-    frames, _ = frames_at(patch, grid_points(grid_axes(patch.domain_lo, patch.domain_hi, 10)))
+    frames, _ = frames_at(patch, patch.grid(10)[0])
     beyond = frames.param[np.vecdot(frames.position, far) <= 0.0]
-    assert len(beyond) == 30
+    assert len(beyond) == 27
     with pytest.raises(DomainError):
         l_k_apply(patch, beyond[0], 0, field)

@@ -69,6 +69,11 @@ DEGENERACY_TOL = 1e-12
 # best one is flat; the distance spreads over up to 6 on the bundled distance
 # spheres.  It also bounds the round-off of the quadratic fit's coefficients.
 ROUNDOFF_ULPS = 16
+# A refinement stops where its quadratic fit predicts a gain of at most this
+# many ulp of the best value over the stencil's middle: a step to the vertex
+# would not change the value.  At 16 ulp the sphere-height search stopped at
+# u = 1 - 4.4e-16 with |grad u| = 3e-8, at 1 ulp at u = 1 with 3.9e-13.
+GAIN_ULPS = 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,6 +104,9 @@ class HypersurfacePatch:
     # operators.restriction_at keeps beside it, keyed by field; frame_at clears
     # all of it when it builds the frame of another point
     _last_frame: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # operators' distance field of the last origin a single-point call took,
+    # keyed by that origin's shape and bytes, so the origin is validated once
+    _origin_field: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("domain_lo", "domain_hi", "center"):
@@ -567,13 +575,16 @@ def _symmetric_eigen(H: np.ndarray) -> tuple:
 
 
 def _quadratic_vertex(values: np.ndarray, n: int, noise: float):
-    """Offset (in cells) of the maximum of the quadratic fitted to one stencil's values.
+    """(offset, gain) of the maximum of the quadratic fitted to one stencil's values.
 
-    The fit must curve down by more than ``noise`` (the values' round-off)
-    along each eigenvector of its Hessian, or be flat within it: curvature and
-    slope at most ``noise``, as along the equator of a spheroid, where the
-    vertex keeps its coordinate.  None unless some direction curves down, no
-    other direction is more than flat, and the vertex lies in the stencil.
+    The offset is in cells and the gain is the fitted maximum's rise over the
+    stencil's middle, the sum over the directions that curve down of
+    -slope^2 / (2 lambda).  The fit must curve down by more than ``noise``
+    (the values' round-off) along each eigenvector of its Hessian, or be flat
+    within it: curvature and slope at most ``noise``, as along the equator of
+    a spheroid, where the vertex keeps its coordinate.  None unless some
+    direction curves down, no other direction is more than flat, and the
+    vertex lies in the stencil.
     """
     c = _quadratic_fit(n) @ values
     lam, V = _symmetric_eigen(c[n:].reshape(n, n))
@@ -582,8 +593,9 @@ def _quadratic_vertex(values: np.ndarray, n: int, noise: float):
     flat = ~down
     if not down.any() or np.any(np.maximum(lam[flat], np.abs(slope[flat])) > noise):
         return None
-    s = V[:, down] @ (-slope[down] / lam[down])
-    return s if np.abs(s).max() <= 1.0 else None
+    step = -slope[down] / lam[down]
+    s = V[:, down] @ step
+    return (s, 0.5 * float(step @ slope[down])) if np.abs(s).max() <= 1.0 else None
 
 
 def refine_extremum(patch: HypersurfacePatch, fn, start, cell, rounds=14, sign=1.0):
@@ -592,47 +604,61 @@ def refine_extremum(patch: HypersurfacePatch, fn, start, cell, rounds=14, sign=1
     ``fn`` maps parameter rows (N, n) to (values, errors), ``errors[i]`` being
     the GeometryError of a row without a value.  Each round evaluates a 5^n
     stencil of half and whole cells in one call, its coordinates taken modulo
-    the width on an axis that wraps and clipped to the box on the others, and
-    moves the best point to the first best row only on a strict improvement
-    over the best value so far.  Then:
+    the width on an axis that wraps and clipped to the box on the others.  A
+    stencil's middle row is its center, bit for bit, and the first one's is
+    ``start``: the refinement starts from its value and raises its error, so
+    the start costs no call of its own.  A round moves the best point to the
+    first best row only on a strict improvement over the best value so far.
+    Then:
 
     - it stops if every row has a value and the values spread over at most
       ``ROUNDOFF_ULPS`` ulp of the best one: the scalar is flat at this scale
       (on a level set, after one stencil);
     - where no row failed, no coordinate was clipped and the least-squares
-      quadratic through its values has a maximum inside it, the next stencil
-      is centered on that vertex and the cell is divided by 4;
+      quadratic through its values has a maximum inside it, it stops if that
+      maximum rises at most ``GAIN_ULPS`` ulp of the best value over the
+      stencil's middle; else the next stencil is centered on the maximum,
+      taken modulo the width on an axis that wraps, and the cell is divided
+      by 4;
     - otherwise the next stencil is centered on the best point and the cell
       is halved.
 
     ``rounds`` (a non-negative integer) bounds the halvings of the cell, a
-    division by 4 counting as two, so there are at most ``rounds`` + 1 calls
-    of ``fn`` and the last stencil's cell is at least ``cell / 2**rounds``.
-    Returns (param, value) of the best row evaluated; raises the start
-    point's error.
+    division by 4 counting as two, so there are at most ``rounds`` calls of
+    ``fn`` and the last stencil's cell is at least ``cell / 2**(rounds - 1)``;
+    ``rounds`` = 0 evaluates the start alone.  Returns (param, value) of the
+    best row evaluated.
     """
     if not (is_integer(rounds) and rounds >= 0):
         raise DomainError(f"rounds = {rounds!r} is not a non-negative integer")
     center = np.asarray(start, dtype=float)
-    values, errors = fn(center[None])
-    raise_first(errors)
-    best = sign * values[0]
-    n, lo, hi, wraps = center.size, patch.domain_lo, patch.domain_hi, patch.wraps
+    if not rounds:
+        values, errors = fn(center[None])
+        raise_first(errors)
+        return center, values[0]
+    n, lo, hi, wraps, width = (center.size, patch.domain_lo, patch.domain_hi, patch.wraps,
+                               patch.domain_width)
     stencil = _refinement_stencil(n)
-    middle, cell, halvings = center, np.asarray(cell, dtype=float), 0
+    mid = len(stencil) // 2  # the zero offset
+    middle, cell, halvings, best = center, np.asarray(cell, dtype=float), 0, None
     while halvings < rounds:
         Q = middle + stencil * cell
         outside = (middle - cell < lo) | (middle + cell > hi)  # per axis: the stencil leaves the box
         if outside.any():
-            Q = np.where(wraps, lo + np.mod(Q - lo, patch.domain_width), np.clip(Q, lo, hi))
+            Q = np.where(wraps, lo + np.mod(Q - lo, width), np.clip(Q, lo, hi))
+        Q[mid] = middle
         values, errors = fn(Q)
+        if best is None:  # the first stencil's middle row is the start
+            raise_first(errors[mid:mid + 1])
+            best = sign * values[mid]
         bad = failed(errors)
         complete = not bad.any()
         values = np.where(bad, -np.inf, sign * values)
         i = np.argmax(values)
         if values[i] > best:
             best, center = values[i], Q[i]
-        noise = ROUNDOFF_ULPS * np.spacing(abs(best))
+        ulp = np.spacing(abs(best))
+        noise = ROUNDOFF_ULPS * ulp
         if complete and values.max() - values.min() <= noise:
             break
         vertex = None
@@ -640,8 +666,12 @@ def refine_extremum(patch: HypersurfacePatch, fn, start, cell, rounds=14, sign=1
             vertex = _quadratic_vertex(values - best, n, noise)
         if vertex is None:
             middle, cell, halvings = center, cell / 2.0, halvings + 1
+        elif vertex[1] <= GAIN_ULPS * ulp:
+            break
         else:
-            middle, cell, halvings = middle + vertex * cell, cell / 4.0, halvings + 2
+            middle = middle + vertex[0] * cell
+            middle = np.where(wraps, lo + np.mod(middle - lo, width), middle)
+            cell, halvings = cell / 4.0, halvings + 2
     return center, sign * best
 
 

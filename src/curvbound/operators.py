@@ -28,6 +28,8 @@ single-point calls (:func:`restriction_hessian`, :func:`key_inequality_residual`
 :func:`restriction_at` keeps one sample per field beside the patch's last
 frame and raises its errors on every call; each call runs its own checks
 (the orders k and j_max, the P_k test, the finite-difference cross-check).
+The two that take an origin keep its distance field on the patch, so an
+origin is validated once per patch (:func:`_distance_field_at`).
 """
 
 from __future__ import annotations
@@ -231,9 +233,24 @@ def intrinsic_hessian_fd(patch: HypersurfacePatch, scalar_fn, p: np.ndarray) -> 
     return d2u - np.einsum("lij,l->ij", gamma, du)
 
 
+def _distance_field_at(patch: HypersurfacePatch, origin: np.ndarray) -> DistanceField:
+    """The :class:`DistanceField` to ``origin`` in the patch's model, kept on the patch.
+
+    The patch keeps the field of the last origin given, keyed by its shape and
+    bytes, so the single-point calls validate an origin once per patch.
+    """
+    origin = np.asarray(origin, dtype=float)
+    key = (origin.shape, origin.tobytes())
+    kept = patch._origin_field
+    if key not in kept:
+        kept.clear()
+        kept[key] = DistanceField(patch.ambient, origin)
+    return kept[key]
+
+
 def restriction_hessian(patch: HypersurfacePatch, o: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Intrinsic Hessian of u = rho∘f, identity route, FD cross-checked on every call."""
-    field = DistanceField(patch.ambient, o)
+    field = _distance_field_at(patch, o)
     sample = restriction_at(patch, p, field)
 
     def rho(x):
@@ -338,14 +355,13 @@ def key_inequality_residual(
     """L_k u minus :func:`key_inequality_rhs`, for k in 0..n-1; >= 0, zero in space forms."""
     if not (is_integer(k) and 0 <= k < patch.n):
         raise DomainError(f"order k = {k!r} is outside 0..{patch.n - 1} or not an integer")
-    model = patch.ambient
     if b is None:
-        b = model.curvature
+        b = patch.ambient.curvature
     if origin is None:
         origin = patch.center
     if origin is None:
         raise GeometryError("no reference point available for the distance field")
-    sample = restriction_at(patch, p, DistanceField(model, origin))
+    sample = restriction_at(patch, p, _distance_field_at(patch, origin))
     if sample.frame.newton_psd_margin(k) < -TAU_ELL:
         raise HypothesisViolationError(f"P_{k} is not positive semidefinite at this point")
     return float(trace_operator(sample, k) - key_inequality_rhs(sample, k, b))
@@ -420,12 +436,14 @@ def omori_yau_search(
     patch's coarse grid (:meth:`HypersurfacePatch.grid`, each point once),
     starts from the smallest gradient in the top tenth of its u values, then
     refines the max of u from there with :func:`refine_extremum` on stencils
-    of the grid's cell.  ``rounds`` (a non-negative integer) bounds
-    the halvings of that cell, a round that divides it by 4 counting as two,
-    so the refinement evaluates at most ``rounds`` stencils and the last one's
-    cell is at least cell/2^rounds; raise ``rounds`` for tighter targets.
-    Every point evaluated joins the candidate pool, in the order evaluated, and
-    each selection takes the first maximum there.
+    of the grid's cell, the start the first stencil's middle row.  The
+    refinement stops where a stencil is flat to round-off or its quadratic fit
+    predicts a gain of at most an ulp; ``rounds`` (a non-negative integer)
+    bounds the halvings of the cell, a round that divides it by 4 counting as
+    two, so it evaluates at most ``rounds`` stencils (``rounds`` = 0: the
+    start alone); raise ``rounds`` for tighter targets.  Every point evaluated
+    joins the candidate pool, in the order evaluated, and each selection takes
+    the first maximum there.
     """
     if not (is_integer(k) and 0 <= k < patch.n and j_max >= 1):
         raise DomainError(f"order k = {k!r} is outside 0..{patch.n - 1} or not an integer,"

@@ -140,6 +140,8 @@ MUTANTS = [
     ("cache: key without the origin", "operators.py",
      'object.__setattr__(self, "_origin_bits", origin.tobytes())',
      'object.__setattr__(self, "_origin_bits", b"")'),
+    ("cache: a distance field kept whatever its origin", "operators.py",
+     "key = (origin.shape, origin.tobytes())", "key = origin.shape"),
     ("cache: entry kept across points", "immersion.py",
      "        patch._last_frame.clear()\n", ""),
     ("cache: FD check skipped on a hit", "operators.py",
@@ -193,11 +195,18 @@ MUTANTS = [
      "ROUNDOFF_ULPS = 16", "ROUNDOFF_ULPS = 16e6"),
     ("refine: a quartering round counted as one halving", "immersion.py",
      "cell / 4.0, halvings + 2", "cell / 4.0, halvings + 1"),
+    ("refine: predicted-gain stop ulps x1e6", "immersion.py", "GAIN_ULPS = 1\n", "GAIN_ULPS = 1e6\n"),
+    ("refine: the start's value read from stencil row 0", "immersion.py",
+     "best = sign * values[mid]", "best = sign * values[0]"),
+    ("refine: the start's error not raised", "immersion.py",
+     "            raise_first(errors[mid:mid + 1])\n", ""),
+    ("refine: a step's center not wrapped", "immersion.py",
+     "            middle = np.where(wraps, lo + np.mod(middle - lo, width), middle)\n", ""),
     # the grid and the refiner know the seam of a periodic axis
     ("grid: the last node of a wrapping axis kept", "immersion.py",
      "grid_points([a[:-1] if w else a for a, w in zip(axes, self.wraps)])", "grid_points(axes)"),
     ("refine: a wrapping coordinate clipped", "immersion.py",
-     "Q = np.where(wraps, lo + np.mod(Q - lo, patch.domain_width), np.clip(Q, lo, hi))",
+     "Q = np.where(wraps, lo + np.mod(Q - lo, width), np.clip(Q, lo, hi))",
      "Q = np.clip(Q, lo, hi)"),
     ("wraps: a periodic axis wraps whatever the box's width", "immersion.py",
      "read_only(wraps & (width == 2.0 * np.pi))", "read_only(wraps)"),

@@ -602,14 +602,17 @@ def seam_refinement(patch, cell):
 
 def test_refiner_wraps_the_longitude_across_the_seam():
     # the stencil around phi = 0 takes its negative offsets modulo 2 pi, counts
-    # as unclipped and takes the quadratic step, which quarters the cell
+    # as unclipped and takes the quadratic step, which quarters the cell; the
+    # step's center, 0.3 below phi = 0, is taken modulo 2 pi too, so the next
+    # stencil stays in the box
     patch = sphere_patch()
     cell = patch.grid(16)[1]
     (param, value), calls = seam_refinement(patch, cell)
-    first, second = calls[1][:, 1], calls[2][:, 1]
+    first, second = calls[0][:, 1], calls[1][:, 1]
     assert np.all((first <= cell[1]) | (first >= 2.0 * np.pi - cell[1]))
     assert first.max() > np.pi
     assert np.ptp(second) == pytest.approx(cell[1] / 2.0, rel=1e-12)
+    assert second[12] == pytest.approx(2.0 * np.pi - 0.3, abs=cell[1] / 4.0)  # the middle row
     assert param[1] == pytest.approx(2.0 * np.pi - 0.3, abs=1e-6)
     assert value == pytest.approx(1.0, abs=1e-15)
     # the halving loop wraps the same way and reaches the same peak
@@ -623,7 +626,7 @@ def test_refiner_clips_a_longitude_box_that_does_not_wrap():
     patch = half_longitude_patch()
     cell = patch.grid(16)[1]
     (param, value), calls = seam_refinement(patch, cell)
-    assert calls[1][:, 1].min() == 0.0 and calls[1][:, 1].max() == cell[1]
+    assert calls[0][:, 1].min() == 0.0 and calls[0][:, 1].max() == cell[1]
     assert param[1] == 0.0 and value == np.cos(0.3)
 
 
@@ -739,14 +742,15 @@ def refine_both_ways(patch, lookup, start, cell, rounds, sign):
 
 def assert_moves_like_the_loop(both, fallback, n):
     """The refiner evaluates the loop's stencils through the first round of the loop
-    that ``fallback`` does not mark, the round that may step; it returns the loop's
-    result if every round is marked."""
+    that ``fallback`` does not mark, the round that may step, the start as the
+    first stencil's middle row where the loop evaluates it first; it returns the
+    loop's result if every round is marked."""
     got, seen, expected, tried = both
     alike = len(fallback) if all(fallback) else fallback.index(False) + 1
-    m = 1 + alike * 5**n
-    assert np.array_equal(np.array(seen[:m]), np.array(tried[:m]))
+    m = alike * 5**n
+    assert np.array_equal(np.array(seen[:m]), np.array(tried[1:1 + m]))
     if all(fallback):
-        assert len(seen) == len(tried)
+        assert len(seen) == len(tried) - 1
         assert np.array_equal(got[0], expected[0]) and got[1] == expected[1]
 
 
@@ -766,9 +770,12 @@ def box_patch(n):
 def test_refinement_moves_like_the_sequential_loop(n, rounds, sign, table, start, cell):
     # stencil values come from a 5-entry table of small integers, so rows tie
     # often; a stencil with a failed row is neither flat nor fitted, so the
-    # refiner moves to the first best row and halves the cell, as the loop does
+    # refiner moves to the first best row and halves the cell, as the loop does.
+    # A value depends on the point, not on the sign of a zero coordinate: the
+    # loop evaluates a start of -0.0 and its first stencil's +0.0, the refiner
+    # the start alone
     def lookup(q):
-        value, fails = table[zlib.crc32(np.ascontiguousarray(q).tobytes()) % len(table)]
+        value, fails = table[zlib.crc32((q + 0.0).tobytes()) % len(table)]
         return float(value), fails
 
     both = refine_both_ways(box_patch(n), lookup, np.array(start[:n]), np.full(n, cell),
@@ -808,6 +815,49 @@ def test_refinement_moves_like_the_sequential_loop_without_a_fitted_maximum(
         outside = np.abs(peak - center).max() > width * (1.0 + 1e-9)
         fallback.append(bool(clipped or curve > 0.0 or outside))
     assert_moves_like_the_loop(both, fallback, n)
+
+
+def test_refinement_resolves_a_shallow_peak_on_a_large_value():
+    # the first stencil's values spread over about 1e6 ulp of the value, far
+    # above round-off, though over only 1e-10 of it: not flat, so the refiner
+    # steps to the peak instead of stopping on the stencil's best row
+    peak = np.array([0.37, -0.21])
+
+    def fn(Q):
+        return 1.0 - 1e-10 * np.sum((Q - peak) ** 2, axis=1), no_errors(len(Q))
+
+    param, value = refine_extremum(box_patch(2), fn, np.zeros(2), np.full(2, 0.5))
+    assert np.abs(param - peak).max() < 1e-3
+    assert value >= 1.0 - 4 * np.spacing(1.0)
+
+
+def test_refinement_raises_the_start_points_error():
+    # the start is the first stencil's middle row: one call, and the error of
+    # that row is raised, though every other row has a value
+    start, calls = np.array([0.3, -0.2]), []
+
+    def fn(Q):
+        calls.append(len(Q))
+        errors = no_errors(len(Q))
+        errors[np.all(Q == start, axis=1)] = DomainError("no value at the start")
+        return np.zeros(len(Q)), errors
+
+    with pytest.raises(DomainError, match="at the start"):
+        refine_extremum(box_patch(2), fn, start, np.full(2, 0.1))
+    assert calls == [25]
+
+
+def test_refinement_keeps_a_start_that_a_stencil_row_ties():
+    # -q_2^2 peaks on the line q_2 = 0, through the start: the first stencil's
+    # rows on it come before its middle row and tie the start, and the best
+    # point moves only on a strict improvement
+    start = np.array([0.3, 0.0])
+
+    def fn(Q):
+        return -Q[:, 1] ** 2, no_errors(len(Q))
+
+    param, value = refine_extremum(box_patch(2), fn, start, np.full(2, 0.2))
+    assert np.array_equal(param, start) and value == 0.0
 
 
 @given(a=st.floats(-10.0, 10.0), b=st.floats(-10.0, 10.0), c=st.floats(-10.0, 10.0))

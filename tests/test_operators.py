@@ -772,7 +772,8 @@ def test_two_origins_at_one_point_give_two_restrictions():
 
 def test_an_origin_is_validated_once_where_it_enters(monkeypatch):
     # a field validates its origin when it is built and a patch its center;
-    # frames and single-point calls on a kept frame check neither again
+    # frames and single-point calls on a kept frame check neither again, and
+    # the calls that take an origin build its field once per patch
     patch = ellipsoid_patch()
     o = np.array([0.1, 0.0, 0.0])
     checked = counted(monkeypatch, AmbientModel, "point_errors")
@@ -782,14 +783,15 @@ def test_an_origin_is_validated_once_where_it_enters(monkeypatch):
 
     field = DistanceField(E3, o)
     assert count(o) == 1
+    checked.clear()
     for point in (np.array([1.0, 2.0]), np.array([1.2, 2.0])):
-        checked.clear()
         frame_at(patch, point)
         for k in (0, 1):
             l_k_apply(patch, point, k, field)
-        assert count(o) == count(patch.center) == 0
         restriction_hessian(patch, o, point)
-        assert count(o) == 1  # the raw origin, as its field is built
+        key_inequality_residual(patch, point, 0, origin=o.copy())
+    assert count(o) == 1  # the raw origin, as the patch builds its field
+    assert count(patch.center) == 0
 
 
 
@@ -808,13 +810,26 @@ def test_search_on_unit_sphere_height():
     height = LinearCoordinateField(E3, np.array([0.0, 0.0, 1.0]))
     report = omori_yau_search(patch, height, 0, resolution=24, j_max=6, rounds=20)
     assert report.all_found
-    # 24 * 23 grid rows (the longitude wraps), the start and 10 stencils of 25:
-    # each round quarters the cell
-    assert report.evaluations == 24 * 23 + 1 + 10 * 25
+    # 24 * 23 grid rows (the longitude wraps) and 4 stencils of 25, the start
+    # the first one's middle row: each round quarters the cell, and the fourth
+    # one's fit predicts no gain
+    assert report.evaluations == 24 * 23 + 4 * 25
     assert report.u_star == pytest.approx(1.0, abs=1e-9)
     assert report.refined_max.grad_norm < 1e-6
     assert report.refined_max.q_lu <= 1e-6
     assert report.refined_max.q_lu == pytest.approx(-1.0, abs=1e-6)  # q Lu = -z at the top
+
+
+def test_search_stops_where_its_fit_predicts_no_gain(monkeypatch):
+    # the 20 rounds allowed are not spent: the refinement ends at the peak of
+    # the height, to its last bit, once its fit's predicted gain is under an ulp
+    patch = build_patch(E3, "sphere", {"radius": 1.0}, center=np.zeros(3))
+    height = LinearCoordinateField(E3, np.array([0.0, 0.0, 1.0]))
+    rows = counted(monkeypatch, operators, "_evaluate_rows")
+    report = omori_yau_search(patch, height, 0, resolution=24, rounds=20)
+    assert len(rows) <= 5  # the grid and at most 4 stencils
+    assert report.u_star == 1.0
+    assert report.refined_max.grad_norm < 1e-12
 
 
 def test_search_grid_samples_each_point_once(monkeypatch):
@@ -858,9 +873,9 @@ def test_search_counts_skipped_rows():
     patch = build_patch(E3, "sphere", {"radius": 1.0}, center=np.zeros(3))
     origin = patch.chart.value(grid_points(grid_axes(patch.domain_lo, patch.domain_hi, 10))[37])
     report = omori_yau_search(patch, DistanceField(E3, origin), 0, resolution=10, rounds=4)
-    # 10 * 9 grid rows (the longitude wraps) but the origin's, the start and 2
-    # quartering stencils of 25
-    assert (report.skipped, report.excluded, report.evaluations) == (1, 0, 10 * 9 - 1 + 1 + 2 * 25)
+    # 10 * 9 grid rows (the longitude wraps) but the origin's and 2 quartering
+    # stencils of 25, the start the first one's middle row
+    assert (report.skipped, report.excluded, report.evaluations) == (1, 0, 10 * 9 - 1 + 2 * 25)
 
 
 def test_search_counts_excluded_rows():

@@ -37,9 +37,20 @@ def hypersphere_direction(angles: np.ndarray) -> np.ndarray:
     """Unit vectors on S^n (n = angles.shape[-1]); leading axes of ``angles`` are sample axes.
 
     omega_0 = cos t_0, omega_j = sin t_0 .. sin t_{j-1} cos t_j, omega_n = sin t_0 .. sin t_{n-1}.
+    The prefix products of the sines are folded elementwise over the samples,
+    in the order and so with the bits of a cumulative product.
     """
-    omega = np.concatenate([np.cos(angles), np.ones(np.shape(angles)[:-1] + (1,))], -1)
-    omega[..., 1:] *= np.cumprod(np.sin(angles), -1)
+    return _direction(np.sin(angles), np.cos(angles))
+
+
+def _direction(s: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """:func:`hypersphere_direction` from the sines s and cosines c (..., n) of its angles."""
+    omega = np.concatenate([c, np.ones(np.shape(c)[:-1] + (1,))], -1)
+    prefix = s[..., 0]
+    omega[..., 1] *= prefix
+    for j in range(1, s.shape[-1]):
+        prefix = prefix * s[..., j]
+        omega[..., j + 1] *= prefix
     return omega
 
 
@@ -48,12 +59,13 @@ def hypersphere_direction_jet(angles: np.ndarray):
 
     Every component is a product of univariate sin/cos factors, so derivatives
     are factor replacements and the pure second derivative is just -omega_j.
+    The value is built from the same sines and cosines as the derivatives.
     """
     angles = np.asarray(angles, dtype=float)
     batch, n = angles.shape[:-1], angles.shape[-1]
     m = n + 1
     s, c = np.sin(angles), np.cos(angles)
-    value = hypersphere_direction(angles)
+    value = _direction(s, c)
     d1 = np.zeros(batch + (m, n))
     d2 = np.zeros(batch + (m, n, n))
     for j in range(m):

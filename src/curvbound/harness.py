@@ -34,7 +34,7 @@ import numpy as np
 
 from .comparison import c_b, c_hat_b
 from .curvature import TAU_ELL
-from .errors import ConfigError, failed, fold_last, raise_first
+from .errors import ConfigError, DomainError, failed, fold_last, raise_first
 from .immersion import GridSamples, build_patch, refine_extremum, sample_grid
 from .operators import DistanceField, key_inequality_rhs, restrict_field, trace_operator
 from .spaceform import RIEMANNIAN, AmbientModel, ReferenceBall, distance_rows
@@ -256,11 +256,18 @@ def collect_samples(config: ScenarioConfig) -> GridSamples:
     return samples
 
 
-def refined_distance_extremum(samples: GridSamples, mode: str):
-    """(param, value) of the refined max or min of u over the patch, from the grid's cell."""
-    sign = 1.0 if mode == "max" else -1.0
-    patch = samples.patch
-    idx = np.argmax(samples.u) if mode == "max" else np.argmin(samples.u)
+def refined_distance_extremum(samples: GridSamples, mode: str | tuple):
+    """(param, value) of the refined max or min of u over the patch, from the grid's cell.
+
+    For a tuple of modes, a list of them from one refinement with one start per
+    mode, which share each call of the distance.  An unknown mode raises a DomainError.
+    """
+    modes = mode if isinstance(mode, tuple) else (mode,)
+    if not modes or any(m not in ("max", "min") for m in modes):
+        raise DomainError(f"unknown extremum mode {mode!r}: expected 'max' or 'min'")
+    patch, u = samples.patch, samples.u
+    starts = samples.frames.param[[np.argmax(u) if m == "max" else np.argmin(u) for m in modes]]
+    signs = [1.0 if m == "max" else -1.0 for m in modes]
 
     def fn(Q):
         errors = patch.chart.undefined(Q)
@@ -269,7 +276,9 @@ def refined_distance_extremum(samples: GridSamples, mode: str):
         rho[ok], errors[ok] = distance_rows(patch.ambient, patch.center, patch.chart.value(Q[ok]))
         return rho, errors
 
-    return refine_extremum(patch, fn, samples.frames.param[idx], samples.cell, sign=sign)
+    if not isinstance(mode, tuple):
+        return refine_extremum(patch, fn, starts[0], samples.cell, sign=signs[0])
+    return list(zip(*refine_extremum(patch, fn, starts, samples.cell, sign=signs)))
 
 
 def floored_ratio(H: np.ndarray, k: int, floor: float = H_FLOOR):
@@ -396,8 +405,7 @@ def verify_lorentz_estimates(config: ScenarioConfig, samples: GridSamples) -> li
     if samples.skipped:
         return checks
     b, tol = config.model.curvature, config.tol_margin
-    _, u_sup = refined_distance_extremum(samples, "max")
-    _, u_inf = refined_distance_extremum(samples, "min")
+    (_, u_sup), (_, u_inf) = refined_distance_extremum(samples, ("max", "min"))
     c_at_sup, c_at_inf = c_hat_b(b, u_sup), c_hat_b(b, u_inf)
     for k in config.orders:
         checks.append(_newton_psd_check(samples, k))

@@ -383,8 +383,15 @@ def frames_at(patch: HypersurfacePatch, P: np.ndarray):
     factored once, by one elimination on [g | I] (:func:`ldl`): its pivots d
     decide the immersion test, and R = D^-1/2 L^-1 gives the shape operator R h R^T.
     The S_k table of the spectra is built and signed once, for the batch, and
-    every array of ``frames`` is read-only.
+    every array of ``frames`` is read-only.  An inner or outer patch with a
+    center orients the normal by the distance gradient, and a row without one fails.
     """
+    return _frames_at(patch, P)[:2]
+
+
+def _frames_at(patch: HypersurfacePatch, P: np.ndarray):
+    """(frames, errors, rho): rho, read-only, the distances of the rows of ``frames``
+    that oriented the normal, or None where the orientation measured none."""
     P = np.asarray(P, dtype=float)
     model = patch.ambient
     errors = no_errors(len(P))
@@ -441,14 +448,15 @@ def frames_at(patch: HypersurfacePatch, P: np.ndarray):
     x, d1, d2, g, w, nu2 = reject(eps * nu2 <= 0.0, wrong, x, d1, d2, g, w, nu2)
     normal = w / np.sqrt(eps * nu2)[:, None]
 
-    flip = np.zeros(len(x), dtype=bool)
+    flip, rho = np.zeros(len(x), dtype=bool), None
     if patch.orientation == "future":
         # co-oriented timelike pairs are negative
         flip = model.flat_inner(normal, model.time_orientation(x)) > 0.0
     elif patch.center is not None:
-        _, radial, radial_errors = gradient_rows(model, patch.center, x)
-        x, d1, d2, g, normal, radial = reject(
-            failed(radial_errors), radial_errors, x, d1, d2, g, normal, radial)
+        rho, radial, radial_errors = gradient_rows(model, patch.center, x)
+        x, d1, d2, g, normal, radial, rho = reject(
+            failed(radial_errors), radial_errors, x, d1, d2, g, normal, radial, rho)
+        rho = read_only(rho)
         s = model.flat_inner(normal, radial)
         flip = s > 0.0 if patch.orientation == "inner" else s < 0.0
     normal = np.where(flip[:, None], -normal, normal)
@@ -471,7 +479,7 @@ def frames_at(patch: HypersurfacePatch, P: np.ndarray):
         congruence=_samples_first(R),
         signature=model.signature,
     )
-    return read_only(frames), errors
+    return read_only(frames), errors, rho
 
 
 def frame_at(patch: HypersurfacePatch, p: np.ndarray) -> PointFrame:
@@ -506,10 +514,18 @@ class GridSamples:
     skipped: list  # (param, reason)
     patch: HypersurfacePatch
     cell: np.ndarray  # (n,) the grid's step per axis
+    # the distances of the kept rows that oriented the normal, or None (see _frames_at)
+    _rho: np.ndarray | None = field(default=None, repr=False)
 
     @cached_property
     def u(self) -> np.ndarray:
-        """(N,) read-only distances from the patch's center; raises where one is undefined."""
+        """(N,) read-only distances from the patch's center; raises where one is undefined.
+
+        They are those that oriented the normal, where the orientation measured
+        them (an inner or outer patch with a center), and are measured here otherwise.
+        """
+        if self._rho is not None:
+            return self._rho
         if self.patch.center is None:
             raise DomainError("the patch has no center to measure the distance from")
         # the patch validated its center, so only the positions are checked here
@@ -528,12 +544,12 @@ class GridSamples:
 def sample_grid(patch: HypersurfacePatch, resolution) -> GridSamples:
     """Frames at the rows of ``patch.grid(resolution)``, each point once; skips those without one."""
     P, cell = patch.grid(resolution)
-    frames, errors = frames_at(patch, P)
+    frames, errors, rho = _frames_at(patch, P)
     if not len(frames.param):
         raise EmptySampleError("every grid point was rejected")
     skipped = [(P[i], f"{type(errors[i]).__name__}: {errors[i]}")
                for i in np.flatnonzero(failed(errors))]
-    return GridSamples(frames=frames, skipped=skipped, patch=patch, cell=cell)
+    return GridSamples(frames=frames, skipped=skipped, patch=patch, cell=cell, _rho=rho)
 
 
 @lru_cache(maxsize=None)
@@ -601,15 +617,22 @@ def _quadratic_vertex(values: np.ndarray, n: int, noise: float):
 def refine_extremum(patch: HypersurfacePatch, fn, start, cell, rounds=14, sign=1.0):
     """Local refinement of a scalar's max (min for sign = -1) on a shrinking stencil.
 
+    ``start`` is one point (n,) or J of them (J, n), and ``sign`` is 1 or -1,
+    for all or per start; another shape or value raises a DomainError.  Each
+    start keeps its own stencil, cell and stop, but one ``fn`` call per round
+    evaluates the stencils of every start still refining, in start order: for
+    an ``fn`` that values each row on its own, the J one-start refinements bit
+    for bit.
+
     ``fn`` maps parameter rows (N, n) to (values, errors), ``errors[i]`` being
     the GeometryError of a row without a value.  Each round evaluates a 5^n
-    stencil of half and whole cells in one call, its coordinates taken modulo
-    the width on an axis that wraps and clipped to the box on the others.  A
-    stencil's middle row is its center, bit for bit, and the first one's is
-    ``start``: the refinement starts from its value and raises its error, so
-    the start costs no call of its own.  A round moves the best point to the
-    first best row only on a strict improvement over the best value so far.
-    Then:
+    stencil of half and whole cells, its coordinates taken modulo the width on
+    an axis that wraps and clipped to the box on the others.  A stencil's
+    middle row is its center, bit for bit, and the first one's is the start:
+    the refinement starts from its value and raises its error (the first
+    failing start's, in start order), so the start costs no call of its own.
+    A round moves the best point to the first best row only on a strict
+    improvement over the best value so far.  Then:
 
     - it stops if every row has a value and the values spread over at most
       ``ROUNDOFF_ULPS`` ulp of the best one: the scalar is flat at this scale
@@ -626,53 +649,79 @@ def refine_extremum(patch: HypersurfacePatch, fn, start, cell, rounds=14, sign=1
     ``rounds`` (a non-negative integer) bounds the halvings of the cell, a
     division by 4 counting as two, so there are at most ``rounds`` calls of
     ``fn`` and the last stencil's cell is at least ``cell / 2**(rounds - 1)``;
-    ``rounds`` = 0 evaluates the start alone.  Returns (param, value) of the
-    best row evaluated.
+    ``rounds`` = 0 evaluates the starts alone, in one call.  Returns (param,
+    value) of the best row evaluated, (J, n) and (J,) for J starts.
     """
     if not (is_integer(rounds) and rounds >= 0):
         raise DomainError(f"rounds = {rounds!r} is not a non-negative integer")
-    center = np.asarray(start, dtype=float)
+    start = np.asarray(start, dtype=float)
+    if start.ndim not in (1, 2) or start.shape[-1] != patch.n:
+        raise DomainError(f"start has shape {start.shape}, expected ({patch.n},) or (J, {patch.n})")
+    starts = [start] if start.ndim == 1 else list(start)
+    if np.shape(sign) not in ((), (len(starts),)):
+        raise DomainError(f"sign = {sign!r}: expected one sign, or one per start")
+    signs = (np.zeros(len(starts)) + sign).tolist()
+    if not set(signs) <= {1.0, -1.0}:
+        raise DomainError(f"sign = {sign!r}: each sign must be 1 or -1")
     if not rounds:
-        values, errors = fn(center[None])
+        values, errors = fn(np.array(starts))
         raise_first(errors)
-        return center, values[0]
-    n, lo, hi, wraps, width = (center.size, patch.domain_lo, patch.domain_hi, patch.wraps,
+        return start, values[0] if start.ndim == 1 else values
+    n, lo, hi, wraps, width = (patch.n, patch.domain_lo, patch.domain_hi, patch.wraps,
                                patch.domain_width)
     stencil = _refinement_stencil(n)
-    mid = len(stencil) // 2  # the zero offset
-    middle, cell, halvings, best = center, np.asarray(cell, dtype=float), 0, None
-    while halvings < rounds:
-        Q = middle + stencil * cell
-        outside = (middle - cell < lo) | (middle + cell > hi)  # per axis: the stencil leaves the box
-        if outside.any():
-            Q = np.where(wraps, lo + np.mod(Q - lo, width), np.clip(Q, lo, hi))
-        Q[mid] = middle
-        values, errors = fn(Q)
-        if best is None:  # the first stencil's middle row is the start
-            raise_first(errors[mid:mid + 1])
-            best = sign * values[mid]
+    size, mid = len(stencil), len(stencil) // 2  # mid: the zero offset
+    cell = np.asarray(cell, dtype=float)
+    # per start: its best point and value, next stencil's middle and cell, and halvings
+    center, best, middle = list(starts), [None] * len(starts), list(starts)
+    cells, halvings = [cell] * len(starts), [0] * len(starts)
+    live = list(range(len(starts)))  # the starts still refining, in start order
+    while live:
+        stencils, outside = [], []
+        for j in live:
+            Q = middle[j] + stencil * cells[j]
+            leaves = (middle[j] - cells[j] < lo) | (middle[j] + cells[j] > hi)  # per axis
+            if leaves.any():
+                Q = np.where(wraps, lo + np.mod(Q - lo, width), np.clip(Q, lo, hi))
+            Q[mid] = middle[j]
+            stencils.append(Q)
+            outside.append(leaves)
+        values, errors = fn(stencils[0] if len(live) == 1 else np.concatenate(stencils))
+        if best[live[0]] is None:  # the first stencils' middle rows are the starts
+            raise_first(errors[mid::size])
         bad = failed(errors)
-        complete = not bad.any()
-        values = np.where(bad, -np.inf, sign * values)
-        i = np.argmax(values)
-        if values[i] > best:
-            best, center = values[i], Q[i]
-        ulp = np.spacing(abs(best))
-        noise = ROUNDOFF_ULPS * ulp
-        if complete and values.max() - values.min() <= noise:
-            break
-        vertex = None
-        if complete and not np.any(outside & ~wraps):
-            vertex = _quadratic_vertex(values - best, n, noise)
-        if vertex is None:
-            middle, cell, halvings = center, cell / 2.0, halvings + 1
-        elif vertex[1] <= GAIN_ULPS * ulp:
-            break
-        else:
-            middle = middle + vertex[0] * cell
-            middle = np.where(wraps, lo + np.mod(middle - lo, width), middle)
-            cell, halvings = cell / 4.0, halvings + 2
-    return center, sign * best
+        still = []
+        for k, j in enumerate(live):
+            rows = slice(k * size, (k + 1) * size)
+            v, failing = signs[j] * values[rows], bad[rows]
+            if best[j] is None:
+                best[j] = v[mid]
+            complete = not failing.any()
+            v = np.where(failing, -np.inf, v)
+            i = np.argmax(v)
+            if v[i] > best[j]:
+                best[j], center[j] = v[i], stencils[k][i]
+            ulp = np.spacing(abs(best[j]))
+            noise = ROUNDOFF_ULPS * ulp
+            if complete and v.max() - v.min() <= noise:
+                continue
+            vertex = None
+            if complete and not np.any(outside[k] & ~wraps):
+                vertex = _quadratic_vertex(v - best[j], n, noise)
+            if vertex is None:
+                middle[j], cells[j], halvings[j] = center[j], cells[j] / 2.0, halvings[j] + 1
+            elif vertex[1] <= GAIN_ULPS * ulp:
+                continue
+            else:
+                step = middle[j] + vertex[0] * cells[j]
+                middle[j] = np.where(wraps, lo + np.mod(step - lo, width), step)
+                cells[j], halvings[j] = cells[j] / 4.0, halvings[j] + 2
+            if halvings[j] < rounds:
+                still.append(j)
+        live = still
+    if start.ndim == 1:
+        return center[0], signs[0] * best[0]
+    return np.array(center), np.array(signs) * best
 
 
 def build_patch(

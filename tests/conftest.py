@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings
 
 from curvbound.immersion import build_patch
-from curvbound.spaceform import LORENTZIAN, RIEMANNIAN, AmbientModel
+from curvbound.spaceform import LORENTZIAN, RIEMANNIAN, AmbientModel, distance_rows
 
 from oracles import geodesic_point
 
@@ -60,6 +60,14 @@ def coincident_rows(x, tol=1e-12):
     """Pairs [i, j], i < j, of rows of x (N, m) within ``tol`` of each other in every coordinate."""
     close = np.all(np.abs(x[:, None, :] - x[None, :, :]) <= tol, axis=-1)
     return np.argwhere(np.triu(close, 1)).tolist()
+
+
+def assert_u_is_the_distance_of_the_kept_rows(grid):
+    """A grid's u is distance_rows over its kept positions, bit for bit, read-only."""
+    rho, errors = distance_rows(grid.patch.ambient, grid.patch.center, grid.frames.position)
+    assert not any(e is not None for e in errors)
+    assert grid.u.shape == rho.shape == (len(grid.frames.param),)
+    assert grid.u.tobytes() == rho.tobytes() and not grid.u.flags.writeable
 
 
 def rho_range(model):

@@ -161,7 +161,7 @@ MUTANTS = [
      "S[k + 1:, k + 1:n] -= (S[k + 1:, k] / S[k, k])[:, None] * S[k, k + 1:n]\n"),
     # the read-only rule, applied where the batch is built
     ("frames_at: the batch is not marked read-only", "immersion.py",
-     "    return read_only(frames), errors\n", "    return frames, errors\n"),
+     "    return read_only(frames), errors, rho\n", "    return frames, errors, rho\n"),
     ("operator_data: the other signature's H writable", "operators.py",
      "H=read_only(frame.H * flips)", "H=frame.H * flips"),
     # a single-point fact with one owner each
@@ -189,19 +189,20 @@ MUTANTS = [
     ("refine: the definiteness test's sign flipped", "immersion.py",
      "down = lam < -noise", "down = lam > noise"),
     ("refine: a clipped or failed stencil fitted", "immersion.py",
-     "        if complete and not np.any(outside & ~wraps):\n",
-     "        if True:\n"),
+     "            if complete and not np.any(outside[k] & ~wraps):\n",
+     "            if True:\n"),
     ("refine: round-off stop ulps x1e6", "immersion.py",
      "ROUNDOFF_ULPS = 16", "ROUNDOFF_ULPS = 16e6"),
     ("refine: a quartering round counted as one halving", "immersion.py",
-     "cell / 4.0, halvings + 2", "cell / 4.0, halvings + 1"),
+     "cells[j] / 4.0, halvings[j] + 2", "cells[j] / 4.0, halvings[j] + 1"),
     ("refine: predicted-gain stop ulps x1e6", "immersion.py", "GAIN_ULPS = 1\n", "GAIN_ULPS = 1e6\n"),
     ("refine: the start's value read from stencil row 0", "immersion.py",
-     "best = sign * values[mid]", "best = sign * values[0]"),
+     "                best[j] = v[mid]\n", "                best[j] = v[0]\n"),
     ("refine: the start's error not raised", "immersion.py",
-     "            raise_first(errors[mid:mid + 1])\n", ""),
+     "            raise_first(errors[mid::size])\n", "            pass\n"),
     ("refine: a step's center not wrapped", "immersion.py",
-     "            middle = np.where(wraps, lo + np.mod(middle - lo, width), middle)\n", ""),
+     "                middle[j] = np.where(wraps, lo + np.mod(step - lo, width), step)\n",
+     "                middle[j] = step\n"),
     # the grid and the refiner know the seam of a periodic axis
     ("grid: the last node of a wrapping axis kept", "immersion.py",
      "grid_points([a[:-1] if w else a for a, w in zip(axes, self.wraps)])", "grid_points(axes)"),
@@ -210,6 +211,28 @@ MUTANTS = [
      "Q = np.clip(Q, lo, hi)"),
     ("wraps: a periodic axis wraps whatever the box's width", "immersion.py",
      "read_only(wraps & (width == 2.0 * np.pi))", "read_only(wraps)"),
+    # one refinement for J starts: each start keeps its own sign and stop
+    ("refine: one start's stop ends the starts after it", "immersion.py",
+     "            if complete and v.max() - v.min() <= noise:\n                continue\n",
+     "            if complete and v.max() - v.min() <= noise:\n                break\n"),
+    ("refine: signs swapped between starts", "immersion.py",
+     "v, failing = signs[j] * values[rows], bad[rows]",
+     "v, failing = signs[-1 - j] * values[rows], bad[rows]"),
+    ("refine_extremum: a start of any shape taken", "immersion.py",
+     "    if start.ndim not in (1, 2) or start.shape[-1] != patch.n:\n", "    if False:\n"),
+    ("refine_extremum: a sign count other than 1 or J taken", "immersion.py",
+     "    if np.shape(sign) not in ((), (len(starts),)):\n", "    if False:\n"),
+    ("refine_extremum: any sign taken", "immersion.py",
+     "    if not set(signs) <= {1.0, -1.0}:\n", "    if False:\n"),
+    ("refined_distance_extremum: an unknown mode accepted", "harness.py",
+     '    if not modes or any(m not in ("max", "min") for m in modes):\n',
+     "    if not modes:\n"),
+    # each distance once: the grid's u is the orientation step's rho
+    ("frames_at: u read from rows before the orientation reject", "immersion.py",
+     "x, d1, d2, g, normal, radial, rho = reject(", "x, d1, d2, g, normal, radial, _ = reject("),
+    # the direction's prefix products, folded elementwise
+    ("hypersphere_direction: the prefix fold drops a factor", "charts.py",
+     "        prefix = prefix * s[..., j]\n", ""),
     # the heap policy set on import
     ("heap policy: trim threshold 8 MiB -> 8 KiB", "__init__.py",
      "_TRIM_THRESHOLD_BYTES = 8 * 2**20", "_TRIM_THRESHOLD_BYTES = 8 * 2**10"),

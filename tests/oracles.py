@@ -6,6 +6,9 @@ Hessian only through :func:`curvbound.spaceform.distance_jet`.  The routines
 here compute the same quantities another way, or wrap the library's row
 routines in single-point calls that raise the first error:
 
+- charts: the hypersphere direction and its jets with a cumulative product
+  over the short last axis, the jets recomputing the sines and cosines of
+  the value, the references the library's elementwise fold matches bit for bit;
 - curvature: H_k from the product recurrence, the Newton tensors by the
   inductive matrix recursion, their trace identities, the Garding chain and
   the Gauss-equation byproducts;
@@ -29,6 +32,8 @@ Sign conventions are those of :mod:`curvbound.curvature`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import mul
 
 import numpy as np
 
@@ -64,6 +69,40 @@ from curvbound.spaceform import (
     distance_jet,
     gradient_rows,
 )
+
+# ---------------------------------------------------------------------------
+# charts
+# ---------------------------------------------------------------------------
+
+
+def direction_reference(angles: np.ndarray) -> np.ndarray:
+    """Unit vectors on S^n, the prefix products of the sines by ``np.cumprod``."""
+    omega = np.concatenate([np.cos(angles), np.ones(np.shape(angles)[:-1] + (1,))], -1)
+    omega[..., 1:] *= np.cumprod(np.sin(angles), -1)
+    return omega
+
+
+def direction_jet_reference(angles: np.ndarray):
+    """(value, d1, d2) of :func:`direction_reference`, the value's sines and cosines evaluated anew."""
+    angles = np.asarray(angles, dtype=float)
+    batch, n = angles.shape[:-1], angles.shape[-1]
+    s, c = np.sin(angles), np.cos(angles)
+    value = direction_reference(angles)
+    d1 = np.zeros(batch + (n + 1, n))
+    d2 = np.zeros(batch + (n + 1, n, n))
+    for j in range(n + 1):
+        idx = list(range(j + 1)) if j < n else list(range(n))
+        fv = [c[..., i] if (i == j and j < n) else s[..., i] for i in idx]
+        fd = [-s[..., i] if (i == j and j < n) else c[..., i] for i in idx]
+        for a_pos, a in enumerate(idx):
+            d1[..., j, a] = reduce(mul, fv[:a_pos] + fv[a_pos + 1:], 1.0) * fd[a_pos]
+            d2[..., j, a, a] = -value[..., j]
+            for b_pos in range(a_pos):
+                b = idx[b_pos]
+                core = reduce(mul, [fv[q] for q in range(len(idx)) if q not in (a_pos, b_pos)], 1.0)
+                d2[..., j, a, b] = d2[..., j, b, a] = core * fd[a_pos] * fd[b_pos]
+    return value, d1, d2
+
 
 # ---------------------------------------------------------------------------
 # curvature algebra

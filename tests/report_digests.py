@@ -9,9 +9,11 @@ It prints one line per digest, ``<what> <digest>``:
   grid rows kept and skipped, so a diff names a change of the grid itself;
 - ``refine``: for each bundled scenario at those resolutions and each refined
   distance extremum its checks read (the max, and in a Lorentzian scenario
-  the min), the value and parameter bytes in hex in place of a digest, and on
-  a line of its own the number of calls of the refined function, so a diff
-  shows which extrema moved and which refinements changed their work;
+  the min), the value and parameter bytes in hex in place of a digest, and
+  for each refinement the checks run, one line with the number of calls of
+  the refined function, named by the extrema it refines (``max calls``, or
+  ``max+min calls`` where one refinement takes both), so a diff shows which
+  extrema moved and which refinements changed their work;
 - ``sturm``, ``lambda`` and ``comparison``: the stdout (and ``sturm``'s CSV)
   for a few growth bounds and arguments;
 - ``point``: ``restriction_hessian``, ``key_inequality_residual`` and
@@ -79,37 +81,42 @@ def verify_digests(name: str, resolution: int, tmp: Path) -> dict:
 
 
 def scenario_samples(name: str, resolution: int):
-    """The bundled scenario's samples at ``resolution``."""
+    """(config, samples): the bundled scenario at ``resolution`` and its samples."""
     import dataclasses
 
     from curvbound import harness
 
     config = harness.load_scenario(harness.bundled_scenarios()[name])
-    return harness.collect_samples(dataclasses.replace(config, resolution=resolution))
+    config = dataclasses.replace(config, resolution=resolution)
+    return config, harness.collect_samples(config)
 
 
-def refine_values(samples) -> dict:
-    """``value=<float hex>,param=<bytes hex>`` and the fn call count of each extremum the checks read."""
+def refine_values(config, samples) -> dict:
+    """``value=<float hex>,param=<bytes hex>`` of each extremum the checks read, and the
+    fn call count of each refinement they run, as ``scenario_checks`` runs them."""
+    import numpy as np
     from curvbound import harness
-    from curvbound.spaceform import LORENTZIAN
 
-    refine, calls = harness.refine_extremum, []
+    refine, values = harness.refine_extremum, {}
 
-    def counted(patch, fn, *args, **kwargs):
+    def counted(patch, fn, start, cell, rounds=14, sign=1.0):
+        calls = []
+
         def counted_fn(Q):
             calls.append(len(Q))
             return fn(Q)
 
-        return refine(patch, counted_fn, *args, **kwargs)
+        params, found = refine(patch, counted_fn, start, cell, rounds, sign)
+        modes = ["max" if s > 0.0 else "min" for s in np.atleast_1d(sign)]
+        for mode, param, value in zip(modes, np.reshape(params, (len(modes), -1)),
+                                      np.atleast_1d(found)):
+            values[mode] = f"value={float(value).hex()},param={param.tobytes().hex()}"
+        values["+".join(modes) + " calls"] = str(len(calls))
+        return params, found
 
     harness.refine_extremum = counted
     try:
-        values = {}
-        for mode in ("max", "min") if samples.patch.ambient.signature == LORENTZIAN else ("max",):
-            calls.clear()
-            param, value = harness.refined_distance_extremum(samples, mode)
-            values[mode] = f"value={float(value).hex()},param={param.tobytes().hex()}"
-            values[f"{mode} calls"] = str(len(calls))
+        harness.scenario_checks(config, samples)
         return values
     finally:
         harness.refine_extremum = refine
@@ -224,10 +231,10 @@ def print_digests(src: Path) -> None:
             for resolution in RESOLUTIONS:
                 for kind, digest in verify_digests(name, resolution, tmp).items():
                     print(f"verify {name} {resolution} {kind} {digest}", flush=True)
-                samples = scenario_samples(name, resolution)
+                config, samples = scenario_samples(name, resolution)
                 print(f"grid {name} {resolution} kept={len(samples.frames.param)},"
                       f"skipped={len(samples.skipped)}", flush=True)
-                for mode, value in refine_values(samples).items():
+                for mode, value in refine_values(config, samples).items():
                     print(f"refine {name} {resolution} {mode} {value}", flush=True)
         for spec in STURM_BOUNDS:
             for kind, digest in sturm_digests(spec, tmp).items():

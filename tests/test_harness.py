@@ -37,7 +37,7 @@ from curvbound.immersion import GridSamples
 from curvbound.operators import DistanceField, key_inequality_residual
 from curvbound.spaceform import LORENTZIAN, AmbientModel, ambient_distance
 
-from conftest import coincident_rows, counted
+from conftest import assert_u_is_the_distance_of_the_kept_rows, coincident_rows, counted
 from oracles import halving_reference
 
 
@@ -443,6 +443,64 @@ def test_refined_extrema_match_a_long_halving_reference(monkeypatch, resolution)
             assert len(calls) == 1 if flat else len(calls) <= 6, (name, mode, len(calls))
 
 
+def test_grid_distances_are_measured_once_per_riemannian_run(monkeypatch):
+    # the grid's u is the distance that oriented its normals: one grid-sized
+    # evaluation per run, and each kept row's u is distance_rows' bit for bit
+    from curvbound import operators, spaceform
+
+    sizes = []
+    for module in (spaceform, immersion, harness, operators):
+        rows = module.distance_rows
+
+        def counted_rows(model, o, x, rows=rows):
+            sizes.append(len(x))
+            return rows(model, o, x)
+
+        monkeypatch.setattr(module, "distance_rows", counted_rows)
+    for name in bundled_scenarios():
+        config = dataclasses.replace(bundled(name), resolution=16)
+        sizes.clear()
+        samples = run_scenario(config).samples
+        kept = len(samples.frames.param)
+        if config.model.signature != LORENTZIAN:
+            assert [m for m in sizes if m >= kept] == [kept], name
+        assert_u_is_the_distance_of_the_kept_rows(samples)
+
+
+def test_lorentzian_extrema_share_each_refinement_call(monkeypatch):
+    # perturbed-hyperboloid at res 48: the max and the min take 5 rounds each,
+    # one refinement evaluating both stencils, 2 x 25 rows, in each call
+    runs = []
+    refine = harness.refine_extremum
+
+    def recorded(patch, fn, *args, **kwargs):
+        calls = []
+        runs.append(calls)
+
+        def counted_fn(Q):
+            calls.append(len(Q))
+            return fn(Q)
+
+        return refine(patch, counted_fn, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "refine_extremum", recorded)
+    config = dataclasses.replace(bundled("perturbed-hyperboloid"), resolution=48)
+    samples = collect_samples(config)
+    (_, u_sup), (_, u_inf) = refined_distance_extremum(samples, ("max", "min"))
+    assert runs == [[50] * 5]
+    # each is the extremum a refinement of its own finds
+    assert refined_distance_extremum(samples, "max")[1] == u_sup
+    assert refined_distance_extremum(samples, "min")[1] == u_inf
+    assert runs[1:] == [[25] * 5, [25] * 5]
+
+
+@pytest.mark.parametrize("mode", ["Max", "sup", None, (), ("max", "mid"), ["max", "min"]])
+def test_refined_extremum_rejects_an_unknown_mode(mode):
+    samples = collect_samples(dataclasses.replace(bundled("perturbed-hyperboloid"), resolution=16))
+    with pytest.raises(DomainError, match="mode"):
+        refined_distance_extremum(samples, mode)
+
+
 def test_tabulated_chart_scenario(tmp_path):
     # a grid over the table's own (rounded) domain lands up to ~5e-10 off the
     # tabulated parameters; every grid point must still be found
@@ -567,15 +625,16 @@ def test_emit_samples_csv(tmp_path):
 
 
 def test_cli_emit_samples_builds_one_grid(tmp_path, monkeypatch):
-    # the CSV is written from the frames the run sampled, not from a second grid
+    # the CSV is written from the frames the run sampled, not from a second grid;
+    # every frame batch, the grid's and frames_at's, is built by _frames_at
     rows = []
-    build = immersion.frames_at
+    build = immersion._frames_at
 
     def counted(patch, P):
         rows.append(len(P))
         return build(patch, P)
 
-    monkeypatch.setattr(immersion, "frames_at", counted)
+    monkeypatch.setattr(immersion, "_frames_at", counted)
     path = tmp_path / "run.csv"
     assert main(["verify", "--scenario", "ellipsoid", "--resolution", "16",
                  "--emit-samples", str(path)]) == 0

@@ -1,11 +1,12 @@
 """Frames, principal curvatures and grids of the bundled charts."""
 
 import dataclasses
+import re
 import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from curvbound import immersion
@@ -19,6 +20,7 @@ from curvbound.charts import (
     build_chart,
     fd_jet,
     grid_axes,
+    hypersphere_direction,
     hypersphere_direction_jet,
     write_chart_csv,
 )
@@ -64,8 +66,20 @@ from curvbound.operators import (
 )
 from curvbound.spaceform import AmbientModel
 
-from conftest import congruent, counted, riemannian_space_form
-from oracles import halving_reference, orthonormal_shape, sequential_refine, substitution_shape
+from conftest import (
+    assert_u_is_the_distance_of_the_kept_rows,
+    congruent,
+    counted,
+    riemannian_space_form,
+)
+from oracles import (
+    direction_jet_reference,
+    direction_reference,
+    halving_reference,
+    orthonormal_shape,
+    sequential_refine,
+    substitution_shape,
+)
 
 E3 = AmbientModel.euclidean(3)
 M3 = AmbientModel.minkowski(3)
@@ -94,6 +108,25 @@ def test_hypersphere_jet_is_unit_and_consistent(rng):
             fd1p = hypersphere_direction_jet(p + ei)[1]
             fd1m = hypersphere_direction_jet(p - ei)[1]
             np.testing.assert_allclose(d2[:, :, i], (fd1p - fd1m) / (2 * h), atol=1e-9)
+
+
+@given(
+    n=st.integers(1, 5),
+    size=st.sampled_from([1, 25, 2304]),
+    angles=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=12),
+)
+@example(n=5, size=25, angles=[0.0, -0.0, np.pi, -np.pi / 2])
+@example(n=4, size=2304, angles=[1e300, -1e300, 2.0**53, -0.0, 1e-310])
+@settings(max_examples=20)  # a 2304-row jet at n = 5 takes about 10 ms
+def test_direction_jets_are_the_cumprod_references_bit_for_bit(n, size, angles):
+    # the elementwise prefix fold multiplies the sines in cumprod's order, and
+    # the jet builds its value from its own sines and cosines: the same ufuncs
+    # on the same inputs, so the same bits, signed zeros and large angles included
+    angles = np.resize(np.array(angles), (size, n))
+    got, want = (hypersphere_direction_jet(angles), hypersphere_direction(angles)), (
+        direction_jet_reference(angles), direction_reference(angles))
+    for a, b in zip((*got[0], got[1]), (*want[0], want[1])):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 # -- shape operators of reference surfaces ---------------------------------------
@@ -883,6 +916,130 @@ def test_refinement_rounds_must_be_a_non_negative_integer(rounds):
         refine_extremum(patch, fn, np.zeros(2), np.full(2, 0.1), rounds=rounds)
     assert calls == []
     assert refine_extremum(patch, fn, np.zeros(2), np.full(2, 0.1), rounds=np.int64(0))[1] == 0.0
+
+
+@pytest.mark.parametrize("start, sign, match", [
+    (np.zeros((2, 2)), 0.0, "sign"),
+    (np.zeros((2, 2)), 2.0, "sign"),
+    (np.zeros((2, 2)), np.nan, "sign"),
+    (np.zeros((2, 2)), [1.0, 0.5], "sign"),
+    (np.zeros((2, 2)), [1.0, -1.0, 1.0], "sign"),  # three signs for two starts
+    (np.zeros(3), 1.0, "start"),  # a point of another dimension
+    (np.zeros((1, 2, 2)), 1.0, "start"),
+])
+def test_refinement_starts_and_signs_are_checked_before_any_call(start, sign, match):
+    calls = []
+
+    def fn(Q):
+        calls.append(len(Q))
+        return np.zeros(len(Q)), no_errors(len(Q))
+
+    with pytest.raises(DomainError, match=match):
+        refine_extremum(box_patch(2), fn, start, np.full(2, 0.1), sign=sign)
+    assert calls == []
+
+
+def terrain(Q, peak, fail_below):
+    """A row-wise scalar on the box: flat at 1 where q_0 > 0.5, else 1 - |q - peak|^2,
+    without a value where q_1 < ``fail_below``, each error naming its row."""
+    values = np.where(Q[:, 0] > 0.5, 1.0, 1.0 - np.sum((Q - peak) ** 2, axis=1))
+    errors = no_errors(len(Q))
+    for i in np.flatnonzero(Q[:, 1] < fail_below):
+        errors[i] = DomainError(f"no value at {Q[i].tolist()}")
+    return values, errors
+
+
+def shared_and_single(starts, signs, cell, rounds, peak, fail_below):
+    """(result, calls) of one refinement of every start, then of each start alone."""
+    runs = []
+    for start, sign in [(starts, signs)] + list(zip(starts, signs)):
+        calls = []
+
+        def fn(Q):
+            calls.append(Q.copy())
+            return terrain(Q, peak, fail_below)
+
+        runs.append((refine_extremum(box_patch(2), fn, start, cell, rounds, sign), calls))
+    return runs[0], runs[1:]
+
+
+def assert_shares_the_single_refinements(shared, singles):
+    # each start's param, value and rows are its own refinement's, bit for bit;
+    # call r holds the stencils of the starts still refining, in start order
+    (params, values), calls = shared
+    for j, ((param, value), _) in enumerate(singles):
+        assert params[j].tobytes() == param.tobytes() and values[j].tobytes() == value.tobytes()
+    assert len(calls) == max(len(c) for _, c in singles)
+    for r, rows in enumerate(calls):
+        expected = [c[r] for _, c in singles if len(c) > r]
+        assert np.concatenate(expected).tobytes() == rows.tobytes()
+
+
+def test_shared_refinement_is_each_start_refined_alone():
+    # the plateau start stops after its first stencil, the bowl start steps to
+    # the peak, the start by the failing strip halves past its failed rows, and
+    # the min start runs into the box's corner
+    starts = np.array([[0.75, 0.0], [-0.3, 0.2], [0.0, -0.75], [-0.5, 0.5]])
+    signs = np.array([1.0, 1.0, 1.0, -1.0])
+    shared, singles = shared_and_single(starts, signs, np.full(2, 0.2), 8,
+                                        np.array([-0.4, 0.3]), -0.9)
+    assert_shares_the_single_refinements(shared, singles)
+    lengths = [len(c) for _, c in singles]
+    assert lengths[0] == 1 and len(set(lengths)) >= 3, lengths
+    failed_rows = [terrain(np.concatenate(c), np.array([-0.4, 0.3]), -0.9)[1] for _, c in singles]
+    assert [any(e is not None for e in f) for f in failed_rows] == [False, False, True, False]
+
+
+@given(
+    starts=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+                              st.sampled_from([1.0, -1.0])), min_size=1, max_size=3),
+    rounds=st.integers(0, 4),
+    cell=st.floats(0.05, 1.0),
+    peak=st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+    fail_below=st.floats(-1.5, -0.5),
+)
+@example(starts=[(0.2, 0.1, 1.0), (-0.3, 0.4, -1.0)], rounds=0, cell=0.3, peak=(0.0, 0.0),
+         fail_below=-1.0)
+@settings(max_examples=30)
+def test_shared_refinement_matches_one_start_at_a_time(starts, rounds, cell, peak, fail_below):
+    points, signs = np.array([s[:2] for s in starts]), np.array([s[2] for s in starts])
+    fails = [s[1] < fail_below for s in starts]
+    if any(fails):
+        # the first failing start raises, in start order, as it does alone
+        first = points[fails.index(True)].tolist()
+        with pytest.raises(DomainError, match=re.escape(f"no value at {first}")):
+            shared_and_single(points, signs, np.full(2, cell), rounds, np.array(peak), fail_below)
+        return
+    shared, singles = shared_and_single(points, signs, np.full(2, cell), rounds, np.array(peak),
+                                        fail_below)
+    assert_shares_the_single_refinements(shared, singles)
+
+
+def test_grid_distances_align_with_the_rows_the_orientation_kept(monkeypatch):
+    # the graph passes through its center at the grid's middle node, where the
+    # distance gradient is undefined: the orientation step skips that row, and
+    # the distances it measured are the kept rows' u, with no second evaluation
+    patch = build_patch(E3, "graph", {"terms": [[1.0, [2, 0]], [1.0, [0, 2]]],
+                                      "box_lo": [-1, -1], "box_hi": [1, 1]}, center=np.zeros(3))
+    grid = sample_grid(patch, 5)
+    assert [p.tolist() for p, _ in grid.skipped] == [[0.0, 0.0]]
+    calls = counted(monkeypatch, immersion, "distance_rows")
+    assert_u_is_the_distance_of_the_kept_rows(grid)
+    assert calls == []
+
+
+def test_grid_distances_of_a_future_patch_are_measured_on_the_kept_rows(monkeypatch):
+    # a Lorentzian patch orients by the time orientation, so u measures them itself
+    grid = sample_grid(build_patch(M3, "hyperboloid", {"radius": 2.0}, center=np.zeros(3)), 8)
+    calls = counted(monkeypatch, immersion, "distance_rows")
+    assert_u_is_the_distance_of_the_kept_rows(grid)
+    assert len(calls) == 1
+
+
+def test_grid_distances_need_a_center():
+    grid = sample_grid(build_patch(E3, "sphere", {"radius": 1.0}), 8)
+    with pytest.raises(DomainError, match="no center"):
+        grid.u
 
 
 def test_resolution_one_rejected():

@@ -827,7 +827,8 @@ def test_search_stops_where_its_fit_predicts_no_gain(monkeypatch):
     height = LinearCoordinateField(E3, np.array([0.0, 0.0, 1.0]))
     rows = counted(monkeypatch, operators, "_evaluate_rows")
     report = omori_yau_search(patch, height, 0, resolution=24, rounds=20)
-    assert len(rows) <= 5  # the grid and at most 4 stencils
+    assert len(rows) == 5  # the grid and 4 stencils
+    assert report.evaluations == 24 * 23 + 4 * 25
     assert report.u_star == 1.0
     assert report.refined_max.grad_norm < 1e-12
 

@@ -101,18 +101,32 @@ def _unit_stencil(n: int) -> np.ndarray:
     return read_only(np.stack(offsets))
 
 
-def fd_jet(value, p: np.ndarray, h: np.ndarray):
-    """(position, d1, d2) of ``value`` at the points p (..., n) by central differences.
-
-    ``value`` maps (..., n) to (..., m) and is called once, on the stencil stacked along
-    a new leading axis: the center, then per axis i the points +-e_i and the four cross
-    points +-e_i +-e_j for each j < i.  ``h`` holds one step per axis, broadcast against p.
-    """
+def fd_stencil(p: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """:func:`fd_jet`'s stencil at p (..., n) along a new leading axis: p itself (signed zeros
+    kept), then per axis i +-e_i and, for each j < i, +-e_i +-e_j; ``h`` is one step per axis."""
     p = np.asarray(p, dtype=float)
     n = p.shape[-1]
     h = np.broadcast_to(np.asarray(h, dtype=float), p.shape)
-    stencil = _unit_stencil(n).reshape((-1,) + (1,) * (p.ndim - 1) + (n,))
-    f = iter(np.asarray(value(p + stencil * h), dtype=float))
+    Q = p + _unit_stencil(n).reshape((-1,) + (1,) * (p.ndim - 1) + (n,)) * h
+    Q[0] = p  # p + 0 h would turn a -0.0 coordinate into +0.0
+    return Q
+
+
+def fd_jet(value, p: np.ndarray, h: np.ndarray):
+    """(position, d1, d2) of ``value`` at the points p (..., n) by central differences.
+
+    ``value`` maps (..., n) to (..., m) and is called once, on :func:`fd_stencil`;
+    :func:`fd_differences` takes the differences of its values.
+    """
+    p = np.asarray(p, dtype=float)
+    h = np.broadcast_to(np.asarray(h, dtype=float), p.shape)
+    return fd_differences(np.asarray(value(fd_stencil(p, h)), dtype=float), h)
+
+
+def fd_differences(f: np.ndarray, h: np.ndarray):
+    """(position, d1, d2) from values f (S, ..., m) on a :func:`fd_stencil` of steps h (..., n)."""
+    n = h.shape[-1]
+    f = iter(f)
     x = next(f)
     d1 = np.empty(x.shape + (n,))
     d2 = np.empty(x.shape + (n, n))

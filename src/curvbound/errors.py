@@ -95,6 +95,12 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def check_order(k, top: int) -> None:
+    """Raise a DomainError unless the order k is an integer in 0..top."""
+    if not (is_integer(k) and 0 <= k <= top):
+        raise DomainError(f"order k = {k!r} is outside 0..{top} or not an integer")
+
+
 def raise_first(errors: np.ndarray) -> None:
     """Raise the error of the first failed row, if any."""
     for exc in errors.flat:

@@ -43,6 +43,7 @@ from .errors import (
     EmptySampleError,
     ImmersionDegeneracyError,
     SignatureError,
+    check_order,
     failed,
     fold_last,
     is_integer,
@@ -347,17 +348,20 @@ class PointFrame:
         return read_only(E)
 
     def newton_trace(self, k: int):
-        """Tr P_k = c_k H_k, over the leading axes."""
-        return trace_coefficients(self.kappa.shape[-1])[k] * self.H[..., k]
+        """Tr P_k = c_k H_k, over the leading axes, for k in 0..n-1."""
+        n = self.kappa.shape[-1]
+        check_order(k, n - 1)
+        return trace_coefficients(n)[k] * self.H[..., k]
 
     def newton_psd_margin(self, k: int):
-        """Smallest eigenvalue of P_k over max(1, max|kappa|^max(k, 1)).
+        """Smallest eigenvalue of P_k over max(1, max|kappa|^max(k, 1)), for k in 0..n.
 
         P_k is PSD down to -TAU_ELL.  At k = 0 the scale is max(1, max|kappa|), not 1.
         The power is the ufunc's at one sample too (a float64 scalar's ``**``
         calls libm's pow, which can round differently), so a grid row and
         :func:`frame_at` agree bit for bit.
         """
+        check_order(k, self.kappa.shape[-1])
         scale = np.power(fold_last(np.maximum, np.abs(self.kappa)), max(k, 1))
         return fold_last(np.minimum, self.newton_eigenvalues[..., k, :]) / np.maximum(1.0, scale)
 
@@ -389,9 +393,10 @@ def frames_at(patch: HypersurfacePatch, P: np.ndarray):
     return _frames_at(patch, P)[:2]
 
 
-def _frames_at(patch: HypersurfacePatch, P: np.ndarray):
+def _frames_at(patch: HypersurfacePatch, P: np.ndarray, jet_at=None):
     """(frames, errors, rho): rho, read-only, the distances of the rows of ``frames``
-    that oriented the normal, or None where the orientation measured none."""
+    that oriented the normal, or None where the orientation measured none; ``jet_at``
+    (default ``patch.jet_at``) gives the jets of the rows that pass the checks before them."""
     P = np.asarray(P, dtype=float)
     model = patch.ambient
     errors = no_errors(len(P))
@@ -413,7 +418,7 @@ def _frames_at(patch: HypersurfacePatch, P: np.ndarray):
     if type(patch.chart).undefined is not Chart.undefined:
         undefined = patch.chart.undefined(P[rows], jet=True)
         reject(failed(undefined), undefined)
-    x, d1, d2 = patch.jet_at(P[rows])
+    x, d1, d2 = (jet_at or patch.jet_at)(P[rows])
     # one whole-array test on the common, all-finite path
     if not (np.isfinite(x).all() and np.isfinite(d1).all() and np.isfinite(d2).all()):
         finite = (np.isfinite(x).all(-1) & np.isfinite(d1).all((-2, -1))
@@ -492,13 +497,19 @@ def frame_at(patch: HypersurfacePatch, p: np.ndarray) -> PointFrame:
     without a frame is not kept: it raises on every call, and so does a p
     of another shape than (n,).
     """
+    return _frame_at(patch, p)
+
+
+def _frame_at(patch: HypersurfacePatch, p: np.ndarray, jet_at=None) -> PointFrame:
+    """:func:`frame_at`, a frame it builds taking its chart jets from ``jet_at``
+    (:func:`_frames_at`'s, called on p[None] once p passes the checks before them)."""
     p = np.asarray(p, dtype=float)
     if p.shape != (patch.n,):
         raise DomainError(f"parameter point has shape {p.shape}, expected ({patch.n},)")
     key = p.tobytes()
     frame = patch._last_frame.get(key)
     if frame is None:
-        frames, errors = frames_at(patch, p[None])
+        frames, errors, _ = _frames_at(patch, p[None], jet_at)
         raise_first(errors)
         frame = frames[0]
         patch._last_frame.clear()

@@ -14,11 +14,12 @@ operator share the principal directions e_i of the frame, so every
 contraction with P_k is a sum over them weighted by the eigenvalues of P_k.
 The frame carries H_k and those eigenvalues, signed for its ambient
 signature once per frame batch, and a :class:`FieldSample` carries its
-frame: the contractions (:func:`trace_operator`, :func:`newton_quadratic`,
-:func:`key_inequality_rhs`) read the sample's own frame, in its convention.
-No S_k recurrence and no normalization runs here; :func:`operator_data`
-gives the frame in the other signature's convention by the exact signs
-(-1)^k.
+frame and, on first use, its Hessian's diagonal and gradient's squares on
+the e_i: the contractions (:func:`trace_operator`, :func:`newton_quadratic`,
+:func:`key_inequality_rhs`) read them and the sample's own frame, in its
+convention.  No S_k recurrence and no normalization runs here;
+:func:`operator_data` gives the frame in the other signature's convention
+by the exact signs (-1)^k.
 
 Fields are frozen values: each holds read-only copies of its arrays, a
 distance field validates its origin once, when it is built, and equal
@@ -34,12 +35,13 @@ origin is validated once per patch (:func:`_distance_field_at`).
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field as attribute, replace
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
-from .charts import fd_jet
+from .charts import fd_differences, fd_stencil
 from .comparison import c_b, phi_b, phi_b_d1, phi_b_d2
 from .curvature import TAU_ELL, convention_signs, trace_coefficients
 from .errors import (
@@ -47,6 +49,7 @@ from .errors import (
     DomainError,
     GeometryError,
     HypothesisViolationError,
+    check_order,
     failed,
     is_integer,
     no_errors,
@@ -57,6 +60,7 @@ from .errors import (
 from .immersion import (
     HypersurfacePatch,
     PointFrame,
+    _frame_at,
     frame_at,
     frames_at,
     induced_metric,
@@ -178,6 +182,19 @@ class FieldSample:
     frame: PointFrame
     errors: np.ndarray  # per-row GeometryError of the field, None where it is defined
 
+    @cached_property
+    def hess_diagonal(self) -> np.ndarray:
+        """(..., n): hess u(e_i, e_i), the Hessian's diagonal in the principal frame."""
+        E = self.frame.principal
+        return read_only(np.vecdot(E, self.hess @ E, axis=-2))
+
+    @cached_property
+    def grad_squares(self) -> np.ndarray:
+        """(..., n): du(e_i)^2, the gradient's squares in the principal frame."""
+        frame = self.frame
+        du = np.vecdot(frame.principal, frame.metric @ self.grad[..., None], axis=-2)
+        return read_only(du * du)
+
 
 def restrict_field(patch: HypersurfacePatch, field, frame: PointFrame) -> FieldSample:
     """Value, gradient and intrinsic Hessian of ``field`` restricted to the frame's points.
@@ -212,19 +229,21 @@ def intrinsic_hessian_fd(patch: HypersurfacePatch, scalar_fn, p: np.ndarray) -> 
     """Intrinsic Hessian at p (n,) of u = scalar_fn∘f via Christoffel symbols.
 
     ``scalar_fn`` maps ambient positions (..., m) to (...).  ``patch.jet_at``
-    is called once, on one central-difference stencil of the patch's FD-jet
-    steps, and ``scalar_fn`` once, on its positions.  The result is
-    d_i d_j u - Gamma^l_ij d_l u, chart-level: no ambient Hessian identity.
+    is called once, on the central-difference stencil of the patch's FD-jet
+    steps (:func:`curvbound.charts.fd_stencil`), and ``scalar_fn`` once, on
+    its positions.  The result is d_i d_j u - Gamma^l_ij d_l u, chart-level:
+    no ambient Hessian identity.
     """
+    return _christoffel_hessian(patch, scalar_fn, patch.jet_at(fd_stencil(p, patch._fd_steps)))
+
+
+def _christoffel_hessian(patch: HypersurfacePatch, scalar_fn, jets) -> np.ndarray:
+    """:func:`intrinsic_hessian_fd` from the chart jets on its stencil."""
     n = patch.n
-    eta = patch.ambient.metric_diag
-
-    def scalar_and_metric(q):
-        x, d1, _ = patch.jet_at(q)
-        g = induced_metric(d1, eta)
-        return np.concatenate([scalar_fn(x)[..., None], g.reshape(g.shape[:-2] + (n * n,))], -1)
-
-    x, d1, d2 = fd_jet(scalar_and_metric, np.asarray(p, dtype=float), patch._fd_steps)
+    x, d1, _ = jets
+    g = induced_metric(d1, patch.ambient.metric_diag)
+    values = np.concatenate([scalar_fn(x)[..., None], g.reshape(g.shape[:-2] + (n * n,))], -1)
+    x, d1, d2 = fd_differences(values, patch._fd_steps)
     du, d2u = d1[0], d2[0]
     dg = d1[1:].reshape(n, n, n).transpose(2, 0, 1)  # dg[k] = d_k g
     g_inv = np.linalg.inv(x[1:].reshape(n, n))
@@ -249,16 +268,37 @@ def _distance_field_at(patch: HypersurfacePatch, origin: np.ndarray) -> Distance
 
 
 def restriction_hessian(patch: HypersurfacePatch, o: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Intrinsic Hessian of u = rho∘f, identity route, FD cross-checked on every call."""
+    """Intrinsic Hessian of u = rho∘f, identity route, FD cross-checked on every call.
+
+    One chart call serves the point: the jets on the oracle's stencil
+    (:func:`intrinsic_hessian_fd`), whose row 0 is p itself, give the frame
+    its row when the patch keeps no frame of p, so the frame is the one
+    :func:`frame_at` builds, bit for bit.  The errors keep their order: p's
+    frame, then the restriction (:func:`restriction_at`), then the oracle.
+    """
     field = _distance_field_at(patch, o)
-    sample = restriction_at(patch, p, field)
+    p = np.asarray(p, dtype=float)
+    stencil = []  # the chart jets on the oracle's stencil, once evaluated
+
+    def stencil_jets():
+        if not stencil:
+            stencil.append(patch.jet_at(fd_stencil(p, patch._fd_steps)))
+        return stencil[0]
+
+    def own_row(P):  # p[None] once p passed the frame's checks before its jets, else no rows
+        if len(P):
+            with suppress(GeometryError):  # the oracle raises it, after p's own errors
+                return tuple(a[:1] for a in stencil_jets())
+        return patch.jet_at(P)
+
+    sample = _kept_sample(patch, _frame_at(patch, p, own_row), field)
 
     def rho(x):
         values, errors = distance_rows(field.model, field.origin, x)
         raise_first(errors)
         return values
 
-    fd = intrinsic_hessian_fd(patch, rho, p)
+    fd = _christoffel_hessian(patch, rho, stencil_jets())
     scale = max(1.0, float(np.abs(sample.hess).max()))
     if np.abs(sample.hess - fd).max() > 1e-4 * scale:
         raise ConsistencyError(
@@ -278,10 +318,12 @@ def operator_data(frame: PointFrame, signature: str) -> PointFrame:
 
     In the frame's own signature it is the frame itself.  In the other, a copy
     whose H_k and row k of the Newton spectra are multiplied by (-1)^k, which
-    is exact, into read-only arrays.
+    is exact, into read-only arrays.  Any other signature raises a DomainError.
     """
     if signature == frame.signature:
         return frame
+    if signature not in (RIEMANNIAN, LORENTZIAN):
+        raise DomainError(f"unknown signature {signature!r}")
     flips = convention_signs(frame.kappa.shape[-1], LORENTZIAN)
     return replace(frame, H=read_only(frame.H * flips),
                    newton_eigenvalues=read_only(frame.newton_eigenvalues * flips[:, None]),
@@ -289,13 +331,13 @@ def operator_data(frame: PointFrame, signature: str) -> PointFrame:
 
 
 def trace_operator(sample: FieldSample, k: int):
-    """L_k u = Tr(P_k ∘ hess u) = sum_i mu_{k,i} hess u(e_i, e_i), over leading axes.
+    """L_k u = Tr(P_k ∘ hess u) = sum_i mu_{k,i} hess u(e_i, e_i), over leading axes, k in 0..n.
 
     e_i are the sample frame's principal directions and mu_{k,i} the eigenvalues of P_k on them.
     """
-    frame = sample.frame
-    E = frame.principal
-    return np.vecdot(frame.newton_eigenvalues[..., k, :], np.vecdot(E, sample.hess @ E, axis=-2))
+    eigenvalues = sample.frame.newton_eigenvalues
+    check_order(k, eigenvalues.shape[-1])
+    return np.vecdot(eigenvalues[..., k, :], sample.hess_diagonal)
 
 
 def restriction_at(patch: HypersurfacePatch, p: np.ndarray, field) -> FieldSample:
@@ -307,7 +349,11 @@ def restriction_at(patch: HypersurfacePatch, p: np.ndarray, field) -> FieldSampl
     single-point calls at one point restrict each field once, and raise the
     sample's errors on every call.
     """
-    frame = frame_at(patch, p)
+    return _kept_sample(patch, frame_at(patch, p), field)
+
+
+def _kept_sample(patch: HypersurfacePatch, frame: PointFrame, field) -> FieldSample:
+    """``field``'s sample kept beside the patch's last frame, made if missing; raises its errors."""
     if field not in patch._last_frame:
         patch._last_frame[field] = read_only(restrict_field(patch, field, frame))
     raise_first(patch._last_frame[field].errors)
@@ -316,16 +362,15 @@ def restriction_at(patch: HypersurfacePatch, p: np.ndarray, field) -> FieldSampl
 
 def l_k_apply(patch: HypersurfacePatch, p: np.ndarray, k: int, field) -> float:
     """L_k u = Tr(P_k ∘ hess u) at the parameter point p, for k in 0..n."""
-    if not (is_integer(k) and 0 <= k <= patch.n):
-        raise DomainError(f"order k = {k!r} is outside 0..{patch.n} or not an integer")
+    check_order(k, patch.n)
     return float(trace_operator(restriction_at(patch, p, field), k))
 
 
 def newton_quadratic(sample: FieldSample, k: int):
-    """<grad u, P_k grad u> = sum_i mu_{k,i} du(e_i)^2, over leading axes."""
-    frame = sample.frame
-    du = np.vecdot(frame.principal, frame.metric @ sample.grad[..., None], axis=-2)
-    return np.vecdot(frame.newton_eigenvalues[..., k, :], du * du)
+    """<grad u, P_k grad u> = sum_i mu_{k,i} du(e_i)^2, over leading axes, k in 0..n."""
+    eigenvalues = sample.frame.newton_eigenvalues
+    check_order(k, eigenvalues.shape[-1])
+    return np.vecdot(eigenvalues[..., k, :], sample.grad_squares)
 
 
 def key_inequality_rhs(sample: FieldSample, k: int, b: float):
@@ -334,11 +379,13 @@ def key_inequality_rhs(sample: FieldSample, k: int, b: float):
     Riemannian: C_b(u)(c_k H_k - <grad u, P_k grad u>) + c_k H_{k+1} <grad rho, N>.
     Lorentzian: -C_{-b}(u)(c_k H_k + <grad u, P_k grad u>)
                 + c_k H_{k+1} sqrt(1 + |grad u|^2).
-    The signature of the sample's frame picks the convention.
+    The signature of the sample's frame picks the convention; k is in 0..n-1.
     """
     frame = sample.frame
+    n = frame.kappa.shape[-1]
+    check_order(k, n - 1)
     quad = newton_quadratic(sample, k)
-    ck = trace_coefficients(frame.kappa.shape[-1])[k]
+    ck = trace_coefficients(n)[k]
     Hk, Hk1 = frame.H[..., k], frame.H[..., k + 1]
     if frame.signature == RIEMANNIAN:
         return c_b(b, sample.u) * (ck * Hk - quad) + ck * Hk1 * sample.normal_coef
@@ -353,8 +400,7 @@ def key_inequality_residual(
     origin: np.ndarray | None = None,
 ) -> float:
     """L_k u minus :func:`key_inequality_rhs`, for k in 0..n-1; >= 0, zero in space forms."""
-    if not (is_integer(k) and 0 <= k < patch.n):
-        raise DomainError(f"order k = {k!r} is outside 0..{patch.n - 1} or not an integer")
+    check_order(k, patch.n - 1)
     if b is None:
         b = patch.ambient.curvature
     if origin is None:

@@ -73,8 +73,8 @@ MUTANTS = [
     ("Riemannian normal term sign", "operators.py",
      "+ ck * Hk1 * sample.normal_coef", "- ck * Hk1 * sample.normal_coef"),
     ("newton_quadratic halved", "operators.py",
-     "return np.vecdot(frame.newton_eigenvalues[..., k, :], du * du)",
-     "return 0.5 * np.vecdot(frame.newton_eigenvalues[..., k, :], du * du)"),
+     "return np.vecdot(eigenvalues[..., k, :], sample.grad_squares)",
+     "return 0.5 * np.vecdot(eigenvalues[..., k, :], sample.grad_squares)"),
     ("key_inequality_rhs: the Riemannian branch whatever the frame's signature", "operators.py",
      "    if frame.signature == RIEMANNIAN:\n", "    if True:\n"),
     ("H_2 corollary dropped", "harness.py",
@@ -145,13 +145,21 @@ MUTANTS = [
     ("cache: entry kept across points", "immersion.py",
      "        patch._last_frame.clear()\n", ""),
     ("cache: FD check skipped on a hit", "operators.py",
-     "    fd = intrinsic_hessian_fd(patch, rho, p)\n",
+     "    fd = _christoffel_hessian(patch, rho, stencil_jets())\n",
      "    hit = getattr(sample, 'checked', False)\n"
      "    object.__setattr__(sample, 'checked', True)\n"
-     "    fd = sample.hess if hit else intrinsic_hessian_fd(patch, rho, p)\n"),
+     "    fd = sample.hess if hit else _christoffel_hessian(patch, rho, stencil_jets())\n"),
+    ("cache: the sample's principal-frame arrays writable", "operators.py",
+     "return read_only(np.vecdot(E, self.hess @ E, axis=-2))",
+     "return np.vecdot(E, self.hess @ E, axis=-2)"),
     ("cache: a kept sample can be rebound", "operators.py",
      "@dataclass(frozen=True, eq=False)\nclass FieldSample:",
      "@dataclass(eq=False)\nclass FieldSample:"),
+    # one chart call per probe point: the frame's row is row 0 of the oracle's stencil
+    ("fd_stencil: row 0 built as p + 0 h", "charts.py",
+     "    Q[0] = p  # p + 0 h would turn a -0.0 coordinate into +0.0\n", ""),
+    ("restriction_hessian: the frame built from stencil row 1", "operators.py",
+     "return tuple(a[:1] for a in stencil_jets())", "return tuple(a[1:2] for a in stencil_jets())"),
     # a scenario's samples: the patch's grid and the distances to its center
     ("collect_samples: the distances are not evaluated", "harness.py",
      "    samples.u  # a kept row without a distance raises here, skipped rows or not\n", ""),
@@ -169,9 +177,9 @@ MUTANTS = [
      "    raise_first(patch._last_frame[field].errors)\n", ""),
     # orders checked where they enter
     ("l_k_apply: any order k taken", "operators.py",
-     "    if not (is_integer(k) and 0 <= k <= patch.n):\n", "    if False:\n"),
+     "    check_order(k, patch.n)\n    return float(", "    return float("),
     ("key_inequality_residual: any order k taken", "operators.py",
-     "    if not (is_integer(k) and 0 <= k < patch.n):\n", "    if False:\n"),
+     "    check_order(k, patch.n - 1)\n    if b is None:", "    if b is None:"),
     ("omori_yau_search: any order k taken", "operators.py",
      "if not (is_integer(k) and 0 <= k < patch.n and j_max >= 1):", "if not (j_max >= 1):"),
     ("omori_yau_search: j_max below 1 taken", "operators.py",
@@ -183,6 +191,13 @@ MUTANTS = [
     ("orders: a bool taken as an order", "errors.py",
      "return isinstance(value, (int, np.integer)) and not isinstance(value, bool)",
      "return isinstance(value, (int, np.integer))"),
+    ("trace_operator: k = -1 taken", "operators.py",
+     "    check_order(k, eigenvalues.shape[-1])\n    return np.vecdot(eigenvalues[..., k, :], "
+     "sample.hess_diagonal)",
+     "    check_order(max(k, 0), eigenvalues.shape[-1])\n"
+     "    return np.vecdot(eigenvalues[..., k, :], sample.hess_diagonal)"),
+    ("operator_data: an unknown signature accepted", "operators.py",
+     "    if signature not in (RIEMANNIAN, LORENTZIAN):\n", "    if False:\n"),
     ("refine_extremum: negative rounds taken", "immersion.py",
      "if not (is_integer(rounds) and rounds >= 0):", "if not is_integer(rounds):"),
     # the refiner's quadratic step and round-off stop

@@ -539,8 +539,9 @@ def test_every_chart_with_its_own_value_has_a_value_case(tmp_path):
 
 
 def test_one_value_call_per_stencil(monkeypatch):
-    # one fd_jet evaluates its 1 + 2n + 2n(n-1) points in one call, and the
-    # FD oracle behind restriction_hessian reads the patch jets in one call
+    # one fd_jet evaluates its 1 + 2n + 2n(n-1) points in one call, and
+    # restriction_hessian reads the patch jets in one call: the oracle's
+    # stencil, whose row 0 gives the point's frame its row
     calls, jets = [], []
     chart = EllipsoidChart(np.zeros(3), np.array([0.6, 1.0, 1.0]))
 
@@ -559,7 +560,7 @@ def test_one_value_call_per_stencil(monkeypatch):
     monkeypatch.setattr(HypersurfacePatch, "jet_at", counted)
     patch = build_patch(E3, "ellipsoid", {"semi_axes": [0.6, 1.0, 1.0]}, center=np.zeros(3))
     restriction_hessian(patch, np.zeros(3), np.array([1.0, 2.0]))
-    assert jets == [(1, 2), (9, 2)]  # the frame's row, then the oracle's stencil
+    assert jets == [(9, 2)]
 
 
 # -- grids -----------------------------------------------------------------------

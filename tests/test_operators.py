@@ -1,20 +1,30 @@
 """Restriction Hessians, trace operators, the key inequality, extremum search."""
 
+import contextlib
 import dataclasses
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from curvbound import curvature, immersion, operators, spaceform
-from curvbound.charts import EllipsoidChart, PerturbedHyperboloidChart, grid_axes
+from curvbound.charts import (
+    EllipsoidChart,
+    PerturbedHyperboloidChart,
+    build_chart,
+    grid_axes,
+    write_chart_csv,
+)
 from curvbound.comparison import c_b, phi_b, phi_b_d1
 from curvbound.errors import (
     ConsistencyError,
     DomainError,
+    GeometryError,
     HypothesisViolationError,
     UndefinedGradientError,
     failed,
+    raise_first,
 )
 from curvbound.harness import (
     bundled_scenarios,
@@ -25,6 +35,7 @@ from curvbound.harness import (
     scenario_patch,
 )
 from curvbound.immersion import (
+    ROW_FIELDS,
     HypersurfacePatch,
     build_patch,
     frame_at,
@@ -439,8 +450,8 @@ def test_a_frame_is_its_own_operator_data_and_a_point_keeps_one_sample_per_field
 
 
 def test_fd_oracle_reads_one_chart_jet_per_stencil(monkeypatch):
-    # the oracle's scalar is read off the stencil's positions, so the chart
-    # jets are the frame's row and the oracle's stencil, and nothing else
+    # the oracle's scalar is read off the stencil's positions, and the frame's
+    # row is the stencil's row 0, so the chart jets are the stencil's alone
     shapes = []
     jet = PerturbedHyperboloidChart.jet
 
@@ -451,7 +462,7 @@ def test_fd_oracle_reads_one_chart_jet_per_stencil(monkeypatch):
     monkeypatch.setattr(PerturbedHyperboloidChart, "jet", counted)
     patch = build_patch(M3, "perturbed_hyperboloid", {"radius": 2.0})
     restriction_hessian(patch, np.zeros(3), interior_points(patch, np.random.default_rng(5), 1)[0])
-    assert shapes == [(1, 2), (9, 2)]
+    assert shapes == [(9, 2)]
 
 
 def spectral_oracle_cases():
@@ -514,7 +525,7 @@ def test_restriction_evaluates_the_distance_once(monkeypatch):
 def test_repeated_key_inequality_reuses_the_frame_and_its_directions(monkeypatch):
     # one probe point's five calls factor the metric once, take kappa in closed
     # form and one eigenbasis for the principal directions, read the chart jets
-    # once for the frame and once for the oracle's stencil, and copy the frame's
+    # once, on the oracle's stencil, whose row 0 is the frame's, and copy the frame's
     # congruence R nowhere: the kernels' samples-last form of a row's R is a view
     patch = ellipsoid_patch()
     p, o = interior_points(patch, np.random.default_rng(5), 1)[0], np.zeros(3)
@@ -535,8 +546,8 @@ def test_repeated_key_inequality_reuses_the_frame_and_its_directions(monkeypatch
         key_inequality_residual(patch, p, k, origin=o)
         l_k_apply(patch, p, k, field)
     assert {name: len(c) for name, c in calls.items()} == {
-        "cholesky": 0, "solve": 0, "det": 0, "eigvalsh": 0, "eigh": 1, "ldl": 1, "jet_at": 2}
-    assert [np.shape(q) for _, q in calls["jet_at"]] == [(1, 2), (9, 2)]
+        "cholesky": 0, "solve": 0, "det": 0, "eigvalsh": 0, "eigh": 1, "ldl": 1, "jet_at": 1}
+    assert [np.shape(q) for _, q in calls["jet_at"]] == [(9, 2)]
     R = frame_at(patch, p).congruence
     of_R = [form for a, form in forms if a is R]
     assert of_R and all(np.shares_memory(form, R) for form in of_R)
@@ -561,14 +572,16 @@ def probe_patches():
 
 @pytest.mark.parametrize("patch, o", probe_patches())
 def test_single_point_calls_on_a_kept_frame_are_bit_identical(monkeypatch, patch, o):
-    # the five calls at one probe point build its frame once (and sign its S_k
-    # table there, once), restrict the distance once, and each reads the bits of the
-    # same call on a copy of the patch that has kept no frame; the FD oracle
-    # runs on every restriction_hessian call
+    # the five calls at one probe point read the chart jets once, on the oracle's
+    # stencil, build the frame once from its row 0 (and sign its S_k table there,
+    # once), restrict the distance once, and each reads the bits of the same call
+    # on a copy of the patch that has kept no frame; the FD oracle runs on every
+    # restriction_hessian call
     patch = dataclasses.replace(patch)  # one that has kept nothing from other tests
     calls = {name: counted(monkeypatch, owner, name) for owner, name in (
-        (immersion, "frames_at"), (operators, "restrict_field"),
-        (operators, "intrinsic_hessian_fd"), (immersion, "signed_values"))}
+        (immersion, "_frames_at"), (operators, "restrict_field"),
+        (operators, "_christoffel_hessian"), (immersion, "signed_values"),
+        (HypersurfacePatch, "jet_at"))}
     field = DistanceField(patch.ambient, o)
     points = interior_points(patch, np.random.default_rng(15), 5)
     for p in points:
@@ -580,12 +593,190 @@ def test_single_point_calls_on_a_kept_frame_are_bit_identical(monkeypatch, patch
     # one of each per point on the kept patch; one per call on the fresh copies
     n = len(points)
     assert {name: len(c) for name, c in calls.items()} == {
-        "frames_at": n + 5 * n, "restrict_field": n + 5 * n,
-        "intrinsic_hessian_fd": n + n, "signed_values": n + 5 * n}
-    for name in ("frames_at", "restrict_field", "intrinsic_hessian_fd"):
+        "_frames_at": n + 5 * n, "restrict_field": n + 5 * n,
+        "_christoffel_hessian": n + n, "signed_values": n + 5 * n, "jet_at": n + 5 * n}
+    for name in ("_frames_at", "restrict_field", "_christoffel_hessian", "jet_at"):
         assert sum(args[0] is patch for args in calls[name]) == n, name
     restriction_hessian(patch, o, points[-1])  # a repeated call runs the oracle again
-    assert sum(args[0] is patch for args in calls["intrinsic_hessian_fd"]) == n + 1
+    assert sum(args[0] is patch for args in calls["_christoffel_hessian"]) == n + 1
+    assert sum(args[0] is patch for args in calls["jet_at"]) == n + 1
+
+
+@contextlib.contextmanager
+def recorded_oracle():
+    """The FD Hessians the oracle behind restriction_hessian returns, while the block runs."""
+    results, oracle = [], operators._christoffel_hessian
+
+    def recording(*args):
+        results.append(oracle(*args))
+        return results[-1]
+
+    operators._christoffel_hessian = recording
+    try:
+        yield results
+    finally:
+        operators._christoffel_hessian = oracle
+
+
+def probe_point(patch, kind, fractions, axis, high):
+    """A point of ``patch`` of one kind: inside the box, with a -0.0 coordinate, within
+    one FD step of an edge that does not wrap, or on the seam of an axis that wraps."""
+    lo, hi, width, steps = patch.domain_lo, patch.domain_hi, patch.domain_width, patch._fd_steps
+    p = lo + (0.1 + 0.8 * np.array(fractions)) * width
+    if kind == "negative zero":
+        axes = np.flatnonzero((lo <= 0.0) & (hi > 0.0))
+        assume(len(axes))
+        p[axes[axis % len(axes)]] = -0.0
+    elif kind == "edge":
+        axes = np.flatnonzero(~patch.wraps)
+        a = axes[axis % len(axes)]
+        p[a] = hi[a] - fractions[a] * steps[a] if high else lo[a] + fractions[a] * steps[a]
+    elif kind == "seam":
+        axes = np.flatnonzero(patch.wraps)
+        assume(len(axes))
+        a = axes[axis % len(axes)]
+        p[a] = hi[a] if high else lo[a]
+    return p
+
+
+@pytest.mark.parametrize("jets", ["auto", "fd"])
+@pytest.mark.parametrize("patch, o", probe_patches())
+@settings(max_examples=12)
+@given(kind=st.sampled_from(["inside", "negative zero", "edge", "seam"]),
+       fractions=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2),
+       axis=st.integers(0, 1), high=st.booleans())
+@example(kind="negative zero", fractions=[0.5, 0.5], axis=0, high=False)
+@example(kind="negative zero", fractions=[0.5, 0.5], axis=1, high=False)
+@example(kind="seam", fractions=[0.3, 0.5], axis=0, high=True)
+def test_restriction_hessian_builds_the_frame_of_frame_at_from_the_stencil_row(
+        patch, o, jets, kind, fractions, axis, high):
+    # the frame restriction_hessian builds from row 0 of the oracle's stencil is
+    # frame_at's own, field by field, signed zeros included, and the oracle's FD
+    # Hessian is intrinsic_hessian_fd's on its own call
+    patch = dataclasses.replace(patch, jets=jets)  # one that has kept nothing
+    p = probe_point(patch, kind, fractions, axis, high)
+    with recorded_oracle() as fd:
+        restriction_hessian(patch, o, p)
+    built, own = frame_at(patch, p), frame_at(dataclasses.replace(patch), p)
+    assert built.signature == own.signature
+    for name in ROW_FIELDS:
+        a, b = getattr(built, name), getattr(own, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    field = DistanceField(patch.ambient, o)
+
+    def rho(x):
+        return spaceform.distance_rows(field.model, field.origin, x)[0]
+
+    standalone = intrinsic_hessian_fd(dataclasses.replace(patch), rho, p)
+    assert len(fd) == 1 and fd[0].tobytes() == standalone.tobytes()
+
+
+def first_error(call, *args):
+    """(type, message) of the error ``call(*args)`` raises, or None."""
+    try:
+        call(*args)
+    except GeometryError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def staged_error(patch, o, p):
+    """The first error of restriction_hessian's three stages, each called on its own:
+    the frame, the restriction of the distance, the FD oracle."""
+    field = DistanceField(patch.ambient, o)
+
+    def rho(x):
+        values, errors = spaceform.distance_rows(field.model, field.origin, x)
+        raise_first(errors)
+        return values
+
+    return (first_error(frame_at, dataclasses.replace(patch), p)
+            or first_error(restriction_at, dataclasses.replace(patch), p, field)
+            or first_error(intrinsic_hessian_fd, dataclasses.replace(patch), rho, p))
+
+
+def test_restriction_hessian_raises_the_frame_then_the_restriction_then_the_oracle(tmp_path):
+    # one chart call on the oracle's stencil gives the frame its row, but the
+    # errors keep their order: a tabulated patch has no jets on the stencil
+    # (an oracle error), a point outside the box no frame and a point on the
+    # reference point no distance gradient (a restriction error)
+    sphere = build_chart(E3, "sphere", {"radius": 1.0})
+    path = tmp_path / "sphere.csv"
+    write_chart_csv(sphere, *sphere.default_domain(), 9, path, include_jets=True)
+    table = build_patch(E3, "tabulated", {"path": str(path)}, center=np.zeros(3))
+    node = np.array([table.chart.axes[0][4], table.chart.axes[1][3]])
+    at_node = table.chart.value(node)
+    cases = [
+        (table, np.zeros(3), node, DomainError, "not tabulated"),
+        (table, np.zeros(3), node + 0.01, DomainError, "not tabulated"),
+        (table, np.zeros(3), np.array([5.0, 1.0]), DomainError, "outside the patch domain"),
+        (table, at_node, node, UndefinedGradientError, None),
+        (ellipsoid_patch(), np.zeros(3), np.array([5.0, 1.0]), DomainError, "outside the patch"),
+        (ellipsoid_patch(), EllipsoidChart(np.zeros(3), np.array([0.6, 1.0, 1.0])).value(
+            np.array([1.0, 2.0])), np.array([1.0, 2.0]), UndefinedGradientError, None),
+    ]
+    for patch, o, p, kind, message in cases:
+        want = staged_error(patch, o, p)
+        assert want is not None and want[0] is kind and (message is None or message in want[1])
+        assert first_error(restriction_hessian, dataclasses.replace(patch), o, p) == want
+        kept = dataclasses.replace(patch)  # the same on a patch that keeps p's frame
+        if first_error(frame_at, kept, p) is None:
+            assert first_error(restriction_hessian, kept, o, p) == want
+
+
+def test_the_principal_frame_contractions_are_kept_read_only_on_the_sample():
+    # a sample's Hessian diagonal and gradient squares in the principal frame
+    # are computed once, on first use, and the contractions at every k read them
+    patch, p = ellipsoid_patch(), np.array([1.0, 2.0])
+    field = DistanceField(E3, np.zeros(3))
+    for sample in (restriction_at(patch, p, field),
+                   restrict_field(patch, field, sample_grid(patch, 8).frames)):
+        assert "hess_diagonal" not in vars(sample) and "grad_squares" not in vars(sample)
+        lk = [trace_operator(sample, k) for k in range(3)]
+        quad = [newton_quadratic(sample, k) for k in range(3)]
+        diagonal, squares = sample.hess_diagonal, sample.grad_squares
+        assert [trace_operator(sample, k).tobytes() for k in range(3)] == [a.tobytes() for a in lk]
+        assert [newton_quadratic(sample, k).tobytes() for k in range(3)] == [
+            a.tobytes() for a in quad]
+        assert sample.hess_diagonal is diagonal and sample.grad_squares is squares
+        E = sample.frame.principal
+        assert diagonal.tobytes() == np.vecdot(E, sample.hess @ E, axis=-2).tobytes()
+        for a in (diagonal, squares):
+            assert a.shape == sample.u.shape + (2,)
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sample.hess_diagonal = 2.0 * diagonal
+
+
+def test_operator_data_rejects_an_unknown_signature():
+    frame = frame_at(ellipsoid_patch(), np.array([1.0, 2.0]))
+    assert operator_data(frame, "riemannian") is frame
+    assert operator_data(frame, "lorentzian").H[1] == -frame.H[1]
+    for signature in ("Riemannian", "euclidean", None):
+        with pytest.raises(DomainError, match="signature"):
+            operator_data(frame, signature)
+
+
+def test_contractions_reject_orders_outside_their_range():
+    # Tr P_k and the key inequality's right-hand side take k in 0..n-1, the
+    # others k in 0..n; a negative order would read P_{n+1+k}'s row
+    patch, p = ellipsoid_patch(), np.array([1.0, 2.0])
+    sample = restriction_at(patch, p, DistanceField(E3, np.zeros(3)))
+    frame, n = sample.frame, patch.n
+    calls = {
+        "newton_trace": (frame.newton_trace, n - 1),
+        "key_inequality_rhs": (lambda k: key_inequality_rhs(sample, k, 0.0), n - 1),
+        "newton_psd_margin": (frame.newton_psd_margin, n),
+        "trace_operator": (lambda k: trace_operator(sample, k), n),
+        "newton_quadratic": (lambda k: newton_quadratic(sample, k), n),
+    }
+    for name, (call, top) in calls.items():
+        for k in range(top + 1):
+            assert np.isfinite(call(k)), (name, k)
+        for k in (-1, -2, top + 1, 1.5, True):
+            with pytest.raises(DomainError, match=r"outside 0\.\."):
+                call(k)
 
 
 def test_fields_hold_read_only_copies_and_the_kept_restriction_stays_valid():
@@ -712,6 +903,11 @@ def order_cases():
     for k in (-1, 2, 0.5, True, np.float64(1.0)):
         yield pytest.param(key_inequality_residual, (p, k), {}, id=f"key_inequality-k={k}")
         yield pytest.param(omori_yau_search, (field, k), {}, id=f"search-k={k}")
+    # the order is checked before the point (here it has no frame) and the grid
+    outside = np.array([5.0, 2.0])
+    yield pytest.param(l_k_apply, (outside, 3, field), {}, id="l_k_apply-k=3-outside")
+    yield pytest.param(key_inequality_residual, (outside, 2), {}, id="key_inequality-k=2-outside")
+    yield pytest.param(omori_yau_search, (field, 2), {"resolution": 1}, id="search-k=2-resolution=1")
     for j_max in (0, -1):
         yield pytest.param(omori_yau_search, (field, 0), {"j_max": j_max},
                            id=f"search-j_max={j_max}")

@@ -22,6 +22,7 @@ from .errors import (
     ConfigError,
     DomainError,
     flag,
+    is_integer,
     no_errors,
     raise_first,
     read_only,
@@ -147,13 +148,13 @@ def grid_points(axes: list) -> np.ndarray:
 
 
 def grid_axes(lo, hi, resolution) -> list:
-    """Grid axes over the box [lo, hi]: ``resolution`` points each, or one count (>= 2) per axis."""
+    """Grid axes over the box [lo, hi]: ``resolution`` points each, or one per axis; integers >= 2."""
     n = len(lo)
-    res = [int(resolution)] * n if np.isscalar(resolution) else [int(r) for r in resolution]
+    res = [resolution] * n if np.ndim(resolution) == 0 else list(resolution)
     if len(res) != n:
         raise DomainError("resolution must give one count per parameter axis")
-    if any(r < 2 for r in res):
-        raise DomainError("resolution must be at least 2 per axis")
+    if not all(is_integer(r) and r >= 2 for r in res):
+        raise DomainError(f"resolution = {resolution!r}: expected integers of at least 2 per axis")
     return [np.linspace(lo[i], hi[i], res[i]) for i in range(n)]
 
 

@@ -256,15 +256,14 @@ def collect_samples(config: ScenarioConfig) -> GridSamples:
     return samples
 
 
-def refined_distance_extremum(samples: GridSamples, mode: str | tuple):
-    """(param, value) of the refined max or min of u over the patch, from the grid's cell.
+def refined_distance_extremum(samples: GridSamples, modes: tuple):
+    """(params, values) (J, n) and (J,) of the refined extrema of u named by the J ``modes``.
 
-    For a tuple of modes, a list of them from one refinement with one start per
-    mode, which share each call of the distance.  An unknown mode raises a DomainError.
-    """
-    modes = mode if isinstance(mode, tuple) else (mode,)
-    if not modes or any(m not in ("max", "min") for m in modes):
-        raise DomainError(f"unknown extremum mode {mode!r}: expected 'max' or 'min'")
+    ``modes`` is a tuple of "max" and "min"; another value raises a DomainError.  One
+    refinement from the grid's cell takes each mode's grid extremum as a start, so the
+    modes share each call of the distance."""
+    if not (isinstance(modes, tuple) and modes and all(m in ("max", "min") for m in modes)):
+        raise DomainError(f"unknown extremum modes {modes!r}: expected a tuple of 'max' or 'min'")
     patch, u = samples.patch, samples.u
     starts = samples.frames.param[[np.argmax(u) if m == "max" else np.argmin(u) for m in modes]]
     signs = [1.0 if m == "max" else -1.0 for m in modes]
@@ -276,9 +275,7 @@ def refined_distance_extremum(samples: GridSamples, mode: str | tuple):
         rho[ok], errors[ok] = distance_rows(patch.ambient, patch.center, patch.chart.value(Q[ok]))
         return rho, errors
 
-    if not isinstance(mode, tuple):
-        return refine_extremum(patch, fn, starts[0], samples.cell, sign=signs[0])
-    return list(zip(*refine_extremum(patch, fn, starts, samples.cell, sign=signs)))
+    return refine_extremum(patch, fn, starts, samples.cell, signs)
 
 
 def floored_ratio(H: np.ndarray, k: int, floor: float = H_FLOOR):
@@ -405,7 +402,7 @@ def verify_lorentz_estimates(config: ScenarioConfig, samples: GridSamples) -> li
     if samples.skipped:
         return checks
     b, tol = config.model.curvature, config.tol_margin
-    (_, u_sup), (_, u_inf) = refined_distance_extremum(samples, ("max", "min"))
+    _, (u_sup, u_inf) = refined_distance_extremum(samples, ("max", "min"))
     c_at_sup, c_at_inf = c_hat_b(b, u_sup), c_hat_b(b, u_inf)
     for k in config.orders:
         checks.append(_newton_psd_check(samples, k))
@@ -435,7 +432,7 @@ def scenario_checks(config: ScenarioConfig, samples: GridSamples) -> list:
     """The checks of every estimate that applies to the scenario, over its samples."""
     if config.model.signature != RIEMANNIAN:
         return verify_lorentz_estimates(config, samples)
-    _, r = refined_distance_extremum(samples, "max")
+    _, (r,) = refined_distance_extremum(samples, ("max",))
     checks = verify_riemannian_estimate(config, samples, r)
     if config.n >= 2:
         checks += verify_h2_corollary(config, samples, r)

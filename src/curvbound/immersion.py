@@ -125,16 +125,18 @@ class HypersurfacePatch:
             # such a chart (a table) is defined only at some points, and FD steps leave them
             raise ConfigError(f"jet policy 'fd' is not available for {type(self.chart).__name__}, "
                               "which is defined only at some points")
-        if np.any(self.domain_hi <= self.domain_lo):
+        lo, hi = self.domain_lo, self.domain_hi
+        if not all(a.shape == (self.n,) and np.isfinite(a).all() for a in (lo, hi)):
+            raise ConfigError(f"parameter box bounds must be finite and of shape ({self.n},)")
+        if np.any(hi <= lo):
             raise ConfigError("empty parameter domain")
-        width = read_only(self.domain_hi - self.domain_lo)
+        width = read_only(hi - lo)
         pad = 1e-9 * np.maximum(1.0, np.abs(width))
         wraps = np.zeros(width.shape, dtype=bool)
         wraps[list(self.chart.periodic_axes)] = True
         object.__setattr__(self, "domain_width", width)
         object.__setattr__(self, "wraps", read_only(wraps & (width == 2.0 * np.pi)))
-        object.__setattr__(self, "_padded_box", read_only((self.domain_lo - pad,
-                                                           self.domain_hi + pad)))
+        object.__setattr__(self, "_padded_box", read_only((lo - pad, hi + pad)))
         object.__setattr__(self, "_fd_steps", read_only(FD_JET_SCALE * width))
 
     @property
@@ -625,15 +627,14 @@ def _quadratic_vertex(values: np.ndarray, n: int, noise: float):
     return (s, 0.5 * float(step @ slope[down])) if np.abs(s).max() <= 1.0 else None
 
 
-def refine_extremum(patch: HypersurfacePatch, fn, start, cell, rounds=14, sign=1.0):
-    """Local refinement of a scalar's max (min for sign = -1) on a shrinking stencil.
+def refine_extremum(patch: HypersurfacePatch, fn, starts, cell, signs, rounds=14):
+    """Local refinement of a scalar's max (min for sign -1) from each start, on shrinking stencils.
 
-    ``start`` is one point (n,) or J of them (J, n), and ``sign`` is 1 or -1,
-    for all or per start; another shape or value raises a DomainError.  Each
-    start keeps its own stencil, cell and stop, but one ``fn`` call per round
-    evaluates the stencils of every start still refining, in start order: for
-    an ``fn`` that values each row on its own, the J one-start refinements bit
-    for bit.
+    ``starts`` are J >= 1 points (J, n) and ``signs`` (J,) holds 1 or -1 for each;
+    another shape or value raises a DomainError.  Each start keeps its own
+    stencil, cell and stop, but one ``fn`` call per round evaluates the
+    stencils of every start still refining, in start order: for an ``fn``
+    that values each row on its own, the J one-start refinements bit for bit.
 
     ``fn`` maps parameter rows (N, n) to (values, errors), ``errors[i]`` being
     the GeometryError of a row without a value.  Each round evaluates a 5^n
@@ -660,24 +661,22 @@ def refine_extremum(patch: HypersurfacePatch, fn, start, cell, rounds=14, sign=1
     ``rounds`` (a non-negative integer) bounds the halvings of the cell, a
     division by 4 counting as two, so there are at most ``rounds`` calls of
     ``fn`` and the last stencil's cell is at least ``cell / 2**(rounds - 1)``;
-    ``rounds`` = 0 evaluates the starts alone, in one call.  Returns (param,
-    value) of the best row evaluated, (J, n) and (J,) for J starts.
+    ``rounds`` = 0 evaluates the starts alone, in one call.  Returns (params,
+    values) of the best row evaluated from each start, (J, n) and (J,).
     """
     if not (is_integer(rounds) and rounds >= 0):
         raise DomainError(f"rounds = {rounds!r} is not a non-negative integer")
-    start = np.asarray(start, dtype=float)
-    if start.ndim not in (1, 2) or start.shape[-1] != patch.n:
-        raise DomainError(f"start has shape {start.shape}, expected ({patch.n},) or (J, {patch.n})")
-    starts = [start] if start.ndim == 1 else list(start)
-    if np.shape(sign) not in ((), (len(starts),)):
-        raise DomainError(f"sign = {sign!r}: expected one sign, or one per start")
-    signs = (np.zeros(len(starts)) + sign).tolist()
-    if not set(signs) <= {1.0, -1.0}:
-        raise DomainError(f"sign = {sign!r}: each sign must be 1 or -1")
+    starts = np.asarray(starts, dtype=float)
+    if starts.ndim != 2 or starts.shape[1] != patch.n or not len(starts):
+        raise DomainError(f"starts have shape {starts.shape}, expected (J, {patch.n}), J >= 1")
+    if np.shape(signs) != (len(starts),):
+        raise DomainError(f"signs = {signs!r}: expected one per start")
+    if not set(np.asarray(signs).tolist()) <= {1.0, -1.0}:
+        raise DomainError(f"signs = {signs!r}: each sign must be 1 or -1")
     if not rounds:
-        values, errors = fn(np.array(starts))
+        values, errors = fn(starts)
         raise_first(errors)
-        return start, values[0] if start.ndim == 1 else values
+        return starts, values
     n, lo, hi, wraps, width = (patch.n, patch.domain_lo, patch.domain_hi, patch.wraps,
                                patch.domain_width)
     stencil = _refinement_stencil(n)
@@ -730,8 +729,6 @@ def refine_extremum(patch: HypersurfacePatch, fn, start, cell, rounds=14, sign=1
             if halvings[j] < rounds:
                 still.append(j)
         live = still
-    if start.ndim == 1:
-        return center[0], signs[0] * best[0]
     return np.array(center), np.array(signs) * best
 
 

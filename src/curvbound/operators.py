@@ -273,16 +273,23 @@ def restriction_hessian(patch: HypersurfacePatch, o: np.ndarray, p: np.ndarray) 
     One chart call serves the point: the jets on the oracle's stencil
     (:func:`intrinsic_hessian_fd`), whose row 0 is p itself, give the frame
     its row when the patch keeps no frame of p, so the frame is the one
-    :func:`frame_at` builds, bit for bit.  The errors keep their order: p's
-    frame, then the restriction (:func:`restriction_at`), then the oracle.
+    :func:`frame_at` builds, bit for bit.  The stencil is evaluated once: a
+    GeometryError it raises leaves p's row to a chart call of its own and is
+    raised by the oracle.  The errors keep their order: p's frame, then the
+    restriction (:func:`restriction_at`), then the oracle.
     """
     field = _distance_field_at(patch, o)
     p = np.asarray(p, dtype=float)
-    stencil = []  # the chart jets on the oracle's stencil, once evaluated
+    stencil = []  # the chart jets on the oracle's stencil, or the GeometryError they raised
 
     def stencil_jets():
         if not stencil:
-            stencil.append(patch.jet_at(fd_stencil(p, patch._fd_steps)))
+            try:
+                stencil.append(patch.jet_at(fd_stencil(p, patch._fd_steps)))
+            except GeometryError as exc:
+                stencil.append(exc)
+        if isinstance(stencil[0], GeometryError):
+            raise stencil[0]
         return stencil[0]
 
     def own_row(P):  # p[None] once p passed the frame's checks before its jets, else no rows
@@ -291,7 +298,8 @@ def restriction_hessian(patch: HypersurfacePatch, o: np.ndarray, p: np.ndarray) 
                 return tuple(a[:1] for a in stencil_jets())
         return patch.jet_at(P)
 
-    sample = _kept_sample(patch, _frame_at(patch, p, own_row), field)
+    _frame_at(patch, p, own_row)
+    sample = restriction_at(patch, p, field)
 
     def rho(x):
         values, errors = distance_rows(field.model, field.origin, x)
@@ -349,11 +357,7 @@ def restriction_at(patch: HypersurfacePatch, p: np.ndarray, field) -> FieldSampl
     single-point calls at one point restrict each field once, and raise the
     sample's errors on every call.
     """
-    return _kept_sample(patch, frame_at(patch, p), field)
-
-
-def _kept_sample(patch: HypersurfacePatch, frame: PointFrame, field) -> FieldSample:
-    """``field``'s sample kept beside the patch's last frame, made if missing; raises its errors."""
+    frame = frame_at(patch, p)
     if field not in patch._last_frame:
         patch._last_frame[field] = read_only(restrict_field(patch, field, frame))
     raise_first(patch._last_frame[field].errors)
@@ -491,9 +495,9 @@ def omori_yau_search(
     joins the candidate pool, in the order evaluated, and each selection takes
     the first maximum there.
     """
-    if not (is_integer(k) and 0 <= k < patch.n and j_max >= 1):
+    if not (is_integer(k) and 0 <= k < patch.n and is_integer(j_max) and j_max >= 1):
         raise DomainError(f"order k = {k!r} is outside 0..{patch.n - 1} or not an integer,"
-                          f" or j_max = {j_max} < 1")
+                          f" or j_max = {j_max!r} is not an integer >= 1")
     P, cell = patch.grid(resolution)
     records, errors, excluded = _evaluate_rows(patch, field, k, P)
     if not len(records[1]):
@@ -510,7 +514,7 @@ def omori_yau_search(
         u[~failed(row_errors)] = rows[1]
         return u, row_errors
 
-    refine_extremum(patch, pooled_u, start, cell, rounds=rounds)
+    refine_extremum(patch, pooled_u, start[None], cell, [1.0], rounds)
     params, u, grad_norm, q_lu = (np.concatenate(a) for a in zip(*pool))
 
     def candidate(i, j):

@@ -160,6 +160,9 @@ MUTANTS = [
      "    Q[0] = p  # p + 0 h would turn a -0.0 coordinate into +0.0\n", ""),
     ("restriction_hessian: the frame built from stencil row 1", "operators.py",
      "return tuple(a[:1] for a in stencil_jets())", "return tuple(a[1:2] for a in stencil_jets())"),
+    ("restriction_hessian: a failing stencil evaluated again", "operators.py",
+     "            except GeometryError as exc:\n                stencil.append(exc)\n",
+     "            except GeometryError:\n                raise\n"),
     # a scenario's samples: the patch's grid and the distances to its center
     ("collect_samples: the distances are not evaluated", "harness.py",
      "    samples.u  # a kept row without a distance raises here, skipped rows or not\n", ""),
@@ -181,10 +184,23 @@ MUTANTS = [
     ("key_inequality_residual: any order k taken", "operators.py",
      "    check_order(k, patch.n - 1)\n    if b is None:", "    if b is None:"),
     ("omori_yau_search: any order k taken", "operators.py",
-     "if not (is_integer(k) and 0 <= k < patch.n and j_max >= 1):", "if not (j_max >= 1):"),
+     "if not (is_integer(k) and 0 <= k < patch.n and is_integer(j_max) and j_max >= 1):",
+     "if not (is_integer(j_max) and j_max >= 1):"),
     ("omori_yau_search: j_max below 1 taken", "operators.py",
-     "if not (is_integer(k) and 0 <= k < patch.n and j_max >= 1):",
-     "if not (is_integer(k) and 0 <= k < patch.n):"),
+     "if not (is_integer(k) and 0 <= k < patch.n and is_integer(j_max) and j_max >= 1):",
+     "if not (is_integer(k) and 0 <= k < patch.n and is_integer(j_max)):"),
+    ("omori_yau_search: a fractional or bool j_max taken", "operators.py",
+     "if not (is_integer(k) and 0 <= k < patch.n and is_integer(j_max) and j_max >= 1):",
+     "if not (is_integer(k) and 0 <= k < patch.n and j_max >= 1):"),
+    ("grid_axes: a fractional or bool count taken", "charts.py",
+     "    if not all(is_integer(r) and r >= 2 for r in res):\n",
+     "    if not all(r >= 2 for r in res):\n"),
+    ("patch: a non-finite box bound taken", "immersion.py",
+     "        if not all(a.shape == (self.n,) and np.isfinite(a).all() for a in (lo, hi)):\n",
+     "        if not all(a.shape == (self.n,) for a in (lo, hi)):\n"),
+    ("patch: a box of another length taken", "immersion.py",
+     "        if not all(a.shape == (self.n,) and np.isfinite(a).all() for a in (lo, hi)):\n",
+     "        if not all(np.isfinite(a).all() for a in (lo, hi)):\n"),
     ("orders: a fractional order taken", "errors.py",
      "return isinstance(value, (int, np.integer)) and not isinstance(value, bool)",
      "return not isinstance(value, bool)"),
@@ -234,14 +250,18 @@ MUTANTS = [
      "v, failing = signs[j] * values[rows], bad[rows]",
      "v, failing = signs[-1 - j] * values[rows], bad[rows]"),
     ("refine_extremum: a start of any shape taken", "immersion.py",
-     "    if start.ndim not in (1, 2) or start.shape[-1] != patch.n:\n", "    if False:\n"),
-    ("refine_extremum: a sign count other than 1 or J taken", "immersion.py",
-     "    if np.shape(sign) not in ((), (len(starts),)):\n", "    if False:\n"),
+     "    if starts.ndim != 2 or starts.shape[1] != patch.n or not len(starts):\n",
+     "    if False:\n"),
+    ("refine_extremum: a sign count other than J taken", "immersion.py",
+     "    if np.shape(signs) != (len(starts),):\n", "    if False:\n"),
     ("refine_extremum: any sign taken", "immersion.py",
-     "    if not set(signs) <= {1.0, -1.0}:\n", "    if False:\n"),
+     "    if not set(np.asarray(signs).tolist()) <= {1.0, -1.0}:\n", "    if False:\n"),
     ("refined_distance_extremum: an unknown mode accepted", "harness.py",
-     '    if not modes or any(m not in ("max", "min") for m in modes):\n',
-     "    if not modes:\n"),
+     '    if not (isinstance(modes, tuple) and modes and all(m in ("max", "min") for m in modes)):\n',
+     "    if not (isinstance(modes, tuple) and modes):\n"),
+    ("refined_distance_extremum: modes other than a tuple taken", "harness.py",
+     '    if not (isinstance(modes, tuple) and modes and all(m in ("max", "min") for m in modes)):\n',
+     '    if not (modes and all(m in ("max", "min") for m in modes)):\n'),
     # each distance once: the grid's u is the orientation step's rho
     ("frames_at: u read from rows before the orientation reject", "immersion.py",
      "x, d1, d2, g, normal, radial, rho = reject(", "x, d1, d2, g, normal, radial, _ = reject("),

@@ -38,6 +38,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import re
@@ -99,15 +100,19 @@ def refine_values(config, samples) -> dict:
 
     refine, values = harness.refine_extremum, {}
 
-    def counted(patch, fn, start, cell, rounds=14, sign=1.0):
+    def counted(patch, fn, *args, **kwargs):
         calls = []
 
         def counted_fn(Q):
             calls.append(len(Q))
             return fn(Q)
 
-        params, found = refine(patch, counted_fn, start, cell, rounds, sign)
-        modes = ["max" if s > 0.0 else "min" for s in np.atleast_1d(sign)]
+        params, found = refine(patch, counted_fn, *args, **kwargs)
+        # the signs by name: ``signs`` (J,) here, ``sign`` in versions that also took one start (n,)
+        bound = inspect.signature(refine).bind(patch, fn, *args, **kwargs)
+        bound.apply_defaults()
+        signs = bound.arguments.get("signs", bound.arguments.get("sign"))
+        modes = ["max" if s > 0.0 else "min" for s in np.atleast_1d(signs)]
         for mode, param, value in zip(modes, np.reshape(params, (len(modes), -1)),
                                       np.atleast_1d(found)):
             values[mode] = f"value={float(value).hex()},param={param.tobytes().hex()}"

@@ -185,6 +185,18 @@ def test_make_bound_parses_names():
             make_bound(spec)
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("const 1", "cannot parse"),
+    ("const(1", "cannot parse"),
+    ("", "cannot parse"),
+    ("const(1, x)", "bad parameters"),
+    ("powerlaw(2)", "unknown growth bound"),
+])
+def test_make_bound_names_what_it_cannot_read(spec, message):
+    with pytest.raises(DomainError, match=message):
+        make_bound(spec)
+
+
 def test_bounds_evaluate_over_arrays():
     t = np.linspace(0.0, 3.0, 7)
     for spec in TEST_BOUNDS:

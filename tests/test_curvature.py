@@ -191,6 +191,12 @@ def test_definiteness_floor_is_relative_round_off():
     assert classify_definiteness(np.array([1.0, 1e-6])) == "positive_definite"
 
 
+@pytest.mark.parametrize("kappa", [[1.0, np.nan], [np.inf, 0.0], [[0.5, 0.5], [-np.inf, 1.0]]])
+def test_elementary_symmetric_rejects_non_finite_curvatures(kappa):
+    with pytest.raises(ValueError, match="must be finite"):
+        elementary_symmetric(np.array(kappa))
+
+
 def test_newton_asymmetric_rejected():
     with pytest.raises(ValueError):
         newton_family(np.array([[0.0, 1.0], [0.0, 0.0]]), "riemannian")

@@ -133,6 +133,21 @@ def test_scenario_file_not_found():
         load_scenario("/nonexistent/path.json")
 
 
+@pytest.mark.parametrize("source, message", [
+    ("invalid-json", "invalid JSON"),
+    (["name", "x"], "a path or a dict"),
+    (3, "a path or a dict"),
+    ({"name": "x", "ambient": {"signature": "euclidean", "curvature": 0.0, "dimension": 3,
+                               "model_kind": "euclidean"}}, "bad ambient model"),
+])
+def test_load_scenario_rejects_a_source_it_cannot_read(tmp_path, source, message):
+    if source == "invalid-json":
+        source = tmp_path / "bad.json"
+        source.write_text('{"name": "x",')
+    with pytest.raises(ConfigError, match=message):
+        load_scenario(source)
+
+
 # -- report structure ---------------------------------------------------------------
 
 
@@ -398,7 +413,7 @@ def test_run_scenario_builds_no_distance_field(monkeypatch):
 
 def test_refined_extremum_reaches_touching_radius():
     samples = collect_samples(bundled("ellipsoid"))
-    _, r = refined_distance_extremum(samples, "max")
+    _, (r,) = refined_distance_extremum(samples, ("max",))
     assert r == pytest.approx(1.0, abs=1e-9)
 
 
@@ -420,15 +435,16 @@ def test_refined_extrema_match_a_long_halving_reference(monkeypatch, resolution)
     # its refinement stops there
     runs = []
 
-    def recorded(patch, fn, start, cell, rounds=14, sign=1.0):
+    def recorded(patch, fn, starts, cell, signs, rounds=14):
         calls = []
 
         def counted_fn(Q):
             calls.append(len(Q))
             return fn(Q)
 
+        [start], [sign] = starts, signs
         runs.append((halving_reference(patch, fn, start, cell, sign), calls))
-        return immersion.refine_extremum(patch, counted_fn, start, cell, rounds, sign)
+        return immersion.refine_extremum(patch, counted_fn, starts, cell, signs, rounds)
 
     monkeypatch.setattr(harness, "refine_extremum", recorded)
     for name in bundled_scenarios():
@@ -437,7 +453,7 @@ def test_refined_extrema_match_a_long_halving_reference(monkeypatch, resolution)
         flat = np.ptp(samples.u) <= 1e-12 * samples.u.max()
         for mode in ("max", "min") if config.model.signature == LORENTZIAN else ("max",):
             runs.clear()
-            _, value = refined_distance_extremum(samples, mode)
+            _, [value] = refined_distance_extremum(samples, (mode,))
             [((_, reference), calls)] = runs
             assert abs(value - reference) <= 1e-15 * abs(reference), (name, mode)
             assert len(calls) == 1 if flat else len(calls) <= 6, (name, mode, len(calls))
@@ -486,15 +502,76 @@ def test_lorentzian_extrema_share_each_refinement_call(monkeypatch):
     monkeypatch.setattr(harness, "refine_extremum", recorded)
     config = dataclasses.replace(bundled("perturbed-hyperboloid"), resolution=48)
     samples = collect_samples(config)
-    (_, u_sup), (_, u_inf) = refined_distance_extremum(samples, ("max", "min"))
+    _, (u_sup, u_inf) = refined_distance_extremum(samples, ("max", "min"))
     assert runs == [[50] * 5]
     # each is the extremum a refinement of its own finds
-    assert refined_distance_extremum(samples, "max")[1] == u_sup
-    assert refined_distance_extremum(samples, "min")[1] == u_inf
+    assert refined_distance_extremum(samples, ("max",))[1] == [u_sup]
+    assert refined_distance_extremum(samples, ("min",))[1] == [u_inf]
     assert runs[1:] == [[25] * 5, [25] * 5]
 
 
-@pytest.mark.parametrize("mode", ["Max", "sup", None, (), ("max", "mid"), ["max", "min"]])
+def perturbed_hyperboloid(epsilon):
+    """The bundled perturbed-hyperboloid scenario with the dipole's amplitude ``epsilon``."""
+    raw = json.loads(Path(bundled_scenarios()["perturbed-hyperboloid"]).read_text())
+    raw["chart"]["params"]["epsilon"] = epsilon
+    return load_scenario(raw)
+
+
+def test_lorentz_checks_stop_at_skipped_samples(monkeypatch):
+    # at epsilon 0.5 two grid points are not spacelike: the sandwich presupposes
+    # them all, so the report is that one hypothesis violation and the distance
+    # is not refined
+    monkeypatch.setattr(harness, "refine_extremum", None)
+    report = run_scenario(perturbed_hyperboloid(0.5))
+    assert len(report.samples.skipped) == 2
+    assert [(c.id, c.status, c.residual) for c in report.checks] == [
+        ("spacelike-samples", "hypothesis-violation", 2.0)]
+    assert report.exit_code == 2
+
+
+def test_lorentz_sandwich_is_inconclusive_where_h_k_is_excluded():
+    # at epsilon 0.2 H_1 falls to the floor at two grid points: the k = 1
+    # sandwich reads inconclusive with that count, and k = 0 is checked in full
+    config = perturbed_hyperboloid(0.2)
+    report = run_scenario(config)
+    excluded = np.count_nonzero(report.samples.frames.H[:, 1] <= H_FLOOR)
+    assert excluded == 2 and not report.samples.skipped
+    checks = {c.id: c for c in report.checks}
+    assert (checks["sandwich-k1"].status, checks["sandwich-k1"].residual) == (
+        "inconclusive", float(excluded))
+    assert not any(name.endswith("-k1") and name.startswith("sandwich-") and name != "sandwich-k1"
+                   for name in checks)
+    assert [checks[f"sandwich-{side}-k0"].status for side in ("lower", "middle", "upper")] == [
+        "pass"] * 3
+    assert checks["outer-ball"].status == "pass"
+
+
+def test_cli_exits_1_on_another_geometry_error(tmp_path, capsys):
+    # a table whose every d1 entry is NaN leaves no grid row with a frame:
+    # EmptySampleError is neither a usage error nor a hypothesis violation
+    tabulated_sphere_scenario(tmp_path, 9, include_jets=True)  # writes the table
+    table, config_path = tmp_path / "table9.csv", tmp_path / "scenario.json"
+    lines = table.read_text().splitlines()
+    header = lines[0].split(",")
+    d1 = [i for i, name in enumerate(header) if name.startswith("d1_")]
+    rows = [line.split(",") for line in lines[1:]]
+    for row in rows:
+        for i in d1:
+            row[i] = "nan"
+    table.write_text("\n".join([lines[0]] + [",".join(row) for row in rows]) + "\n")
+    config_path.write_text(json.dumps({
+        "name": "tabulated-nan",
+        "ambient": {"signature": "riemannian", "curvature": 0.0, "dimension": 3,
+                    "model_kind": "euclidean"},
+        "reference": {"center": [0.0, 0.0, 0.0]},
+        "chart": {"kind": "tabulated", "params": {"path": str(table)}, "orientation": "inner"},
+        "k_range": [0, 1], "resolution": 9}))
+    assert main(["verify", "--scenario", str(config_path)]) == 1
+    assert capsys.readouterr().err == "error: every grid point was rejected\n"
+
+
+@pytest.mark.parametrize("mode", ["Max", "sup", None, (), ("max", "mid"), ["max", "min"],
+                                  "max"])  # one mode is a 1-tuple
 def test_refined_extremum_rejects_an_unknown_mode(mode):
     samples = collect_samples(dataclasses.replace(bundled("perturbed-hyperboloid"), resolution=16))
     with pytest.raises(DomainError, match="mode"):

@@ -618,6 +618,12 @@ def test_a_longitude_wraps_only_where_the_box_spans_two_pi():
         assert np.array_equal(cell, patch.domain_width / 7)
 
 
+def refine_one(patch, fn, start, cell, rounds=14, sign=1.0):
+    """(param (n,), value) of :func:`refine_extremum` from the one start (n,)."""
+    params, values = refine_extremum(patch, fn, start[None], cell, [sign], rounds)
+    return params[0], values[0]
+
+
 def seam_peak(Q):
     """cos(phi + 0.3) at the rows Q: its peak sits 0.3 below phi = 2 pi."""
     return np.cos(Q[:, 1] + 0.3), no_errors(len(Q))
@@ -631,7 +637,7 @@ def seam_refinement(patch, cell):
         calls.append(Q)
         return seam_peak(Q)
 
-    return refine_extremum(patch, fn, np.array([np.pi / 2, 0.0]), cell), calls
+    return refine_one(patch, fn, np.array([np.pi / 2, 0.0]), cell), calls
 
 
 def test_refiner_wraps_the_longitude_across_the_seam():
@@ -769,9 +775,9 @@ def refine_both_ways(patch, lookup, start, cell, rounds, sign):
         expected = sequential_refine(patch, value_at, start, cell, rounds, sign)
     except DomainError:
         with pytest.raises(DomainError):
-            refine_extremum(patch, rows, start, cell, rounds=rounds, sign=sign)
+            refine_one(patch, rows, start, cell, rounds, sign)
         return None
-    return refine_extremum(patch, rows, start, cell, rounds=rounds, sign=sign), seen, expected, tried
+    return refine_one(patch, rows, start, cell, rounds, sign), seen, expected, tried
 
 
 def assert_moves_like_the_loop(both, fallback, n):
@@ -860,7 +866,7 @@ def test_refinement_resolves_a_shallow_peak_on_a_large_value():
     def fn(Q):
         return 1.0 - 1e-10 * np.sum((Q - peak) ** 2, axis=1), no_errors(len(Q))
 
-    param, value = refine_extremum(box_patch(2), fn, np.zeros(2), np.full(2, 0.5))
+    param, value = refine_one(box_patch(2), fn, np.zeros(2), np.full(2, 0.5))
     assert np.abs(param - peak).max() < 1e-3
     assert value >= 1.0 - 4 * np.spacing(1.0)
 
@@ -877,7 +883,7 @@ def test_refinement_raises_the_start_points_error():
         return np.zeros(len(Q)), errors
 
     with pytest.raises(DomainError, match="at the start"):
-        refine_extremum(box_patch(2), fn, start, np.full(2, 0.1))
+        refine_one(box_patch(2), fn, start, np.full(2, 0.1))
     assert calls == [25]
 
 
@@ -890,7 +896,7 @@ def test_refinement_keeps_a_start_that_a_stencil_row_ties():
     def fn(Q):
         return -Q[:, 1] ** 2, no_errors(len(Q))
 
-    param, value = refine_extremum(box_patch(2), fn, start, np.full(2, 0.2))
+    param, value = refine_one(box_patch(2), fn, start, np.full(2, 0.2))
     assert np.array_equal(param, start) and value == 0.0
 
 
@@ -914,9 +920,9 @@ def test_refinement_rounds_must_be_a_non_negative_integer(rounds):
         return np.zeros(len(Q)), no_errors(len(Q))
 
     with pytest.raises(DomainError, match="rounds"):
-        refine_extremum(patch, fn, np.zeros(2), np.full(2, 0.1), rounds=rounds)
+        refine_one(patch, fn, np.zeros(2), np.full(2, 0.1), rounds)
     assert calls == []
-    assert refine_extremum(patch, fn, np.zeros(2), np.full(2, 0.1), rounds=np.int64(0))[1] == 0.0
+    assert refine_one(patch, fn, np.zeros(2), np.full(2, 0.1), np.int64(0))[1] == 0.0
 
 
 @pytest.mark.parametrize("start, sign, match", [
@@ -927,6 +933,9 @@ def test_refinement_rounds_must_be_a_non_negative_integer(rounds):
     (np.zeros((2, 2)), [1.0, -1.0, 1.0], "sign"),  # three signs for two starts
     (np.zeros(3), 1.0, "start"),  # a point of another dimension
     (np.zeros((1, 2, 2)), 1.0, "start"),
+    (np.zeros(2), [1.0], "start"),  # one point (n,), not (1, n)
+    (np.zeros((1, 2)), 1.0, "sign"),  # a scalar sign, not one per start
+    (np.zeros((0, 2)), [], "start"),  # no start
 ])
 def test_refinement_starts_and_signs_are_checked_before_any_call(start, sign, match):
     calls = []
@@ -936,7 +945,7 @@ def test_refinement_starts_and_signs_are_checked_before_any_call(start, sign, ma
         return np.zeros(len(Q)), no_errors(len(Q))
 
     with pytest.raises(DomainError, match=match):
-        refine_extremum(box_patch(2), fn, start, np.full(2, 0.1), sign=sign)
+        refine_extremum(box_patch(2), fn, start, np.full(2, 0.1), sign)
     assert calls == []
 
 
@@ -953,14 +962,14 @@ def terrain(Q, peak, fail_below):
 def shared_and_single(starts, signs, cell, rounds, peak, fail_below):
     """(result, calls) of one refinement of every start, then of each start alone."""
     runs = []
-    for start, sign in [(starts, signs)] + list(zip(starts, signs)):
+    for start, sign in [(starts, signs)] + [(s[None], [g]) for s, g in zip(starts, signs)]:
         calls = []
 
         def fn(Q):
             calls.append(Q.copy())
             return terrain(Q, peak, fail_below)
 
-        runs.append((refine_extremum(box_patch(2), fn, start, cell, rounds, sign), calls))
+        runs.append((refine_extremum(box_patch(2), fn, start, cell, sign, rounds), calls))
     return runs[0], runs[1:]
 
 
@@ -1048,6 +1057,22 @@ def test_resolution_one_rejected():
         sample_grid(sphere_patch(), 1)
 
 
+@pytest.mark.parametrize("resolution", [16.9, 16.0, True, "16", [8, 8.5], np.float64(8.0),
+                                        np.array(8.0)])
+def test_a_count_that_is_not_an_integer_is_rejected(resolution):
+    # int() would sample the res-16 grid for 16.9 and the res-1 grid for True
+    with pytest.raises(DomainError, match="integers of at least 2"):
+        sample_grid(sphere_patch(), resolution)
+
+
+def test_numpy_integer_counts_sample_the_same_grid():
+    grid = sample_grid(sphere_patch(), 8)
+    for resolution in (np.int64(8), [np.int32(8), 8], np.array([8, 8])):
+        same = sample_grid(sphere_patch(), resolution)
+        assert same.frames.param.tobytes() == grid.frames.param.tobytes()
+        assert np.array_equal(same.cell, grid.cell)
+
+
 def test_spacelike_violation_detected():
     class SteepGraph(Chart):
         nparams = 2
@@ -1118,6 +1143,113 @@ def test_future_orientation_requires_lorentzian():
         build_patch(E3, "sphere", {"radius": 1.0}, orientation="future")
     with pytest.raises(ConfigError):
         build_patch(M3, "hyperboloid", {"radius": 1.0}, orientation="inner")
+
+
+def sphere_table(tmp_path, edit=lambda lines: lines, include_jets=True):
+    """The path of a 5 x 5 table of the unit sphere, its CSV lines passed through ``edit``."""
+    sphere = build_chart(E3, "sphere", {"radius": 1.0})
+    path = tmp_path / "sphere.csv"
+    write_chart_csv(sphere, *sphere.default_domain(), 5, path, include_jets=include_jets)
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    return str(path)
+
+
+def without_last_column(lines):
+    return [line.rsplit(",", 1)[0] for line in lines]
+
+
+class ValueChart(Chart):
+    """The plane p -> (p_0, p_1, 0), with no analytic jets."""
+
+    nparams = 2
+
+    def value(self, p):
+        return np.concatenate([p, np.zeros(np.shape(p)[:-1] + (1,))], axis=-1)
+
+    def default_domain(self):
+        return np.array([-1.0, -1.0]), np.array([1.0, 1.0])
+
+
+# (call on tmp_path, message) of each chart that cannot be built or used
+CHART_ERRORS = {
+    "ellipsoid-negative-axis": (lambda tmp: build_chart(
+        E3, "ellipsoid", {"semi_axes": [1.0, -1.0, 1.0]}), "semi-axes must be positive"),
+    "ellipsoid-axes-of-another-dimension": (lambda tmp: build_chart(
+        E3, "ellipsoid", {"semi_axes": [1.0, 1.0]}), "dimensions disagree"),
+    "cylinder-outside-r3": (lambda tmp: build_chart(
+        AmbientModel.euclidean(4), "cylinder", {"radius": 1.0}), "lives in R"),
+    "graph-exponents-of-another-length": (lambda tmp: build_chart(
+        E3, "graph", {"terms": [[1.0, [2]]], "box_lo": [-1, -1], "box_hi": [1, 1]}),
+        "exponents must match"),
+    "geodesic-sphere-radius-zero": (lambda tmp: build_chart(
+        AmbientModel.sphere(1.0, 3), "geodesic_sphere", {"radius": 0.0}), "must be positive"),
+    "hyperboloid-radius-negative": (lambda tmp: build_chart(
+        M3, "hyperboloid", {"radius": -1.0}), "must be positive"),
+    "table-row-missing": (lambda tmp: build_chart(E3, "tabulated", {
+        "path": sphere_table(tmp, lambda lines: lines[:-1])}), "complete grid"),
+    "table-without-rows": (lambda tmp: build_chart(E3, "tabulated", {
+        "path": sphere_table(tmp, lambda lines: lines[:1])}), "no samples"),
+    "table-without-positions": (lambda tmp: build_chart(E3, "tabulated", {
+        "path": sphere_table(tmp, lambda lines: [",".join(
+            line.split(",")[:2]) for line in lines], include_jets=False)}), "p\\* and x\\*"),
+    "table-jet-column-missing": (lambda tmp: build_chart(E3, "tabulated", {
+        "path": sphere_table(tmp, without_last_column)}), "jet columns are incomplete"),
+    "jets-exported-from-a-chart-without-them": (lambda tmp: write_chart_csv(
+        ValueChart(), *ValueChart().default_domain(), 5, tmp / "out.csv"),
+        "no analytic jets to export"),
+    "unknown-kind": (lambda tmp: build_chart(E3, "torus", {}), "unknown chart kind"),
+    "sphere-in-minkowski": (lambda tmp: build_chart(M3, "sphere", {"radius": 1.0}),
+                            "requires a euclidean ambient"),
+}
+
+
+@pytest.mark.parametrize("case", CHART_ERRORS)
+def test_chart_errors_are_config_errors(tmp_path, case):
+    call, message = CHART_ERRORS[case]
+    with pytest.raises(ConfigError, match=message):
+        call(tmp_path)
+
+
+def sphere_chart():
+    return build_chart(E3, "sphere", {"radius": 1.0})
+
+
+# (patch arguments after the chart, message) of each patch that cannot be built
+PATCH_ERRORS = {
+    "unknown-orientation": ((E3, "outward", [0.2, 0.0], [3.0, 6.0]), "unknown orientation"),
+    "unknown-jet-policy": ((E3, "inner", [0.2, 0.0], [3.0, 6.0], None, "exact"),
+                           "unknown jet policy"),
+    "empty-box": ((E3, "inner", [0.2, 6.0], [3.0, 6.0]), "empty parameter domain"),
+    "nan-bound": ((E3, "inner", [0.2, np.nan], [3.0, 6.28]), "finite and of shape"),
+    "infinite-bound": ((E3, "inner", [0.2, 0.0], [3.0, np.inf]), "finite and of shape"),
+    "box-of-three": ((E3, "inner", [0.2, 0.0, 0.0], [3.0, 6.28, 1.0]), "finite and of shape"),
+    "box-of-one": ((E3, "inner", [0.2], [3.0]), "finite and of shape"),
+    "bounds-of-two-shapes": ((E3, "inner", [0.2, 0.0], [3.0, 6.28, 1.0]), "finite and of shape"),
+}
+
+
+@pytest.mark.parametrize("case", PATCH_ERRORS)
+def test_patch_errors_are_config_errors(case):
+    args, message = PATCH_ERRORS[case]
+    with pytest.raises(ConfigError, match=message):
+        HypersurfacePatch(sphere_chart(), *args)
+
+
+def test_a_bad_box_is_rejected_before_a_grid_is_sampled():
+    # a NaN bound used to pass the empty-box test and make every grid row
+    # fail; a box of three bounds on two parameters, a bare broadcast error
+    for domain in (([0.2, np.nan], [3.0, 6.28]), ([0.2, 0.0, 0.0], [3.0, 6.28, 1.0])):
+        with pytest.raises(ConfigError, match="finite and of shape \\(2,\\)"):
+            build_patch(E3, "ellipsoid", {"semi_axes": [1.0, 2.0, 3.0]}, domain=domain)
+
+
+def test_analytic_jets_need_a_chart_that_has_them():
+    patch = HypersurfacePatch(ValueChart(), E3, "inner", *ValueChart().default_domain(),
+                              jets="analytic")
+    with pytest.raises(ConfigError, match="no analytic jets"):
+        patch.jet_at(patch.domain_lo)
+    auto = dataclasses.replace(patch, jets="auto")  # finite differences of the values
+    assert np.array_equal(auto.jet_at(np.zeros(2))[1], np.eye(3, 2))
 
 
 # -- the last frame of a patch ------------------------------------------------------

@@ -695,16 +695,21 @@ def staged_error(patch, o, p):
             or first_error(intrinsic_hessian_fd, dataclasses.replace(patch), rho, p))
 
 
+def tabulated_sphere(tmp_path):
+    """(patch, node): the unit sphere tabulated on a 9 x 9 grid with jets, and one of its nodes."""
+    sphere = build_chart(E3, "sphere", {"radius": 1.0})
+    path = tmp_path / "sphere.csv"
+    write_chart_csv(sphere, *sphere.default_domain(), 9, path, include_jets=True)
+    table = build_patch(E3, "tabulated", {"path": str(path)}, center=np.zeros(3))
+    return table, np.array([table.chart.axes[0][4], table.chart.axes[1][3]])
+
+
 def test_restriction_hessian_raises_the_frame_then_the_restriction_then_the_oracle(tmp_path):
     # one chart call on the oracle's stencil gives the frame its row, but the
     # errors keep their order: a tabulated patch has no jets on the stencil
     # (an oracle error), a point outside the box no frame and a point on the
     # reference point no distance gradient (a restriction error)
-    sphere = build_chart(E3, "sphere", {"radius": 1.0})
-    path = tmp_path / "sphere.csv"
-    write_chart_csv(sphere, *sphere.default_domain(), 9, path, include_jets=True)
-    table = build_patch(E3, "tabulated", {"path": str(path)}, center=np.zeros(3))
-    node = np.array([table.chart.axes[0][4], table.chart.axes[1][3]])
+    table, node = tabulated_sphere(tmp_path)
     at_node = table.chart.value(node)
     cases = [
         (table, np.zeros(3), node, DomainError, "not tabulated"),
@@ -722,6 +727,21 @@ def test_restriction_hessian_raises_the_frame_then_the_restriction_then_the_orac
         kept = dataclasses.replace(patch)  # the same on a patch that keeps p's frame
         if first_error(frame_at, kept, p) is None:
             assert first_error(restriction_hessian, kept, o, p) == want
+
+
+@pytest.mark.parametrize("origin", ["center", "node"])
+def test_restriction_hessian_evaluates_a_failing_stencil_once(tmp_path, monkeypatch, origin):
+    # at a table node the oracle's stencil has no jets: its one chart call
+    # raises, p's frame takes a one-row call of its own, and the oracle raises
+    # the stencil's error without a third call; an origin at the node stops
+    # the call at the restriction, after the same two chart calls
+    table, node = tabulated_sphere(tmp_path)
+    o = np.zeros(3) if origin == "center" else table.chart.value(node)
+    want = staged_error(table, o, node)
+    calls = counted(monkeypatch, HypersurfacePatch, "jet_at")
+    assert first_error(restriction_hessian, table, o, node) == want
+    assert [np.shape(q) for _, q in calls] == [(9, 2), (1, 2)]
+    assert want[0] is (DomainError if origin == "center" else UndefinedGradientError)
 
 
 def test_the_principal_frame_contractions_are_kept_read_only_on_the_sample():
@@ -908,7 +928,7 @@ def order_cases():
     yield pytest.param(l_k_apply, (outside, 3, field), {}, id="l_k_apply-k=3-outside")
     yield pytest.param(key_inequality_residual, (outside, 2), {}, id="key_inequality-k=2-outside")
     yield pytest.param(omori_yau_search, (field, 2), {"resolution": 1}, id="search-k=2-resolution=1")
-    for j_max in (0, -1):
+    for j_max in (0, -1, 2.5, True):  # a fractional count or a bool is not a count
         yield pytest.param(omori_yau_search, (field, 0), {"j_max": j_max},
                            id=f"search-j_max={j_max}")
 
@@ -921,6 +941,29 @@ def test_orders_outside_their_range_raise_domain_error(call, args, kwargs):
         call(ellipsoid_patch(), *args, **kwargs)
 
 
+def plane_patch():
+    """The flat graph z = 0 over [-1, 1]^2, without a center: H_1 = 0 everywhere."""
+    return build_patch(E3, "graph", {"terms": [[0.0, [1, 0]]], "box_lo": [-1, -1],
+                                     "box_hi": [1, 1]})
+
+
+# (call, message) of each single-point or search call that has nothing to work on
+NO_INPUT_ERRORS = {
+    "key-inequality-without-an-origin": (
+        lambda: key_inequality_residual(plane_patch(), np.zeros(2), 0), "no reference point"),
+    "search-where-every-trace-vanishes": (
+        lambda: omori_yau_search(plane_patch(), DistanceField(E3, np.array([0.0, 0.0, 1.0])), 1,
+                                 resolution=6), "no valid samples"),
+}
+
+
+@pytest.mark.parametrize("case", NO_INPUT_ERRORS)
+def test_calls_without_input_raise_geometry_errors(case):
+    call, message = NO_INPUT_ERRORS[case]
+    with pytest.raises(GeometryError, match=message):
+        call()
+
+
 def test_orders_at_the_ends_of_their_range_are_accepted():
     patch, p, field = ellipsoid_patch(), np.array([1.0, 2.0]), DistanceField(E3, np.zeros(3))
     assert l_k_apply(patch, p, 2, field) == 0.0  # P_n = 0
@@ -931,6 +974,9 @@ def test_orders_at_the_ends_of_their_range_are_accepted():
     report = omori_yau_search(patch, phi_of_distance_field(E3, np.zeros(3), 0.0), 1,
                               resolution=8, j_max=1, rounds=2)
     assert [o.j for o in report.outcomes] == [1]
+    report = omori_yau_search(patch, phi_of_distance_field(E3, np.zeros(3), 0.0), 1,
+                              resolution=np.int64(8), j_max=np.int64(2), rounds=2)
+    assert [o.j for o in report.outcomes] == [1, 2]
 
 
 def test_kept_frames_and_their_copies_are_read_only():

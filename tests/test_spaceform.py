@@ -271,6 +271,28 @@ def test_model_invariants_enforced():
         AmbientModel.lorentz_space_form(0.0, 3)
 
 
+E3 = AmbientModel.euclidean(3)
+
+# (call, error type, message) of each model call on an input it rejects
+MODEL_ERRORS = {
+    "unknown-signature": (lambda: AmbientModel("euclidean", 0.0, 3), ValueError,
+                          "unknown signature"),
+    "point-of-another-length": (lambda: E3.check_point(np.zeros(2)), DomainError,
+                                r"point has \(2,\) coordinates"),
+    "vector-of-another-length": (lambda: E3.check_tangent(np.zeros(3), np.zeros(4)), DomainError,
+                                 "wrong length"),
+    "riemannian-time-orientation": (lambda: E3.time_orientation(np.zeros(3)), DomainError,
+                                    "only defined for lorentzian"),
+}
+
+
+@pytest.mark.parametrize("case", MODEL_ERRORS)
+def test_model_calls_reject_what_they_cannot_take(case):
+    call, kind, message = MODEL_ERRORS[case]
+    with pytest.raises(kind, match=message):
+        call()
+
+
 def test_model_is_signature_curvature_and_dimension():
     assert [f.name for f in dataclasses.fields(AmbientModel)] == [
         "signature", "curvature", "dimension"]

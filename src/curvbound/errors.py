@@ -71,7 +71,7 @@ def failed(errors: np.ndarray) -> np.ndarray:
 def flag(errors: np.ndarray, mask, kind: type, message: str) -> None:
     """Record kind(message) in the rows selected by ``mask`` that hold no error yet."""
     mask = np.asarray(mask)
-    if mask.any():
+    if np.count_nonzero(mask):
         errors[mask & ~failed(errors)] = kind(message)
 
 
@@ -113,7 +113,7 @@ def read_only(value):
     for a in ((value,) if isinstance(value, np.ndarray)
               else value if isinstance(value, tuple) else vars(value).values()):
         if isinstance(a, np.ndarray):
-            a.flags.writeable = False
+            a.setflags(write=False)
     return value
 
 

@@ -101,9 +101,10 @@ class HypersurfacePatch:
     wraps: np.ndarray = field(init=False, repr=False)  # (n,) bool
     _padded_box: tuple = field(init=False, repr=False)  # (lo, hi), widened by round-off
     _fd_steps: np.ndarray = field(init=False, repr=False)
-    # frame_at's last frame, keyed by the bytes of its parameter point, and what
-    # operators.restriction_at keeps beside it, keyed by field; frame_at clears
-    # all of it when it builds the frame of another point
+    # frame_at's last frame, keyed by the bytes of its parameter point; keyed by
+    # the frame, the (rho, grad) from the center that oriented its normal, if
+    # any; and what operators.restriction_at keeps beside it, keyed by field;
+    # frame_at clears all of it when it builds the frame of another point
     _last_frame: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # operators' distance field of the last origin a single-point call took,
     # keyed by that origin's shape and bytes, so the origin is validated once
@@ -186,15 +187,20 @@ def induced_metric(d1: np.ndarray, eta: np.ndarray) -> np.ndarray:
 # products and sums, so a sample's bits do not depend on its batch.
 
 
+@lru_cache(maxsize=None)
+def _rotation(ndim: int, shift: int) -> tuple:
+    """The axes of an ndim-array, rotated left by ``shift``."""
+    return tuple(range(shift, ndim)) + tuple(range(shift))
+
+
 def _samples_last(a: np.ndarray, core: int = 2) -> np.ndarray:
     """a (..., *c) as a C-contiguous (*c, ...): a view of ``a`` if it has that layout, or a copy."""
-    lead = a.ndim - core
-    return np.ascontiguousarray(a.transpose(tuple(range(lead, a.ndim)) + tuple(range(lead))))
+    return np.ascontiguousarray(a.transpose(_rotation(a.ndim, a.ndim - core)))
 
 
 def _samples_first(a: np.ndarray, core: int = 2) -> np.ndarray:
     """The inverse of :func:`_samples_last`: (*c, ...) as a C-contiguous (..., *c), view or copy."""
-    return np.ascontiguousarray(a.transpose(tuple(range(core, a.ndim)) + tuple(range(core))))
+    return np.ascontiguousarray(a.transpose(_rotation(a.ndim, core)))
 
 
 def _matmul(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -396,9 +402,10 @@ def frames_at(patch: HypersurfacePatch, P: np.ndarray):
 
 
 def _frames_at(patch: HypersurfacePatch, P: np.ndarray, jet_at=None):
-    """(frames, errors, rho): rho, read-only, the distances of the rows of ``frames``
-    that oriented the normal, or None where the orientation measured none; ``jet_at``
-    (default ``patch.jet_at``) gives the jets of the rows that pass the checks before them."""
+    """(frames, errors, distances): ``distances``, read-only, the (rho, grad) from the center
+    (:func:`gradient_rows`) at the rows of ``frames`` that oriented the normal, or None
+    where the orientation measured none; ``jet_at`` (default ``patch.jet_at``) gives
+    the jets of the rows that pass the checks before them."""
     P = np.asarray(P, dtype=float)
     model = patch.ambient
     errors = no_errors(len(P))
@@ -408,7 +415,7 @@ def _frames_at(patch: HypersurfacePatch, P: np.ndarray, jet_at=None):
     def reject(bad, exc, *arrays):
         """Record exc for the surviving rows flagged bad; return ``arrays`` without them."""
         nonlocal rows, factor
-        if not bad.any():
+        if not np.count_nonzero(bad):
             return arrays
         errors[rows[bad]] = exc[bad] if isinstance(exc, np.ndarray) else exc
         rows = rows[~bad]
@@ -431,7 +438,7 @@ def _frames_at(patch: HypersurfacePatch, P: np.ndarray, jet_at=None):
     g = induced_metric(d1, eta)
     factor = ldl(_samples_last(g))
     bad = ~immersive(factor[0])
-    if bad.any():
+    if np.count_nonzero(bad):
         # the pivots decide which rows fail and the spectrum of those rows names
         # the reason: a rejected row has lambda_min/lambda_max <= d_min/d_max
         kinds = no_errors(len(bad))
@@ -455,7 +462,7 @@ def _frames_at(patch: HypersurfacePatch, P: np.ndarray, jet_at=None):
     x, d1, d2, g, w, nu2 = reject(eps * nu2 <= 0.0, wrong, x, d1, d2, g, w, nu2)
     normal = w / np.sqrt(eps * nu2)[:, None]
 
-    flip, rho = np.zeros(len(x), dtype=bool), None
+    flip, distances = np.zeros(len(x), dtype=bool), None
     if patch.orientation == "future":
         # co-oriented timelike pairs are negative
         flip = model.flat_inner(normal, model.time_orientation(x)) > 0.0
@@ -463,7 +470,7 @@ def _frames_at(patch: HypersurfacePatch, P: np.ndarray, jet_at=None):
         rho, radial, radial_errors = gradient_rows(model, patch.center, x)
         x, d1, d2, g, normal, radial, rho = reject(
             failed(radial_errors), radial_errors, x, d1, d2, g, normal, radial, rho)
-        rho = read_only(rho)
+        distances = read_only((rho, radial))
         s = model.flat_inner(normal, radial)
         flip = s > 0.0 if patch.orientation == "inner" else s < 0.0
     normal = np.where(flip[:, None], -normal, normal)
@@ -486,7 +493,7 @@ def _frames_at(patch: HypersurfacePatch, P: np.ndarray, jet_at=None):
         congruence=_samples_first(R),
         signature=model.signature,
     )
-    return read_only(frames), errors, rho
+    return read_only(frames), errors, distances
 
 
 def frame_at(patch: HypersurfacePatch, p: np.ndarray) -> PointFrame:
@@ -494,8 +501,10 @@ def frame_at(patch: HypersurfacePatch, p: np.ndarray) -> PointFrame:
 
     The patch keeps the last frame built here, so repeated calls at one p
     return the same frame, with read-only arrays; building the frame of
-    another point drops it, with the restrictions
-    :func:`curvbound.operators.restriction_at` kept beside it.  A point
+    another point drops it, with what is kept beside it: the distance and
+    its gradient from the center that oriented the normal, which
+    :func:`curvbound.operators.restrict_field` reads, and the restrictions
+    :func:`curvbound.operators.restriction_at` keeps.  A point
     without a frame is not kept: it raises on every call, and so does a p
     of another shape than (n,).
     """
@@ -511,11 +520,13 @@ def _frame_at(patch: HypersurfacePatch, p: np.ndarray, jet_at=None) -> PointFram
     key = p.tobytes()
     frame = patch._last_frame.get(key)
     if frame is None:
-        frames, errors, _ = _frames_at(patch, p[None], jet_at)
+        frames, errors, distances = _frames_at(patch, p[None], jet_at)
         raise_first(errors)
         frame = frames[0]
         patch._last_frame.clear()
         patch._last_frame[key] = frame
+        if distances is not None:
+            patch._last_frame[frame] = (distances[0][0], distances[1][0])
     return frame
 
 
@@ -557,12 +568,13 @@ class GridSamples:
 def sample_grid(patch: HypersurfacePatch, resolution) -> GridSamples:
     """Frames at the rows of ``patch.grid(resolution)``, each point once; skips those without one."""
     P, cell = patch.grid(resolution)
-    frames, errors, rho = _frames_at(patch, P)
+    frames, errors, distances = _frames_at(patch, P)
     if not len(frames.param):
         raise EmptySampleError("every grid point was rejected")
     skipped = [(P[i], f"{type(errors[i]).__name__}: {errors[i]}")
                for i in np.flatnonzero(failed(errors))]
-    return GridSamples(frames=frames, skipped=skipped, patch=patch, cell=cell, _rho=rho)
+    return GridSamples(frames=frames, skipped=skipped, patch=patch, cell=cell,
+                       _rho=None if distances is None else distances[0])
 
 
 @lru_cache(maxsize=None)
@@ -630,11 +642,13 @@ def _quadratic_vertex(values: np.ndarray, n: int, noise: float):
 def refine_extremum(patch: HypersurfacePatch, fn, starts, cell, signs, rounds=14):
     """Local refinement of a scalar's max (min for sign -1) from each start, on shrinking stencils.
 
-    ``starts`` are J >= 1 points (J, n) and ``signs`` (J,) holds 1 or -1 for each;
-    another shape or value raises a DomainError.  Each start keeps its own
-    stencil, cell and stop, but one ``fn`` call per round evaluates the
-    stencils of every start still refining, in start order: for an ``fn``
-    that values each row on its own, the J one-start refinements bit for bit.
+    ``starts`` are J >= 1 points (J, n), ``signs`` (J,) holds 1 or -1 for each
+    and ``cell`` (n,) is the first stencil's step per axis, each finite and
+    > 0; another shape or value raises a DomainError before any ``fn`` call.
+    Each start keeps its own stencil, cell and stop, but one ``fn`` call per
+    round evaluates the stencils of every start still refining, in start
+    order: for an ``fn`` that values each row on its own, the J one-start
+    refinements bit for bit.
 
     ``fn`` maps parameter rows (N, n) to (values, errors), ``errors[i]`` being
     the GeometryError of a row without a value.  Each round evaluates a 5^n
@@ -673,6 +687,11 @@ def refine_extremum(patch: HypersurfacePatch, fn, starts, cell, signs, rounds=14
         raise DomainError(f"signs = {signs!r}: expected one per start")
     if not set(np.asarray(signs).tolist()) <= {1.0, -1.0}:
         raise DomainError(f"signs = {signs!r}: each sign must be 1 or -1")
+    cell = np.asarray(cell, dtype=float)
+    if cell.shape != (patch.n,):
+        raise DomainError(f"cell has shape {cell.shape}, expected ({patch.n},)")
+    if not (np.isfinite(cell).all() and (cell > 0.0).all()):
+        raise DomainError(f"cell = {cell.tolist()}: each step must be finite and > 0")
     if not rounds:
         values, errors = fn(starts)
         raise_first(errors)
@@ -681,7 +700,6 @@ def refine_extremum(patch: HypersurfacePatch, fn, starts, cell, signs, rounds=14
                                patch.domain_width)
     stencil = _refinement_stencil(n)
     size, mid = len(stencil), len(stencil) // 2  # mid: the zero offset
-    cell = np.asarray(cell, dtype=float)
     # per start: its best point and value, next stencil's middle and cell, and halvings
     center, best, middle = list(starts), [None] * len(starts), list(starts)
     cells, halvings = [cell] * len(starts), [0] * len(starts)

@@ -99,7 +99,7 @@ class DistanceField:
         object.__setattr__(self, "_origin_bits", origin.tobytes())
 
     def jet(self, x):
-        return distance_jet(self.model, self.origin, x)
+        return distance_jet(self.model, self.origin, x)[:4]
 
 
 @dataclass(frozen=True)
@@ -172,6 +172,8 @@ class FieldSample:
     """Restriction data of an ambient field over the leading sample axes of a frame.
 
     Frozen, like the fields: :func:`restriction_at` keeps one beside a patch's last frame.
+    A :class:`DistanceField`'s sample without a failed row keeps ``comparison`` =
+    (k, C_k(u)), k = eps b, the coefficient of its Hessian (:func:`distance_jet`).
     """
 
     u: np.ndarray
@@ -181,6 +183,7 @@ class FieldSample:
     hess: np.ndarray  # chart-basis bilinear form
     frame: PointFrame
     errors: np.ndarray  # per-row GeometryError of the field, None where it is defined
+    comparison: tuple | None = None
 
     @cached_property
     def hess_diagonal(self) -> np.ndarray:
@@ -201,10 +204,22 @@ def restrict_field(patch: HypersurfacePatch, field, frame: PointFrame) -> FieldS
 
     Evaluates the field's jet once.  Does not raise for a row where the field
     is undefined: its error is in ``errors`` and its values are meaningless.
+    On the frame :func:`frame_at` keeps, a :class:`DistanceField` in the
+    patch's model whose origin has the bits of the patch's center reads the
+    distance and its gradient that oriented the frame's normal.
     """
     model = patch.ambient
     d1 = frame.tangent
-    u, gbar, hessian, errors = field.jet(frame.position)
+    if isinstance(field, DistanceField):
+        kept = patch._last_frame.get(frame)  # the distances from the center, if frame_at keeps it
+        center = (kept is not None and field.model == model
+                  and field._origin_bits == patch.center.tobytes())
+        u, gbar, hessian, errors, C = distance_jet(field.model, field.origin, frame.position,
+                                                   kept if center else None)
+        comparison = None if C is None else (field.model.epsilon * field.model.curvature, C)
+    else:
+        u, gbar, hessian, errors = field.jet(frame.position)
+        comparison = None
     du = (np.swapaxes(d1, -1, -2) @ (model.metric_diag * gbar)[..., None])[..., 0]
     grad = frame.raise_index(du)
     normal_coef = model.flat_inner(gbar, frame.normal)
@@ -217,6 +232,7 @@ def restrict_field(patch: HypersurfacePatch, field, frame: PointFrame) -> FieldS
         + model.epsilon * normal_coef[..., None, None] * frame.second_form,
         frame=frame,
         errors=errors,
+        comparison=comparison,
     )
 
 
@@ -276,7 +292,10 @@ def restriction_hessian(patch: HypersurfacePatch, o: np.ndarray, p: np.ndarray) 
     :func:`frame_at` builds, bit for bit.  The stencil is evaluated once: a
     GeometryError it raises leaves p's row to a chart call of its own and is
     raised by the oracle.  The errors keep their order: p's frame, then the
-    restriction (:func:`restriction_at`), then the oracle.
+    restriction (:func:`restriction_at`), then the oracle.  So on a patch over
+    a :class:`~curvbound.charts.TabulatedChart`, whose table the stencil never
+    lands on, every call raises the stencil's DomainError ("parameter point is
+    not tabulated") after p's frame and restriction are built.
     """
     field = _distance_field_at(patch, o)
     p = np.asarray(p, dtype=float)
@@ -384,6 +403,8 @@ def key_inequality_rhs(sample: FieldSample, k: int, b: float):
     Lorentzian: -C_{-b}(u)(c_k H_k + <grad u, P_k grad u>)
                 + c_k H_{k+1} sqrt(1 + |grad u|^2).
     The signature of the sample's frame picks the convention; k is in 0..n-1.
+    C_b (C_{-b}) is the sample's ``comparison`` where that is of order b (-b), else
+    :func:`c_b` on u.
     """
     frame = sample.frame
     n = frame.kappa.shape[-1]
@@ -392,8 +413,14 @@ def key_inequality_rhs(sample: FieldSample, k: int, b: float):
     ck = trace_coefficients(n)[k]
     Hk, Hk1 = frame.H[..., k], frame.H[..., k + 1]
     if frame.signature == RIEMANNIAN:
-        return c_b(b, sample.u) * (ck * Hk - quad) + ck * Hk1 * sample.normal_coef
-    return -c_b(-b, sample.u) * (ck * Hk + quad) + ck * Hk1 * np.sqrt(1.0 + sample.grad_norm_sq)
+        return _c_b(sample, b) * (ck * Hk - quad) + ck * Hk1 * sample.normal_coef
+    return -_c_b(sample, -b) * (ck * Hk + quad) + ck * Hk1 * np.sqrt(1.0 + sample.grad_norm_sq)
+
+
+def _c_b(sample: FieldSample, b: float):
+    """C_b(u): the sample's ``comparison`` where it is C_b, else :func:`c_b` on u."""
+    kept = sample.comparison
+    return kept[1] if kept is not None and kept[0] == b else c_b(b, sample.u)
 
 
 def key_inequality_residual(

@@ -168,7 +168,7 @@ class AmbientModel:
             b = self.curvature
             deviation = np.abs(self.flat_inner(x, x) - 1.0 / b)
             off = deviation > 1e-9 * max(1.0, abs(1.0 / b))
-            if off.any():
+            if np.count_nonzero(off):
                 # <x,x> cancels terms as large as sum_a x_a^2: its round-off scales with them
                 off &= deviation > 1e-9 * np.vecdot(x, x)
             if self.signature == RIEMANNIAN and b < 0.0:
@@ -325,16 +325,22 @@ def comparison_radius(model: AmbientModel) -> float:
     return np.pi / (2.0 * np.sqrt(k)) if k > 0.0 else np.inf
 
 
-def distance_jet(model: AmbientModel, o: np.ndarray, x: np.ndarray):
-    """(rho, grad, hessian, errors): :func:`gradient_rows`, failing from the comparison radius on.
+def distance_jet(model: AmbientModel, o: np.ndarray, x: np.ndarray, rows=None):
+    """(rho, grad, hessian, errors, C): :func:`gradient_rows`, failing from the comparison radius on.
 
-    ``hessian(d1, metric)`` takes tangent columns d1 (..., m, n) at the rows and their induced
-    metric (..., n, n), and returns the chart-basis Hessian, the closed form
-    eps C (metric - eps drho drho^T) with drho = d1^T eta grad and C = C_{eps b}(rho): C_b in
-    Riemannian and C_{-b} in Lorentzian models.  C is evaluated in one call, on
-    the rows without an error.
+    ``rows``, the (rho, grad) of :func:`gradient_rows` at x where it flagged no
+    row, stand in for calling it.  ``hessian(d1, metric)`` takes tangent
+    columns d1 (..., m, n) at the rows and their induced metric (..., n, n),
+    and returns the chart-basis Hessian, the closed form eps C (metric - eps
+    drho drho^T) with drho = d1^T eta grad and C = C_{eps b}(rho): C_b in
+    Riemannian and C_{-b} in Lorentzian models.  C is evaluated in one call,
+    on the rows without an error, and returned, read-only, where no row failed
+    (else None).
     """
-    rho, grad, errors = gradient_rows(model, o, x)
+    if rows is None:
+        rho, grad, errors = gradient_rows(model, o, x)
+    else:
+        (rho, grad), errors = rows, no_errors(np.shape(rows[0]))
     flag(errors, rho >= comparison_radius(model),
          DomainError, "distance at or beyond the comparison radius pi/(2 sqrt(|b|))")
     eps = model.epsilon
@@ -350,4 +356,4 @@ def distance_jet(model: AmbientModel, o: np.ndarray, x: np.ndarray):
         dr = (columns @ lowered)[..., 0]
         return c * (metric - eps * (dr[..., :, None] * dr[..., None, :]))
 
-    return rho, grad, hessian, errors
+    return rho, grad, hessian, errors, read_only(coeff) if ok.all() else None

@@ -142,6 +142,12 @@ MUTANTS = [
      'object.__setattr__(self, "_origin_bits", b"")'),
     ("cache: a distance field kept whatever its origin", "operators.py",
      "key = (origin.shape, origin.tobytes())", "key = origin.shape"),
+    ("cache: the center's distances serve a distance field of any origin", "operators.py",
+     "\n                  and field._origin_bits == patch.center.tobytes())", ")"),
+    ("cache: the center's distances serve a distance field of any model", "operators.py",
+     "kept is not None and field.model == model\n", "kept is not None\n"),
+    ("cache: the kept C_b serves any b", "operators.py",
+     "kept[1] if kept is not None and kept[0] == b else", "kept[1] if kept is not None else"),
     ("cache: entry kept across points", "immersion.py",
      "        patch._last_frame.clear()\n", ""),
     ("cache: FD check skipped on a hit", "operators.py",
@@ -172,7 +178,7 @@ MUTANTS = [
      "S[k + 1:, k + 1:n] -= (S[k + 1:, k] / S[k, k])[:, None] * S[k, k + 1:n]\n"),
     # the read-only rule, applied where the batch is built
     ("frames_at: the batch is not marked read-only", "immersion.py",
-     "    return read_only(frames), errors, rho\n", "    return frames, errors, rho\n"),
+     "    return read_only(frames), errors, distances\n", "    return frames, errors, distances\n"),
     ("operator_data: the other signature's H writable", "operators.py",
      "H=read_only(frame.H * flips)", "H=frame.H * flips"),
     # a single-point fact with one owner each
@@ -256,6 +262,12 @@ MUTANTS = [
      "    if np.shape(signs) != (len(starts),):\n", "    if False:\n"),
     ("refine_extremum: any sign taken", "immersion.py",
      "    if not set(np.asarray(signs).tolist()) <= {1.0, -1.0}:\n", "    if False:\n"),
+    ("refine_extremum: a cell of any shape taken", "immersion.py",
+     "    if cell.shape != (patch.n,):\n", "    if False:\n"),
+    ("refine_extremum: an infinite cell taken", "immersion.py",
+     "if not (np.isfinite(cell).all() and (cell > 0.0).all()):", "if not (cell > 0.0).all():"),
+    ("refine_extremum: a zero or negative cell taken", "immersion.py",
+     "if not (np.isfinite(cell).all() and (cell > 0.0).all()):", "if not np.isfinite(cell).all():"),
     ("refined_distance_extremum: an unknown mode accepted", "harness.py",
      '    if not (isinstance(modes, tuple) and modes and all(m in ("max", "min") for m in modes)):\n',
      "    if not (isinstance(modes, tuple) and modes):\n"),

@@ -283,7 +283,7 @@ def distance_gradient(model: AmbientModel, o: np.ndarray, x: np.ndarray) -> np.n
 
 def distance_hessian_bilinear(model: AmbientModel, o: np.ndarray, x: np.ndarray, X, Y):
     """Hess rho(X, Y) for tangent vectors X, Y at x (:func:`distance_jet`), over leading axes."""
-    _, _, hessian, errors = distance_jet(model, model.check_point(o), x)
+    _, _, hessian, errors, _ = distance_jet(model, model.check_point(o), x)
     raise_first(errors)
     d1 = np.stack(np.broadcast_arrays(X, Y), axis=-1)  # (..., m, 2)
     return hessian(d1, induced_metric(d1, model.metric_diag))[..., 0, 1]

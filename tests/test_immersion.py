@@ -949,6 +949,27 @@ def test_refinement_starts_and_signs_are_checked_before_any_call(start, sign, ma
     assert calls == []
 
 
+@pytest.mark.parametrize("cell", [
+    np.zeros(2),  # its stencil is flat, so the start came back as the max
+    np.full(2, -0.2),  # the refinement stopped short, at value -0.020
+    np.full(3, 0.2),  # a bare broadcast ValueError
+    np.float64(0.2), [0.2, np.inf], [np.nan, 0.2],
+])
+def test_refinement_cell_is_checked_before_any_call(cell):
+    calls = []
+
+    def fn(Q):
+        calls.append(len(Q))
+        return -np.sum((Q - 0.5) ** 2, axis=1), no_errors(len(Q))
+
+    for rounds in (0, 14):
+        with pytest.raises(DomainError, match="cell"):
+            refine_extremum(box_patch(2), fn, np.zeros((1, 2)), cell, [1.0], rounds)
+    assert calls == []
+    params, values = refine_extremum(box_patch(2), fn, np.zeros((1, 2)), np.full(2, 0.5), [1.0])
+    assert params.tolist() == [[0.5, 0.5]] and values.tolist() == [0.0]
+
+
 def terrain(Q, peak, fail_below):
     """A row-wise scalar on the box: flat at 1 where q_0 > 0.5, else 1 - |q - peak|^2,
     without a value where q_1 < ``fail_below``, each error naming its row."""

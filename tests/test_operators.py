@@ -446,7 +446,11 @@ def test_a_frame_is_its_own_operator_data_and_a_point_keeps_one_sample_per_field
         assert isinstance(sample, FieldSample) and sample.frame is kept
     key_inequality_residual(patch, p, 1)  # its field equals fields[0]
     l_k_apply(patch, p, 0, DistanceField(E3, [0.1, 0.0, 0.0]))
-    assert patch._last_frame == {p.tobytes(): kept, **dict(zip(fields, samples))}
+    # keyed by the frame: the distance and its gradient from the center that oriented it
+    distances = patch._last_frame[kept]
+    rho, grad, _ = spaceform.gradient_rows(E3, patch.center, kept.position[None])
+    assert [a.tobytes() for a in distances] == [rho.tobytes(), grad.tobytes()]
+    assert patch._last_frame == {p.tobytes(): kept, kept: distances, **dict(zip(fields, samples))}
 
 
 def test_fd_oracle_reads_one_chart_jet_per_stencil(monkeypatch):
@@ -504,6 +508,9 @@ def test_spectral_contractions_match_newton_recursion():
 
 
 def test_restriction_evaluates_the_distance_once(monkeypatch):
+    # a restriction evaluates the distance once, on the frame's rows; on the
+    # frame frame_at keeps, the distance to the patch's center in its model
+    # reads the distances that oriented the frame's normal, and none is evaluated
     calls = []
     distance_rows = spaceform.distance_rows
 
@@ -511,15 +518,68 @@ def test_restriction_evaluates_the_distance_once(monkeypatch):
         calls.append(np.shape(x))
         return distance_rows(model, o, x)
 
-    monkeypatch.setattr(spaceform, "distance_rows", counted)
     patch = ellipsoid_patch()
-    frames = [frame_at(patch, interior_points(patch, np.random.default_rng(3), 1)[0]),
-              sample_grid(patch, 8).frames]
-    for field in (DistanceField(E3, np.zeros(3)), phi_of_distance_field(E3, np.zeros(3), 0.0)):
-        for frame in frames:
+    p = interior_points(patch, np.random.default_rng(3), 1)[0]
+    kept = frame_at(patch, p)
+    unkept, grid = frames_at(patch, p[None])[0], sample_grid(patch, 8).frames
+    monkeypatch.setattr(spaceform, "distance_rows", counted)
+    center = DistanceField(E3, np.zeros(3))
+    for field in (center, phi_of_distance_field(E3, np.zeros(3), 0.0),
+                  DistanceField(E3, [0.1, 0.0, 0.0]), DistanceField(M3, np.zeros(3))):
+        for frame in (kept, unkept, grid):
             before = len(calls)
-            restrict_field(patch, field, frame)
-            assert calls[before:] == [frame.position.shape]
+            sample = restrict_field(patch, field, frame)
+            if field is center and frame is kept:
+                assert calls[before:] == []
+                fresh = restrict_field(patch, field, dataclasses.replace(frame))
+                for spec in dataclasses.fields(FieldSample):
+                    if spec.name not in ("frame", "errors", "comparison"):
+                        assert (getattr(sample, spec.name).tobytes()
+                                == getattr(fresh, spec.name).tobytes()), spec.name
+                assert sample.comparison[1].tobytes() == fresh.comparison[1].tobytes()
+            else:
+                assert calls[before:] == [frame.position.shape]
+
+
+def test_a_probe_point_takes_its_distance_gradient_and_c_b_once(monkeypatch):
+    # on a centered patch the five calls at one point make one gradient_rows
+    # call, on p's row, as the frame orients its normal, and the FD oracle one
+    # distance_rows call, on its 9-row stencil; k = 0 and 1 at the ambient b
+    # share the C_b of the restriction.  Another origin or another b adds its own
+    patch = ellipsoid_patch()
+    p, o = interior_points(patch, np.random.default_rng(5), 1)[0], patch.center
+    field = DistanceField(E3, o)
+    gradients = [counted(monkeypatch, immersion, "gradient_rows"),
+                 counted(monkeypatch, spaceform, "gradient_rows")]
+    distances = [counted(monkeypatch, spaceform, "distance_rows"),
+                 counted(monkeypatch, operators, "distance_rows")]
+    comparisons = [counted(monkeypatch, spaceform, "c_b"), counted(monkeypatch, operators, "c_b")]
+
+    def shapes(lists):
+        return sorted(np.shape(args[2]) for calls in lists for args in calls)  # x's shape
+
+    restriction_hessian(patch, o, p)
+    for k in (0, 1):
+        key_inequality_residual(patch, p, k, origin=o)
+        l_k_apply(patch, p, k, field)
+    assert shapes(gradients) == [(1, 3)]
+    assert shapes(distances) == [(1, 3), (9, 3)]  # p's row in gradient_rows, the stencil
+    assert len(comparisons[0]) + len(comparisons[1]) == 1
+    # another origin: its own gradient and C_b, shared by k = 0 and 1
+    other = np.array([0.1, 0.0, 0.0])
+    for k in (0, 1):
+        key_inequality_residual(patch, p, k, origin=other)
+    assert shapes(gradients) == [(1, 3), (3,)]
+    assert len(comparisons[0]) + len(comparisons[1]) == 2
+    # another b: one c_b call per call, on u
+    residuals = [key_inequality_residual(patch, p, k, b=1.0) for k in (0, 1)]
+    assert len(comparisons[0]) + len(comparisons[1]) == 4
+    assert shapes(gradients) == [(1, 3), (3,)]
+    sample = restriction_at(patch, p, field)
+    for k, residual in zip((0, 1), residuals):
+        rhs = key_inequality_rhs(dataclasses.replace(sample, comparison=None), k, 1.0)
+        assert residual == float(trace_operator(sample, k) - rhs)
+        assert residual != key_inequality_residual(patch, p, k)
 
 
 def test_repeated_key_inequality_reuses_the_frame_and_its_directions(monkeypatch):
@@ -831,14 +891,20 @@ def test_a_kept_sample_cannot_be_rebound():
     skewed = dataclasses.replace(kept.frame, H=2.0 * kept.frame.H)
     for spec in dataclasses.fields(FieldSample):
         value = getattr(kept, spec.name)
-        other = skewed if spec.name == "frame" else (
-            value if value.dtype == object else 2.0 * value)
+        if spec.name == "frame":
+            other = skewed
+        elif spec.name == "comparison":  # (k, C_k(u))
+            other = (value[0], 2.0 * value[1])
+        else:
+            other = value if value.dtype == object else 2.0 * value
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(kept, spec.name, other)
         with pytest.raises(dataclasses.FrozenInstanceError):
             delattr(kept, spec.name)
     assert restriction_at(patch, p, field) is kept
     assert l_k_apply(patch, p, 1, field) == before
+    with pytest.raises(ValueError, match="read-only"):
+        kept.comparison[1][...] = 0.0
 
 
 def test_fields_are_equal_by_value():

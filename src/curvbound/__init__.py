@@ -121,7 +121,6 @@ from .operators import (
     key_inequality_residual,
     l_k_apply,
     omori_yau_search,
-    phi_of_distance_field,
     restrict_field,
     restriction_hessian,
 )

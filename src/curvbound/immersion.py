@@ -384,28 +384,27 @@ class PointFrame:
 ROW_FIELDS = tuple(f.name for f in fields(PointFrame) if f.name != "signature")
 
 
-def frames_at(patch: HypersurfacePatch, P: np.ndarray):
+def frames_at(patch: HypersurfacePatch, P: np.ndarray, jets=None):
     """Frames at the rows of P (N, n): metric, oriented unit normal, second form, kappa, H_k.
 
-    Returns (frames, errors).  ``frames`` holds the rows that have a frame, in
-    order; ``errors[i]`` is the GeometryError of row i, or None when row i is
-    among them.  Each failing check removes its rows before the next step, so
-    stacked linear algebra only sees rows that passed.  A row whose jet has a
-    non-finite entry fails before its metric is formed.  The metric is
-    factored once, by one elimination on [g | I] (:func:`ldl`): its pivots d
-    decide the immersion test, and R = D^-1/2 L^-1 gives the shape operator R h R^T.
-    The S_k table of the spectra is built and signed once, for the batch, and
-    every array of ``frames`` is read-only.  An inner or outer patch with a
-    center orients the normal by the distance gradient, and a row without one fails.
+    Returns (frames, errors, distances).  ``frames`` holds the rows that have a
+    frame, in order; ``errors[i]`` is the GeometryError of row i, or None when
+    row i is among them.  ``distances`` is None, or where the orientation
+    measured them (an inner or outer patch with a center) the read-only
+    (rho, grad) from the center (:func:`gradient_rows`) at the rows of ``frames``.
+    ``jets`` are the chart jets (position, d1, d2) at the rows of P, of shapes
+    (N, m), (N, m, n) and (N, m, n, n), if the caller has them; they must be
+    ``patch.jet_at``'s there.  Without them ``patch.jet_at`` is called once, on
+    the rows that pass the box and definedness checks.  Each failing
+    check removes its rows before the next step, so stacked linear algebra only
+    sees rows that passed.  A row whose jet has a non-finite entry fails before
+    its metric is formed.  The metric is factored once, by one elimination on
+    [g | I] (:func:`ldl`): its pivots d decide the immersion test, and
+    R = D^-1/2 L^-1 gives the shape operator R h R^T.  The S_k table of the
+    spectra is built and signed once, for the batch, and every array of
+    ``frames`` is read-only.  An inner or outer patch with a center orients the
+    normal by the distance gradient, and a row without one fails.
     """
-    return _frames_at(patch, P)[:2]
-
-
-def _frames_at(patch: HypersurfacePatch, P: np.ndarray, jet_at=None):
-    """(frames, errors, distances): ``distances``, read-only, the (rho, grad) from the center
-    (:func:`gradient_rows`) at the rows of ``frames`` that oriented the normal, or None
-    where the orientation measured none; ``jet_at`` (default ``patch.jet_at``) gives
-    the jets of the rows that pass the checks before them."""
     P = np.asarray(P, dtype=float)
     model = patch.ambient
     errors = no_errors(len(P))
@@ -427,7 +426,7 @@ def _frames_at(patch: HypersurfacePatch, P: np.ndarray, jet_at=None):
     if type(patch.chart).undefined is not Chart.undefined:
         undefined = patch.chart.undefined(P[rows], jet=True)
         reject(failed(undefined), undefined)
-    x, d1, d2 = (jet_at or patch.jet_at)(P[rows])
+    x, d1, d2 = patch.jet_at(P[rows]) if jets is None else (a[rows] for a in jets)
     # one whole-array test on the common, all-finite path
     if not (np.isfinite(x).all() and np.isfinite(d1).all() and np.isfinite(d2).all()):
         finite = (np.isfinite(x).all(-1) & np.isfinite(d1).all((-2, -1))
@@ -496,7 +495,7 @@ def _frames_at(patch: HypersurfacePatch, P: np.ndarray, jet_at=None):
     return read_only(frames), errors, distances
 
 
-def frame_at(patch: HypersurfacePatch, p: np.ndarray) -> PointFrame:
+def frame_at(patch: HypersurfacePatch, p: np.ndarray, jets=None) -> PointFrame:
     """The frame at one parameter point p (n,); raises its GeometryError.
 
     The patch keeps the last frame built here, so repeated calls at one p
@@ -506,21 +505,18 @@ def frame_at(patch: HypersurfacePatch, p: np.ndarray) -> PointFrame:
     :func:`curvbound.operators.restrict_field` reads, and the restrictions
     :func:`curvbound.operators.restriction_at` keeps.  A point
     without a frame is not kept: it raises on every call, and so does a p
-    of another shape than (n,).
+    of another shape than (n,).  ``jets`` are the chart jets at p[None], of
+    shapes (1, m), (1, m, n) and (1, m, n, n), if the caller has them; they
+    must be ``patch.jet_at``'s there.  A frame built here reads them
+    (:func:`frames_at`), and a frame the patch keeps for p ignores them.
     """
-    return _frame_at(patch, p)
-
-
-def _frame_at(patch: HypersurfacePatch, p: np.ndarray, jet_at=None) -> PointFrame:
-    """:func:`frame_at`, a frame it builds taking its chart jets from ``jet_at``
-    (:func:`_frames_at`'s, called on p[None] once p passes the checks before them)."""
     p = np.asarray(p, dtype=float)
     if p.shape != (patch.n,):
         raise DomainError(f"parameter point has shape {p.shape}, expected ({patch.n},)")
     key = p.tobytes()
     frame = patch._last_frame.get(key)
     if frame is None:
-        frames, errors, distances = _frames_at(patch, p[None], jet_at)
+        frames, errors, distances = frames_at(patch, p[None], jets)
         raise_first(errors)
         frame = frames[0]
         patch._last_frame.clear()
@@ -538,7 +534,7 @@ class GridSamples:
     skipped: list  # (param, reason)
     patch: HypersurfacePatch
     cell: np.ndarray  # (n,) the grid's step per axis
-    # the distances of the kept rows that oriented the normal, or None (see _frames_at)
+    # the distances of the kept rows that oriented the normal, or None (see frames_at)
     _rho: np.ndarray | None = field(default=None, repr=False)
 
     @cached_property
@@ -568,7 +564,7 @@ class GridSamples:
 def sample_grid(patch: HypersurfacePatch, resolution) -> GridSamples:
     """Frames at the rows of ``patch.grid(resolution)``, each point once; skips those without one."""
     P, cell = patch.grid(resolution)
-    frames, errors, distances = _frames_at(patch, P)
+    frames, errors, distances = frames_at(patch, P)
     if not len(frames.param):
         raise EmptySampleError("every grid point was rejected")
     skipped = [(P[i], f"{type(errors[i]).__name__}: {errors[i]}")

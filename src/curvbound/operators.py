@@ -35,14 +35,13 @@ origin is validated once per patch (:func:`_distance_field_at`).
 
 from __future__ import annotations
 
-from contextlib import suppress
 from dataclasses import dataclass, field as attribute, replace
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
 from .charts import fd_differences, fd_stencil
-from .comparison import c_b, phi_b, phi_b_d1, phi_b_d2
+from .comparison import c_b
 from .curvature import TAU_ELL, convention_signs, trace_coefficients
 from .errors import (
     ConsistencyError,
@@ -60,7 +59,6 @@ from .errors import (
 from .immersion import (
     HypersurfacePatch,
     PointFrame,
-    _frame_at,
     frame_at,
     frames_at,
     induced_metric,
@@ -100,6 +98,12 @@ class DistanceField:
 
     def jet(self, x):
         return distance_jet(self.model, self.origin, x)[:4]
+
+    def value(self, x):
+        """The distances at points x (..., m); raises the first row's GeometryError."""
+        u, errors = distance_rows(self.model, self.origin, x)
+        raise_first(errors)
+        return u
 
 
 @dataclass(frozen=True)
@@ -158,13 +162,6 @@ class ComposedField:
                     + d1u[..., None, None] * base_hessian(d1, metric))
 
         return self.fn(u), d1u[..., None] * g, hessian, errors
-
-
-def phi_of_distance_field(model: AmbientModel, origin: np.ndarray, b: float) -> ComposedField:
-    """The bounded composition phi_b(rho), the function the estimates drive."""
-    return ComposedField(
-        DistanceField(model, origin), partial(phi_b, b), partial(phi_b_d1, b), partial(phi_b_d2, b)
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,22 +238,21 @@ def restrict_field(patch: HypersurfacePatch, field, frame: PointFrame) -> FieldS
 # ---------------------------------------------------------------------------
 
 
-def intrinsic_hessian_fd(patch: HypersurfacePatch, scalar_fn, p: np.ndarray) -> np.ndarray:
+def intrinsic_hessian_fd(patch: HypersurfacePatch, scalar_fn, p: np.ndarray,
+                         jets=None) -> np.ndarray:
     """Intrinsic Hessian at p (n,) of u = scalar_fn∘f via Christoffel symbols.
 
-    ``scalar_fn`` maps ambient positions (..., m) to (...).  ``patch.jet_at``
-    is called once, on the central-difference stencil of the patch's FD-jet
-    steps (:func:`curvbound.charts.fd_stencil`), and ``scalar_fn`` once, on
-    its positions.  The result is d_i d_j u - Gamma^l_ij d_l u, chart-level:
-    no ambient Hessian identity.
+    ``scalar_fn`` maps ambient positions (..., m) to (...).  ``jets`` are the
+    chart jets on the central-difference stencil of the patch's FD-jet steps
+    (:func:`curvbound.charts.fd_stencil`, S = 1 + 2n^2 rows), of shapes
+    (S, m), (S, m, n) and (S, m, n, n), if the caller has them; they must be
+    ``patch.jet_at``'s there.  Without them ``patch.jet_at`` is called once,
+    on the stencil.  ``scalar_fn`` is called once, on their positions.  The
+    result is d_i d_j u - Gamma^l_ij d_l u, chart-level: no ambient Hessian
+    identity.
     """
-    return _christoffel_hessian(patch, scalar_fn, patch.jet_at(fd_stencil(p, patch._fd_steps)))
-
-
-def _christoffel_hessian(patch: HypersurfacePatch, scalar_fn, jets) -> np.ndarray:
-    """:func:`intrinsic_hessian_fd` from the chart jets on its stencil."""
     n = patch.n
-    x, d1, _ = jets
+    x, d1, _ = patch.jet_at(fd_stencil(p, patch._fd_steps)) if jets is None else jets
     g = induced_metric(d1, patch.ambient.metric_diag)
     values = np.concatenate([scalar_fn(x)[..., None], g.reshape(g.shape[:-2] + (n * n,))], -1)
     x, d1, d2 = fd_differences(values, patch._fd_steps)
@@ -286,46 +282,34 @@ def _distance_field_at(patch: HypersurfacePatch, origin: np.ndarray) -> Distance
 def restriction_hessian(patch: HypersurfacePatch, o: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Intrinsic Hessian of u = rho∘f, identity route, FD cross-checked on every call.
 
-    One chart call serves the point: the jets on the oracle's stencil
-    (:func:`intrinsic_hessian_fd`), whose row 0 is p itself, give the frame
-    its row when the patch keeps no frame of p, so the frame is the one
-    :func:`frame_at` builds, bit for bit.  The stencil is evaluated once: a
-    GeometryError it raises leaves p's row to a chart call of its own and is
-    raised by the oracle.  The errors keep their order: p's frame, then the
-    restriction (:func:`restriction_at`), then the oracle.  So on a patch over
-    a :class:`~curvbound.charts.TabulatedChart`, whose table the stencil never
-    lands on, every call raises the stencil's DomainError ("parameter point is
-    not tabulated") after p's frame and restriction are built.
+    One chart call serves the point: ``patch.jet_at`` on the oracle's stencil
+    (:func:`intrinsic_hessian_fd`).  When the patch keeps no frame of p and p
+    has shape (n,) and lies in the box, it is made first, and its jets are
+    passed on: row 0, which is p itself, as the ``jets`` of :func:`frame_at`,
+    whose frame is then the one it builds without them, bit for bit, and the
+    whole stencil as the oracle's.  On a kept frame the oracle makes it.  A
+    GeometryError of that call leaves p's frame to a chart call of its own
+    and is raised by the oracle.  The errors keep their order: p's frame,
+    then the restriction (:func:`restriction_at`), then the oracle.  So on a
+    patch over a :class:`~curvbound.charts.TabulatedChart`, whose table the
+    stencil never lands on, every call raises the stencil's DomainError
+    ("parameter point is not tabulated") after p's frame and restriction are
+    built.
     """
     field = _distance_field_at(patch, o)
     p = np.asarray(p, dtype=float)
-    stencil = []  # the chart jets on the oracle's stencil, or the GeometryError they raised
-
-    def stencil_jets():
-        if not stencil:
-            try:
-                stencil.append(patch.jet_at(fd_stencil(p, patch._fd_steps)))
-            except GeometryError as exc:
-                stencil.append(exc)
-        if isinstance(stencil[0], GeometryError):
-            raise stencil[0]
-        return stencil[0]
-
-    def own_row(P):  # p[None] once p passed the frame's checks before its jets, else no rows
-        if len(P):
-            with suppress(GeometryError):  # the oracle raises it, after p's own errors
-                return tuple(a[:1] for a in stencil_jets())
-        return patch.jet_at(P)
-
-    _frame_at(patch, p, own_row)
+    jets = failure = None  # the chart jets on the oracle's stencil, or their GeometryError
+    # taken for a frame to build, at a p that passes frame_at's checks before the jets
+    if p.shape == (patch.n,) and patch.contains(p) and p.tobytes() not in patch._last_frame:
+        try:
+            jets = patch.jet_at(fd_stencil(p, patch._fd_steps))
+        except GeometryError as exc:
+            failure = exc
+    frame_at(patch, p, None if jets is None else [a[:1] for a in jets])
     sample = restriction_at(patch, p, field)
-
-    def rho(x):
-        values, errors = distance_rows(field.model, field.origin, x)
-        raise_first(errors)
-        return values
-
-    fd = _christoffel_hessian(patch, rho, stencil_jets())
+    if failure is not None:
+        raise failure
+    fd = intrinsic_hessian_fd(patch, field.value, p, jets)  # on a kept frame, its own chart call
     scale = max(1.0, float(np.abs(sample.hess).max()))
     if np.abs(sample.hess - fd).max() > 1e-4 * scale:
         raise ConsistencyError(
@@ -485,7 +469,7 @@ def _evaluate_rows(patch, field, k, Q):
     ``records`` = (param, u, |grad u|, q L_k u) of the rows without a
     GeometryError in ``errors``; ``excluded`` counts the rows where Tr P_k <= TAU_ELL.
     """
-    frames, errors = frames_at(patch, Q)
+    frames, errors, _ = frames_at(patch, Q)
     rows = np.flatnonzero(~failed(errors))
     sample = restrict_field(patch, field, frames)
     tr = frames.newton_trace(k)

@@ -151,10 +151,10 @@ MUTANTS = [
     ("cache: entry kept across points", "immersion.py",
      "        patch._last_frame.clear()\n", ""),
     ("cache: FD check skipped on a hit", "operators.py",
-     "    fd = _christoffel_hessian(patch, rho, stencil_jets())\n",
+     "    fd = intrinsic_hessian_fd(patch, field.value, p, jets)",
      "    hit = getattr(sample, 'checked', False)\n"
      "    object.__setattr__(sample, 'checked', True)\n"
-     "    fd = sample.hess if hit else _christoffel_hessian(patch, rho, stencil_jets())\n"),
+     "    fd = sample.hess if hit else intrinsic_hessian_fd(patch, field.value, p, jets)"),
     ("cache: the sample's principal-frame arrays writable", "operators.py",
      "return read_only(np.vecdot(E, self.hess @ E, axis=-2))",
      "return np.vecdot(E, self.hess @ E, axis=-2)"),
@@ -165,10 +165,15 @@ MUTANTS = [
     ("fd_stencil: row 0 built as p + 0 h", "charts.py",
      "    Q[0] = p  # p + 0 h would turn a -0.0 coordinate into +0.0\n", ""),
     ("restriction_hessian: the frame built from stencil row 1", "operators.py",
-     "return tuple(a[:1] for a in stencil_jets())", "return tuple(a[1:2] for a in stencil_jets())"),
+     "[a[:1] for a in jets]", "[a[1:2] for a in jets]"),
     ("restriction_hessian: a failing stencil evaluated again", "operators.py",
-     "            except GeometryError as exc:\n                stencil.append(exc)\n",
-     "            except GeometryError:\n                raise\n"),
+     "        except GeometryError as exc:\n            failure = exc\n",
+     "        except GeometryError:\n            pass\n"),
+    ("restriction_hessian: the stencil evaluated before p's box check", "operators.py",
+     "if p.shape == (patch.n,) and patch.contains(p) and",
+     "if p.shape == (patch.n,) and"),
+    ("restriction_hessian: a kept frame's stencil evaluated before the restriction",
+     "operators.py", " and p.tobytes() not in patch._last_frame:", ":"),
     # a scenario's samples: the patch's grid and the distances to its center
     ("collect_samples: the distances are not evaluated", "harness.py",
      "    samples.u  # a kept row without a distance raises here, skipped rows or not\n", ""),

@@ -15,9 +15,9 @@ routines in single-point calls that raise the first error:
 - distance: model geodesics, single-point wrappers of the distance gradient
   and of the closed-form Hessian (whose ``hessian(d1, metric)`` takes a
   tangent matrix and its metric: Hess rho(X, Y) is entry (0, 1) on the
-  two-column matrix [X, Y] and its Gram matrix), and a five-point
+  two-column matrix [X, Y] and its Gram matrix), a five-point
   finite-difference Hessian along a geodesic that never touches the closed
-  forms;
+  forms, and the composed field phi_b(rho) the estimates drive;
 - frames: the congruence and shape operators of stacked metrics in the
   samples-first layout, from the library's elimination on [g | I], and the
   same by an explicit LDL^T factor and forward substitution, the reference
@@ -32,13 +32,13 @@ Sign conventions are those of :mod:`curvbound.curvature`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from operator import mul
 
 import numpy as np
 
 from curvbound.charts import grid_points
-from curvbound.comparison import cs, sn
+from curvbound.comparison import cs, phi_b, phi_b_d1, phi_b_d2, sn
 from curvbound.curvature import (
     TAU_ELL,
     binomials,
@@ -62,6 +62,7 @@ from curvbound.immersion import (
     induced_metric,
     ldl,
 )
+from curvbound.operators import ComposedField, DistanceField
 from curvbound.spaceform import (
     RIEMANNIAN,
     AmbientModel,
@@ -333,6 +334,14 @@ def hessian_comparison_residual(
     """
     hess = fd_distance_hessian_quadform(model, o, x, X)
     return hess - distance_hessian_quadform(model, o, x, X)
+
+
+def phi_of_distance_field(model: AmbientModel, origin: np.ndarray, b: float) -> ComposedField:
+    """The bounded composition phi_b(rho), the function the estimates drive, as a
+    :class:`~curvbound.operators.ComposedField` of the distance to ``origin``."""
+    return ComposedField(
+        DistanceField(model, origin), partial(phi_b, b), partial(phi_b_d1, b), partial(phi_b_d2, b)
+    )
 
 
 # ---------------------------------------------------------------------------

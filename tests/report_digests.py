@@ -18,7 +18,13 @@ It prints one line per digest, ``<what> <digest>``:
   for a few growth bounds and arguments;
 - ``point``: ``restriction_hessian``, ``key_inequality_residual`` and
   ``l_k_apply`` (k = 0, 1) at seeded points on the four probe charts, the
-  bytes of each value or the type and message of each error;
+  bytes of each value or the type and message of each error; the same at
+  points the frame rejects (of shape (3,), with a NaN or infinite
+  coordinate, outside the box), at the parameter origin and at a point that
+  is its own reference point, and at a node of a tabulated sphere; and per
+  chart, in place of a digest, the shapes of its chart calls in order
+  (``9x2*6,0x2*5``: six calls of shape (9, 2), then five of (0, 2)), so a
+  diff shows a change of error order or of the chart calls per point;
 - ``search``: every field of two ``omori_yau_search`` reports.
 
 Run it from the root of a checkout:
@@ -158,16 +164,63 @@ def outcome(call) -> bytes:
         return f"{type(exc).__name__}: {exc}".encode()
 
 
-def point_digests() -> dict:
-    """The single-point calls at seeded points on the four probe charts, one digest per call."""
-    import numpy as np
-    from curvbound.immersion import build_patch
+def single_point_calls(patch, o, p) -> dict:
+    """The single-point calls at p with reference point o: name -> a call of no arguments."""
     from curvbound.operators import (
         DistanceField,
         key_inequality_residual,
         l_k_apply,
         restriction_hessian,
     )
+
+    field = DistanceField(patch.ambient, o)
+    calls = {"restriction_hessian": lambda: restriction_hessian(patch, o, p)}
+    for k in (0, 1):
+        calls[f"key_inequality_residual k={k}"] = (
+            lambda k=k: key_inequality_residual(patch, p, k, origin=o))
+        calls[f"l_k_apply k={k}"] = lambda k=k: l_k_apply(patch, p, k, field)
+    return calls
+
+
+def rejected_points(patch) -> dict:
+    """Points the frame rejects before any chart jet: what -> p."""
+    import numpy as np
+
+    middle = patch.domain_lo + 0.5 * patch.domain_width
+    points = {"shape (3,)": np.zeros(3)}
+    for what, axis, value in (("nan p0", 0, np.nan), ("nan p1", 1, np.nan),
+                              ("inf p0", 0, np.inf), ("-inf p1", 1, -np.inf),
+                              ("above p0", 0, patch.domain_hi[0] + patch.domain_width[0]),
+                              ("below p1", 1, patch.domain_lo[1] - 0.5 * patch.domain_width[1])):
+        points[what] = middle.copy()
+        points[what][axis] = value
+    return points
+
+
+def chart_call_shapes(shapes: list) -> str:
+    """The shapes of a run of chart calls, run-length coded: ``9x2*6,0x2*5``."""
+    runs = []
+    for shape in shapes:
+        code = "x".join(map(str, shape))
+        if runs and runs[-1][0] == code:
+            runs[-1][1] += 1
+        else:
+            runs.append([code, 1])
+    return ",".join(f"{code}*{count}" for code, count in runs) or "none"
+
+
+def point_digests(tmp: Path) -> dict:
+    """The single-point calls on the four probe charts and a tabulated sphere, one digest per
+    call and case, and per chart the shapes of its ``patch.jet_at`` calls, in order.
+
+    The cases are seeded points; on each probe chart, the points :func:`rejected_points`
+    names, the parameter origin, and the middle of the box with its own image as the
+    reference point (the restriction's error); on the table, a node with the center as
+    the reference point (the oracle's error) and with the node's own image.
+    """
+    import numpy as np
+    from curvbound.charts import build_chart, write_chart_csv
+    from curvbound.immersion import HypersurfacePatch, build_patch
     from curvbound.spaceform import AmbientModel
 
     E3, S3 = AmbientModel.euclidean(3), AmbientModel.sphere(1.0, 3)
@@ -183,22 +236,44 @@ def point_digests() -> dict:
         ("perturbed-hyperboloid", build_patch(M3, "perturbed_hyperboloid", {"radius": 2.0}),
          origin),
     )
+    sphere = build_chart(E3, "sphere", {"radius": 1.0})
+    write_chart_csv(sphere, *sphere.default_domain(), 9, tmp / "sphere.csv", include_jets=True)
+    table = build_patch(E3, "tabulated", {"path": str(tmp / "sphere.csv")}, center=origin)
+    node = np.array([table.chart.axes[0][4], table.chart.axes[1][3]])
     rng = np.random.default_rng(POINT_SEED)
-    digests = {}
-    for label, patch, o in charts:
-        field = DistanceField(patch.ambient, o)
-        parts = {}
-        for _ in range(POINTS_PER_CHART):
-            p = patch.domain_lo + rng.uniform(0.1, 0.9, patch.n) * patch.domain_width
-            calls = {"restriction_hessian": lambda: restriction_hessian(patch, o, p)}
-            for k in (0, 1):
-                calls[f"key_inequality_residual k={k}"] = (
-                    lambda k=k: key_inequality_residual(patch, p, k, origin=o))
-                calls[f"l_k_apply k={k}"] = lambda k=k: l_k_apply(patch, p, k, field)
-            for name, call in calls.items():
-                parts.setdefault(name, []).append(outcome(call))
-        for name, values in parts.items():
-            digests[f"{label} {name}"] = sha(b"|".join(values))
+    digests, shapes, jet_at = {}, [], HypersurfacePatch.jet_at
+
+    def recorded(patch, p):
+        shapes.append(np.shape(p))
+        return jet_at(patch, p)
+
+    HypersurfacePatch.jet_at = recorded
+    try:
+        for label, patch, o in charts:
+            shapes.clear()
+            parts = {}
+            for _ in range(POINTS_PER_CHART):
+                p = patch.domain_lo + rng.uniform(0.1, 0.9, patch.n) * patch.domain_width
+                for name, call in single_point_calls(patch, o, p).items():
+                    parts.setdefault(name, []).append(outcome(call))
+            for name, values in parts.items():
+                digests[f"{label} {name}"] = sha(b"|".join(values))
+            middle = patch.domain_lo + 0.5 * patch.domain_width
+            cases = {**{f"rejected {what}": (p, o) for what, p in rejected_points(patch).items()},
+                     "param origin": (np.zeros(patch.n), o),
+                     "at the reference point": (middle, patch.chart.value(middle))}
+            for what, (p, ref) in cases.items():
+                values = [outcome(call) for call in single_point_calls(patch, ref, p).values()]
+                digests[f"{label} {what}"] = sha(b"|".join(values))
+            digests[f"{label} chart calls"] = chart_call_shapes(shapes)
+        shapes.clear()
+        for what, ref in (("node", origin),
+                          ("node at the reference point", table.chart.value(node))):
+            values = [outcome(call) for call in single_point_calls(table, ref, node).values()]
+            digests[f"tabulated-sphere {what}"] = sha(b"|".join(values))
+        digests["tabulated-sphere chart calls"] = chart_call_shapes(shapes)
+    finally:
+        HypersurfacePatch.jet_at = jet_at
     return digests
 
 
@@ -206,12 +281,10 @@ def search_digests() -> dict:
     """Every field of the searches on the unit sphere (height) and the ellipsoid (phi_0(rho))."""
     import numpy as np
     from curvbound.immersion import build_patch
-    from curvbound.operators import (
-        LinearCoordinateField,
-        omori_yau_search,
-        phi_of_distance_field,
-    )
+    from curvbound.operators import LinearCoordinateField, omori_yau_search
     from curvbound.spaceform import AmbientModel
+
+    from oracles import phi_of_distance_field
 
     E3, origin = AmbientModel.euclidean(3), np.zeros(3)
     sphere = build_patch(E3, "sphere", {"radius": 1.0}, center=origin)
@@ -248,8 +321,8 @@ def print_digests(src: Path) -> None:
         for b, t in COMPARISON_ARGS:
             stdout = run(["comparison", "--b", b, "--t", t], tmp)
             print(f"comparison b={b} t={t} stdout {sha(stdout)}", flush=True)
-    for what, digest in point_digests().items():
-        print(f"point {what} {digest}", flush=True)
+        for what, digest in point_digests(tmp).items():
+            print(f"point {what} {digest}", flush=True)
     for what, digest in search_digests().items():
         print(f"search {what} {digest}", flush=True)
 

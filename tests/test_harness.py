@@ -15,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import curvbound
-from curvbound import harness, immersion
+from curvbound import harness, immersion, operators
 from curvbound.cli import main
 from curvbound.curvature import complement_symmetric, signed_values
 from curvbound.errors import ConfigError, DomainError
@@ -462,7 +462,7 @@ def test_refined_extrema_match_a_long_halving_reference(monkeypatch, resolution)
 def test_grid_distances_are_measured_once_per_riemannian_run(monkeypatch):
     # the grid's u is the distance that oriented its normals: one grid-sized
     # evaluation per run, and each kept row's u is distance_rows' bit for bit
-    from curvbound import operators, spaceform
+    from curvbound import spaceform
 
     sizes = []
     for module in (spaceform, immersion, harness, operators):
@@ -647,7 +647,7 @@ def test_non_finite_jets_are_skipped_not_fatal(tmp_path, capsys):
     assert (checks["skipped-samples"]["status"], checks["skipped-samples"]["residual"]) == (
         "info", 2.0)
     patch = scenario_patch(load_scenario(scenario))
-    _, errors = frames_at(patch, grid_points(grid_axes(patch.domain_lo, patch.domain_hi, 12)))
+    errors = frames_at(patch, grid_points(grid_axes(patch.domain_lo, patch.domain_hi, 12)))[1]
     assert np.flatnonzero(failed(errors)).tolist() == [17, 90]
     assert all(type(errors[i]) is DomainError for i in (17, 90))
     assert "not finite" in str(errors[17])
@@ -703,15 +703,16 @@ def test_emit_samples_csv(tmp_path):
 
 def test_cli_emit_samples_builds_one_grid(tmp_path, monkeypatch):
     # the CSV is written from the frames the run sampled, not from a second grid;
-    # every frame batch, the grid's and frames_at's, is built by _frames_at
+    # every frame batch, the grid's and each other caller's, is built by frames_at
     rows = []
-    build = immersion._frames_at
+    build = immersion.frames_at
 
-    def counted(patch, P):
+    def counted(patch, P, jets=None):
         rows.append(len(P))
-        return build(patch, P)
+        return build(patch, P, jets)
 
-    monkeypatch.setattr(immersion, "_frames_at", counted)
+    for module in (immersion, operators):
+        monkeypatch.setattr(module, "frames_at", counted)
     path = tmp_path / "run.csv"
     assert main(["verify", "--scenario", "ellipsoid", "--resolution", "16",
                  "--emit-samples", str(path)]) == 0

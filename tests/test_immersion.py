@@ -695,7 +695,7 @@ def test_degeneracy_floor_sits_between_thin_and_collapsed_cylinders(radius, kept
         with pytest.raises(EmptySampleError, match="every grid point was rejected"):
             sample_grid(patch, 8)
         P = grid_points(grid_axes(patch.domain_lo, patch.domain_hi, 8))
-        frames, errors = frames_at(patch, P)
+        frames, errors, _ = frames_at(patch, P)
         assert all(isinstance(e, ImmersionDegeneracyError) for e in errors)
 
 
@@ -1340,7 +1340,7 @@ def test_a_write_to_a_chart_parameter_array_leaves_the_kept_frame_valid():
     kept = frame_at(patch, p)
     axes[0] = 2.0
     assert not np.shares_memory(patch.chart.semi_axes, axes)
-    frames, _ = frames_at(patch, p[None])
+    frames = frames_at(patch, p[None])[0]
     assert np.array_equal(frame_at(patch, p).kappa, frames.kappa[0])
     assert np.array_equal(kept.kappa, frames.kappa[0])
 

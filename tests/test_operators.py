@@ -54,7 +54,6 @@ from curvbound.operators import (
     newton_quadratic,
     omori_yau_search,
     operator_data,
-    phi_of_distance_field,
     restrict_field,
     restriction_at,
     restriction_hessian,
@@ -63,7 +62,13 @@ from curvbound.operators import (
 from curvbound.spaceform import AmbientModel
 
 from conftest import coincident_rows, congruent, counted, equality_spheres
-from oracles import geodesic_point, higher_mean_curvatures, newton_tensors, symmetric_values
+from oracles import (
+    geodesic_point,
+    higher_mean_curvatures,
+    newton_tensors,
+    phi_of_distance_field,
+    symmetric_values,
+)
 
 E2 = AmbientModel.euclidean(2)
 E3 = AmbientModel.euclidean(3)
@@ -639,8 +644,8 @@ def test_single_point_calls_on_a_kept_frame_are_bit_identical(monkeypatch, patch
     # restriction_hessian call
     patch = dataclasses.replace(patch)  # one that has kept nothing from other tests
     calls = {name: counted(monkeypatch, owner, name) for owner, name in (
-        (immersion, "_frames_at"), (operators, "restrict_field"),
-        (operators, "_christoffel_hessian"), (immersion, "signed_values"),
+        (immersion, "frames_at"), (operators, "restrict_field"),
+        (operators, "intrinsic_hessian_fd"), (immersion, "signed_values"),
         (HypersurfacePatch, "jet_at"))}
     field = DistanceField(patch.ambient, o)
     points = interior_points(patch, np.random.default_rng(15), 5)
@@ -653,29 +658,29 @@ def test_single_point_calls_on_a_kept_frame_are_bit_identical(monkeypatch, patch
     # one of each per point on the kept patch; one per call on the fresh copies
     n = len(points)
     assert {name: len(c) for name, c in calls.items()} == {
-        "_frames_at": n + 5 * n, "restrict_field": n + 5 * n,
-        "_christoffel_hessian": n + n, "signed_values": n + 5 * n, "jet_at": n + 5 * n}
-    for name in ("_frames_at", "restrict_field", "_christoffel_hessian", "jet_at"):
+        "frames_at": n + 5 * n, "restrict_field": n + 5 * n,
+        "intrinsic_hessian_fd": n + n, "signed_values": n + 5 * n, "jet_at": n + 5 * n}
+    for name in ("frames_at", "restrict_field", "intrinsic_hessian_fd", "jet_at"):
         assert sum(args[0] is patch for args in calls[name]) == n, name
     restriction_hessian(patch, o, points[-1])  # a repeated call runs the oracle again
-    assert sum(args[0] is patch for args in calls["_christoffel_hessian"]) == n + 1
+    assert sum(args[0] is patch for args in calls["intrinsic_hessian_fd"]) == n + 1
     assert sum(args[0] is patch for args in calls["jet_at"]) == n + 1
 
 
 @contextlib.contextmanager
 def recorded_oracle():
     """The FD Hessians the oracle behind restriction_hessian returns, while the block runs."""
-    results, oracle = [], operators._christoffel_hessian
+    results, oracle = [], operators.intrinsic_hessian_fd
 
     def recording(*args):
         results.append(oracle(*args))
         return results[-1]
 
-    operators._christoffel_hessian = recording
+    operators.intrinsic_hessian_fd = recording
     try:
         yield results
     finally:
-        operators._christoffel_hessian = oracle
+        operators.intrinsic_hessian_fd = oracle
 
 
 def probe_point(patch, kind, fractions, axis, high):
@@ -764,29 +769,53 @@ def tabulated_sphere(tmp_path):
     return table, np.array([table.chart.axes[0][4], table.chart.axes[1][3]])
 
 
-def test_restriction_hessian_raises_the_frame_then_the_restriction_then_the_oracle(tmp_path):
-    # one chart call on the oracle's stencil gives the frame its row, but the
+def test_restriction_hessian_raises_the_frame_then_the_restriction_then_the_oracle(
+        tmp_path, monkeypatch):
+    # one chart call on the oracle's stencil gives a new frame its row, but the
     # errors keep their order: a tabulated patch has no jets on the stencil
     # (an oracle error), a point outside the box no frame and a point on the
-    # reference point no distance gradient (a restriction error)
+    # reference point no distance gradient (a restriction error); the stencil
+    # comes first only for a frame to build at a p of shape (n,) in the box (at
+    # p = (inf, 0.5) the charts warn): the frame's own check rejects any other
+    # p, with one empty chart call or, for a p of another shape, none, and on a
+    # kept frame the oracle alone takes the stencil, after the restriction
     table, node = tabulated_sphere(tmp_path)
     at_node = table.chart.value(node)
     cases = [
-        (table, np.zeros(3), node, DomainError, "not tabulated"),
-        (table, np.zeros(3), node + 0.01, DomainError, "not tabulated"),
-        (table, np.zeros(3), np.array([5.0, 1.0]), DomainError, "outside the patch domain"),
-        (table, at_node, node, UndefinedGradientError, None),
-        (ellipsoid_patch(), np.zeros(3), np.array([5.0, 1.0]), DomainError, "outside the patch"),
+        (table, np.zeros(3), node, DomainError, "not tabulated", [(9, 2), (1, 2)]),
+        (table, np.zeros(3), node + 0.01, DomainError, "not tabulated", [(9, 2), (0, 2)]),
+        (table, np.zeros(3), np.array([5.0, 1.0]), DomainError, "outside the patch domain",
+         [(0, 2)]),
+        (table, at_node, node, UndefinedGradientError, None, [(9, 2), (1, 2)]),
+        (ellipsoid_patch(), np.zeros(3), np.array([5.0, 1.0]), DomainError, "outside the patch",
+         [(0, 2)]),
         (ellipsoid_patch(), EllipsoidChart(np.zeros(3), np.array([0.6, 1.0, 1.0])).value(
-            np.array([1.0, 2.0])), np.array([1.0, 2.0]), UndefinedGradientError, None),
+            np.array([1.0, 2.0])), np.array([1.0, 2.0]), UndefinedGradientError, None, [(9, 2)]),
     ]
-    for patch, o, p, kind, message in cases:
+    for param in probe_patches():
+        patch, o = param.values
+        middle = patch.domain_lo + 0.5 * patch.domain_width
+        cases.append((patch, o, np.zeros(3), DomainError, "has shape (3,)", []))
+        for axis, value in ((0, np.nan), (1, np.nan), (0, np.inf), (1, -np.inf),
+                            (0, patch.domain_hi[0] + patch.domain_width[0]),
+                            (1, patch.domain_lo[1] - 0.5 * patch.domain_width[1])):
+            p = middle.copy()
+            p[axis] = value
+            cases.append((patch, o, p, DomainError, "outside the patch domain", [(0, 2)]))
+    calls = counted(monkeypatch, HypersurfacePatch, "jet_at")
+    for patch, o, p, kind, message, shapes in cases:
         want = staged_error(patch, o, p)
         assert want is not None and want[0] is kind and (message is None or message in want[1])
+        calls.clear()
         assert first_error(restriction_hessian, dataclasses.replace(patch), o, p) == want
+        assert [np.shape(q) for _, q in calls] == shapes, (p, want)
         kept = dataclasses.replace(patch)  # the same on a patch that keeps p's frame
         if first_error(frame_at, kept, p) is None:
+            restricted = first_error(restriction_at, dataclasses.replace(patch), p,
+                                     DistanceField(patch.ambient, o)) is None
+            calls.clear()
             assert first_error(restriction_hessian, kept, o, p) == want
+            assert [np.shape(q) for _, q in calls] == ([(9, 2)] if restricted else []), (p, want)
 
 
 @pytest.mark.parametrize("origin", ["center", "node"])
@@ -1228,7 +1257,7 @@ def test_search_skips_rows_beyond_comparison_radius():
     report = omori_yau_search(patch, field, 0, resolution=10, rounds=2)
     assert (report.skipped, report.excluded) == (27, 0)
     assert report.u_star < np.pi / 2
-    frames, _ = frames_at(patch, patch.grid(10)[0])
+    frames = frames_at(patch, patch.grid(10)[0])[0]
     beyond = frames.param[np.vecdot(frames.position, far) <= 0.0]
     assert len(beyond) == 27
     with pytest.raises(DomainError):

@@ -1,15 +1,8 @@
 """curvbound: numerical verification of sharp mean-curvature bounds.
 
-Toolkit for hypersurfaces immersed in constant-curvature model spaces, in
-both Riemannian and Lorentzian signature: curvature algebra (elementary
-symmetric functions, the H_k and Newton-tensor spectra, trace operators),
-scalar comparison functions, distance restriction operators, and a
-scenario-driven verification harness.
-
-Importing the package sets the process's glibc heap policy once (see
-``_keep_freed_heap``): memory the frame path frees stays mapped, so a warm
-``run_scenario`` takes no page faults.  A host that wants glibc's defaults
-back calls ``mallopt`` itself after the import.
+The package re-exports the public objects of its modules.  Importing it sets the
+process's glibc heap policy once (:func:`_keep_freed_heap`).  README's "Design"
+section describes the pipeline stage by stage.
 """
 
 import ctypes
@@ -25,20 +18,10 @@ _TRIM_THRESHOLD_BYTES = 8 * 2**20
 def _keep_freed_heap() -> None:
     """Keep the heap that transient batch arrays free mapped, where libc has ``mallopt``.
 
-    Under glibc's defaults the freed top of the heap goes back to the kernel
-    and the next scenario faults it in again; README section "Memory" gives
-    the fault counts and heap sizes.  Two thresholds stop that, each with
-    room above what resolution 64 needs:
-
-    - ``M_MMAP_THRESHOLD`` 4 MiB: smaller blocks come from the heap, not from
-      a fresh mmap on every call.  Setting the trim threshold alone would
-      freeze glibc's dynamic mmap threshold at 128 KiB, and a grid's larger
-      jet arrays would still be mapped anew on every call.
-    - ``M_TRIM_THRESHOLD`` 8 MiB: the heap keeps at most 8 MiB free above its
-      live data, at least twice the per-scenario transient peak.
-
-    Where the lookup fails (no ``mallopt`` on macOS; ``CDLL(None)`` raises
-    TypeError on Windows) this does nothing; on musl ``mallopt`` is a stub.
+    Sets ``M_MMAP_THRESHOLD`` to 4 MiB and ``M_TRIM_THRESHOLD`` to 8 MiB; README
+    section "Memory" gives the reason for each.  Where the lookup fails (no
+    ``mallopt`` on macOS; ``CDLL(None)`` raises TypeError on Windows) this does
+    nothing; on musl ``mallopt`` is a stub.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

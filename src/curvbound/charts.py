@@ -1,12 +1,7 @@
-"""Built-in chart library: parametric immersions with exact second-order jets.
+"""Parametric charts with exact second-order jets, and the finite-difference stencil.
 
-Every chart maps an axis-aligned parameter box into the flat embedding space
-of an ambient model.  Charts that can supply closed-form first and second
-derivatives implement :meth:`Chart.jet`; the rest fall back to finite
-differences inside the patch machinery.
-
-:func:`build_chart` makes a chart of a kind listed in ``_KINDS`` from keyword
-parameters: the kind's constructor signature is its parameter schema.
+:func:`build_chart` makes a chart of a kind in ``_KINDS``; the kind's constructor
+signature is its parameter schema (README's table of chart kinds).
 """
 
 from __future__ import annotations
@@ -35,11 +30,10 @@ POLAR_MARGIN = 0.15
 
 
 def hypersphere_direction(angles: np.ndarray) -> np.ndarray:
-    """Unit vectors on S^n (n = angles.shape[-1]); leading axes of ``angles`` are sample axes.
+    """Unit vectors on S^n (n = angles.shape[-1]) over the leading sample axes of ``angles``.
 
-    omega_0 = cos t_0, omega_j = sin t_0 .. sin t_{j-1} cos t_j, omega_n = sin t_0 .. sin t_{n-1}.
-    The prefix products of the sines are folded elementwise over the samples,
-    in the order and so with the bits of a cumulative product.
+    omega_0 = cos t_0, omega_j = sin t_0 .. sin t_{j-1} cos t_j, omega_n = sin t_0 ..
+    sin t_{n-1}; the prefix products of sines have the bits of a cumulative product.
     """
     return _direction(np.sin(angles), np.cos(angles))
 
@@ -56,11 +50,9 @@ def _direction(s: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def hypersphere_direction_jet(angles: np.ndarray):
-    """:func:`hypersphere_direction` with exact first/second jets.
+    """:func:`hypersphere_direction` with exact first and second jets.
 
-    Every component is a product of univariate sin/cos factors, so derivatives
-    are factor replacements and the pure second derivative is just -omega_j.
-    The value is built from the same sines and cosines as the derivatives.
+    The value is built from the sines and cosines the derivatives use.
     """
     angles = np.asarray(angles, dtype=float)
     batch, n = angles.shape[:-1], angles.shape[-1]
@@ -90,8 +82,8 @@ def hypersphere_direction_jet(angles: np.ndarray):
 def _unit_stencil(n: int) -> np.ndarray:
     """:func:`fd_jet`'s 1 + 2n^2 offsets (S, n) for unit steps, read-only, in stencil order.
 
-    Built from the unit vectors e_i by the signed sums that scaled steps would
-    take, so its product with positive steps has those sums' bits, signed zeros included.
+    Built by the signed sums that scaled steps would take, so their product with
+    positive steps has those sums' bits, signed zeros included.
     """
     e = np.eye(n)
     offsets = [np.zeros(n)]
@@ -116,8 +108,7 @@ def fd_stencil(p: np.ndarray, h: np.ndarray) -> np.ndarray:
 def fd_jet(value, p: np.ndarray, h: np.ndarray):
     """(position, d1, d2) of ``value`` at the points p (..., n) by central differences.
 
-    ``value`` maps (..., n) to (..., m) and is called once, on :func:`fd_stencil`;
-    :func:`fd_differences` takes the differences of its values.
+    ``value`` maps (..., n) to (..., m) and is called once, on :func:`fd_stencil`.
     """
     p = np.asarray(p, dtype=float)
     h = np.broadcast_to(np.asarray(h, dtype=float), p.shape)
@@ -169,12 +160,9 @@ def _angle_domain(n: int):
 class Chart:
     """Map from an n-dimensional parameter box into the embedding space.
 
-    ``value`` and ``jet`` take parameter points of shape (..., n); leading
-    axes are sample axes and carry through to the results.
-
-    A chart is immutable, so a frame a patch keeps cannot go stale: its constructor
-    sets each attribute once, to a read-only array or an immutable value, and
-    rebinding or deleting any attribute, a method included, raises AttributeError.
+    ``value`` and ``jet`` take points (..., n) and carry their leading sample axes.  A
+    chart is immutable: rebinding or deleting any attribute, a method included, raises
+    AttributeError.
     """
 
     nparams: int
@@ -194,16 +182,13 @@ class Chart:
         return self.jet(p)[0]
 
     def jet(self, p: np.ndarray):
-        """(position, d1, d2) with d1 of shape (..., m, n), d2 of shape (..., m, n, n).
-
-        Returns None when no closed-form jets are available.
-        """
+        """(position, d1 (..., m, n), d2 (..., m, n, n)), or None without closed-form jets."""
         return None
 
     def undefined(self, p: np.ndarray, jet: bool = False):
         """Per-row DomainError where ``value`` (``jet`` if set) is undefined at p, else None.
 
-        A chart defined by a formula on its whole parameter box has none.
+        A chart defined on its whole box keeps this base method.
         """
         return no_errors(np.shape(p)[:-1])
 
@@ -269,10 +254,7 @@ class CylinderChart(Chart):
 
 
 class PolynomialGraphChart(Chart):
-    """Graph of a polynomial height over a parameter box in Euclidean space.
-
-    ``terms`` is a list of (coefficient, exponent-tuple) pairs.
-    """
+    """Graph of a polynomial height over a box; ``terms`` are (coefficient, exponents) pairs."""
 
     def __init__(self, terms, box_lo, box_hi):
         self.box_lo = read_only_copy(box_lo)
@@ -320,12 +302,11 @@ class PolynomialGraphChart(Chart):
 
 
 class GeodesicSphereChart(Chart):
-    """Distance sphere (level set of rho) of radius r about a model point.
+    """Distance sphere of radius r about a model point.
 
-    Riemannian models: directions run over the unit sphere of the tangent
-    space at the center.  Lorentzian models: future timelike directions are
-    parametrized as v(y) = sqrt(1+|y|^2) T + y_j E_j over a box, which keeps
-    the chart smooth through y = 0.
+    Riemannian models: angles over the unit sphere of the tangent space at the center.
+    Lorentzian models: future timelike directions v(y) = sqrt(1+|y|^2) T + y_j E_j
+    over a box, smooth through y = 0.
     """
 
     def __init__(self, model: AmbientModel, center: np.ndarray, radius: float,
@@ -411,11 +392,9 @@ class GeodesicSphereChart(Chart):
 class PerturbedHyperboloidChart(Chart):
     """Hyperboloid graph with a dipole radial perturbation.
 
-    t(y) = sqrt(q(y)^2 + |y|^2) with q(y) = r + eps (e^{-|y-y0|^2} -
-    e^{-|y+y0|^2}), y0 = (offset, 0, ..).  The distance to the vertex is then
-    exactly q(y), so it attains an interior max near +y0 and an interior min
-    near -y0 -- the regime the sandwich estimate describes.  With eps = 0 the
-    chart is the distance sphere rho = r itself.
+    t(y) = sqrt(q(y)^2 + |y|^2), q(y) = r + eps (e^{-|y-y0|^2} - e^{-|y+y0|^2}), y0 =
+    (offset, 0, ..): the distance to the vertex is q(y), with an interior max near
+    +y0 and min near -y0.  With eps = 0 it is the distance sphere rho = r.
     """
 
     def __init__(self, center, radius, epsilon=0.01, offset=1.0, half_width=2.0):
@@ -475,12 +454,10 @@ class PerturbedHyperboloidChart(Chart):
 
 
 class TabulatedChart(Chart):
-    """Chart backed by a CSV table of samples on a complete regular grid.
+    """Chart backed by a CSV table on a complete regular grid (README: tabulated charts).
 
-    Columns: p0..p{n-1}, x0..x{m-1}, then optionally d1_{a}_{i} and
-    d2_{a}_{i}_{j} in row-major order.  Each parameter coordinate is matched
-    to the nearest grid value within 1e-9; evaluation anywhere else is
-    rejected.
+    A parameter coordinate matches the nearest grid value within ``MATCH_TOL``;
+    evaluation anywhere else is a DomainError.
     """
 
     MATCH_TOL = 1e-9
@@ -502,8 +479,7 @@ class TabulatedChart(Chart):
     def _lookup(self, p, jet=False):
         """(index, errors): per-axis grid index of each point of p (..., n).
 
-        With ``jet`` set on a table without jet columns, points on the grid
-        boundary fail too: their finite differences lack a neighbor.
+        With ``jet`` on a table without jet columns, boundary points fail too.
         """
         p = np.asarray(p, dtype=float)
         index = np.empty(p.shape, dtype=np.intp)

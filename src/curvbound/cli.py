@@ -1,15 +1,7 @@
-"""Command-line interface.
+"""Command line: ``curvbound verify | sturm | lambda | comparison | list-scenarios``.
 
-Subcommands:
-  verify          run a scenario file, optionally emitting a JSON report and
-                  a per-sample CSV dump
-  sturm           Sturm quotient comparison for a named growth bound
-  lambda          finite supremum of the barrier quotient
-  comparison      evaluate C_b, phi_b and C_{-b} at one point
-  list-scenarios  names of the bundled scenario files
-
-Exit codes: 0 all checks pass, 1 check failure, 2 hypothesis violation,
-3 usage or configuration error.
+README's "Command line" section gives the subcommands and the exit codes: 0 all
+checks pass, 1 check failure, 2 hypothesis violation, 3 usage or configuration error.
 """
 
 from __future__ import annotations

@@ -1,20 +1,10 @@
-"""Comparison functions and the Sturm/barrier machinery.
+"""Comparison functions, admissible growth bounds and the Sturm and barrier machinery.
 
-Contains the model functions sn_k, cs_k of constant curvature k, the
-geodesic-sphere mean curvature C_b, its primitive-side companion phi_b and
-the Lorentzian counterpart C_{-b} (each over a float or an array of t),
-admissible curvature-growth bounds G (over arrays of times), the Cauchy
-problem g'' = G^2 g, the explicit supersolution quotient psi, and the
-barrier ingredients phi (A10-style primitive) and the finite supremum
-Lambda.
-
-Everything here is numpy.  A growth bound carries its primitive
-I(t) = int_0^t G, so int G, psi, Lambda and the overflow guard of the Cauchy
-problem are closed forms.  The Cauchy problem is solved by fourth-order
-Magnus steps (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 2009): exact for a
-constant G, each step's propagator in closed form, and their prefix
-products taken over arrays.  The integrals of 1/G (the admissibility windows
-and phi_gamma) use composite Gauss-Legendre on geometrically graded panels."""
+numpy only: a growth bound carries its primitive, so every integral of G is a
+closed form, and the Cauchy problem g'' = G^2 g takes fourth-order Magnus steps
+(Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 2009).  README's "Design" section
+(scalar ODEs) summarizes the methods.
+"""
 
 from __future__ import annotations
 
@@ -48,11 +38,10 @@ def cs(k: float, t):
 
 
 def c_b(b: float, t):
-    """Mean curvature of the geodesic sphere of radius t, curvature b, per entry of t.
+    """Mean curvature of the geodesic sphere of radius t in curvature b, per entry of t.
 
-    sqrt(b) cot(sqrt(b) t) for b > 0 (valid for t < pi/(2 sqrt(b))),
-    1/t for b = 0, sqrt(-b) coth(sqrt(-b) t) for b < 0; cs/sn would overflow
-    to inf/inf from sqrt(|b|) t > 710 on.  Raises if b or any t is out of the domain.
+    sqrt(b) cot(sqrt(b) t) (for t < pi/(2 sqrt(b))), 1/t or sqrt(-b) coth(sqrt(-b) t).
+    A non-finite b or t, or a t outside the domain, raises DomainError.
     """
     t = np.asarray(t, dtype=float)
     if not (math.isfinite(b) and np.isfinite(t).all()):
@@ -75,10 +64,8 @@ def c_hat_b(b: float, t):
 def phi_b(b: float, t):
     """Increasing solution of phi'' - C_b(t) phi' = 0 with phi(0) = 0, per entry of t.
 
-    1 - cos(sqrt(b) t) for b > 0, t^2 for b = 0, cosh(sqrt(-b) t) - 1 for
-    b < 0.  The hyperbolic branch is the unique choice with phi' > 0 that
-    actually satisfies the defining equation (coth fails both).  So phi_b' and
-    phi_b'' are |b| sn_b and |b| cs_b (2 sn_0 and 2 cs_0 for b = 0).
+    1 - cos(sqrt(b) t), t^2 or cosh(sqrt(-b) t) - 1, so phi_b' = |b| sn_b and
+    phi_b'' = |b| cs_b (2 sn_0 and 2 cs_0 for b = 0).
     """
     return t * t if b == 0.0 else np.abs(1.0 - cs(b, t))
 
@@ -123,16 +110,11 @@ class AdmissibilityFlags:
 
 @dataclass(frozen=True)
 class CurvatureBoundG:
-    """A curvature-growth bound G with the three admissibility conditions.
+    """A curvature-growth bound G: G(0) > 0, G' >= 0 and 1/G not integrable at infinity.
 
-    Admissibility means G(0) > 0, G' >= 0 and 1/G not integrable at infinity.
-    The last condition is asymptotic, hence only heuristically checkable: we
-    accept G when the reciprocal integral over decade windows [10^k, 10^k+1]
-    is not shrinking geometrically (or when the total mass is already large).
-
-    ``fn``, ``dfn`` and ``ifn`` (G, G' and the primitive I(t) = int_0^t G)
-    take a float or an array of times; a constant may come back as a scalar,
-    and is broadcast to the times' shape.
+    ``fn``, ``dfn`` and ``ifn`` (G, G' and I(t) = int_0^t G) take a float or an
+    array of times; a scalar result is broadcast to their shape.  The last condition
+    is only checked heuristically, on decade windows (:meth:`admissibility`).
     """
 
     fn: Callable
@@ -153,10 +135,8 @@ class CurvatureBoundG:
     def reciprocal_integral(self, a: float, length: float) -> float:
         """int_a^{a+length} ds / G(s) for a > 0 and length >= 0.
 
-        Composite Gauss-Legendre on the panels [a 2^i, a 2^(i+1)], the last one
-        cut at a + length.  Each panel lies its own length away from s <= 0,
-        where the bounds may be singular (sqrt_growth(0) at s = 0), so the
-        error decays like 5.8^(-2 GL_NODES) there.
+        Composite Gauss-Legendre on the panels [a 2^i, a 2^(i+1)], the last one cut at
+        a + length, so each panel lies its own length away from a singularity at s <= 0.
         """
         nodes, weights = _gauss_legendre()
         panels = max(1, math.ceil(math.log2(1.0 + length / a)))
@@ -279,11 +259,7 @@ def _magnus_propagators(G: CurvatureBoundG, lo: np.ndarray, h: np.ndarray) -> np
 
 
 def _prefix_products(E: np.ndarray) -> np.ndarray:
-    """P[j] = E[j] @ ... @ E[0] over the first axis of an (n, 2, 2) stack.
-
-    Each round multiplies adjacent pairs, so the span of a product doubles:
-    ceil(log2 n) rounds of batched matmul and fewer than 2n products in all.
-    """
+    """P[j] = E[j] @ ... @ E[0] over an (n, 2, 2) stack, in ceil(log2 n) batched rounds."""
     n = len(E)
     if n == 1:
         return E.copy()
@@ -320,16 +296,13 @@ def _require_no_overflow(G: CurvatureBoundG, T: float) -> None:
 def solve_cauchy_g(G: CurvatureBoundG, T: float, num: int = 1001) -> OdeSolution:
     """Solve g'' = G^2 g, g(0) = 0, g'(0) = 1 at ``num`` points over [0, T] by Magnus steps.
 
-    y = (g, g') solves the linear system y' = A(t) y, A = [[0, 1], [G^2, 0]].
-    Each step is fourth-order Magnus with 2-point Gauss nodes
-    (:func:`_magnus_propagators`); it is exact for a constant G.  Every grid
-    interval takes the same number of equal steps, the least with
-    G(T) h <= MAX_STEP_GH (G is nondecreasing).  The first step is cut
-    geometrically into FIRST_STEP_GRADING + 1 pieces, because G' may be
-    infinite at 0 (sqrt_growth(0)), where the Gauss nodes lose their order.
-    All step propagators come from one numpy evaluation; their prefix products
-    carry y(0) = (0, 1) to every grid point.  Raises DomainError when g
-    would overflow float64 before T.
+    The steps are fourth-order Magnus with 2-point Gauss nodes, exact for a constant
+    G.  Every grid interval takes the least number of equal steps with
+    G(T) h <= MAX_STEP_GH, and the first step is graded geometrically toward t = 0,
+    where G' may be infinite; ``diagnostics["steps"]`` counts them.  T must be finite
+    and > 0 and ``num`` >= 2 (else DomainError).  An inadmissible G raises
+    HypothesisViolationError, a T where g would overflow float64 a DomainError that
+    names the overflow point, and a lost positivity of g a NumericalError.
     """
     if not 0.0 < T < math.inf:  # written so that NaN fails it
         raise DomainError("solve_cauchy_g requires a finite T > 0")
@@ -398,11 +371,9 @@ class LambdaResult:
 def lambda_sup(G: CurvatureBoundG, t_max: float = 50.0) -> LambdaResult:
     """Supremum over [2, t_max] of F(t) = e^{int_0^t G} / (e^{int_1^t G} - 1).
 
-    An admissible G has G(0) > 0 and G' >= 0, so G > 0 and F(t) =
-    e^{I1} / (1 - e^{-int_1^t G}) is strictly decreasing: Lambda = F(2) =
-    e^{I1} / (-expm1(-int_1^2 G)) for every horizon, with I1 = int_0^1 G.
-    ``t_max`` is only validated.  The tail limit lim F = e^{I1} is reported
-    separately.
+    An admissible G is positive, so F decreases and Lambda = F(2) for every horizon.
+    ``t_max`` must be finite and >= 2 (else DomainError) and is only validated.  The
+    tail limit e^{int_0^1 G} is reported beside it.
     """
     if not 2.0 <= t_max < math.inf:
         raise DomainError("lambda_sup requires a finite t_max >= 2")

@@ -1,17 +1,8 @@
-"""Pure algebra of principal curvatures: S_k, H_k, Newton tensors, traces.
+"""Pure algebra of principal curvatures: S_k, H_k, the Newton-tensor spectra and traces.
 
-Sign conventions follow the ambient signature.  With binom = binomial(n, k):
-
-  riemannian:  binom * H_k = S_k,        P_k = S_k I - A P_{k-1}
-  lorentzian:  binom * H_k = (-1)^k S_k, P_k = (-1)^k S_k I + A P_{k-1}
-
-In both cases Tr P_k = c_k H_k with c_k = (n-k) binom(n,k), while
-Tr(A P_k) = c_k H_{k+1} riemannian and -c_k H_{k+1} lorentzian.
-
-H_k and the P_k eigenvalues come from one S_k table per frame batch, built by
-:func:`complement_symmetric` and signed by :func:`signed_values` for the ambient;
-the other convention differs by the exact factor (-1)^k.  The matrix recursion
-above is an oracle of the tests (``tests/oracles.py``).
+One S_k table per frame batch (:func:`complement_symmetric`) is signed once for the
+ambient (:func:`signed_values`).  README's "Numerical conventions" give the two sign
+conventions, which differ by the exact factor (-1)^k.
 """
 
 from __future__ import annotations
@@ -30,12 +21,10 @@ TAU_ELL = 1e-9
 
 
 def elementary_symmetric(kappa: np.ndarray) -> np.ndarray:
-    """S_0..S_n of the entries of kappa via the product recurrence, over the last axis.
+    """S_0..S_n of the entries of kappa (..., n) by the product recurrence, over the last axis.
 
-    Expands prod_i (1 + kappa_i t) coefficient by coefficient: O(n^2) and
-    stable for mixed-sign spectra, unlike subset-sum evaluation.  S_k sits on
-    the first axis while the recurrence runs, so that each step is one
-    operation over all samples rather than many over a few coefficients.
+    The recurrence expands prod_i (1 + kappa_i t), stable for mixed-sign spectra.
+    Non-finite kappa raises ValueError.
     """
     kappa = np.asarray(kappa, dtype=float)
     if not np.all(np.isfinite(kappa)):
@@ -92,11 +81,11 @@ def complement_symmetric(kappa: np.ndarray) -> np.ndarray:
 
 
 def signed_values(s: np.ndarray, signature: str) -> tuple:
-    """(H, newton_eigenvalues) of a :func:`complement_symmetric` table s.
+    """(H, newton_eigenvalues) of a :func:`complement_symmetric` table s, signed for ``signature``.
 
-    ``H`` equals the H_k oracle of ``tests/oracles.py`` (a product
-    recurrence on kappa) bit for bit.  In ``newton_eigenvalues`` entry (k, i)
-    is the eigenvalue of P_k on the i-th principal direction; row n is zero.
+    ``H`` equals the H_k oracle of ``tests/oracles.py`` bit for bit.  Entry (k, i) of
+    ``newton_eigenvalues`` is the eigenvalue of P_k on the i-th principal direction;
+    row n is zero.
     """
     n = s.shape[-1] - 1
     lead = s.shape[:-2]

@@ -1,13 +1,9 @@
-"""Exception types shared across the toolkit, per-row error arrays, and the read-only rule.
+"""Exception types, per-row error arrays and the read-only rule.
 
-Routines that evaluate many sample points at once do not raise for a point
-that fails: they return an object array with one slot per point, holding the
-point's exception or None.  Single-point entry points raise the slot.  A max,
-min or all over each point's few entries is :func:`fold_last`, one elementwise
-call per entry over all the points.
-
-Every array the toolkit keeps is read-only: one a caller hands in is kept as a
-:func:`read_only_copy`, and one the code built is marked :func:`read_only` in place.
+A batch routine returns an object array with one slot per row, holding the row's
+GeometryError or None; a single-point call raises the slot.  Every array the
+toolkit keeps is read-only: :func:`read_only_copy` for one a caller hands in,
+:func:`read_only` in place for one the code built.
 """
 
 import numpy as np
@@ -18,12 +14,7 @@ class GeometryError(Exception):
 
 
 class DomainError(GeometryError):
-    """A point or parameter lies outside the valid domain of an operation.
-
-    Raised for antipodal-or-beyond points on the sphere, points outside the
-    chronological future of the reference point in Lorentzian models, and
-    comparison-function arguments past their positivity range.
-    """
+    """A point or parameter lies outside the valid domain of an operation."""
 
 
 class UndefinedGradientError(DomainError):
@@ -78,11 +69,9 @@ def flag(errors: np.ndarray, mask, kind: type, message: str) -> None:
 def fold_last(ufunc, a: np.ndarray) -> np.ndarray:
     """``ufunc`` folded over the last axis of ``a``, one elementwise call per entry, in order.
 
-    For np.maximum and np.minimum this is ``a.max(-1)`` and ``a.min(-1)`` bit
-    for bit (a NaN result may carry another sign bit when ``a`` holds NaNs of
-    both signs), and for np.logical_and over a boolean ``a`` it is
-    ``a.all(-1)``; but each call runs over the leading axes at once, where
-    numpy's reduction runs its inner loop once per row of a short last axis.
+    For np.maximum and np.minimum this is ``a.max(-1)`` and ``a.min(-1)`` bit for bit
+    (a NaN result may carry another sign bit), and for np.logical_and over booleans
+    ``a.all(-1)``.
     """
     acc = a[..., 0]
     for i in range(1, a.shape[-1]):

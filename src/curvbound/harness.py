@@ -1,24 +1,9 @@
 """Scenario-driven verification of the curvature estimates.
 
-A scenario binds an ambient model, a chart, a reference point and a range of
-curvature orders k, then checks every estimate that applies:
-
-  riemannian:  sup |H_{k+1}|/H_k >= C_b(r)   (r = refined max distance),
-               the power chain, the product bound, and the H_2 corollary;
-  lorentzian:  the four-term sandwich between inf/sup of H_{k+1}/H_k and
-               C_{-b} at the refined distance extrema, plus the outer-ball
-               bound.
-
-Each check is one call of :func:`evaluate`, where a ``verify_*`` function
-states it: the per-sample values an inequality bounds (or a scalar), whether
-it bounds their sup or their inf, the right-hand side, the tolerance, the
-status a failure earns and the hypothesis guard.  It returns the
-:class:`CheckRecord`: the margin, its status and the worst sample, which is
-the first sample in grid order within ``TIE_ULPS`` ulp of the extremum (the
-margin itself uses the exact extremum).
-
-Reports are deterministic given the configuration (fixed grids, no
-randomness); only ``timing_ms`` varies between runs.
+A scenario binds a model, a chart, a reference point and the orders k;
+:func:`scenario_checks` states each estimate that applies as :func:`evaluate`
+calls.  Reports are deterministic up to ``timing_ms``.  README's "Design" section
+(checks) lists the estimates.
 """
 
 from __future__ import annotations
@@ -41,9 +26,8 @@ from .spaceform import RIEMANNIAN, AmbientModel, ReferenceBall, distance_rows
 
 H_FLOOR = 1e-9  # samples with H_k at or below this are excluded from ratios
 MAX_EXCLUSION_RATE = 0.10
-# Tie band of worst samples: this many ulp of the largest |value| in a check's
-# pool.  The worst sample is the first one in grid order within the band of the
-# extremum, so values that differ only by round-off resolve to the same sample.
+# Tie band of worst samples, in ulp of the largest |value| in a check's pool, so
+# that values which differ only by round-off resolve to the same sample.
 TIE_ULPS = 32
 MIN_RESOLUTION = 8
 
@@ -296,13 +280,14 @@ def evaluate(id: str, anchor: str, values, reduce: str = "inf", rhs: float = 0.0
              guard: float | None = None) -> CheckRecord:
     """One inequality of the paper, or one plumbing figure, as a :class:`CheckRecord`.
 
-    The check states ``reduce(values) >= rhs`` (``<= rhs`` when ``upper``) over
-    per-sample ``values`` located at ``params``, or over a scalar; ``reduce``
-    is inf or sup.  Its margin is the signed gap; it passes when margin >= -tol
-    (margin > 0 when ``tol`` is None) and reports ``on_fail`` otherwise.  A
-    ``status`` reports the margin as a figure with that status.  A ``guard`` is
-    the residual of a hypothesis the check presupposes and that fails: the
-    check then reports it as a hypothesis violation in place of its margin.
+    The check states ``reduce(values) >= rhs`` (``<= rhs`` when ``upper``), ``reduce``
+    inf or sup, over per-sample ``values`` at ``params`` or over a scalar.  Its margin is
+    the signed gap from the exact extremum; it passes when margin >= -tol (margin > 0
+    when ``tol`` is None) and reports ``on_fail`` otherwise.  A ``status`` reports the
+    margin with that status.  A ``guard``, the residual of a failed hypothesis, is
+    reported as a hypothesis violation in place of the margin.  The worst sample (None
+    without ``params``) is the first in grid order within ``TIE_ULPS`` ulp (of the
+    pool's largest |value|) of the extremum.
     """
     if guard is not None:
         return CheckRecord(id, anchor, "hypothesis-violation", float(guard), None)
@@ -313,7 +298,7 @@ def evaluate(id: str, anchor: str, values, reduce: str = "inf", rhs: float = 0.0
         return CheckRecord(id, anchor, status, margin, None)
     ok = margin > 0.0 if tol is None else margin >= -tol
     worst = None
-    if params is not None:  # the first sample in grid order within the tie band
+    if params is not None:
         band = TIE_ULPS * np.spacing(np.abs(values).max())
         worst = params[np.argmax(np.abs(values - extremum) <= band)].tolist()
     return CheckRecord(id, anchor, "pass" if ok else on_fail, margin, worst)

@@ -1,29 +1,9 @@
-"""Hypersurface patches: induced metric, oriented normal, principal curvatures.
+"""Hypersurface patches and their frames: metric, oriented normal, principal curvatures.
 
-A patch couples a chart with an ambient model, an orientation convention and
-an optional reference center.  Frames carry everything downstream consumers
-need: position, tangents, metric, unit normal, second fundamental form, its
-principal curvatures with the H_k and Newton-tensor spectra of the ambient
-signature (and principal directions on demand).
-
-A frame is assembled by array arithmetic over the sample axis.  The only
-per-matrix LAPACK calls are the symmetric eigenvalue routines: from n = 3 on,
-for kappa and, on the rare rows the immersion test rejects, to name the
-reason (a surface's 2 x 2 spectra are in closed form,
-:func:`_symmetric_spectrum`); and for the principal directions on demand.
-One elimination on [g | I] factors the metric: it yields the LDL^T pivots,
-which decide the immersion test, and L^-1, for the congruence
-R = D^-1/2 L^-1 kept on the frame.  That elimination, the cofactor normal
-(a Laplace expansion over column subsets) and the closed-form spectra are
-elementwise, so a sample's bits do not depend on the batch it was built in.
-No reduction runs per row over a short axis: a max, min or all over a sample's
-few entries is folded elementwise over the samples (:func:`fold_last`), and
-the jets' finite test is one whole-array test, per row only when it fails.
-
-Orientation conventions:
-  inner / outer -- Riemannian; "inner" points toward the declared center
-                   (sign fixed by <N, grad rho> < 0).
-  future        -- Lorentzian; N is the future-directed timelike unit normal.
+A patch binds a chart to a model with an orientation: ``inner`` (toward the center,
+<N, grad rho> < 0) or ``outer`` in Riemannian models, ``future`` (the future-directed
+timelike unit normal) in Lorentzian ones.  README's "Design" section describes the
+frames, the kept frame and the refiner.
 """
 
 from __future__ import annotations
@@ -81,13 +61,12 @@ GAIN_ULPS = 1
 class HypersurfacePatch:
     """A chart bound to an ambient model with orientation and jet policy.
 
-    A patch is frozen, over an immutable chart, and holds read-only copies of its
-    domain and center (validated here as a model point), so the frame :func:`frame_at`
-    keeps for its last point cannot go stale.  Patches compare by identity.  What
-    every call would rebuild from the domain is built here once, read-only: the
-    ``domain_width``, the axes that ``wraps``, the padded box :meth:`contains`
-    tests and the FD-jet steps.  An axis wraps where the chart names it periodic
-    and the box spans exactly 2 pi on it: its two ends are one point.
+    Frozen and compared by identity, with read-only copies of its domain and of its
+    center, which is validated as a model point.  Built once, read-only:
+    ``domain_width``, ``wraps`` (the chart's periodic axes on which the box spans
+    exactly 2 pi), the padded box of :meth:`contains` and the FD-jet steps.  An unknown
+    orientation or jet policy, or a box that is not finite, (n,) and non-empty, raises
+    ConfigError.
     """
 
     chart: Chart
@@ -153,10 +132,9 @@ class HypersurfacePatch:
     def grid(self, resolution) -> tuple:
         """(P, cell): the box's product grid as rows (N, n), last axis fastest, and its step (n,).
 
-        ``resolution`` is the nodes per axis, one count or one per axis, each
-        at least 2, evenly spaced from ``domain_lo`` to ``domain_hi``.  On an
-        axis that wraps, the node at ``domain_hi`` is the one at ``domain_lo``
-        and is left out, so no two rows are one point.
+        ``resolution`` is one node count for every axis or one per axis, each an integer
+        of at least 2 (else DomainError).  On an axis that wraps, the node at
+        ``domain_hi`` is the one at ``domain_lo`` and is left out.
         """
         axes = grid_axes(self.domain_lo, self.domain_hi, resolution)
         cell = self.domain_width / np.array([len(a) - 1 for a in axes])
@@ -214,12 +192,8 @@ def _matmul(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 def ldl(gt: np.ndarray) -> tuple:
     """(d, L^-1) with g = L diag(d) L^T, L unit lower triangular, of samples-last g (n, n, ...).
 
-    One elimination on the block [g | I], one pivot step at a time: step k
-    subtracts multiples of row k from the rows below it, clearing column k of
-    g, so the pivot d_k is left on g's diagonal and the I block, under the
-    same row operations, becomes L^-1.  There is no pivoting, so a zero pivot
-    of an indefinite or degenerate g makes the later entries inf or NaN;
-    :func:`immersive` rejects such rows.
+    One elimination on the block [g | I], without pivoting: a zero pivot makes later
+    entries inf or NaN, and :func:`immersive` rejects such rows.
     """
     n, diagonal = len(gt), np.arange(len(gt))
     S = np.concatenate([gt, np.zeros(gt.shape)], axis=1)
@@ -231,19 +205,12 @@ def ldl(gt: np.ndarray) -> tuple:
 
 
 def immersive(d: np.ndarray) -> np.ndarray:
-    """Rows whose pivots d (n, ...) are all finite and above DEGENERACY_TOL of the largest |d|.
-
-    The floor is DEGENERACY_TOL max(-min d, max d).  A row with an infinite or
-    NaN pivot has an infinite or NaN floor, which no pivot exceeds, so it fails.
-    """
+    """Rows whose pivots d (n, ...) are all finite and above DEGENERACY_TOL of the largest |d|."""
     return np.all(d > DEGENERACY_TOL * np.abs(d).max(axis=0), axis=0)
 
 
 def congruence(Rt: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """sym(R h R^T): the bilinear forms h (..., n, n) in the frame orthonormalized by R (n, n, ...).
-
-    R is samples last, the kernels' layout; the result is samples first, like h.
-    """
+    """sym(R h R^T) (..., n, n) of the forms h (..., n, n) and the samples-last R (n, n, ...)."""
     A = _matmul(_matmul(Rt, _samples_last(h)), np.swapaxes(Rt, 0, 1))
     return _samples_first(0.5 * (A + np.swapaxes(A, 0, 1)))
 
@@ -251,9 +218,7 @@ def congruence(Rt: np.ndarray, h: np.ndarray) -> np.ndarray:
 def _symmetric_spectrum(A: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues (..., n) of the symmetric matrices A (..., n, n).
 
-    At n = 2 they are m -+ r, with m the mean of the diagonal and r =
-    hypot((a - c)/2, b) the radius of the spectrum, elementwise over the
-    samples; from n = 3 on, LAPACK's eigvalsh.
+    At n = 2 in closed form, the diagonal's mean -+ the spectrum's radius; else eigvalsh.
     """
     if A.shape[-1] != 2:
         return np.linalg.eigvalsh(A)
@@ -270,13 +235,10 @@ def _symmetric_spectrum(A: np.ndarray) -> np.ndarray:
 def _laplace_plan(m: int) -> list:
     """Per row k of an (m-1) x m matrix: the (columns, parents) of its Laplace step.
 
-    Step k expands the (k+1)-square determinants of rows 0..k over the
-    column subsets of size k+1, along row k: term t of a subset takes its
-    t-th column, with sign (-1)^(k+t), times the determinant of the parent
-    subset without that column.  A column c with a negative sign reads as
-    c + m, an index into the row followed by its negation.  The last step
-    lists the subset without column a at index a and folds in the cofactor
-    sign (-1)^a.
+    Step k expands the (k+1)-square minors of rows 0..k along row k, one term per
+    column of each subset; a column c with a negative sign reads as c + m, an index
+    into the row followed by its negation.  The last step lists the subset without
+    column a at index a, the cofactor sign (-1)^a folded in.
     """
     plan, index = [], {(): 0}
     for k in range(m - 1):
@@ -294,10 +256,8 @@ def _laplace_plan(m: int) -> list:
 def cofactor_vector(M: np.ndarray) -> np.ndarray:
     """w (..., m), w_a = (-1)^a det(M without column a), of the row stacks M (..., m-1, m).
 
-    <w, v> (flat, index lowered) is the determinant of M with v appended as a
-    last row, so w is flat-orthogonal to every row of M.  Laplace expansion
-    over column subsets: one gather and one product per row, the terms
-    summed elementwise.
+    <w, v> (flat, index lowered) is the determinant of M with v appended as a last
+    row, so w is flat-orthogonal to every row of M.
     """
     Mt = _samples_last(M)
     D = np.ones((1,) + Mt.shape[2:])
@@ -312,24 +272,13 @@ def cofactor_vector(M: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class PointFrame:
-    """Second-order data of the immersion at parameter points.
+    """Second-order data of the immersion at parameter points, over leading sample axes.
 
-    Fields carry the leading sample axes of the points they were evaluated
-    at; ``frame[i]`` is the frame of sample i, each field a view of its row.
-    The second-order data is the spectrum ``kappa`` of the shape operator, the
-    normalized curvatures ``H`` and the Newton-tensor spectra
-    ``newton_eigenvalues`` signed for the ambient ``signature``
-    (:func:`curvbound.curvature.signed_values`, run once per batch) and,
-    computed on first use, the principal directions: a Newton tensor P_k acts
-    through its eigenvalue on each of them.  This is all the operator data the
-    contractions of :mod:`curvbound.operators` read from a sample's frame.
-
-    ``congruence`` is the frame's one factorization of the metric: the
-    triangular R = D^-1/2 L^-1 from one elimination on [g | I] (:func:`ldl`),
-    the inverse of the Cholesky factor L D^1/2, so g^-1 = R^T R.  The principal
-    directions and :meth:`raise_index` read it without factoring or solving
-    with the metric again.  Every field is samples first, like ``param``; the
-    kernels' samples-last form of a row's R is a view of it.
+    Every field is samples first, and ``frame[i]`` is the frame of sample i, each
+    field a view of its row.  ``H`` and ``newton_eigenvalues`` are signed for
+    ``signature``, and ``principal`` is computed on first use.  ``congruence`` is the
+    one factorization of the metric, R = D^-1/2 L^-1 with g^-1 = R^T R.  The frame is
+    all the operator data the contractions of :mod:`curvbound.operators` read.
     """
 
     param: np.ndarray
@@ -364,10 +313,8 @@ class PointFrame:
     def newton_psd_margin(self, k: int):
         """Smallest eigenvalue of P_k over max(1, max|kappa|^max(k, 1)), for k in 0..n.
 
-        P_k is PSD down to -TAU_ELL.  At k = 0 the scale is max(1, max|kappa|), not 1.
-        The power is the ufunc's at one sample too (a float64 scalar's ``**``
-        calls libm's pow, which can round differently), so a grid row and
-        :func:`frame_at` agree bit for bit.
+        P_k counts as PSD down to -TAU_ELL.  The power is the ufunc's at one sample too,
+        so a grid row and :func:`frame_at` agree bit for bit.
         """
         check_order(k, self.kappa.shape[-1])
         scale = np.power(fold_last(np.maximum, np.abs(self.kappa)), max(k, 1))
@@ -385,25 +332,22 @@ ROW_FIELDS = tuple(f.name for f in fields(PointFrame) if f.name != "signature")
 
 
 def frames_at(patch: HypersurfacePatch, P: np.ndarray, jets=None):
-    """Frames at the rows of P (N, n): metric, oriented unit normal, second form, kappa, H_k.
+    """Frames at the rows of P (N, n); returns (frames, errors, distances).
 
-    Returns (frames, errors, distances).  ``frames`` holds the rows that have a
-    frame, in order; ``errors[i]`` is the GeometryError of row i, or None when
-    row i is among them.  ``distances`` is None, or where the orientation
-    measured them (an inner or outer patch with a center) the read-only
-    (rho, grad) from the center (:func:`gradient_rows`) at the rows of ``frames``.
-    ``jets`` are the chart jets (position, d1, d2) at the rows of P, of shapes
-    (N, m), (N, m, n) and (N, m, n, n), if the caller has them; they must be
-    ``patch.jet_at``'s there.  Without them ``patch.jet_at`` is called once, on
-    the rows that pass the box and definedness checks.  Each failing
-    check removes its rows before the next step, so stacked linear algebra only
-    sees rows that passed.  A row whose jet has a non-finite entry fails before
-    its metric is formed.  The metric is factored once, by one elimination on
-    [g | I] (:func:`ldl`): its pivots d decide the immersion test, and
-    R = D^-1/2 L^-1 gives the shape operator R h R^T.  The S_k table of the
-    spectra is built and signed once, for the batch, and every array of
-    ``frames`` is read-only.  An inner or outer patch with a center orients the
-    normal by the distance gradient, and a row without one fails.
+    ``frames`` holds the rows that have a frame, in order, with read-only arrays;
+    ``errors[i]`` is the GeometryError of row i, or None when row i has a frame.  A row
+    fails outside the box (DomainError), where the chart is undefined, where its jet
+    has a non-finite entry (DomainError, before its metric is formed), where the chart
+    is not immersive or its normal degenerates (ImmersionDegeneracyError, or in
+    Lorentzian models SignatureError for a tangent plane that is not spacelike), and,
+    on an inner or outer patch with a center, where the distance gradient that orients
+    its normal is undefined.
+    ``distances`` is the read-only (rho, grad) from the center at the rows of
+    ``frames`` where that orientation measured them, else None.  ``jets`` (x, d1,
+    d2) at the rows of P, if given, must be ``patch.jet_at``'s there and are copied;
+    without them ``patch.jet_at`` is called once, on the rows that pass the box and
+    definedness checks.  The metric is factored once (:func:`ldl`) and the S_k table
+    is signed once per batch.
     """
     P = np.asarray(P, dtype=float)
     model = patch.ambient
@@ -422,7 +366,6 @@ def frames_at(patch: HypersurfacePatch, P: np.ndarray, jets=None):
         return [a[~bad] for a in arrays]
 
     reject(~patch.contains(P), DomainError("parameter point outside the patch domain"))
-    # a chart that keeps the base Chart.undefined is defined on its whole box
     if type(patch.chart).undefined is not Chart.undefined:
         undefined = patch.chart.undefined(P[rows], jet=True)
         reject(failed(undefined), undefined)
@@ -498,17 +441,14 @@ def frames_at(patch: HypersurfacePatch, P: np.ndarray, jets=None):
 def frame_at(patch: HypersurfacePatch, p: np.ndarray, jets=None) -> PointFrame:
     """The frame at one parameter point p (n,); raises its GeometryError.
 
-    The patch keeps the last frame built here, so repeated calls at one p
-    return the same frame, with read-only arrays; building the frame of
-    another point drops it, with what is kept beside it: the distance and
-    its gradient from the center that oriented the normal, which
-    :func:`curvbound.operators.restrict_field` reads, and the restrictions
-    :func:`curvbound.operators.restriction_at` keeps.  A point
-    without a frame is not kept: it raises on every call, and so does a p
-    of another shape than (n,).  ``jets`` are the chart jets at p[None], of
-    shapes (1, m), (1, m, n) and (1, m, n, n), if the caller has them; they
-    must be ``patch.jet_at``'s there.  A frame built here reads them
-    (:func:`frames_at`), and a frame the patch keeps for p ignores them.
+    The patch keeps the last frame built here, so repeated calls at one p return the
+    same frame, with read-only arrays.  The frame of another point drops it, with
+    what is kept beside it: the center's (rho, grad) that oriented its normal, which
+    :func:`curvbound.operators.restrict_field` reads, and the restrictions of
+    :func:`curvbound.operators.restriction_at`.  A failing point is not kept and
+    raises on every call; a p of another shape than (n,) raises DomainError.
+    ``jets`` are ``patch.jet_at``'s at p[None], if the caller has them: a frame built
+    here reads them (:func:`frames_at`), a kept frame ignores them.
     """
     p = np.asarray(p, dtype=float)
     if p.shape != (patch.n,):
@@ -541,8 +481,8 @@ class GridSamples:
     def u(self) -> np.ndarray:
         """(N,) read-only distances from the patch's center; raises where one is undefined.
 
-        They are those that oriented the normal, where the orientation measured
-        them (an inner or outer patch with a center), and are measured here otherwise.
+        They are those that oriented the normal where the orientation measured them, else
+        measured here; a patch without a center raises DomainError.
         """
         if self._rho is not None:
             return self._rho
@@ -562,7 +502,7 @@ class GridSamples:
 
 
 def sample_grid(patch: HypersurfacePatch, resolution) -> GridSamples:
-    """Frames at the rows of ``patch.grid(resolution)``, each point once; skips those without one."""
+    """Frames at the rows of ``patch.grid(resolution)``; records the points without one."""
     P, cell = patch.grid(resolution)
     frames, errors, distances = frames_at(patch, P)
     if not len(frames.param):
@@ -583,11 +523,9 @@ def _refinement_stencil(n: int) -> np.ndarray:
 def _quadratic_fit(n: int) -> np.ndarray:
     """(n + n^2, 5^n) read-only rows of the stencil's pseudo-inverse for a quadratic fit.
 
-    The fit is q(s) = c + g.s + s.H s / 2 over the stencil offsets s, in
-    cells; the rows map the 5^n values to g, then to H row-major.  On the
-    tensor stencil the terms 1, s_i, s_i s_j (i < j) and s_i^2 - mean(s_i^2)
-    are orthogonal, so each least-squares coefficient is the projection onto
-    its own term, with no factorization.
+    They map the 5^n values to g, then H row-major, of q(s) = c + g.s + s.H s / 2 in
+    cells.  The terms 1, s_i, s_i s_j (i < j) and s_i^2 - mean(s_i^2) are orthogonal
+    on the tensor stencil, so each coefficient is a projection.
     """
     s = _refinement_stencil(n)
     terms = np.concatenate([s, (s[:, :, None] * s[:, None, :]).reshape(len(s), n * n)], axis=1)
@@ -601,8 +539,7 @@ def _quadratic_fit(n: int) -> np.ndarray:
 def _symmetric_eigen(H: np.ndarray) -> tuple:
     """Ascending eigenvalues and orthonormal eigenvectors (columns) of one symmetric H.
 
-    At n = 2 in closed form, the eigenvalues as in :func:`_symmetric_spectrum`
-    and the vectors at the angle atan2(2b, a - c) / 2; otherwise LAPACK's eigh.
+    At n = 2 in closed form, the vectors at the angle atan2(2b, a - c) / 2; else eigh.
     """
     if H.shape != (2, 2):
         return np.linalg.eigh(H)
@@ -612,15 +549,11 @@ def _symmetric_eigen(H: np.ndarray) -> tuple:
 
 
 def _quadratic_vertex(values: np.ndarray, n: int, noise: float):
-    """(offset, gain) of the maximum of the quadratic fitted to one stencil's values.
+    """(offset, gain) of the maximum of the quadratic fitted to a stencil's values, or None.
 
-    The offset is in cells and the gain is the fitted maximum's rise over the
-    stencil's middle, the sum over the directions that curve down of
-    -slope^2 / (2 lambda).  The fit must curve down by more than ``noise``
-    (the values' round-off) along each eigenvector of its Hessian, or be flat
-    within it: curvature and slope at most ``noise``, as along the equator of
-    a spheroid, where the vertex keeps its coordinate.  None unless some
-    direction curves down, no other direction is more than flat, and the
+    The offset is in cells; the gain is the fitted maximum's rise over the stencil's
+    middle.  None unless some eigendirection of the fit's Hessian curves down by more
+    than ``noise``, every other one is flat within it (curvature and slope), and the
     vertex lies in the stencil.
     """
     c = _quadratic_fit(n) @ values
@@ -636,43 +569,27 @@ def _quadratic_vertex(values: np.ndarray, n: int, noise: float):
 
 
 def refine_extremum(patch: HypersurfacePatch, fn, starts, cell, signs, rounds=14):
-    """Local refinement of a scalar's max (min for sign -1) from each start, on shrinking stencils.
+    """Refinement of a scalar's max (min for sign -1) from each start, on shrinking stencils.
 
-    ``starts`` are J >= 1 points (J, n), ``signs`` (J,) holds 1 or -1 for each
-    and ``cell`` (n,) is the first stencil's step per axis, each finite and
-    > 0; another shape or value raises a DomainError before any ``fn`` call.
-    Each start keeps its own stencil, cell and stop, but one ``fn`` call per
-    round evaluates the stencils of every start still refining, in start
-    order: for an ``fn`` that values each row on its own, the J one-start
-    refinements bit for bit.
-
-    ``fn`` maps parameter rows (N, n) to (values, errors), ``errors[i]`` being
-    the GeometryError of a row without a value.  Each round evaluates a 5^n
-    stencil of half and whole cells, its coordinates taken modulo the width on
-    an axis that wraps and clipped to the box on the others.  A stencil's
-    middle row is its center, bit for bit, and the first one's is the start:
-    the refinement starts from its value and raises its error (the first
-    failing start's, in start order), so the start costs no call of its own.
-    A round moves the best point to the first best row only on a strict
-    improvement over the best value so far.  Then:
-
-    - it stops if every row has a value and the values spread over at most
-      ``ROUNDOFF_ULPS`` ulp of the best one: the scalar is flat at this scale
-      (on a level set, after one stencil);
-    - where no row failed, no coordinate was clipped and the least-squares
-      quadratic through its values has a maximum inside it, it stops if that
-      maximum rises at most ``GAIN_ULPS`` ulp of the best value over the
-      stencil's middle; else the next stencil is centered on the maximum,
-      taken modulo the width on an axis that wraps, and the cell is divided
-      by 4;
-    - otherwise the next stencil is centered on the best point and the cell
-      is halved.
-
-    ``rounds`` (a non-negative integer) bounds the halvings of the cell, a
-    division by 4 counting as two, so there are at most ``rounds`` calls of
-    ``fn`` and the last stencil's cell is at least ``cell / 2**(rounds - 1)``;
-    ``rounds`` = 0 evaluates the starts alone, in one call.  Returns (params,
-    values) of the best row evaluated from each start, (J, n) and (J,).
+    ``starts`` (J, n) with J >= 1, ``signs`` (J,) of 1 or -1, ``cell`` (n,), the
+    first stencil's step per axis, finite and > 0, and ``rounds``, a non-negative
+    integer, are checked before any ``fn`` call (DomainError).  ``fn`` maps rows
+    (N, n) to (values, errors).  One ``fn`` call per round evaluates the 5^n stencils
+    of half and whole cells of every start still refining, in start order: for an
+    ``fn`` that values each row on its own, the J one-start refinements bit for bit.
+    A stencil's coordinates are taken modulo the width on an axis that wraps and
+    clipped to the box on the others.  The first stencil's middle row is the start,
+    so its error (the first failing start's) is raised and it costs no call of its
+    own.  A round moves the best point to the first best row only on a strict
+    improvement.  It stops if every row has a value and they spread over at most
+    ``ROUNDOFF_ULPS`` ulp of the best.  Where no row failed or was clipped and the
+    fitted quadratic has a maximum in the stencil, it stops if that maximum gains at
+    most ``GAIN_ULPS`` ulp over the middle, else centers the next stencil on it
+    (modulo the width on an axis that wraps) with a quarter of the cell.  Otherwise
+    it centers the next stencil on the best point with half the cell.  ``rounds``
+    bounds the halvings, a quarter counting as two, so there are at most ``rounds``
+    calls; ``rounds`` = 0 evaluates the starts alone, in one call.  Returns (params,
+    values) of the best row from each start, (J, n) and (J,).
     """
     if not (is_integer(rounds) and rounds >= 0):
         raise DomainError(f"rounds = {rounds!r} is not a non-negative integer")

@@ -1,36 +1,10 @@
-"""Restrictions of ambient functions to patches and their trace operators.
+"""Restrictions of ambient fields to patches, the trace operators and the extremum search.
 
-For u = h∘f the intrinsic Hessian is assembled from the displayed identity
-
-    Hess u(X,Y) = Hess h(X,Y) + eps <grad h, N> <AX, Y>,   eps = <N,N>,
-
-which in the Riemannian case reads Hess rho + <grad rho, N> h and in the
-Lorentzian case Hess rho - sqrt(1 + |grad u|^2) h.  A fully independent
-finite-difference route (Christoffel symbols from the induced metric) backs
-the identity route as an oracle.
-
-The Newton tensors P_k act through their spectra: P_k and the shape
-operator share the principal directions e_i of the frame, so every
-contraction with P_k is a sum over them weighted by the eigenvalues of P_k.
-The frame carries H_k and those eigenvalues, signed for its ambient
-signature once per frame batch, and a :class:`FieldSample` carries its
-frame and, on first use, its Hessian's diagonal and gradient's squares on
-the e_i: the contractions (:func:`trace_operator`, :func:`newton_quadratic`,
-:func:`key_inequality_rhs`) read them and the sample's own frame, in its
-convention.  No S_k recurrence and no normalization runs here;
-:func:`operator_data` gives the frame in the other signature's convention
-by the exact signs (-1)^k.
-
-Fields are frozen values: each holds read-only copies of its arrays, a
-distance field validates its origin once, when it is built, and equal
-fields (same model and array bits) are equal and hash alike.  The
-single-point calls (:func:`restriction_hessian`, :func:`key_inequality_residual`,
-:func:`l_k_apply`) share one restriction per field and point:
-:func:`restriction_at` keeps one sample per field beside the patch's last
-frame and raises its errors on every call; each call runs its own checks
-(the orders k and j_max, the P_k test, the finite-difference cross-check).
-The two that take an origin keep its distance field on the patch, so an
-origin is validated once per patch (:func:`_distance_field_at`).
+For u = h∘f, Hess u(X, Y) = Hess h(X, Y) + eps <grad h, N> <AX, Y> with eps = <N, N>
+(:func:`restrict_field`); :func:`intrinsic_hessian_fd` is an independent route by
+Christoffel symbols.  The Newton tensors act through their eigenvalues on the
+principal directions.  README's "Design" section describes fields, contractions and
+the single-point keep.
 """
 
 from __future__ import annotations
@@ -77,14 +51,10 @@ from .spaceform import (
 class DistanceField:
     """u = rho(., o): the ambient distance to a reference point.
 
-    Like every field, ``jet(x)`` at points x (..., m) returns (u, ambient
-    gradient, hessian, errors), ``errors`` holding the GeometryError of each
-    row where one of them is undefined; :func:`distance_jet` lists the rows.
-    ``hessian(d1, metric)`` takes the tangent columns d1 (..., m, n) at the
-    rows and their induced metric (..., n, n), and returns the ambient
-    Hessian on them in the chart basis (..., n, n).  The origin is a
-    read-only copy, validated as a model point here and nowhere downstream;
-    fields with equal origin bits are equal.
+    Like every field, ``jet(x)`` at points x (..., m) returns (u, ambient gradient,
+    hessian, errors), ``hessian(d1, metric)`` giving the ambient Hessian in the chart
+    basis (:func:`distance_jet`).  The origin is a read-only copy, validated as a
+    model point here and nowhere downstream; fields with equal origin bits are equal.
     """
 
     model: AmbientModel
@@ -110,10 +80,8 @@ class DistanceField:
 class LinearCoordinateField:
     """Restriction of the linear ambient function x -> sum_a c_a x_a.
 
-    On a quadric the intrinsic Hessian picks up the second-form correction
-    -b l(x) g, g the induced metric; in flat models (b = 0) it vanishes.  The
-    coefficients are a read-only copy; fields with equal coefficient bits are
-    equal.
+    Its ambient Hessian on a quadric is -b l(x) g, zero in flat models.  The
+    coefficients are a read-only copy; fields with equal coefficient bits are equal.
     """
 
     model: AmbientModel
@@ -140,10 +108,9 @@ class LinearCoordinateField:
 class ComposedField:
     """phi(u) for a scalar reparametrization phi with two derivatives.
 
-    ``fn``, ``d1`` and ``d2`` (phi, phi', phi'') take an array of values u of
-    any shape and return an array of the same shape; they are called once per
-    jet, on all rows.  Two composed fields are equal when their bases are and
-    their functions are the same objects.
+    ``fn``, ``d1`` and ``d2`` (phi, phi', phi'') map an array of u to an array of its
+    shape and are called once per jet.  Fields with equal bases and the same function
+    objects are equal.
     """
 
     base: object
@@ -166,9 +133,8 @@ class ComposedField:
 
 @dataclass(frozen=True, eq=False)
 class FieldSample:
-    """Restriction data of an ambient field over the leading sample axes of a frame.
+    """Restriction data of an ambient field over the leading sample axes of a frame; frozen.
 
-    Frozen, like the fields: :func:`restriction_at` keeps one beside a patch's last frame.
     A :class:`DistanceField`'s sample without a failed row keeps ``comparison`` =
     (k, C_k(u)), k = eps b, the coefficient of its Hessian (:func:`distance_jet`).
     """
@@ -199,11 +165,12 @@ class FieldSample:
 def restrict_field(patch: HypersurfacePatch, field, frame: PointFrame) -> FieldSample:
     """Value, gradient and intrinsic Hessian of ``field`` restricted to the frame's points.
 
-    Evaluates the field's jet once.  Does not raise for a row where the field
-    is undefined: its error is in ``errors`` and its values are meaningless.
-    On the frame :func:`frame_at` keeps, a :class:`DistanceField` in the
-    patch's model whose origin has the bits of the patch's center reads the
-    distance and its gradient that oriented the frame's normal.
+    The field's jet is evaluated once, on all rows; each row restricts as it would
+    alone, bit for bit, and ``hess`` is exactly symmetric.  A row where the field is
+    undefined does not raise: its error is in ``errors`` and its values are
+    meaningless.  On the frame :func:`frame_at` keeps, a :class:`DistanceField` in the
+    patch's model whose origin has the bits of the patch's center reads the distance
+    and gradient that oriented the frame's normal instead of evaluating them.
     """
     model = patch.ambient
     d1 = frame.tangent
@@ -242,14 +209,12 @@ def intrinsic_hessian_fd(patch: HypersurfacePatch, scalar_fn, p: np.ndarray,
                          jets=None) -> np.ndarray:
     """Intrinsic Hessian at p (n,) of u = scalar_fn∘f via Christoffel symbols.
 
-    ``scalar_fn`` maps ambient positions (..., m) to (...).  ``jets`` are the
-    chart jets on the central-difference stencil of the patch's FD-jet steps
-    (:func:`curvbound.charts.fd_stencil`, S = 1 + 2n^2 rows), of shapes
-    (S, m), (S, m, n) and (S, m, n, n), if the caller has them; they must be
-    ``patch.jet_at``'s there.  Without them ``patch.jet_at`` is called once,
-    on the stencil.  ``scalar_fn`` is called once, on their positions.  The
-    result is d_i d_j u - Gamma^l_ij d_l u, chart-level: no ambient Hessian
-    identity.
+    ``scalar_fn`` maps ambient positions (..., m) to (...).  ``jets`` are the chart
+    jets on the central-difference stencil of the patch's FD-jet steps
+    (:func:`curvbound.charts.fd_stencil`, S = 1 + 2n^2 rows), of shapes (S, m),
+    (S, m, n) and (S, m, n, n), if the caller has them; they must be
+    ``patch.jet_at``'s there.  Without them ``patch.jet_at`` is called once, on the
+    stencil.  ``scalar_fn`` is called once, on their positions.
     """
     n = patch.n
     x, d1, _ = patch.jet_at(fd_stencil(p, patch._fd_steps)) if jets is None else jets
@@ -267,8 +232,7 @@ def intrinsic_hessian_fd(patch: HypersurfacePatch, scalar_fn, p: np.ndarray,
 def _distance_field_at(patch: HypersurfacePatch, origin: np.ndarray) -> DistanceField:
     """The :class:`DistanceField` to ``origin`` in the patch's model, kept on the patch.
 
-    The patch keeps the field of the last origin given, keyed by its shape and
-    bytes, so the single-point calls validate an origin once per patch.
+    The patch keeps the field of the last origin given, so an origin is validated once.
     """
     origin = np.asarray(origin, dtype=float)
     key = (origin.shape, origin.tobytes())
@@ -280,21 +244,17 @@ def _distance_field_at(patch: HypersurfacePatch, origin: np.ndarray) -> Distance
 
 
 def restriction_hessian(patch: HypersurfacePatch, o: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Intrinsic Hessian of u = rho∘f, identity route, FD cross-checked on every call.
+    """Intrinsic Hessian of u = rho(., o)∘f at p, identity route, FD cross-checked on every call.
 
-    One chart call serves the point: ``patch.jet_at`` on the oracle's stencil
-    (:func:`intrinsic_hessian_fd`).  When the patch keeps no frame of p and p
-    has shape (n,) and lies in the box, it is made first, and its jets are
-    passed on: row 0, which is p itself, as the ``jets`` of :func:`frame_at`,
-    whose frame is then the one it builds without them, bit for bit, and the
-    whole stencil as the oracle's.  On a kept frame the oracle makes it.  A
-    GeometryError of that call leaves p's frame to a chart call of its own
-    and is raised by the oracle.  The errors keep their order: p's frame,
-    then the restriction (:func:`restriction_at`), then the oracle.  So on a
-    patch over a :class:`~curvbound.charts.TabulatedChart`, whose table the
-    stencil never lands on, every call raises the stencil's DomainError
-    ("parameter point is not tabulated") after p's frame and restriction are
-    built.
+    It raises ConsistencyError where the identity and the FD route differ by more
+    than 1e-4 max(1, max|hess|).  A point makes one chart call, ``patch.jet_at`` on
+    the oracle's stencil (:func:`intrinsic_hessian_fd`).  When the patch keeps no
+    frame of p and p has shape (n,) and lies in the box, that call comes first and
+    its row 0, p itself, is the ``jets`` of :func:`frame_at`; on a kept frame the
+    oracle makes it.  A failing stencil is evaluated once.  The errors keep their
+    order: p's frame, then the restriction (:func:`restriction_at`), then the oracle.
+    So on a :class:`~curvbound.charts.TabulatedChart`, whose table the stencil never
+    lands on, every call raises the DomainError "parameter point is not tabulated".
     """
     field = _distance_field_at(patch, o)
     p = np.asarray(p, dtype=float)
@@ -327,9 +287,9 @@ def restriction_hessian(patch: HypersurfacePatch, o: np.ndarray, p: np.ndarray) 
 def operator_data(frame: PointFrame, signature: str) -> PointFrame:
     """The frame (over its leading axes) in the convention of ``signature``.
 
-    In the frame's own signature it is the frame itself.  In the other, a copy
-    whose H_k and row k of the Newton spectra are multiplied by (-1)^k, which
-    is exact, into read-only arrays.  Any other signature raises a DomainError.
+    In the frame's own signature it is the frame itself; in the other, a copy whose H_k
+    and row k of the Newton spectra are multiplied by the exact (-1)^k, into read-only
+    arrays.  Any other signature raises a DomainError.
     """
     if signature == frame.signature:
         return frame
@@ -342,23 +302,18 @@ def operator_data(frame: PointFrame, signature: str) -> PointFrame:
 
 
 def trace_operator(sample: FieldSample, k: int):
-    """L_k u = Tr(P_k ∘ hess u) = sum_i mu_{k,i} hess u(e_i, e_i), over leading axes, k in 0..n.
-
-    e_i are the sample frame's principal directions and mu_{k,i} the eigenvalues of P_k on them.
-    """
+    """L_k u = Tr(P_k ∘ hess u) = sum_i mu_{k,i} hess u(e_i, e_i), over leading axes, k in 0..n."""
     eigenvalues = sample.frame.newton_eigenvalues
     check_order(k, eigenvalues.shape[-1])
     return np.vecdot(eigenvalues[..., k, :], sample.hess_diagonal)
 
 
 def restriction_at(patch: HypersurfacePatch, p: np.ndarray, field) -> FieldSample:
-    """:func:`restrict_field` of ``field`` on the frame :func:`frame_at` returns.
+    """:func:`restrict_field` of ``field`` on the frame :func:`frame_at` returns; raises its errors.
 
-    The patch keeps the sample, with read-only arrays, beside its last frame,
-    one per field (a field is hashable; equal fields share a sample), and
-    drops it when :func:`frame_at` builds the frame of another point.  So the
-    single-point calls at one point restrict each field once, and raise the
-    sample's errors on every call.
+    The patch keeps the sample, read-only, beside its last frame, one per field (equal
+    fields share it), and drops it with that frame.  So the single-point calls at one
+    point restrict each field once and raise the sample's errors on every call.
     """
     frame = frame_at(patch, p)
     if field not in patch._last_frame:
@@ -381,14 +336,13 @@ def newton_quadratic(sample: FieldSample, k: int):
 
 
 def key_inequality_rhs(sample: FieldSample, k: int, b: float):
-    """Right-hand side of the key inequality for u = rho, over leading axes.
+    """Right-hand side of the key inequality for u = rho, over leading axes, k in 0..n-1.
 
     Riemannian: C_b(u)(c_k H_k - <grad u, P_k grad u>) + c_k H_{k+1} <grad rho, N>.
     Lorentzian: -C_{-b}(u)(c_k H_k + <grad u, P_k grad u>)
                 + c_k H_{k+1} sqrt(1 + |grad u|^2).
-    The signature of the sample's frame picks the convention; k is in 0..n-1.
-    C_b (C_{-b}) is the sample's ``comparison`` where that is of order b (-b), else
-    :func:`c_b` on u.
+    The signature of the sample's frame picks the formula.  C_b (C_{-b}) is the
+    sample's ``comparison`` where that is of order b (-b), else :func:`c_b` on u.
     """
     frame = sample.frame
     n = frame.kappa.shape[-1]
@@ -414,7 +368,14 @@ def key_inequality_residual(
     b: float | None = None,
     origin: np.ndarray | None = None,
 ) -> float:
-    """L_k u minus :func:`key_inequality_rhs`, for k in 0..n-1; >= 0, zero in space forms."""
+    """L_k u minus :func:`key_inequality_rhs` at p, for k in 0..n-1; >= 0, zero in space forms.
+
+    u is the distance to ``origin``, by default the patch's center (without either, a
+    GeometryError), and ``b`` is by default the ambient curvature.  The order is
+    checked first (DomainError).  A P_k that is not PSD at p (below -TAU_ELL) raises
+    HypothesisViolationError.  The origin's field is kept on the patch, and the
+    restriction is shared with the other single-point calls (:func:`restriction_at`).
+    """
     check_order(k, patch.n - 1)
     if b is None:
         b = patch.ambient.curvature
@@ -466,8 +427,8 @@ class OmoriYauReport:
 def _evaluate_rows(patch, field, k, Q):
     """(records, errors, excluded) at the parameter rows Q (N, n).
 
-    ``records`` = (param, u, |grad u|, q L_k u) of the rows without a
-    GeometryError in ``errors``; ``excluded`` counts the rows where Tr P_k <= TAU_ELL.
+    ``records`` = (param, u, |grad u|, q L_k u) of the rows without an error;
+    ``excluded`` counts the rows where Tr P_k <= TAU_ELL.
     """
     frames, errors, _ = frames_at(patch, Q)
     rows = np.flatnonzero(~failed(errors))
@@ -490,21 +451,19 @@ def omori_yau_search(
     j_max: int = 6,
     rounds: int = 8,
 ) -> OmoriYauReport:
-    """Search for points realizing the three extremum-sequence conditions.
+    """Search for points realizing the three extremum-sequence conditions, j = 1..j_max.
 
-    For each j <= j_max a candidate p must satisfy u(p) > u* - 1/j,
-    |grad u(p)| < 1/j and (1/Tr P_k) L_k u(p) < 1/j.  The search runs the
-    patch's coarse grid (:meth:`HypersurfacePatch.grid`, each point once),
-    starts from the smallest gradient in the top tenth of its u values, then
-    refines the max of u from there with :func:`refine_extremum` on stencils
-    of the grid's cell, the start the first stencil's middle row.  The
-    refinement stops where a stencil is flat to round-off or its quadratic fit
-    predicts a gain of at most an ulp; ``rounds`` (a non-negative integer)
-    bounds the halvings of the cell, a round that divides it by 4 counting as
-    two, so it evaluates at most ``rounds`` stencils (``rounds`` = 0: the
-    start alone); raise ``rounds`` for tighter targets.  Every point evaluated
-    joins the candidate pool, in the order evaluated, and each selection takes
-    the first maximum there.
+    A candidate for j has u > u* - 1/j, |grad u| < 1/j and (1/Tr P_k) L_k u < 1/j.
+    k in 0..n-1 and j_max >= 1 must be integers (else DomainError).  The search
+    evaluates the patch's grid (:meth:`HypersurfacePatch.grid`, each point once) in
+    one call and counts its ``skipped`` and ``excluded`` rows (Tr P_k <= TAU_ELL); a
+    grid with no row left raises GeometryError.  From the smallest gradient in the top
+    tenth of u it refines the max of u with :func:`refine_extremum` on the grid's
+    cell, which stops where a stencil is flat or its fit predicts a gain of at most an
+    ulp, after at most ``rounds`` stencils (a non-negative integer, else DomainError;
+    0 evaluates the start alone).  Every point evaluated joins the pool in
+    order, and each selection takes its first maximum; a j without a candidate
+    records the margin of its closest miss.
     """
     if not (is_integer(k) and 0 <= k < patch.n and is_integer(j_max) and j_max >= 1):
         raise DomainError(f"order k = {k!r} is outside 0..{patch.n - 1} or not an integer,"

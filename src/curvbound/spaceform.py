@@ -1,32 +1,9 @@
-"""Constant-curvature ambient models with closed-form distance machinery.
+"""Constant-curvature ambient models as flat-space quadrics, and the distance to a point.
 
-Curved models are realized as quadrics { <x,x> = 1/b } inside a flat
-(pseudo-)Euclidean embedding space of one extra dimension, which keeps the
-distance function, its gradient and its Hessian analytically exact:
-
-=====================  ===========  ====================  ===========================
-model_kind             (eps, b)     embedding metric      distance rho to o, k = eps b
-=====================  ===========  ====================  ===========================
-euclidean              (+1, 0)      (+...+)   dim n+1     sqrt(eps<x-o,x-o>)
-minkowski              (-1, 0)      (-+...+)  dim n+1     sqrt(eps<x-o,x-o>)
-sphere_embedded        (+1, b > 0)  (+...+)   dim n+2     arccos: cs_k(rho) = b<x,o>
-hyperboloid_embedded   (+1, b < 0)  (-+...+)  dim n+2     arccosh: cs_k(rho) = b<x,o>
-lorentz_spaceform      (-1, b > 0)  (-+...+)  dim n+2     arccosh: cs_k(rho) = b<x,o>
-lorentz_spaceform      (-1, b < 0)  (--+...+) dim n+2     arccos: cs_k(rho) = b<x,o>
-=====================  ===========  ====================  ===========================
-
-A model is (signature, b, dimension), with eps = <N,N> = ``AmbientModel.epsilon``
-(+1 Riemannian, -1 Lorentzian); ``model_kind`` is derived from them.  Each
-model keeps its own cut-locus or chronology guard on the distance.
-
-Lorentzian distance is defined on the chronological future of the reference
-point only, the points x with <P_o(x - o), T(o)> < 0 for the time orientation
-T; its gradient is a past-directed unit timelike field there.
-
-Every other formula is written once, with the model function sn_k of
-:mod:`curvbound.comparison`: grad rho = -eps P_x(o - x) / sn_{eps b}(rho), with
-P_x the tangent projection at x (the identity in flat models); and
-Hess rho(X, Y) = eps C_{eps b}(rho) (<X,Y> - eps drho(X) drho(Y)).
+A model is (signature, b, dimension), and ``model_kind`` follows from them.  Curved
+models are quadrics <x, x> = 1/b in a flat (pseudo-)Euclidean space of one more
+dimension, so the distance, its gradient and its Hessian are closed forms
+(README, "Design", distances).
 """
 
 from __future__ import annotations
@@ -59,11 +36,7 @@ COINCIDENCE_TOL = 1e-8
 
 @dataclass(frozen=True)
 class AmbientModel:
-    """A simply connected model space of constant curvature.
-
-    ``dimension`` is the manifold dimension n+1 (hypersurfaces inside it have
-    dimension n).  ``curvature`` is the constant sectional curvature b.
-    """
+    """A simply connected model space of constant curvature b and dimension n + 1."""
 
     signature: str
     curvature: float
@@ -255,12 +228,9 @@ _NOT_FUTURE = "point is not in the chronological future of the reference"
 def distance_rows(model: AmbientModel, o: np.ndarray, x: np.ndarray):
     """(rho, errors): distances from the reference point o to the points x (..., m).
 
-    Riemannian models give the geodesic distance; Lorentzian models give the
-    Lorentzian distance, defined only on the chronological future of o.
-    ``errors`` holds a :class:`DomainError` for each point where the distance
-    is undefined; rho is meaningless there.  The reference point is not
-    checked here: it is validated once, where it enters (a field, a patch
-    center, a reference ball, :func:`ambient_distance`).
+    Lorentzian distance is defined on the chronological future of o only.  ``errors``
+    holds a DomainError where the distance is undefined; rho is meaningless there.
+    o is not checked here: it is validated where it enters.
     """
     o = np.asarray(o, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -297,13 +267,11 @@ def ambient_distance(model: AmbientModel, o: np.ndarray, x: np.ndarray):
 
 
 def gradient_rows(model: AmbientModel, o: np.ndarray, x: np.ndarray):
-    """(rho, grad, errors): :func:`distance_rows` and the distance gradients at x (..., m).
+    """(rho, grad, errors): :func:`distance_rows` and grad rho = -eps P_x(o - x) / sn_{eps b}(rho).
 
-    grad rho = -eps P_x(o - x) / sn_{eps b}(rho), with P_x the tangent
-    projection at x (the identity in flat models): a unit tangent to the
-    radial geodesic, outward in Riemannian models and past-directed timelike
-    in Lorentzian ones.  Rows with rho <= COINCIDENCE_TOL max(|x|, |o|) (max
-    norms), rho = 0 included, get an :class:`UndefinedGradientError`.
+    The gradient is a unit tangent to the radial geodesic, outward in Riemannian and
+    past-directed timelike in Lorentzian models.  Rows with rho <= COINCIDENCE_TOL
+    max(|x|, |o|) (max norms), rho = 0 included, get an UndefinedGradientError.
     """
     rho, errors = distance_rows(model, o, x)
     o = np.asarray(o, dtype=float)
@@ -328,14 +296,12 @@ def comparison_radius(model: AmbientModel) -> float:
 def distance_jet(model: AmbientModel, o: np.ndarray, x: np.ndarray, rows=None):
     """(rho, grad, hessian, errors, C): :func:`gradient_rows`, failing from the comparison radius on.
 
-    ``rows``, the (rho, grad) of :func:`gradient_rows` at x where it flagged no
-    row, stand in for calling it.  ``hessian(d1, metric)`` takes tangent
-    columns d1 (..., m, n) at the rows and their induced metric (..., n, n),
-    and returns the chart-basis Hessian, the closed form eps C (metric - eps
-    drho drho^T) with drho = d1^T eta grad and C = C_{eps b}(rho): C_b in
-    Riemannian and C_{-b} in Lorentzian models.  C is evaluated in one call,
-    on the rows without an error, and returned, read-only, where no row failed
-    (else None).
+    ``rows``, the (rho, grad) of :func:`gradient_rows` at x where it flagged no row,
+    stand in for calling it.  ``hessian(d1, metric)`` takes tangent columns d1 (..., m,
+    n) and their induced metric (..., n, n) and returns eps C (metric - eps drho drho^T)
+    with drho = d1^T eta grad and C = C_{eps b}(rho); a column not tangent at x raises
+    DomainError.  C is evaluated in one :func:`c_b` call, on the rows without an
+    error, and returned read-only where no row failed, else None.
     """
     if rows is None:
         rho, grad, errors = gradient_rows(model, o, x)

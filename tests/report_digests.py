@@ -25,7 +25,10 @@ It prints one line per digest, ``<what> <digest>``:
   chart, in place of a digest, the shapes of its chart calls in order
   (``9x2*6,0x2*5``: six calls of shape (9, 2), then five of (0, 2)), so a
   diff shows a change of error order or of the chart calls per point;
-- ``search``: every field of two ``omori_yau_search`` reports.
+- ``search``: every field of two ``omori_yau_search`` reports;
+- ``code``: for each ``src/curvbound/*.py``, the SHA-256 of ``ast.dump`` of its
+  syntax tree with every module, class and function docstring removed, so a
+  change to docstrings and comments alone moves no digest.
 
 Run it from the root of a checkout:
 
@@ -42,6 +45,7 @@ not collect this file (its name does not start with ``test_``).
 from __future__ import annotations
 
 import argparse
+import ast
 import contextlib
 import hashlib
 import inspect
@@ -64,6 +68,31 @@ POINTS_PER_CHART = 6
 
 def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def docstring_nodes(tree: ast.AST) -> list:
+    """(owner, docstring expression) of the module, each class and each function of a tree."""
+    nodes = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                nodes.append((node, first))
+    return nodes
+
+
+def docstring_lines(source: str) -> int:
+    """The source lines the docstrings of a module span."""
+    return sum(doc.end_lineno - doc.lineno + 1 for _, doc in docstring_nodes(ast.parse(source)))
+
+
+def code_digest(source: str) -> str:
+    """SHA-256 of ``ast.dump`` of a module's syntax tree without its docstrings."""
+    tree = ast.parse(source)
+    for owner, _ in docstring_nodes(tree):
+        del owner.body[0]
+    return sha(ast.dump(tree).encode())
 
 
 def run(argv: list, tmp: Path) -> bytes:
@@ -300,6 +329,8 @@ def search_digests() -> dict:
 
 def print_digests(src: Path) -> None:
     """Print every digest of the library in ``src``."""
+    for path in sorted((src / "curvbound").glob("*.py")):
+        print(f"code {path.name} {code_digest(path.read_text())}", flush=True)
     sys.path.insert(0, str(src))
     from curvbound.harness import bundled_scenarios
 

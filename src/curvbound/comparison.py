@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, HypothesisViolationError, NumericalError
+from .errors import DomainError, HypothesisViolationError, NumericalError, is_integer
 
 
 def sn(k: float, t):
@@ -300,14 +300,14 @@ def solve_cauchy_g(G: CurvatureBoundG, T: float, num: int = 1001) -> OdeSolution
     G.  Every grid interval takes the least number of equal steps with
     G(T) h <= MAX_STEP_GH, and the first step is graded geometrically toward t = 0,
     where G' may be infinite; ``diagnostics["steps"]`` counts them.  T must be finite
-    and > 0 and ``num`` >= 2 (else DomainError).  An inadmissible G raises
+    and > 0 and ``num`` an integer >= 2 (else DomainError).  An inadmissible G raises
     HypothesisViolationError, a T where g would overflow float64 a DomainError that
     names the overflow point, and a lost positivity of g a NumericalError.
     """
     if not 0.0 < T < math.inf:  # written so that NaN fails it
         raise DomainError("solve_cauchy_g requires a finite T > 0")
-    if num < 2:
-        raise DomainError("solve_cauchy_g requires num >= 2")
+    if not (is_integer(num) and num >= 2):
+        raise DomainError(f"solve_cauchy_g requires an integer num >= 2, got {num!r}")
     G.require_admissible()
     _require_no_overflow(G, T)
     grid = np.linspace(0.0, T, num)

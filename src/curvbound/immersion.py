@@ -3,7 +3,7 @@
 A patch binds a chart to a model with an orientation: ``inner`` (toward the center,
 <N, grad rho> < 0) or ``outer`` in Riemannian models, ``future`` (the future-directed
 timelike unit normal) in Lorentzian ones.  README's "Design" section describes the
-frames, the kept frame and the refiner.
+frames and the refiner.
 """
 
 from __future__ import annotations
@@ -80,14 +80,8 @@ class HypersurfacePatch:
     wraps: np.ndarray = field(init=False, repr=False)  # (n,) bool
     _padded_box: tuple = field(init=False, repr=False)  # (lo, hi), widened by round-off
     _fd_steps: np.ndarray = field(init=False, repr=False)
-    # frame_at's last frame, keyed by the bytes of its parameter point; keyed by
-    # the frame, the (rho, grad) from the center that oriented its normal, if
-    # any; and what operators.restriction_at keeps beside it, keyed by field;
-    # frame_at clears all of it when it builds the frame of another point
-    _last_frame: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # operators' distance field of the last origin a single-point call took,
-    # keyed by that origin's shape and bytes, so the origin is validated once
-    _origin_field: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the single-point keep of curvbound.operators, opaque here
+    _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("domain_lo", "domain_hi", "center"):
@@ -279,6 +273,8 @@ class PointFrame:
     ``signature``, and ``principal`` is computed on first use.  ``congruence`` is the
     one factorization of the metric, R = D^-1/2 L^-1 with g^-1 = R^T R.  The frame is
     all the operator data the contractions of :mod:`curvbound.operators` read.
+    ``distances`` is (the center's bytes, rho, grad): the read-only distance and its
+    gradient from the patch's center where they oriented the normal, else None.
     """
 
     param: np.ndarray
@@ -292,9 +288,12 @@ class PointFrame:
     newton_eigenvalues: np.ndarray  # (..., n+1, n) entry (k, i): P_k on direction i; row n zero
     congruence: np.ndarray  # (..., n, n) R = D^-1/2 L^-1, lower triangular, with g = L D L^T
     signature: str  # the ambient signature H and newton_eigenvalues are signed for
+    distances: tuple | None = None
 
     def __getitem__(self, i) -> "PointFrame":
-        return PointFrame(*(getattr(self, name)[i] for name in ROW_FIELDS), self.signature)
+        d = self.distances
+        return PointFrame(*(getattr(self, name)[i] for name in ROW_FIELDS), self.signature,
+                          None if d is None else (d[0], d[1][i], d[2][i]))
 
     @cached_property
     def principal(self) -> np.ndarray:
@@ -328,11 +327,11 @@ class PointFrame:
 
 
 # the array fields of a frame, in constructor order: frame[i] takes row i of each
-ROW_FIELDS = tuple(f.name for f in fields(PointFrame) if f.name != "signature")
+ROW_FIELDS = tuple(f.name for f in fields(PointFrame) if f.type == "np.ndarray")
 
 
 def frames_at(patch: HypersurfacePatch, P: np.ndarray, jets=None):
-    """Frames at the rows of P (N, n); returns (frames, errors, distances).
+    """Frames at the rows of P (N, n); returns (frames, errors).
 
     ``frames`` holds the rows that have a frame, in order, with read-only arrays;
     ``errors[i]`` is the GeometryError of row i, or None when row i has a frame.  A row
@@ -341,13 +340,11 @@ def frames_at(patch: HypersurfacePatch, P: np.ndarray, jets=None):
     is not immersive or its normal degenerates (ImmersionDegeneracyError, or in
     Lorentzian models SignatureError for a tangent plane that is not spacelike), and,
     on an inner or outer patch with a center, where the distance gradient that orients
-    its normal is undefined.
-    ``distances`` is the read-only (rho, grad) from the center at the rows of
-    ``frames`` where that orientation measured them, else None.  ``jets`` (x, d1,
-    d2) at the rows of P, if given, must be ``patch.jet_at``'s there and are copied;
-    without them ``patch.jet_at`` is called once, on the rows that pass the box and
-    definedness checks.  The metric is factored once (:func:`ldl`) and the S_k table
-    is signed once per batch.
+    its normal is undefined; ``frames.distances`` keeps that orientation's (rho,
+    grad).  ``jets`` (x, d1, d2) at the rows of P, if given, must be
+    ``patch.jet_at``'s there and are copied; without them ``patch.jet_at`` is called
+    once, on the rows that pass the box and definedness checks.  The metric is
+    factored once (:func:`ldl`) and the S_k table is signed once per batch.
     """
     P = np.asarray(P, dtype=float)
     model = patch.ambient
@@ -412,7 +409,7 @@ def frames_at(patch: HypersurfacePatch, P: np.ndarray, jets=None):
         rho, radial, radial_errors = gradient_rows(model, patch.center, x)
         x, d1, d2, g, normal, radial, rho = reject(
             failed(radial_errors), radial_errors, x, d1, d2, g, normal, radial, rho)
-        distances = read_only((rho, radial))
+        distances = read_only((patch.center.tobytes(), rho, radial))
         s = model.flat_inner(normal, radial)
         flip = s > 0.0 if patch.orientation == "inner" else s < 0.0
     normal = np.where(flip[:, None], -normal, normal)
@@ -434,36 +431,22 @@ def frames_at(patch: HypersurfacePatch, P: np.ndarray, jets=None):
         newton_eigenvalues=newton_eigenvalues,
         congruence=_samples_first(R),
         signature=model.signature,
+        distances=distances,
     )
-    return read_only(frames), errors, distances
+    return read_only(frames), errors
 
 
 def frame_at(patch: HypersurfacePatch, p: np.ndarray, jets=None) -> PointFrame:
-    """The frame at one parameter point p (n,); raises its GeometryError.
+    """The frame at one parameter point p (n,), row 0 of :func:`frames_at`; raises its error.
 
-    The patch keeps the last frame built here, so repeated calls at one p return the
-    same frame, with read-only arrays.  The frame of another point drops it, with
-    what is kept beside it: the center's (rho, grad) that oriented its normal, which
-    :func:`curvbound.operators.restrict_field` reads, and the restrictions of
-    :func:`curvbound.operators.restriction_at`.  A failing point is not kept and
-    raises on every call; a p of another shape than (n,) raises DomainError.
-    ``jets`` are ``patch.jet_at``'s at p[None], if the caller has them: a frame built
-    here reads them (:func:`frames_at`), a kept frame ignores them.
+    A p of another shape raises DomainError.  ``jets``: ``patch.jet_at``'s at p[None].
     """
     p = np.asarray(p, dtype=float)
     if p.shape != (patch.n,):
         raise DomainError(f"parameter point has shape {p.shape}, expected ({patch.n},)")
-    key = p.tobytes()
-    frame = patch._last_frame.get(key)
-    if frame is None:
-        frames, errors, distances = frames_at(patch, p[None], jets)
-        raise_first(errors)
-        frame = frames[0]
-        patch._last_frame.clear()
-        patch._last_frame[key] = frame
-        if distances is not None:
-            patch._last_frame[frame] = (distances[0][0], distances[1][0])
-    return frame
+    frames, errors = frames_at(patch, p[None], jets)
+    raise_first(errors)
+    return frames[0]
 
 
 @dataclass(eq=False)
@@ -474,18 +457,16 @@ class GridSamples:
     skipped: list  # (param, reason)
     patch: HypersurfacePatch
     cell: np.ndarray  # (n,) the grid's step per axis
-    # the distances of the kept rows that oriented the normal, or None (see frames_at)
-    _rho: np.ndarray | None = field(default=None, repr=False)
 
     @cached_property
     def u(self) -> np.ndarray:
         """(N,) read-only distances from the patch's center; raises where one is undefined.
 
-        They are those that oriented the normal where the orientation measured them, else
+        Read off ``frames.distances`` where the orientation measured them, else
         measured here; a patch without a center raises DomainError.
         """
-        if self._rho is not None:
-            return self._rho
+        if self.frames.distances is not None:
+            return self.frames.distances[1]
         if self.patch.center is None:
             raise DomainError("the patch has no center to measure the distance from")
         # the patch validated its center, so only the positions are checked here
@@ -495,7 +476,10 @@ class GridSamples:
 
     @cached_property
     def points(self) -> list:
-        """(param, frames[i]) for each grid point that has a frame, from one pass over the rows."""
+        """(param, frames[i]) for each grid point that has a frame, from one pass over the rows.
+
+        The row frames serve ``H`` reads, so they carry no ``distances``: slicing them costs.
+        """
         f = self.frames
         rows = zip(*(getattr(f, name) for name in ROW_FIELDS))
         return [(row[0], PointFrame(*row, f.signature)) for row in rows]
@@ -504,13 +488,12 @@ class GridSamples:
 def sample_grid(patch: HypersurfacePatch, resolution) -> GridSamples:
     """Frames at the rows of ``patch.grid(resolution)``; records the points without one."""
     P, cell = patch.grid(resolution)
-    frames, errors, distances = frames_at(patch, P)
+    frames, errors = frames_at(patch, P)
     if not len(frames.param):
         raise EmptySampleError("every grid point was rejected")
     skipped = [(P[i], f"{type(errors[i]).__name__}: {errors[i]}")
                for i in np.flatnonzero(failed(errors))]
-    return GridSamples(frames=frames, skipped=skipped, patch=patch, cell=cell,
-                       _rho=None if distances is None else distances[0])
+    return GridSamples(frames=frames, skipped=skipped, patch=patch, cell=cell)
 
 
 @lru_cache(maxsize=None)

@@ -168,18 +168,17 @@ def restrict_field(patch: HypersurfacePatch, field, frame: PointFrame) -> FieldS
     The field's jet is evaluated once, on all rows; each row restricts as it would
     alone, bit for bit, and ``hess`` is exactly symmetric.  A row where the field is
     undefined does not raise: its error is in ``errors`` and its values are
-    meaningless.  On the frame :func:`frame_at` keeps, a :class:`DistanceField` in the
-    patch's model whose origin has the bits of the patch's center reads the distance
-    and gradient that oriented the frame's normal instead of evaluating them.
+    meaningless.  On a frame that carries ``distances``, a :class:`DistanceField` in the
+    patch's model whose origin has the bits of the center they were measured from
+    reads them instead of evaluating the distance and its gradient.
     """
     model = patch.ambient
     d1 = frame.tangent
     if isinstance(field, DistanceField):
-        kept = patch._last_frame.get(frame)  # the distances from the center, if frame_at keeps it
-        center = (kept is not None and field.model == model
-                  and field._origin_bits == patch.center.tobytes())
-        u, gbar, hessian, errors, C = distance_jet(field.model, field.origin, frame.position,
-                                                   kept if center else None)
+        carried = frame.distances
+        rows = (carried[1:] if carried is not None and field.model == model
+                and field._origin_bits == carried[0] else None)
+        u, gbar, hessian, errors, C = distance_jet(field.model, field.origin, frame.position, rows)
         comparison = None if C is None else (field.model.epsilon * field.model.curvature, C)
     else:
         u, gbar, hessian, errors = field.jet(frame.position)
@@ -229,18 +228,29 @@ def intrinsic_hessian_fd(patch: HypersurfacePatch, scalar_fn, p: np.ndarray,
     return d2u - np.einsum("lij,l->ij", gamma, du)
 
 
-def _distance_field_at(patch: HypersurfacePatch, origin: np.ndarray) -> DistanceField:
-    """The :class:`DistanceField` to ``origin`` in the patch's model, kept on the patch.
+def _record_of(patch: HypersurfacePatch, p: np.ndarray) -> tuple | None:
+    """The patch's record of the point p (an array), ((shape, bytes), frame, samples), or None."""
+    record = patch._kept.get("point")
+    return record if record is not None and record[0] == (p.shape, p.tobytes()) else None
 
-    The patch keeps the field of the last origin given, so an origin is validated once.
-    """
+
+def _point_record(patch: HypersurfacePatch, p, jets=None) -> tuple:
+    """p's kept record, else a new one on :func:`frame_at`'s frame (given ``jets``) in its place."""
+    p = np.asarray(p, dtype=float)
+    record = _record_of(patch, p)
+    if record is None:
+        record = patch._kept["point"] = ((p.shape, p.tobytes()), frame_at(patch, p, jets), {})
+    return record
+
+
+def _distance_field_at(patch: HypersurfacePatch, origin: np.ndarray) -> DistanceField:
+    """The :class:`DistanceField` to ``origin`` in the patch's model; the last origin's is kept."""
     origin = np.asarray(origin, dtype=float)
     key = (origin.shape, origin.tobytes())
-    kept = patch._origin_field
-    if key not in kept:
-        kept.clear()
-        kept[key] = DistanceField(patch.ambient, origin)
-    return kept[key]
+    kept = patch._kept.get("origin")
+    if kept is None or kept[0] != key:
+        kept = patch._kept["origin"] = (key, DistanceField(patch.ambient, origin))
+    return kept[1]
 
 
 def restriction_hessian(patch: HypersurfacePatch, o: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -248,28 +258,28 @@ def restriction_hessian(patch: HypersurfacePatch, o: np.ndarray, p: np.ndarray) 
 
     It raises ConsistencyError where the identity and the FD route differ by more
     than 1e-4 max(1, max|hess|).  A point makes one chart call, ``patch.jet_at`` on
-    the oracle's stencil (:func:`intrinsic_hessian_fd`).  When the patch keeps no
-    frame of p and p has shape (n,) and lies in the box, that call comes first and
-    its row 0, p itself, is the ``jets`` of :func:`frame_at`; on a kept frame the
-    oracle makes it.  A failing stencil is evaluated once.  The errors keep their
-    order: p's frame, then the restriction (:func:`restriction_at`), then the oracle.
-    So on a :class:`~curvbound.charts.TabulatedChart`, whose table the stencil never
-    lands on, every call raises the DomainError "parameter point is not tabulated".
+    the oracle's stencil (:func:`intrinsic_hessian_fd`).  Where the patch keeps no
+    record of p (:func:`restriction_at`), p has shape (n,) and lies in the box, that
+    call comes first and its row 0, p itself, is the ``jets`` of :func:`frame_at`; at
+    a kept point the oracle makes it.  A failing stencil is evaluated once.  The errors
+    keep their order: p's frame, the restriction, the oracle.  So on a
+    :class:`~curvbound.charts.TabulatedChart`, whose table the stencil never lands
+    on, every call raises the DomainError "parameter point is not tabulated".
     """
     field = _distance_field_at(patch, o)
     p = np.asarray(p, dtype=float)
     jets = failure = None  # the chart jets on the oracle's stencil, or their GeometryError
     # taken for a frame to build, at a p that passes frame_at's checks before the jets
-    if p.shape == (patch.n,) and patch.contains(p) and p.tobytes() not in patch._last_frame:
+    if p.shape == (patch.n,) and patch.contains(p) and _record_of(patch, p) is None:
         try:
             jets = patch.jet_at(fd_stencil(p, patch._fd_steps))
         except GeometryError as exc:
             failure = exc
-    frame_at(patch, p, None if jets is None else [a[:1] for a in jets])
+    _point_record(patch, p, None if jets is None else [a[:1] for a in jets])
     sample = restriction_at(patch, p, field)
     if failure is not None:
         raise failure
-    fd = intrinsic_hessian_fd(patch, field.value, p, jets)  # on a kept frame, its own chart call
+    fd = intrinsic_hessian_fd(patch, field.value, p, jets)  # at a kept point, its own chart call
     scale = max(1.0, float(np.abs(sample.hess).max()))
     if np.abs(sample.hess - fd).max() > 1e-4 * scale:
         raise ConsistencyError(
@@ -311,15 +321,16 @@ def trace_operator(sample: FieldSample, k: int):
 def restriction_at(patch: HypersurfacePatch, p: np.ndarray, field) -> FieldSample:
     """:func:`restrict_field` of ``field`` on the frame :func:`frame_at` returns; raises its errors.
 
-    The patch keeps the sample, read-only, beside its last frame, one per field (equal
-    fields share it), and drops it with that frame.  So the single-point calls at one
-    point restrict each field once and raise the sample's errors on every call.
+    The patch keeps one record, of the last point: its frame and, read-only, one
+    sample per field (equal fields share it).  Another point replaces it and a failing
+    point is never kept, so the single-point calls at one point build its frame once,
+    restrict each field once and raise the sample's errors on every call.
     """
-    frame = frame_at(patch, p)
-    if field not in patch._last_frame:
-        patch._last_frame[field] = read_only(restrict_field(patch, field, frame))
-    raise_first(patch._last_frame[field].errors)
-    return patch._last_frame[field]
+    _, frame, samples = _point_record(patch, p)
+    if field not in samples:
+        samples[field] = read_only(restrict_field(patch, field, frame))
+    raise_first(samples[field].errors)
+    return samples[field]
 
 
 def l_k_apply(patch: HypersurfacePatch, p: np.ndarray, k: int, field) -> float:
@@ -430,7 +441,7 @@ def _evaluate_rows(patch, field, k, Q):
     ``records`` = (param, u, |grad u|, q L_k u) of the rows without an error;
     ``excluded`` counts the rows where Tr P_k <= TAU_ELL.
     """
-    frames, errors, _ = frames_at(patch, Q)
+    frames, errors = frames_at(patch, Q)
     rows = np.flatnonzero(~failed(errors))
     sample = restrict_field(patch, field, frames)
     tr = frames.newton_trace(k)

@@ -20,6 +20,7 @@ from .errors import (
     failed,
     flag,
     fold_last,
+    is_integer,
     no_errors,
     raise_first,
     read_only,
@@ -47,6 +48,8 @@ class AmbientModel:
             raise ValueError(f"unknown signature {self.signature!r}")
         if not np.isfinite(self.curvature):
             raise ValueError(f"curvature must be finite, got {self.curvature!r}")
+        if not is_integer(self.dimension):
+            raise ValueError(f"model dimension must be an integer, got {self.dimension!r}")
         if self.dimension < 2:
             raise ValueError("model dimension must be at least 2")
 

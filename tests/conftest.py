@@ -132,3 +132,8 @@ def counted(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, wrapper)
     return calls
+
+
+def entry_bits(entries) -> list:
+    """The bytes of each entry of a tuple such as ``PointFrame.distances``; [] for None."""
+    return [np.asarray(a).tobytes() for a in entries or ()]

@@ -2,21 +2,26 @@
 
 Each mutant is (name, file, old text, new text): one edit to a file under
 ``src/curvbound``, where ``old`` occurs exactly once.  The probe copies
-``src/``, ``tests/`` and ``pyproject.toml`` into a temporary directory once,
-then for each mutant applies its edit, runs the tier-1 suite there (stopping
-at the first failure) and restores the file.  A mutant that passes tier-1
-survives.  pytest does not collect this file (its name does not start with
-``test_``).  Run it from the root of a checkout:
+``src/``, ``tests/``, ``pyproject.toml`` and ``README.md`` (which
+``test_docs.py`` reads) into a temporary directory once, then for each mutant
+applies its edit, runs the tier-1 suite there (stopping at the first failure)
+and restores the file.  A mutant that passes tier-1 survives.  pytest does not
+collect this file (its name does not start with ``test_``).  Run it from the
+root of a checkout:
 
     python tests/mutation_probe.py              # every mutant
     python tests/mutation_probe.py TIE cache    # mutants whose name contains TIE or cache
+    python tests/mutation_probe.py --changed-since REV   # mutants of the files changed since REV
 
-It prints one line per mutant and, last, the survivors.  ``EQUIVALENT``
+``--changed-since REV`` adds the mutants whose file differs from git revision
+REV (``git diff --name-only REV -- src/curvbound``) to those the name patterns
+select.  It prints one line per mutant and, last, the survivors.  ``EQUIVALENT``
 names the mutants that cannot change any result, with the reason.
 """
 
 from __future__ import annotations
 
+import argparse
 import os
 import shutil
 import subprocess
@@ -136,20 +141,27 @@ MUTANTS = [
     # reductions over a short per-sample axis, folded elementwise
     ("fold drops the last entry", "errors.py",
      "    for i in range(1, a.shape[-1]):\n", "    for i in range(1, a.shape[-1] - 1):\n"),
-    # the restrictions kept beside a patch's last frame
+    # the single-point keep, and the distances a frame carries
     ("cache: key without the origin", "operators.py",
      'object.__setattr__(self, "_origin_bits", origin.tobytes())',
      'object.__setattr__(self, "_origin_bits", b"")'),
     ("cache: a distance field kept whatever its origin", "operators.py",
      "key = (origin.shape, origin.tobytes())", "key = origin.shape"),
     ("cache: the center's distances serve a distance field of any origin", "operators.py",
-     "\n                  and field._origin_bits == patch.center.tobytes())", ")"),
+     "\n                and field._origin_bits == carried[0] else None)", " else None)"),
     ("cache: the center's distances serve a distance field of any model", "operators.py",
-     "kept is not None and field.model == model\n", "kept is not None\n"),
+     "carried is not None and field.model == model\n", "carried is not None\n"),
+    ("cache: the reuse checks the patch's center, not the frame's", "operators.py",
+     "field._origin_bits == carried[0]", "field._origin_bits == patch.center.tobytes()"),
     ("cache: the kept C_b serves any b", "operators.py",
      "kept[1] if kept is not None and kept[0] == b else", "kept[1] if kept is not None else"),
-    ("cache: entry kept across points", "immersion.py",
-     "        patch._last_frame.clear()\n", ""),
+    ("cache: entry kept across points", "operators.py",
+     "frame_at(patch, p, jets), {})",
+     "frame_at(patch, p, jets), patch._kept.get('point', (0, 0, {}))[2])"),
+    ("cache: a point's key without its shape", "operators.py",
+     "record[0] == (p.shape, p.tobytes())", "record[0][1] == p.tobytes()"),
+    ("cache: a point's key without its bytes", "operators.py",
+     "record[0] == (p.shape, p.tobytes())", "record[0][0] == p.shape"),
     ("cache: FD check skipped on a hit", "operators.py",
      "    fd = intrinsic_hessian_fd(patch, field.value, p, jets)",
      "    hit = getattr(sample, 'checked', False)\n"
@@ -173,7 +185,7 @@ MUTANTS = [
      "if p.shape == (patch.n,) and patch.contains(p) and",
      "if p.shape == (patch.n,) and"),
     ("restriction_hessian: a kept frame's stencil evaluated before the restriction",
-     "operators.py", " and p.tobytes() not in patch._last_frame:", ":"),
+     "operators.py", " and _record_of(patch, p) is None:", ":"),
     # a scenario's samples: the patch's grid and the distances to its center
     ("collect_samples: the distances are not evaluated", "harness.py",
      "    samples.u  # a kept row without a distance raises here, skipped rows or not\n", ""),
@@ -183,12 +195,12 @@ MUTANTS = [
      "S[k + 1:, k + 1:n] -= (S[k + 1:, k] / S[k, k])[:, None] * S[k, k + 1:n]\n"),
     # the read-only rule, applied where the batch is built
     ("frames_at: the batch is not marked read-only", "immersion.py",
-     "    return read_only(frames), errors, distances\n", "    return frames, errors, distances\n"),
+     "    return read_only(frames), errors\n", "    return frames, errors\n"),
     ("operator_data: the other signature's H writable", "operators.py",
      "H=read_only(frame.H * flips)", "H=frame.H * flips"),
     # a single-point fact with one owner each
     ("restriction_at: the sample's errors not raised", "operators.py",
-     "    raise_first(patch._last_frame[field].errors)\n", ""),
+     "    raise_first(samples[field].errors)\n", ""),
     # orders checked where they enter
     ("l_k_apply: any order k taken", "operators.py",
      "    check_order(k, patch.n)\n    return float(", "    return float("),
@@ -197,6 +209,10 @@ MUTANTS = [
     ("omori_yau_search: any order k taken", "operators.py",
      "if not (is_integer(k) and 0 <= k < patch.n and is_integer(j_max) and j_max >= 1):",
      "if not (is_integer(j_max) and j_max >= 1):"),
+    ("solve_cauchy_g: a num that is not an integer taken", "comparison.py",
+     "if not (is_integer(num) and num >= 2):", "if not num >= 2:"),
+    ("AmbientModel: a dimension that is not an integer taken", "spaceform.py",
+     "if not is_integer(self.dimension):", "if False:"),
     ("omori_yau_search: j_max below 1 taken", "operators.py",
      "if not (is_integer(k) and 0 <= k < patch.n and is_integer(j_max) and j_max >= 1):",
      "if not (is_integer(k) and 0 <= k < patch.n and is_integer(j_max)):"),
@@ -328,15 +344,31 @@ def run_tier1(root: Path) -> tuple[bool, str]:
     return done.returncode == 0, lines[-1] if lines else done.stderr.strip()[-200:]
 
 
-def main(patterns: list[str]) -> int:
-    chosen = [m for m in MUTANTS if not patterns or any(p in m[0] for p in patterns)]
+def changed_files(rev: str) -> set:
+    """The names of the files of ``src/curvbound`` that differ from git revision ``rev``."""
+    diff = subprocess.run(["git", "diff", "--name-only", rev, "--", "src/curvbound"],
+                          cwd=ROOT, capture_output=True, text=True, check=True)
+    return {Path(line).name for line in diff.stdout.split()}
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description="Run tier-1 on one-edit mutants of the library.")
+    parser.add_argument("patterns", nargs="*", help="select the mutants whose name contains one")
+    parser.add_argument("--changed-since", metavar="REV",
+                        help="select the mutants of the files that differ from git revision REV")
+    args = parser.parse_args(argv)
+    changed = set() if args.changed_since is None else changed_files(args.changed_since)
+    everything = not args.patterns and args.changed_since is None
+    chosen = [m for m in MUTANTS if everything or m[1] in changed
+              or any(p in m[0] for p in args.patterns)]
     survivors = []
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
         for name in ("src", "tests"):
             shutil.copytree(ROOT / name, root / name, ignore=ignore)
-        shutil.copy(ROOT / "pyproject.toml", root)
+        for name in ("pyproject.toml", "README.md"):
+            shutil.copy(ROOT / name, root)
         passed, summary = run_tier1(root)
         if not passed:
             print(f"tier-1 fails on the unmutated copy: {summary}")

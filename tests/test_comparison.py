@@ -370,8 +370,9 @@ def test_growth_functions_reject_non_finite_times():
             psi(G, t)
         with pytest.raises(DomainError):
             phi_gamma(G, t)
-    with pytest.raises(DomainError):
-        solve_cauchy_g(G, 1.0, num=1)
+    for num in (1, 11.0):
+        with pytest.raises(DomainError, match="integer num >= 2"):
+            solve_cauchy_g(G, 1.0, num=num)
 
 
 # -- psi and the Sturm comparison ----------------------------------------------

@@ -703,20 +703,30 @@ def test_emit_samples_csv(tmp_path):
 
 def test_cli_emit_samples_builds_one_grid(tmp_path, monkeypatch):
     # the CSV is written from the frames the run sampled, not from a second grid;
-    # every frame batch, the grid's and each other caller's, is built by frames_at
-    rows = []
-    build = immersion.frames_at
+    # every frame batch, the grid's and each other caller's, is built by frames_at,
+    # and the CSV's distances are those that oriented the grid's normals
+    from curvbound import spaceform
+
+    rows, gradients = [], []
+    build, gradient_rows = immersion.frames_at, spaceform.gradient_rows
 
     def counted(patch, P, jets=None):
         rows.append(len(P))
         return build(patch, P, jets)
 
+    def counted_gradients(model, o, x):
+        gradients.append(len(x))
+        return gradient_rows(model, o, x)
+
     for module in (immersion, operators):
         monkeypatch.setattr(module, "frames_at", counted)
+    for module in (immersion, spaceform):
+        monkeypatch.setattr(module, "gradient_rows", counted_gradients)
     path = tmp_path / "run.csv"
     assert main(["verify", "--scenario", "ellipsoid", "--resolution", "16",
                  "--emit-samples", str(path)]) == 0
     assert sum(rows) == 16 * 15  # the longitude wraps: 15 nodes
+    assert gradients == [16 * 15]
     config = bundled("ellipsoid")
     config.resolution = 16
     fresh = tmp_path / "fresh.csv"

@@ -39,8 +39,8 @@ from curvbound.errors import (
 from curvbound.harness import bundled_scenarios, load_scenario, scenario_patch
 from curvbound.immersion import (
     FD_JET_TOL,
+    ROW_FIELDS,
     HypersurfacePatch,
-    PointFrame,
     _samples_last,
     build_patch,
     cofactor_vector,
@@ -56,11 +56,13 @@ from curvbound.immersion import (
 )
 from curvbound.operators import (
     DistanceField,
+    LinearCoordinateField,
     key_inequality_rhs,
     l_k_apply,
     omori_yau_search,
     operator_data,
     restrict_field,
+    restriction_at,
     restriction_hessian,
     trace_operator,
 )
@@ -70,6 +72,7 @@ from conftest import (
     assert_u_is_the_distance_of_the_kept_rows,
     congruent,
     counted,
+    entry_bits,
     riemannian_space_form,
 )
 from oracles import (
@@ -695,7 +698,7 @@ def test_degeneracy_floor_sits_between_thin_and_collapsed_cylinders(radius, kept
         with pytest.raises(EmptySampleError, match="every grid point was rejected"):
             sample_grid(patch, 8)
         P = grid_points(grid_axes(patch.domain_lo, patch.domain_hi, 8))
-        frames, errors, _ = frames_at(patch, P)
+        frames, errors = frames_at(patch, P)
         assert all(isinstance(e, ImmersionDegeneracyError) for e in errors)
 
 
@@ -724,10 +727,10 @@ def test_grid_and_single_point_paths_agree(name, patch, resolution):
     for i, (p, frame) in enumerate(grid.points):
         single = frame_at(patch, p)
         assert single.signature == frame.signature == grid.frames.signature == signature
-        arrays = [field for field in PointFrame.__dataclass_fields__ if field != "signature"]
-        for field in (*arrays, "principal"):
+        for field in (*ROW_FIELDS, "principal"):
             assert np.array_equal(getattr(grid.frames, field)[i], getattr(single, field)), (
                 name, field)
+        assert entry_bits(grid.frames[i].distances) == entry_bits(single.distances), name
         data = operator_data(single, signature)
         for field in ("kappa", "newton_eigenvalues", "H"):
             assert np.array_equal(getattr(batch, field)[i], getattr(data, field)), (name, field)
@@ -1273,22 +1276,7 @@ def test_analytic_jets_need_a_chart_that_has_them():
     assert np.array_equal(auto.jet_at(np.zeros(2))[1], np.eye(3, 2))
 
 
-# -- the last frame of a patch ------------------------------------------------------
-
-
-def test_frame_at_reuses_the_frame_of_the_last_point(monkeypatch):
-    patch = sphere_patch()
-    jets = counted(monkeypatch, type(patch.chart), "jet")  # a chart is immutable
-    p, q = np.array([1.0, 2.0]), np.array([1.1, 2.0])
-    frame = frame_at(patch, p)
-    assert frame_at(patch, p.copy()) is frame
-    assert len(jets) == 1
-    assert frame_at(patch, q) is not frame
-    again = frame_at(patch, p)  # p, q, p: one entry, so p is built again
-    assert again is not frame
-    assert len(jets) == 3
-    for field in (*PointFrame.__dataclass_fields__, "principal"):
-        assert np.array_equal(getattr(again, field), getattr(frame, field)), field
+# -- the frame of one point ---------------------------------------------------------
 
 
 def test_frame_at_raises_at_a_rejected_point_on_every_call():
@@ -1308,6 +1296,8 @@ def test_frame_at_takes_one_point_of_shape_n():
         frame_at(patch, p[None])
     assert frame_at(patch, p).kappa.shape == (2,)
     assert np.isfinite(l_k_apply(patch, p, 0, DistanceField(E3, np.zeros(3))))
+    with pytest.raises(DomainError, match=r"shape \(1, 2\), expected \(2,\)"):
+        l_k_apply(patch, p[None], 0, DistanceField(E3, np.zeros(3)))  # p's record is kept
     for wrong in ([1.0, 2.0, 3.0], [1.0], 1.0):
         with pytest.raises(DomainError, match=r"expected \(2,\)"):
             frame_at(patch, np.array(wrong))
@@ -1316,8 +1306,8 @@ def test_frame_at_takes_one_point_of_shape_n():
 def test_frames_of_frame_at_are_read_only_and_the_caller_keeps_its_arrays():
     center, lo, hi = np.zeros(3), np.array([0.2, 0.0]), np.array([2.9, 6.0])
     patch = build_patch(E3, "sphere", {"radius": 1.0}, center=center, domain=(lo, hi))
-    p = np.array([1.0, 2.0])
-    frame = frame_at(patch, p)
+    p, height = np.array([1.0, 2.0]), LinearCoordinateField(E3, np.array([0.0, 0.0, 1.0]))
+    frame = restriction_at(patch, p, height).frame  # the frame the patch keeps at p
     with pytest.raises(ValueError, match="read-only"):
         frame.kappa[0] = 0.0
     with pytest.raises(ValueError, match="read-only"):
@@ -1330,18 +1320,18 @@ def test_frames_of_frame_at_are_read_only_and_the_caller_keeps_its_arrays():
     center[0], lo[0], p[0] = 5.0, 1.5, 1.2
     assert np.array_equal(patch.center, np.zeros(3))
     assert np.array_equal(patch.domain_lo, [0.2, 0.0])
-    assert frame_at(patch, p) is not frame
+    assert restriction_at(patch, p, height).frame is not frame
 
 
 def test_a_write_to_a_chart_parameter_array_leaves_the_kept_frame_valid():
     axes = np.array([0.6, 1.0, 1.0])
     patch = build_patch(E3, "ellipsoid", {"semi_axes": axes}, center=np.zeros(3))
-    p = np.array([1.0, 2.0])
-    kept = frame_at(patch, p)
+    p, field = np.array([1.0, 2.0]), DistanceField(E3, np.zeros(3))
+    kept = restriction_at(patch, p, field).frame
     axes[0] = 2.0
     assert not np.shares_memory(patch.chart.semi_axes, axes)
     frames = frames_at(patch, p[None])[0]
-    assert np.array_equal(frame_at(patch, p).kappa, frames.kappa[0])
+    assert np.array_equal(restriction_at(patch, p, field).frame.kappa, frames.kappa[0])
     assert np.array_equal(kept.kappa, frames.kappa[0])
 
 
@@ -1375,12 +1365,13 @@ def test_chart_array_parameters_are_read_only_copies(tmp_path):
 def test_patch_is_frozen_and_a_replaced_patch_starts_without_a_frame():
     patch = sphere_patch()
     p = np.array([1.0, 2.0])
-    frame = frame_at(patch, p)
+    frame = restriction_at(patch, p, DistanceField(E3, np.zeros(3))).frame
+    assert patch._kept
     with pytest.raises(dataclasses.FrozenInstanceError):
         patch.jets = "fd"
     fd = dataclasses.replace(patch, jets="fd")
-    assert fd._last_frame == {}
-    fd_frame = frame_at(fd, p)
+    assert fd._kept == {}
+    fd_frame = restriction_at(fd, p, DistanceField(E3, np.zeros(3))).frame
     assert fd_frame is not frame
     assert not np.array_equal(fd_frame.kappa, frame.kappa)
     np.testing.assert_allclose(fd_frame.kappa, frame.kappa, atol=FD_JET_TOL)
@@ -1396,13 +1387,13 @@ def test_patches_and_charts_compare_by_identity():
 
 def test_a_chart_attribute_cannot_be_rebound_under_a_kept_frame():
     patch = build_patch(E3, "cylinder", {"radius": 1.0})
-    p = np.array([1.0, 0.5])
-    kept = frame_at(patch, p)
+    p, height = np.array([1.0, 0.5]), LinearCoordinateField(E3, np.array([0.0, 0.0, 1.0]))
+    kept = restriction_at(patch, p, height).frame
     np.testing.assert_allclose(kept.kappa, [-1.0, 0.0], atol=1e-12)
     with pytest.raises(AttributeError, match="CylinderChart.radius is set once"):
         patch.chart.radius = 2.0
     assert patch.chart.radius == 1.0
-    assert frame_at(patch, p) is kept
+    assert restriction_at(patch, p, height).frame is kept
     assert np.array_equal(kept.kappa, frames_at(patch, p[None])[0].kappa[0])
 
 

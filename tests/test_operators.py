@@ -61,7 +61,7 @@ from curvbound.operators import (
 )
 from curvbound.spaceform import AmbientModel
 
-from conftest import coincident_rows, congruent, counted, equality_spheres
+from conftest import coincident_rows, congruent, counted, entry_bits, equality_spheres
 from oracles import (
     geodesic_point,
     higher_mean_curvatures,
@@ -436,26 +436,59 @@ def test_operator_data_wraps_the_frames_signed_arrays(name):
 
 def test_a_frame_is_its_own_operator_data_and_a_point_keeps_one_sample_per_field():
     # in its own signature operator_data returns the frame itself: a grid
-    # batch, a grid row and the frame frame_at keeps; at a point the patch
-    # keeps that frame and one FieldSample per field, on that frame
+    # batch, a grid row and the frame a point keeps; at a point the patch keeps
+    # one record, p's key, its frame and one FieldSample per field, on that frame
     patch = ellipsoid_patch()
     grid = sample_grid(patch, 8)
     p = grid.frames.param[5]
-    kept = frame_at(patch, p)
-    for frame in (grid.frames, grid.points[5][1], kept):
-        assert operator_data(frame, frame.signature) is frame
     fields = [DistanceField(E3, np.zeros(3)), DistanceField(E3, [0.1, 0.0, 0.0]),
               LinearCoordinateField(E3, [0.0, 0.0, 1.0])]
     samples = [restriction_at(patch, p, field) for field in fields]
+    kept = samples[0].frame
+    for frame in (grid.frames, grid.points[5][1], kept):
+        assert operator_data(frame, frame.signature) is frame
     for field, sample in zip(fields, samples):
         assert isinstance(sample, FieldSample) and sample.frame is kept
     key_inequality_residual(patch, p, 1)  # its field equals fields[0]
     l_k_apply(patch, p, 0, DistanceField(E3, [0.1, 0.0, 0.0]))
-    # keyed by the frame: the distance and its gradient from the center that oriented it
-    distances = patch._last_frame[kept]
-    rho, grad, _ = spaceform.gradient_rows(E3, patch.center, kept.position[None])
-    assert [a.tobytes() for a in distances] == [rho.tobytes(), grad.tobytes()]
-    assert patch._last_frame == {p.tobytes(): kept, kept: distances, **dict(zip(fields, samples))}
+    # the frame carries the distance and its gradient from the center that oriented it
+    bits, rho, grad = kept.distances
+    expected, gradient, _ = spaceform.gradient_rows(E3, patch.center, kept.position[None])
+    assert [bits, rho.tobytes(), grad.tobytes()] == [
+        patch.center.tobytes(), expected.tobytes(), gradient.tobytes()]
+    assert patch._kept["point"] == ((p.shape, p.tobytes()), kept, dict(zip(fields, samples)))
+
+
+def test_the_single_point_calls_reuse_the_frame_of_the_last_point(monkeypatch):
+    # the five single-point calls at one point build its frame once, by one
+    # frame_at call on one frames_at batch; p, p.copy(), q, p builds p twice,
+    # as q's record replaces p's; a failing point is never kept, so it raises
+    # on every call and leaves the record of the last point in place
+    patch = ellipsoid_patch()
+    field = DistanceField(E3, patch.center)
+    built = counted(monkeypatch, operators, "frame_at")
+    batches = counted(monkeypatch, immersion, "frames_at")
+    jets = counted(monkeypatch, EllipsoidChart, "jet")  # a chart is immutable
+    p, q = np.array([1.0, 2.0]), np.array([1.1, 2.0])
+    restriction_hessian(patch, patch.center, p)
+    for k in (0, 1):
+        key_inequality_residual(patch, p, k)
+        l_k_apply(patch, p, k, field)
+    assert (len(built), len(batches), len(jets)) == (1, 1, 1)  # the oracle's stencil
+    frame = restriction_at(patch, p.copy(), field).frame
+    assert restriction_at(patch, q, field).frame is not frame
+    again = restriction_at(patch, p, field).frame
+    assert again is not frame
+    assert (len(built), len(batches), len(jets)) == (3, 3, 3)
+    for name in (*ROW_FIELDS, "principal"):
+        assert np.array_equal(getattr(again, name), getattr(frame, name)), name
+    record = patch._kept["point"]
+    for _ in range(2):
+        with pytest.raises(DomainError, match="outside the patch domain"):
+            l_k_apply(patch, patch.domain_hi + 1.0, 0, field)
+        assert patch._kept["point"] is record
+    assert len(built) == 5
+    assert restriction_at(patch, p, field).frame is again
 
 
 def test_fd_oracle_reads_one_chart_jet_per_stencil(monkeypatch):
@@ -513,9 +546,13 @@ def test_spectral_contractions_match_newton_recursion():
 
 
 def test_restriction_evaluates_the_distance_once(monkeypatch):
-    # a restriction evaluates the distance once, on the frame's rows; on the
-    # frame frame_at keeps, the distance to the patch's center in its model
-    # reads the distances that oriented the frame's normal, and none is evaluated
+    # a restriction evaluates the distance once, on the frame's rows; on a frame
+    # that carries the distances that oriented its normal (frame_at's, a
+    # frames_at batch, a grid's and a row of either), the distance to the center
+    # they were measured from, in the patch's model, reads them and none is
+    # evaluated.  A GridSamples.points row frame carries none, and a frame of a
+    # patch with another center carries that center's.  Every sample has the
+    # bits of a restriction on the frame without its distances
     calls = []
     distance_rows = spaceform.distance_rows
 
@@ -523,27 +560,28 @@ def test_restriction_evaluates_the_distance_once(monkeypatch):
         calls.append(np.shape(x))
         return distance_rows(model, o, x)
 
-    patch = ellipsoid_patch()
+    patch, zero, off = ellipsoid_patch(), np.zeros(3), np.array([0.1, 0.0, 0.0])
+    other = dataclasses.replace(patch, center=off)
     p = interior_points(patch, np.random.default_rng(3), 1)[0]
-    kept = frame_at(patch, p)
-    unkept, grid = frames_at(patch, p[None])[0], sample_grid(patch, 8).frames
+    batch, grid = frames_at(patch, p[None])[0], sample_grid(patch, 8)
+    frames = [(frame_at(patch, p), zero), (batch, zero), (batch[0], zero), (grid.frames, zero),
+              (grid.frames[5], zero), (grid.points[5][1], None), (frame_at(other, p), off)]
     monkeypatch.setattr(spaceform, "distance_rows", counted)
-    center = DistanceField(E3, np.zeros(3))
-    for field in (center, phi_of_distance_field(E3, np.zeros(3), 0.0),
-                  DistanceField(E3, [0.1, 0.0, 0.0]), DistanceField(M3, np.zeros(3))):
-        for frame in (kept, unkept, grid):
+    fields = [(DistanceField(E3, zero), zero), (phi_of_distance_field(E3, zero, 0.0), None),
+              (DistanceField(E3, off), off), (DistanceField(M3, zero), None)]
+    for field, origin in fields:
+        for frame, center in frames:
             before = len(calls)
             sample = restrict_field(patch, field, frame)
-            if field is center and frame is kept:
-                assert calls[before:] == []
-                fresh = restrict_field(patch, field, dataclasses.replace(frame))
-                for spec in dataclasses.fields(FieldSample):
-                    if spec.name not in ("frame", "errors", "comparison"):
-                        assert (getattr(sample, spec.name).tobytes()
-                                == getattr(fresh, spec.name).tobytes()), spec.name
-                assert sample.comparison[1].tobytes() == fresh.comparison[1].tobytes()
+            if origin is not None and origin is center:
+                assert calls[before:] == [], (field, center)
             else:
-                assert calls[before:] == [frame.position.shape]
+                assert calls[before:] == [frame.position.shape], (field, center)
+            fresh = restrict_field(patch, field, dataclasses.replace(frame, distances=None))
+            for name in ("u", "grad", "grad_norm_sq", "normal_coef", "hess"):
+                assert getattr(sample, name).tobytes() == getattr(fresh, name).tobytes(), name
+            assert np.array_equal(failed(sample.errors), failed(fresh.errors))
+            assert entry_bits(sample.comparison) == entry_bits(fresh.comparison)
 
 
 def test_a_probe_point_takes_its_distance_gradient_and_c_b_once(monkeypatch):
@@ -613,7 +651,7 @@ def test_repeated_key_inequality_reuses_the_frame_and_its_directions(monkeypatch
     assert {name: len(c) for name, c in calls.items()} == {
         "cholesky": 0, "solve": 0, "det": 0, "eigvalsh": 0, "eigh": 1, "ldl": 1, "jet_at": 1}
     assert [np.shape(q) for _, q in calls["jet_at"]] == [(9, 2)]
-    R = frame_at(patch, p).congruence
+    R = restriction_at(patch, p, field).frame.congruence
     of_R = [form for a, form in forms if a is R]
     assert of_R and all(np.shares_memory(form, R) for form in of_R)
     # a repeated call runs none of them
@@ -722,11 +760,13 @@ def test_restriction_hessian_builds_the_frame_of_frame_at_from_the_stencil_row(
     p = probe_point(patch, kind, fractions, axis, high)
     with recorded_oracle() as fd:
         restriction_hessian(patch, o, p)
-    built, own = frame_at(patch, p), frame_at(dataclasses.replace(patch), p)
+    built = restriction_at(patch, p, DistanceField(patch.ambient, o)).frame  # the kept frame
+    own = frame_at(dataclasses.replace(patch), p)
     assert built.signature == own.signature
     for name in ROW_FIELDS:
         a, b = getattr(built, name), getattr(own, name)
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert entry_bits(built.distances) == entry_bits(own.distances)
     field = DistanceField(patch.ambient, o)
 
     def rho(x):
@@ -810,7 +850,8 @@ def test_restriction_hessian_raises_the_frame_then_the_restriction_then_the_orac
         assert first_error(restriction_hessian, dataclasses.replace(patch), o, p) == want
         assert [np.shape(q) for _, q in calls] == shapes, (p, want)
         kept = dataclasses.replace(patch)  # the same on a patch that keeps p's frame
-        if first_error(frame_at, kept, p) is None:
+        height = LinearCoordinateField(patch.ambient, np.zeros_like(o))  # keeps p's frame alone
+        if first_error(restriction_at, kept, p, height) is None:
             restricted = first_error(restriction_at, dataclasses.replace(patch), p,
                                      DistanceField(patch.ambient, o)) is None
             calls.clear()
@@ -971,7 +1012,8 @@ def test_restriction_hessian_raises_on_a_wrong_second_jet_on_every_call():
     for _ in range(2):
         with pytest.raises(ConsistencyError):
             restriction_hessian(patch, np.zeros(3), p)
-    assert patch._last_frame  # the frame and the restriction were kept
+    key, _, samples = patch._kept["point"]  # the frame and the restriction were kept
+    assert key == (p.shape, p.tobytes()) and len(samples) == 1
 
 
 def test_restriction_hessian_bar_lies_between_fd_error_and_a_wrong_jet():
@@ -1075,17 +1117,21 @@ def test_orders_at_the_ends_of_their_range_are_accepted():
 
 
 def test_kept_frames_and_their_copies_are_read_only():
-    # frames_at marks its batch read-only, so a grid, a scenario's kept grid,
-    # every row frame and the other-signature copy of operator_data follow the rule
+    # frames_at marks its batch read-only, its distances included, so a grid, a
+    # scenario's kept grid, every row frame and the other-signature copy of
+    # operator_data follow the rule
     patch = ellipsoid_patch()
     grid = sample_grid(patch, 8)
     report = run_scenario(load_scenario(bundled_scenarios()["ellipsoid"]))
+    single, row = frame_at(patch, grid.frames.param[4]), grid.frames[4]
     records = [grid.frames, report.samples.frames, *(frame for _, frame in grid.points),
-               frames_at(patch, grid.frames.param[:3])[0], frame_at(patch, grid.frames.param[4])]
+               frames_at(patch, grid.frames.param[:3])[0], single, row]
     records += [operator_data(frame, "lorentzian") for frame in records[:3]]
+    assert all(frame.distances is not None for frame in (grid.frames, single, row))
     for record in records:
         arrays = [getattr(record, f.name) for f in dataclasses.fields(record)
-                  if f.name != "signature"]
+                  if f.name not in ("signature", "distances")]
+        arrays += [a for a in record.distances or () if isinstance(a, np.ndarray)]
         assert not any(a.flags.writeable for a in (*arrays, record.principal))
 
 

@@ -283,6 +283,10 @@ MODEL_ERRORS = {
                                  "wrong length"),
     "riemannian-time-orientation": (lambda: E3.time_orientation(np.zeros(3)), DomainError,
                                     "only defined for lorentzian"),
+    "fractional-dimension": (lambda: AmbientModel("riemannian", 0.0, 3.5), ValueError,
+                             "must be an integer, got 3.5"),
+    "float-dimension": (lambda: AmbientModel.euclidean(3.0), ValueError,
+                        "must be an integer, got 3.0"),
 }
 
 
